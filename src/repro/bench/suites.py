@@ -17,6 +17,9 @@ Suites:
     The hot path: the discrete-event simulation kernel on prebuilt analyses
     (where the vectorized view updates show up) plus one cold end-to-end
     sweep through the session machinery.
+``analysis``
+    The cold analysis chain alone: ordering plus assembly-tree build for
+    every paper problem × ordering, on prebuilt patterns.
 ``tables``
     Regeneration of the paper's Table 1 and Table 2 through a shared runner.
 ``ablations``
@@ -185,6 +188,63 @@ def _pipeline_suite(env: BenchEnv) -> SuiteInstance:
         )
     )
     return SuiteInstance(name="pipeline", cases=cases, close=session.close)
+
+
+# --------------------------------------------------------------------------- #
+# analysis: cold ordering + tree per problem × ordering
+# --------------------------------------------------------------------------- #
+#: the orderings of the paper's tables, in column order
+ANALYSIS_ORDERINGS = ("metis", "pord", "amd", "amf")
+
+
+@SUITES.register(
+    "analysis",
+    description="cold ordering + assembly tree for every problem × ordering",
+)
+def _analysis_suite(env: BenchEnv) -> SuiteInstance:
+    from repro.experiments.problems import PROBLEMS
+    from repro.ordering import compute_ordering
+    from repro.pipeline.engine import PipelineSettings
+    from repro.symbolic import build_assembly_tree
+
+    # the tree stage's amalgamation knobs, as every sweep uses them
+    settings = PipelineSettings()
+    cases: list[PreparedCase] = []
+    for problem, spec in PROBLEMS.items():
+        pattern = spec.build(env.scale)  # untimed: the cases time ordering + tree
+        for ordering in ANALYSIS_ORDERINGS:
+
+            def analyse(pattern=pattern, ordering=ordering) -> dict[str, float]:
+                perm = compute_ordering(pattern, ordering)
+                tree = build_assembly_tree(
+                    pattern,
+                    perm,
+                    amalgamation_min_pivots=settings.amalgamation_min_pivots,
+                    amalgamation_relax=settings.amalgamation_relax,
+                    keep_variables=False,
+                )
+                return {
+                    "nodes": float(tree.nnodes),
+                    "factor_entries": float(tree.total_factor_entries()),
+                }
+
+            cases.append(
+                PreparedCase(
+                    case=BenchCase(
+                        name=f"analysis-{problem}-{ordering}".lower(),
+                        suite="analysis",
+                        params=(
+                            ("problem", problem),
+                            ("ordering", ordering),
+                            ("scale", env.scale),
+                        ),
+                    ),
+                    fn=analyse,
+                    repeats=3,
+                    warmup=1,
+                )
+            )
+    return SuiteInstance(name="analysis", cases=cases)
 
 
 # --------------------------------------------------------------------------- #

@@ -13,39 +13,31 @@ a greedy minimal-cover pass.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.ordering.quotient_graph import greedy_ordering
-from repro.ordering.rcm import bfs_levels, pseudo_peripheral_node
+from repro.ordering.rcm import bfs_levels, gather_rows, pseudo_peripheral_node
 from repro.sparse.pattern import SparsePattern
 
 __all__ = ["nested_dissection_ordering", "find_separator"]
 
 
 def _connected_components(indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the subgraph induced by ``vertices``."""
+    """Connected components of the subgraph induced by ``vertices``.
+
+    Components come in the order of their first vertex in ``vertices``, each
+    in BFS order from that vertex.
+    """
     inset = np.zeros(len(indptr) - 1, dtype=bool)
     inset[vertices] = True
     seen = np.zeros(len(indptr) - 1, dtype=bool)
     comps: list[np.ndarray] = []
-    for v in vertices:
-        v = int(v)
+    for v in vertices.tolist():
         if seen[v]:
             continue
-        comp = [v]
-        seen[v] = True
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for p in range(indptr[u], indptr[u + 1]):
-                w = int(indices[p])
-                if inset[w] and not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(np.asarray(comp, dtype=np.int64))
+        _, comp = bfs_levels(indptr, indices, v, inset)
+        seen[comp] = True
+        comps.append(comp)
     return comps
 
 
@@ -67,38 +59,22 @@ def find_separator(
     mask[vertices] = True
     start = pseudo_peripheral_node(pattern_indptr, pattern_indices, int(vertices[0]), mask)
     level, order = bfs_levels(pattern_indptr, pattern_indices, start, mask)
-    order = np.asarray(order, dtype=np.int64)
     # order only contains reachable vertices of this component
     target = max(1, int(balance * order.size))
     cut_level = int(level[order[min(target, order.size - 1)]])
-    in_a = np.zeros(len(mask), dtype=bool)
-    a_vertices = order[np.asarray([level[v] < cut_level for v in order])]
+    a_vertices = order[level[order] < cut_level]
     if a_vertices.size == 0 or a_vertices.size == order.size:
         # degenerate level structure (e.g. a clique): split by BFS order
         half = max(1, order.size // 2)
         a_vertices = order[:half]
+    in_a = np.zeros(len(mask), dtype=bool)
     in_a[a_vertices] = True
-    in_comp = np.zeros(len(mask), dtype=bool)
-    in_comp[order] = True
     # separator: vertices of B adjacent to A
-    sep = []
-    b_list = []
-    for v in order:
-        v = int(v)
-        if in_a[v]:
-            continue
-        touches_a = any(
-            in_a[int(pattern_indices[p])]
-            for p in range(pattern_indptr[v], pattern_indptr[v + 1])
-        )
-        if touches_a:
-            sep.append(v)
-        else:
-            b_list.append(v)
-    part_a = a_vertices
-    part_b = np.asarray(b_list, dtype=np.int64)
-    separator = np.asarray(sep, dtype=np.int64)
-    return part_a, part_b, separator
+    b_vertices = order[~in_a[order]]
+    nbrs, counts = gather_rows(pattern_indptr, pattern_indices, b_vertices)
+    owner = np.repeat(np.arange(b_vertices.size), counts)
+    touches_a = np.bincount(owner[in_a[nbrs]], minlength=b_vertices.size) > 0
+    return a_vertices, b_vertices[~touches_a], b_vertices[touches_a]
 
 
 def extract_hubs(indptr: np.ndarray, indices: np.ndarray, *, factor: float = 8.0, min_degree: int = 24) -> np.ndarray:
@@ -172,9 +148,8 @@ def nested_dissection_ordering(
 
     def assign(vertices_in_order: np.ndarray) -> None:
         nonlocal next_pos
-        for v in vertices_in_order:
-            position[next_pos] = v
-            next_pos += 1
+        position[next_pos:next_pos + vertices_in_order.size] = vertices_in_order
+        next_pos += vertices_in_order.size
 
     # Explicit recursion emulation: "dissect" frames split a vertex set,
     # "emit" frames assign a separator once both of its parts are done.

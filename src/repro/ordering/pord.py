@@ -65,9 +65,8 @@ def pord_ordering(
 
     def assign(vertices_in_order: np.ndarray) -> None:
         nonlocal next_pos
-        for v in vertices_in_order:
-            position[next_pos] = v
-            next_pos += 1
+        position[next_pos:next_pos + vertices_in_order.size] = vertices_in_order
+        next_pos += vertices_in_order.size
 
     hubs = extract_hubs(indptr, indices)
     non_hubs = np.setdiff1d(np.arange(n, dtype=np.int64), hubs, assume_unique=False)

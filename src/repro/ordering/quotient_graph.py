@@ -18,6 +18,18 @@ The engine below implements the quotient graph with:
   what keeps FEM-style matrices with several dofs per node tractable;
 * a pluggable score function so that the same machinery serves AMD
   (score = approximate degree) and AMF (score = approximate deficiency).
+
+Selection rule.  :func:`greedy_ordering` eliminates, at every step, the live
+principal variable minimising ``(score, jitter, index)``, where ``jitter`` is
+a seeded per-variable tie-breaker.  The heap holds one entry per push and
+``cur[v]`` records the score of the latest push of ``v``; a popped entry is
+skipped when ``v`` is dead (eliminated or merged) or when its score is not
+``cur[v]``.  This is exact, not lazy: a variable's score changes only when the
+variable belongs to the element ``Lp`` of an elimination (its degree, weight
+and adjacent elements are only touched there), and every such variable is
+re-pushed with its new score right after the elimination.  Every live
+variable therefore has exactly one current entry, and the heap minimum over
+current entries is the argmin above.
 """
 
 from __future__ import annotations
@@ -44,8 +56,10 @@ class EliminationGraph:
     def __init__(self, pattern: SparsePattern):
         indptr, indices = pattern.adjacency()
         self.n = pattern.n
+        bounds = indptr.tolist()
+        cols = indices.tolist()
         # variable -> set of adjacent variables (both principal and not, cleaned lazily)
-        self.adj: list[set[int]] = [set(indices[indptr[i]:indptr[i + 1]].tolist()) for i in range(self.n)]
+        self.adj: list[set[int]] = [set(cols[bounds[i]:bounds[i + 1]]) for i in range(self.n)]
         # variable -> set of adjacent element ids
         self.elems: list[set[int]] = [set() for _ in range(self.n)]
         # element id -> set of principal variables of the element
@@ -56,33 +70,25 @@ class EliminationGraph:
         # value recorded at creation time remains exact.
         self.element_size: dict[int, int] = {}
         self.next_element = 0
-        # supervariable bookkeeping
-        self.weight = np.ones(self.n, dtype=np.int64)  # #variables represented by this principal
-        self.merged_into = np.full(self.n, -1, dtype=np.int64)
+        # supervariable bookkeeping, in plain lists: the elimination loop
+        # reads them per variable, where numpy scalar access is slow
+        self.weight: list[int] = [1] * self.n  # #variables represented by this principal
+        self.merged_into: list[int] = [-1] * self.n
         self.absorbed_children: list[list[int]] = [[] for _ in range(self.n)]
-        self.eliminated = np.zeros(self.n, dtype=bool)
+        self.eliminated: list[bool] = [False] * self.n
+        #: variables eliminated or merged into another principal, as a set so
+        #: that cleaning an adjacency is one C-level set difference
+        self.dead: set[int] = set()
         # approximate external degree (in variables, counting supervariable weights)
-        self.degree = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.n):
-            self.degree[i] = len(self.adj[i])
+        self.degree: list[int] = [len(a) for a in self.adj]
 
     # ------------------------------------------------------------------ #
-    def is_principal(self, i: int) -> bool:
-        return self.merged_into[i] < 0 and not self.eliminated[i]
-
-    def live_neighbors(self, i: int) -> set[int]:
-        """Principal, uneliminated variable neighbours of ``i`` (cleaned)."""
-        out = {v for v in self.adj[i] if self.merged_into[v] < 0 and not self.eliminated[v]}
-        self.adj[i] = out
-        return out
-
     def reachable_set(self, i: int) -> set[int]:
         """Exact elimination-graph adjacency of ``i`` (principal variables)."""
-        reach = set(self.live_neighbors(i))
-        for e in self.elems[i]:
-            reach.update(self.element_vars[e])
+        reach = self.adj[i].union(*[self.element_vars[e] for e in self.elems[i]])
+        reach -= self.dead
         reach.discard(i)
-        return {v for v in reach if self.merged_into[v] < 0 and not self.eliminated[v]}
+        return reach
 
     # ------------------------------------------------------------------ #
     def eliminate(self, p: int) -> set[int]:
@@ -91,71 +97,74 @@ class EliminationGraph:
         Updates the approximate degrees of the variables of the new element,
         absorbs covered elements and merges indistinguishable variables.
         """
-        if not self.is_principal(p):
+        if p in self.dead:
             raise ValueError(f"variable {p} is not a principal live variable")
+        weight = self.weight
+        elems = self.elems
+        element_vars = self.element_vars
+        element_size = self.element_size
         lp = self.reachable_set(p)
 
         # create the element
         e_new = self.next_element
         self.next_element += 1
-        self.element_vars[e_new] = set(lp)
-        lp_weight = int(sum(int(self.weight[v]) for v in lp))
-        self.element_size[e_new] = lp_weight
+        element_vars[e_new] = set(lp)
+        lp_weight = sum(map(weight.__getitem__, lp))
+        element_size[e_new] = lp_weight
         self.eliminated[p] = True
+        self.dead.add(p)
 
         # elements adjacent to p are absorbed into the new one
-        absorbed = set(self.elems[p])
-        for e in absorbed:
-            self.element_vars.pop(e, None)
-            self.element_size.pop(e, None)
-        self.elems[p] = set()
+        for e in elems[p]:
+            element_vars.pop(e, None)
+            element_size.pop(e, None)
+        elems[p] = set()
         self.adj[p] = set()
 
         # |Le ∩ Lp| for every element e touching Lp, in one pass
         overlap: dict[int, int] = {}
         for v in lp:
             # drop references to absorbed elements, count overlaps of the rest
-            self.elems[v] = {e for e in self.elems[v] if e in self.element_vars}
-            for e in self.elems[v]:
-                overlap[e] = overlap.get(e, 0) + int(self.weight[v])
-            self.elems[v].add(e_new)
-            # p leaves the variable adjacency; variables of Lp that were
-            # direct neighbours of v are now covered by the element
-            self.adj[v].discard(p)
+            ev = elems[v] = element_vars.keys() & elems[v]
+            w = weight[v]
+            for e in ev:
+                overlap[e] = overlap.get(e, 0) + w
+            ev.add(e_new)
 
         # aggressive element absorption: an old element fully inside Lp is gone
-        for e, ov in list(overlap.items()):
-            if e == e_new:
-                continue
-            if e in self.element_vars and self.element_size.get(e, 0) == ov:
+        for e, ov in overlap.items():
+            if element_size[e] == ov:
                 # every variable of e is in Lp -> absorb
-                for u in self.element_vars[e]:
-                    self.elems[u].discard(e)
-                self.element_vars.pop(e, None)
-                self.element_size.pop(e, None)
+                for u in element_vars.pop(e):
+                    elems[u].discard(e)
+                del element_size[e]
 
-        # approximate degree update for the variables of the new element
+        # approximate degree update for the variables of the new element:
+        # |Le \ Lp| for every surviving element, 0 for the new one.  Dead
+        # variables (p included) leave the variable adjacency, and neighbours
+        # inside Lp are covered by the new element; what remains is the
+        # external adjacency, which doubles as the supervariable key.
+        outside = {e: element_size[e] - ov for e, ov in overlap.items() if e in element_size}
+        outside[e_new] = 0
+        adj = self.adj
+        dead = self.dead
+        degree = self.degree
+        external: dict[int, set[int]] = {}
         for v in lp:
-            adj_live = self.live_neighbors(v) - lp
-            deg = sum(int(self.weight[u]) for u in adj_live)
-            deg += lp_weight - int(self.weight[v])
-            for e in self.elems[v]:
-                if e == e_new:
-                    continue
-                if e not in self.element_vars:
-                    continue
-                deg += max(self.element_size.get(e, 0) - overlap.get(e, 0), 0)
-            self.degree[v] = max(deg, 0)
+            live = adj[v] = adj[v] - dead
+            ext = external[v] = live - lp
+            degree[v] = (
+                lp_weight
+                - weight[v]
+                + sum(map(weight.__getitem__, ext))
+                + sum(map(outside.__getitem__, elems[v]))
+            )
 
         # supervariable detection (mass elimination): variables of Lp with the
         # same quotient-graph adjacency are indistinguishable
         buckets: dict[tuple, list[int]] = {}
         for v in lp:
-            key = (
-                frozenset(self.live_neighbors(v) - lp),
-                frozenset(self.elems[v]),
-            )
-            buckets.setdefault(key, []).append(v)
+            buckets.setdefault((frozenset(external[v]), frozenset(elems[v])), []).append(v)
         for group in buckets.values():
             if len(group) < 2:
                 continue
@@ -171,6 +180,7 @@ class EliminationGraph:
         self.weight[keep] += self.weight[other]
         self.weight[other] = 0
         self.merged_into[other] = keep
+        self.dead.add(other)
         self.absorbed_children[keep].append(other)
         # other disappears from the graph
         for e in self.elems[other]:
@@ -207,12 +217,15 @@ def _score_fill(graph: EliminationGraph, v: int) -> float:
     """
     d = float(graph.degree[v])
     score = d * (d - 1.0) / 2.0
-    w_v = int(graph.weight[v])
+    w_v = graph.weight[v]
+    element_vars = graph.element_vars
+    element_size = graph.element_size
     for e in graph.elems[v]:
-        if e not in graph.element_vars:
+        vars_e = element_vars.get(e)
+        if vars_e is None:
             continue
-        size_e = graph.element_size.get(e, 0)
-        if v in graph.element_vars[e]:
+        size_e = element_size[e]
+        if v in vars_e:
             size_e -= w_v
         score -= size_e * (size_e - 1.0) / 2.0
     return max(score, 0.0)
@@ -239,10 +252,9 @@ def greedy_ordering(
     score:
         ``"degree"`` for AMD-style, ``"fill"`` for AMF-style.
     seed:
-        Tie-breaking seed: among equal scores the engine prefers lower
-        variable indices, but the initial ordering of the heap is perturbed
-        deterministically by the seed so that distinct seeds can be used for
-        sensitivity studies.
+        Tie-breaking seed: among equal scores a per-variable jitter drawn
+        from this seed decides (then the lower index), so distinct seeds
+        can be used for sensitivity studies.
 
     Returns
     -------
@@ -255,35 +267,27 @@ def greedy_ordering(
     sym = pattern.symmetrized()
     graph = EliminationGraph(sym)
     n = graph.n
-    rng = np.random.default_rng(seed)
-    jitter = rng.random(n) * 1e-9
+    jitter = (np.random.default_rng(seed).random(n) * 1e-9).tolist()
 
-    heap: list[tuple[float, float, int]] = []
-    for v in range(n):
-        heapq.heappush(heap, (score_fn(graph, v), jitter[v], v))
-
+    # cur[v]: score of the latest push of v (see the module docstring)
+    cur = [score_fn(graph, v) for v in range(n)]
+    heap = list(zip(cur, jitter, range(n)))
+    heapq.heapify(heap)
+    dead = graph.dead
     perm: list[int] = []
-    stale = np.zeros(n, dtype=bool)
     while heap and len(perm) < n:
         s, _, v = heapq.heappop(heap)
-        if graph.eliminated[v] or graph.merged_into[v] >= 0:
-            continue
-        current = score_fn(graph, v)
-        if current > s + 1e-12:
-            # stale entry: reinsert with the refreshed score
-            heapq.heappush(heap, (current, jitter[v], v))
+        if v in dead or s != cur[v]:
             continue
         lp = graph.eliminate(v)
-        for original in graph.expand_supervariable(v):
-            perm.append(original)
-        # refresh the scores of the element's variables lazily
+        perm.extend(graph.expand_supervariable(v))
         for u in lp:
-            if graph.is_principal(u):
-                heapq.heappush(heap, (score_fn(graph, u), jitter[u], u))
-        stale[v] = True
+            if u not in dead:
+                su = cur[u] = score_fn(graph, u)
+                heapq.heappush(heap, (su, jitter[u], u))
 
+    # every live variable keeps a current heap entry, and every merged one
+    # is emitted with its principal, so the heap cannot run dry early
     if len(perm) != n:
-        # isolated variables or exhausted heap (should not happen): append the rest
-        remaining = [v for v in range(n) if v not in set(perm)]
-        perm.extend(remaining)
+        raise RuntimeError("greedy ordering lost a variable")
     return np.asarray(perm, dtype=np.int64)

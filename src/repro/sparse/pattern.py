@@ -19,16 +19,15 @@ __all__ = ["SparsePattern"]
 
 def _dedupe_sorted_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort (row, col) pairs row-major and drop duplicates."""
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    if rows.size:
-        keep = np.empty(rows.size, dtype=bool)
+    # one int64 key per pair sorts row-major in a single pass
+    key = rows * n + cols
+    key.sort()
+    if key.size:
+        keep = np.empty(key.size, dtype=bool)
         keep[0] = True
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        rows = rows[keep]
-        cols = cols[keep]
-    return rows, cols
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    return np.divmod(key, n)
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,14 @@ class SparsePattern:
 
     def is_structurally_symmetric(self) -> bool:
         """Check whether the stored pattern equals its transpose."""
-        t = self.transpose()
-        return (
-            np.array_equal(self.indptr, t.indptr)
-            and np.array_equal(self.indices, t.indices)
-        )
+        # rows are sorted and duplicate-free, so the row-major keys are
+        # already sorted: the pattern is symmetric iff the transposed keys,
+        # once sorted, are the same array
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        cols = self.indices.astype(np.int64, copy=False)
+        tkey = cols * self.n + rows
+        tkey.sort()
+        return np.array_equal(rows * self.n + cols, tkey)
 
     def structural_symmetry(self) -> float:
         """Fraction of off-diagonal entries whose transpose entry is present."""
@@ -199,6 +201,8 @@ class SparsePattern:
 
     def with_diagonal(self) -> "SparsePattern":
         """Pattern with every diagonal entry added."""
+        if self.has_diagonal():
+            return self
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         diag = np.arange(self.n, dtype=np.int64)
         return SparsePattern.from_coo(
@@ -227,7 +231,7 @@ class SparsePattern:
 
     def submatrix(self, keep: np.ndarray) -> "SparsePattern":
         """Principal submatrix on the (sorted) index set ``keep``."""
-        keep = np.asarray(sorted(set(int(k) for k in np.asarray(keep).ravel())), dtype=np.int64)
+        keep = np.unique(np.asarray(keep, dtype=np.int64).ravel())
         pos = -np.ones(self.n, dtype=np.int64)
         pos[keep] = np.arange(keep.size, dtype=np.int64)
         rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))

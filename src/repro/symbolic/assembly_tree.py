@@ -536,8 +536,15 @@ def build_assembly_tree(
     # monotone (parent > child), which the supernode detection requires
     sym_post = sym.permuted(post)
     perm_total = perm_total[post]
-    parent_post = elimination_tree(sym_post)
-    counts = column_counts(sym_post, parent_post)
+    # a postorder is a topological relabelling of the etree, so the etree of
+    # the relabelled matrix is the relabelled etree
+    ipost = np.empty_like(post)
+    ipost[post] = np.arange(post.size, dtype=np.int64)
+    parent_post = parent[post]
+    has_parent = parent_post >= 0
+    parent_post[has_parent] = ipost[parent_post[has_parent]]
+    # the relabelled tree is its own postorder
+    counts = column_counts(sym_post, parent_post, np.arange(post.size, dtype=np.int64))
 
     membership, supernodes = fundamental_supernodes(parent_post, counts)
     merged, _ = amalgamate(

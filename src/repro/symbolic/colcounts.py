@@ -6,16 +6,15 @@ of a fundamental supernode is exactly the order of that supernode's frontal
 matrix, which is why these counts drive all the memory and flop models of the
 reproduction.
 
-Three implementations are provided:
+Two implementations are provided:
 
 * :func:`column_counts` — the Gilbert–Ng–Peyton skeleton/least-common-ancestor
   algorithm (as in CSparse ``cs_counts``), running in nearly ``O(nnz(A))``.
-  The default path batches the per-nonzero skeleton test, the first-descendant
-  computation and the final subtree accumulation into numpy array operations
-  (the analysis phase grows with the matrix, so this is a hot path of every
-  sweep); ``vectorized=False`` keeps the historical per-nonzero Python loop
-  as an executable reference — the two are exactly equivalent (integer
-  arithmetic only) and the test suite asserts it over random patterns;
+  It batches the per-nonzero skeleton test, the first-descendant computation
+  and the final subtree accumulation into numpy array operations (the
+  analysis phase grows with the matrix, so this is a hot path of every
+  sweep); the test suite keeps the per-nonzero loop as its oracle and checks
+  exact equality over random patterns;
 * :func:`column_counts_naive` — an ``O(nnz(L))`` row-subtree traversal used as
   an oracle in the test suite.
 """
@@ -30,65 +29,18 @@ from repro.symbolic.etree import elimination_tree, postorder
 __all__ = ["column_counts", "column_counts_naive", "symbolic_fill"]
 
 
-def _leaf(
-    i: int,
-    j: int,
-    first: np.ndarray,
-    maxfirst: np.ndarray,
-    prevleaf: np.ndarray,
-    ancestor: np.ndarray,
-) -> tuple[int, int]:
-    """Skeleton test of Gilbert–Ng–Peyton.
-
-    Determines whether column ``j`` is a leaf of the row subtree of row ``i``
-    and, when it is a *subsequent* leaf, returns the least common ancestor of
-    ``j`` and the previous leaf (the node whose count must be decremented to
-    avoid double counting).
-
-    Returns ``(q, jleaf)`` where ``jleaf`` is 0 (not a leaf), 1 (first leaf)
-    or 2 (subsequent leaf), and ``q`` is the node to update (or -1).
-    """
-    if i <= j or first[j] <= maxfirst[i]:
-        return -1, 0
-    maxfirst[i] = first[j]
-    jprev = int(prevleaf[i])
-    prevleaf[i] = j
-    if jprev == -1:
-        return i, 1
-    # find the root of jprev's current set == LCA(jprev, j)
-    q = jprev
-    while q != ancestor[q]:
-        q = int(ancestor[q])
-    # path compression
-    s = jprev
-    while s != q:
-        sparent = int(ancestor[s])
-        ancestor[s] = q
-        s = sparent
-    return q, 2
-
-
 def column_counts(
     pattern: SparsePattern,
     parent: np.ndarray | None = None,
     post: np.ndarray | None = None,
-    *,
-    vectorized: bool = True,
 ) -> np.ndarray:
-    """Column counts of ``L`` (diagonal included) for the symmetrized pattern.
-
-    ``vectorized=False`` selects the historical per-nonzero scalar loop (the
-    executable reference); both paths return identical int64 arrays.
-    """
+    """Column counts of ``L`` (diagonal included) for the symmetrized pattern."""
     sym = pattern.symmetrized().with_diagonal()
-    n = sym.n
     if parent is None:
         parent = elimination_tree(sym)
     if post is None:
         post = postorder(parent)
-    if vectorized:
-        return _column_counts_vectorized(sym, parent, post)
-    return _column_counts_scalar(sym, parent, post)
+    return _column_counts_vectorized(sym, parent, post)
 
 
 def _first_descendants(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -130,8 +82,8 @@ def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.n
       contiguous postorder range ``[first[j], ipost[j]]``: the per-node
       parent additions become one prefix sum plus a range-difference gather.
 
-    Integer arithmetic throughout — the result is identical to the scalar
-    reference, element for element.
+    Integer arithmetic throughout — the result is identical to the
+    per-nonzero loop (the test suite's oracle), element for element.
     """
     n = sym.n
     ipost = np.empty(n, dtype=np.int64)
@@ -207,50 +159,6 @@ def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.n
     csum = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(delta[post], out=csum[1:])
     return csum[ipost + 1] - csum[first]
-
-
-def _column_counts_scalar(sym: SparsePattern, parent: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """The historical per-nonzero loop (executable reference)."""
-    n = sym.n
-    delta = np.zeros(n, dtype=np.int64)
-    first = np.full(n, -1, dtype=np.int64)
-    maxfirst = np.full(n, -1, dtype=np.int64)
-    prevleaf = np.full(n, -1, dtype=np.int64)
-    ancestor = np.arange(n, dtype=np.int64)
-
-    # first[j]: postorder index of the first descendant of j; a node is a leaf
-    # of the etree iff it is its own first descendant.
-    for k in range(n):
-        j = int(post[k])
-        delta[j] = 1 if first[j] == -1 else 0
-        while j != -1 and first[j] == -1:
-            first[j] = k
-            j = int(parent[j])
-
-    indptr = sym.indptr
-    indices = sym.indices
-    for k in range(n):
-        j = int(post[k])
-        pj = int(parent[j])
-        if pj != -1:
-            delta[pj] -= 1
-        for p in range(indptr[j], indptr[j + 1]):
-            i = int(indices[p])
-            q, jleaf = _leaf(i, j, first, maxfirst, prevleaf, ancestor)
-            if jleaf >= 1:
-                delta[j] += 1
-            if jleaf == 2:
-                delta[q] -= 1
-        if pj != -1:
-            ancestor[j] = pj
-
-    colcount = delta.copy()
-    for k in range(n):
-        j = int(post[k])
-        pj = int(parent[j])
-        if pj != -1:
-            colcount[pj] += colcount[j]
-    return colcount
 
 
 def column_counts_naive(

@@ -39,35 +39,33 @@ def elimination_tree(pattern: SparsePattern) -> np.ndarray:
     """
     sym = pattern.symmetrized()
     n = sym.n
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    indptr = sym.indptr
-    indices = sym.indices
+    parent = [-1] * n
+    ancestor = [-1] * n
+    bounds = sym.indptr.tolist()
+    cols = sym.indices.tolist()
     for i in range(n):
-        for p in range(indptr[i], indptr[i + 1]):
-            j = int(indices[p])
+        # rows are sorted: the strictly lower part is a prefix
+        for j in cols[bounds[i]:bounds[i + 1]]:
             if j >= i:
-                continue
+                break
             # walk from j to the root of its current subtree, compressing
             r = j
             while True:
-                a = int(ancestor[r])
+                a = ancestor[r]
                 if a == -1 or a == i:
                     break
                 ancestor[r] = i
                 r = a
-            if ancestor[r] == -1:
+            if a == -1:
                 ancestor[r] = i
                 parent[r] = i
-    return parent
+    return np.asarray(parent, dtype=np.int64)
 
 
 def children_lists(parent: np.ndarray) -> list[list[int]]:
     """Children of every node, ordered by increasing child index."""
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        p = int(parent[j])
+    children: list[list[int]] = [[] for _ in range(len(parent))]
+    for j, p in enumerate(np.asarray(parent).tolist()):
         if p >= 0:
             children[p].append(j)
     return children
@@ -82,24 +80,19 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     """
     n = len(parent)
     children = children_lists(parent)
-    roots = [j for j in range(n) if parent[j] < 0]
-    post = np.empty(n, dtype=np.int64)
-    k = 0
-    # iterative DFS to avoid recursion limits on deep trees (AMD/AMF trees
-    # can have depth comparable to n)
-    for root in roots:
-        stack: list[tuple[int, int]] = [(root, 0)]
-        while stack:
-            node, child_idx = stack.pop()
-            if child_idx < len(children[node]):
-                stack.append((node, child_idx + 1))
-                stack.append((children[node][child_idx], 0))
-            else:
-                post[k] = node
-                k += 1
-    if k != n:
+    # a preorder that visits roots and children in decreasing index order,
+    # reversed, is the postorder that visits them in increasing order; the
+    # explicit stack avoids recursion limits on deep AMD/AMF trees
+    stack = np.nonzero(np.asarray(parent) < 0)[0].tolist()
+    order: list[int] = []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children[node])
+    if len(order) != n:
         raise ValueError("parent array does not describe a forest (cycle detected)")
-    return post
+    order.reverse()
+    return np.asarray(order, dtype=np.int64)
 
 
 def is_postordered(parent: np.ndarray) -> bool:

@@ -73,38 +73,36 @@ def fundamental_supernodes(
     n = len(parent)
     if n == 0:
         return np.empty(0, dtype=np.int64), []
-    nchildren = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        p = int(parent[j])
+    parent_list = np.asarray(parent).tolist()
+    counts = np.asarray(colcount).tolist()
+    nchildren = [0] * n
+    for j, p in enumerate(parent_list):
         if p >= 0:
             if p <= j:
                 raise ValueError("parent array must be postordered (parent[j] > j)")
             nchildren[p] += 1
 
-    membership = np.empty(n, dtype=np.int64)
+    membership = [0] * n
     supernodes: list[Supernode] = []
     for j in range(n):
         extend = (
             j > 0
-            and int(parent[j - 1]) == j
+            and parent_list[j - 1] == j
             and nchildren[j] == 1
-            and colcount[j] == colcount[j - 1] - 1
+            and counts[j] == counts[j - 1] - 1
         )
         if extend:
-            sn = supernodes[-1]
-            sn.columns.append(j)
-            membership[j] = len(supernodes) - 1
+            supernodes[-1].columns.append(j)
         else:
-            supernodes.append(Supernode(columns=[j], nfront=int(colcount[j])))
-            membership[j] = len(supernodes) - 1
+            supernodes.append(Supernode(columns=[j], nfront=counts[j]))
+        membership[j] = len(supernodes) - 1
 
     # supernodal tree: parent supernode = supernode of the etree parent of the
     # last column of this supernode
-    for s, sn in enumerate(supernodes):
-        last = sn.columns[-1]
-        p = int(parent[last])
-        sn.parent = int(membership[p]) if p >= 0 else -1
-    return membership, supernodes
+    for sn in supernodes:
+        p = parent_list[sn.columns[-1]]
+        sn.parent = membership[p] if p >= 0 else -1
+    return np.asarray(membership, dtype=np.int64), supernodes
 
 
 def _merge_child_into_parent(supernodes: list[Supernode], child: int, parent: int) -> None:
@@ -160,13 +158,13 @@ def amalgamate(
         raise ValueError("relax must be >= 0")
     nsn = len(supernodes)
     work = [Supernode(columns=list(s.columns), nfront=s.nfront, parent=s.parent) for s in supernodes]
-    absorbed_into = np.full(nsn, -1, dtype=np.int64)
-    zeros_acc = np.zeros(nsn, dtype=np.float64)  # explicit zeros accumulated in each live front
+    absorbed_into = [-1] * nsn
+    zeros_acc = [0.0] * nsn  # explicit zeros accumulated in each live front
 
     def find_live_parent(idx: int) -> int:
         p = work[idx].parent
         while p != -1 and absorbed_into[p] != -1:
-            p = int(absorbed_into[p])
+            p = absorbed_into[p]
         return p
 
     # children-before-parents: supernodes are already in postorder (by first
@@ -200,7 +198,7 @@ def amalgamate(
             zeros_acc[p] = total_zeros
 
     # compact the surviving supernodes, keeping postorder
-    old_to_new = np.full(nsn, -1, dtype=np.int64)
+    old_to_new = [-1] * nsn
     merged: list[Supernode] = []
     for s in range(nsn):
         if absorbed_into[s] != -1:
@@ -210,14 +208,14 @@ def amalgamate(
     # map absorbed supernodes to their absorber's new index
     for s in range(nsn):
         if absorbed_into[s] != -1:
-            a = int(absorbed_into[s])
+            a = absorbed_into[s]
             while absorbed_into[a] != -1:
-                a = int(absorbed_into[a])
+                a = absorbed_into[a]
             old_to_new[s] = old_to_new[a]
     # fix parents
     for s in range(nsn):
         if absorbed_into[s] != -1:
             continue
         p = find_live_parent(s)
-        merged[int(old_to_new[s])].parent = int(old_to_new[p]) if p != -1 else -1
-    return merged, old_to_new
+        merged[old_to_new[s]].parent = old_to_new[p] if p != -1 else -1
+    return merged, np.asarray(old_to_new, dtype=np.int64)

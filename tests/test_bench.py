@@ -507,3 +507,18 @@ def test_pipeline_suite_builds_and_closes():
         assert any(name.startswith("simulate-") for name in names)
     finally:
         instance.close()
+
+
+def test_analysis_suite_covers_every_problem_and_ordering():
+    from repro.bench import build_suite
+    from repro.experiments.problems import PROBLEMS
+
+    env = BenchEnv.from_environ({}).replace(scale=0.1, nprocs=4)
+    instance = build_suite("analysis", env)
+    try:
+        keys = {(dict(c.case.params)["problem"], dict(c.case.params)["ordering"]) for c in instance.cases}
+        assert keys == {(p, o) for p in PROBLEMS for o in ("metis", "pord", "amd", "amf")}
+        metrics = instance.cases[0].fn()
+        assert metrics["nodes"] >= 1 and metrics["factor_entries"] > 0
+    finally:
+        instance.close()

@@ -10,6 +10,55 @@ from repro.symbolic import column_counts, column_counts_naive, elimination_tree,
 from repro.symbolic.colcounts import symbolic_fill
 
 
+def scalar_column_counts(pattern, parent=None, post=None):
+    """The per-nonzero Gilbert-Ng-Peyton loop: oracle of the batched :func:`column_counts`."""
+    sym = pattern.symmetrized().with_diagonal()
+    n = sym.n
+    if parent is None:
+        parent = elimination_tree(sym)
+    if post is None:
+        post = postorder(parent)
+    parent, post = parent.tolist(), post.tolist()
+    delta = [0] * n
+    first = [-1] * n
+    maxfirst = [-1] * n
+    prevleaf = [-1] * n
+    ancestor = list(range(n))
+    # first[j]: postorder index of the first descendant of j; a node is a
+    # leaf of the etree iff it is its own first descendant
+    for k, j in enumerate(post):
+        delta[j] = 1 if first[j] == -1 else 0
+        while j != -1 and first[j] == -1:
+            first[j] = k
+            j = parent[j]
+    for j in post:
+        pj = parent[j]
+        if pj != -1:
+            delta[pj] -= 1
+        for i in sym.row(j).tolist():
+            # skeleton test: is j a leaf of the row subtree of row i?
+            if i <= j or first[j] <= maxfirst[i]:
+                continue
+            maxfirst[i] = first[j]
+            delta[j] += 1
+            jprev, prevleaf[i] = prevleaf[i], j
+            if jprev != -1:
+                # subsequent leaf: discount the LCA of jprev and j
+                q = jprev
+                while q != ancestor[q]:
+                    q = ancestor[q]
+                s = jprev
+                while s != q:
+                    ancestor[s], s = q, ancestor[s]
+                delta[q] -= 1
+        if pj != -1:
+            ancestor[j] = pj
+    for j in post:
+        if parent[j] != -1:
+            delta[parent[j]] += delta[j]
+    return np.asarray(delta, dtype=np.int64)
+
+
 class TestColumnCounts:
     @pytest.mark.parametrize(
         "pattern",
@@ -98,7 +147,7 @@ class TestVectorizedEquivalence:
     )
     def test_matches_scalar_reference(self, pattern):
         vec = column_counts(pattern)
-        ref = column_counts(pattern, vectorized=False)
+        ref = scalar_column_counts(pattern)
         assert vec.dtype == ref.dtype
         assert np.array_equal(vec, ref)
 
@@ -114,7 +163,7 @@ class TestVectorizedEquivalence:
         parent = elimination_tree(sym)
         post = postorder(parent)
         vec = column_counts(sym, parent, post)
-        ref = column_counts(sym, parent, post, vectorized=False)
+        ref = scalar_column_counts(sym, parent, post)
         assert np.array_equal(vec, ref)
         assert np.array_equal(vec, column_counts_naive(pattern))
 

@@ -130,3 +130,53 @@ def test_property_etree_matches_brute_force(n, seed):
     cols = rng.integers(0, n, size=nnz)
     pattern = SparsePattern.from_coo(n, rows, cols, symmetrize_pattern=True)
     assert np.array_equal(elimination_tree(pattern), brute_force_etree(pattern))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), seed=st.integers(0, 500))
+def test_property_postordered_etree_is_the_relabelled_etree(n, seed):
+    """etree(P A Pᵀ) for a postorder P is the relabelled etree (what the tree build relies on)."""
+    rng = np.random.default_rng(seed)
+    nnz = int(0.1 * n * n)
+    pattern = SparsePattern.from_coo(
+        n, rng.integers(0, n, size=nnz), rng.integers(0, n, size=nnz), symmetrize_pattern=True
+    )
+    sym = pattern.symmetrized().with_diagonal()
+    parent = elimination_tree(sym)
+    post = postorder(parent)
+    ipost = np.empty(n, dtype=np.int64)
+    ipost[post] = np.arange(n)
+    relabelled = np.where(parent[post] >= 0, ipost[parent[post]], -1)
+    assert np.array_equal(elimination_tree(sym.permuted(post)), relabelled)
+
+
+def recursive_postorder(parent):
+    children = [[] for _ in parent]
+    for j, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(j)
+    out = []
+
+    def visit(j):
+        for c in children[j]:
+            visit(c)
+        out.append(j)
+
+    for j, p in enumerate(parent):
+        if p < 0:
+            visit(j)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 500))
+def test_property_postorder_matches_recursive_dfs(n, seed):
+    """Random forests under random labels: children and roots visited in increasing order."""
+    rng = np.random.default_rng(seed)
+    shape = [int(rng.integers(j + 1, n)) if j + 1 < n and rng.random() < 0.8 else -1 for j in range(n)]
+    label = rng.permutation(n)
+    parent = np.full(n, -1, dtype=np.int64)
+    for j, p in enumerate(shape):
+        if p >= 0:
+            parent[label[j]] = label[p]
+    assert postorder(parent).tolist() == recursive_postorder(parent.tolist())

@@ -1,7 +1,11 @@
 """Tests for the fill-reducing orderings."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ordering import (
     ORDERINGS,
@@ -13,8 +17,10 @@ from repro.ordering import (
     pord_ordering,
     rcm_ordering,
 )
-from repro.ordering.nested_dissection import extract_hubs, find_separator
-from repro.sparse import arrow_pattern, circuit_pattern, grid_2d, grid_3d, random_pattern
+from repro.ordering.nested_dissection import _connected_components, extract_hubs, find_separator
+from repro.ordering.quotient_graph import greedy_ordering
+from repro.ordering.rcm import bfs_levels
+from repro.sparse import SparsePattern, arrow_pattern, circuit_pattern, grid_2d, grid_3d, random_pattern
 from repro.symbolic.colcounts import symbolic_fill
 
 
@@ -170,3 +176,74 @@ class TestRcm:
     def test_rcm_on_circuit(self):
         c = circuit_pattern(150, seed=1)
         assert is_permutation(rcm_ordering(c), c.n)
+
+
+# --------------------------------------------------------------------------- #
+# properties on random masked graphs (disconnected, with isolated vertices)
+# --------------------------------------------------------------------------- #
+def deque_bfs(indptr, indices, start, mask):
+    """FIFO-queue BFS: the oracle of the level-synchronous :func:`bfs_levels`."""
+    level = [-1] * (len(indptr) - 1)
+    level[start] = 0
+    order = [start]
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in indices[indptr[u]:indptr[u + 1]].tolist():
+            if mask[v] and level[v] < 0:
+                level[v] = level[u] + 1
+                order.append(v)
+                queue.append(v)
+    return level, order
+
+
+def random_graph(n, density, seed, *, symmetric):
+    """Random CSR pattern; sparse draws leave isolated vertices and several components."""
+    rng = np.random.default_rng(seed)
+    nnz = int(density * n * n)
+    rows = rng.integers(0, n, size=nnz)
+    cols = rng.integers(0, n, size=nnz)
+    return SparsePattern.from_coo(n, rows, cols, symmetrize_pattern=symmetric)
+
+
+graph_args = dict(
+    n=st.integers(min_value=1, max_value=40),
+    density=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]),
+    seed=st.integers(0, 10_000),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**graph_args, symmetric=st.booleans(), mask_frac=st.sampled_from([0.5, 0.8, 1.0]))
+def test_property_bfs_levels_matches_fifo_queue(n, density, seed, symmetric, mask_frac):
+    pattern = random_graph(n, density, seed, symmetric=symmetric)
+    rng = np.random.default_rng(seed + 1)
+    mask = rng.random(n) < mask_frac
+    start = int(rng.integers(0, n))
+    level, order = bfs_levels(pattern.indptr, pattern.indices, start, mask)
+    want_level, want_order = deque_bfs(pattern.indptr, pattern.indices, start, mask)
+    assert level.tolist() == want_level
+    assert order.tolist() == want_order
+
+
+@settings(max_examples=40, deadline=None)
+@given(**graph_args)
+def test_property_connected_components_match_fifo_queue(n, density, seed):
+    indptr, indices = random_graph(n, density, seed, symmetric=True).adjacency()
+    vertices = np.random.default_rng(seed).permutation(n)[: max(1, n // 2)]
+    inset = np.zeros(n, dtype=bool)
+    inset[vertices] = True
+    want, seen = [], set()
+    for v in vertices.tolist():
+        if v not in seen:
+            _, comp = deque_bfs(indptr, indices, v, inset)
+            seen.update(comp)
+            want.append(comp)
+    assert [c.tolist() for c in _connected_components(indptr, indices, vertices)] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(**graph_args, score=st.sampled_from(["degree", "fill"]))
+def test_property_greedy_ordering_emits_every_variable(n, density, seed, score):
+    perm = greedy_ordering(random_graph(n, density, seed, symmetric=False), score, seed=seed)
+    assert is_permutation(perm, n)
