@@ -67,6 +67,7 @@ from repro.experiments import tables as tables_mod
 from repro.experiments.runner import ORDERING_NAMES
 from repro.ordering import ORDERINGS, resolve_ordering
 from repro.pipeline import ProgressEvent
+from repro.runtime import resolve_engine
 from repro.scheduling import STRATEGIES, resolve_strategy
 from repro.specs import SweepSpec, split_spec_list
 
@@ -330,6 +331,13 @@ def _validate_subsets(parser, problems, orderings, strategies) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        # a bad REPRO_SIM_ENGINE fails here, once, for every verb — not as a
+        # traceback from deep inside the first simulation
+        resolve_engine()
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     if raw_argv and raw_argv[0].lower() == "bench":
         # the performance harness has its own subcommand grammar (run /
         # compare / list) and flag set; hand the rest of argv straight over

@@ -13,7 +13,7 @@ contribution blocks in *entries* — the unit of every table of the paper.
 
 from repro.runtime.batch import BatchScenario, run_batch
 from repro.runtime.config import SimulationConfig
-from repro.runtime.events import EventQueue, FlatEventQueue
+from repro.runtime.events import EventQueue
 from repro.runtime.geometry import SimGeometry
 from repro.runtime.messages import CommunicationModel, Message, MessageKind
 from repro.runtime.memory_state import ProcessorMemory
@@ -22,7 +22,6 @@ from repro.runtime.tasks import Task, TaskKind
 from repro.runtime.processor import ProcessorState
 from repro.runtime.simulator import (
     DEFAULT_ENGINE,
-    ENGINE_ALIASES,
     SIM_ENGINE_ENV,
     SIM_ENGINES,
     FactorizationSimulator,
@@ -35,10 +34,8 @@ from repro.runtime.trace import SimulationTrace, TraceBuffer
 __all__ = [
     "SimulationConfig",
     "EventQueue",
-    "FlatEventQueue",
     "SIM_ENGINES",
     "SIM_ENGINE_ENV",
-    "ENGINE_ALIASES",
     "DEFAULT_ENGINE",
     "resolve_engine",
     "CommunicationModel",

@@ -1,23 +1,15 @@
 """Event core of the discrete-event simulator.
 
-Two interchangeable event queues implement the same deterministic ordering —
-a min-heap keyed by ``(time, sequence)``, where the sequence number makes the
-simulation fully reproducible when several events share a timestamp (frequent
-with the zero-latency configurations used in tests):
-
-* :class:`FlatEventQueue` — the fast engine's representation.  Events are raw
-  ``(time, seq, tag_id, a, b, c)`` tuples with integer tag constants, so the
-  heap compares plain floats/ints instead of calling a generated dataclass
-  ``__lt__``, and the simulator dispatches handlers through a table indexed
-  by ``tag_id``.
-* :class:`EventQueue` — the historical representation (one
-  :class:`ScheduledEvent` dataclass per event carrying a string-tagged
-  payload tuple), kept as the executable reference engine
-  (``REPRO_SIM_ENGINE=reference``).
-
-Both expose the same *typed* push API (``push_task_done``,
-``push_broadcast_after``…), so the simulator's handlers emit events without
-knowing which representation backs the run.
+* :class:`EventQueue` — the reference engine's deterministic min-heap keyed
+  by ``(time, sequence)``, one :class:`ScheduledEvent` dataclass per event
+  carrying a string-tagged payload tuple.  The sequence number makes the
+  simulation fully reproducible when several events share a timestamp
+  (frequent with the zero-latency configurations used in tests).
+* The integer vocabulary of the SoA engine (:mod:`repro.runtime.soa`): its
+  events are raw ``(time, seq, tag, a, b, c)`` tuples whose ``tag`` is one of
+  the ``EV_*`` constants, and broadcast kinds are the ``BK_*`` ids that index
+  the :class:`~repro.runtime.loadview.ViewBank` matrices.  Both engines push
+  the same events in the same order, so they pop them in the same order too.
 """
 
 from __future__ import annotations
@@ -28,10 +20,8 @@ from typing import Any, Iterator
 
 __all__ = [
     "EventQueue",
-    "FlatEventQueue",
     "ScheduledEvent",
     "EV_TASK_DONE",
-    "EV_MESSAGE",
     "EV_BROADCAST",
     "EV_RESERVATION",
     "EV_KICK",
@@ -46,10 +36,9 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------- #
-# integer event vocabulary (the fast engine's dispatch-table indices)
+# integer event vocabulary (the SoA engine's tuple tags)
 # ---------------------------------------------------------------------------- #
-EV_TASK_DONE = 0    # (proc, task) — a processor finished its current task
-EV_MESSAGE = 1      # (msg,) — a point-to-point Message arrives
+EV_TASK_DONE = 0    # (proc, task_id) — a processor finished its current task
 EV_BROADCAST = 2    # (kind_id, source, value) — a view broadcast arrives everywhere
 EV_RESERVATION = 3  # (source, reservations) — slave-block reservations arrive
 EV_KICK = 4         # (proc,) — initial "look at your pool" nudge at t=0
@@ -83,9 +72,7 @@ class EventQueue:
     """Deterministic min-heap of :class:`ScheduledEvent` (the reference engine).
 
     The generic ``push``/``pop`` API is unchanged from the original engine;
-    the typed helpers build the historical string-tagged payload tuples so the
-    simulator's handlers can emit events without caring which queue backs the
-    run.
+    the typed helpers build the historical string-tagged payload tuples.
     """
 
     def __init__(self) -> None:
@@ -133,7 +120,7 @@ class EventQueue:
             yield self.pop()
 
     # ------------------------------------------------------------------ #
-    # typed pushes (same API as FlatEventQueue, historical payloads)
+    # typed pushes (historical payloads)
     # ------------------------------------------------------------------ #
     def push_kick(self, time: float, proc: int) -> None:
         self.push(time, ("kick", proc))
@@ -150,70 +137,3 @@ class EventQueue:
     def push_reservation_after(self, delay: float, source: int, reservations: list) -> None:
         self.push_after(delay, ("reservation", source, reservations))
 
-
-class FlatEventQueue:
-    """Min-heap of raw ``(time, seq, tag_id, a, b, c)`` tuples (the fast engine).
-
-    Tuple comparison never inspects the operands ``a``/``b``/``c``: the
-    sequence number is unique, so ordering is decided by ``(time, seq)``
-    exactly like the reference queue — the two engines pop events in the same
-    order by construction.  The simulator's fast loop reads :attr:`_heap`
-    directly (hoisted local + ``heapq.heappop``) and peeks at the heap top to
-    coalesce broadcast storms; see ``FactorizationSimulator._run_fast``.
-    """
-
-    __slots__ = ("_heap", "_seq", "_now")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-        self._seq = 0
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Time of the last popped event (the simulation clock)."""
-        return self._now
-
-    def push(self, time: float, tag: int, a=0, b=0, c=0) -> None:
-        """Schedule one flat event at absolute ``time``."""
-        if time < self._now - 1e-15:
-            raise ValueError(f"cannot schedule event in the past ({time} < {self._now})")
-        heapq.heappush(self._heap, (time, self._seq, tag, a, b, c))
-        self._seq += 1
-
-    def push_after(self, delay: float, tag: int, a=0, b=0, c=0) -> None:
-        if delay < 0:
-            raise ValueError("delay must be >= 0")
-        self.push(self._now + delay, tag, a, b, c)
-
-    def pop(self) -> tuple:
-        """Pop the next flat event and advance the clock."""
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        ev = heapq.heappop(self._heap)
-        self._now = ev[0]
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    # ------------------------------------------------------------------ #
-    # typed pushes (same API as EventQueue)
-    # ------------------------------------------------------------------ #
-    def push_kick(self, time: float, proc: int) -> None:
-        self.push(time, EV_KICK, proc)
-
-    def push_task_done(self, time: float, proc: int, task) -> None:
-        self.push(time, EV_TASK_DONE, proc, task)
-
-    def push_message_after(self, delay: float, msg) -> None:
-        self.push_after(delay, EV_MESSAGE, msg)
-
-    def push_broadcast_after(self, delay: float, kind: str, source: int, value: float) -> None:
-        self.push_after(delay, EV_BROADCAST, BROADCAST_KIND_IDS[kind], source, value)
-
-    def push_reservation_after(self, delay: float, source: int, reservations: list) -> None:
-        self.push_after(delay, EV_RESERVATION, source, reservations)

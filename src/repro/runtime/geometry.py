@@ -44,11 +44,7 @@ class SimGeometry:
         "mapping",
         "nprocs",
         "nnodes",
-        # numpy arrays (the SoA/jit engines index these wholesale)
-        "task_flops_arr",
-        "task_memory_arr",
-        "node_type_arr",
-        "owner_arr",
+        # numpy arrays
         "subtree_peaks",
         "initial_load",
         # plain-list mirrors (fast scalar reads on the per-event hot path)
@@ -92,10 +88,6 @@ class SimGeometry:
         # added to the owner's stack at activation
         task_flops = np.where(is_type2, tree.type2_master_flops_all(), tree.factor_flops_all())
         task_memory = np.where(is_type2, master, np.where(is_type3, front / nprocs, front))
-        self.task_flops_arr = task_flops
-        self.task_memory_arr = task_memory
-        self.node_type_arr = node_type
-        self.owner_arr = np.asarray(mapping.owner, dtype=np.int64)
         self.task_flops = task_flops.tolist()
         self.task_memory = task_memory.tolist()
         self.front_entries = front.tolist()
@@ -106,7 +98,7 @@ class SimGeometry:
         self.npiv = tree.npiv.tolist()
         self.nfront = tree.nfront.tolist()
         self.node_type = node_type.tolist()
-        self.owner = self.owner_arr.tolist()
+        self.owner = np.asarray(mapping.owner, dtype=np.int64).tolist()
         self.subtree_of = np.asarray(mapping.subtree_of, dtype=np.int64).tolist()
         self.parent = tree.parent.tolist()
         self.children = tree.child_lists() if hasattr(tree, "child_lists") else [

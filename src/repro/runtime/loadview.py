@@ -8,7 +8,9 @@ they are about to activate (the two Section 5.1 prediction mechanisms).
 
 The views are only updated when the corresponding broadcast *arrives*, so
 they lag reality by the message latency — exactly the coherence hazard the
-paper illustrates in Figure 5.
+paper illustrates in Figure 5.  All processors' views live in one
+:class:`ViewBank` of ``(nprocs, nprocs)`` matrices, so delivering a broadcast
+or a reservation is one numpy column update.
 """
 
 from __future__ import annotations
@@ -117,54 +119,37 @@ class ViewBank:
 
     A broadcast event delivers the same value to every processor but the
     sender at the same simulated instant, and a reservation notification
-    applies the same increments to every third party's view — both used to be
-    per-processor Python loops over method calls, executed once per memory or
-    load variation, i.e. many times per simulated task.  The bank stores the
-    four view quantities as ``(nprocs, nprocs)`` matrices indexed
+    applies the same increments to every third party's view.  The bank stores
+    the four view quantities as ``(nprocs, nprocs)`` matrices indexed
     ``[observer, subject]``; each processor's :class:`SystemView` wraps the
     matrix *rows* (plain numpy views, zero copies), so a broadcast collapses
     to one column assignment and a reservation to one clamped column update.
-
-    ``vectorized=False`` keeps the historical layout — independent per-view
-    arrays updated by the original scalar loops — as an executable reference:
-    the identity tests run both modes and require bit-equal simulations.
+    ``tests/test_vectorized_views.py`` pins these column operations to a
+    per-view scalar oracle.
     """
 
-    #: per-kind scalar setters, indexed by the events.BK_* kind ids (same
-    #: order as the ``_kind_arrays`` matrix bank).
-    _SETTERS = (
-        SystemView.set_memory,
-        SystemView.set_load,
-        SystemView.set_subtree_peak,
-        SystemView.set_predicted_master,
-    )
-
-    def __init__(self, nprocs: int, *, vectorized: bool = True) -> None:
+    def __init__(self, nprocs: int) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         self.nprocs = int(nprocs)
-        self.vectorized = bool(vectorized)
-        if self.vectorized:
-            self.memory = np.zeros((nprocs, nprocs), dtype=np.float64)
-            self.load = np.zeros((nprocs, nprocs), dtype=np.float64)
-            self.subtree_peak = np.zeros((nprocs, nprocs), dtype=np.float64)
-            self.predicted_master = np.zeros((nprocs, nprocs), dtype=np.float64)
-            # kind-id → matrix, indexed consistently with events.BK_* (the
-            # fast engine's integer-tagged broadcasts land here directly)
-            self._kind_arrays = (self.memory, self.load, self.subtree_peak, self.predicted_master)
-            self._views = [
-                SystemView(
-                    nprocs=nprocs,
-                    owner=p,
-                    memory=self.memory[p],
-                    load=self.load[p],
-                    subtree_peak=self.subtree_peak[p],
-                    predicted_master=self.predicted_master[p],
-                )
-                for p in range(nprocs)
-            ]
-        else:
-            self._views = [SystemView(nprocs=nprocs, owner=p) for p in range(nprocs)]
+        self.memory = np.zeros((nprocs, nprocs), dtype=np.float64)
+        self.load = np.zeros((nprocs, nprocs), dtype=np.float64)
+        self.subtree_peak = np.zeros((nprocs, nprocs), dtype=np.float64)
+        self.predicted_master = np.zeros((nprocs, nprocs), dtype=np.float64)
+        # kind-id → matrix, indexed consistently with events.BK_* (the SoA
+        # engine's integer-tagged broadcasts land here directly)
+        self._kind_arrays = (self.memory, self.load, self.subtree_peak, self.predicted_master)
+        self._views = [
+            SystemView(
+                nprocs=nprocs,
+                owner=p,
+                memory=self.memory[p],
+                load=self.load[p],
+                subtree_peak=self.subtree_peak[p],
+                predicted_master=self.predicted_master[p],
+            )
+            for p in range(nprocs)
+        ]
 
     def view(self, proc: int) -> SystemView:
         """The (live) view owned by processor ``proc``."""
@@ -176,11 +161,8 @@ class ViewBank:
         The simulator calls this on the bank it is handed, so reusing one
         bank across runs can never leak the previous run's stale views.
         """
-        for view in self._views:
-            view.memory[:] = 0.0
-            view.load[:] = 0.0
-            view.subtree_peak[:] = 0.0
-            view.predicted_master[:] = 0.0
+        for mat in self._kind_arrays:
+            mat.fill(0.0)
 
     # ------------------------------------------------------------------ #
     # batched event application
@@ -188,30 +170,14 @@ class ViewBank:
     def apply_broadcast(self, kind: str, source: int, value: float) -> None:
         """Deliver one broadcast to every processor except the sender.
 
-        Validates the kind name and delegates to :meth:`apply_broadcast_kind`
-        — a single implementation serves both the string-tagged reference
-        payloads and the fast engine's integer tags.
+        Equivalent to calling the per-kind ``SystemView`` setter on each
+        non-source view; the sender's own row is untouched (it always knows
+        its exact state and updated it when the broadcast was emitted).
         """
         try:
             kind_id = BROADCAST_KIND_IDS[kind]
         except KeyError:
             raise ValueError(f"unknown broadcast kind {kind}") from None
-        self.apply_broadcast_kind(kind_id, source, value)
-
-    def apply_broadcast_kind(self, kind_id: int, source: int, value: float) -> None:
-        """Deliver one broadcast addressed by integer kind id (fast engine).
-
-        Equivalent to calling the per-kind setter on each non-source view;
-        the sender's own row is untouched (it always knows its exact state
-        and updated it when the broadcast was emitted).  The integer id skips
-        the name → matrix lookup on the per-event hot path.
-        """
-        if not self.vectorized:
-            setter = self._SETTERS[kind_id]
-            for view in self._views:
-                if view.owner != source:
-                    setter(view, source, value)
-            return
         if kind_id != BK_MEMORY:
             # the scalar setters clamp at zero; one scalar max keeps the
             # column assignment bit-identical to the per-view calls
@@ -228,14 +194,6 @@ class ViewBank:
         belief about slave ``q``'s memory (``q`` itself skips its own entry:
         it learns the true value when the slave task message arrives).
         """
-        if not self.vectorized:
-            for view in self._views:
-                if view.owner == source:
-                    continue
-                for (q, block) in reservations:
-                    if q != view.owner:
-                        view.add_memory(q, block)
-            return
         memory = self.memory
         for (q, block) in reservations:
             column = memory[:, q]

@@ -10,39 +10,26 @@ in the local pools — are delegated to strategy objects from
 memory-based strategies run on an identical substrate and their stack peaks
 can be compared head to head.
 
-Four event engines execute the same simulation (selected with the
+Two event engines execute the same simulation (selected with the
 ``engine=`` argument or the ``REPRO_SIM_ENGINE`` environment variable, see
 ``docs/benchmarks.md`` for the full anatomy):
 
 ``soa`` (default)
     The structure-of-arrays engine of :mod:`repro.runtime.soa`: processor
     and task fields live in parallel array slots, point-to-point messages
-    dissolve into the flat event tuples, and the whole run executes inside
-    one monolithic event loop with the handlers inlined.  Shared per-node
-    geometry comes from a memoized :class:`~repro.runtime.geometry.SimGeometry`.
-    A custom (non built-in) task selector silently falls back to ``flat``,
-    which honours the full selector contract.
-
-``jit``
-    The SoA loop with its vectorized view updates replaced by numba-compiled
-    kernels (:mod:`repro.runtime.engine_jit`).  When numba is not installed
-    the engine degrades to the pure-Python ``soa`` path — same results,
-    no hard dependency.
-
-``flat`` (alias: ``fast``)
-    Events are raw ``(time, seq, tag_id, a, b, c)`` tuples popped off a flat
-    heap and dispatched through a handler table indexed by the integer tag;
-    broadcast storms that share a timestamp are coalesced into a single
-    :class:`~repro.runtime.loadview.ViewBank` column update; the built-in
-    task selectors are inlined so a scheduling decision does not copy the
-    pool or build a context object.
+    dissolve into flat event tuples, and the whole run executes inside one
+    monolithic event loop with the handlers and the three built-in task
+    selectors inlined.  Shared per-node geometry comes from a memoized
+    :class:`~repro.runtime.geometry.SimGeometry`.  A custom (non built-in)
+    task selector runs on ``reference``, which honours the full
+    ``select()`` contract.
 
 ``reference``
     The historical event core — one :class:`ScheduledEvent` dataclass per
     event, string-tagged payloads dispatched through an if/elif chain,
     per-decision candidate list building and context-based task selection —
-    kept executable so the fuzz suite can pin every other engine
-    bit-identical to it (``tests/test_engine_identity.py``).
+    kept executable so the fuzz suite can pin ``soa`` bit-identical to it
+    (``tests/test_engine_identity.py``).
 
 Faithfulness notes (documented simplifications):
 
@@ -61,7 +48,6 @@ Faithfulness notes (documented simplifications):
 from __future__ import annotations
 
 import difflib
-import heapq
 import os
 from collections import defaultdict
 from dataclasses import dataclass
@@ -76,19 +62,17 @@ from repro.analysis.flops import (
 )
 from repro.mapping.layers import NodeType, StaticMapping, compute_mapping
 from repro.runtime.config import SimulationConfig
-from repro.runtime.events import (
-    EV_BROADCAST,
-    EV_KICK,
-    EV_MESSAGE,
-    EV_RESERVATION,
-    EV_TASK_DONE,
-    EventQueue,
-    FlatEventQueue,
-)
+from repro.runtime.events import EventQueue
 from repro.runtime.geometry import SimGeometry
 from repro.runtime.loadview import ViewBank
 from repro.runtime.messages import CommunicationModel, Message, MessageKind
 from repro.runtime.processor import ProcessorState
+from repro.runtime.soa import (
+    TASK_MODE_FIFO,
+    TASK_MODE_LIFO,
+    TASK_MODE_MEMORY_AWARE,
+    run_soa,
+)
 from repro.runtime.tasks import Task, TaskKind
 from repro.runtime.trace import SimulationTrace
 from repro.scheduling.base import (
@@ -109,16 +93,12 @@ __all__ = [
     "SimulationResult",
     "SIM_ENGINES",
     "SIM_ENGINE_ENV",
-    "ENGINE_ALIASES",
     "DEFAULT_ENGINE",
     "resolve_engine",
 ]
 
 #: the event engines; all produce bit-identical :class:`SimulationResult`.
-SIM_ENGINES = ("soa", "jit", "flat", "reference")
-
-#: historical names accepted by ``resolve_engine`` and mapped to engines.
-ENGINE_ALIASES = {"fast": "flat"}
+SIM_ENGINES = ("soa", "reference")
 
 #: engine used when neither ``engine=`` nor the environment selects one.
 DEFAULT_ENGINE = "soa"
@@ -131,18 +111,14 @@ def resolve_engine(engine: str | None = None) -> str:
     """Resolve and validate the engine name.
 
     Precedence: explicit argument, then the ``REPRO_SIM_ENGINE`` environment
-    variable, then :data:`DEFAULT_ENGINE`.  Historical aliases
-    (``fast`` → ``flat``) are accepted; anything else raises a
+    variable, then :data:`DEFAULT_ENGINE`.  Anything else raises a
     ``ValueError`` with a did-you-mean hint when a close name exists.
     """
     if engine is None:
         engine = os.environ.get(SIM_ENGINE_ENV) or DEFAULT_ENGINE
     engine = str(engine).strip().lower()
-    engine = ENGINE_ALIASES.get(engine, engine)
     if engine not in SIM_ENGINES:
-        close = difflib.get_close_matches(
-            engine, SIM_ENGINES + tuple(ENGINE_ALIASES), n=1, cutoff=0.5
-        )
+        close = difflib.get_close_matches(engine, SIM_ENGINES, n=1, cutoff=0.5)
         hint = f" — did you mean {close[0]!r}?" if close else ""
         raise ValueError(
             f"unknown simulator engine {engine!r}: choose one of {SIM_ENGINES} "
@@ -240,23 +216,12 @@ class FactorizationSimulator:
         self.tree = tree
         self.config = config if config is not None else SimulationConfig()
         self.engine = resolve_engine(engine)
-        # the *execution* path may differ from the requested engine: the SoA
-        # loop inlines the built-in task selectors, so a custom selector
-        # (whose ``select`` contract needs the object pool) degrades to the
-        # flat engine — same results, full contract
-        sel_type = type(task_selector)
-        if sel_type is LifoTaskSelector:
-            self._soa_task_mode = 0
-        elif sel_type is FifoTaskSelector:
-            self._soa_task_mode = 1
-        elif sel_type is MemoryAwareTaskSelector:
-            self._soa_task_mode = 2
-        else:
-            self._soa_task_mode = None
-        exec_engine = self.engine
-        if exec_engine in ("soa", "jit") and self._soa_task_mode is None:
-            exec_engine = "flat"
-        self._exec_engine = exec_engine
+        # the SoA loop inlines the three built-in task selectors (exact types:
+        # a subclass may override ``select``); any other selector needs the
+        # object pool its ``select`` contract reads, so it runs on
+        # ``reference`` — same results, full contract
+        self._soa_task_mode = _SOA_TASK_MODES.get(type(task_selector))
+        self._exec_engine = "reference" if self._soa_task_mode is None else self.engine
         if mapping is None:
             mapping = compute_mapping(
                 tree,
@@ -294,9 +259,9 @@ class FactorizationSimulator:
         else:
             self.fault_plan = None
             self._fault_msg = None
-        # all queues order events by (time, seq) and receive identical push
-        # sequences, so the engines pop events in exactly the same order
-        self.queue = EventQueue() if exec_engine == "reference" else FlatEventQueue()
+        # the reference event queue; the SoA loop keeps its own heap and
+        # writes only its final clock here
+        self.queue = EventQueue()
         # all system views live in one bank: broadcast and reservation events
         # touch every processor at once, which the bank applies as single
         # numpy column updates instead of per-processor loops
@@ -312,7 +277,7 @@ class FactorizationSimulator:
         ]
         for p in self.procs:
             p.memory.track_trace = self.config.track_traces
-        # per-node book-keeping of the object engines; built in ``_setup``
+        # per-node book-keeping of the reference engine; built in ``_setup``
         # (the SoA loop keeps its own array state instead)
         self.node_state: list[_NodeState] | None = None
         self._geometry_arg = geometry
@@ -325,12 +290,6 @@ class FactorizationSimulator:
         self.upcoming_master: list[dict[int, float]] = [dict() for _ in range(self.config.nprocs)]
         self._finished_nodes = 0
         self._ran = False
-
-        if exec_engine == "reference":
-            self._try_start = self._try_start_reference
-        else:
-            self._try_start = self._try_start_fast
-            self._fast_task_pick = self._resolve_fast_task_pick()
 
     # ------------------------------------------------------------------ #
     # geometry helpers (fast scalar reads of the arrays built in _setup)
@@ -391,8 +350,6 @@ class FactorizationSimulator:
         self._parent = geom.parent
         self._children = geom.children
         self._tree_leaves = geom.tree_leaves
-        self._type2_candidates = geom.type2_candidates
-        self._liu_order = geom.liu_order
         self.subtree_peaks = geom.subtree_peaks
         # only flag readiness once every array exists: a mid-build failure
         # must surface again at the next call, not as a distant AttributeError
@@ -479,7 +436,7 @@ class FactorizationSimulator:
     # ------------------------------------------------------------------ #
     # task activation
     # ------------------------------------------------------------------ #
-    def _try_start_reference(self, proc: int) -> None:
+    def _try_start(self, proc: int) -> None:
         """Historical task activation: context object over a copied pool."""
         p = self.procs[proc]
         if p.current_task is not None:
@@ -506,40 +463,6 @@ class FactorizationSimulator:
         if task is None:
             return
         self._activate(task, now)
-
-    def _try_start_fast(self, proc: int) -> None:
-        """Fast task activation: built-in selectors are inlined over the live
-        pool (no copy, no context object); custom selectors fall back to the
-        reference path so their contract is unchanged."""
-        p = self.procs[proc]
-        if p.current_task is not None:
-            return
-        if p.slave_queue:
-            self._activate(p.slave_queue.popleft(), self.queue.now)
-            return
-        if not p.pool:
-            return
-        pick = self._fast_task_pick
-        if pick is None:
-            self._try_start_reference(proc)
-            return
-        self._activate(p.pool.pop(pick(p)), self.queue.now)
-
-    def _resolve_fast_task_pick(self):
-        """Inline pick function for the exact built-in selector types.
-
-        Returns ``None`` for anything else (including subclasses, which may
-        override ``select``), in which case the fast engine falls back to the
-        reference context path.
-        """
-        sel_type = type(self.task_selector)
-        if sel_type is LifoTaskSelector:
-            return lambda p: len(p.pool) - 1
-        if sel_type is FifoTaskSelector:
-            return lambda p: 0
-        if sel_type is MemoryAwareTaskSelector:
-            return _pick_memory_aware
-        return None
 
     def _activate(self, task: Task, now: float) -> None:
         p = self.procs[task.proc]
@@ -668,8 +591,6 @@ class FactorizationSimulator:
         return total, comm_time
 
     def _candidates_for(self, node: int, master: int) -> list[int]:
-        if self._exec_engine != "reference":
-            return self._type2_candidates[node]
         candidates = [q for q in self.mapping.candidates.get(node, []) if q != master]
         if not candidates:
             candidates = [q for q in range(self.config.nprocs) if q != master]
@@ -1018,72 +939,16 @@ class FactorizationSimulator:
             else:  # pragma: no cover - defensive
                 raise ValueError(f"unknown event {tag}")
 
-    # fast-engine event handlers, one per integer tag, uniform (ev) signature
-    def _ev_task_done(self, ev: tuple) -> None:
-        self._finish_task(ev[3], ev[4], ev[0])
-
-    def _ev_message(self, ev: tuple) -> None:
-        self._handle_message(ev[3], ev[0])
-
-    def _ev_broadcast(self, ev: tuple) -> None:
-        time, kind, source, value = ev[0], ev[3], ev[4], ev[5]
-        # zero-latency coalescing: a storm of broadcasts of the same kind
-        # from the same source at one timestamp delivers, value by value,
-        # with no observer in between — only the last value can ever be
-        # read, so the whole storm collapses into one ViewBank column op.
-        heap = self.queue._heap
-        while heap:
-            nxt = heap[0]
-            if nxt[0] != time or nxt[2] != EV_BROADCAST or nxt[3] != kind or nxt[4] != source:
-                break
-            value = nxt[5]
-            heapq.heappop(heap)
-        self.views.apply_broadcast_kind(kind, source, value)
-
-    def _ev_reservation(self, ev: tuple) -> None:
-        self.views.apply_reservations(ev[3], ev[4])
-
-    def _ev_kick(self, ev: tuple) -> None:
-        self._try_start(ev[3])
-
-    def _run_fast(self) -> None:
-        """The flat event loop: tuple events, handler table indexed by tag id."""
-        dispatch = [None] * 5
-        dispatch[EV_TASK_DONE] = self._ev_task_done
-        dispatch[EV_MESSAGE] = self._ev_message
-        dispatch[EV_BROADCAST] = self._ev_broadcast
-        dispatch[EV_RESERVATION] = self._ev_reservation
-        dispatch[EV_KICK] = self._ev_kick
-        dispatch = tuple(dispatch)
-        queue = self.queue
-        heap = queue._heap
-        pop = heapq.heappop
-        while heap:
-            ev = pop(heap)
-            queue._now = ev[0]
-            dispatch[ev[2]](ev)
-
     def run(self) -> SimulationResult:
         """Run the simulation to completion and return the metrics."""
         if self._ran:
             raise RuntimeError("a FactorizationSimulator instance can only run once")
         self._ran = True
-        exec_engine = self._exec_engine
-        if exec_engine == "jit":
+        if self._exec_engine == "soa":
             self._precompute_geometry()
-            from repro.runtime.engine_jit import run_jit
-
-            return run_jit(self)
-        if exec_engine == "soa":
-            self._precompute_geometry()
-            from repro.runtime.soa import run_soa
-
             return run_soa(self)
         self._setup()
-        if exec_engine == "flat":
-            self._run_fast()
-        else:
-            self._run_reference()
+        self._run_reference()
 
         if self._finished_nodes != self.tree.nnodes:
             unfinished = [i for i, s in enumerate(self.node_state) if not s.completed]
@@ -1115,26 +980,9 @@ class FactorizationSimulator:
 _TYPE2 = int(NodeType.TYPE2)
 _TYPE3 = int(NodeType.TYPE3)
 
-
-def _pick_memory_aware(p: ProcessorState) -> int:
-    """Inlined :class:`MemoryAwareTaskSelector.select` over the live pool.
-
-    Bit-identical to building a :class:`TaskSelectionContext` from ``p`` and
-    calling the selector (asserted by ``tests/test_engine_identity.py``).
-    """
-    pool = p.pool
-    top = len(pool) - 1
-    current_subtree = p.current_subtree
-    if current_subtree >= 0 and pool[top].in_subtree == current_subtree:
-        return top
-    current = float(p.memory.stack) + (
-        p.current_subtree_peak if current_subtree >= 0 else 0.0
-    )
-    observed = p.observed_peak
-    for index in range(top, -1, -1):
-        task = pool[index]
-        if task.memory_cost + current <= observed:
-            return index
-        if task.in_subtree >= 0:
-            return index
-    return top
+#: built-in task selector type → the SoA loop's inlined task-selection mode
+_SOA_TASK_MODES = {
+    LifoTaskSelector: TASK_MODE_LIFO,
+    FifoTaskSelector: TASK_MODE_FIFO,
+    MemoryAwareTaskSelector: TASK_MODE_MEMORY_AWARE,
+}

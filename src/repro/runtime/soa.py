@@ -1,11 +1,10 @@
 """Structure-of-arrays simulation engine (``engine="soa"``).
 
-The object engines (``flat``/``reference``) keep one ``ProcessorState`` /
-``ProcessorMemory`` / ``Task`` instance per entity and spend most of a run in
-attribute lookups and small method calls — profiling the flat engine shows
-~80k function calls per mid-size run, spread over ``_memory_changed`` /
-``_broadcast`` / ``push_*`` chains of three to four frames each.  This module
-replaces all of that with parallel arrays:
+The ``reference`` engine keeps one ``ProcessorState`` / ``ProcessorMemory`` /
+``Task`` instance per entity and spends most of a run in attribute lookups
+and small method calls, spread over ``_memory_changed`` / ``_broadcast`` /
+``push_*`` chains of three to four frames each.  This module replaces all of
+that with parallel arrays:
 
 * processor fields (``stack``, ``factors``, ``peak_stack``, ``load``,
   ``observed_peak``, broadcast dedup values, …) live in ``(nprocs,)`` slots;
@@ -19,13 +18,15 @@ replaces all of that with parallel arrays:
   buffer.
 
 :func:`run_soa` is one monolithic event loop over that layout: every handler
-of the object engines is inlined into the loop body or a single-level
+of the reference engine is inlined into the loop body or a single-level
 closure, state lives in hoisted locals (CPython list mirrors of the
 :class:`SimState` arrays — dense integer indexing without the ndarray scalar
 boxing), and events are pushed with inline ``heappush`` of tuples.  The final
-:class:`SimState` (numpy canonical form, written back after the run, exposed
-as ``sim.state``) is the layout the optional numba kernels of
-:mod:`repro.runtime.engine_jit` compile against.
+:class:`SimState` (numpy canonical form) is written back after the run and
+exposed as ``sim.state``.  Two structural wins ride on that layout: lazy view
+application (broadcasts are logged and only materialised before a type-2
+slave selection reads the views) and a notification FIFO (constant-delay
+events skip the heap).
 
 Bit-identity with the reference engine is load-bearing: both engines push the
 same events in the same order (so sequence numbers and heap pop order match)
@@ -66,7 +67,7 @@ K_TYPE2_SLAVE = 2
 K_ROOT_SHARE = 3
 
 #: task-selector modes inlined in the loop (resolved by the simulator from
-#: the exact built-in selector types; anything else runs the flat engine)
+#: the exact built-in selector types; anything else runs the reference engine)
 TASK_MODE_LIFO = 0
 TASK_MODE_FIFO = 1
 TASK_MODE_MEMORY_AWARE = 2
@@ -78,8 +79,7 @@ class SimState:
     Processor fields are ``(nprocs,)`` numpy arrays, task fields ``(ntasks,)``
     arrays in creation order.  The run loop works on plain-list mirrors of
     these slots (CPython indexes lists faster than it unboxes ndarray
-    scalars) and writes them back here; the numba kernels of
-    :mod:`repro.runtime.engine_jit` read the arrays directly.
+    scalars) and writes them back here.
     """
 
     __slots__ = (
@@ -126,16 +126,13 @@ class SimState:
         self.task_extra = np.empty(0, dtype=np.float64)
 
 
-def run_soa(sim, *, kernels=None):
+def run_soa(sim):
     """Run ``sim`` to completion with the SoA event loop.
 
-    ``kernels`` optionally supplies compiled twins for the two vectorized
-    view updates (broadcast column write, reservation columns) — see
-    :mod:`repro.runtime.engine_jit`; ``None`` uses the inline numpy forms.
     Returns the :class:`~repro.runtime.simulator.SimulationResult`, attaches
     the final :class:`SimState` as ``sim.state`` and mirrors
-    ``sim.message_counts`` / ``sim.slave_selections`` like the object
-    engines do.
+    ``sim.message_counts`` / ``sim.slave_selections`` like the reference
+    engine does.
     """
     cfg = sim.config
     geom = sim.geometry
@@ -226,28 +223,22 @@ def run_soa(sim, *, kernels=None):
     t_extra = []
 
     # ---------------- views ------------------------------------------------ #
-    vec = views.vectorized
     view_mem = [views.view(p).memory for p in range(nprocs)]
     view_load = [views.view(p).load for p in range(nprocs)]
     view_sub = [views.view(p).subtree_peak for p in range(nprocs)]
     view_pred = [views.view(p).predicted_master for p in range(nprocs)]
-    kind_mats = views._kind_arrays if vec else None
-    apply_broadcast_kind = views.apply_broadcast_kind
+    kind_mats = views._kind_arrays
     apply_reservations = views.apply_reservations
-    kern_bc = getattr(kernels, "broadcast", None) if (kernels and vec) else None
-    kern_rv = getattr(kernels, "reservations", None) if (kernels and vec) else None
-    views_memory_mat = views.memory if vec else None
 
-    # Lazy view application (vectorized mode).  Broadcasts outnumber the
-    # points where the view matrices are actually *read* — a type-2 slave
-    # selection — by two orders of magnitude, so popped broadcast events are
-    # recorded here and only materialised by ``flush_views`` right before a
-    # selection (and once at end of run).  Column writes commute with
-    # everything except those reads, the masters' observer updates (which
-    # happen after the flush inside ``activate_t2``) and reservations, whose
-    # ordering against memory broadcasts ``mem_log`` preserves verbatim —
-    # so the flushed state is bit-identical to eager application at pop time.
-    lazy = vec
+    # Lazy view application.  Broadcasts outnumber the points where the view
+    # matrices are actually *read* — a type-2 slave selection — by two orders
+    # of magnitude, so popped broadcast events are recorded here and only
+    # materialised by ``flush_views`` right before a selection (and once at
+    # end of run).  Column writes commute with everything except those reads,
+    # the masters' observer updates (which happen after the flush inside
+    # ``activate_t2``) and reservations, whose ordering against memory
+    # broadcasts ``mem_log`` preserves verbatim — so the flushed state is
+    # bit-identical to eager application at pop time.
     pend_cols = ({}, {}, {}, {})  # kind → {source: latest raw value}; [0] unused
     mem_log = []  # kind-0 ops in pop order: (0, src, val) | (1, master, reservations)
 
@@ -270,9 +261,9 @@ def run_soa(sim, *, kernels=None):
     n_sel = 0
 
     # ------------------------------------------------------------------ #
-    # single-level closures (the object engines' 3-4 frame call chains
-    # collapse to one call over shared cells; float ops keep the reference
-    # engine's exact association)
+    # single-level closures (the reference engine's 3-4 frame call chains
+    # collapse to one call over shared cells; float ops keep its exact
+    # association)
     # ------------------------------------------------------------------ #
     def _alloc(q, e):
         s2 = stack[q] + e
@@ -441,22 +432,20 @@ def run_soa(sim, *, kernels=None):
         c_root += n1
         root_seen = True
 
+    def write_column(mat, src, val):
+        # deliver a broadcast everywhere but at the sender's own slot
+        col = mat[:, src]
+        keep = col[src]
+        col[:] = val
+        col[src] = keep
+
     def flush_views():
         for kind in (1, 2, 3):
             d = pend_cols[kind]
             if d:
                 mat = kind_mats[kind]
-                if kern_bc is not None:
-                    for src, val in d.items():
-                        kern_bc(mat, src, val, True)
-                else:
-                    for src, val in d.items():
-                        if val < 0.0:
-                            val = 0.0
-                        col = mat[:, src]
-                        keep = col[src]
-                        col[:] = val
-                        col[src] = keep
+                for src, val in d.items():
+                    write_column(mat, src, 0.0 if val < 0.0 else val)
                 d.clear()
         if mem_log:
             mat = kind_mats[0]
@@ -465,43 +454,17 @@ def run_soa(sim, *, kernels=None):
                 if op[0] == 0:
                     buf[op[1]] = op[2]
                     continue
-                if buf:
-                    if kern_bc is not None:
-                        for src, val in buf.items():
-                            kern_bc(mat, src, val, False)
-                    else:
-                        for src, val in buf.items():
-                            col = mat[:, src]
-                            keep = col[src]
-                            col[:] = val
-                            col[src] = keep
-                    buf.clear()
-                if kern_rv is not None:
-                    rlist = op[2]
-                    kern_rv(
-                        views_memory_mat,
-                        op[1],
-                        np.array([r[0] for r in rlist], dtype=np.int64),
-                        np.array([r[1] for r in rlist], dtype=np.float64),
-                    )
-                else:
-                    apply_reservations(op[1], op[2])
-            if buf:
-                if kern_bc is not None:
-                    for src, val in buf.items():
-                        kern_bc(mat, src, val, False)
-                else:
-                    for src, val in buf.items():
-                        col = mat[:, src]
-                        keep = col[src]
-                        col[:] = val
-                        col[src] = keep
+                for src, val in buf.items():
+                    write_column(mat, src, val)
+                buf.clear()
+                apply_reservations(op[1], op[2])
+            for src, val in buf.items():
+                write_column(mat, src, val)
             mem_log.clear()
 
     def activate_t2(tid, q, node):
         nonlocal seq, c_cbt, c_stask, c_resv, n_sel, c_lost, c_retr
-        if lazy:
-            flush_views()
+        flush_views()
         sub = t_sub[tid]
         if sub >= 0:
             if cur_sub[q] != sub:
@@ -754,29 +717,14 @@ def run_soa(sim, *, kernels=None):
             kind = ev[3]
             src = ev[4]
             val = ev[5]
-            if lazy:
-                # pending state is inherently last-writer-wins per source, so
-                # no same-timestamp coalescing pass is needed here
-                if kind == 0:
-                    if mem_log and mem_log[-1][0] == 0 and mem_log[-1][1] == src:
-                        mem_log[-1] = (0, src, val)
-                    else:
-                        mem_log.append((0, src, val))
+            # pending state is last-writer-wins per source
+            if kind == 0:
+                if mem_log and mem_log[-1][0] == 0 and mem_log[-1][1] == src:
+                    mem_log[-1] = (0, src, val)
                 else:
-                    pend_cols[kind][src] = val
+                    mem_log.append((0, src, val))
             else:
-                # zero-latency coalescing: a storm of same-kind same-source
-                # broadcasts at one timestamp collapses to its last value —
-                # only while the matching broadcast is globally next
-                while nq:
-                    nxt = nq[0]
-                    if nxt[0] != now or nxt[2] != EV_BROADCAST or nxt[3] != kind or nxt[4] != src:
-                        break
-                    if heap and heap[0] < nxt:
-                        break
-                    val = nxt[5]
-                    nq.popleft()
-                apply_broadcast_kind(kind, src, val)
+                pend_cols[kind][src] = val
         elif tag == EV_TASK_DONE:
             q = ev[3]
             tid = ev[4]
@@ -875,10 +823,7 @@ def run_soa(sim, *, kernels=None):
         elif tag == EV_CHILD_COMPLETED:
             on_child_completed(ev[3])
         elif tag == EV_RESERVATION:
-            if lazy:
-                mem_log.append((1, ev[3], ev[4]))
-            else:
-                apply_reservations(ev[3], ev[4])
+            mem_log.append((1, ev[3], ev[4]))
         else:  # EV_KICK
             try_start(ev[3])
 
@@ -891,8 +836,7 @@ def run_soa(sim, *, kernels=None):
             f"simulation deadlocked: {len(unfinished)} nodes never completed "
             f"(first few: {unfinished[:5]})"
         )
-    if lazy:
-        flush_views()  # leave sim.views in the same state the eager engines do
+    flush_views()  # leave sim.views in the same state the reference engine does
 
     state = SimState(nprocs)
     state.ntasks = len(t_kind)

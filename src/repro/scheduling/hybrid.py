@@ -29,15 +29,12 @@ class HybridSlaveSelector(SlaveSelector):
 
     name = "hybrid"
 
-    def __init__(self, alpha: float = 0.5, *, use_predictions: bool = True, vectorized: bool = True):
+    def __init__(self, alpha: float = 0.5, *, use_predictions: bool = True):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be within [0, 1]")
         self.alpha = alpha
         self.use_predictions = use_predictions
-        self.vectorized = vectorized
-        self._memory_selector = MemorySlaveSelector(
-            use_predictions=use_predictions, vectorized=vectorized
-        )
+        self._memory_selector = MemorySlaveSelector(use_predictions=use_predictions)
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
         if ctx.ncb <= 0 or not ctx.candidates:

@@ -9,12 +9,10 @@ rows are spread equally.  The metric is either the instantaneous memory
 the peak of the subtree currently being treated plus the predicted cost of
 the next upper-layer master task.
 
-Mirroring the ``ViewBank`` scalar/vector pattern, the selection has two
-implementations: the default vectorized path gathers the candidate metrics
-and locates the prefix with numpy array operations, and ``vectorized=False``
-preserves the historical per-candidate Python loops as an executable
-reference (``tests/test_engine_identity.py`` asserts they pick identical
-assignments on randomized contexts).
+The selection gathers the candidate metrics and locates the prefix with
+numpy array operations; ``tests/test_engine_identity.py`` keeps the
+historical per-candidate Python loops as an oracle and asserts both pick
+identical assignments on randomized contexts.
 """
 
 from __future__ import annotations
@@ -37,9 +35,6 @@ class MemorySlaveSelector(SlaveSelector):
         memory only); ``True`` uses the Section 5.1 metric, which avoids
         giving slave work to processors about to start an expensive subtree
         or master task.
-    vectorized:
-        ``True`` (default) runs the numpy implementation; ``False`` keeps the
-        historical per-candidate loops as the executable reference.
     row_unit:
         Memory-to-rows conversion follows the paper: a deficit of ``D``
         entries translates into ``D / nfront`` rows (one row of the front
@@ -48,29 +43,18 @@ class MemorySlaveSelector(SlaveSelector):
 
     name = "memory"
 
-    def __init__(self, *, use_predictions: bool = True, vectorized: bool = True):
+    def __init__(self, *, use_predictions: bool = True):
         self.use_predictions = use_predictions
-        self.vectorized = vectorized
-
-    # ------------------------------------------------------------------ #
-    def _metric(self, ctx: SlaveSelectionContext) -> np.ndarray:
-        return selection_metric(ctx, use_predictions=self.use_predictions)
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if self.vectorized:
-            return self._select_vectorized(ctx)
-        return self._select_scalar(ctx)
-
-    # ------------------------------------------------------------------ #
-    # vectorized path (default)
-    # ------------------------------------------------------------------ #
-    def _select_vectorized(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
         if ctx.ncb <= 0:
             return []
         cand = np.asarray(ctx.candidates, dtype=np.int64)
         if cand.size == 0:
             return []
-        metric = np.asarray(self._metric(ctx), dtype=np.float64)
+        metric = np.asarray(
+            selection_metric(ctx, use_predictions=self.use_predictions), dtype=np.float64
+        )
         mem = metric[cand]
         order = np.argsort(mem, kind="stable")
         sorted_procs = cand[order]
@@ -83,7 +67,7 @@ class MemorySlaveSelector(SlaveSelector):
         # Levelling cost of the prefix 1..i: sum(sorted_mem[i-1] - sorted_mem[:i]),
         # nondecreasing in i because the memories are sorted.  The closed form
         # below locates the boundary in one vectorized pass; the exact
-        # summation (the reference expression, whose rounding can differ from
+        # summation (the historical expression, whose rounding can differ from
         # the closed form by an ulp) then settles the boundary itself.
         n = int(sorted_mem.size)
 
@@ -108,43 +92,9 @@ class MemorySlaveSelector(SlaveSelector):
         level = chosen_mem[best - 1]
         return _level_rows(chosen, chosen_mem, level, nfront, ctx.ncb, best)
 
-    # ------------------------------------------------------------------ #
-    # scalar reference path (the historical implementation, verbatim)
-    # ------------------------------------------------------------------ #
-    def _select_scalar(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if ctx.ncb <= 0:
-            return []
-        candidates = [int(q) for q in ctx.candidates]
-        if not candidates:
-            return []
-        metric = self._metric(ctx)
-        mem = np.array([float(metric[q]) for q in candidates])
-        order = np.argsort(mem, kind="stable")
-        sorted_procs = [candidates[int(i)] for i in order]
-        sorted_mem = mem[order]
-
-        nfront = max(ctx.nfront, 1)
-        surface = float(ctx.ncb) * float(nfront)
-
-        # find the largest prefix 1..i whose levelling cost fits in the surface
-        best = 1
-        for i in range(1, len(sorted_procs) + 1):
-            level = sorted_mem[i - 1]
-            cost = float(np.sum(level - sorted_mem[:i]))
-            if cost <= surface:
-                best = i
-            else:
-                break
-        max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
-        best = min(best, ctx.max_slaves, max_by_rows)
-        chosen = sorted_procs[:best]
-        chosen_mem = sorted_mem[:best]
-        level = chosen_mem[best - 1]
-        return _level_rows(chosen, chosen_mem, level, nfront, ctx.ncb, best)
-
 
 def _level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int, int]]:
-    """Algorithm 1's levelling pass, shared by both implementations.
+    """Algorithm 1's levelling pass.
 
     Brings every selected slave up to the level of the most loaded selected
     one (in rows of the front), then spreads the remaining rows equitably.

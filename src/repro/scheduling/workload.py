@@ -8,9 +8,9 @@ on the master."  The workload metric is the number of floating-point
 operations still to be done.
 
 Like :class:`~repro.scheduling.memory_slave.MemorySlaveSelector`, the
-selection is vectorized by default (gathers and masks over the believed-load
-array) and keeps the historical per-candidate loops under
-``vectorized=False`` as the executable reference.
+selection runs as gathers and masks over the believed-load array;
+``tests/test_engine_identity.py`` keeps the historical per-candidate loops as
+its oracle.
 """
 
 from __future__ import annotations
@@ -27,21 +27,12 @@ class WorkloadSlaveSelector(SlaveSelector):
 
     name = "workload"
 
-    def __init__(self, *, proportional: bool = True, vectorized: bool = True):
+    def __init__(self, *, proportional: bool = True):
         #: distribute rows inversely proportionally to the believed loads
         #: (``True``) or in equal shares (``False``)
         self.proportional = proportional
-        self.vectorized = vectorized
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if self.vectorized:
-            return self._select_vectorized(ctx)
-        return self._select_scalar(ctx)
-
-    # ------------------------------------------------------------------ #
-    # vectorized path (default)
-    # ------------------------------------------------------------------ #
-    def _select_vectorized(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
         if ctx.ncb <= 0:
             return []
         cand = np.asarray(ctx.candidates, dtype=np.int64)
@@ -71,35 +62,9 @@ class WorkloadSlaveSelector(SlaveSelector):
             weights = np.full(len(chosen), 1.0 / len(chosen))
         return _spread_rows(chosen, weights, ctx.ncb)
 
-    # ------------------------------------------------------------------ #
-    # scalar reference path (the historical implementation, verbatim)
-    # ------------------------------------------------------------------ #
-    def _select_scalar(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if ctx.ncb <= 0:
-            return []
-        candidates = [int(q) for q in ctx.candidates]
-        if not candidates:
-            return []
-        loads = np.array([float(ctx.load_view[q]) for q in candidates])
-        order = np.argsort(loads, kind="stable")
-
-        less_loaded = [candidates[int(i)] for i in order if loads[int(i)] < ctx.own_load]
-        chosen_pool = less_loaded if less_loaded else [candidates[int(i)] for i in order]
-
-        max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
-        nslaves = min(len(chosen_pool), ctx.max_slaves, max_by_rows)
-        chosen = chosen_pool[:nslaves]
-
-        if self.proportional:
-            gaps = np.array([max(float(np.max(ctx.load_view)) - float(ctx.load_view[q]), 0.0) + 1.0 for q in chosen])
-            weights = gaps / gaps.sum()
-        else:
-            weights = np.full(len(chosen), 1.0 / len(chosen))
-        return _spread_rows(chosen, weights, ctx.ncb)
-
 
 def _spread_rows(chosen, weights: np.ndarray, ncb: int) -> list[tuple[int, int]]:
-    """Weighted row distribution shared by both implementations."""
+    """Weighted row distribution: floor shares, remainder one row at a time."""
     rows = np.floor(weights * ncb).astype(int)
     # distribute the remainder one row at a time to the least loaded
     remainder = ncb - int(rows.sum())

@@ -104,3 +104,13 @@ def test_parser_defaults():
     assert args.nprocs == 32
     assert args.scale == 1.0
     assert args.jobs == 1
+
+
+@pytest.mark.parametrize("engine", ["jit", "flat", "fast", "warp"])
+def test_unknown_sim_engine_env_exits_cleanly(monkeypatch, capsys, engine):
+    monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+    assert main(["sweep", "--nprocs", "4", "--scale", "0.2", "--problems", "XENON2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: unknown simulator engine")
+    assert "soa" in err and "reference" in err
+    assert "Traceback" not in err

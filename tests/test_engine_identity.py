@@ -1,23 +1,21 @@
-"""Every optimized event engine must be an exact drop-in for the reference.
+"""The ``soa`` engine must be an exact drop-in for the reference.
 
-PR 5 rewrote the simulator hot path (flat-tuple events, dispatch table,
-broadcast coalescing, inlined task selection → ``flat``); PR 6 added the
-structure-of-arrays engines (``soa`` and its numba-kernel twin ``jit``) and
-the batched sweep path.  The historical event core stays reachable as
-``engine="reference"`` (or ``REPRO_SIM_ENGINE=reference``), and this suite
-pins every other engine *bit-identical* to it — every field of
-:class:`SimulationResult`, including ``message_counts`` and
-``slave_selections``, over a randomized scenario matrix of tree shapes ×
-strategies × processor counts × latency configurations.  ``jit`` runs here
-whether or not numba is installed: without it the engine must degrade to the
-pure-Python SoA loop with unchanged results.
+``soa`` (the default) runs every simulation as one structure-of-arrays event
+loop; the historical event core stays reachable as ``engine="reference"``
+(or ``REPRO_SIM_ENGINE=reference``), and this suite pins ``soa``
+*bit-identical* to it — every field of :class:`SimulationResult`, including
+``message_counts`` and ``slave_selections``, over a randomized scenario
+matrix of tree shapes × strategies × processor counts × latency
+configurations.
 
 The batched path (one shared geometry + view bank for many runs) is pinned
-to the one-simulator-per-run path, and the slave selectors' vectorized paths
-to their scalar references, the same way.
+to the one-simulator-per-run path the same way, and the numpy slave
+selectors to the historical per-candidate loops, kept here as oracles.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,8 +31,9 @@ from repro.runtime import (
 from repro.scheduling import get_strategy
 from repro.scheduling.base import SlaveSelectionContext
 from repro.scheduling.hybrid import HybridSlaveSelector
-from repro.scheduling.memory_slave import MemorySlaveSelector
-from repro.scheduling.workload import WorkloadSlaveSelector
+from repro.scheduling.memory_slave import MemorySlaveSelector, _level_rows
+from repro.scheduling.prediction import selection_metric
+from repro.scheduling.workload import WorkloadSlaveSelector, _spread_rows
 from repro.sparse import grid_2d
 from repro.symbolic import AssemblyTree, build_assembly_tree
 
@@ -52,9 +51,9 @@ STRATEGIES = [
 ]
 
 #: (seed, nprocs, strategy, latency, memory_message_latency, track_traces)
-#: — zero-latency rows are the broadcast-coalescing stress (every broadcast
-#: of a timestamp lands at the same instant), high-latency rows maximise
-#: view staleness, and the traced rows also compare the full memory traces.
+#: — zero-latency rows are the broadcast-storm stress (every broadcast of a
+#: timestamp lands at the same instant), high-latency rows maximise view
+#: staleness, and the traced rows also compare the full memory traces.
 SCENARIOS = [
     (0, 2, "mumps-workload", 20.0e-6, 20.0e-6, False),
     (1, 3, "memory-basic", 20.0e-6, 20.0e-6, False),
@@ -119,11 +118,11 @@ def assert_identical(fast, ref, *, traces: bool = False) -> None:
 
 
 #: engines pinned against "reference" by the fuzz matrix
-OPTIMIZED_ENGINES = ("flat", "soa", "jit")
+OPTIMIZED_ENGINES = ("soa",)
 
 
 class TestEngineIdentityFuzz:
-    """Randomized scenario matrix: every engine ≡ reference engine, bitwise."""
+    """Randomized scenario matrix: ``soa`` ≡ reference engine, bitwise."""
 
     @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     @pytest.mark.parametrize(
@@ -176,7 +175,7 @@ class TestEngineIdentityFuzz:
             )
 
     def test_custom_task_selector_falls_back(self):
-        """A custom task selector keeps its contract on the SoA engines."""
+        """A custom task selector keeps its contract: ``soa`` runs it on ``reference``."""
         from repro.scheduling.task_selection import LifoTaskSelector
 
         class AlwaysOldest(LifoTaskSelector):  # subclass ⇒ not inlined
@@ -189,10 +188,13 @@ class TestEngineIdentityFuzz:
         slave, _ = get_strategy("memory-full").build()
 
         def run(engine):
-            return FactorizationSimulator(
+            sim = FactorizationSimulator(
                 tree, config=config, mapping=mapping, slave_selector=slave,
                 task_selector=AlwaysOldest(), engine=engine,
-            ).run()
+            )
+            result = sim.run()
+            assert sim.state is None  # the SoA loop never ran
+            return result
 
         ref = run("reference")
         for engine in OPTIMIZED_ENGINES:
@@ -403,10 +405,10 @@ class TestEngineSelection:
         monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
         assert resolve_engine("soa") == "soa"
 
-    def test_fast_alias_maps_to_flat(self):
-        # "fast" was the PR 5 name of the flat-tuple engine; keep it working
-        assert resolve_engine("fast") == "flat"
-        assert resolve_engine("FLAT") == "flat"
+    @pytest.mark.parametrize("name", ["flat", "fast", "jit", "FLAT"])
+    def test_removed_engines_rejected(self, name):
+        with pytest.raises(ValueError, match=r"choose one of \('soa', 'reference'\)"):
+            resolve_engine(name)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown simulator engine"):
@@ -420,8 +422,57 @@ class TestEngineSelection:
 
 
 # --------------------------------------------------------------------------- #
-# selector-level equivalence: vectorized ≡ scalar reference
+# selector-level equivalence: numpy selectors ≡ historical per-candidate loops
 # --------------------------------------------------------------------------- #
+def scalar_memory_select(ctx: SlaveSelectionContext, use_predictions: bool):
+    """Oracle of MemorySlaveSelector: the historical Algorithm 1 loops."""
+    if ctx.ncb <= 0:
+        return []
+    candidates = [int(q) for q in ctx.candidates]
+    if not candidates:
+        return []
+    metric = selection_metric(ctx, use_predictions=use_predictions)
+    mem = np.array([float(metric[q]) for q in candidates])
+    order = np.argsort(mem, kind="stable")
+    sorted_procs = [candidates[int(i)] for i in order]
+    sorted_mem = mem[order]
+    nfront = max(ctx.nfront, 1)
+    surface = float(ctx.ncb) * float(nfront)
+    # the largest prefix 1..i whose levelling cost fits in the surface
+    best = 1
+    for i in range(1, len(sorted_procs) + 1):
+        if float(np.sum(sorted_mem[i - 1] - sorted_mem[:i])) > surface:
+            break
+        best = i
+    max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
+    best = min(best, ctx.max_slaves, max_by_rows)
+    return _level_rows(
+        sorted_procs[:best], sorted_mem[:best], sorted_mem[best - 1], nfront, ctx.ncb, best
+    )
+
+
+def scalar_workload_select(ctx: SlaveSelectionContext, proportional: bool):
+    """Oracle of WorkloadSlaveSelector: the historical per-candidate loops."""
+    if ctx.ncb <= 0:
+        return []
+    candidates = [int(q) for q in ctx.candidates]
+    if not candidates:
+        return []
+    loads = np.array([float(ctx.load_view[q]) for q in candidates])
+    order = np.argsort(loads, kind="stable")
+    less_loaded = [candidates[int(i)] for i in order if loads[int(i)] < ctx.own_load]
+    chosen_pool = less_loaded if less_loaded else [candidates[int(i)] for i in order]
+    max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
+    chosen = chosen_pool[: min(len(chosen_pool), ctx.max_slaves, max_by_rows)]
+    if proportional:
+        top = float(np.max(ctx.load_view))
+        gaps = np.array([max(top - float(ctx.load_view[q]), 0.0) + 1.0 for q in chosen])
+        weights = gaps / gaps.sum()
+    else:
+        weights = np.full(len(chosen), 1.0 / len(chosen))
+    return _spread_rows(chosen, weights, ctx.ncb)
+
+
 def random_context(seed: int) -> SlaveSelectionContext:
     rng = np.random.default_rng(seed)
     nprocs = int(rng.integers(2, 40))
@@ -460,28 +511,26 @@ class TestSelectorVectorization:
         ctx = random_context(seed)
         for use_predictions in (False, True):
             vec = MemorySlaveSelector(use_predictions=use_predictions).select(ctx)
-            ref = MemorySlaveSelector(
-                use_predictions=use_predictions, vectorized=False
-            ).select(ctx)
-            assert vec == ref
+            assert vec == scalar_memory_select(ctx, use_predictions)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_workload_selector_matches_scalar(self, seed):
         ctx = random_context(seed + 1000)
         for proportional in (False, True):
             vec = WorkloadSlaveSelector(proportional=proportional).select(ctx)
-            ref = WorkloadSlaveSelector(
-                proportional=proportional, vectorized=False
-            ).select(ctx)
-            assert vec == ref
+            assert vec == scalar_workload_select(ctx, proportional)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_hybrid_selector_matches_scalar(self, seed):
         ctx = random_context(seed + 2000)
         for alpha in (0.0, 0.3, 1.0):
             vec = HybridSlaveSelector(alpha=alpha).select(ctx)
-            ref = HybridSlaveSelector(alpha=alpha, vectorized=False).select(ctx)
-            assert vec == ref
+            ref = HybridSlaveSelector(alpha=alpha)
+            # same blending, with the scalar Algorithm 1 oracle doing the levelling
+            ref._memory_selector = SimpleNamespace(
+                select=lambda c: scalar_memory_select(c, ref.use_predictions)
+            )
+            assert vec == ref.select(ctx)
 
     def test_empty_candidates_and_zero_rows(self):
         ctx = random_context(7)
@@ -501,3 +550,85 @@ class TestSelectorVectorization:
         )
         for selector in (MemorySlaveSelector(), WorkloadSlaveSelector(), HybridSlaveSelector()):
             assert selector.select(empty) == []
+
+
+def with_scalar_oracle(slave):
+    """``slave`` with its numpy kernel swapped for the scalar oracle loops."""
+    if isinstance(slave, HybridSlaveSelector):
+        slave._memory_selector = SimpleNamespace(
+            select=lambda c: scalar_memory_select(c, slave.use_predictions)
+        )
+        return slave
+    if isinstance(slave, MemorySlaveSelector):
+        return SimpleNamespace(select=lambda c: scalar_memory_select(c, slave.use_predictions))
+    if isinstance(slave, WorkloadSlaveSelector):
+        return SimpleNamespace(select=lambda c: scalar_workload_select(c, slave.proportional))
+    raise TypeError(f"no scalar oracle for {type(slave).__name__}")
+
+
+def run_oracle(tree, config, mapping, strategy: str):
+    slave, task = get_strategy(strategy).build()
+    return FactorizationSimulator(
+        tree,
+        config=config,
+        mapping=mapping,
+        slave_selector=with_scalar_oracle(slave),
+        task_selector=task,
+        engine="soa",
+    ).run()
+
+
+class TestSelectorOracleSimulations:
+    """Whole ``soa`` simulations: numpy selectors ≡ the scalar oracles, bitwise.
+
+    The contexts here are the ones a run really builds (stale views, exact
+    ties from simultaneous broadcasts, predictions), over the same scenario
+    matrix that pins ``soa`` to ``reference``."""
+
+    @pytest.mark.parametrize(
+        "seed,nprocs,strategy,latency,mem_latency,traces", SCENARIOS
+    )
+    def test_random_scenarios(self, seed, nprocs, strategy, latency, mem_latency, traces):
+        tree = random_tree(seed)
+        config = SimulationConfig(
+            nprocs=nprocs,
+            type2_front_threshold=24,
+            type2_cb_threshold=6,
+            type3_front_threshold=72,
+            latency=latency,
+            memory_message_latency=mem_latency,
+            min_rows_per_slave=2,
+            track_traces=traces,
+        )
+        mapping = compute_mapping(tree, nprocs, **config.mapping_params())
+        assert_identical(
+            run_engine(tree, config, mapping, strategy, "soa"),
+            run_oracle(tree, config, mapping, strategy),
+            traces=traces,
+        )
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matrix_built_tree(self, strategy):
+        """Paper config on a realistic tree, thresholds low enough for type-2 nodes."""
+        pattern = grid_2d(14, 14)
+        tree = build_assembly_tree(pattern, None, keep_variables=False)
+        config = SimulationConfig.paper(nprocs=8, type2_front_threshold=24, type2_cb_threshold=6)
+        mapping = compute_mapping(tree, 8, **config.mapping_params())
+        assert_identical(
+            run_engine(tree, config, mapping, strategy, "soa"),
+            run_oracle(tree, config, mapping, strategy),
+        )
+
+    @pytest.mark.parametrize("faults", FAULT_SPECS)
+    @pytest.mark.parametrize(
+        "seed,nprocs,strategy,latency,mem_latency,traces", TestFaultIdentity.FAULT_SCENARIOS
+    )
+    def test_faulted_scenarios(self, seed, nprocs, strategy, latency, mem_latency, traces, faults):
+        tree, config, mapping = TestFaultIdentity._setup(
+            seed, nprocs, latency, mem_latency, traces, faults
+        )
+        assert_identical(
+            run_engine(tree, config, mapping, strategy, "soa"),
+            run_oracle(tree, config, mapping, strategy),
+            traces=traces,
+        )

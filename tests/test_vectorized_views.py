@@ -1,11 +1,11 @@
-"""The vectorized view bank must be an exact drop-in for the scalar loops.
+"""The matrix-backed view bank must be an exact drop-in for per-view loops.
 
-``ViewBank(vectorized=False)`` preserves the historical implementation —
-independent per-processor :class:`SystemView` arrays updated one method call
-at a time — as an executable reference.  These tests check the batched
-column updates against it at two levels: the bank operations themselves, and
-whole simulations, which must be *bit-identical* (the paper's tables are
-reproduced from these numbers; "close" is not good enough)."""
+:class:`ScalarBank` below keeps the historical implementation — independent
+per-processor :class:`SystemView` arrays updated one method call at a time —
+as an oracle.  These tests check the batched column updates of
+:class:`ViewBank` against it, and pin whole ``soa`` simulations on a
+realistic tree to the ``reference`` engine, bit for bit (the paper's tables
+are reproduced from these numbers; "close" is not good enough)."""
 
 from __future__ import annotations
 
@@ -14,17 +14,48 @@ import pytest
 
 from repro.mapping import compute_mapping
 from repro.ordering import compute_ordering
-from repro.runtime import FactorizationSimulator, SimulationConfig, ViewBank
+from repro.runtime import FactorizationSimulator, SimulationConfig, SystemView, ViewBank
 from repro.scheduling import get_strategy
 from repro.sparse import grid_3d
 from repro.symbolic import build_assembly_tree
 
 
-def _banks(nprocs: int) -> tuple[ViewBank, ViewBank]:
-    return ViewBank(nprocs), ViewBank(nprocs, vectorized=False)
+class ScalarBank:
+    """Oracle of ViewBank: independent per-view arrays, scalar setter loops."""
+
+    _SETTERS = {
+        "memory": SystemView.set_memory,
+        "load": SystemView.set_load,
+        "subtree": SystemView.set_subtree_peak,
+        "prediction": SystemView.set_predicted_master,
+    }
+
+    def __init__(self, nprocs: int) -> None:
+        self.nprocs = nprocs
+        self._views = [SystemView(nprocs=nprocs, owner=p) for p in range(nprocs)]
+
+    def view(self, proc: int) -> SystemView:
+        return self._views[proc]
+
+    def apply_broadcast(self, kind: str, source: int, value: float) -> None:
+        setter = self._SETTERS[kind]
+        for view in self._views:
+            if view.owner != source:
+                setter(view, source, value)
+
+    def apply_reservations(self, source: int, reservations) -> None:
+        for view in self._views:
+            if view.owner != source:
+                for (q, block) in reservations:
+                    if q != view.owner:
+                        view.add_memory(q, block)
 
 
-def _assert_banks_equal(vec: ViewBank, ref: ViewBank) -> None:
+def _banks(nprocs: int) -> tuple[ViewBank, ScalarBank]:
+    return ViewBank(nprocs), ScalarBank(nprocs)
+
+
+def _assert_banks_equal(vec: ViewBank, ref: ScalarBank) -> None:
     for p in range(vec.nprocs):
         a, b = vec.view(p), ref.view(p)
         np.testing.assert_array_equal(a.memory, b.memory)
@@ -79,6 +110,28 @@ class TestViewBankSemantics:
         _assert_banks_equal(vec, ref)
         assert vec.view(2).memory[1] == 0.0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_op_sequences_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        nprocs = int(rng.integers(2, 9))
+        vec, ref = _banks(nprocs)
+        kinds = ["memory", "load", "subtree", "prediction"]
+        for _ in range(60):
+            source = int(rng.integers(0, nprocs))
+            if rng.random() < 0.3:
+                reservations = [
+                    (int(q), float(rng.uniform(-50.0, 200.0)))
+                    for q in rng.choice(nprocs, size=int(rng.integers(1, nprocs + 1)))
+                ]
+                for bank in (vec, ref):
+                    bank.apply_reservations(source, reservations)
+            else:
+                kind = kinds[int(rng.integers(0, 4))]
+                value = float(rng.uniform(-100.0, 1000.0))
+                for bank in (vec, ref):
+                    bank.apply_broadcast(kind, source, value)
+        _assert_banks_equal(vec, ref)
+
     def test_row_views_share_storage_with_the_matrix(self):
         vec = ViewBank(3)
         vec.view(1).set_memory(2, 42.0)
@@ -90,7 +143,7 @@ class TestViewBankSemantics:
 
 
 class TestSimulationIdentity:
-    """The no-regression gate: vectorized accounting == per-task loops, bitwise."""
+    """The no-regression gate on a realistic tree: ``soa`` == ``reference``, bitwise."""
 
     @pytest.fixture(scope="class")
     def tree(self):
@@ -107,7 +160,7 @@ class TestSimulationIdentity:
         config = SimulationConfig.paper(nprocs=nprocs)
         mapping = compute_mapping(tree, nprocs, **config.mapping_params())
 
-        def run(vectorized: bool):
+        def run(engine: str):
             slave, task = get_strategy(strategy).build()
             return FactorizationSimulator(
                 tree,
@@ -115,10 +168,10 @@ class TestSimulationIdentity:
                 mapping=mapping,
                 slave_selector=slave,
                 task_selector=task,
-                views=ViewBank(nprocs, vectorized=vectorized),
+                engine=engine,
             ).run()
 
-        vec, ref = run(True), run(False)
+        vec, ref = run("soa"), run("reference")
         np.testing.assert_array_equal(vec.per_proc_peak_stack, ref.per_proc_peak_stack)
         np.testing.assert_array_equal(vec.per_proc_factor_entries, ref.per_proc_factor_entries)
         np.testing.assert_array_equal(vec.per_proc_tasks, ref.per_proc_tasks)
