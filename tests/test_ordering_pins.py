@@ -5,7 +5,9 @@ fixes the tree topology every simulation runs on, so any change to its tie
 order silently changes every downstream number.  These pins hold the sha256
 of each permutation and of each tree's ``npiv``/``nfront``/``parent`` for
 every paper problem × ordering at scale 0.2, plus a few non-default
-parameterisations.  A failing pin means the algorithm's output changed: fix
+parameterisations, and of two problems × the four paper orderings at scale
+1.0, the size ``repro tables`` runs (whole-graph AMD/AMF on n ≈ 4–5k, and
+deeper dissection recursions for METIS/PORD).  A failing pin means the algorithm's output changed: fix
 the algorithm, never the pin.
 """
 
@@ -25,6 +27,8 @@ PROBLEMS = ("BMWCRA_1", "GUPTA3", "MSDOOR", "SHIP_003", "PRE2", "TWOTONE", "ULTR
 ORDERINGS = ("metis", "amd", "amf", "pord")
 EXTRA_ORDERINGS = ("rcm", "amd(seed=3)", "amf(seed=5)", "metis(leaf_method=fill)", "pord(nd_levels=2)")
 EXTRA_PROBLEMS = ("TWOTONE", "XENON2")
+FULL_SCALE = 1.0
+FULL_SCALE_PROBLEMS = ("BMWCRA_1", "PRE2")
 
 #: case -> (permutation sha256, tree sha256)
 PINS: dict[str, tuple[str, str]] = {
@@ -198,13 +202,49 @@ PINS: dict[str, tuple[str, str]] = {
     ),
 }
 
-_patterns: dict[str, object] = {}
+#: scale-1.0 case -> (permutation sha256, tree sha256)
+PINS_FULL_SCALE: dict[str, tuple[str, str]] = {
+    "BMWCRA_1/metis": (
+        "7ddba31f69951e90231a1e35cd7e834b18fb120d417ea8ee197fd4b9435f2b6f",
+        "62a5d508092ed57c407bafb2e87b4b0a57d98048be1d2dc475c2f82e14c362f5",
+    ),
+    "BMWCRA_1/amd": (
+        "ca7a958dcba37dc60bcbe3e8e850386bea2493bd7829649092c95c8735cc7dad",
+        "a9bb79971cea0a9b655a4d3bc59d6b2903fb698bd1d1c25c564419bc203b2f16",
+    ),
+    "BMWCRA_1/amf": (
+        "cdf9b7b22f7245d372e36983221cc56e7cafa9257c565fea6b4d37cb224fc100",
+        "663277d8ead0b57f634775a54f735e26ac0046c092e1bc4c285049b6ca261351",
+    ),
+    "BMWCRA_1/pord": (
+        "db0a4db36effd1ad81ff0efb8b1fc8d384556a42af619f4a14ba80f5b387f863",
+        "9816f7079cf55fdbe3ea9d27e00aa587d37a947c8dbb70c1867c2e6e1b29908f",
+    ),
+    "PRE2/metis": (
+        "4dfdd42e53b73fd88d6fb9071a42b55b55bbcfcf2a181af0cfe1d1f3c67cbfe9",
+        "e95f888c036e476e9b6a02610e6bfe61a73de51b7cb0ce29d30df1fbc3b72d0b",
+    ),
+    "PRE2/amd": (
+        "a9fd52f0e6c39f588ff93d158ab0f65d8a57974fb6960920b0ee39be0add3180",
+        "3ec414cce594fa19dffdb3194e7942dfa99bfab85754ac5b372265cac535ab14",
+    ),
+    "PRE2/amf": (
+        "485ae3ac213ec4933ffdea536d2607fd2c14fec13479f5bba7886fd9b4b7f7c8",
+        "ec96b0f55657db1e3aee19ad65cfd87e55b71e799c77e8f1cdf199253899c5f3",
+    ),
+    "PRE2/pord": (
+        "97116f8c14fa94d8f9e8171d27db92d51e661d6a49460a86acaf70ea18c82364",
+        "5d7742cd0863f531edf434aef13926f88263d4539a00af85f074b4735fd190a8",
+    ),
+}
+
+_patterns: dict[tuple[str, float], object] = {}
 
 
-def _pattern(problem: str):
-    if problem not in _patterns:
-        _patterns[problem] = get_problem(problem).build(SCALE)
-    return _patterns[problem]
+def _pattern(problem: str, scale: float):
+    if (problem, scale) not in _patterns:
+        _patterns[problem, scale] = get_problem(problem).build(scale)
+    return _patterns[problem, scale]
 
 
 def _digest(*arrays: np.ndarray) -> str:
@@ -214,9 +254,9 @@ def _digest(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def fingerprint(problem: str, ordering: str) -> tuple[str, str]:
+def fingerprint(problem: str, ordering: str, scale: float = SCALE) -> tuple[str, str]:
     """(permutation digest, tree digest) of one case, with the pipeline's tree parameters."""
-    pattern = _pattern(problem)
+    pattern = _pattern(problem, scale)
     perm = compute_ordering(pattern, ordering)
     tree = build_assembly_tree(
         pattern, perm, amalgamation_min_pivots=4, amalgamation_relax=0.15, keep_variables=False
@@ -228,9 +268,12 @@ CASES = [f"{p}/{o}" for p in PROBLEMS for o in ORDERINGS] + [
     f"{p}/{o}" for p in EXTRA_PROBLEMS for o in EXTRA_ORDERINGS
 ]
 
+FULL_SCALE_CASES = [f"{p}/{o}" for p in FULL_SCALE_PROBLEMS for o in ORDERINGS]
+
 
 def test_every_case_is_pinned():
     assert sorted(PINS) == sorted(CASES)
+    assert sorted(PINS_FULL_SCALE) == sorted(FULL_SCALE_CASES)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -239,3 +282,11 @@ def test_pinned(case):
     perm_sha, tree_sha = fingerprint(problem, ordering)
     assert perm_sha == PINS[case][0], "permutation changed"
     assert tree_sha == PINS[case][1], "assembly tree changed"
+
+
+@pytest.mark.parametrize("case", FULL_SCALE_CASES)
+def test_pinned_full_scale(case):
+    problem, ordering = case.split("/", 1)
+    perm_sha, tree_sha = fingerprint(problem, ordering, FULL_SCALE)
+    assert perm_sha == PINS_FULL_SCALE[case][0], "permutation changed"
+    assert tree_sha == PINS_FULL_SCALE[case][1], "assembly tree changed"
