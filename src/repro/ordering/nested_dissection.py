@@ -9,24 +9,35 @@ heuristic.  The separators here are level-set based (George-Liu): a BFS from
 a pseudo-peripheral vertex splits the vertices in two halves, and the
 boundary of the smaller half is taken as the separator, optionally shrunk by
 a greedy minimal-cover pass.
+
+Each dissection frame runs one BFS from its first vertex: it finds the
+connected components and, when there is only one, it is the first sweep of
+the pseudo-peripheral search, whose last sweep is the level structure the
+separator is cut from (see :mod:`repro.ordering.rcm`).  Leaves are ordered
+on their frame-local graph (:func:`~repro.ordering.quotient_graph.order_subgraph`),
+gathered from the global adjacency in O(leaf nnz).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ordering.quotient_graph import greedy_ordering
-from repro.ordering.rcm import bfs_levels, gather_rows, pseudo_peripheral_node
+from repro.ordering.quotient_graph import order_subgraph
+from repro.ordering.rcm import bfs_levels, gather_rows, peripheral_level_structure
 from repro.sparse.pattern import SparsePattern
 
 __all__ = ["nested_dissection_ordering", "find_separator"]
 
 
-def _connected_components(indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray) -> list[np.ndarray]:
+def _connected_components(
+    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
+) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Connected components of the subgraph induced by ``vertices``.
 
     Components come in the order of their first vertex in ``vertices``, each
-    in BFS order from that vertex.
+    in BFS order from that vertex.  Also returns the level structure
+    ``(level, order)`` of the first BFS, rooted at ``vertices[0]``: when the
+    subgraph is connected it is the first sweep of :func:`find_separator`.
     """
     inset = np.zeros(len(indptr) - 1, dtype=bool)
     inset[vertices] = True
@@ -35,10 +46,12 @@ def _connected_components(indptr: np.ndarray, indices: np.ndarray, vertices: np.
     for v in vertices.tolist():
         if seen[v]:
             continue
-        _, comp = bfs_levels(indptr, indices, v, inset)
+        level, comp = bfs_levels(indptr, indices, v, inset)
+        if not comps:
+            first = (level, comp)
         seen[comp] = True
         comps.append(comp)
-    return comps
+    return comps, first
 
 
 def find_separator(
@@ -47,18 +60,24 @@ def find_separator(
     vertices: np.ndarray,
     *,
     balance: float = 0.5,
+    levels: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split ``vertices`` into (part_a, part_b, separator).
 
     A BFS level structure from a pseudo-peripheral vertex is cut at the level
     where roughly ``balance`` of the vertices have been visited; the vertices
     of the heavier side adjacent to the lighter side form the separator.
+    ``levels`` is the level structure rooted at ``vertices[0]`` within
+    ``vertices``, when the caller already has it (see
+    :func:`_connected_components`); it is the pseudo-peripheral search's
+    first sweep.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     mask = np.zeros(len(pattern_indptr) - 1, dtype=bool)
     mask[vertices] = True
-    start = pseudo_peripheral_node(pattern_indptr, pattern_indices, int(vertices[0]), mask)
-    level, order = bfs_levels(pattern_indptr, pattern_indices, start, mask)
+    if levels is None:
+        levels = bfs_levels(pattern_indptr, pattern_indices, int(vertices[0]), mask)
+    _, level, order = peripheral_level_structure(pattern_indptr, pattern_indices, mask, *levels)
     # order only contains reachable vertices of this component
     target = max(1, int(balance * order.size))
     cut_level = int(level[order[min(target, order.size - 1)]])
@@ -127,9 +146,8 @@ def nested_dissection_ordering(
     ``k``; separators are ordered after the parts they separate, which places
     them near the root of the assembly tree.
     """
-    sym = pattern.symmetrized()
-    indptr, indices = sym.adjacency()
-    n = sym.n
+    indptr, indices = pattern.adjacency()
+    n = pattern.n
     position = np.empty(n, dtype=np.int64)
     next_pos = 0
 
@@ -137,14 +155,7 @@ def nested_dissection_ordering(
     non_hubs = np.setdiff1d(np.arange(n, dtype=np.int64), hubs, assume_unique=False)
 
     def order_leaf(vertices: np.ndarray) -> np.ndarray:
-        if vertices.size <= 1:
-            return vertices
-        sub = sym.submatrix(vertices)
-        local = greedy_ordering(sub, leaf_method, seed=seed)
-        # submatrix() keeps the sorted order of `vertices`, so local indices
-        # map back through the sorted vertex array
-        sorted_vertices = np.sort(vertices)
-        return sorted_vertices[local]
+        return order_subgraph(indptr, indices, vertices, leaf_method, seed=seed)
 
     def assign(vertices_in_order: np.ndarray) -> None:
         nonlocal next_pos
@@ -168,12 +179,12 @@ def nested_dissection_ordering(
         if verts.size <= leaf_size:
             assign(order_leaf(verts))
             continue
-        comps = _connected_components(indptr, indices, verts)
+        comps, levels = _connected_components(indptr, indices, verts)
         if len(comps) > 1:
             for comp in comps:
                 pending.append(("dissect", comp))
             continue
-        part_a, part_b, separator = find_separator(indptr, indices, verts, balance=balance)
+        part_a, part_b, separator = find_separator(indptr, indices, verts, balance=balance, levels=levels)
         if separator.size == 0 or part_a.size == 0 or part_b.size == 0:
             # could not split (dense or tiny component): order directly
             assign(order_leaf(verts))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ordering.nested_dissection import _connected_components, extract_hubs, find_separator
-from repro.ordering.quotient_graph import greedy_ordering
+from repro.ordering.quotient_graph import order_subgraph
 from repro.sparse.pattern import SparsePattern
 
 __all__ = ["pord_ordering"]
@@ -50,18 +50,13 @@ def pord_ordering(
         separators are not perfectly balanced either, and the asymmetry
         produces the intermediate tree shapes we are after).
     """
-    sym = pattern.symmetrized()
-    indptr, indices = sym.adjacency()
-    n = sym.n
+    indptr, indices = pattern.adjacency()
+    n = pattern.n
     position = np.empty(n, dtype=np.int64)
     next_pos = 0
 
     def order_with(vertices: np.ndarray, score: str) -> np.ndarray:
-        if vertices.size <= 1:
-            return vertices
-        sub = sym.submatrix(vertices)
-        local = greedy_ordering(sub, score, seed=seed)
-        return np.sort(vertices)[local]
+        return order_subgraph(indptr, indices, vertices, score, seed=seed)
 
     def assign(vertices_in_order: np.ndarray) -> None:
         nonlocal next_pos
@@ -85,12 +80,12 @@ def pord_ordering(
         if verts.size <= leaf_size or level >= nd_levels:
             assign(order_with(verts, "fill"))
             continue
-        comps = _connected_components(indptr, indices, verts)
+        comps, levels = _connected_components(indptr, indices, verts)
         if len(comps) > 1:
             for comp in comps:
                 pending.append(("dissect", comp, level))
             continue
-        part_a, part_b, separator = find_separator(indptr, indices, verts, balance=balance)
+        part_a, part_b, separator = find_separator(indptr, indices, verts, balance=balance, levels=levels)
         if separator.size == 0 or part_a.size == 0 or part_b.size == 0:
             assign(order_with(verts, "fill"))
             continue

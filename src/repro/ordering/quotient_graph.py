@@ -9,6 +9,17 @@ pivots become *elements* whose adjacency is a clique, variables keep a list
 of adjacent variables plus a list of adjacent elements, and degrees are
 *approximated* by summing element sizes instead of forming the exact union.
 
+Representation.  Every set of variables is a Python ``int`` used as a
+bitset (bit ``v`` set when variable ``v`` is in the set): the adjacency of
+each variable, the variables of each element and ``live``, the principal
+variables not yet eliminated.  Eliminated and merged variables are never
+deleted from these sets; every read masks them out with ``live``, so the
+external adjacency of ``v`` is ``adj[v] & live & ~Lp``, a few C-level
+big-int operations whatever the degree.  A big-int operation costs O(n/64)
+machine words, which stays cheap for the problem sizes here (n ≤ ~10k at
+scale 2).  The adjacent elements of a variable stay a ``set``, and the loop
+over ``Lp`` walks its bits from the top (``bit_length`` is O(1)).
+
 The engine below implements the quotient graph with:
 
 * approximate external degrees (the ``|Le \\ Lp|`` trick of AMD, computed in
@@ -39,31 +50,54 @@ from typing import Callable
 
 import numpy as np
 
+from repro.ordering.rcm import gather_rows
 from repro.sparse.pattern import SparsePattern
 
-__all__ = ["EliminationGraph", "greedy_ordering"]
+__all__ = ["EliminationGraph", "greedy_ordering", "induced_subgraph", "order_subgraph"]
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1  # O(1); clearing the top bit shrinks the int
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 class EliminationGraph:
     """Quotient-graph state for greedy bottom-up orderings.
 
-    Variables are indexed ``0..n-1``.  A *supervariable* is represented by its
-    principal variable; non-principal variables record the principal they were
-    merged into through ``merged_into`` and are emitted right after it in the
-    final ordering.
+    Built from a symmetric, diagonal-free CSR adjacency (as returned by
+    :meth:`SparsePattern.adjacency` or :func:`induced_subgraph`).  Variables
+    are indexed ``0..n-1``; variable sets are Python ints used as bitsets
+    (bit ``v`` set when ``v`` is in the set), so cleaning an adjacency,
+    subtracting ``Lp`` and weighing a set are a few C-level big-int
+    operations.  A *supervariable* is represented by its principal variable;
+    non-principal variables record the principal they were merged into
+    through ``merged_into`` and are emitted right after it in the final
+    ordering.
     """
 
-    def __init__(self, pattern: SparsePattern):
-        indptr, indices = pattern.adjacency()
-        self.n = pattern.n
-        bounds = indptr.tolist()
-        cols = indices.tolist()
-        # variable -> set of adjacent variables (both principal and not, cleaned lazily)
-        self.adj: list[set[int]] = [set(cols[bounds[i]:bounds[i + 1]]) for i in range(self.n)]
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        n = self.n = len(indptr) - 1
+        # variable -> bitset of adjacent variables, built as one packed
+        # little-endian byte row per variable; dead variables are masked
+        # out with ``live`` when read, never removed
+        width = (n + 7) // 8
+        packed = np.zeros(n * width, dtype=np.uint8)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        bit = np.left_shift(1, indices & 7).astype(np.uint8)
+        np.bitwise_or.at(packed, rows * width + (indices >> 3), bit)
+        buf = packed.tobytes()
+        self.adj: list[int] = [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
         # variable -> set of adjacent element ids
-        self.elems: list[set[int]] = [set() for _ in range(self.n)]
-        # element id -> set of principal variables of the element
-        self.element_vars: dict[int, set[int]] = {}
+        self.elems: list[set[int]] = [set() for _ in range(n)]
+        # element id -> bitset of its variables; merged variables are left
+        # in and masked out with ``live`` when read
+        self.element_vars: dict[int, int] = {}
         # element id -> total supervariable weight of its members.  The total
         # weight is conserved by supervariable merges (the absorbed weight
         # moves into the principal that stays/enters the element), so the
@@ -72,54 +106,55 @@ class EliminationGraph:
         self.next_element = 0
         # supervariable bookkeeping, in plain lists: the elimination loop
         # reads them per variable, where numpy scalar access is slow
-        self.weight: list[int] = [1] * self.n  # #variables represented by this principal
-        self.merged_into: list[int] = [-1] * self.n
-        self.absorbed_children: list[list[int]] = [[] for _ in range(self.n)]
-        self.eliminated: list[bool] = [False] * self.n
-        #: variables eliminated or merged into another principal, as a set so
-        #: that cleaning an adjacency is one C-level set difference
-        self.dead: set[int] = set()
+        self.weight: list[int] = [1] * n  # #variables represented by this principal
+        self.merged_into: list[int] = [-1] * n
+        self.absorbed_children: list[list[int]] = [[] for _ in range(n)]
+        #: principal variables not yet eliminated, as a bitset
+        self.live = (1 << n) - 1
+        #: eliminated or merged into another principal
+        self.dead: list[bool] = [False] * n
         # approximate external degree (in variables, counting supervariable weights)
-        self.degree: list[int] = [len(a) for a in self.adj]
+        self.degree: list[int] = [a.bit_count() for a in self.adj]
 
     # ------------------------------------------------------------------ #
-    def reachable_set(self, i: int) -> set[int]:
-        """Exact elimination-graph adjacency of ``i`` (principal variables)."""
-        reach = self.adj[i].union(*[self.element_vars[e] for e in self.elems[i]])
-        reach -= self.dead
-        reach.discard(i)
-        return reach
+    def reachable_set(self, i: int) -> int:
+        """Exact elimination-graph adjacency of ``i`` (principal variables), as a bitset."""
+        reach = self.adj[i]
+        for e in self.elems[i]:
+            reach |= self.element_vars[e]
+        return reach & self.live & ~(1 << i)
 
     # ------------------------------------------------------------------ #
-    def eliminate(self, p: int) -> set[int]:
+    def eliminate(self, p: int) -> list[int]:
         """Eliminate principal variable ``p``; return the new element's variables.
 
         Updates the approximate degrees of the variables of the new element,
         absorbs covered elements and merges indistinguishable variables.
         """
-        if p in self.dead:
+        if self.dead[p]:
             raise ValueError(f"variable {p} is not a principal live variable")
         weight = self.weight
         elems = self.elems
         element_vars = self.element_vars
         element_size = self.element_size
-        lp = self.reachable_set(p)
+        lp_mask = self.reachable_set(p)
+        lp = _bits(lp_mask)
 
         # create the element
         e_new = self.next_element
         self.next_element += 1
-        element_vars[e_new] = set(lp)
+        element_vars[e_new] = lp_mask
         lp_weight = sum(map(weight.__getitem__, lp))
         element_size[e_new] = lp_weight
-        self.eliminated[p] = True
-        self.dead.add(p)
+        self.dead[p] = True
+        self.live ^= 1 << p
 
         # elements adjacent to p are absorbed into the new one
         for e in elems[p]:
-            element_vars.pop(e, None)
-            element_size.pop(e, None)
+            del element_vars[e]
+            del element_size[e]
         elems[p] = set()
-        self.adj[p] = set()
+        self.adj[p] = 0
 
         # |Le ∩ Lp| for every element e touching Lp, in one pass
         overlap: dict[int, int] = {}
@@ -131,47 +166,48 @@ class EliminationGraph:
                 overlap[e] = overlap.get(e, 0) + w
             ev.add(e_new)
 
-        # aggressive element absorption: an old element fully inside Lp is gone
+        # aggressive element absorption: an old element fully inside Lp is
+        # gone (its variables are all in Lp, and leave it below); the others
+        # keep |Le \ Lp| variables outside, 0 for the new element
+        absorbed: set[int] = set()
+        outside = {e_new: 0}
         for e, ov in overlap.items():
-            if element_size[e] == ov:
-                # every variable of e is in Lp -> absorb
-                for u in element_vars.pop(e):
-                    elems[u].discard(e)
+            rest = element_size[e] - ov
+            if rest:
+                outside[e] = rest
+            else:
+                absorbed.add(e)
+                del element_vars[e]
                 del element_size[e]
 
         # approximate degree update for the variables of the new element:
-        # |Le \ Lp| for every surviving element, 0 for the new one.  Dead
-        # variables (p included) leave the variable adjacency, and neighbours
-        # inside Lp are covered by the new element; what remains is the
-        # external adjacency, which doubles as the supervariable key.
-        outside = {e: element_size[e] - ov for e, ov in overlap.items() if e in element_size}
-        outside[e_new] = 0
+        # |Le \ Lp| for every surviving element.  Dead variables (p included)
+        # are masked out of the variable adjacency, and neighbours inside Lp
+        # are covered by the new element; what remains is the external
+        # adjacency, which doubles as the supervariable key.
         adj = self.adj
-        dead = self.dead
         degree = self.degree
-        external: dict[int, set[int]] = {}
-        for v in lp:
-            live = adj[v] = adj[v] - dead
-            ext = external[v] = live - lp
-            degree[v] = (
-                lp_weight
-                - weight[v]
-                + sum(map(weight.__getitem__, ext))
-                + sum(map(outside.__getitem__, elems[v]))
-            )
-
-        # supervariable detection (mass elimination): variables of Lp with the
-        # same quotient-graph adjacency are indistinguishable
+        outside_lp = self.live & ~lp_mask
         buckets: dict[tuple, list[int]] = {}
         for v in lp:
-            buckets.setdefault((frozenset(external[v]), frozenset(elems[v])), []).append(v)
+            ev = elems[v]
+            if absorbed:
+                ev -= absorbed
+            ext = todo = adj[v] & outside_lp
+            d = lp_weight - weight[v] + sum(map(outside.__getitem__, ev))
+            while todo:  # a handful of variables: weigh them one by one
+                top = todo.bit_length() - 1
+                d += weight[top]
+                todo ^= 1 << top
+            degree[v] = d
+            # supervariable detection (mass elimination): variables of Lp
+            # with the same quotient-graph adjacency are indistinguishable
+            buckets.setdefault((ext, frozenset(ev)), []).append(v)
         for group in buckets.values():
-            if len(group) < 2:
-                continue
-            group.sort()
-            keep = group[0]
-            for other in group[1:]:
-                self._merge_variables(keep, other)
+            if len(group) > 1:
+                keep = group[0]  # groups fill in increasing variable order
+                for other in group[1:]:
+                    self._merge_variables(keep, other)
 
         return lp
 
@@ -180,16 +216,12 @@ class EliminationGraph:
         self.weight[keep] += self.weight[other]
         self.weight[other] = 0
         self.merged_into[other] = keep
-        self.dead.add(other)
+        self.dead[other] = True
+        self.live ^= 1 << other
         self.absorbed_children[keep].append(other)
-        # other disappears from the graph
-        for e in self.elems[other]:
-            vars_e = self.element_vars.get(e)
-            if vars_e is not None:
-                vars_e.discard(other)
-                vars_e.add(keep)
+        # other disappears from the graph (element bitsets mask it with live)
         self.elems[other] = set()
-        self.adj[other] = set()
+        self.adj[other] = 0
 
     # ------------------------------------------------------------------ #
     def expand_supervariable(self, principal: int) -> list[int]:
@@ -213,20 +245,16 @@ def _score_fill(graph: EliminationGraph, v: int) -> float:
 
     The fill caused by eliminating ``v`` is at most ``d(d-1)/2``; edges already
     covered by adjacent elements (cliques) cause no fill, so each adjacent
-    element ``e`` discounts ``|Le \\ v| (|Le \\ v| - 1) / 2``.
+    element ``e`` discounts ``|Le \\ v| (|Le \\ v| - 1) / 2`` (``v`` belongs
+    to every element it is adjacent to).  Every term is an integer held
+    exactly in a float, so the summation order cannot change the score.
     """
     d = float(graph.degree[v])
     score = d * (d - 1.0) / 2.0
     w_v = graph.weight[v]
-    element_vars = graph.element_vars
     element_size = graph.element_size
     for e in graph.elems[v]:
-        vars_e = element_vars.get(e)
-        if vars_e is None:
-            continue
-        size_e = element_size[e]
-        if v in vars_e:
-            size_e -= w_v
+        size_e = element_size[e] - w_v
         score -= size_e * (size_e - 1.0) / 2.0
     return max(score, 0.0)
 
@@ -235,6 +263,27 @@ _SCORES: dict[str, Callable[[EliminationGraph, int], float]] = {
     "degree": _score_degree,
     "fill": _score_fill,
 }
+
+
+def induced_subgraph(
+    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency of the subgraph induced by ``vertices``, in O(its nnz).
+
+    Gathers only the rows of ``vertices`` from the symmetric, diagonal-free
+    adjacency ``(indptr, indices)`` and relabels the kept neighbours through
+    the sorted vertex array.  Returns ``(sorted_vertices, sub_indptr,
+    sub_indices)``; the relabelling is monotone, so rows stay sorted and the
+    result equals ``submatrix(vertices).adjacency()`` of the pattern.
+    """
+    verts = np.sort(vertices)
+    nbrs, counts = gather_rows(indptr, indices, verts)
+    local = np.searchsorted(verts, nbrs)
+    inside = verts[np.minimum(local, verts.size - 1)] == nbrs
+    owner = np.repeat(np.arange(verts.size), counts)
+    sub_indptr = np.zeros(verts.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner[inside], minlength=verts.size), out=sub_indptr[1:])
+    return verts, sub_indptr, local[inside]
 
 
 def greedy_ordering(
@@ -261,11 +310,29 @@ def greedy_ordering(
     perm:
         ``perm[k]`` is the original variable eliminated at step ``k``.
     """
+    return _greedy(*pattern.adjacency(), score, seed)
+
+
+def order_subgraph(
+    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray, score: str, *, seed: int = 0
+) -> np.ndarray:
+    """Greedy ordering of the subgraph induced by ``vertices``, as global vertex ids.
+
+    Same result as :func:`greedy_ordering` on the principal submatrix,
+    mapped back through the sorted ``vertices``, without building it.
+    """
+    if vertices.size <= 1:
+        return vertices
+    verts, sub_indptr, sub_indices = induced_subgraph(indptr, indices, vertices)
+    return verts[_greedy(sub_indptr, sub_indices, score, seed)]
+
+
+def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> np.ndarray:
+    """:func:`greedy_ordering` on a symmetric, diagonal-free CSR adjacency."""
     if score not in _SCORES:
         raise ValueError(f"unknown score {score!r}; expected one of {sorted(_SCORES)}")
     score_fn = _SCORES[score]
-    sym = pattern.symmetrized()
-    graph = EliminationGraph(sym)
+    graph = EliminationGraph(indptr, indices)
     n = graph.n
     jitter = (np.random.default_rng(seed).random(n) * 1e-9).tolist()
 
@@ -277,12 +344,12 @@ def greedy_ordering(
     perm: list[int] = []
     while heap and len(perm) < n:
         s, _, v = heapq.heappop(heap)
-        if v in dead or s != cur[v]:
+        if dead[v] or s != cur[v]:
             continue
         lp = graph.eliminate(v)
         perm.extend(graph.expand_supervariable(v))
         for u in lp:
-            if u not in dead:
+            if not dead[u]:
                 su = cur[u] = score_fn(graph, u)
                 heapq.heappush(heap, (su, jitter[u], u))
 

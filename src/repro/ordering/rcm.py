@@ -14,6 +14,13 @@ occurrences in that order.  This is exactly the order a FIFO queue
 produces: the queue pops the level's vertices in the order they were
 appended, scans each one's CSR row in turn and appends every neighbour the
 first time it is seen, and vertices of earlier levels are already marked.
+
+A level structure ``(level, order)`` is computed once and handed on.
+:func:`peripheral_level_structure` takes its first sweep from the caller
+(the dissection's connected-components BFS is exactly that sweep) and
+returns the level structure of the vertex it settles on, which is the one
+the separator is cut from.  :func:`pseudo_peripheral_node` is the
+start-vertex form that RCM uses.
 """
 
 from __future__ import annotations
@@ -24,7 +31,13 @@ import numpy as np
 
 from repro.sparse.pattern import SparsePattern
 
-__all__ = ["rcm_ordering", "pseudo_peripheral_node", "bfs_levels", "gather_rows"]
+__all__ = [
+    "rcm_ordering",
+    "pseudo_peripheral_node",
+    "peripheral_level_structure",
+    "bfs_levels",
+    "gather_rows",
+]
 
 
 def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,20 +72,36 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.nda
     return level, np.concatenate(levels)
 
 
-def pseudo_peripheral_node(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.ndarray) -> int:
-    """Vertex far away from ``start`` (George-Liu pseudo-peripheral heuristic)."""
-    current = start
+def peripheral_level_structure(
+    indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, level: np.ndarray, order: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """George-Liu pseudo-peripheral search, seeded with its first sweep.
+
+    ``(level, order)`` is the :func:`bfs_levels` structure rooted at
+    ``order[0]``; the search restarts from a minimum-degree vertex of the
+    deepest level until the eccentricity stops growing.  Returns the vertex
+    it settles on together with the level structure rooted there, so a
+    caller that already ran the first sweep, and a caller that needs the
+    final one, pay for neither twice.
+    """
+    current = int(order[0])
     last_ecc = -1
-    for _ in range(8):  # converges in a handful of sweeps
-        level, order = bfs_levels(indptr, indices, current, mask)
+    for sweep in range(8):  # converges in a handful of sweeps
+        if sweep:
+            level, order = bfs_levels(indptr, indices, current, mask)
         ecc = int(level[order[-1]])
         if ecc <= last_ecc:
-            break
+            return current, level, order
         last_ecc = ecc
         # restart from a minimum-degree vertex of the last level
         last_level = order[level[order] == ecc]
         current = int(last_level[np.argmin(indptr[last_level + 1] - indptr[last_level])])
-    return current
+    return current, *bfs_levels(indptr, indices, current, mask)
+
+
+def pseudo_peripheral_node(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.ndarray) -> int:
+    """Vertex far away from ``start`` (George-Liu pseudo-peripheral heuristic)."""
+    return peripheral_level_structure(indptr, indices, mask, *bfs_levels(indptr, indices, start, mask))[0]
 
 
 def rcm_ordering(pattern: SparsePattern) -> np.ndarray:

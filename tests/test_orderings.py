@@ -239,7 +239,7 @@ def test_property_connected_components_match_fifo_queue(n, density, seed):
             _, comp = deque_bfs(indptr, indices, v, inset)
             seen.update(comp)
             want.append(comp)
-    assert [c.tolist() for c in _connected_components(indptr, indices, vertices)] == want
+    assert [c.tolist() for c in _connected_components(indptr, indices, vertices)[0]] == want
 
 
 @settings(max_examples=40, deadline=None)
