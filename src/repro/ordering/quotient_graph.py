@@ -107,6 +107,10 @@ class EliminationGraph:
         # supervariable bookkeeping, in plain lists: the elimination loop
         # reads them per variable, where numpy scalar access is slow
         self.weight: list[int] = [1] * n  # #variables represented by this principal
+        #: principals of weight > 1 (plus dead ones, masked out on read): the
+        #: weight of a live set S is ``S.bit_count()`` plus ``weight - 1``
+        #: over ``S & heavy``
+        self.heavy = 0
         self.merged_into: list[int] = [-1] * n
         self.absorbed_children: list[list[int]] = [[] for _ in range(n)]
         #: principal variables not yet eliminated, as a bitset
@@ -187,17 +191,19 @@ class EliminationGraph:
         # adjacency, which doubles as the supervariable key.
         adj = self.adj
         degree = self.degree
+        heavy = self.heavy
         outside_lp = self.live & ~lp_mask
         buckets: dict[tuple, list[int]] = {}
         for v in lp:
             ev = elems[v]
             if absorbed:
                 ev -= absorbed
-            ext = todo = adj[v] & outside_lp
-            d = lp_weight - weight[v] + sum(map(outside.__getitem__, ev))
-            while todo:  # a handful of variables: weigh them one by one
+            ext = adj[v] & outside_lp
+            d = lp_weight - weight[v] + ext.bit_count() + sum(map(outside.__getitem__, ev))
+            todo = ext & heavy
+            while todo:  # add the extra weight of the supervariables one by one
                 top = todo.bit_length() - 1
-                d += weight[top]
+                d += weight[top] - 1
                 todo ^= 1 << top
             degree[v] = d
             # supervariable detection (mass elimination): variables of Lp
@@ -215,6 +221,7 @@ class EliminationGraph:
         """Merge supervariable ``other`` into ``keep``."""
         self.weight[keep] += self.weight[other]
         self.weight[other] = 0
+        self.heavy |= 1 << keep
         self.merged_into[other] = keep
         self.dead[other] = True
         self.live ^= 1 << other
