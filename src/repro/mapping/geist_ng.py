@@ -11,18 +11,28 @@ across the processors within a tolerance.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 __all__ = ["geist_ng_layer"]
 
 
 def _lpt_imbalance(costs: list[float], nprocs: int) -> float:
-    """Imbalance (max bin / average bin) of an LPT packing of ``costs``."""
+    """Imbalance (max bin / average bin) of an LPT packing of ``costs``.
+
+    The bins live in a heap of ``(load, index)``: its minimum is the least
+    loaded bin, the lowest index among equal loads.
+    """
     if not costs:
         return 1.0
-    bins = np.zeros(nprocs, dtype=np.float64)
+    heap = [(0.0, i) for i in range(nprocs)]
     for c in sorted(costs, reverse=True):
-        bins[int(np.argmin(bins))] += c
+        load, i = heap[0]
+        heapq.heapreplace(heap, (load + c, i))
+    bins = np.zeros(nprocs, dtype=np.float64)
+    for load, i in heap:
+        bins[i] = load
     total = float(bins.sum())
     if total <= 0:
         return 1.0
@@ -72,8 +82,7 @@ def geist_ng_layer(
 
     for _ in range(limit):
         enough = len(layer) >= int(np.ceil(nprocs * min_subtrees_per_proc))
-        balanced = _lpt_imbalance([costs[r] for r in layer], nprocs) <= imbalance_tolerance
-        if enough and balanced:
+        if enough and _lpt_imbalance([costs[r] for r in layer], nprocs) <= imbalance_tolerance:
             break
         # replace the most expensive splittable node by its children
         order = sorted(layer, key=lambda r: -costs[r])

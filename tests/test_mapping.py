@@ -2,9 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mapping import NodeType, compute_mapping, geist_ng_layer, map_subtrees_to_processors
+from repro.mapping.geist_ng import _lpt_imbalance
 from repro.symbolic import AssemblyTree
+
+
+def argmin_lpt_imbalance(costs, nprocs):
+    """LPT packing with one ``np.argmin`` per cost: the oracle of :func:`_lpt_imbalance`."""
+    if not costs:
+        return 1.0
+    bins = np.zeros(nprocs, dtype=np.float64)
+    for c in sorted(costs, reverse=True):
+        bins[int(np.argmin(bins))] += c
+    total = float(bins.sum())
+    if total <= 0:
+        return 1.0
+    avg = total / nprocs
+    return float(bins.max()) / max(avg, 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    costs=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e-3, 0.1]),  # ties between bins
+            st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+        ),
+        max_size=60,
+    ),
+    nprocs=st.integers(min_value=1, max_value=40),
+)
+def test_property_lpt_imbalance_matches_argmin_loop(costs, nprocs):
+    assert _lpt_imbalance(costs, nprocs) == argmin_lpt_imbalance(costs, nprocs)
 
 
 class TestGeistNgLayer:
