@@ -18,7 +18,7 @@ from repro.ordering import (
     rcm_ordering,
 )
 from repro.ordering.nested_dissection import _connected_components, extract_hubs, find_separator
-from repro.ordering.quotient_graph import greedy_ordering
+from repro.ordering.quotient_graph import greedy_ordering, induced_subgraph, order_subgraph
 from repro.ordering.rcm import bfs_levels
 from repro.sparse import SparsePattern, arrow_pattern, circuit_pattern, grid_2d, grid_3d, random_pattern
 from repro.symbolic.colcounts import symbolic_fill
@@ -247,3 +247,44 @@ def test_property_connected_components_match_fifo_queue(n, density, seed):
 def test_property_greedy_ordering_emits_every_variable(n, density, seed, score):
     perm = greedy_ordering(random_graph(n, density, seed, symmetric=False), score, seed=seed)
     assert is_permutation(perm, n)
+
+
+# --------------------------------------------------------------------------- #
+# the seams between the dissection frames and the greedy engine
+# --------------------------------------------------------------------------- #
+@settings(max_examples=60, deadline=None)
+@given(**graph_args, symmetric=st.booleans(), keep_frac=st.sampled_from([0.2, 0.5, 1.0]))
+def test_property_induced_subgraph_equals_submatrix_adjacency(n, density, seed, symmetric, keep_frac):
+    sym = random_graph(n, density, seed, symmetric=symmetric).symmetrized()
+    indptr, indices = sym.adjacency()
+    vertices = np.random.default_rng(seed).permutation(n)[: max(1, int(keep_frac * n))]
+    verts, sub_indptr, sub_indices = induced_subgraph(indptr, indices, vertices)
+    want_indptr, want_indices = sym.submatrix(vertices).adjacency()
+    assert verts.tolist() == sorted(vertices.tolist())
+    assert sub_indptr.tolist() == want_indptr.tolist()
+    assert sub_indices.tolist() == want_indices.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**graph_args, score=st.sampled_from(["degree", "fill"]), keep_frac=st.sampled_from([0.3, 0.7, 1.0]))
+def test_property_order_subgraph_equals_greedy_on_submatrix(n, density, seed, score, keep_frac):
+    sym = random_graph(n, density, seed, symmetric=False).symmetrized()
+    indptr, indices = sym.adjacency()
+    vertices = np.random.default_rng(seed).permutation(n)[: max(2, int(keep_frac * n))]
+    want = np.sort(vertices)[greedy_ordering(sym.submatrix(vertices), score, seed=seed)]
+    assert order_subgraph(indptr, indices, vertices, score, seed=seed).tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**graph_args, balance=st.sampled_from([0.45, 0.5]))
+def test_property_find_separator_with_handed_over_levels(n, density, seed, balance):
+    indptr, indices = random_graph(n, density, seed, symmetric=True).adjacency()
+    vertices = np.random.default_rng(seed).permutation(n)[: max(1, n // 2)]
+    _, levels = _connected_components(indptr, indices, vertices)
+    # the handed-over structure is rooted at the frame's first vertex
+    assert int(levels[1][0]) == int(vertices[0])
+    for got, want in zip(
+        find_separator(indptr, indices, vertices, balance=balance, levels=levels),
+        find_separator(indptr, indices, vertices, balance=balance),
+    ):
+        assert got.tolist() == want.tolist()
