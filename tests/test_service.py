@@ -159,6 +159,24 @@ class TestJobQueue:
         revived = JobQueue(path, fsync=False)
         assert revived.get(record.id).state == "queued"
 
+    def test_torn_tail_loses_no_later_submit(self, tmp_path):
+        # a crash mid-append leaves the last record cut at any byte; the
+        # restarted queue compacts the journal right after replay, which
+        # drops the fragment, so the next append starts on a clean line
+        path = tmp_path / "journal.jsonl"
+        queue = JobQueue(path, fsync=False)
+        kept = queue.submit(JobSpec(sweep=tiny_sweep()))
+        last = queue.submit(JobSpec(sweep=tiny_sweep(), priority=3))
+        intact = path.read_bytes()
+        start = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        for cut in range(start, len(intact)):
+            path.write_bytes(intact[:cut])
+            after = JobQueue(path, fsync=False).submit(JobSpec(sweep=tiny_sweep()))
+            jobs = {record.id: record.state for record in JobQueue(path, fsync=False).list()}
+            # only when just the newline is cut does the last record still parse
+            survivors = {kept.id, after.id} | ({last.id} if cut == len(intact) - 1 else set())
+            assert jobs == dict.fromkeys(survivors, "queued"), cut
+
     def test_counts(self, tmp_path):
         queue = JobQueue(tmp_path / "journal.jsonl", fsync=False)
         a = queue.submit(JobSpec(sweep=tiny_sweep()))
