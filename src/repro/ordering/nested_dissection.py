@@ -31,7 +31,7 @@ __all__ = ["nested_dissection_ordering", "find_separator"]
 
 def _connected_components(
     indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
-) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
     """Connected components of the subgraph induced by ``vertices``.
 
     Components come in the order of their first vertex in ``vertices``, each
@@ -43,6 +43,7 @@ def _connected_components(
     inset[vertices] = True
     seen = np.zeros(len(indptr) - 1, dtype=bool)
     comps: list[np.ndarray] = []
+    first = None
     for v in vertices.tolist():
         if seen[v]:
             continue
@@ -77,7 +78,7 @@ def find_separator(
     mask[vertices] = True
     if levels is None:
         levels = bfs_levels(pattern_indptr, pattern_indices, int(vertices[0]), mask)
-    _, level, order = peripheral_level_structure(pattern_indptr, pattern_indices, mask, *levels)
+    level, order = peripheral_level_structure(pattern_indptr, pattern_indices, mask, *levels)
     # order only contains reachable vertices of this component
     target = max(1, int(balance * order.size))
     cut_level = int(level[order[min(target, order.size - 1)]])

@@ -11,14 +11,15 @@ of adjacent variables plus a list of adjacent elements, and degrees are
 
 Representation.  Every set of variables is a Python ``int`` used as a
 bitset (bit ``v`` set when variable ``v`` is in the set): the adjacency of
-each variable, the variables of each element and ``live``, the principal
-variables not yet eliminated.  Eliminated and merged variables are never
-deleted from these sets; every read masks them out with ``live``, so the
-external adjacency of ``v`` is ``adj[v] & live & ~Lp``, a few C-level
-big-int operations whatever the degree.  A big-int operation costs O(n/64)
-machine words, which stays cheap for the problem sizes here (n ≤ ~10k at
-scale 2).  The adjacent elements of a variable stay a ``set``, and the loop
-over ``Lp`` walks its bits from the top (``bit_length`` is O(1)).
+each variable, the variables of each element, ``live`` (the principal
+variables not yet eliminated) and ``heavy`` (the principals of weight > 1).
+Eliminated and merged variables are never deleted from these sets; every
+read masks them out with ``live``.  So the external adjacency of ``v`` is
+``adj[v] & live & ~Lp``, and its weight is its ``bit_count()`` plus
+``weight - 1`` over its heavy members: a few C-level big-int operations,
+whatever the degree.  A big-int operation costs O(n/64) machine words,
+which stays cheap at the sizes here (n ≤ ~10k at scale 2).  The adjacent
+elements of a variable stay a ``set``.
 
 The engine below implements the quotient graph with:
 
@@ -72,31 +73,27 @@ class EliminationGraph:
 
     Built from a symmetric, diagonal-free CSR adjacency (as returned by
     :meth:`SparsePattern.adjacency` or :func:`induced_subgraph`).  Variables
-    are indexed ``0..n-1``; variable sets are Python ints used as bitsets
-    (bit ``v`` set when ``v`` is in the set), so cleaning an adjacency,
-    subtracting ``Lp`` and weighing a set are a few C-level big-int
-    operations.  A *supervariable* is represented by its principal variable;
-    non-principal variables record the principal they were merged into
-    through ``merged_into`` and are emitted right after it in the final
+    are indexed ``0..n-1``; sets of variables are int bitsets (see the
+    module docstring).  A *supervariable* is represented by its principal
+    variable; non-principal variables record the principal they were merged
+    into through ``merged_into`` and are emitted right after it in the final
     ordering.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         n = self.n = len(indptr) - 1
-        # variable -> bitset of adjacent variables, built as one packed
-        # little-endian byte row per variable; dead variables are masked
-        # out with ``live`` when read, never removed
+        # variable -> bitset of adjacent variables, read from one packed
+        # little-endian byte row per variable
         width = (n + 7) // 8
         packed = np.zeros(n * width, dtype=np.uint8)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         bit = np.left_shift(1, indices & 7).astype(np.uint8)
         np.bitwise_or.at(packed, rows * width + (indices >> 3), bit)
-        buf = packed.tobytes()
+        buf = memoryview(packed)
         self.adj: list[int] = [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
         # variable -> set of adjacent element ids
         self.elems: list[set[int]] = [set() for _ in range(n)]
-        # element id -> bitset of its variables; merged variables are left
-        # in and masked out with ``live`` when read
+        # element id -> bitset of its variables
         self.element_vars: dict[int, int] = {}
         # element id -> total supervariable weight of its members.  The total
         # weight is conserved by supervariable merges (the absorbed weight
@@ -107,10 +104,7 @@ class EliminationGraph:
         # supervariable bookkeeping, in plain lists: the elimination loop
         # reads them per variable, where numpy scalar access is slow
         self.weight: list[int] = [1] * n  # #variables represented by this principal
-        #: principals of weight > 1 (plus dead ones, masked out on read): the
-        #: weight of a live set S is ``S.bit_count()`` plus ``weight - 1``
-        #: over ``S & heavy``
-        self.heavy = 0
+        self.heavy = 0  # principals of weight > 1, as a bitset
         self.merged_into: list[int] = [-1] * n
         self.absorbed_children: list[list[int]] = [[] for _ in range(n)]
         #: principal variables not yet eliminated, as a bitset

@@ -18,8 +18,8 @@ first time it is seen, and vertices of earlier levels are already marked.
 A level structure ``(level, order)`` is computed once and handed on.
 :func:`peripheral_level_structure` takes its first sweep from the caller
 (the dissection's connected-components BFS is exactly that sweep) and
-returns the level structure of the vertex it settles on, which is the one
-the separator is cut from.  :func:`pseudo_peripheral_node` is the
+returns the level structure rooted at the vertex it settles on, which is
+the one the separator is cut from.  :func:`pseudo_peripheral_node` is the
 start-vertex form that RCM uses.
 """
 
@@ -31,13 +31,7 @@ import numpy as np
 
 from repro.sparse.pattern import SparsePattern
 
-__all__ = [
-    "rcm_ordering",
-    "pseudo_peripheral_node",
-    "peripheral_level_structure",
-    "bfs_levels",
-    "gather_rows",
-]
+__all__ = ["rcm_ordering", "pseudo_peripheral_node", "peripheral_level_structure", "bfs_levels", "gather_rows"]
 
 
 def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,15 +68,14 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.nda
 
 def peripheral_level_structure(
     indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, level: np.ndarray, order: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """George-Liu pseudo-peripheral search, seeded with its first sweep.
 
     ``(level, order)`` is the :func:`bfs_levels` structure rooted at
     ``order[0]``; the search restarts from a minimum-degree vertex of the
-    deepest level until the eccentricity stops growing.  Returns the vertex
-    it settles on together with the level structure rooted there, so a
-    caller that already ran the first sweep, and a caller that needs the
-    final one, pay for neither twice.
+    deepest level until the eccentricity stops growing.  Returns the level
+    structure rooted at the vertex it settles on (``order[0]``), so neither
+    the first sweep nor the last one is run twice.
     """
     current = int(order[0])
     last_ecc = -1
@@ -91,17 +84,18 @@ def peripheral_level_structure(
             level, order = bfs_levels(indptr, indices, current, mask)
         ecc = int(level[order[-1]])
         if ecc <= last_ecc:
-            return current, level, order
+            return level, order
         last_ecc = ecc
         # restart from a minimum-degree vertex of the last level
         last_level = order[level[order] == ecc]
         current = int(last_level[np.argmin(indptr[last_level + 1] - indptr[last_level])])
-    return current, *bfs_levels(indptr, indices, current, mask)
+    return bfs_levels(indptr, indices, current, mask)
 
 
 def pseudo_peripheral_node(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.ndarray) -> int:
     """Vertex far away from ``start`` (George-Liu pseudo-peripheral heuristic)."""
-    return peripheral_level_structure(indptr, indices, mask, *bfs_levels(indptr, indices, start, mask))[0]
+    _, order = peripheral_level_structure(indptr, indices, mask, *bfs_levels(indptr, indices, start, mask))
+    return int(order[0])
 
 
 def rcm_ordering(pattern: SparsePattern) -> np.ndarray:
