@@ -30,6 +30,7 @@ def _lpt_imbalance(costs: list[float], nprocs: int) -> float:
     for c in sorted(costs, reverse=True):
         load, i = heap[0]
         heapq.heapreplace(heap, (load + c, i))
+    # back in index order: numpy's pairwise bins.sum() fixes the total's rounding
     bins = np.zeros(nprocs, dtype=np.float64)
     for load, i in heap:
         bins[i] = load
