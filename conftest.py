@@ -1,7 +1,7 @@
 """Repository-level pytest configuration.
 
-Adds ``src/`` to ``sys.path`` so the test-suite and the benchmarks run
-against the in-tree sources even when the package has not been installed
+Adds ``src/`` to ``sys.path`` so the test-suite and ``perfbench/selftest.py``
+run against the in-tree sources even when the package has not been installed
 (useful on machines without network access where ``pip install -e .`` cannot
 resolve build dependencies; ``python setup.py develop`` is the supported
 offline install).

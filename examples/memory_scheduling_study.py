@@ -26,12 +26,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from repro.experiments import ExperimentRunner
-from repro.experiments.runner import percentage_decrease
+import repro
+from repro.pipeline import CaseSpec
+from repro.session import percentage_decrease
 
 
 def main(problem: str = "TWOTONE", ordering: str = "amd") -> None:
-    runner = ExperimentRunner(nprocs=16, scale=0.5)
+    session = repro.open_session(nprocs=16, scale=0.5)
     print(f"problem {problem}, ordering {ordering.upper()}, 16 simulated processors\n")
 
     cases = {
@@ -42,7 +43,7 @@ def main(problem: str = "TWOTONE", ordering: str = "amd") -> None:
     }
     results = {}
     for label, (strategy, split) in cases.items():
-        case = runner.run_case(problem, ordering, strategy, split=split)
+        case = session.run(CaseSpec(problem, ordering, strategy, split=split))
         results[label] = case
         peaks = np.sort(case.per_proc_peak_stack)[::-1]
         print(f"{label:26s} max peak {case.max_peak_stack:12,.0f}  "

@@ -85,7 +85,7 @@ from repro.scheduling import STRATEGIES, get_strategy, resolve_strategy
 from repro.session import Session, open_session
 from repro.pipeline import CaseResult, CaseSpec
 from repro.results import CaseResultView, ResultStore, ResultTable, case_key
-from repro.experiments import ExperimentRunner, PROBLEMS, get_problem
+from repro.experiments import PROBLEMS, get_problem
 
 __version__ = "2.0.0"
 
@@ -119,7 +119,6 @@ __all__ = [
     "ResultStore",
     "ResultTable",
     "case_key",
-    "ExperimentRunner",
     "PROBLEMS",
     "get_problem",
     "quick_compare",

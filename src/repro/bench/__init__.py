@@ -13,9 +13,8 @@ The benchmark subsystem turns performance from folklore into diffable data:
   stored baseline (``benchmarks/baselines/BENCH_<host>.json``), with the
   regression/improvement/within-tolerance verdicts the CI perf gate consumes.
 
-The ``repro bench`` CLI verb (:mod:`repro.bench.cli`) and the
-``benchmarks/bench_*.py`` pytest shims are both thin layers over these
-pieces.  See ``docs/benchmarks.md``.
+The ``repro bench`` CLI verb (:mod:`repro.bench.cli`) is a thin layer
+over these pieces.  See ``docs/benchmarks.md``.
 """
 
 from repro.bench.baseline import (

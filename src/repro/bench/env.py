@@ -1,15 +1,10 @@
 """Validated benchmark configuration from the ``REPRO_BENCH_*`` environment.
 
-The historical ``benchmarks/_bench_utils.py`` read these variables at import
-time with bare ``int()`` / ``float()`` casts: a typo like
-``REPRO_BENCH_SCALE=0`` silently produced empty problems and
-``REPRO_BENCH_JOBS=two`` crashed with a naked ``ValueError`` pointing at the
-wrong line.  :class:`BenchEnv` centralises the parsing, range-checks every
-knob and raises one uniform, variable-named error, so both the pytest
-shims and the ``repro bench`` CLI agree on the configuration and on the
-failure mode.
+:class:`BenchEnv` parses and range-checks every knob up front: a typo like
+``REPRO_BENCH_SCALE=0`` or ``REPRO_BENCH_JOBS=two`` raises one uniform
+error naming the variable, instead of silently producing empty problems or
+a naked ``ValueError`` pointing at the wrong line.
 """
-
 from __future__ import annotations
 
 import os
@@ -24,16 +19,6 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(os.
 
 class BenchEnvError(ValueError):
     """A ``REPRO_BENCH_*`` variable holds an out-of-range or unparsable value."""
-
-
-_FALSEY = {"", "0", "false", "no", "off"}
-
-
-def _parse_flag(environ: Mapping[str, str], name: str, default: bool) -> bool:
-    raw = environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSEY
 
 
 def _parse(environ: Mapping[str, str], name: str, caster, default):
@@ -64,12 +49,8 @@ class BenchEnv:
     scale: float = 0.6
     #: analysis cache directory shared by the table suites ("" disables it).
     cache: str = os.path.join(_REPO_ROOT, ".repro_cache")
-    #: worker processes used by the shared runner's sweeps (1 = serial).
+    #: worker processes used by the suites' shared session (1 = serial).
     jobs: int = 1
-    #: worker processes for the parallel-vs-serial pipeline comparison.
-    pipeline_jobs: int = 4
-    #: disarm the parallel-beats-serial assertion (shared/1-core runners).
-    no_speedup_check: bool = False
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -82,10 +63,6 @@ class BenchEnv:
             )
         if self.jobs < 1:
             raise BenchEnvError(f"REPRO_BENCH_JOBS must be >= 1, got {self.jobs}")
-        if self.pipeline_jobs < 1:
-            raise BenchEnvError(
-                f"REPRO_BENCH_PIPELINE_JOBS must be >= 1, got {self.pipeline_jobs}"
-            )
 
     @classmethod
     def from_environ(cls, environ: Mapping[str, str] | None = None) -> "BenchEnv":
@@ -101,8 +78,6 @@ class BenchEnv:
             scale=_parse(env, "REPRO_BENCH_SCALE", float, cls.scale),
             cache=env.get("REPRO_BENCH_CACHE", cls.cache),
             jobs=_parse(env, "REPRO_BENCH_JOBS", int, cls.jobs),
-            pipeline_jobs=_parse(env, "REPRO_BENCH_PIPELINE_JOBS", int, cls.pipeline_jobs),
-            no_speedup_check=_parse_flag(env, "REPRO_BENCH_NO_SPEEDUP_CHECK", cls.no_speedup_check),
         )
 
     def replace(self, **overrides) -> "BenchEnv":

@@ -3,13 +3,9 @@
 A *suite* is a declarative list of :class:`PreparedCase` values — a
 :class:`~repro.bench.model.BenchCase` identity plus a zero-argument callable
 returning the case's domain metrics — built against a validated
-:class:`~repro.bench.env.BenchEnv`.  The same prepared cases serve two
-harnesses:
-
-* :class:`~repro.bench.runner.BenchRunner` times them itself (warmup +
-  repeats around ``fn()``) for ``repro bench run`` and the CI perf gate;
-* the ``benchmarks/bench_*.py`` shims hand ``fn`` to pytest-benchmark, so the
-  historical ``pytest benchmarks/`` invocation keeps working.
+:class:`~repro.bench.env.BenchEnv`.  :class:`~repro.bench.runner.BenchRunner`
+times them (warmup + repeats around ``fn()``) for ``repro bench run`` and
+the CI perf gate.
 
 Suites:
 
@@ -21,7 +17,7 @@ Suites:
     The cold analysis chain alone: ordering plus assembly-tree build for
     every paper problem × ordering, on prebuilt patterns.
 ``tables``
-    Regeneration of the paper's Table 1 and Table 2 through a shared runner.
+    Regeneration of the paper's Table 1 and Table 2 through a shared session.
 ``ablations``
     The strategy-ingredient ablation on two representative cases.
 ``components``
@@ -266,28 +262,24 @@ def _table2_metrics(rows: Mapping[str, Mapping[str, object]]) -> dict[str, float
     }
 
 
-#: per-table extraction of the metrics the pytest shims assert on.
+#: per-table extraction of the metrics each regeneration reports.
 TABLE_METRICS = {"table1": _table1_metrics, "table2": _table2_metrics}
 
 
 @SUITES.register("tables", description="regeneration of Table 1 and Table 2")
-def _tables_suite(env: BenchEnv, runner=None) -> SuiteInstance:
-    from repro.experiments import ExperimentRunner
+def _tables_suite(env: BenchEnv) -> SuiteInstance:
     from repro.experiments.tables import ALL_TABLES
+    from repro.session import Session
 
-    owns_runner = runner is None
-    if owns_runner:
-        # env.cache is passed verbatim: "" means "disk cache off" and must not
-        # collapse to None, which would re-enable the REPRO_CACHE_DIR fallback
-        runner = ExperimentRunner(
-            nprocs=env.nprocs, scale=env.scale, cache_dir=env.cache, jobs=env.jobs
-        )
+    # env.cache is passed verbatim: "" means "disk cache off" and must not
+    # collapse to None, which would re-enable the REPRO_CACHE_DIR fallback
+    session = Session(nprocs=env.nprocs, scale=env.scale, cache_dir=env.cache, jobs=env.jobs)
     cases: list[PreparedCase] = []
     for table in ("table1", "table2"):
         entry = ALL_TABLES.entry(table)
 
         def regenerate(entry=entry, metrics=TABLE_METRICS[table]) -> dict[str, float]:
-            return metrics(entry.value(runner))
+            return metrics(entry.value(session))
 
         cases.append(
             PreparedCase(
@@ -303,9 +295,7 @@ def _tables_suite(env: BenchEnv, runner=None) -> SuiteInstance:
                 fn=regenerate,
             )
         )
-    return SuiteInstance(
-        name="tables", cases=cases, close=runner.close if owns_runner else (lambda: None)
-    )
+    return SuiteInstance(name="tables", cases=cases, close=session.close)
 
 
 # --------------------------------------------------------------------------- #
@@ -324,21 +314,19 @@ ABLATION_PRESETS = [
 
 @SUITES.register("ablations", description="strategy-ingredient ablation on split trees")
 def _ablations_suite(env: BenchEnv) -> SuiteInstance:
-    from repro.experiments import ExperimentRunner
-    from repro.session import percentage_decrease
+    from repro.pipeline import CaseSpec
+    from repro.session import Session, percentage_decrease
 
     # "" = disk cache off, never None (the REPRO_CACHE_DIR fallback)
-    runner = ExperimentRunner(
-        nprocs=env.nprocs, scale=env.scale, cache_dir=env.cache, jobs=env.jobs
-    )
+    session = Session(nprocs=env.nprocs, scale=env.scale, cache_dir=env.cache, jobs=env.jobs)
     cases: list[PreparedCase] = []
     for problem, ordering in ABLATION_CASES:
 
         def ablate(problem=problem, ordering=ordering) -> dict[str, float]:
-            base = runner.run_case(problem, ordering, "mumps-workload", split=True)
+            base = session.run(CaseSpec(problem, ordering, "mumps-workload", split=True))
             gains = {}
             for preset in ABLATION_PRESETS:
-                result = runner.run_case(problem, ordering, preset, split=True)
+                result = session.run(CaseSpec(problem, ordering, preset, split=True))
                 gains[preset] = percentage_decrease(base.max_peak_stack, result.max_peak_stack)
             return gains
 
@@ -358,7 +346,7 @@ def _ablations_suite(env: BenchEnv) -> SuiteInstance:
                 fn=ablate,
             )
         )
-    return SuiteInstance(name="ablations", cases=cases, close=runner.close)
+    return SuiteInstance(name="ablations", cases=cases, close=session.close)
 
 
 # --------------------------------------------------------------------------- #
@@ -464,11 +452,11 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
         # (the analysis artifacts stay memoized in the engine's memory tier,
         # as they would in a long-lived daemon)
         service.cache.clear()
-        response = client.results(**SERVING_QUERY)
+        response = client.result(**SERVING_QUERY)
         return {"cached": float(response.cached), "bytes": float(len(response.body))}
 
     def query_cached() -> dict[str, float]:
-        response = client.results(**SERVING_QUERY)
+        response = client.result(**SERVING_QUERY)
         return {"cached": float(response.cached), "bytes": float(len(response.body))}
 
     def submit_roundtrip() -> dict[str, float]:
@@ -497,7 +485,7 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
 
     # warm the analysis artifacts (and the cached case) before timing: the
     # cold case then measures pipeline re-execution, not first-import noise
-    client.results(**SERVING_QUERY)
+    client.result(**SERVING_QUERY)
 
     def close() -> None:
         server.shutdown()

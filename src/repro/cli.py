@@ -61,14 +61,15 @@ import json
 import sys
 import time
 
-from repro.experiments import ExperimentRunner, PROBLEMS
+from repro.experiments import PROBLEMS
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
-from repro.experiments.runner import ORDERING_NAMES
+from repro.experiments.tables import ORDERING_NAMES
 from repro.ordering import ORDERINGS, resolve_ordering
 from repro.pipeline import ProgressEvent
 from repro.runtime import resolve_engine
 from repro.scheduling import STRATEGIES, resolve_strategy
+from repro.session import Session
 from repro.specs import SweepSpec, split_spec_list
 
 __all__ = ["main", "build_parser"]
@@ -195,7 +196,7 @@ def _progress_printer(event: ProgressEvent) -> None:
 # --------------------------------------------------------------------------- #
 # tables
 # --------------------------------------------------------------------------- #
-def _run_tables(runner: ExperimentRunner, names: list[str], problems, orderings) -> None:
+def _run_tables(session: Session, names: list[str], problems, orderings) -> None:
     for name in names:
         entry = tables_mod.ALL_TABLES.entry(name)
         start = time.time()
@@ -204,7 +205,7 @@ def _run_tables(runner: ExperimentRunner, names: list[str], problems, orderings)
             kwargs["problems"] = problems
         if orderings and "orderings" in entry.params:
             kwargs["orderings"] = orderings
-        rows = entry.value(runner, **kwargs)
+        rows = entry.value(session, **kwargs)
         print()
         print(tables_mod.format_table(rows, title=f"=== {name.upper()} (regenerated in {time.time() - start:.1f}s) ==="))
 
@@ -280,7 +281,7 @@ def _emit_sweep(results, fmt: str, seconds: float) -> None:
 
 
 def _run_sweep(
-    runner: ExperimentRunner, problems, orderings, strategies, nprocs_axis,
+    session: Session, problems, orderings, strategies, nprocs_axis,
     *, split: bool, fmt: str, store: str | None = None,
 ) -> None:
     sweep = SweepSpec(
@@ -292,11 +293,7 @@ def _run_sweep(
     )
     start = time.time()
     if store is not None:
-        # the Session-level grid sweep (ExperimentRunner.sweep is the
-        # historical positional-axes API and knows nothing about stores)
-        from repro.session import Session
-
-        results = Session.sweep(runner, sweep, store=store)
+        results = session.sweep(sweep, store=store)
         print(
             f"store {store}: {results.skipped} case(s) already present, "
             f"{results.computed} computed",
@@ -304,7 +301,7 @@ def _run_sweep(
             flush=True,
         )
     else:
-        results = runner.run_cases(sweep.expand())
+        results = session.run_cases(sweep.expand())
     _emit_sweep(results, fmt, time.time() - start)
 
 
@@ -453,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
             }
 
     if wanted_tables or wanted_sweep:
-        runner = ExperimentRunner(
+        session = Session(
             nprocs=engine_nprocs,
             scale=args.scale,
             cache_dir=args.cache or None,
@@ -462,15 +459,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         try:
             if wanted_tables:
-                _run_tables(runner, wanted_tables, problems, orderings)
+                _run_tables(session, wanted_tables, problems, orderings)
             if wanted_sweep:
                 axis = args.nprocs if isinstance(args.nprocs, list) else [None]
                 _run_sweep(
-                    runner, problems, orderings, strategies, axis,
+                    session, problems, orderings, strategies, axis,
                     split=args.split, fmt=args.format, store=args.store,
                 )
         finally:
-            runner.close()
+            session.close()
     if wanted_figures:
         _run_figures(wanted_figures, figure_kwargs)
     return 0

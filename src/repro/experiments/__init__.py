@@ -4,18 +4,15 @@
   matrices of Table 1 (the real collections are not redistributable and not
   available offline), with the same symmetric/unsymmetric split and the same
   structural regimes;
-* :mod:`repro.experiments.runner` — façade over the staged pipeline engine
-  (:mod:`repro.pipeline`): runs (problem × ordering × splitting × strategy)
-  cases with content-addressed caching of the analysis phase and optional
-  multi-process sweeps (``jobs > 1``);
-* :mod:`repro.experiments.tables` — regenerates Tables 1–6;
+* :mod:`repro.experiments.tables` — regenerates Tables 1–6 through a
+  :class:`~repro.session.Session`;
 * :mod:`repro.experiments.figures` — regenerates the illustrative Figures 1–8
   as ascii/structured data.
 """
 
 from repro.experiments.problems import ProblemSpec, PROBLEMS, get_problem, SYMMETRIC_PROBLEMS, UNSYMMETRIC_PROBLEMS
-from repro.experiments.runner import ExperimentRunner, CaseResult, CaseSpec, ORDERING_NAMES
 from repro.experiments import tables
+from repro.experiments.tables import ORDERING_NAMES
 from repro.experiments import figures
 
 __all__ = [
@@ -24,9 +21,6 @@ __all__ = [
     "get_problem",
     "SYMMETRIC_PROBLEMS",
     "UNSYMMETRIC_PROBLEMS",
-    "ExperimentRunner",
-    "CaseResult",
-    "CaseSpec",
     "ORDERING_NAMES",
     "tables",
     "figures",

@@ -16,8 +16,8 @@ like the paper's rows and columns) and can also render it as plain text with
 * **Table 6** — factorization-time loss (%) of the memory-optimised strategy
   for three large problems.
 
-Every table funnels its cases through :meth:`ExperimentRunner.run_cases`, so
-one table is one sweep: with ``jobs > 1`` on the runner the cases spread over
+Every table funnels its cases through :meth:`Session.run_cases`, so
+one table is one sweep: with ``jobs > 1`` on the session the cases spread over
 a process pool (sharing the analysis artifacts per the pipeline engine's
 content-addressed store) and the rows are assembled from the results in
 order — serial and parallel regeneration produce identical tables.
@@ -28,9 +28,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.experiments.problems import PROBLEMS, UNSYMMETRIC_PROBLEMS, get_problem
-from repro.experiments.runner import ORDERING_NAMES, ExperimentRunner, percentage_decrease
 from repro.pipeline import CaseResult, CaseSpec
 from repro.registry import Registry
+from repro.session import Session, percentage_decrease
 
 __all__ = [
     "table1",
@@ -41,7 +41,11 @@ __all__ = [
     "table6",
     "format_table",
     "ALL_TABLES",
+    "ORDERING_NAMES",
 ]
+
+#: The four reordering techniques of the paper's tables, in column order.
+ORDERING_NAMES = ["metis", "pord", "amd", "amf"]
 
 BASELINE = "mumps-workload"
 MEMORY = "memory-full"
@@ -53,12 +57,12 @@ TABLE4_CASES = [("ULTRASOUND3", "metis"), ("XENON2", "amf")]
 TABLE6_PROBLEMS = ["SHIP_003", "PRE2", "ULTRASOUND3"]
 
 
-def table1(runner: ExperimentRunner, problems: Iterable[str] | None = None) -> dict[str, dict[str, object]]:
+def table1(session: Session, problems: Iterable[str] | None = None) -> dict[str, dict[str, object]]:
     """Table 1: the test problems (analogue sizes next to the paper's)."""
     rows: dict[str, dict[str, object]] = {}
     for name in problems if problems is not None else PROBLEMS:
         spec = get_problem(name)
-        pattern = runner.pattern(name)
+        pattern = session.pattern(name)
         rows[spec.name] = {
             "Order": pattern.n,
             "NZ": pattern.nnz,
@@ -71,7 +75,7 @@ def table1(runner: ExperimentRunner, problems: Iterable[str] | None = None) -> d
 
 
 def _paired_cases(
-    runner: ExperimentRunner,
+    session: Session,
     problems: Sequence[str],
     orderings: Sequence[str],
     *,
@@ -84,7 +88,7 @@ def _paired_cases(
         for ordering in orderings:
             specs.append(CaseSpec(problem, ordering, BASELINE, split=split_baseline))
             specs.append(CaseSpec(problem, ordering, MEMORY, split=split_candidate))
-    results = runner.run_cases(specs)
+    results = session.run_cases(specs)
     pairs: dict[tuple[str, str], tuple[CaseResult, CaseResult]] = {}
     it = iter(results)
     for problem in problems:
@@ -94,7 +98,7 @@ def _paired_cases(
 
 
 def _gain_table(
-    runner: ExperimentRunner,
+    session: Session,
     problems: Sequence[str],
     orderings: Sequence[str],
     *,
@@ -102,7 +106,7 @@ def _gain_table(
     split_candidate: bool,
 ) -> dict[str, dict[str, float]]:
     pairs = _paired_cases(
-        runner, problems, orderings, split_baseline=split_baseline, split_candidate=split_candidate
+        session, problems, orderings, split_baseline=split_baseline, split_candidate=split_candidate
     )
     rows: dict[str, dict[str, float]] = {}
     for problem in problems:
@@ -117,28 +121,28 @@ def _gain_table(
 
 
 def table2(
-    runner: ExperimentRunner,
+    session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
 ) -> dict[str, dict[str, float]]:
     """Table 2: % decrease of the max stack peak, memory vs. workload, no splitting."""
     if problems is None:
         problems = list(PROBLEMS)
-    return _gain_table(runner, list(problems), list(orderings), split_baseline=False, split_candidate=False)
+    return _gain_table(session, list(problems), list(orderings), split_baseline=False, split_candidate=False)
 
 
 def table3(
-    runner: ExperimentRunner,
+    session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
 ) -> dict[str, dict[str, float]]:
     """Table 3: same comparison on statically split trees (unsymmetric matrices)."""
     if problems is None:
         problems = list(UNSYMMETRIC_PROBLEMS)
-    return _gain_table(runner, list(problems), list(orderings), split_baseline=True, split_candidate=True)
+    return _gain_table(session, list(problems), list(orderings), split_baseline=True, split_candidate=True)
 
 
-def table4(runner: ExperimentRunner, cases: Sequence[tuple[str, str]] = tuple(TABLE4_CASES)) -> dict[str, dict[str, float]]:
+def table4(session: Session, cases: Sequence[tuple[str, str]] = tuple(TABLE4_CASES)) -> dict[str, dict[str, float]]:
     """Table 4: absolute max stack peaks (millions of entries) for two cases."""
     combos = [
         (strategy, strategy_label, split, split_label)
@@ -150,7 +154,7 @@ def table4(runner: ExperimentRunner, cases: Sequence[tuple[str, str]] = tuple(TA
         for problem, ordering in cases
         for strategy, _, split, _ in combos
     ]
-    results = iter(runner.run_cases(specs))
+    results = iter(session.run_cases(specs))
     rows: dict[str, dict[str, float]] = {}
     for problem, ordering in cases:
         row: dict[str, float] = {}
@@ -161,18 +165,18 @@ def table4(runner: ExperimentRunner, cases: Sequence[tuple[str, str]] = tuple(TA
 
 
 def table5(
-    runner: ExperimentRunner,
+    session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
 ) -> dict[str, dict[str, float]]:
     """Table 5: memory strategy + splitting vs. original MUMPS (no splitting)."""
     if problems is None:
         problems = list(UNSYMMETRIC_PROBLEMS)
-    return _gain_table(runner, list(problems), list(orderings), split_baseline=False, split_candidate=True)
+    return _gain_table(session, list(problems), list(orderings), split_baseline=False, split_candidate=True)
 
 
 def table6(
-    runner: ExperimentRunner,
+    session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
 ) -> dict[str, dict[str, float]]:
@@ -180,7 +184,7 @@ def table6(
     if problems is None:
         problems = list(TABLE6_PROBLEMS)
     pairs = _paired_cases(
-        runner, list(problems), list(orderings), split_baseline=False, split_candidate=True
+        session, list(problems), list(orderings), split_baseline=False, split_candidate=True
     )
     rows: dict[str, dict[str, float]] = {}
     for problem in problems:

@@ -177,9 +177,9 @@ class SplitArtifact:
 class AnalysisProducts:
     """Everything produced by the analysis phase of one case.
 
-    This is the bundle the :class:`~repro.experiments.runner.ExperimentRunner`
-    façade hands out and the disk tier persists as one ``analysis-*.pkl``
-    artifact; the per-stage artifacts behind it stay in memory.
+    This is the bundle :meth:`Session.analysis <repro.session.Session.analysis>`
+    hands out and the disk tier persists as one ``analysis-*.pkl`` artifact;
+    the per-stage artifacts behind it stay in memory.
     """
 
     problem: str

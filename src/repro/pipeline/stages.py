@@ -29,9 +29,10 @@ from repro.scheduling import canonical_strategy, resolve_strategy
 from repro.symbolic import build_assembly_tree, split_large_masters
 
 def _get_problem(name: str):
-    # deferred import: repro.experiments.__init__ imports the runner façade,
-    # which imports this package — a module-level import here would close
-    # that cycle before either side finished initialising
+    # deferred import: repro.experiments.__init__ imports the tables, which
+    # import repro.session, which imports this package — a module-level
+    # import here would close that cycle before either side finished
+    # initialising
     from repro.experiments.problems import get_problem
 
     return get_problem(name)

@@ -110,7 +110,14 @@ class ResultStore:
     def _append_manifest(self, filename: str, rows: int) -> None:
         # caller holds self._lock
         line = canonical_json({"op": "segment", "file": filename, "rows": rows})
-        with open(self.manifest_path, "ab") as fh:
+        with open(self.manifest_path, "ab+") as fh:
+            # a crash mid-append can leave a torn last line without its
+            # newline: terminate it first, so the fragment stays a skippable
+            # line of its own instead of swallowing this record
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
             fh.write(line)
             fh.flush()
             if self.fsync:

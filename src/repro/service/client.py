@@ -110,18 +110,6 @@ class ServiceClient:
             query["compute"] = "true" if compute else "false"
         return self._request("/result?" + urllib.parse.urlencode(query))
 
-    def results(self, *, compute: bool | None = None, **params: object) -> QueryResponse:
-        """GET /results in the *legacy* single-result shape (deprecated).
-
-        Kept so old callers keep working; the server answers through its
-        deprecation shim.  New code wants :meth:`result` (one case) or
-        :meth:`list_results` (paginated listing).
-        """
-        query = {k: str(v) for k, v in params.items() if v is not None}
-        if compute is not None:
-            query["compute"] = "true" if compute else "false"
-        return self._request("/results?" + urllib.parse.urlencode(query))
-
     def list_results(
         self,
         *,
@@ -144,10 +132,6 @@ class ServiceClient:
             query["cursor"] = str(cursor)
         if fields:
             query["fields"] = fields
-        if "limit" not in query and "cursor" not in query and "fields" not in query:
-            # force the list shape even for bare problem= filters, which the
-            # server would otherwise route through the deprecation shim
-            query["limit"] = str(50)
         return self._request("/results?" + urllib.parse.urlencode(sorted(query.items())))
 
     def leaderboard(self, job: str | None = None) -> QueryResponse:

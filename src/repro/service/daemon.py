@@ -10,11 +10,10 @@
   retry-with-backoff and a per-job wall-clock timeout,
 * a :class:`~repro.service.cache.CacheStore` of finished case results keyed
   by canonical case parameters (:func:`result_key`) — the read-mostly side
-  every ``GET /results`` query hits first,
-* one :class:`~repro.experiments.runner.ExperimentRunner` session whose
-  engine also answers cache-missing queries and table requests inline
-  (serialised by a lock, so HTTP threads and job workers never race the
-  engine).
+  every ``GET /result`` query hits first,
+* one :class:`~repro.session.Session` whose engine also answers
+  cache-missing queries and table requests inline (serialised by a lock,
+  so HTTP threads and job workers never race the engine).
 
 The engine's ``stage_runs`` counters are exposed through :meth:`stats`;
 they only move when a pipeline stage actually computes, which is how the
@@ -47,6 +46,7 @@ from repro.service.shards import (
     ShardTimeout,
     partition_shards,
 )
+from repro.session import Session
 from repro.specs import parse_spec
 
 __all__ = [
@@ -193,13 +193,9 @@ class SweepService:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        from repro.experiments.runner import ExperimentRunner  # lazy: import cycle hygiene
-
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.session = ExperimentRunner(
-            nprocs=nprocs, scale=scale, cache_dir=artifact_cache_dir, jobs=1
-        )
+        self.session = Session(nprocs=nprocs, scale=scale, cache_dir=artifact_cache_dir, jobs=1)
         self.engine = self.session.engine
         self.cache = CacheStore(
             self.data_dir / "results",

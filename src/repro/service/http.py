@@ -26,11 +26,6 @@ dependencies.  Endpoints:
                            404 until a tune job has finished)
 ========================  ==========================================================
 
-Backwards compatibility: ``GET /results`` used to be today's ``/result``.
-A request to ``/results`` with no pagination parameter but a ``problem=``
-or ``compute=`` one is still answered in the old single-result shape, with
-``Deprecation``/``X-Repro-Deprecated`` headers pointing at ``/result``.
-
 Responses are JSON with sorted keys and fixed separators
 (:func:`repro.serialize.canonical_json`), so the same logical answer is
 always the same bytes — a cached re-query, a replayed store or a resumed
@@ -196,7 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(202, record.to_dict(), headers={"Location": f"/jobs/{record.id}"})
 
     # ------------------------------------------------------------------ #
-    def _result(self, *, deprecated: bool = False) -> None:
+    def _result(self) -> None:
         params = self._params()
         compute = params.pop("compute", "true").strip().lower() not in ("0", "false", "no")
         try:
@@ -204,24 +199,14 @@ class _Handler(BaseHTTPRequestHandler):
         except KeyError:
             self._error(404, "result not cached (and compute=false was requested)")
             return
-        headers = {"X-Repro-Cache": "hit" if outcome.cached else "miss"}
-        if deprecated:
-            headers["Deprecation"] = "true"
-            headers["X-Repro-Deprecated"] = "single-result lookup moved to GET /result"
-        self._send(200, {"key": outcome.key, "result": outcome.payload}, headers=headers)
+        self._send(
+            200,
+            {"key": outcome.key, "result": outcome.payload},
+            headers={"X-Repro-Cache": "hit" if outcome.cached else "miss"},
+        )
 
     def _results_list(self) -> None:
-        params = self._params()
-        # legacy shim: the old single-result /results request carries no
-        # pagination parameter but a problem= (or compute=) one — keep
-        # answering it in the old shape, flagged as deprecated
-        legacy = not ({"limit", "cursor", "fields"} & set(params)) and (
-            "problem" in params or "compute" in params
-        )
-        if legacy:
-            self._result(deprecated=True)
-            return
-        self._send(200, self.server.service.list_results(params))
+        self._send(200, self.server.service.list_results(self._params()))
 
     def _leaderboard(self) -> None:
         params = self._params()

@@ -18,9 +18,7 @@ parameters *and* processor counts in a single call::
         payload = [r.to_dict() for r in results]       # JSON-ready
 
 Results come back in grid order whatever the execution order was, so serial
-and parallel runs are bit-identical.  The historical
-:class:`~repro.experiments.runner.ExperimentRunner` is a thin shim over this
-class.
+and parallel runs are bit-identical.
 """
 
 from __future__ import annotations

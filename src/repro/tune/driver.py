@@ -209,7 +209,6 @@ class Tuner:
         for config in configs:
             groups.setdefault((config.split, config.split_threshold), []).append(config)
 
-        from repro.session import Session
         from repro.specs import SweepSpec
 
         scores: dict[str, float] = {}
@@ -224,12 +223,7 @@ class Tuner:
                 scale=[scale],
                 split_threshold=[threshold],
             )
-            # call the declarative Session.sweep explicitly: the historical
-            # ExperimentRunner subclass shadows it with the legacy
-            # (problems, orderings, strategies) signature
-            view = Session.sweep(
-                self.session, grid, batch=self.batch, jobs=self.jobs, store=self.store
-            )
+            view = self.session.sweep(grid, batch=self.batch, jobs=self.jobs, store=self.store)
             # grid order is problem-major: problems × orderings × strategies
             for s_idx, config in enumerate(group):
                 per_problem: dict[str, float] = {}

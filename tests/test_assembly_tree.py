@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.problems import get_problem
 from repro.ordering import compute_ordering
 from repro.sparse import SparsePattern, grid_2d, random_pattern
 from repro.symbolic import AssemblyTree, build_assembly_tree
@@ -157,6 +158,18 @@ class TestBuildAssemblyTree:
         fine = build_assembly_tree(small_grid, perm, amalgamation_relax=0.0, amalgamation_min_pivots=1)
         coarse = build_assembly_tree(small_grid, perm, amalgamation_relax=0.4, amalgamation_min_pivots=8)
         assert coarse.nnodes <= fine.nnodes
+        # the relaxation ladder on a paper analogue: more relaxation never
+        # gives more nodes, nor fewer stored factor entries
+        pattern = get_problem("XENON2").build(0.3)
+        perm = compute_ordering(pattern, "metis")
+        ladder = [
+            build_assembly_tree(pattern, perm, amalgamation_relax=relax, keep_variables=False)
+            for relax in (0.0, 0.1, 0.25, 0.5)
+        ]
+        nodes = [tree.nnodes for tree in ladder]
+        factors = [tree.total_factor_entries() for tree in ladder]
+        assert nodes == sorted(nodes, reverse=True)
+        assert factors == sorted(factors)
 
     def test_amalgamation_preserves_factor_lower_bound(self, small_grid):
         """Amalgamation can only add explicit zeros, never lose factor entries."""

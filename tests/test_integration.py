@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro import quick_compare, simulate
-from repro.experiments import ExperimentRunner
 from repro.ordering import compute_ordering
+from repro.pipeline import CaseSpec
+from repro.session import Session
 from repro.sparse import grid_3d
 from repro.symbolic import build_assembly_tree, split_large_masters
 
@@ -45,50 +46,51 @@ class TestQualitativeShapes:
     """The qualitative findings of the paper that the simulation must reproduce."""
 
     @pytest.fixture(scope="class")
-    def runner(self):
-        return ExperimentRunner(nprocs=8, scale=0.35)
+    def session(self):
+        with Session(nprocs=8, scale=0.35) as session:
+            yield session
 
-    def test_memory_strategy_helps_or_is_neutral_on_average(self, runner):
+    def test_memory_strategy_helps_or_is_neutral_on_average(self, session):
         """Table 2's shape: averaged over cases, the memory strategy does not lose."""
         gains = []
         for problem, ordering in [("XENON2", "metis"), ("XENON2", "amd"), ("MSDOOR", "metis")]:
-            cmp = runner.compare(problem, ordering)
+            cmp = session.compare(problem, ordering)
             gains.append(cmp["gain_percent"])
         assert np.mean(gains) > -5.0
 
-    def test_splitting_reduces_peak_when_masters_dominate(self, runner):
+    def test_splitting_reduces_peak_when_masters_dominate(self, session):
         """Table 4's shape: static splitting reduces the absolute peak for the
         unsymmetric problems whose peak is a huge type-2 master."""
-        plain = runner.run_case("TWOTONE", "amd", "mumps-workload", split=False)
-        split = runner.run_case("TWOTONE", "amd", "mumps-workload", split=True)
+        plain = session.run(CaseSpec("TWOTONE", "amd", "mumps-workload", split=False))
+        split = session.run(CaseSpec("TWOTONE", "amd", "mumps-workload", split=True))
         assert split.max_peak_stack <= plain.max_peak_stack * 1.05
 
-    def test_combined_static_dynamic_best_on_unsym(self, runner):
+    def test_combined_static_dynamic_best_on_unsym(self, session):
         """Table 5's shape: memory strategy + splitting vs original MUMPS."""
-        base = runner.run_case("TWOTONE", "amd", "mumps-workload", split=False)
-        combined = runner.run_case("TWOTONE", "amd", "memory-full", split=True)
+        base = session.run(CaseSpec("TWOTONE", "amd", "mumps-workload", split=False))
+        combined = session.run(CaseSpec("TWOTONE", "amd", "memory-full", split=True))
         assert combined.max_peak_stack <= base.max_peak_stack * 1.1
 
-    def test_time_loss_bounded(self, runner):
+    def test_time_loss_bounded(self, session):
         """Table 6's shape: the memory strategy does not slow the factorization
         down by an unreasonable factor."""
-        base = runner.run_case("XENON2", "metis", "mumps-workload", split=False)
-        mem = runner.run_case("XENON2", "metis", "memory-full", split=True)
+        base = session.run(CaseSpec("XENON2", "metis", "mumps-workload", split=False))
+        mem = session.run(CaseSpec("XENON2", "metis", "memory-full", split=True))
         assert mem.total_time <= 2.0 * base.total_time
 
-    def test_ordering_changes_tree_and_memory(self, runner):
+    def test_ordering_changes_tree_and_memory(self, session):
         """The premise of the evaluation: different orderings give different
         trees and different memory behaviour."""
         peaks = {}
         for ordering in ("metis", "amd"):
-            case = runner.run_case("XENON2", ordering, "mumps-workload")
+            case = session.run(CaseSpec("XENON2", ordering, "mumps-workload"))
             peaks[ordering] = case.max_peak_stack
         assert peaks["metis"] != peaks["amd"]
 
-    def test_subtree_dominated_symmetric_case_gains_nothing(self, runner):
+    def test_subtree_dominated_symmetric_case_gains_nothing(self, session):
         """The paper's explanation for the zeros of Table 2: when the peak is
         inside a leaf subtree, the dynamic strategy cannot change it much."""
-        base = runner.run_case("SHIP_003", "pord", "mumps-workload")
-        mem = runner.run_case("SHIP_003", "pord", "memory-full")
+        base = session.run(CaseSpec("SHIP_003", "pord", "mumps-workload"))
+        mem = session.run(CaseSpec("SHIP_003", "pord", "memory-full"))
         # gains, if any, stay modest in this regime — and never a blow-up
         assert mem.max_peak_stack <= 1.25 * base.max_peak_stack

@@ -300,18 +300,16 @@ class TestSweepExecutor:
         # one progress event per case, monotonically counting up
         assert sorted(e.done for e in events) == [1, 2, 3, 4]
 
-    def test_parallel_through_runner_facade(self):
-        from repro.experiments import ExperimentRunner
+    def test_parallel_through_session(self):
+        from repro.session import Session
 
-        serial = ExperimentRunner(nprocs=4, scale=0.2)
-        parallel = ExperimentRunner(nprocs=4, scale=0.2, jobs=2)
-        try:
-            a = serial.sweep(["XENON2"], ["metis"], ["mumps-workload", "memory-full"])
-            b = parallel.sweep(["XENON2"], ["metis"], ["mumps-workload", "memory-full"])
-            for x, y in zip(a, b):
-                assert_case_results_equal(x, y)
-        finally:
-            parallel.close()
+        grid = {"problems": ["XENON2"], "orderings": ["metis"], "strategies": ["mumps-workload", "memory-full"]}
+        with Session(nprocs=4, scale=0.2) as serial, Session(nprocs=4, scale=0.2, jobs=2) as parallel:
+            a = serial.sweep(grid)
+            b = parallel.sweep(grid)
+        assert len(a) == len(b) == 2
+        for x, y in zip(a, b):
+            assert_case_results_equal(x, y)
 
     def test_pool_reused_across_runs(self):
         executor = SweepExecutor(engine(), jobs=2)

@@ -57,6 +57,10 @@ def make_result(i: int, *, problem: str = "XENON2", nprocs: int = 4, key_seed: f
     )
 
 
+#: one manifest record as the store writes it (writer tags are 8 hex digits).
+_MANIFEST_RECORD = canonical_json({"op": "segment", "file": "seg-00000000-000000.npz", "rows": 1})
+
+
 def assert_results_equal(a: CaseResult, b: CaseResult) -> None:
     da, db = a.to_dict(), b.to_dict()
     assert da == db
@@ -351,6 +355,32 @@ class TestResultStore:
         reopened = ResultStore(tmp_path / "store", fsync=False)
         assert len(reopened) == 1
         assert_results_equal(reopened.get("k0"), make_result(0))
+
+    @pytest.mark.parametrize("cut", range(len(_MANIFEST_RECORD)))
+    def test_torn_manifest_tail_keeps_the_next_record_whole(self, tmp_path, cut):
+        directory = tmp_path / "store"
+        store = ResultStore(directory, fsync=False)
+        store.append("k0", make_result(0))
+        store.append("k1", make_result(1))
+        # a crash cut the last record after `cut` bytes: reopening adopts its
+        # segment as an orphan (one append), then a fresh result appends again
+        data = store.manifest_path.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        assert len(data) - last == len(_MANIFEST_RECORD)
+        fragment = data[last:last + cut]
+        store.manifest_path.write_bytes(data[:last] + fragment)
+        reopened = ResultStore(directory, fsync=False)
+        reopened.append("k2", make_result(2))
+
+        named = []
+        for line in store.manifest_path.read_bytes().splitlines():
+            try:
+                named.append(json.loads(line)["file"])
+            except json.JSONDecodeError:
+                assert line == fragment  # the torn fragment stays on a line of its own
+        segments = sorted(p.name for p in directory.glob("seg-*.npz"))
+        assert sorted(named) == segments and len(segments) == 3
+        assert set(ResultStore(directory, fsync=False).keys()) == {"k0", "k1", "k2"}
 
     def test_torn_segment_is_counted_not_fatal(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)

@@ -1,11 +1,10 @@
-"""Tests of the redesigned results API: paginated listing, shim, client.
+"""Tests of the redesigned results API: paginated listing and client.
 
 Drives the daemon's ``list_results`` directly for the validation and
 pagination semantics, then the real loopback HTTP server end-to-end for
 the acceptance criteria: ``GET /results?...&limit=...`` answers from the
-columnar store with byte-stable pages, the old single-result shape still
-works through the ``/results`` deprecation shim (with a ``Deprecation``
-header), and the new single-result home is ``GET /result``.
+columnar store with byte-stable pages, and the single-result home is
+``GET /result``.
 """
 
 from __future__ import annotations
@@ -188,34 +187,15 @@ class TestResultsOverHTTP:
             )
         assert excinfo.value.status == 404
 
-    def test_legacy_results_shim_still_answers_single_lookups(self, served):
-        _, client = served
-        legacy = client.results(
-            problem="XENON2", ordering="metis", strategy="hybrid(alpha=0.3)", nprocs=8
-        )
-        new = client.result(
-            problem="XENON2", ordering="metis", strategy="hybrid(alpha=0.3)", nprocs=8
-        )
-        assert legacy.body == new.body  # same payload, old URL
-
-    def test_legacy_shim_sends_deprecation_headers(self, served):
-        _, client = served
-        url = (
-            client.base_url
-            + "/results?problem=XENON2&ordering=metis&strategy=mumps-workload&nprocs=8"
-        )
-        with urllib.request.urlopen(url, timeout=30) as response:
-            assert response.headers.get("Deprecation") == "true"
-            assert "GET /result" in response.headers.get("X-Repro-Deprecated", "")
-            json.loads(response.read())
-
     def test_list_shape_has_no_deprecation_header(self, served):
         _, client = served
-        url = client.base_url + "/results?problem=XENON2&limit=5"
-        with urllib.request.urlopen(url, timeout=30) as response:
-            assert response.headers.get("Deprecation") is None
-            payload = json.loads(response.read())
-        assert payload["total"] == 4
+        # a bare problem= filter is a listing too: no single-result shape
+        for query in ("problem=XENON2&limit=5", "problem=XENON2"):
+            with urllib.request.urlopen(client.base_url + "/results?" + query, timeout=30) as response:
+                assert response.headers.get("Deprecation") is None
+                payload = json.loads(response.read())
+            assert payload["total"] == payload["count"] == 4
+            assert "result" not in payload
 
     def test_healthz_reports_store_stats(self, served):
         _, client = served

@@ -3,7 +3,7 @@
 The unit tests drive the queue/cache/shard layers directly (with injected
 clocks and backends, no sockets); the end-to-end tests run the real daemon
 behind a real loopback HTTP server — submit → poll → query — and assert the
-acceptance criteria: a repeated ``GET /results`` is served from the cache
+acceptance criteria: a repeated ``GET /result`` is served from the cache
 (stage-execution counters unchanged) with byte-identical JSON.
 """
 
@@ -554,7 +554,7 @@ class TestServiceEndToEnd:
         assert final["shards_done"] == final["shards_total"] == 1
 
         # the job populated the cache: the query is a hit, not a recompute
-        response = client.results(
+        response = client.result(
             problem="XENON2", ordering="metis", strategy="hybrid(alpha=0.3)"
         )
         assert response.cached
@@ -566,12 +566,12 @@ class TestServiceEndToEnd:
         params = {"problem": "XENON2", "ordering": "metis", "strategy": "memory-full"}
         service.cache.clear()
 
-        first = client.results(**params)
+        first = client.result(**params)
         assert first.cache == "miss"  # computed through the pipeline
 
         runs_before = client.healthz()["stage_runs"]
         start = time.perf_counter()
-        second = client.results(**params)
+        second = client.result(**params)
         latency = time.perf_counter() - start
         runs_after = client.healthz()["stage_runs"]
 
@@ -582,8 +582,8 @@ class TestServiceEndToEnd:
 
     def test_query_defaults_match_explicit_engine_values(self, served):
         _, client = served
-        a = client.results(problem="XENON2", ordering="metis", strategy="memory-full")
-        b = client.results(
+        a = client.result(problem="XENON2", ordering="metis", strategy="memory-full")
+        b = client.result(
             problem="XENON2", ordering="metis", strategy="memory-full",
             nprocs=NPROCS, scale=SCALE,
         )
@@ -594,13 +594,13 @@ class TestServiceEndToEnd:
     def test_no_compute_miss_is_404(self, served):
         _, client = served
         with pytest.raises(ServiceError) as err:
-            client.results(problem="XENON2", strategy="memory-basic", compute=False)
+            client.result(problem="XENON2", strategy="memory-basic", compute=False)
         assert err.value.status == 404
 
     def test_bad_requests_are_400(self, served):
         _, client = served
         with pytest.raises(ServiceError) as err:
-            client.results(problem="XENON2", nprocs="eight")
+            client.result(problem="XENON2", nprocs="eight")
         assert err.value.status == 400
         with pytest.raises(ServiceError) as err:
             client.submit({"sweep": {"problems": []}})

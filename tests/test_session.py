@@ -117,30 +117,16 @@ class TestSession:
             b = session.analysis("XENON2", "metis")
             assert a is b  # one analysis bundle serves every strategy variant
 
+    def test_run_accepts_strategy_specs(self):
+        with open_session(nprocs=4, scale=0.2) as session:
+            case = session.run(CaseSpec("XENON2", "metis", "hybrid(alpha=0.25)"))
+            assert case.strategy == "hybrid(alpha=0.25)"
+
     def test_session_config_passthrough(self):
         config = SimulationConfig.paper(8, latency=1e-5)
         with open_session(nprocs=8, scale=0.2, config=config) as session:
             assert session.config.latency == 1e-5
             assert session.config.type2_front_threshold == 96
-
-
-class TestExperimentRunnerShim:
-    def test_runner_is_a_session(self):
-        from repro.experiments import ExperimentRunner
-
-        runner = ExperimentRunner(nprocs=4, scale=0.2)
-        assert isinstance(runner, Session)
-        # the historical positional call-styles still work
-        case = runner.run_case("XENON2", "metis", "memory-full")
-        swept = runner.sweep(["XENON2"], ["metis"], ["memory-full"])
-        assert_case_results_equal(case, swept[0])
-
-    def test_runner_accepts_strategy_specs(self):
-        from repro.experiments import ExperimentRunner
-
-        runner = ExperimentRunner(nprocs=4, scale=0.2)
-        case = runner.run_case("XENON2", "metis", "hybrid(alpha=0.25)")
-        assert case.strategy == "hybrid(alpha=0.25)"
 
 
 class TestMachineReadableCli:
