@@ -22,8 +22,12 @@ writer seals its own uniquely named segments, so concurrent writers — even
 in different processes sharing the directory — never collide; siblings'
 segments appear on :meth:`ResultStore.refresh`.
 
-Reads are indexed: the store keeps ``key → (segment, row)`` with last-write
-wins, so :meth:`get`/``in`` are O(1) and :meth:`table` deduplicates by key.
+Reads are indexed and incremental: the store keeps ``key → (segment, row)``
+with last-write wins, so :meth:`get`/``in`` are O(1); :meth:`table` caches the
+merged, key-deduplicated rows and merges in only the segments ingested since
+its last call; :meth:`refresh` reads only the manifest bytes appended since
+the last read.  Every instance ingests segments in manifest order, so its
+table is the manifest-ordered concatenation deduplicated by key.
 """
 
 from __future__ import annotations
@@ -74,6 +78,10 @@ class ResultStore:
         self._writer_seq = 0
         self._segments: dict[str, ResultTable] = {}  # filename → table, manifest order
         self._index: dict[str, tuple[str, int]] = {}  # key → (filename, row)
+        self._unloadable: set[str] = set()  # segment files that failed to load
+        self._manifest_offset = 0  # manifest bytes consumed, up to the last newline
+        self._merged = ResultTableBuilder().build()  # the deduplicated rows so far
+        self._unmerged: list[ResultTable] = []  # segments ingested since the last merge
         self._default_writer: Optional[ResultWriter] = None
         self.replay_skipped = 0  # unloadable segments seen during replay
         self._replay()
@@ -85,27 +93,37 @@ class ResultStore:
     def manifest_path(self) -> Path:
         return self.directory / _MANIFEST
 
-    def _manifest_files(self) -> list[str]:
-        """Segment filenames named by the manifest, torn trailing line skipped."""
-        files: list[str] = []
+    def _read_manifest_tail(self, pending: Optional[dict[str, ResultTable]] = None) -> None:
+        """Ingest the segments named by manifest lines appended since the last read.
+
+        Only the bytes past the consumed offset are read.  An unterminated
+        last line (a crash mid-append, or a sibling still writing) is parsed
+        but not consumed, so it is read again until a later append terminates
+        it; a manifest that has shrunk is read again from the start.
+        ``pending`` holds tables this store already has in memory, by
+        filename.  Caller holds ``self._lock``.
+        """
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            with open(self.manifest_path, "rb") as fh:
+                if os.fstat(fh.fileno()).st_size < self._manifest_offset:
+                    self._manifest_offset = 0
+                fh.seek(self._manifest_offset)
+                data = fh.read()
         except FileNotFoundError:
-            return files
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
+            self._manifest_offset = 0
+            data = b""
+        self._manifest_offset += data.rfind(b"\n") + 1
+        for line in data.splitlines():
             try:
                 event = json.loads(line)
-            except json.JSONDecodeError:
-                # torn trailing line from a crash mid-append: the segment it
-                # described will be adopted as an orphan if it is complete
+            except ValueError:
+                # torn line from a crash mid-append: the segment it described
+                # is adopted as an orphan if it is complete
                 continue
-            if event.get("op") == "segment" and isinstance(event.get("file"), str):
-                files.append(event["file"])
-        return files
+            if isinstance(event, dict) and event.get("op") == "segment":
+                filename = event.get("file")
+                if isinstance(filename, str):
+                    self._ingest(filename, (pending or {}).get(filename))
 
     def _append_manifest(self, filename: str, rows: int) -> None:
         # caller holds self._lock
@@ -123,49 +141,63 @@ class ResultStore:
             if self.fsync:
                 os.fsync(fh.fileno())
 
+    def _commit(self, filename: str, table: ResultTable) -> None:
+        """Manifest one segment file, then ingest the manifest through its line.
+
+        Reading the tail (instead of registering the table directly) keeps
+        the in-memory segment order equal to the manifest order even when a
+        sibling appended lines since the last read.  Caller holds
+        ``self._lock``.
+        """
+        self._append_manifest(filename, len(table))
+        self._read_manifest_tail({filename: table})
+
     def _load_segment(self, filename: str) -> Optional[ResultTable]:
         try:
             return ResultTable.load_npz(self.directory / filename)
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError, KeyError, EOFError):
-            # a torn or foreign file must never poison replay — skip it; the
-            # rows it would have held are simply recomputed by the next sweep
+            # a torn or foreign file must never poison replay — skip it (and
+            # never retry it); the rows it would have held are simply
+            # recomputed by the next sweep
             self.replay_skipped += 1
+            self._unloadable.add(filename)
             return None
 
-    def _adopt(self, filename: str) -> Optional[ResultTable]:
-        """Register one segment file: load, index, ensure a manifest line."""
-        table = self._load_segment(filename)
+    def _ingest(self, filename: str, table: Optional[ResultTable] = None) -> None:
+        """Register one segment (loading it unless given) and index its keys."""
+        # caller holds self._lock
+        if filename in self._segments or filename in self._unloadable:
+            return
         if table is None:
-            return None
+            table = self._load_segment(filename)
+            if table is None:
+                return
         self._segments[filename] = table
-        for row, key in enumerate(table.keys):
-            key = str(key)
+        self._unmerged.append(table)
+        for row, key in enumerate(table.keys.tolist()):
             if key:
                 self._index[key] = (filename, row)
-        return table
 
     def _replay(self) -> int:
-        """(Re)scan manifest + directory; returns the number of new segments."""
+        """Read the manifest tail and adopt orphans; returns the number of new segments."""
         with self._lock:
-            known = set(self._segments)
-            new = 0
-            for filename in self._manifest_files():
-                if filename in known or not (self.directory / filename).exists():
-                    continue
-                if self._adopt(filename) is not None:
-                    known.add(filename)
-                    new += 1
+            before = len(self._segments)
+            self._read_manifest_tail()
             # orphan adoption: complete segments whose manifest line was lost
             # to a crash between replace and append get re-manifested here
-            for path in sorted(self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")):
-                if path.name in known:
-                    continue
-                table = self._adopt(path.name)
-                if table is not None:
-                    self._append_manifest(path.name, len(table))
-                    known.add(path.name)
-                    new += 1
-            return new
+            orphans = set(os.listdir(self.directory)) - self._segments.keys() - self._unloadable
+            for filename in sorted(orphans):
+                if (
+                    filename.startswith(_SEGMENT_PREFIX)
+                    and filename.endswith(_SEGMENT_SUFFIX)
+                    and filename not in self._segments  # a sibling may manifest it meanwhile
+                ):
+                    table = self._load_segment(filename)
+                    if table is not None:
+                        self._commit(filename, table)
+            return len(self._segments) - before
 
     def refresh(self) -> int:
         """Pick up segments sealed by sibling writers; returns how many."""
@@ -207,12 +239,7 @@ class ResultStore:
         # names a complete segment, and a lineless segment is adopted later
         table.save_npz(self.directory / filename, fsync=self.fsync)
         with self._lock:
-            self._segments[filename] = table
-            for row, key in enumerate(table.keys):
-                key = str(key)
-                if key:
-                    self._index[key] = (filename, row)
-            self._append_manifest(filename, len(table))
+            self._commit(filename, table)
         return filename
 
     # ------------------------------------------------------------------ #
@@ -238,12 +265,16 @@ class ResultStore:
         return table.result(row)
 
     def table(self) -> ResultTable:
-        """Every live row as one table (deduplicated by key, last write wins)."""
+        """Every live row as one table (deduplicated by key, last write wins).
+
+        The table is cached and shared between callers (it is immutable);
+        only segments ingested since the previous call are merged into it.
+        """
         with self._lock:
-            segments = list(self._segments.values())
-        if not segments:
-            return ResultTableBuilder().build()
-        return ResultTable.concat(segments).dedupe_by_key()
+            if self._unmerged:
+                self._merged = ResultTable.concat([self._merged, *self._unmerged]).dedupe_by_key()
+                self._unmerged = []
+            return self._merged
 
     def filter(self, **predicates) -> ResultTable:
         """Columnar predicate filtering over the live rows (see ``ResultTable.filter``)."""

@@ -178,31 +178,15 @@ class ResultTable:
                 f"unknown result field(s) {sorted(unknown)}; expected {sorted(RESULT_COLUMNS)}"
             )
         n = len(self)
+        # ndarray.tolist() yields the Python bool/int/float/str of each element
         columns: dict[str, list] = {}
         for name in wanted:
             if name == "per_proc_peak_stack":
-                columns[name] = [
-                    [float(x) for x in self._values[self._offsets[i]:self._offsets[i + 1]]]
-                    for i in range(n)
-                ]
-            elif name == "key":
-                columns[name] = [str(k) for k in self._keys]
-            elif name in STRING_COLUMNS:
-                columns[name] = [str(v) for v in self.column(name)]
-            elif name in ("split",):
-                columns[name] = [bool(v) for v in self._numeric[name]]
-            elif name in (
-                "nprocs",
-                "nodes",
-                "nodes_split",
-                "messages",
-                "replications",
-                "messages_lost",
-                "retries",
-            ):
-                columns[name] = [int(v) for v in self._numeric[name]]
+                values = self._values.tolist()
+                bounds = self._offsets.tolist()
+                columns[name] = [values[bounds[i]:bounds[i + 1]] for i in range(n)]
             else:
-                columns[name] = [float(v) for v in self._numeric[name]]
+                columns[name] = self.column(name).tolist()
         return [{name: columns[name][i] for name in wanted} for i in range(n)]
 
     # ------------------------------------------------------------------ #
@@ -248,18 +232,17 @@ class ResultTable:
     def take(self, indices) -> "ResultTable":
         """A new table holding the given rows, in the given order."""
         idx = np.asarray(indices, dtype=np.int64)
-        lengths = (self._offsets[1:] - self._offsets[:-1])[idx]
+        starts = self._offsets[:-1][idx]
+        lengths = np.diff(self._offsets)[idx]
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        values = np.empty(int(offsets[-1]), dtype=np.float64)
-        for out_i, src_i in enumerate(idx):
-            lo, hi = self._offsets[src_i], self._offsets[src_i + 1]
-            values[offsets[out_i]:offsets[out_i + 1]] = self._values[lo:hi]
+        # gather every selected row's per-processor slice in one fancy index
+        gather = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
         return ResultTable(
             codes={name: arr[idx] for name, arr in self._codes.items()},
             vocabs=self._vocabs,
             numeric={name: arr[idx] for name, arr in self._numeric.items()},
-            values=values,
+            values=self._values[gather],
             offsets=offsets,
             keys=self._keys[idx],
         )
@@ -292,26 +275,50 @@ class ResultTable:
         Rows with an empty key are never deduplicated.  Surviving rows keep
         their relative order.
         """
-        seen: dict[str, int] = {}
-        keep: list[int] = []
-        for i, key in enumerate(self._keys):
-            key = str(key)
-            if not key:
-                keep.append(i)
-                continue
-            if key in seen:
-                keep[seen[key]] = -1
-            seen[key] = len(keep)
-            keep.append(i)
-        return self.take(np.asarray([i for i in keep if i >= 0], dtype=np.int64))
+        n = len(self)
+        # first occurrence in the reversed keys = last occurrence in the keys
+        _, first_reversed = np.unique(self._keys[::-1], return_index=True)
+        keep = self._keys == ""
+        keep[n - 1 - first_reversed] = True
+        return self.take(np.flatnonzero(keep))
 
     @classmethod
     def concat(cls, tables: Sequence["ResultTable"]) -> "ResultTable":
-        """Concatenate tables (vocabularies are merged)."""
-        builder = ResultTableBuilder()
-        for table in tables:
-            builder.extend_table(table)
-        return builder.build()
+        """Concatenate tables column-wise.
+
+        Vocabularies are merged in first-seen order (table by table) and each
+        table's codes are remapped with one gather, so the cost is numpy work
+        over the rows plus Python work over the vocabularies only.
+        """
+        if not tables:
+            return ResultTableBuilder().build()
+        codes: dict[str, np.ndarray] = {}
+        vocabs: dict[str, np.ndarray] = {}
+        for name in STRING_COLUMNS:
+            merged: dict[str, int] = {}
+            parts = []
+            for table in tables:
+                remap = np.asarray(
+                    [merged.setdefault(str(v), len(merged)) for v in table._vocabs[name]],
+                    dtype=np.int32,
+                )
+                parts.append(remap[table._codes[name]])
+            codes[name] = np.concatenate(parts)
+            vocabs[name] = np.asarray(list(merged), dtype=str) if merged else np.empty(0, dtype="U1")
+        lengths = np.concatenate([np.diff(table._offsets) for table in tables])
+        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return cls(
+            codes=codes,
+            vocabs=vocabs,
+            numeric={
+                name: np.concatenate([table._numeric[name] for table in tables])
+                for name, _ in NUMERIC_COLUMNS
+            },
+            values=np.concatenate([table._values for table in tables]),
+            offsets=offsets,
+            keys=np.concatenate([table._keys for table in tables]),
+        )
 
     @classmethod
     def from_results(
@@ -447,18 +454,6 @@ class ResultTableBuilder:
         else:
             for result, key in zip(results, keys):
                 self.append(result, key=key)
-
-    def extend_table(self, table: ResultTable) -> None:
-        """Append every row of ``table`` (column-wise, no per-row decode)."""
-        for name in STRING_COLUMNS:
-            decoded = table.column(name)
-            self._codes[name].extend(self._encode(name, str(v)) for v in decoded)
-        for name, _ in NUMERIC_COLUMNS:
-            self._numeric[name].extend(table.column(name).tolist())
-        offsets = table._offsets
-        self._values.append(np.asarray(table._values, dtype=np.float64))
-        self._lengths.extend((offsets[1:] - offsets[:-1]).tolist())
-        self._keys.extend(str(k) for k in table.keys)
 
     def build(self) -> ResultTable:
         n = len(self._keys)

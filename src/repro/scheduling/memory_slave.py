@@ -108,10 +108,9 @@ def _level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int,
         remaining -= give
         if remaining == 0:
             break
-    # remaining rows are assigned equitably
-    j = 0
-    while remaining > 0:
-        rows[j % best] += 1
-        remaining -= 1
-        j += 1
+    # remaining rows are assigned equitably: round-robin from the first
+    # slave, i.e. every slave gets `share` and the first `extra` one more
+    share, extra = divmod(remaining, best)
+    rows += share
+    rows[:extra] += 1
     return [(int(q), int(r)) for q, r in zip(chosen, rows) if r > 0]

@@ -487,11 +487,9 @@ class SweepService:
             done = 0
             for shard_no, shard in enumerate(shards):
                 results = self._run_shard_with_retry(record, shard, deadline)
-                batch_keys = []
-                for (index, case_spec), result in zip(shard, results):
-                    key = self._store_result(case_spec, result)
+                batch_keys = self._store_shard(shard, results)
+                for (index, _), key in zip(shard, batch_keys):
                     keys[index] = key
-                    batch_keys.append(key)
                 done += len(shard)
                 self.queue.progress(
                     record.id, done=done, shards_done=shard_no + 1, result_keys=batch_keys
@@ -559,11 +557,23 @@ class SweepService:
                 f"no leaderboard for job {job_id!r}" if job_id else "no leaderboard yet"
             ) from None
 
-    def _store_result(self, spec: CaseSpec, result: CaseResult) -> str:
-        key = result_key(self.engine, spec)
-        self.cache.put(key, result.to_dict())
-        self.results.append(key, result)
-        return key
+    def _store_shard(
+        self, shard: list[tuple[int, CaseSpec]], results: Sequence[CaseResult]
+    ) -> list[str]:
+        """Cache one shard's results and seal them as one store segment.
+
+        The segment is durable when this returns, before the caller journals
+        the shard's ``progress`` line: a key named by the journal is always
+        in the store.
+        """
+        keys = []
+        with self.results.writer(flush_every=len(shard)) as writer:
+            for (_, spec), result in zip(shard, results):
+                key = result_key(self.engine, spec)
+                self.cache.put(key, result.to_dict())
+                writer.append(key, result)
+                keys.append(key)
+        return keys
 
     def _run_shard_with_retry(
         self,

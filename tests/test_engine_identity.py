@@ -19,6 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mapping import compute_mapping
 from repro.runtime import (
@@ -424,6 +426,26 @@ class TestEngineSelection:
 # --------------------------------------------------------------------------- #
 # selector-level equivalence: numpy selectors ≡ historical per-candidate loops
 # --------------------------------------------------------------------------- #
+def scalar_level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int, int]]:
+    """Oracle of ``_level_rows``: the historical row-at-a-time levelling loop."""
+    rows = np.zeros(best, dtype=np.int64)
+    remaining = ncb
+    for j in range(best):
+        deficit_rows = int((level - chosen_mem[j]) // nfront)
+        give = min(deficit_rows, remaining)
+        rows[j] = give
+        remaining -= give
+        if remaining == 0:
+            break
+    # remaining rows are assigned equitably, one at a time
+    j = 0
+    while remaining > 0:
+        rows[j % best] += 1
+        remaining -= 1
+        j += 1
+    return [(int(q), int(r)) for q, r in zip(chosen, rows) if r > 0]
+
+
 def scalar_memory_select(ctx: SlaveSelectionContext, use_predictions: bool):
     """Oracle of MemorySlaveSelector: the historical Algorithm 1 loops."""
     if ctx.ncb <= 0:
@@ -446,7 +468,7 @@ def scalar_memory_select(ctx: SlaveSelectionContext, use_predictions: bool):
         best = i
     max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
     best = min(best, ctx.max_slaves, max_by_rows)
-    return _level_rows(
+    return scalar_level_rows(
         sorted_procs[:best], sorted_mem[:best], sorted_mem[best - 1], nfront, ctx.ncb, best
     )
 
@@ -512,6 +534,23 @@ class TestSelectorVectorization:
         for use_predictions in (False, True):
             vec = MemorySlaveSelector(use_predictions=use_predictions).select(ctx)
             assert vec == scalar_memory_select(ctx, use_predictions)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ncb=st.integers(0, 3000),
+        nfront=st.integers(1, 4000),
+        memories=st.lists(
+            st.floats(0.0, 5e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
+        ),
+        best_fraction=st.floats(0.0, 1.0),
+    )
+    def test_level_rows_matches_scalar(self, ncb, nfront, memories, best_fraction):
+        # Algorithm 1 levels a prefix of the ascending memories up to its top
+        chosen_mem = np.sort(np.asarray(memories))
+        best = 1 + int(best_fraction * (len(memories) - 1))
+        chosen = list(range(100, 100 + best))
+        args = (chosen, chosen_mem[:best], chosen_mem[best - 1], nfront, ncb, best)
+        assert _level_rows(*args) == scalar_level_rows(*args)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_workload_selector_matches_scalar(self, seed):

@@ -10,9 +10,13 @@ and the delta-encoded trace codec.
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pipeline.stage import CaseResult, CaseSpec
 from repro.results import (
@@ -219,6 +223,35 @@ class TestResultTable:
         merged = ResultTable.concat([a, b])
         assert list(merged.column("problem")) == ["XENON2", "PRE2"]
         assert list(merged.keys) == ["a", "b"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=5),
+            max_size=4,
+        ),
+        st.sampled_from([None, "XENON2", "PRE2"]),
+    )
+    def test_concat_and_dedupe_match_row_by_row(self, groups, problem):
+        # tables of (key, variant) rows, optionally filtered so that their
+        # vocabularies hold values no row uses
+        tables = []
+        for rows in groups:
+            table = ResultTable.from_results(
+                [
+                    make_result(k, problem="XENON2" if k % 2 else "PRE2", nprocs=2 + v, key_seed=v)
+                    for k, v in rows
+                ],
+                keys=[f"k{k}" if v else "" for k, v in rows],
+            )
+            tables.append(table.filter(problem=problem) if problem else table)
+        rows = [(str(t.keys[i]), t.result(i)) for t in tables for i in range(len(t))]
+        merged = ResultTable.concat(tables)
+        expected = ResultTable.from_results([r for _, r in rows], keys=[k for k, _ in rows])
+        assert merged.to_dicts() == expected.to_dicts()
+        last = {k: i for i, (k, _) in enumerate(rows) if k}
+        survivors = [i for i, (k, _) in enumerate(rows) if not k or last[k] == i]
+        assert merged.dedupe_by_key().to_dicts() == expected.take(survivors).to_dicts()
 
     def test_npz_roundtrip(self, tmp_path):
         results = [make_result(i, nprocs=2 + i % 4) for i in range(9)]
@@ -427,6 +460,148 @@ class TestResultStore:
             store.append(f"k{i}", make_result(i, problem="XENON2" if i < 3 else "PRE2"))
         assert len(store.filter(problem="PRE2")) == 3
         assert len(store.table()) == 6
+
+
+def manifest_segments(manifest: bytes) -> list[str]:
+    """Segment files named by a manifest, in order, first naming wins."""
+    files: list[str] = []
+    for line in manifest.splitlines():
+        try:
+            event = json.loads(line)
+        except ValueError:
+            continue
+        if event["file"] not in files:
+            files.append(event["file"])
+    return files
+
+
+#: ops of the interleaving test; instances are 0 and 1, keys k0..k5, and a
+#: variant changes a row's values so that last-write-wins is visible
+_STORE_OPS = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 1), st.integers(0, 5), st.integers(0, 3)),
+    st.tuples(
+        st.just("seal"),
+        st.integers(0, 1),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=4),
+    ),
+    st.tuples(st.just("tear"), st.integers(0, 5), st.integers(0, 3), st.floats(0.0, 1.0)),
+    st.tuples(st.just("refresh"), st.integers(0, 1)),
+    st.tuples(st.just("reopen"), st.integers(0, 1)),
+)
+
+
+def _variant(key: int, variant: int) -> CaseResult:
+    return make_result(key, nprocs=2 + variant, key_seed=float(variant))
+
+
+class TestResultStoreReads:
+    """Incremental reads agree with the full-manifest definition of a store."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_STORE_OPS, max_size=12))
+    def test_interleaved_writers_match_the_manifest_oracle(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp) / "store"
+            stores = [ResultStore(directory, fsync=False) for _ in range(2)]
+            manifest = directory / "manifest.jsonl"
+            manifest.touch()
+            # the manifest each instance has read in full, as of its last op
+            seen = [b"", b""]
+            loaded: dict[str, ResultTable] = {}
+            torn = 0
+            for op in ops:
+                if op[0] == "append":
+                    _, i, key, variant = op
+                    stores[i].append(f"k{key}", _variant(key, variant))
+                elif op[0] == "seal":
+                    _, i, rows = op
+                    with stores[i].writer(flush_every=100) as writer:
+                        for key, variant in rows:
+                            writer.append(f"k{key}", _variant(key, variant))
+                elif op[0] == "tear":
+                    # a third writer crashes mid-append: its segment is
+                    # complete, its manifest line cut short (maybe to nothing)
+                    _, key, variant, fraction = op
+                    filename = f"seg-ffffffff-{torn:06d}.npz"
+                    torn += 1
+                    ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"]).save_npz(
+                        directory / filename
+                    )
+                    record = canonical_json({"op": "segment", "file": filename, "rows": 1})
+                    with open(manifest, "ab+") as fh:
+                        if fh.seek(0, 2) > 0:
+                            fh.seek(-1, 2)
+                            if fh.read(1) != b"\n":
+                                fh.write(b"\n")  # as every writer terminates a torn tail
+                        fh.write(record[: int(fraction * (len(record) - 1))])
+                    continue
+                elif op[0] == "refresh":
+                    i = op[1]
+                    stores[i].refresh()
+                else:
+                    i = op[1]
+                    stores[i] = ResultStore(directory, fsync=False)
+                seen[i] = manifest.read_bytes()
+
+                for store, view in zip(stores, seen):
+                    segments = []
+                    for filename in manifest_segments(view):
+                        if filename not in loaded:
+                            loaded[filename] = ResultTable.load_npz(directory / filename)
+                        segments.append(loaded[filename])
+                    # the oracle, row by row: last write wins, survivors in order
+                    rows = [(str(t.keys[r]), t.result(r)) for t in segments for r in range(len(t))]
+                    last = {key: n for n, (key, _) in enumerate(rows)}
+                    live = [(key, result) for n, (key, result) in enumerate(rows) if last[key] == n]
+                    expected = ResultTable.from_results(
+                        [result for _, result in live], keys=[key for key, _ in live]
+                    )
+                    assert store.table().to_dicts() == expected.to_dicts()
+                    assert len(store) == len(live)
+                    assert set(store.keys()) == {key for key, _ in live}
+                    for key, result in live:
+                        assert key in store
+                        assert_results_equal(store.get(key), result)
+
+    def test_table_is_cached_until_a_segment_arrives(self, tmp_path):
+        store = ResultStore(tmp_path / "store", fsync=False)
+        store.append("k0", make_result(0))
+        first = store.table()
+        assert store.table() is first
+        store.append("k1", make_result(1))
+        assert store.table() is not first and len(store.table()) == 2
+
+    def test_reads_resume_at_the_consumed_offset(self, tmp_path):
+        directory = tmp_path / "store"
+        store = ResultStore(directory, fsync=False)
+        store.append("k0", make_result(0))
+        # rewrite the consumed line in place, same length, to name another
+        # complete segment: only a reader that starts over would see it
+        other = "seg-eeeeeeee-000000.npz"
+        ResultTable.from_results([make_result(1)], keys=["k1"]).save_npz(directory / other)
+        manifest = directory / "manifest.jsonl"
+        first = json.loads(manifest.read_bytes())["file"]
+        manifest.write_bytes(manifest.read_bytes().replace(first.encode(), other.encode()))
+        store.append("k2", make_result(2))  # a seal reads the manifest tail through its line
+        assert "k1" not in store and len(store) == 2
+        assert store.refresh() == 1 and "k1" in store  # the orphan scan adopts it
+
+    def test_shrunk_manifest_is_read_again(self, tmp_path):
+        directory = tmp_path / "store"
+        reader = ResultStore(directory, fsync=False)
+        writer = ResultStore(directory, fsync=False)
+        for i in range(3):
+            writer.append(f"k{i}", make_result(i))
+        reader.refresh()
+        # the manifest is replaced by a shorter one naming a new segment
+        ResultTable.from_results([make_result(9)], keys=["k9"]).save_npz(
+            directory / "seg-eeeeeeee-000000.npz"
+        )
+        shrunk = canonical_json({"op": "segment", "file": "seg-eeeeeeee-000000.npz", "rows": 1})
+        (directory / "manifest.jsonl").write_bytes(shrunk)
+        assert reader.refresh() == 1 and "k9" in reader and len(reader) == 4
+        # read from the manifest, not adopted (and re-manifested) as an orphan
+        assert (directory / "manifest.jsonl").read_bytes() == shrunk
 
 
 class TestTraces:

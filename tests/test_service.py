@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.pipeline.stage import CaseSpec
+from repro.results import ResultStore
 from repro.service import (
     CacheStore,
     InlineShardBackend,
@@ -506,6 +507,85 @@ class TestSweepServiceExecution:
         with revived:
             final = _wait_terminal(revived, record.id)
         assert final.state == "done"
+
+
+class Killed(BaseException):
+    """A daemon death at a chosen point (escapes every ``except Exception``)."""
+
+
+def _four_case_job() -> dict:
+    # 2 problems x 2 strategies: 4 cases in 2 analysis groups
+    return {
+        "sweep": tiny_sweep(
+            problems=["XENON2", "PRE2"], strategies=["mumps-workload", "memory-full"]
+        ).to_dict()
+    }
+
+
+class TestGroupCommit:
+    """A job's results become durable once per shard, as one segment."""
+
+    def test_one_segment_per_shard(self, tmp_path):
+        service = _make_service(tmp_path)
+        with service:
+            before = service.results.stats()["segments"]
+            final = _wait_terminal(service, service.submit(_four_case_job()).id)
+            assert final.state == "done" and final.shards_total == 2
+            assert service.results.stats()["segments"] - before == 2
+            assert set(final.result_keys) <= set(service.results.keys())
+            # an inline miss stays one durable segment of its own
+            service.query({"problem": "XENON2", "strategy": "hybrid(alpha=0.3)"})
+            assert service.results.stats()["segments"] - before == 3
+
+    def test_progress_lines_name_only_durable_keys(self, tmp_path):
+        service = _make_service(tmp_path)
+        progress = service.queue.progress
+        named: list[list[bool]] = []
+
+        def checked_progress(job_id, **fields):
+            # a fresh reader of the directory sees what a restart would see
+            durable = ResultStore(service.results.directory, fsync=False)
+            named.append([key in durable for key in fields.get("result_keys", ())])
+            progress(job_id, **fields)
+
+        service.queue.progress = checked_progress
+        with service:
+            final = _wait_terminal(service, service.submit(_four_case_job()).id)
+        assert final.state == "done"
+        assert [len(keys) for keys in named] == [2, 2] and all(all(k) for k in named)
+
+    def test_death_between_seal_and_progress_reruns_without_duplicates(self, tmp_path):
+        service = _make_service(tmp_path)
+        record = service.submit(_four_case_job())
+        claimed = service.queue.claim(timeout=1)
+
+        def die(job_id, **fields):
+            raise Killed("daemon died after the shard's seal, before its progress line")
+
+        service.queue.progress = die
+        with pytest.raises(Killed):
+            service._execute(claimed)
+        assert service.results.stats() == {"rows": 2, "segments": 1, "replay_skipped": 0}
+        service.stop()
+
+        revived = _make_service(tmp_path)
+        assert revived.queue.recovered == 1
+        assert len(revived.results) == 2  # the first shard's seal survived
+        with revived:
+            final = _wait_terminal(revived, record.id)
+            server = make_server(revived, quiet=True)
+            server.serve_background()
+            try:
+                client = ServiceClient(f"http://127.0.0.1:{server.port}")
+                listing = client.list_results().payload
+            finally:
+                server.shutdown()
+                server.server_close()
+        assert final.state == "done"
+        keys = [str(k) for k in revived.results.table().keys]
+        assert sorted(keys) == sorted(set(final.result_keys)) and len(keys) == 4
+        assert listing["total"] == 4
+        assert sorted(row["key"] for row in listing["results"]) == sorted(keys)
 
 
 # --------------------------------------------------------------------------- #
