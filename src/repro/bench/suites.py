@@ -25,8 +25,8 @@ Suites:
     sequential memory analysis, one parallel simulation).
 ``serving``
     The service layer's query path over a real loopback socket: one cold
-    query (cache cleared, pipeline executes) vs. one cached query (served
-    from the shared result cache) vs. one submit→poll job round-trip.
+    query (empty result store, pipeline executes) vs. one stored query
+    (served from the result store) vs. one submit→poll job round-trip.
 ``results``
     The columnar result store at corpus scale: streaming 10k synthetic case
     results through a segment writer, columnar filter + canonical sort +
@@ -434,8 +434,11 @@ SERVING_JOB_SWEEP = {
     description="HTTP query-path latency over the sweep service: cold, cached, job round-trip",
 )
 def _serving_suite(env: BenchEnv) -> SuiteInstance:
+    import itertools
     import tempfile
+    from pathlib import Path
 
+    from repro.results import ResultStore
     from repro.service import ServiceClient, SweepService, make_server
 
     tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-serving-")
@@ -446,12 +449,15 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
     server = make_server(service, quiet=True)
     server.serve_background()
     client = ServiceClient(f"http://127.0.0.1:{server.port}")
+    cold_stores = itertools.count()
 
     def query_cold() -> dict[str, float]:
         # every repeat re-executes the simulation stage behind the HTTP hop
-        # (the analysis artifacts stay memoized in the engine's memory tier,
-        # as they would in a long-lived daemon)
-        service.cache.clear()
+        # against an empty result store (the analysis artifacts stay memoized
+        # in the engine's memory tier, as they would in a long-lived daemon)
+        service.results = ResultStore(
+            Path(tmpdir.name) / f"cold-{next(cold_stores)}", fsync=False
+        )
         response = client.result(**SERVING_QUERY)
         return {"cached": float(response.cached), "bytes": float(len(response.body))}
 

@@ -118,7 +118,7 @@ class DiskStore(ArtifactStore):
     fsyncs the temporary file before the rename, so even a machine crash in
     the middle of a write can never leave a torn file behind the key (the
     rename is only allowed to become visible after the payload is on disk) —
-    the crash-safety level the service's shared result cache relies on.
+    the crash-safety level the service's table store relies on.
     """
 
     def __init__(self, directory: str | os.PathLike, *, durable: bool = False) -> None:

@@ -11,7 +11,7 @@ pagination and the ``repro sweep --store`` CLI flag:
   sealed segments with a crash-tolerant manifest, streaming writers and
   delta-encoded trace persistence;
 * :func:`~repro.results.keys.case_key` — the canonical content key shared
-  with the service cache, which is what makes sweeps resumable.
+  with the sweep service, which is what makes sweeps resumable.
 """
 
 from repro.results.keys import CASE_KEY_VERSION, case_key, case_key_for

@@ -1,4 +1,4 @@
-"""Canonical case keys: the identity of one result in the store and cache.
+"""Canonical case keys: the identity of one result in a result store.
 
 A key is a content address over the *canonical* case parameters with the
 engine defaults bound in — ``nprocs``/``scale`` overrides resolve to their
@@ -7,9 +7,9 @@ effective values and the ordering/strategy spec strings canonicalise through
 same key whether it arrives spelled out or relying on defaults; two engines
 with different defaults never collide.
 
-This is the exact key the service cache has always used
-(:func:`repro.service.daemon.result_key` now delegates here), so a store and
-a cache populated by the same daemon agree row for row.
+The service daemon keys ``GET /result`` with :func:`case_key_for`, so a
+sweep resumed against a daemon's store skips every case the daemon has
+already computed.
 """
 
 from __future__ import annotations

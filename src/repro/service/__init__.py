@@ -1,4 +1,4 @@
-"""Sweep-as-a-service: job queue daemon, sharded execution, cached HTTP API.
+"""Sweep-as-a-service: job queue daemon, sharded execution, HTTP API.
 
 The service subsystem turns the one-shot sweep machinery
 (:class:`~repro.session.Session` + the analysis pipeline) into a long-lived,
@@ -8,19 +8,17 @@ read-mostly server:
   done/failed``) over a crash-safe on-disk journal;
 * :mod:`repro.service.shards` — analysis-keyed shard partitioning behind the
   multi-host-ready :class:`ShardBackend` interface;
-* :mod:`repro.service.cache` — the shared result cache (TTL/LRU/size
-  accounting over the atomic :class:`~repro.pipeline.store.DiskStore`);
 * :mod:`repro.service.daemon` — :class:`SweepService`, the daemon gluing the
-  above to one engine with retry/backoff/timeout handling;
+  above to one engine and the :class:`~repro.results.ResultStore`, with
+  retry/backoff/timeout handling;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the stdlib
   HTTP/JSON API (``repro serve``) and its client (``repro submit/query``).
 
 See ``docs/service.md`` for the API reference and deployment notes.
 """
 
-from repro.service.cache import CacheStats, CacheStore
 from repro.service.client import QueryResponse, ServiceClient, ServiceError
-from repro.service.daemon import QueryOutcome, SweepService, case_spec_from_query, result_key
+from repro.service.daemon import QueryOutcome, SweepService, case_spec_from_query
 from repro.service.http import ServiceHTTPServer, canonical_json, make_server
 from repro.service.jobs import (
     JOB_STATES,
@@ -40,15 +38,12 @@ from repro.service.shards import (
 )
 
 __all__ = [
-    "CacheStats",
-    "CacheStore",
     "QueryResponse",
     "ServiceClient",
     "ServiceError",
     "QueryOutcome",
     "SweepService",
     "case_spec_from_query",
-    "result_key",
     "ServiceHTTPServer",
     "canonical_json",
     "make_server",

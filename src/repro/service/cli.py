@@ -2,10 +2,10 @@
 
 Examples
 --------
-Start the daemon (state under ``.repro_service/``, cache-first queries)::
+Start the daemon (journal, result store and tables under ``.repro_service/``)::
 
     python -m repro serve --port 8023 --nprocs 32 --scale 1.0 \\
-        --data-dir .repro_service --ttl 86400 --max-entries 100000
+        --data-dir .repro_service
 
 Submit a sweep job and wait for it to finish::
 
@@ -13,7 +13,7 @@ Submit a sweep job and wait for it to finish::
         --problems XENON2,PRE2 --orderings metis \\
         --strategies 'mumps-workload,hybrid(alpha=0.3)' --nprocs 8,16 --wait
 
-Query one result (served from cache in milliseconds once computed)::
+Query one result (served from the result store in milliseconds once computed)::
 
     python -m repro query --url http://127.0.0.1:8023 \\
         --problem XENON2 --ordering metis --strategy 'hybrid(alpha=0.3)' --nprocs 16
@@ -31,14 +31,14 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Sweep-as-a-service: daemon, job submission and cached queries",
+        description="Sweep-as-a-service: daemon, job submission and result queries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="run the sweep service daemon")
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8023, help="bind port (0 = ephemeral; default 8023)")
-    serve.add_argument("--data-dir", default=".repro_service", help="journal + result-cache directory")
+    serve.add_argument("--data-dir", default=".repro_service", help="journal + result-store directory")
     serve.add_argument("--nprocs", type=int, default=32, help="engine default simulated processors")
     serve.add_argument("--scale", type=float, default=1.0, help="engine default problem scale")
     serve.add_argument("--cache", default="", help="artifact-cache directory for the engine (optional)")
@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=None,
         help="backpressure bound: POST /jobs answers 503 + Retry-After while this many jobs are queued (default: unbounded)",
     )
-    serve.add_argument("--ttl", type=float, default=None, metavar="SECONDS", help="result-cache TTL (default: no expiry)")
-    serve.add_argument("--max-entries", type=int, default=None, help="result-cache LRU entry budget")
-    serve.add_argument("--max-bytes", type=int, default=None, help="result-cache LRU byte budget")
     serve.add_argument("--no-journal-fsync", action="store_true", help="skip fsync on journal appends (CI/tests)")
     serve.add_argument("--quiet", action="store_true", help="suppress per-request log lines")
 
@@ -85,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--nprocs", type=int, default=None, help="processor-count override / list filter")
     query.add_argument("--scale", type=float, default=None, help="scale override (single-case only)")
     query.add_argument("--split", action="store_true", help="the split-tree variant / list filter")
-    query.add_argument("--no-compute", action="store_true", help="404 instead of computing on a cache miss")
+    query.add_argument("--no-compute", action="store_true", help="404 instead of computing on a store miss")
     query.add_argument("--table", default=None, metavar="NAME", help="fetch a table (e.g. table2) instead of one case")
     query.add_argument(
         "--leaderboard", nargs="?", const="latest", default=None, metavar="JOB",
@@ -112,9 +109,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         shard_size=args.shard_size,
         max_pending=args.max_pending,
-        ttl_s=args.ttl,
-        max_entries=args.max_entries,
-        max_bytes=args.max_bytes,
         journal_fsync=not args.no_journal_fsync,
     )
     service.start()

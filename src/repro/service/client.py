@@ -2,7 +2,7 @@
 
 Used by the ``repro submit`` / ``repro query`` CLI verbs, the end-to-end
 tests and the serving benchmark suite.  Raw response bytes are kept around
-(:attr:`QueryResponse.body`) so callers can assert byte-identical cached
+(:attr:`QueryResponse.body`) so callers can assert byte-identical
 re-queries without re-serializing anything.
 """
 
@@ -104,7 +104,7 @@ class ServiceClient:
             time.sleep(poll)
 
     def result(self, *, compute: bool | None = None, **params: object) -> QueryResponse:
-        """GET /result — one case, cache-first (problem=... required)."""
+        """GET /result — one case, from the store or computed (problem=... required)."""
         query = {k: str(v) for k, v in params.items() if v is not None}
         if compute is not None:
             query["compute"] = "true" if compute else "false"

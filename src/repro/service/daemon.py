@@ -1,4 +1,4 @@
-"""The long-lived sweep service: queue, shards, cache, one engine.
+"""The long-lived sweep service: queue, shards, result store, one engine.
 
 :class:`SweepService` is the daemon behind ``repro serve``.  It owns
 
@@ -8,17 +8,17 @@
   shards (:func:`~repro.service.shards.partition_shards`) and execute them
   through a :class:`~repro.service.shards.ShardBackend` with per-shard
   retry-with-backoff and a per-job wall-clock timeout,
-* a :class:`~repro.service.cache.CacheStore` of finished case results keyed
-  by canonical case parameters (:func:`result_key`) — the read-mostly side
-  every ``GET /result`` query hits first,
+* a :class:`~repro.results.ResultStore` of finished case results keyed by
+  canonical case parameters (:func:`~repro.results.case_key_for`) — every
+  ``GET /result`` query looks there first, and ``GET /results`` lists it,
 * one :class:`~repro.session.Session` whose engine also answers
-  cache-missing queries and table requests inline (serialised by a lock,
+  store-missing queries and table requests inline (serialised by a lock,
   so HTTP threads and job workers never race the engine).
 
 The engine's ``stage_runs`` counters are exposed through :meth:`stats`;
 they only move when a pipeline stage actually computes, which is how the
 tests (and the acceptance criteria) prove that a repeated query was served
-from the cache rather than re-executed.
+from the store rather than re-executed.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.pipeline.stage import CaseResult, CaseSpec
-from repro.pipeline.store import content_key
+from repro.pipeline.store import DiskStore, content_key
 from repro.results import ResultStore, case_key_for
-from repro.service.cache import CacheStore
 from repro.service.jobs import JobQueue, JobRecord, JobSpec
 from repro.service.shards import (
     InlineShardBackend,
@@ -53,7 +52,6 @@ __all__ = [
     "QueryOutcome",
     "QueueSaturated",
     "SweepService",
-    "result_key",
     "case_spec_from_query",
 ]
 
@@ -70,20 +68,8 @@ class QueueSaturated(RuntimeError):
         super().__init__(message)
         self.retry_after = retry_after
 
-#: schema version of the cached *table* payloads; bump to invalidate them all.
+#: schema version of the stored *table* payloads; bump to invalidate them all.
 _RESULT_VERSION = "1"
-
-
-def result_key(engine, spec: CaseSpec) -> str:
-    """Content-addressed cache key of one case's *result* payload.
-
-    The canonical case key (see :mod:`repro.results.keys` — this is a thin
-    delegate kept for backwards compatibility): canonical case parameters
-    with the engine defaults bound in, so the same logical query always
-    lands on the same key whether it arrives spelled out or relying on
-    defaults — and two engines with different defaults never collide.
-    """
-    return case_key_for(engine, spec)
 
 
 def case_spec_from_query(params: Mapping[str, str]) -> CaseSpec:
@@ -142,13 +128,13 @@ class QueryOutcome:
 
 
 class SweepService:
-    """The daemon: job queue + sharded execution + shared result cache.
+    """The daemon: job queue + sharded execution + shared result store.
 
     Parameters
     ----------
     data_dir:
-        Service state directory; holds ``journal.jsonl`` (the job journal)
-        and ``results/`` (the shared result cache).
+        Service state directory; holds ``journal.jsonl`` (the job journal),
+        ``store/`` (the result store) and ``tables/`` (computed tables).
     nprocs / scale / artifact_cache_dir:
         Engine defaults, as for :class:`~repro.session.Session`
         (``artifact_cache_dir=""`` keeps the artifact disk tier off).
@@ -159,8 +145,6 @@ class SweepService:
         Job worker threads draining the queue (each runs one job at a time).
     shard_size:
         Maximum cases per shard (``None`` = one shard per analysis group).
-    ttl_s / max_entries / max_bytes:
-        Result-cache policy, see :class:`~repro.service.cache.CacheStore`.
     retry_base_delay:
         First retry backoff in seconds (doubles per attempt).
     journal_fsync:
@@ -181,9 +165,6 @@ class SweepService:
         jobs: int = 1,
         workers: int = 1,
         shard_size: Optional[int] = None,
-        ttl_s: Optional[float] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
         retry_base_delay: float = 0.1,
         journal_fsync: bool = True,
         max_pending: Optional[int] = None,
@@ -197,16 +178,11 @@ class SweepService:
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.session = Session(nprocs=nprocs, scale=scale, cache_dir=artifact_cache_dir, jobs=1)
         self.engine = self.session.engine
-        self.cache = CacheStore(
-            self.data_dir / "results",
-            ttl_s=ttl_s,
-            max_entries=max_entries,
-            max_bytes=max_bytes,
-        )
         self.queue = JobQueue(self.data_dir / "journal.jsonl", fsync=journal_fsync)
-        # the columnar store behind GET /results: every finished case —
-        # sweep shard or inline query — is appended here as well as cached
+        # the columnar store behind GET /result and GET /results: every
+        # finished case — sweep shard or inline query — is appended here
         self.results = ResultStore(self.data_dir / "store", fsync=journal_fsync)
+        self.tables = DiskStore(self.data_dir / "tables", durable=True)
         if backend is not None:
             self.backend = backend
         elif jobs > 1:
@@ -280,27 +256,28 @@ class SweepService:
         return self.queue.submit(spec)
 
     def query(self, params: Mapping[str, str], *, compute: bool = True) -> QueryOutcome:
-        """Answer one result query, cache-first.
+        """Answer one result query from the result store, computing on a miss.
 
-        On a cache hit the engine is never touched.  On a miss the case runs
-        inline (under the engine lock) and its payload is cached before the
-        response — so the *next* identical query, from any thread, is a hit.
-        Raises ``KeyError`` when ``compute=False`` and the result is absent.
+        On a hit the engine is never touched.  An index miss first refreshes
+        the store once, so a result sealed by a sibling daemon sharing the
+        data dir is still a hit.  On a real miss the case runs inline (under
+        the engine lock) and is appended to the store before the response —
+        so the *next* identical query, from any thread, is a hit.  Raises
+        ``KeyError`` when ``compute=False`` and the result is absent.
         """
         spec = case_spec_from_query(params)
-        key = result_key(self.engine, spec)
+        key = case_key_for(self.engine, spec)
+        if key not in self.results:
+            self.results.refresh()
         try:
-            payload = self.cache.get(key)
-            return QueryOutcome(key=key, payload=payload, cached=True)  # type: ignore[arg-type]
+            return QueryOutcome(key=key, payload=self.results.get(key).to_dict(), cached=True)
         except KeyError:
             if not compute:
                 raise
         with self._engine_lock:
             result = self.engine.run_case(spec)
-        payload = result.to_dict()
-        self.cache.put(key, payload)
         self.results.append(key, result)
-        return QueryOutcome(key=key, payload=payload, cached=False)
+        return QueryOutcome(key=key, payload=result.to_dict(), cached=False)
 
     #: every query parameter GET /results (the list form) understands.
     LIST_PARAMS = ("problem", "ordering", "strategy", "split", "nprocs", "limit", "cursor", "fields")
@@ -397,7 +374,7 @@ class SweepService:
         }
 
     def table(self, name: str, *, problems: Sequence[str] = (), orderings: Sequence[str] = ()) -> QueryOutcome:
-        """One of the paper's tables, cache-first (same discipline as results)."""
+        """One of the paper's tables, from the tables store or computed on a miss."""
         from repro.experiments.tables import ALL_TABLES
 
         entry = ALL_TABLES.entry(name)  # raises ValueError (with did-you-mean) on a miss
@@ -421,18 +398,17 @@ class SweepService:
             },
         )
         try:
-            payload = self.cache.get(key)
-            return QueryOutcome(key=key, payload=payload, cached=True)  # type: ignore[arg-type]
+            return QueryOutcome(key=key, payload=self.tables.get(key), cached=True)  # type: ignore[arg-type]
         except KeyError:
             pass
         with self._engine_lock:
             rows = entry.value(self.session, **kwargs)
         payload = {"table": name, "rows": rows}
-        self.cache.put(key, payload)
+        self.tables.put(key, payload)
         return QueryOutcome(key=key, payload=payload, cached=False)
 
     def stats(self) -> dict[str, object]:
-        """The ``/healthz`` payload: liveness, queue, cache and engine counters."""
+        """The ``/healthz`` payload: liveness, queue, store and engine counters."""
         return {
             "status": "ok",
             "uptime_s": time.time() - self.started_at,
@@ -452,7 +428,6 @@ class SweepService:
             "saturated": self.saturated(),
             "max_pending": self.max_pending,
             "recovered_jobs": self.queue.recovered,
-            "cache": self.cache.stats().to_dict(),
             "results": self.results.stats(),
             "stage_runs": dict(self.engine.stage_runs),
         }
@@ -560,7 +535,7 @@ class SweepService:
     def _store_shard(
         self, shard: list[tuple[int, CaseSpec]], results: Sequence[CaseResult]
     ) -> list[str]:
-        """Cache one shard's results and seal them as one store segment.
+        """Seal one shard's results as one store segment.
 
         The segment is durable when this returns, before the caller journals
         the shard's ``progress`` line: a key named by the journal is always
@@ -569,8 +544,7 @@ class SweepService:
         keys = []
         with self.results.writer(flush_every=len(shard)) as writer:
             for (_, spec), result in zip(shard, results):
-                key = result_key(self.engine, spec)
-                self.cache.put(key, result.to_dict())
+                key = case_key_for(self.engine, spec)
                 writer.append(key, result)
                 keys.append(key)
         return keys

@@ -4,7 +4,7 @@ Stdlib only (:class:`http.server.ThreadingHTTPServer`) — no new hard
 dependencies.  Endpoints:
 
 ========================  ==========================================================
-``GET  /healthz``          liveness + queue/cache/store/engine counters
+``GET  /healthz``          liveness + queue/store/engine counters
 ``POST /jobs``             submit a sweep job (JSON body: a ``JobSpec`` dict);
                            answers ``503`` with a ``Retry-After`` header when
                            the queue is at its ``max_pending`` depth
@@ -15,11 +15,11 @@ dependencies.  Endpoints:
                            ``split``/``nprocs``; ``limit``/``cursor``
                            paginate; ``fields`` projects columns; the body
                            carries a ``next`` link)
-``GET  /result``           one case result, cache-first, computed on miss
+``GET  /result``           one case result from the store, computed on miss
                            (query params: ``problem`` required; ``ordering``,
                            ``strategy``, ``nprocs``, ``scale``, ``split``,
                            ``split_threshold``, ``compute=false`` optional)
-``GET  /tables/<name>``    one of the paper's tables, cache-first
+``GET  /tables/<name>``    one of the paper's tables, stored once computed
                            (``problems``/``orderings`` comma-list params)
 ``GET  /leaderboard``      the latest tune job's leaderboard artifact
                            (``job=<id>`` selects a specific tune job;
@@ -28,9 +28,9 @@ dependencies.  Endpoints:
 
 Responses are JSON with sorted keys and fixed separators
 (:func:`repro.serialize.canonical_json`), so the same logical answer is
-always the same bytes — a cached re-query, a replayed store or a resumed
-sweep produces byte-identical pages.  Whether the cache answered is
-reported out-of-band in the ``X-Repro-Cache: hit|miss`` header (keeping it
+always the same bytes — a re-query, a replayed store or a resumed
+sweep produces byte-identical pages.  Whether a stored answer was served
+is reported out-of-band in the ``X-Repro-Cache: hit|miss`` header (keeping it
 out of the body is what makes the bytes repeatable).
 """
 

@@ -10,7 +10,9 @@ and the delta-encoded trace codec.
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -140,13 +142,16 @@ class TestCaseKeys:
             CaseSpec("XENON2", "metis", "memory-full", split=True), **base
         )
 
-    def test_matches_service_result_key(self):
-        from repro.pipeline.engine import AnalysisPipeline
-        from repro.service.daemon import result_key
+    def test_matches_service_result_key(self, tmp_path):
+        from repro.service import SweepService
 
-        engine = AnalysisPipeline(nprocs=4, scale=0.2, cache_dir="")
+        service = SweepService(data_dir=tmp_path, nprocs=4, scale=0.2, journal_fsync=False)
+        try:
+            outcome = service.query({"problem": "XENON2", "ordering": "metis", "strategy": "memory-full"})
+        finally:
+            service.stop()
         spec = CaseSpec("XENON2", "metis", "memory-full")
-        assert result_key(engine, spec) == case_key(spec, nprocs=4, scale=0.2)
+        assert outcome.key == case_key(spec, nprocs=4, scale=0.2)
 
 
 # --------------------------------------------------------------------------- #
@@ -475,6 +480,24 @@ def manifest_segments(manifest: bytes) -> list[str]:
     return files
 
 
+def manifest_oracle(
+    directory: Path, manifest: bytes, loaded: dict[str, ResultTable]
+) -> list[tuple[str, CaseResult]]:
+    """The live rows a store over ``manifest`` must hold, worked out row by row.
+
+    Last write wins and the survivors keep manifest order; ``loaded`` caches
+    segment tables by filename across calls.
+    """
+    segments = []
+    for filename in manifest_segments(manifest):
+        if filename not in loaded:
+            loaded[filename] = ResultTable.load_npz(directory / filename)
+        segments.append(loaded[filename])
+    rows = [(str(t.keys[r]), t.result(r)) for t in segments for r in range(len(t))]
+    last = {key: n for n, (key, _) in enumerate(rows)}
+    return [(key, result) for n, (key, result) in enumerate(rows) if last[key] == n]
+
+
 #: ops of the interleaving test; instances are 0 and 1, keys k0..k5, and a
 #: variant changes a row's values so that last-write-wins is visible
 _STORE_OPS = st.one_of(
@@ -544,15 +567,7 @@ class TestResultStoreReads:
                 seen[i] = manifest.read_bytes()
 
                 for store, view in zip(stores, seen):
-                    segments = []
-                    for filename in manifest_segments(view):
-                        if filename not in loaded:
-                            loaded[filename] = ResultTable.load_npz(directory / filename)
-                        segments.append(loaded[filename])
-                    # the oracle, row by row: last write wins, survivors in order
-                    rows = [(str(t.keys[r]), t.result(r)) for t in segments for r in range(len(t))]
-                    last = {key: n for n, (key, _) in enumerate(rows)}
-                    live = [(key, result) for n, (key, result) in enumerate(rows) if last[key] == n]
+                    live = manifest_oracle(directory, view, loaded)
                     expected = ResultTable.from_results(
                         [result for _, result in live], keys=[key for key, _ in live]
                     )
@@ -562,6 +577,48 @@ class TestResultStoreReads:
                     for key, result in live:
                         assert key in store
                         assert_results_equal(store.get(key), result)
+
+    def test_concurrent_writers_and_readers(self, tmp_path):
+        directory = tmp_path / "store"
+        store = ResultStore(directory, fsync=False)
+        errors: list[BaseException] = []
+        written: set[str] = set()
+
+        def hammer(seed: int) -> None:
+            try:
+                for i in range(60):
+                    key = (seed * 31 + i) % 48
+                    if i % 3 == 0:
+                        store.append(f"k{key}", _variant(key, seed % 4))
+                        written.add(f"k{key}")
+                    elif i % 3 == 1:
+                        if f"k{key}" in store:
+                            assert store.get(f"k{key}").problem == "XENON2"
+                    elif i % 6 == 2:
+                        store.table()
+                    else:
+                        store.refresh()
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(store) == len(written)
+        live = manifest_oracle(directory, (directory / "manifest.jsonl").read_bytes(), {})
+        expected = ResultTable.from_results(
+            [result for _, result in live], keys=[key for key, _ in live]
+        )
+        assert store.table().to_dicts() == expected.to_dicts()
 
     def test_table_is_cached_until_a_segment_arrives(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)

@@ -1,24 +1,24 @@
-"""Tests of the sweep service: jobs, cache, shards, daemon, HTTP API.
+"""Tests of the sweep service: jobs, shards, daemon, HTTP API.
 
-The unit tests drive the queue/cache/shard layers directly (with injected
+The unit tests drive the queue/shard layers directly (with injected
 clocks and backends, no sockets); the end-to-end tests run the real daemon
 behind a real loopback HTTP server — submit → poll → query — and assert the
-acceptance criteria: a repeated ``GET /result`` is served from the cache
-(stage-execution counters unchanged) with byte-identical JSON.
+acceptance criteria: a repeated ``GET /result`` is served from the result
+store (stage-execution counters unchanged) with byte-identical JSON, within
+one daemon, across a restart and across sibling daemons.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import threading
 import time
 
 import pytest
 
 from repro.pipeline.stage import CaseSpec
-from repro.results import ResultStore
+from repro.results import ResultStore, case_key_for
 from repro.service import (
-    CacheStore,
     InlineShardBackend,
     JobQueue,
     JobSpec,
@@ -29,8 +29,8 @@ from repro.service import (
     case_spec_from_query,
     make_server,
     partition_shards,
-    result_key,
 )
+from repro.serialize import canonical_json
 from repro.specs import SweepSpec
 
 NPROCS = 4
@@ -214,141 +214,6 @@ class TestPartitionShards:
 
 
 # --------------------------------------------------------------------------- #
-# CacheStore
-# --------------------------------------------------------------------------- #
-class FakeClock:
-    def __init__(self, now: float = 1000.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestCacheStore:
-    def test_put_get_and_stats(self, tmp_path):
-        cache = CacheStore(tmp_path)
-        cache.put("k1", {"v": 1})
-        assert cache.get("k1") == {"v": 1}
-        assert "k1" in cache
-        stats = cache.stats()
-        assert stats.entries == 1
-        assert stats.hits == 1 and stats.misses == 0 and stats.puts == 1
-        assert stats.bytes > 0
-
-    def test_miss_counts(self, tmp_path):
-        cache = CacheStore(tmp_path)
-        with pytest.raises(KeyError):
-            cache.get("absent")
-        assert cache.stats().misses == 1
-
-    def test_ttl_expiry(self, tmp_path):
-        clock = FakeClock()
-        cache = CacheStore(tmp_path, ttl_s=10.0, clock=clock)
-        cache.put("k", "value")
-        clock.now += 5
-        assert cache.get("k") == "value"
-        clock.now += 6  # 11s after the put: expired
-        with pytest.raises(KeyError):
-            cache.get("k")
-        stats = cache.stats()
-        assert stats.ttl_evictions == 1
-        assert stats.entries == 0
-        assert not (cache.disk.path("k")).exists()  # evicted from disk too
-
-    def test_ttl_sweep(self, tmp_path):
-        clock = FakeClock()
-        cache = CacheStore(tmp_path, ttl_s=10.0, clock=clock)
-        cache.put("old", 1)
-        clock.now += 20
-        cache.put("new", 2)
-        assert cache.sweep() == 1
-        assert "new" in cache and len(cache) == 1
-
-    def test_lru_eviction_by_entries(self, tmp_path):
-        cache = CacheStore(tmp_path, max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # touch: b becomes LRU
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
-        assert cache.stats().lru_evictions == 1
-
-    def test_lru_eviction_by_bytes_and_accounting(self, tmp_path):
-        cache = CacheStore(tmp_path)
-        cache.put("probe", "x" * 100)
-        entry_size = cache.stats().bytes
-        cache2 = CacheStore(tmp_path / "b", max_bytes=int(entry_size * 2.5))
-        cache2.put("a", "x" * 100)
-        cache2.put("b", "x" * 100)
-        assert cache2.stats().entries == 2
-        cache2.put("c", "x" * 100)  # over budget: evict LRU ("a")
-        assert "a" not in cache2
-        assert cache2.stats().entries == 2
-        assert cache2.stats().bytes <= int(entry_size * 2.5)
-
-    def test_oversized_single_entry_survives(self, tmp_path):
-        cache = CacheStore(tmp_path, max_bytes=1)
-        cache.put("big", "x" * 1000)
-        assert cache.get("big") == "x" * 1000  # never evict the only entry
-
-    def test_overwrite_reaccounts_size(self, tmp_path):
-        cache = CacheStore(tmp_path)
-        cache.put("k", "x" * 1000)
-        big = cache.stats().bytes
-        cache.put("k", "x")
-        assert cache.stats().entries == 1
-        assert cache.stats().bytes < big
-
-    def test_sibling_process_adoption(self, tmp_path):
-        writer = CacheStore(tmp_path)
-        writer.put("shared", {"from": "writer"})
-        reader = CacheStore(tmp_path)  # fresh index, same directory
-        assert reader.get("shared") == {"from": "writer"}
-        # and a key deleted by the sibling degrades into a miss
-        writer.delete("shared")
-        with pytest.raises(KeyError):
-            reader.get("shared")
-
-    def test_concurrent_writers_and_readers(self, tmp_path):
-        cache = CacheStore(tmp_path, max_entries=32)
-        errors: list[BaseException] = []
-
-        def hammer(seed: int) -> None:
-            try:
-                for i in range(120):
-                    key = f"k{(seed * 31 + i) % 48}"
-                    if i % 3 == 0:
-                        cache.put(key, {"seed": seed, "i": i})
-                    else:
-                        try:
-                            value = cache.get(key)
-                            assert isinstance(value, dict)
-                        except KeyError:
-                            pass
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) <= 32
-        stats = cache.stats()
-        assert stats.bytes >= 0 and stats.puts > 0
-
-    def test_clear(self, tmp_path):
-        cache = CacheStore(tmp_path)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert list(cache.disk.keys()) == []
-
-
-# --------------------------------------------------------------------------- #
 # result keys and query parsing
 # --------------------------------------------------------------------------- #
 class TestResultKeys:
@@ -361,17 +226,17 @@ class TestResultKeys:
     def test_defaults_and_explicit_values_share_a_key(self, engine):
         implicit = CaseSpec("XENON2", "metis", "memory-full")
         explicit = CaseSpec("XENON2", "metis", "memory-full", nprocs=NPROCS, scale=SCALE)
-        assert result_key(engine, implicit) == result_key(engine, explicit)
+        assert case_key_for(engine, implicit) == case_key_for(engine, explicit)
 
     def test_params_differentiate(self, engine):
         base = CaseSpec("XENON2", "metis", "hybrid(alpha=0.3)")
         other = CaseSpec("XENON2", "metis", "hybrid(alpha=0.5)")
-        assert result_key(engine, base) != result_key(engine, other)
+        assert case_key_for(engine, base) != case_key_for(engine, other)
 
     def test_keyword_order_is_canonicalised(self, engine):
         a = CaseSpec("XENON2", "metis", "hybrid(alpha=0.3,use_predictions=false)")
         b = CaseSpec("XENON2", "metis", "hybrid(use_predictions=false, alpha=0.3)")
-        assert result_key(engine, a) == result_key(engine, b)
+        assert case_key_for(engine, a) == case_key_for(engine, b)
 
     def test_query_parsing(self):
         spec = case_spec_from_query(
@@ -488,9 +353,9 @@ class TestSweepServiceExecution:
             assert final.state == "done"
             assert len(final.result_keys) == 2
             for key in final.result_keys:
-                payload = service.cache.get(key)
+                payload = service.results.get(key).to_dict()
                 assert payload["problem"] == "XENON2"
-            # a query for the same case is a pure cache hit
+            # a query for the same case is a pure store hit
             outcome = service.query({"problem": "XENON2", "strategy": "memory-full"})
             assert outcome.cached is True
 
@@ -588,6 +453,56 @@ class TestGroupCommit:
         assert sorted(row["key"] for row in listing["results"]) == sorted(keys)
 
 
+@contextlib.contextmanager
+def _http(service: SweepService):
+    """A loopback HTTP server over ``service`` for the block; yields a client."""
+    server = make_server(service, quiet=True)
+    server.serve_background()
+    try:
+        yield ServiceClient(f"http://127.0.0.1:{server.port}")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestStoreServedResults:
+    """``GET /result`` hits come from the result store, whoever wrote it."""
+
+    PARAMS = {"problem": "XENON2", "ordering": "metis", "strategy": "hybrid(alpha=0.6)"}
+
+    def test_restart_turns_a_miss_into_an_identical_hit(self, tmp_path):
+        service = _make_service(tmp_path)
+        with _http(service) as client:
+            miss = client.result(**self.PARAMS)
+        service.stop()
+        assert miss.cache == "miss"
+
+        revived = _make_service(tmp_path)
+        runs_before = dict(revived.engine.stage_runs)
+        with _http(revived) as client:
+            hit = client.result(**self.PARAMS, compute=False)
+        revived.stop()
+        assert hit.cache == "hit"
+        assert hit.body == miss.body
+        assert dict(revived.engine.stage_runs) == runs_before
+
+    def test_sibling_daemon_serves_what_the_other_computed(self, tmp_path):
+        # both open the data dir before anything is computed, so B's index
+        # is stale and only its refresh-on-miss can find A's segment
+        a = _make_service(tmp_path)
+        b = _make_service(tmp_path)
+        try:
+            computed = a.query(self.PARAMS)
+            served = b.query(self.PARAMS, compute=False)
+        finally:
+            a.stop()
+            b.stop()
+        assert computed.cached is False and served.cached is True
+        assert served.key == computed.key
+        assert canonical_json(served.payload) == canonical_json(computed.payload)
+        assert not any(b.engine.stage_runs.values())
+
+
 # --------------------------------------------------------------------------- #
 # end-to-end over a real socket
 # --------------------------------------------------------------------------- #
@@ -633,7 +548,7 @@ class TestServiceEndToEnd:
         assert final["done"] == final["total"] == 2
         assert final["shards_done"] == final["shards_total"] == 1
 
-        # the job populated the cache: the query is a hit, not a recompute
+        # the job populated the store: the query is a hit, not a recompute
         response = client.result(
             problem="XENON2", ordering="metis", strategy="hybrid(alpha=0.3)"
         )
@@ -643,8 +558,8 @@ class TestServiceEndToEnd:
     def test_repeated_query_is_cached_and_byte_identical(self, served):
         """The PR's acceptance criterion, end to end."""
         service, client = served
-        params = {"problem": "XENON2", "ordering": "metis", "strategy": "memory-full"}
-        service.cache.clear()
+        # an alpha no earlier test queried: the first answer is a miss
+        params = {"problem": "XENON2", "ordering": "metis", "strategy": "hybrid(alpha=0.7)"}
 
         first = client.result(**params)
         assert first.cache == "miss"  # computed through the pipeline
@@ -658,7 +573,7 @@ class TestServiceEndToEnd:
         assert second.cache == "hit"
         assert second.body == first.body  # byte-identical JSON
         assert runs_after == runs_before  # no pipeline stage re-executed
-        assert latency < 0.25  # served from cache in milliseconds, not seconds
+        assert latency < 0.25  # served from the store in milliseconds, not seconds
 
     def test_query_defaults_match_explicit_engine_values(self, served):
         _, client = served
