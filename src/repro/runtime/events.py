@@ -7,9 +7,10 @@
   (frequent with the zero-latency configurations used in tests).
 * The integer vocabulary of the SoA engine (:mod:`repro.runtime.soa`): its
   events are raw ``(time, seq, tag, a, b, c)`` tuples whose ``tag`` is one of
-  the ``EV_*`` constants, and broadcast kinds are the ``BK_*`` ids that index
-  the :class:`~repro.runtime.loadview.ViewBank` matrices.  Both engines push
-  the same events in the same order, so they pop them in the same order too.
+  the ``EV_*`` constants.  View broadcasts are no events there but entries of
+  a delivery log, whose kinds are the ``BK_*`` ids (the order of the
+  :class:`~repro.runtime.loadview.ViewBank` matrices).  Both engines number
+  events and broadcasts alike, so they handle them in the same order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ __all__ = [
     "EventQueue",
     "ScheduledEvent",
     "EV_TASK_DONE",
-    "EV_BROADCAST",
-    "EV_RESERVATION",
     "EV_KICK",
     "EV_SLAVE_TASK",
     "EV_CHILD_COMPLETED",
@@ -39,8 +38,6 @@ __all__ = [
 # integer event vocabulary (the SoA engine's tuple tags)
 # ---------------------------------------------------------------------------- #
 EV_TASK_DONE = 0    # (proc, task_id) — a processor finished its current task
-EV_BROADCAST = 2    # (kind_id, source, value) — a view broadcast arrives everywhere
-EV_RESERVATION = 3  # (source, reservations) — slave-block reservations arrive
 EV_KICK = 4         # (proc,) — initial "look at your pool" nudge at t=0
 
 # The SoA engine dissolves point-to-point :class:`Message` objects into the
@@ -49,7 +46,8 @@ EV_KICK = 4         # (proc,) — initial "look at your pool" nudge at t=0
 EV_SLAVE_TASK = 5        # (dest, task_id) — a type-2 slave task descriptor arrives
 EV_CHILD_COMPLETED = 6   # (parent,) — a child-completed notification arrives
 
-#: broadcast kinds, indexed consistently with ``ViewBank`` column banks.
+#: broadcast kinds, indexed consistently with ``ViewBank`` column banks (the
+#: SoA delivery log also carries reservations, as kind 4).
 BK_MEMORY = 0
 BK_LOAD = 1
 BK_SUBTREE = 2

@@ -15,7 +15,10 @@ that with parallel arrays:
 * point-to-point messages dissolve into the flat ``(time, seq, tag, a, b,
   c)`` event tuples themselves (tags ``EV_SLAVE_TASK`` /
   ``EV_CHILD_COMPLETED``), so the event heap doubles as the message ring
-  buffer.
+  buffer;
+* view broadcasts and reservations are no events at all: they go to a log
+  that is delivered right before a type-2 slave selection reads the views,
+  into one vector per broadcast kind (see ``deliver`` in :func:`run_soa`).
 
 :func:`run_soa` is one monolithic event loop over that layout: every handler
 of the reference engine is inlined into the loop body or a single-level
@@ -23,20 +26,20 @@ closure, state lives in hoisted locals (CPython list mirrors of the
 :class:`SimState` arrays — dense integer indexing without the ndarray scalar
 boxing), and events are pushed with inline ``heappush`` of tuples.  The final
 :class:`SimState` (numpy canonical form) is written back after the run and
-exposed as ``sim.state``.  Two structural wins ride on that layout: lazy view
-application (broadcasts are logged and only materialised before a type-2
-slave selection reads the views) and a notification FIFO (constant-delay
-events skip the heap).
+exposed as ``sim.state``, and the final views are written into ``sim.views``
+once.
 
-Bit-identity with the reference engine is load-bearing: both engines push the
-same events in the same order (so sequence numbers and heap pop order match)
-and perform every float operation with the same association — this is pinned
-by ``tests/test_engine_identity.py`` over the full scenario matrix, traces
-and message counts included.
+Bit-identity with the reference engine is load-bearing: both engines create
+the same events and broadcasts in the same order (so sequence numbers and
+pop order match) and perform every float operation with the same
+association — this is pinned by ``tests/test_engine_identity.py`` over the
+full scenario matrix, traces, message counts, every selection context and
+the final views included.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 
@@ -47,14 +50,7 @@ from repro.analysis.flops import (
     type2_slave_factor_entries,
     type2_slave_flops,
 )
-from repro.runtime.events import (
-    EV_BROADCAST,
-    EV_CHILD_COMPLETED,
-    EV_KICK,
-    EV_RESERVATION,
-    EV_SLAVE_TASK,
-    EV_TASK_DONE,
-)
+from repro.runtime.events import EV_CHILD_COMPLETED, EV_KICK, EV_SLAVE_TASK, EV_TASK_DONE
 from repro.runtime.trace import SimulationTrace, TraceBuffer
 from repro.scheduling.base import SlaveSelectionContext, normalize_row_distribution
 
@@ -223,35 +219,35 @@ def run_soa(sim):
     t_extra = []
 
     # ---------------- views ------------------------------------------------ #
-    view_mem = [views.view(p).memory for p in range(nprocs)]
-    view_load = [views.view(p).load for p in range(nprocs)]
-    view_sub = [views.view(p).subtree_peak for p in range(nprocs)]
-    view_pred = [views.view(p).predicted_master for p in range(nprocs)]
-    kind_mats = views._kind_arrays
-    apply_reservations = views.apply_reservations
-
-    # Lazy view application.  Broadcasts outnumber the points where the view
-    # matrices are actually *read* — a type-2 slave selection — by two orders
-    # of magnitude, so popped broadcast events are recorded here and only
-    # materialised by ``flush_views`` right before a selection (and once at
-    # end of run).  Column writes commute with everything except those reads,
-    # the masters' observer updates (which happen after the flush inside
-    # ``activate_t2``) and reservations, whose ordering against memory
-    # broadcasts ``mem_log`` preserves verbatim — so the flushed state is
-    # bit-identical to eager application at pop time.
-    pend_cols = ({}, {}, {}, {})  # kind → {source: latest raw value}; [0] unused
-    mem_log = []  # kind-0 ops in pop order: (0, src, val) | (1, master, reservations)
+    # Broadcasts outnumber the points where the views are *read* — a type-2
+    # slave selection — by two orders of magnitude, so they never enter the
+    # event queues: ``vlog`` holds (time, seq, kind, src, value) in creation
+    # order, which is (time, seq) order since the notification delay is
+    # constant, and ``deliver`` applies the prefix the reference engine would
+    # already have popped.  They still take a ``seq``, so every other event
+    # keeps its number.  Observer q's belief about s != q is ``dl[kind][s]``
+    # for the load / subtree / prediction kinds; for memory it is ``dm[s]``
+    # unless ``over[s]`` holds q's own belief (the master's observer updates,
+    # and the announcing master, which a reservation skips).  q's own slot is
+    # ``own[kind][q]``.
+    vlog = []
+    dm = [0.0] * nprocs
+    over = [{} for _ in range(nprocs)]
+    dl = (None, [0.0] * nprocs, [0.0] * nprocs, [0.0] * nprocs)
+    own = ([0.0] * nprocs, [0.0] * nprocs, [0.0] * nprocs, [0.0] * nprocs)
+    own_m, own_l, own_s, own_p = own
 
     # ---------------- event queues ----------------------------------------- #
-    # Two sources, one global (time, seq) order.  Events scheduled with the
-    # constant view-notification delay (broadcasts, reservations,
-    # child-completed relays) have non-decreasing timestamps and monotone
-    # sequence numbers, so a plain FIFO deque already holds them sorted —
-    # they skip the heap entirely and the pop site merges the two fronts.
+    # Two sources, one global (time, seq) order.  Child-completed relays are
+    # scheduled with the constant notification delay, so they have
+    # non-decreasing timestamps and monotone sequence numbers: a plain FIFO
+    # deque already holds them sorted, they skip the heap and the pop site
+    # merges the two fronts.
     heap = []
     nq = deque()
     seq = 0
     now = 0.0
+    ev = (0.0, -1)  # the event being handled; none during setup
 
     # ---------------- message counters ------------------------------------- #
     c_mem = c_load = c_sub = c_pred = 0
@@ -298,10 +294,10 @@ def run_soa(sim):
         if s != last_m[q]:
             last_m[q] = s
             if multi:
-                nq.append((now + notif, seq, EV_BROADCAST, 0, q, s))
+                vlog.append((now + notif, seq, 0, q, s))
                 seq += 1
                 c_mem += n1
-        view_mem[q][q] = s
+        own_m[q] = s
 
     def load_changed(q):
         nonlocal seq, c_load
@@ -309,10 +305,10 @@ def run_soa(sim):
         if v != last_l[q]:
             last_l[q] = v
             if multi:
-                nq.append((now + notif, seq, EV_BROADCAST, 1, q, v))
+                vlog.append((now + notif, seq, 1, q, v))
                 seq += 1
                 c_load += n1
-        view_load[q][q] = 0.0 if v < 0.0 else v
+        own_l[q] = 0.0 if v < 0.0 else v
 
     def pred_changed(q):
         nonlocal seq, c_pred
@@ -320,17 +316,17 @@ def run_soa(sim):
         if v != last_p[q]:
             last_p[q] = v
             if multi:
-                nq.append((now + notif, seq, EV_BROADCAST, 3, q, v))
+                vlog.append((now + notif, seq, 3, q, v))
                 seq += 1
                 c_pred += n1
-        view_pred[q][q] = 0.0 if v < 0.0 else v
+        own_p[q] = 0.0 if v < 0.0 else v
 
     def subtree_changed(q, v):
         nonlocal seq, c_sub
         cur_speak[q] = v
-        view_sub[q][q] = 0.0 if v < 0.0 else v
+        own_s[q] = 0.0 if v < 0.0 else v
         if multi:
-            nq.append((now + notif, seq, EV_BROADCAST, 2, q, v))
+            vlog.append((now + notif, seq, 2, q, v))
             seq += 1
             c_sub += n1
 
@@ -432,39 +428,36 @@ def run_soa(sim):
         c_root += n1
         root_seen = True
 
-    def write_column(mat, src, val):
-        # deliver a broadcast everywhere but at the sender's own slot
-        col = mat[:, src]
-        keep = col[src]
-        col[:] = val
-        col[src] = keep
-
-    def flush_views():
-        for kind in (1, 2, 3):
-            d = pend_cols[kind]
-            if d:
-                mat = kind_mats[kind]
-                for src, val in d.items():
-                    write_column(mat, src, 0.0 if val < 0.0 else val)
-                d.clear()
-        if mem_log:
-            mat = kind_mats[0]
-            buf = {}
-            for op in mem_log:
-                if op[0] == 0:
-                    buf[op[1]] = op[2]
-                    continue
-                for src, val in buf.items():
-                    write_column(mat, src, val)
-                buf.clear()
-                apply_reservations(op[1], op[2])
-            for src, val in buf.items():
-                write_column(mat, src, val)
-            mem_log.clear()
+    def deliver(until):
+        # apply the logged broadcasts ordered before the event ``until``
+        # (its (time, seq) prefix decides: seq is unique); kind 4 is a
+        # reservation from master ``src``, ``val`` its [(slave, block)] list
+        k = bisect_left(vlog, until)
+        for _t, _s, kind, src, val in vlog[:k]:
+            if kind == 0:
+                dm[src] = val
+                ov = over[src]
+                if ov:
+                    ov.clear()
+            elif kind == 4:
+                # everyone but the master and the slave itself adds the block
+                for sq2, block in val:
+                    ov = over[sq2]
+                    if src not in ov:
+                        ov[src] = dm[sq2]
+                    x = dm[sq2] + block
+                    dm[sq2] = 0.0 if x < 0.0 else x
+                    for o, b in ov.items():
+                        if o != src:
+                            x = b + block
+                            ov[o] = 0.0 if x < 0.0 else x
+            else:
+                dl[kind][src] = 0.0 if val < 0.0 else val
+        del vlog[:k]
 
     def activate_t2(tid, q, node):
         nonlocal seq, c_cbt, c_stask, c_resv, n_sel, c_lost, c_retr
-        flush_views()
+        deliver(ev)
         sub = t_sub[tid]
         if sub >= 0:
             if cur_sub[q] != sub:
@@ -478,7 +471,6 @@ def run_soa(sim):
         activated[node] = True
         # release the children CBs where they live; the master (observer)
         # updates its own view of the releasing processors immediately
-        vm_q = view_mem[q]
         total = 0.0
         comm = 0.0
         for c in g_children[node]:
@@ -487,8 +479,9 @@ def run_soa(sim):
                 _free(cq, e)
                 mem_changed(cq)
                 if cq != q:
-                    x = vm_q[cq] - e
-                    vm_q[cq] = 0.0 if x < 0.0 else x
+                    ov = over[cq]
+                    x = ov.get(q, dm[cq]) - e
+                    ov[q] = 0.0 if x < 0.0 else x
                 tt = lat + e / bw
                 if tt > comm:
                     comm = tt
@@ -507,6 +500,16 @@ def run_soa(sim):
         # ------------------- dynamic slave selection ------------------- #
         ncb = nfr - npv
         cands = g_cands[node]
+        # observer q's rows of the four views
+        mrow = [ov.get(q, d) for ov, d in zip(over, dm)]
+        mrow[q] = own_m[q]
+        vm = np.array(mrow)
+        rows3 = []
+        for kind in (1, 2, 3):
+            row = dl[kind].copy()
+            row[q] = own[kind][q]
+            rows3.append(np.array(row))
+        vl, vs, vp = rows3
         ctx = SlaveSelectionContext(
             master_proc=q,
             node=node,
@@ -515,9 +518,9 @@ def run_soa(sim):
             ncb=ncb,
             symmetric=symmetric,
             candidates=cands,
-            memory_view=vm_q.copy(),
-            effective_memory_view=vm_q + (view_sub[q] + view_pred[q]),
-            load_view=view_load[q].copy(),
+            memory_view=vm,
+            effective_memory_view=vm + (vs + vp),
+            load_view=vl,
             own_load=load[q],
             own_memory=stack[q],
             min_rows_per_slave=min_rows,
@@ -558,11 +561,12 @@ def run_soa(sim):
                 seq += 1
                 c_stask += 1
                 # the master immediately accounts for its own decision
-                x = vm_q[sq2] + block
-                vm_q[sq2] = 0.0 if x < 0.0 else x
+                ov = over[sq2]
+                x = ov.get(q, dm[sq2]) + block
+                ov[q] = 0.0 if x < 0.0 else x
                 reservations.append((sq2, block))
             if multi:
-                nq.append((now + notif, seq, EV_RESERVATION, q, reservations, 0))
+                vlog.append((now + notif, seq, 4, q, reservations))
                 seq += 1
                 c_resv += n1
         if plan is None:
@@ -664,14 +668,11 @@ def run_soa(sim):
     # setup (same order of operations as FactorizationSimulator._setup)
     # ------------------------------------------------------------------ #
     il = geom.initial_load
-    base_load = np.empty(nprocs, dtype=np.float64)
     for q in range(nprocs):
         v = float(il[q])
         load[q] = v
         # everyone starts with the same (exact) static knowledge of the loads
-        base_load[q] = 0.0 if v < 0.0 else v
-    for p in range(nprocs):
-        view_load[p][:] = base_load
+        own_l[q] = dl[1][q] = 0.0 if v < 0.0 else v
 
     # initial pools: the leaves, deepest-first subtree by subtree
     for p in range(nprocs):
@@ -713,19 +714,7 @@ def run_soa(sim):
             break
         now = ev[0]
         tag = ev[2]
-        if tag == EV_BROADCAST:
-            kind = ev[3]
-            src = ev[4]
-            val = ev[5]
-            # pending state is last-writer-wins per source
-            if kind == 0:
-                if mem_log and mem_log[-1][0] == 0 and mem_log[-1][1] == src:
-                    mem_log[-1] = (0, src, val)
-                else:
-                    mem_log.append((0, src, val))
-            else:
-                pend_cols[kind][src] = val
-        elif tag == EV_TASK_DONE:
+        if tag == EV_TASK_DONE:
             q = ev[3]
             tid = ev[4]
             current[q] = -1
@@ -822,8 +811,6 @@ def run_soa(sim):
             try_start(dq)
         elif tag == EV_CHILD_COMPLETED:
             on_child_completed(ev[3])
-        elif tag == EV_RESERVATION:
-            mem_log.append((1, ev[3], ev[4]))
         else:  # EV_KICK
             try_start(ev[3])
 
@@ -836,7 +823,21 @@ def run_soa(sim):
             f"simulation deadlocked: {len(unfinished)} nodes never completed "
             f"(first few: {unfinished[:5]})"
         )
-    flush_views()  # leave sim.views in the same state the reference engine does
+    # the reference engine pops the undelivered broadcasts too: the last one
+    # sets its final clock
+    if vlog and vlog[-1][0] > now:
+        now = vlog[-1][0]
+    deliver((float("inf"),))
+    # leave sim.views in the same state the reference engine does
+    diag = np.arange(nprocs)
+    for kind, mat in enumerate(
+        (views.memory, views.load, views.subtree_peak, views.predicted_master)
+    ):
+        mat[:] = dl[kind] if kind else dm
+        mat[diag, diag] = own[kind]
+    for s, ov in enumerate(over):
+        for o, b in ov.items():
+            views.memory[o, s] = b
 
     state = SimState(nprocs)
     state.ntasks = len(t_kind)

@@ -6,7 +6,9 @@ loop; the historical event core stays reachable as ``engine="reference"``
 *bit-identical* to it — every field of :class:`SimulationResult`, including
 ``message_counts`` and ``slave_selections``, over a randomized scenario
 matrix of tree shapes × strategies × processor counts × latency
-configurations.
+configurations.  It also pins every slave-selection context a run builds,
+the final ``sim.views`` and the final clock, and checks oracle-free
+invariants of a finished run.
 
 The batched path (one shared geometry + view bank for many runs) is pinned
 to the one-simulator-per-run path the same way, and the numpy slave
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.flops import type2_slave_factor_entries
 from repro.mapping import compute_mapping
 from repro.runtime import (
     BatchScenario,
@@ -30,6 +33,9 @@ from repro.runtime import (
     resolve_engine,
     run_batch,
 )
+from repro.runtime.geometry import SimGeometry
+from repro.runtime.loadview import ViewBank
+from repro.runtime.soa import K_ROOT_SHARE, K_TYPE1, K_TYPE2_SLAVE
 from repro.scheduling import get_strategy
 from repro.scheduling.base import SlaveSelectionContext
 from repro.scheduling.hybrid import HybridSlaveSelector
@@ -671,3 +677,176 @@ class TestSelectorOracleSimulations:
             run_oracle(tree, config, mapping, strategy),
             traces=traces,
         )
+
+
+# --------------------------------------------------------------------------- #
+# what the selectors see and what a run leaves behind: soa ≡ reference
+# --------------------------------------------------------------------------- #
+#: the fuzz matrix: every clean scenario, plus the faulted subset under each spec
+FUZZ_MATRIX = [(*row, None) for row in SCENARIOS] + [
+    (*row, faults) for faults in FAULT_SPECS for row in TestFaultIdentity.FAULT_SCENARIOS
+]
+FUZZ_ARGS = "seed,nprocs,strategy,latency,mem_latency,traces,faults"
+
+
+def fuzz_case(seed, nprocs, latency, mem_latency, traces, faults):
+    tree, config, mapping = TestFaultIdentity._setup(
+        seed, nprocs, latency, mem_latency, traces, faults
+    )
+    if faults is None:
+        config = config.replace(fault_seed=0)
+    return tree, config, mapping
+
+
+class ContextSpy:
+    """Wraps a slave selector; records the views of every context it is handed.
+
+    Result identity cannot catch a wrong view that happens not to change the
+    chosen slaves; the recorded bytes can.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.seen: list[tuple] = []
+
+    def select(self, ctx: SlaveSelectionContext):
+        self.seen.append((
+            ctx.memory_view.tobytes(),
+            ctx.effective_memory_view.tobytes(),
+            ctx.load_view.tobytes(),
+            float(ctx.own_load).hex(),
+            float(ctx.own_memory).hex(),
+        ))
+        return self.inner.select(ctx)
+
+
+def run_spied(tree, config, mapping, strategy: str, engine: str, **kwargs):
+    """One run with a spied slave selector: (simulator, result, contexts seen)."""
+    slave, task = get_strategy(strategy).build()
+    spy = ContextSpy(slave)
+    sim = FactorizationSimulator(
+        tree, config=config, mapping=mapping, slave_selector=spy,
+        task_selector=task, engine=engine, **kwargs,
+    )
+    result = sim.run()
+    assert len(spy.seen) == result.slave_selections
+    return sim, result, spy.seen
+
+
+def view_bytes(sim) -> list[bytes]:
+    views = sim.views
+    return [
+        m.tobytes()
+        for m in (views.memory, views.load, views.subtree_peak, views.predicted_master)
+    ]
+
+
+def assert_same_end_state(fast, ref) -> None:
+    assert view_bytes(fast) == view_bytes(ref)
+    assert fast.queue.now == ref.queue.now
+
+
+class TestViewIdentity:
+    """Every selection context, the final ``sim.views`` and the final clock
+    of ``soa`` match ``reference`` bit for bit."""
+
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
+    @pytest.mark.parametrize(FUZZ_ARGS, FUZZ_MATRIX)
+    def test_selection_contexts(
+        self, seed, nprocs, strategy, latency, mem_latency, traces, faults, engine
+    ):
+        tree, config, mapping = fuzz_case(seed, nprocs, latency, mem_latency, traces, faults)
+        _, _, opt = run_spied(tree, config, mapping, strategy, engine)
+        _, _, ref = run_spied(tree, config, mapping, strategy, "reference")
+        assert opt == ref
+
+    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
+    @pytest.mark.parametrize(FUZZ_ARGS, FUZZ_MATRIX)
+    def test_end_state(self, seed, nprocs, strategy, latency, mem_latency, traces, faults, engine):
+        tree, config, mapping = fuzz_case(seed, nprocs, latency, mem_latency, traces, faults)
+        fast, opt, _ = run_spied(tree, config, mapping, strategy, engine)
+        ref_sim, ref, _ = run_spied(tree, config, mapping, strategy, "reference")
+        assert_identical(opt, ref, traces=traces)
+        assert_same_end_state(fast, ref_sim)
+
+    def test_batched_reused_bank(self):
+        """One shared geometry and view bank across runs, as ``run_batch`` does."""
+        tree = random_tree(6)
+        nprocs = 8
+        base = SimulationConfig(nprocs=nprocs, latency=0.0, memory_message_latency=0.0)
+        mapping = compute_mapping(tree, nprocs)
+        geometry = SimGeometry.for_run(tree, mapping, nprocs)
+        bank = ViewBank(nprocs)
+        runs = [(s, base) for s in STRATEGIES] + [
+            ("memory-full", base.replace(faults=FAULT_SPECS[1], fault_seed=5)),
+            ("hybrid", SimulationConfig(nprocs=nprocs)),
+        ]
+        for strategy, config in runs:
+            fast, opt, opt_seen = run_spied(
+                tree, config, mapping, strategy, "soa", views=bank, geometry=geometry
+            )
+            assert fast.views is bank
+            ref_sim, ref, ref_seen = run_spied(tree, config, mapping, strategy, "reference")
+            assert_identical(opt, ref)
+            assert opt_seen == ref_seen
+            assert_same_end_state(fast, ref_sim)
+
+
+class TestRunInvariants:
+    """Oracle-free checks of a finished ``soa`` run."""
+
+    @staticmethod
+    def root_cbs_left(tree, state) -> np.ndarray:
+        """Per processor, the root CB entries it still holds at the end.
+
+        No parent consumes a root's CB, so it stays where it was produced:
+        on the owner of a type-1 root, in the slave pieces of a type-2 root,
+        on processor 0 for a type-3 root.  Real trees have none; the random
+        ones do.
+        """
+        left = np.zeros(state.nprocs)
+        roots = set(tree.roots)
+        for t in range(state.ntasks):
+            node = int(state.task_node[t])
+            if node not in roots:
+                continue
+            kind = int(state.task_kind[t])
+            proc = int(state.task_proc[t])
+            if kind == K_TYPE1:
+                left[proc] += tree.cb_entries(node)
+            elif kind == K_TYPE2_SLAVE:
+                fp = type2_slave_factor_entries(
+                    int(tree.npiv[node]), int(tree.nfront[node]), int(state.task_rows[t]),
+                    tree.symmetric,
+                )
+                left[proc] += max(float(state.task_memory[t]) - fp, 0.0)
+            elif kind == K_ROOT_SHARE and proc == 0:
+                left[proc] += tree.cb_entries(node)
+        return left
+
+    @classmethod
+    def assert_invariants(cls, tree, sim, result) -> None:
+        state = sim.state
+        tol = 1e-9 * float(state.peak_stack.max())
+        # every front and contribution block but the roots' CBs is freed
+        left = cls.root_cbs_left(tree, state)
+        assert np.all(np.abs(state.stack - left) <= tol), (state.stack, left)
+        # every factor entry of the tree is stored exactly once
+        assert result.total_factor_entries == tree.total_factor_entries()
+
+    @pytest.mark.parametrize(FUZZ_ARGS, FUZZ_MATRIX)
+    def test_fuzz_matrix(self, seed, nprocs, strategy, latency, mem_latency, traces, faults):
+        tree, config, mapping = fuzz_case(seed, nprocs, latency, mem_latency, traces, faults)
+        sim, result, _ = run_spied(tree, config, mapping, strategy, "soa")
+        self.assert_invariants(tree, sim, result)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_built_tree_stacks_end_at_zero(self, strategy):
+        pattern = grid_2d(14, 14)
+        tree = build_assembly_tree(pattern, None, keep_variables=False)
+        config = SimulationConfig.paper(nprocs=8, type2_front_threshold=24, type2_cb_threshold=6)
+        mapping = compute_mapping(tree, 8, **config.mapping_params())
+        sim, result, _ = run_spied(tree, config, mapping, strategy, "soa")
+        self.assert_invariants(tree, sim, result)
+        tol = 1e-9 * float(sim.state.peak_stack.max())
+        assert np.all(np.abs(sim.state.stack) <= tol), sim.state.stack
