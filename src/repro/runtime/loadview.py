@@ -136,8 +136,7 @@ class ViewBank:
         self.load = np.zeros((nprocs, nprocs), dtype=np.float64)
         self.subtree_peak = np.zeros((nprocs, nprocs), dtype=np.float64)
         self.predicted_master = np.zeros((nprocs, nprocs), dtype=np.float64)
-        # kind-id → matrix, indexed consistently with events.BK_* (the SoA
-        # engine's integer-tagged broadcasts land here directly)
+        # kind-id → matrix, indexed consistently with events.BK_*
         self._kind_arrays = (self.memory, self.load, self.subtree_peak, self.predicted_master)
         self._views = [
             SystemView(

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.flops import type2_slave_factor_entries
 from repro.mapping import compute_mapping
 from repro.runtime import (
     BatchScenario,
@@ -35,7 +34,6 @@ from repro.runtime import (
 )
 from repro.runtime.geometry import SimGeometry
 from repro.runtime.loadview import ViewBank
-from repro.runtime.soa import K_ROOT_SHARE, K_TYPE1, K_TYPE2_SLAVE
 from repro.scheduling import get_strategy
 from repro.scheduling.base import SlaveSelectionContext
 from repro.scheduling.hybrid import HybridSlaveSelector
@@ -289,8 +287,8 @@ class TestFaultIdentity:
     FAULT_SCENARIOS = [SCENARIOS[i] for i in (0, 2, 4, 6, 7, 9, 11)]
 
     @staticmethod
-    def _setup(seed, nprocs, latency, mem_latency, traces, faults):
-        tree = random_tree(seed)
+    def _setup(seed, nprocs, latency, mem_latency, traces, faults, tree=None):
+        tree = random_tree(seed) if tree is None else tree
         config = SimulationConfig(
             nprocs=nprocs,
             type2_front_threshold=24,
@@ -689,9 +687,26 @@ FUZZ_MATRIX = [(*row, None) for row in SCENARIOS] + [
 FUZZ_ARGS = "seed,nprocs,strategy,latency,mem_latency,traces,faults"
 
 
+def cb_free_roots(tree: AssemblyTree) -> AssemblyTree:
+    """``tree`` with its roots hung under one new root that has no CB.
+
+    No parent frees a root's CB, so only a tree whose roots have none must
+    end a run with every stack at 0; the old roots keep their geometry (and
+    their type-2 mapping) and pass their CBs to the new root.
+    """
+    parent = np.append(tree.parent, -1)
+    parent[tree.roots] = tree.nnodes
+    size = max(int(tree.nfront[r] - tree.npiv[r]) for r in tree.roots) + 1
+    npiv = np.append(tree.npiv, size)
+    return AssemblyTree(
+        npiv, np.append(tree.nfront, size), parent, symmetric=tree.symmetric,
+        nvars=int(npiv.sum()),
+    )
+
+
 def fuzz_case(seed, nprocs, latency, mem_latency, traces, faults):
     tree, config, mapping = TestFaultIdentity._setup(
-        seed, nprocs, latency, mem_latency, traces, faults
+        seed, nprocs, latency, mem_latency, traces, faults, tree=cb_free_roots(random_tree(seed))
     )
     if faults is None:
         config = config.replace(fault_seed=0)
@@ -746,28 +761,29 @@ def assert_same_end_state(fast, ref) -> None:
     assert fast.queue.now == ref.queue.now
 
 
+def assert_invariants(tree, sim, result) -> None:
+    """Oracle-free checks of a finished run on a tree without root CBs."""
+    state = sim.state
+    # every front and contribution block is freed
+    tol = 1e-9 * float(state.peak_stack.max())
+    assert np.all(np.abs(state.stack) <= tol), state.stack
+    # every factor entry of the tree is stored exactly once
+    assert result.total_factor_entries == tree.total_factor_entries()
+
+
 class TestViewIdentity:
     """Every selection context, the final ``sim.views`` and the final clock
-    of ``soa`` match ``reference`` bit for bit."""
+    of ``soa`` match ``reference`` bit for bit, and a finished run passes
+    the oracle-free invariants."""
 
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
     @pytest.mark.parametrize(FUZZ_ARGS, FUZZ_MATRIX)
-    def test_selection_contexts(
-        self, seed, nprocs, strategy, latency, mem_latency, traces, faults, engine
-    ):
+    def test_fuzz_matrix(self, seed, nprocs, strategy, latency, mem_latency, traces, faults):
         tree, config, mapping = fuzz_case(seed, nprocs, latency, mem_latency, traces, faults)
-        _, _, opt = run_spied(tree, config, mapping, strategy, engine)
-        _, _, ref = run_spied(tree, config, mapping, strategy, "reference")
-        assert opt == ref
-
-    @pytest.mark.parametrize("engine", OPTIMIZED_ENGINES)
-    @pytest.mark.parametrize(FUZZ_ARGS, FUZZ_MATRIX)
-    def test_end_state(self, seed, nprocs, strategy, latency, mem_latency, traces, faults, engine):
-        tree, config, mapping = fuzz_case(seed, nprocs, latency, mem_latency, traces, faults)
-        fast, opt, _ = run_spied(tree, config, mapping, strategy, engine)
-        ref_sim, ref, _ = run_spied(tree, config, mapping, strategy, "reference")
-        assert_identical(opt, ref, traces=traces)
+        fast, result, seen = run_spied(tree, config, mapping, strategy, "soa")
+        ref_sim, _, ref_seen = run_spied(tree, config, mapping, strategy, "reference")
+        assert seen == ref_seen
         assert_same_end_state(fast, ref_sim)
+        assert_invariants(tree, fast, result)
 
     def test_batched_reused_bank(self):
         """One shared geometry and view bank across runs, as ``run_batch`` does."""
@@ -793,52 +809,7 @@ class TestViewIdentity:
 
 
 class TestRunInvariants:
-    """Oracle-free checks of a finished ``soa`` run."""
-
-    @staticmethod
-    def root_cbs_left(tree, state) -> np.ndarray:
-        """Per processor, the root CB entries it still holds at the end.
-
-        No parent consumes a root's CB, so it stays where it was produced:
-        on the owner of a type-1 root, in the slave pieces of a type-2 root,
-        on processor 0 for a type-3 root.  Real trees have none; the random
-        ones do.
-        """
-        left = np.zeros(state.nprocs)
-        roots = set(tree.roots)
-        for t in range(state.ntasks):
-            node = int(state.task_node[t])
-            if node not in roots:
-                continue
-            kind = int(state.task_kind[t])
-            proc = int(state.task_proc[t])
-            if kind == K_TYPE1:
-                left[proc] += tree.cb_entries(node)
-            elif kind == K_TYPE2_SLAVE:
-                fp = type2_slave_factor_entries(
-                    int(tree.npiv[node]), int(tree.nfront[node]), int(state.task_rows[t]),
-                    tree.symmetric,
-                )
-                left[proc] += max(float(state.task_memory[t]) - fp, 0.0)
-            elif kind == K_ROOT_SHARE and proc == 0:
-                left[proc] += tree.cb_entries(node)
-        return left
-
-    @classmethod
-    def assert_invariants(cls, tree, sim, result) -> None:
-        state = sim.state
-        tol = 1e-9 * float(state.peak_stack.max())
-        # every front and contribution block but the roots' CBs is freed
-        left = cls.root_cbs_left(tree, state)
-        assert np.all(np.abs(state.stack - left) <= tol), (state.stack, left)
-        # every factor entry of the tree is stored exactly once
-        assert result.total_factor_entries == tree.total_factor_entries()
-
-    @pytest.mark.parametrize(FUZZ_ARGS, FUZZ_MATRIX)
-    def test_fuzz_matrix(self, seed, nprocs, strategy, latency, mem_latency, traces, faults):
-        tree, config, mapping = fuzz_case(seed, nprocs, latency, mem_latency, traces, faults)
-        sim, result, _ = run_spied(tree, config, mapping, strategy, "soa")
-        self.assert_invariants(tree, sim, result)
+    """Oracle-free checks of a finished ``soa`` run on a built tree."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_built_tree_stacks_end_at_zero(self, strategy):
@@ -847,6 +818,4 @@ class TestRunInvariants:
         config = SimulationConfig.paper(nprocs=8, type2_front_threshold=24, type2_cb_threshold=6)
         mapping = compute_mapping(tree, 8, **config.mapping_params())
         sim, result, _ = run_spied(tree, config, mapping, strategy, "soa")
-        self.assert_invariants(tree, sim, result)
-        tol = 1e-9 * float(sim.state.peak_stack.max())
-        assert np.all(np.abs(sim.state.stack) <= tol), sim.state.stack
+        assert_invariants(tree, sim, result)
