@@ -2,22 +2,22 @@
 
 ``repro bench run --save`` records one run file; this module strings those
 runs into a *history* so a case's timing trajectory across days/commits can
-be listed (``repro bench history``).  The layout borrows the
-:class:`~repro.results.ResultStore` durability discipline::
+be listed (``repro bench history``).  The manifest is a :mod:`repro.durable`
+append-only log, like the :class:`~repro.results.ResultStore` manifest::
 
     benchmarks/baselines/history/
       manifest.jsonl            # one JSON line per appended run
       run-<utc>-<host>-<n>.json # immutable BenchRun files
 
-A run file is fully written first and its manifest line appended (flushed)
-second — so a manifest line implies a complete run file, a torn trailing
-line is skipped on replay, and a run file without a line (crash between the
-two steps) is simply invisible until :meth:`BenchHistory.adopt_orphans`
-re-manifests it.  Files are never rewritten; the manifest order is the
-append order, which is the chronology ``trajectory`` reports.  Replay is
-lossy only for files that cannot be loaded, and never silently:
-:attr:`BenchHistory.replay_skipped` counts them per :meth:`~BenchHistory.runs`
-pass.
+A run file is written atomically first and its manifest line appended
+(fsync-ed) second — so a manifest line implies a complete run file, a torn
+trailing line is skipped on replay by the module's torn-tail rule, and a
+run file without a line (crash between the two steps) is simply invisible
+until :meth:`BenchHistory.adopt_orphans` re-manifests it.  Files are never
+rewritten; the manifest order is the append order, which is the chronology
+``trajectory`` reports.  Replay is lossy only for files that cannot be
+loaded, and never silently: :attr:`BenchHistory.replay_skipped` counts them
+per :meth:`~BenchHistory.runs` pass.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.bench.model import BenchRun
-from repro.serialize import canonical_json
+from repro.durable import append_line, read_lines
 
 __all__ = ["BenchHistory", "HistoryPoint", "default_history_dir"]
 
@@ -98,66 +98,30 @@ class BenchHistory:
             n += 1
         return name
 
-    def _append_manifest_line(self, line: bytes) -> None:
-        """Flush one manifest line durably, healing a torn predecessor.
-
-        A crash mid-append can leave the manifest without its trailing
-        newline; glueing the next line onto the torn fragment would corrupt
-        both, so a missing newline is repaired before writing.
-        """
-        prefix = b""
-        try:
-            with open(self.manifest_path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    prefix = b"\n"
-        except (FileNotFoundError, OSError):
-            pass  # no manifest yet, or empty: nothing to heal
-        with open(self.manifest_path, "ab") as fh:
-            fh.write(prefix + line)
-            fh.flush()
-            os.fsync(fh.fileno())
+    def _append_manifest_line(self, name: str, run: BenchRun) -> None:
+        record = {"op": "run", "file": name, "timestamp": run.timestamp, "host": run.host}
+        record["cases"] = len(run.results)
+        append_line(self.manifest_path, record, fsync=True)
 
     def append(self, run: BenchRun) -> Path:
         """Durably add one run: write its file, then its manifest line."""
         self.directory.mkdir(parents=True, exist_ok=True)
         name = self._run_filename(run)
         run.save(str(self.directory / name))
-        self._append_manifest_line(
-            canonical_json(
-                {
-                    "op": "run",
-                    "file": name,
-                    "timestamp": run.timestamp,
-                    "host": run.host,
-                    "cases": len(run.results),
-                }
-            )
-        )
+        self._append_manifest_line(name, run)
         return self.directory / name
 
     # ------------------------------------------------------------------ #
     # read
     # ------------------------------------------------------------------ #
     def _manifest_files(self) -> list[str]:
-        """Run filenames in append order (torn trailing line tolerated)."""
-        out: list[str] = []
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return out
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a crash mid-append
-            if event.get("op") == "run" and isinstance(event.get("file"), str):
-                out.append(event["file"])
-        return out
+        """Run filenames in append order (a torn line is skipped)."""
+        events, _ = read_lines(self.manifest_path)
+        return [
+            event["file"]
+            for event in events
+            if event.get("op") == "run" and isinstance(event.get("file"), str)
+        ]
 
     def runs(self) -> Iterator[tuple[str, BenchRun]]:
         """``(filename, run)`` pairs in append order; unreadable files skipped.
@@ -196,17 +160,7 @@ class BenchHistory:
             except (ValueError, KeyError, json.JSONDecodeError):
                 self.replay_skipped += 1
                 continue
-            self._append_manifest_line(
-                canonical_json(
-                    {
-                        "op": "run",
-                        "file": name,
-                        "timestamp": run.timestamp,
-                        "host": run.host,
-                        "cases": len(run.results),
-                    }
-                )
-            )
+            self._append_manifest_line(name, run)
             adopted.append(name)
         return adopted
 

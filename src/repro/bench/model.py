@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.bench.env import BenchEnv
+from repro.durable import atomic_write
 from repro.serialize import decode_fields
 
 __all__ = ["SCHEMA_VERSION", "BenchCase", "BenchResult", "BenchRun", "host_tag"]
@@ -193,12 +194,12 @@ class BenchRun:
         )
 
     def save(self, path: str) -> None:
+        """Write the run as indented JSON, atomically (a failure keeps the old file)."""
+        data = (json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n").encode()
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write(path, data, fsync=False)
 
     @classmethod
     def load(cls, path: str) -> "BenchRun":

@@ -22,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
+
+from repro.durable import atomic_write
 
 __all__ = [
     "content_key",
@@ -111,14 +112,13 @@ class MemoryStore(ArtifactStore):
 class DiskStore(ArtifactStore):
     """One pickle per artifact in ``directory`` (``{key}.pkl``).
 
-    Writes go through a temporary file followed by an atomic rename, so a
-    concurrent sweep worker or service reader never observes a half-written
-    artifact — at worst two writers compute the same artifact and the second
-    rename wins with an identical payload.  ``durable=True`` additionally
-    fsyncs the temporary file before the rename, so even a machine crash in
-    the middle of a write can never leave a torn file behind the key (the
-    rename is only allowed to become visible after the payload is on disk) —
-    the crash-safety level the service's table store relies on.
+    Writes go through :func:`repro.durable.atomic_write`, so a concurrent
+    sweep worker or service reader never observes a half-written artifact —
+    at worst two writers compute the same artifact and the second rename
+    wins with an identical payload.  ``durable=True`` additionally fsyncs
+    the payload before the rename, so even a machine crash in the middle of
+    a write can never leave a torn file behind the key — the crash-safety
+    level the service's table store relies on.
     """
 
     def __init__(self, directory: str | os.PathLike, *, durable: bool = False) -> None:
@@ -138,20 +138,7 @@ class DiskStore(ArtifactStore):
             raise KeyError(key) from None
 
     def put(self, key: str, value: object, *, persist: bool = True) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh)
-                if self.durable:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path(key), pickle.dumps(value), fsync=self.durable)
 
     def delete(self, key: str) -> bool:
         """Remove ``key``; returns whether it existed (races are benign)."""

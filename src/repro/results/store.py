@@ -8,14 +8,14 @@ Layout of a store directory::
       seg-<writer>-000001.npz
       traces/trace-<key>.npz  # optional delta-encoded SimulationTraces
 
-The durability discipline is the journal idiom of
-:class:`repro.service.jobs.JobJournal`: a segment is written to a temp
-sibling, (optionally) fsync-ed and ``os.replace``-d into place *before* its
-manifest line is appended (flushed + fsync-ed under a lock) — so a manifest
-line implies a complete segment, a torn trailing line is skipped on replay,
-and a segment file that never got its line (crash between the two steps) is
-*adopted* on the next open.  Nothing is ever rewritten in place; a crash at
-any point loses at most the rows still buffered in a writer.
+Durability comes from :mod:`repro.durable`: a segment is written with
+``atomic_write`` (fsync-ed unless ``fsync=False``) *before* its manifest
+line is appended with ``append_line`` under a lock — so a manifest line
+implies a complete segment, a torn trailing line is skipped on replay by the
+module's torn-tail rule, and a segment file that never got its line (crash
+between the two steps) is *adopted* on the next open.  Nothing is ever
+rewritten in place; a crash at any point loses at most the rows still
+buffered in a writer.
 
 One :class:`ResultWriter` per producer (sweep driver, service shard): each
 writer seals its own uniquely named segments, so concurrent writers — even
@@ -32,7 +32,7 @@ table is the manifest-ordered concatenation deduplicated by key.
 
 from __future__ import annotations
 
-import json
+import io
 import os
 import threading
 import uuid
@@ -41,10 +41,10 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
+from repro.durable import append_line, atomic_write, read_lines
 from repro.pipeline.stage import CaseResult
 from repro.results.table import ResultTable, ResultTableBuilder
 from repro.results.traces import decode_trace, encode_trace
-from repro.serialize import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.trace import SimulationTrace
@@ -96,50 +96,19 @@ class ResultStore:
     def _read_manifest_tail(self, pending: Optional[dict[str, ResultTable]] = None) -> None:
         """Ingest the segments named by manifest lines appended since the last read.
 
-        Only the bytes past the consumed offset are read.  An unterminated
-        last line (a crash mid-append, or a sibling still writing) is parsed
-        but not consumed, so it is read again until a later append terminates
-        it; a manifest that has shrunk is read again from the start.
-        ``pending`` holds tables this store already has in memory, by
-        filename.  Caller holds ``self._lock``.
+        Only the bytes past the consumed offset are read, by
+        :func:`repro.durable.read_lines` (an unterminated last line is read
+        again until a later append terminates it).  ``pending`` holds tables
+        this store already has in memory, by filename.  Caller holds
+        ``self._lock``.
         """
-        try:
-            with open(self.manifest_path, "rb") as fh:
-                if os.fstat(fh.fileno()).st_size < self._manifest_offset:
-                    self._manifest_offset = 0
-                fh.seek(self._manifest_offset)
-                data = fh.read()
-        except FileNotFoundError:
-            self._manifest_offset = 0
-            data = b""
-        self._manifest_offset += data.rfind(b"\n") + 1
-        for line in data.splitlines():
-            try:
-                event = json.loads(line)
-            except ValueError:
-                # torn line from a crash mid-append: the segment it described
-                # is adopted as an orphan if it is complete
-                continue
-            if isinstance(event, dict) and event.get("op") == "segment":
-                filename = event.get("file")
-                if isinstance(filename, str):
-                    self._ingest(filename, (pending or {}).get(filename))
-
-    def _append_manifest(self, filename: str, rows: int) -> None:
-        # caller holds self._lock
-        line = canonical_json({"op": "segment", "file": filename, "rows": rows})
-        with open(self.manifest_path, "ab+") as fh:
-            # a crash mid-append can leave a torn last line without its
-            # newline: terminate it first, so the fragment stays a skippable
-            # line of its own instead of swallowing this record
-            if fh.seek(0, os.SEEK_END) > 0:
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = b"\n" + line
-            fh.write(line)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+        events, self._manifest_offset = read_lines(self.manifest_path, self._manifest_offset)
+        for event in events:
+            # a torn line is skipped: the segment it described is adopted as
+            # an orphan if it is complete
+            filename = event.get("file")
+            if event.get("op") == "segment" and isinstance(filename, str):
+                self._ingest(filename, (pending or {}).get(filename))
 
     def _commit(self, filename: str, table: ResultTable) -> None:
         """Manifest one segment file, then ingest the manifest through its line.
@@ -149,7 +118,11 @@ class ResultStore:
         sibling appended lines since the last read.  Caller holds
         ``self._lock``.
         """
-        self._append_manifest(filename, len(table))
+        append_line(
+            self.manifest_path,
+            {"op": "segment", "file": filename, "rows": len(table)},
+            fsync=self.fsync,
+        )
         self._read_manifest_tail({filename: table})
 
     def _load_segment(self, filename: str) -> Optional[ResultTable]:
@@ -298,21 +271,9 @@ class ResultStore:
         """Persist one case's trace, delta-encoded (atomic, idempotent)."""
         path = self._trace_path(str(key))
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = encode_trace(trace)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload)
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **encode_trace(trace))
+        atomic_write(path, buffer.getvalue(), fsync=self.fsync)
 
     def has_trace(self, key: str) -> bool:
         return self._trace_path(str(key)).exists()

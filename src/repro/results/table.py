@@ -28,12 +28,14 @@ values the dataclass did, so a materialized row compares bit-identical.
 
 from __future__ import annotations
 
+import io
 import os
 from collections.abc import Sequence
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
+from repro.durable import atomic_write
 from repro.pipeline.stage import CaseResult
 from repro.serialize import check_schema, schema_tag
 
@@ -339,12 +341,10 @@ class ResultTable:
     def save_npz(self, path: str | os.PathLike, *, fsync: bool = False) -> None:
         """Write the table as one compressed ``.npz``, atomically.
 
-        Written to a temp sibling then ``os.replace``-d into place (the
-        artifact-store discipline), so a reader never observes a torn file
-        under POSIX rename semantics; ``fsync=True`` additionally makes the
-        bytes durable before the rename.
+        Written with :func:`repro.durable.atomic_write`, so a reader never
+        observes a torn file; ``fsync=True`` additionally makes the bytes
+        durable before the rename.
         """
-        path = os.fspath(path)
         payload: dict[str, np.ndarray] = {"schema": np.asarray(schema_tag(_SCHEMA_KIND))}
         for name in STRING_COLUMNS:
             payload[f"{name}_codes"] = self._codes[name]
@@ -354,20 +354,9 @@ class ResultTable:
         payload["per_proc_values"] = self._values
         payload["per_proc_offsets"] = self._offsets
         payload["keys"] = self._keys.astype(str)
-        tmp = f"{path}.tmp-{os.getpid()}"
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload)
-                fh.flush()
-                if fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **payload)
+        atomic_write(path, buffer.getvalue(), fsync=fsync)
 
     @classmethod
     def load_npz(cls, path: str | os.PathLike) -> "ResultTable":

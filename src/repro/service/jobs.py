@@ -12,20 +12,19 @@ state machine::
         (retry)   │
                   └──► queued   (crash recovery / retry-with-backoff)
 
-Every transition is appended to a crash-safe on-disk journal (JSON lines,
-written via the same write-temp-then-``os.replace`` discipline as the
-artifact store for the compacted form, and ``fsync``-ed appends for the
-incremental form).  On startup the journal is replayed: finished jobs come
-back ``done``/``failed``, and jobs that were ``queued`` or ``running`` when
-the previous daemon died are re-queued — a crash never loses a submitted
-job and never leaves one stuck in ``running``.
+Every transition is appended to a crash-safe on-disk journal, a JSON-lines
+log of :mod:`repro.durable` (appended with ``append_line``, replayed with
+``read_lines`` under its torn-tail rule, compacted with ``atomic_write``).
+On startup the journal is replayed: finished jobs come back
+``done``/``failed``, and jobs that were ``queued`` or ``running`` when the
+previous daemon died are re-queued — a crash never loses a submitted job and
+never leaves one stuck in ``running``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import os
 import threading
 import time
@@ -34,8 +33,9 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+from repro.durable import append_line, atomic_write, read_lines
 from repro.pipeline.stage import CaseSpec
-from repro.serialize import decode_fields
+from repro.serialize import canonical_json, decode_fields
 from repro.specs import SweepSpec
 from repro.tune.driver import TuneSpec
 
@@ -222,11 +222,12 @@ class JobJournal:
         {"op": "submit", "job": {...full JobRecord...}}
         {"op": "update", "id": "...", ...changed fields...}
 
-    Appends are flushed and ``fsync``-ed under a lock, so a line is either
-    fully on disk or absent — a reader (the replay on startup) never sees a
-    torn record; a trailing partial line from a mid-write crash is skipped.
-    :meth:`compact` rewrites the journal as one ``submit`` per live job via
-    an atomic replace, bounding replay cost for long-lived daemons.
+    Appends go through :func:`repro.durable.append_line` under a lock
+    (``fsync``-ed unless ``fsync=False``), and replay skips a torn trailing
+    line by :mod:`repro.durable`'s torn-tail rule, so a crash mid-append
+    loses only the record it interrupted.  :meth:`compact` rewrites the
+    journal as one ``submit`` per live job via an atomic replace, bounding
+    replay cost for long-lived daemons.
     """
 
     def __init__(self, path: str | os.PathLike, *, fsync: bool = True) -> None:
@@ -236,32 +237,14 @@ class JobJournal:
         self._lock = threading.Lock()
 
     def append(self, record: Mapping[str, object]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
+            append_line(self.path, record, fsync=self.fsync)
 
     def replay(self) -> dict[str, JobRecord]:
         """Rebuild the job table from the journal (missing file = empty)."""
         records: dict[str, JobRecord] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except FileNotFoundError:
-            return records
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                # a torn trailing line from a crash mid-append: ignore it —
-                # the transition it described never became durable
-                continue
+        events, _ = read_lines(self.path)
+        for event in events:
             op = event.get("op")
             if op == "submit":
                 record = JobRecord.from_dict(event["job"])
@@ -281,22 +264,9 @@ class JobJournal:
 
     def compact(self, records: Iterable[JobRecord]) -> None:
         """Atomically rewrite the journal as one submit line per record."""
-        tmp = self.path.with_suffix(".tmp")
+        data = b"".join(canonical_json({"op": "submit", "job": r.to_dict()}) for r in records)
         with self._lock:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(
-                        json.dumps(
-                            {"op": "submit", "job": record.to_dict()},
-                            sort_keys=True,
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            atomic_write(self.path, data, fsync=self.fsync)
 
 
 # --------------------------------------------------------------------------- #

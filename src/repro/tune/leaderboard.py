@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+from repro.durable import atomic_write
 from repro.serialize import canonical_json, decode_fields, with_schema
 
 __all__ = ["LeaderboardEntry", "Leaderboard", "DEFAULT_LEADERBOARD_NAME"]
@@ -130,12 +131,10 @@ class Leaderboard:
         )
 
     def save(self, path: "str | os.PathLike") -> Path:
-        """Atomically write the canonical encoding (write + rename)."""
+        """Atomically write the canonical encoding (:func:`repro.durable.atomic_write`)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(self.to_bytes())
-        os.replace(tmp, path)
+        atomic_write(path, self.to_bytes(), fsync=False)
         return path
 
     @classmethod
