@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.bench.model import BenchRun
-from repro.durable import append_line, read_lines
+from repro.durable import append_line, read_lines, remove_stale_temps
 
 __all__ = ["BenchHistory", "HistoryPoint", "default_history_dir"]
 
@@ -75,6 +75,7 @@ class BenchHistory:
 
     def __init__(self, directory: "str | os.PathLike" = _HISTORY_DIR) -> None:
         self.directory = Path(directory)
+        remove_stale_temps(self.directory)
         #: manifest-listed files that failed to load during the last
         #: :meth:`runs` pass (reset at the start of each pass), plus any
         #: unloadable orphans :meth:`adopt_orphans` refused to adopt since.

@@ -6,6 +6,11 @@ Regenerate Table 2 on 8 simulated processors at reduced scale::
 
     python -m repro table2 --nprocs 8 --scale 0.4
 
+Print every table as one JSON document, cells at full precision and no
+timings (the defaults give ``tests/golden/tables.json`` byte for byte)::
+
+    python -m repro tables --format json --jobs 2
+
 Regenerate every table and figure (the full evaluation), four analysis
 workers in parallel with per-case progress on stderr::
 
@@ -149,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("text", "json", "csv"), default="text",
-        help="output format for the 'sweep' and 'list' targets (default: text)",
+        help="output format for the 'sweep', 'list' and table targets (tables: text or json; "
+        "default: text)",
     )
     parser.add_argument(
         "--no-progress", action="store_true", help="disable the per-case progress lines on stderr"
@@ -196,7 +202,13 @@ def _progress_printer(event: ProgressEvent) -> None:
 # --------------------------------------------------------------------------- #
 # tables
 # --------------------------------------------------------------------------- #
-def _run_tables(session: Session, names: list[str], problems, orderings) -> None:
+def _run_tables(session: Session, names: list[str], problems, orderings, *, fmt: str) -> None:
+    """Print each table as aligned text, or all of them as one JSON document.
+
+    The JSON holds every cell at full precision and no timings, so the same
+    arguments always give the same bytes (the tables' golden file is one).
+    """
+    tables: dict[str, object] = {}
     for name in names:
         entry = tables_mod.ALL_TABLES.entry(name)
         start = time.time()
@@ -205,9 +217,15 @@ def _run_tables(session: Session, names: list[str], problems, orderings) -> None
             kwargs["problems"] = problems
         if orderings and "orderings" in entry.params:
             kwargs["orderings"] = orderings
-        rows = entry.value(session, **kwargs)
+        rows = entry.value(session, **kwargs, exact=fmt == "json")
+        if fmt == "json":
+            tables[name] = rows
+            continue
         print()
         print(tables_mod.format_table(rows, title=f"=== {name.upper()} (regenerated in {time.time() - start:.1f}s) ==="))
+    if fmt == "json":
+        payload = {"nprocs": session.nprocs, "scale": session.scale, "tables": tables}
+        print(json.dumps(payload, indent=2))
 
 
 # --------------------------------------------------------------------------- #
@@ -410,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     else:
         parser.error(f"unknown target {args.target!r}")
 
+    if wanted_tables and args.format != "text" and (wanted_figures or args.format == "csv"):
+        parser.error("the table targets support --format text or json; 'all' supports text only")
+
     nprocs_axis = args.nprocs if isinstance(args.nprocs, list) else [args.nprocs]
     if len(nprocs_axis) > 1 and not wanted_sweep:
         parser.error("a multi-valued --nprocs axis is only supported by the 'sweep' target")
@@ -459,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         try:
             if wanted_tables:
-                _run_tables(session, wanted_tables, problems, orderings)
+                _run_tables(session, wanted_tables, problems, orderings, fmt=args.format)
             if wanted_sweep:
                 axis = args.nprocs if isinstance(args.nprocs, list) else [None]
                 _run_sweep(

@@ -5,7 +5,9 @@ journal, the result-store manifest and the bench-history manifest are
 JSON-lines logs written by :func:`append_line` and read by
 :func:`read_lines`; whole files (compacted journals, segments, traces,
 artifacts, leaderboards, bench runs) are written by :func:`atomic_write`.
-``fsync`` is always the caller's policy.
+``fsync`` is always the caller's policy.  A writer killed mid-write leaves
+its temp file behind; :func:`remove_stale_temps` clears those once they are
+old enough that no live writer can own them.
 
 The torn-tail rule
 ------------------
@@ -23,12 +25,22 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
+import time
 import uuid
 from typing import Mapping
 
 from repro.serialize import canonical_json
 
-__all__ = ["append_line", "read_lines", "atomic_write"]
+__all__ = ["append_line", "read_lines", "atomic_write", "remove_stale_temps", "STALE_TEMP_S"]
+
+#: age in seconds past which an :func:`atomic_write` temp file belongs to a
+#: dead writer.  Fixed, and far above the time of any single write, so a
+#: temp file that a concurrent writer is still filling is never removed.
+STALE_TEMP_S = 3600.0
+
+#: the names :func:`atomic_write` gives its temp files
+_TEMP_NAME = re.compile(r".+\.[0-9a-f]{32}\.tmp")
 
 
 def append_line(path: str | os.PathLike, record: Mapping[str, object], *, fsync: bool) -> None:
@@ -92,3 +104,22 @@ def atomic_write(path: str | os.PathLike, data: bytes, *, fsync: bool) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def remove_stale_temps(directory: str | os.PathLike) -> None:
+    """Remove the temp files that killed :func:`atomic_write` calls left in ``directory``.
+
+    Only ``<name>.<hex>.tmp`` files last modified more than
+    :data:`STALE_TEMP_S` seconds ago are removed; subdirectories are not
+    searched, and a missing directory holds none.
+    """
+    try:
+        with os.scandir(directory) as entries:
+            temps = [entry.path for entry in entries if _TEMP_NAME.fullmatch(entry.name)]
+    except FileNotFoundError:
+        return
+    cutoff = time.time() - STALE_TEMP_S
+    for path in temps:
+        with contextlib.suppress(OSError):  # renamed or removed meanwhile
+            if os.lstat(path).st_mtime < cutoff:
+                os.unlink(path)

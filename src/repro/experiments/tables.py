@@ -2,7 +2,10 @@
 
 Every function returns the table as structured data (a dict of dicts keyed
 like the paper's rows and columns) and can also render it as plain text with
-:func:`format_table`.  The comparisons follow the paper exactly:
+:func:`format_table`.  Cells are rounded as the paper prints them;
+``exact=True`` keeps them at full precision (``repro tables --format json``,
+and the golden file that pins the tables).  The comparisons follow the
+paper exactly:
 
 * **Table 1** — the test problems (analogue order/nnz next to the paper's);
 * **Table 2** — % decrease of the maximum stack peak, dynamic memory strategy
@@ -57,8 +60,10 @@ TABLE4_CASES = [("ULTRASOUND3", "metis"), ("XENON2", "amf")]
 TABLE6_PROBLEMS = ["SHIP_003", "PRE2", "ULTRASOUND3"]
 
 
-def table1(session: Session, problems: Iterable[str] | None = None) -> dict[str, dict[str, object]]:
-    """Table 1: the test problems (analogue sizes next to the paper's)."""
+def table1(
+    session: Session, problems: Iterable[str] | None = None, *, exact: bool = False
+) -> dict[str, dict[str, object]]:
+    """Table 1: the test problems (analogue sizes next to the paper's; nothing to round)."""
     rows: dict[str, dict[str, object]] = {}
     for name in problems if problems is not None else PROBLEMS:
         spec = get_problem(name)
@@ -72,6 +77,11 @@ def table1(session: Session, problems: Iterable[str] | None = None) -> dict[str,
             "Description": spec.description,
         }
     return rows
+
+
+def _cell(value: float, ndigits: int, exact: bool) -> float:
+    """A table cell: rounded as the paper prints it, or untouched when ``exact``."""
+    return value if exact else round(value, ndigits)
 
 
 def _paired_cases(
@@ -104,6 +114,7 @@ def _gain_table(
     *,
     split_baseline: bool,
     split_candidate: bool,
+    exact: bool,
 ) -> dict[str, dict[str, float]]:
     pairs = _paired_cases(
         session, problems, orderings, split_baseline=split_baseline, split_candidate=split_candidate
@@ -113,8 +124,8 @@ def _gain_table(
         row: dict[str, float] = {}
         for ordering in orderings:
             base, cand = pairs[(problem, ordering)]
-            row[ordering.upper()] = round(
-                percentage_decrease(base.max_peak_stack, cand.max_peak_stack), 1
+            row[ordering.upper()] = _cell(
+                percentage_decrease(base.max_peak_stack, cand.max_peak_stack), 1, exact
             )
         rows[problem] = row
     return rows
@@ -124,25 +135,35 @@ def table2(
     session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
+    *,
+    exact: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Table 2: % decrease of the max stack peak, memory vs. workload, no splitting."""
     if problems is None:
         problems = list(PROBLEMS)
-    return _gain_table(session, list(problems), list(orderings), split_baseline=False, split_candidate=False)
+    return _gain_table(
+        session, list(problems), list(orderings), split_baseline=False, split_candidate=False, exact=exact
+    )
 
 
 def table3(
     session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
+    *,
+    exact: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Table 3: same comparison on statically split trees (unsymmetric matrices)."""
     if problems is None:
         problems = list(UNSYMMETRIC_PROBLEMS)
-    return _gain_table(session, list(problems), list(orderings), split_baseline=True, split_candidate=True)
+    return _gain_table(
+        session, list(problems), list(orderings), split_baseline=True, split_candidate=True, exact=exact
+    )
 
 
-def table4(session: Session, cases: Sequence[tuple[str, str]] = tuple(TABLE4_CASES)) -> dict[str, dict[str, float]]:
+def table4(
+    session: Session, cases: Sequence[tuple[str, str]] = tuple(TABLE4_CASES), *, exact: bool = False
+) -> dict[str, dict[str, float]]:
     """Table 4: absolute max stack peaks (millions of entries) for two cases."""
     combos = [
         (strategy, strategy_label, split, split_label)
@@ -159,7 +180,7 @@ def table4(session: Session, cases: Sequence[tuple[str, str]] = tuple(TABLE4_CAS
     for problem, ordering in cases:
         row: dict[str, float] = {}
         for _, strategy_label, _, split_label in combos:
-            row[f"{strategy_label} / {split_label}"] = round(next(results).max_peak_stack / 1e6, 3)
+            row[f"{strategy_label} / {split_label}"] = _cell(next(results).max_peak_stack / 1e6, 3, exact)
         rows[f"{problem} - {ordering.upper()}"] = row
     return rows
 
@@ -168,17 +189,23 @@ def table5(
     session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
+    *,
+    exact: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Table 5: memory strategy + splitting vs. original MUMPS (no splitting)."""
     if problems is None:
         problems = list(UNSYMMETRIC_PROBLEMS)
-    return _gain_table(session, list(problems), list(orderings), split_baseline=False, split_candidate=True)
+    return _gain_table(
+        session, list(problems), list(orderings), split_baseline=False, split_candidate=True, exact=exact
+    )
 
 
 def table6(
     session: Session,
     problems: Sequence[str] | None = None,
     orderings: Sequence[str] = tuple(ORDERING_NAMES),
+    *,
+    exact: bool = False,
 ) -> dict[str, dict[str, float]]:
     """Table 6: factorization-time loss (%) of the memory-optimised strategy."""
     if problems is None:
@@ -196,7 +223,7 @@ def table6(
                 if base.total_time > 0
                 else 0.0
             )
-            row[ordering.upper()] = round(loss, 1)
+            row[ordering.upper()] = _cell(loss, 1, exact)
         rows[problem] = row
     return rows
 

@@ -26,7 +26,7 @@ from repro.ordering.amd import amd_ordering
 from repro.ordering.amf import amf_ordering
 from repro.ordering.nested_dissection import nested_dissection_ordering
 from repro.ordering.pord import pord_ordering
-from repro.ordering.quotient_graph import greedy_ordering, EliminationGraph
+from repro.ordering.quotient_graph import greedy_ordering
 from repro.ordering.rcm import rcm_ordering
 from repro.registry import Registry
 from repro.sparse.pattern import SparsePattern
@@ -39,7 +39,6 @@ __all__ = [
     "pord_ordering",
     "rcm_ordering",
     "greedy_ordering",
-    "EliminationGraph",
     "ORDERINGS",
     "compute_ordering",
     "resolve_ordering",

@@ -26,7 +26,7 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
-from repro.durable import atomic_write
+from repro.durable import atomic_write, remove_stale_temps
 
 __all__ = [
     "content_key",
@@ -124,6 +124,7 @@ class DiskStore(ArtifactStore):
     def __init__(self, directory: str | os.PathLike, *, durable: bool = False) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        remove_stale_temps(self.directory)
         self.durable = bool(durable)
 
     def path(self, key: str) -> Path:

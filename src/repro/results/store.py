@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from repro.durable import append_line, atomic_write, read_lines
+from repro.durable import append_line, atomic_write, read_lines, remove_stale_temps
 from repro.pipeline.stage import CaseResult
 from repro.results.table import ResultTable, ResultTableBuilder
 from repro.results.traces import decode_trace, encode_trace
@@ -72,6 +72,8 @@ class ResultStore:
     def __init__(self, directory: str | os.PathLike, *, fsync: bool = True) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        remove_stale_temps(self.directory)
+        remove_stale_temps(self.directory / "traces")
         self.fsync = bool(fsync)
         self._lock = threading.RLock()
         self._writer_tag = uuid.uuid4().hex[:8]

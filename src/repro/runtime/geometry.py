@@ -32,7 +32,8 @@ _TYPE3 = int(NodeType.TYPE3)
 
 #: tree → {(id(mapping), nprocs): SimGeometry}.  The geometry keeps a strong
 #: reference to its mapping, so the ``id`` key cannot be recycled while the
-#: entry is alive; the outer weak key lets a discarded tree drop its cache.
+#: entry is alive.  It keeps none to its tree, so an entry lives exactly as
+#: long as its tree: the weak key dies with the session that built the tree.
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -40,7 +41,6 @@ class SimGeometry:
     """Immutable per-(tree, mapping, nprocs) arrays consumed by the engines."""
 
     __slots__ = (
-        "tree",
         "mapping",
         "nprocs",
         "nnodes",
@@ -73,7 +73,6 @@ class SimGeometry:
     def __init__(self, tree, mapping, nprocs: int) -> None:
         if mapping.nprocs != nprocs:
             raise ValueError("mapping.nprocs does not match the requested nprocs")
-        self.tree = tree
         self.mapping = mapping
         self.nprocs = int(nprocs)
         self.nnodes = tree.nnodes

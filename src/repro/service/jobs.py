@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.durable import append_line, atomic_write, read_lines
+from repro.durable import append_line, atomic_write, read_lines, remove_stale_temps
 from repro.pipeline.stage import CaseSpec
 from repro.serialize import canonical_json, decode_fields
 from repro.specs import SweepSpec
@@ -233,6 +233,7 @@ class JobJournal:
     def __init__(self, path: str | os.PathLike, *, fsync: bool = True) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        remove_stale_temps(self.path.parent)  # the temp files of a killed compaction
         self.fsync = bool(fsync)
         self._lock = threading.Lock()
 
@@ -303,9 +304,12 @@ class JobQueue:
                 if record.state == "running":
                     # the previous daemon died mid-job: the work is
                     # re-runnable by construction (results are cached by
-                    # content key), so put it back in line
+                    # content key), so put it back in line from the start.
+                    # The compaction below journals the reset.
                     record.state = "queued"
                     record.started_at = None
+                    record.done = record.shards_done = 0
+                    record.result_keys = []
                     self.recovered += 1
                 if record.state == "queued":
                     heapq.heappush(
@@ -403,6 +407,7 @@ class JobQueue:
                 error=error,
                 done=0,
                 shards_done=0,
+                result_keys=[],
             )
             heapq.heappush(self._heap, (-record.spec.priority, next(self._seq), job_id))
             self._cond.notify()

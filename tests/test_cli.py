@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,6 +30,21 @@ def test_single_table_small(capsys):
     out = capsys.readouterr().out
     assert "TABLE2" in out
     assert "XENON2" in out
+
+
+def test_table_json_is_exact_and_untimed(capsys):
+    argv = ["table2", "--nprocs", "4", "--scale", "0.2", "--problems", "XENON2", "--orderings", "metis"]
+    assert main(argv + ["--no-progress"]) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "json", "--no-progress"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["nprocs"], payload["scale"]) == (4, 0.2)
+    cell = payload["tables"]["table2"]["XENON2"]["METIS"]
+    assert f"{round(cell, 1)}" in text  # the text output rounds the same cell
+    for argv in (["table2", "--format", "csv"], ["all", "--format", "json"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "--format text or json" in capsys.readouterr().err
 
 
 def test_sweep_target(capsys):

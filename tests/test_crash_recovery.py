@@ -26,8 +26,10 @@ import pytest
 from repro.pipeline.engine import AnalysisPipeline
 from repro.pipeline.executor import SweepExecutor, WorkerCrashError
 from repro.pipeline.stage import CaseSpec
+from repro.results import case_key_for
 from repro.service import SweepService, make_server
 from repro.service.daemon import QueueSaturated
+from repro.service.jobs import JobJournal, JobQueue, JobSpec
 from repro.service.shards import ProcessShardBackend, ShardBackend
 
 NPROCS = 4
@@ -181,6 +183,59 @@ class TestDaemonCrashRetry:
             final = _wait_terminal(service, record.id)
         assert final.state == "failed"
         assert "WorkerCrashError" in final.error
+
+
+class TestRerunResetsProgress:
+    """A rerun starts from zero: no stale ``done`` and no duplicate keys."""
+
+    GRID = {"sweep": {"problems": ["XENON2"], "orderings": ["metis", "amd"],
+                      "strategies": ["mumps-workload", "memory-full"]}}
+
+    def _assert_finished_once(self, record) -> None:
+        assert record.state == "done"
+        assert record.done == record.total == 4
+        assert len(record.result_keys) == len(set(record.result_keys)) == record.total
+
+    def test_recovered_running_job_reruns_from_zero(self, tmp_path):
+        data_dir = tmp_path / "svc"
+        options = dict(data_dir=data_dir, nprocs=NPROCS, scale=SCALE,
+                       journal_fsync=False, shard_size=2)
+        # a daemon that died after journaling the first of two shards
+        crashed = SweepService(**options)
+        job = crashed.submit(self.GRID)
+        crashed.queue.claim(timeout=0)
+        first = [case_key_for(crashed.engine, s) for s in job.spec.expand()[:2]]
+        crashed.queue.progress(job.id, done=2, shards_done=1, result_keys=first)
+
+        service = SweepService(**options)
+        recovered = service.queue.get(job.id)
+        assert service.queue.recovered == 1
+        assert (recovered.state, recovered.done, recovered.shards_done) == ("queued", 0, 0)
+        assert recovered.result_keys == []
+        # the compacted journal holds the reset too
+        replayed = JobJournal(data_dir / "journal.jsonl").replay()[job.id]
+        assert (replayed.done, replayed.shards_done, replayed.result_keys) == (0, 0, [])
+        with service:
+            final = _wait_terminal(service, job.id)
+        self._assert_finished_once(final)
+        assert set(first) <= set(final.result_keys)
+
+    def test_requeued_job_reruns_from_zero(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        queue = JobQueue(journal, fsync=False)
+        job = queue.submit(JobSpec.from_dict(self.GRID))
+        keys = [f"key-{i}" for i in range(4)]
+        queue.claim(timeout=0)
+        queue.progress(job.id, done=2, shards_done=1, result_keys=keys[:2])
+        retried = queue.requeue(job.id, error="shard failed")
+        assert (retried.done, retried.shards_done, retried.result_keys) == (0, 0, [])
+        queue.claim(timeout=0)
+        queue.progress(job.id, done=2, shards_done=1, result_keys=keys[:2])
+        queue.progress(job.id, done=4, shards_done=2, result_keys=keys[2:])
+        self._assert_finished_once(queue.finish(job.id))
+        replayed = JobJournal(journal).replay()[job.id]
+        self._assert_finished_once(replayed)
+        assert replayed.result_keys == keys
 
 
 # --------------------------------------------------------------------------- #

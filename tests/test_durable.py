@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import shutil
 import threading
+import time
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,8 @@ import pytest
 import repro
 from repro.bench.history import BenchHistory
 from repro.bench.model import BenchCase, BenchResult, BenchRun
-from repro.durable import append_line, atomic_write, read_lines
+from repro.durable import STALE_TEMP_S, append_line, atomic_write, read_lines, remove_stale_temps
+from repro.pipeline.store import DiskStore
 from repro.pipeline.stage import CaseResult
 from repro.results import ResultStore
 from repro.service.jobs import JobJournal, JobQueue, JobRecord, JobSpec
@@ -130,6 +134,46 @@ class TestAtomicWrite:
         assert self._race(lambda tag, i: journals[tag].compact(records), rounds=100) == []
         assert sorted(JobJournal(path).replay()) == ["job-0", "job-1", "job-2"]
         assert _leftover_temps(tmp_path) == []
+
+
+class TestStaleTemps:
+    """Opening a store directory removes a killed writer's temp files only."""
+
+    @staticmethod
+    def _temp(directory: Path, name: str, age_s: float) -> Path:
+        path = directory / f"{name}.{uuid.uuid4().hex}.tmp"
+        path.write_bytes(b"partial")
+        then = time.time() - age_s
+        os.utime(path, (then, then))
+        return path
+
+    @pytest.mark.parametrize(
+        "open_dir",
+        [
+            lambda d: ResultStore(d, fsync=False),
+            lambda d: DiskStore(d),
+            lambda d: BenchHistory(d),
+            lambda d: JobQueue(d / "journal.jsonl", fsync=False),
+        ],
+        ids=["result-store", "disk-store", "bench-history", "job-journal"],
+    )
+    def test_open_removes_the_stale_temp_and_keeps_the_fresh_one(self, tmp_path, open_dir):
+        tmp_path.joinpath("keep.tmp").write_bytes(b"not ours")
+        os.utime(tmp_path / "keep.tmp", (0, 0))
+        stale = self._temp(tmp_path, "seg-0000.npz", STALE_TEMP_S + 60)
+        fresh = self._temp(tmp_path, "seg-0001.npz", 1.0)  # another writer's, in flight
+        open_dir(tmp_path)
+        assert not stale.exists()
+        assert fresh.exists()
+        assert (tmp_path / "keep.tmp").exists()
+
+    def test_missing_directory_and_trace_temps(self, tmp_path):
+        remove_stale_temps(tmp_path / "absent")  # no error
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        stale = self._temp(traces, "trace-k.npz", STALE_TEMP_S + 60)
+        ResultStore(tmp_path, fsync=False)
+        assert not stale.exists()
 
 
 def _bench_run(timestamp: str, **env) -> BenchRun:

@@ -1,5 +1,8 @@
 """Tests for running cases through a session, the tables and the figures (small scale)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,23 @@ class TestTables:
         assert "Table 1" in text
         assert "XENON2" in text
         assert tbl.format_table({}) == ""
+
+
+#: ``repro tables --format json --jobs 2`` at the defaults (nprocs 32, scale
+#: 1.0); CI regenerates it and compares the bytes.  A change that moves a
+#: paper number regenerates it and says why.
+GOLDEN_TABLES = Path(__file__).parent / "golden" / "tables.json"
+
+
+def test_tables_match_the_golden_file():
+    """Table 4 and the GUPTA3 and XENON2 rows of Table 2, at full precision."""
+    golden = json.loads(GOLDEN_TABLES.read_text())
+    problems = ["GUPTA3", "XENON2"]
+    with Session(nprocs=golden["nprocs"], scale=golden["scale"], cache_dir="") as session:
+        table2 = tbl.table2(session, problems=problems, exact=True)
+        table4 = tbl.table4(session, exact=True)
+    assert table2 == {p: golden["tables"]["table2"][p] for p in problems}
+    assert table4 == golden["tables"]["table4"]
 
 
 class TestFigures:
