@@ -29,6 +29,7 @@ __all__ = [
     "assembly_flops",
     "type2_master_flops",
     "type2_slave_flops",
+    "type2_slave_row_flops",
     "type2_slave_block_entries",
     "type2_slave_factor_entries",
 ]
@@ -152,10 +153,18 @@ def type2_slave_flops(npiv: int, nfront: int, nrows: int, symmetric: bool) -> fl
     _check(npiv, nfront)
     if nrows < 0 or nrows > nfront - npiv:
         raise ValueError("nrows must be between 0 and ncb")
+    return float(nrows * type2_slave_row_flops(npiv, nfront, symmetric))
+
+
+def type2_slave_row_flops(npiv: int, nfront: int, symmetric: bool) -> int:
+    """Flops of one CB row of a type-2 slave (exact integer).
+
+    ``type2_slave_flops(npiv, nfront, nrows, symmetric)`` is
+    ``float(nrows * type2_slave_row_flops(npiv, nfront, symmetric))``.
+    """
+    _check(npiv, nfront)
     row_work = _sum_range(nfront - npiv, nfront - 1)  # sum_{k=1..npiv} (nfront - k)
-    if symmetric:
-        return float(nrows * row_work)
-    return float(2 * nrows * row_work)
+    return row_work if symmetric else 2 * row_work
 
 
 def type2_slave_block_entries(npiv: int, nfront: int, nrows: int, symmetric: bool) -> int:

@@ -4,7 +4,9 @@ A *baseline* is simply a saved :class:`~repro.bench.model.BenchRun`, by
 convention ``BENCH_<host>.json`` under ``benchmarks/baselines/`` (CI commits
 ``ci-ubuntu.json`` there).  :func:`compare_runs` matches cases across two
 runs by their ``suite/name`` key and classifies each pairing against a
-relative tolerance on the best (minimum) repeat time:
+relative tolerance on the best (minimum) repeat time — the calibrated time
+(at the reference machine's speed, see :mod:`repro.bench.calibration`) when
+both runs recorded one, the raw wall time otherwise (a schema-1 baseline):
 
 ``regression``        current is slower than ``(1 + tolerance) ×`` baseline
 ``improvement``       current is faster than ``(1 - tolerance) ×`` baseline
@@ -59,6 +61,8 @@ class CaseDelta:
     current_seconds: float = float("nan")
     baseline_seconds: float = float("nan")
     ratio: float = float("nan")
+    #: whether the two seconds are calibrated times rather than raw ones
+    calibrated: bool = False
 
     @property
     def delta_percent(self) -> float:
@@ -77,6 +81,7 @@ class CaseDelta:
             "current_seconds": finite(self.current_seconds),
             "baseline_seconds": finite(self.baseline_seconds),
             "ratio": finite(self.ratio),
+            "calibrated": self.calibrated,
         }
 
 
@@ -182,6 +187,11 @@ def compare_runs(current: BenchRun, baseline: BenchRun, *, tolerance: float = 0.
                 CaseDelta(key=key, verdict="new", current_seconds=result.best)
             )
             continue
+        calibrated = bool(result.calibrated_seconds and base.calibrated_seconds)
+        if calibrated:
+            current_best, base_best = result.calibrated_best, base.calibrated_best
+        else:
+            current_best, base_best = result.best, base.best
         if result.case.params != base.case.params:
             # same key, different knobs (scale, nprocs, …): the timings are
             # not comparable — surface the mismatch instead of a bogus ratio
@@ -189,19 +199,21 @@ def compare_runs(current: BenchRun, baseline: BenchRun, *, tolerance: float = 0.
                 CaseDelta(
                     key=key,
                     verdict="config-mismatch",
-                    current_seconds=result.best,
-                    baseline_seconds=base.best,
+                    current_seconds=current_best,
+                    baseline_seconds=base_best,
+                    calibrated=calibrated,
                 )
             )
             continue
-        verdict, ratio = _classify(result.best, base.best, tolerance)
+        verdict, ratio = _classify(current_best, base_best, tolerance)
         report.deltas.append(
             CaseDelta(
                 key=key,
                 verdict=verdict,
-                current_seconds=result.best,
-                baseline_seconds=base.best,
+                current_seconds=current_best,
+                baseline_seconds=base_best,
                 ratio=ratio,
+                calibrated=calibrated,
             )
         )
     # baseline cases the current run should have produced but didn't.  Suites

@@ -163,6 +163,7 @@ def render_run(run: BenchRun, fmt: str) -> str:
             r.case.suite,
             r.case.name,
             _fmt_seconds(r.best),
+            _fmt_seconds(r.calibrated_best),
             _fmt_seconds(r.mean),
             str(r.repeats),
             str(r.warmup),
@@ -171,7 +172,7 @@ def render_run(run: BenchRun, fmt: str) -> str:
         for r in run.results
     ]
     out = _render_table(
-        ("suite", "case", "best_s", "mean_s", "repeats", "warmup", "status"),
+        ("suite", "case", "best_s", "calibrated_s", "mean_s", "repeats", "warmup", "status"),
         rows,
         fmt,
         title=f"bench run — host {run.host}, {run.timestamp}",
@@ -209,12 +210,13 @@ def render_report(
             _fmt_seconds(d.baseline_seconds),
             _fmt_seconds(d.current_seconds),
             f"{d.delta_percent:+.1f}%" if d.delta_percent == d.delta_percent else "-",
+            "calibrated" if d.calibrated else "raw",
             d.verdict,
         )
         for d in report.deltas
     ]
     return _render_table(
-        ("case", "baseline_s", "current_s", "delta", "verdict"),
+        ("case", "baseline_s", "current_s", "delta", "times", "verdict"),
         rows,
         fmt,
         title=(

@@ -25,8 +25,12 @@ from repro.serialize import decode_fields
 
 __all__ = ["SCHEMA_VERSION", "BenchCase", "BenchResult", "BenchRun", "host_tag"]
 
-#: bump on any backwards-incompatible change of the result JSON layout.
-SCHEMA_VERSION = 1
+#: bump on any change of the result JSON layout.  Schema 2 adds each
+#: result's ``calibrated_seconds``.
+SCHEMA_VERSION = 2
+
+#: schemas this build loads; a schema-1 run has raw seconds only
+READABLE_SCHEMAS = (1, 2)
 
 
 def host_tag() -> str:
@@ -74,14 +78,17 @@ class BenchCase:
 class BenchResult:
     """Timings and metrics of one executed case.
 
-    ``seconds`` holds every timed repeat (after ``warmup`` untimed ones).
-    ``best`` — the minimum — is the comparison statistic: it is the least
-    noisy estimator of the true cost on a shared machine.  ``error`` is set
-    (and ``seconds`` left empty) when the case raised instead of finishing.
+    ``seconds`` holds every timed repeat (after ``warmup`` untimed ones),
+    ``calibrated_seconds`` the same repeats at the reference machine's speed
+    (see :mod:`repro.bench.calibration`; empty in a schema-1 run).  ``best``
+    — the minimum — is the comparison statistic: it is the least noisy
+    estimator of the true cost on a shared machine.  ``error`` is set (and
+    both lists left empty) when the case raised instead of finishing.
     """
 
     case: BenchCase
     seconds: list[float] = field(default_factory=list)
+    calibrated_seconds: list[float] = field(default_factory=list)
     warmup: int = 0
     metrics: dict[str, float] = field(default_factory=dict)
     error: str | None = None
@@ -92,6 +99,10 @@ class BenchResult:
     @property
     def best(self) -> float:
         return min(self.seconds) if self.seconds else float("nan")
+
+    @property
+    def calibrated_best(self) -> float:
+        return min(self.calibrated_seconds) if self.calibrated_seconds else float("nan")
 
     @property
     def mean(self) -> float:
@@ -105,6 +116,7 @@ class BenchResult:
         data: dict[str, object] = {
             "case": self.case.to_dict(),
             "seconds": [float(s) for s in self.seconds],
+            "calibrated_seconds": [float(s) for s in self.calibrated_seconds],
             "warmup": self.warmup,
             "metrics": {k: float(v) for k, v in self.metrics.items()},
         }
@@ -121,13 +133,14 @@ class BenchResult:
         data = decode_fields(
             "bench_result",
             data,
-            {"case", "seconds", "warmup", "metrics", "error", "profile"},
+            {"case", "seconds", "calibrated_seconds", "warmup", "metrics", "error", "profile"},
             label="BenchResult",
         )
         profile = data.get("profile")
         return cls(
             case=BenchCase.from_dict(data["case"]),  # type: ignore[arg-type]
             seconds=[float(s) for s in data.get("seconds", ())],  # type: ignore[union-attr]
+            calibrated_seconds=[float(s) for s in data.get("calibrated_seconds", ())],  # type: ignore[union-attr]
             warmup=int(data.get("warmup", 0)),  # type: ignore[arg-type]
             metrics={str(k): float(v) for k, v in (data.get("metrics") or {}).items()},  # type: ignore[union-attr]
             error=data.get("error"),  # type: ignore[arg-type]
@@ -179,9 +192,10 @@ class BenchRun:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "BenchRun":
         schema = data.get("schema")
-        if schema != SCHEMA_VERSION:
+        if schema not in READABLE_SCHEMAS:
             raise ValueError(
-                f"unsupported benchmark schema {schema!r} (this build reads schema {SCHEMA_VERSION}); "
+                f"unsupported benchmark schema {schema!r} (this build reads schemas "
+                f"{', '.join(map(str, READABLE_SCHEMAS))}); "
                 "re-record the baseline with 'repro bench run --save'"
             )
         return cls(

@@ -3,8 +3,9 @@
 The runner is deliberately small: suites declare *what* to measure
 (:mod:`repro.bench.suites`), the model declares *how results look*
 (:mod:`repro.bench.model`) and this module only owns the measurement
-protocol — untimed warmup rounds, timed repeats around the injected timer,
-and error capture so one broken case never voids a whole run.
+protocol — untimed warmup rounds, timed repeats around the injected timer
+with calibration samples around each (:mod:`repro.bench.calibration`), and
+error capture so one broken case never voids a whole run.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ import time
 import traceback
 from typing import Callable, Optional, Sequence
 
+from repro.bench.calibration import calibration_sample, slowdown
 from repro.bench.env import BenchEnv
 from repro.bench.model import BenchCase, BenchResult, BenchRun
 from repro.bench.suites import PreparedCase, build_suite
 
-__all__ = ["BenchRunner"]
+__all__ = ["BenchRunner", "CALIBRATION_SAMPLES"]
+
+#: calibration samples taken before and after each timed repeat (~3 ms each)
+CALIBRATION_SAMPLES = 3
 
 
 class BenchRunner:
@@ -34,6 +39,10 @@ class BenchRunner:
         cases default to several repeats, end-to-end cases to one).
     timer:
         Monotonic clock used around each repeat (injectable for tests).
+    calibrate:
+        The host-speed sample taken :data:`CALIBRATION_SAMPLES` times before
+        and after each repeat (injectable for tests); the repeat's
+        calibrated time is its raw time over the samples' slowdown.
     progress:
         Optional callback ``(case, result)`` invoked after each case.
     profile_top:
@@ -51,6 +60,7 @@ class BenchRunner:
         repeats: int | None = None,
         warmup: int | None = None,
         timer: Callable[[], float] = time.perf_counter,
+        calibrate: Callable[[], float] = calibration_sample,
         progress: Optional[Callable[[PreparedCase, BenchResult], None]] = None,
         profile_top: int | None = None,
     ) -> None:
@@ -64,6 +74,7 @@ class BenchRunner:
         self.repeats = repeats
         self.warmup = warmup
         self.timer = timer
+        self.calibrate = calibrate
         self.progress = progress
         self.profile_top = profile_top
 
@@ -77,13 +88,18 @@ class BenchRunner:
             for _ in range(warmup):
                 prepared.fn()
             for _ in range(repeats):
+                samples = [self.calibrate() for _ in range(CALIBRATION_SAMPLES)]
                 start = self.timer()
                 metrics = prepared.fn()
-                result.seconds.append(self.timer() - start)
+                seconds = self.timer() - start
+                samples += [self.calibrate() for _ in range(CALIBRATION_SAMPLES)]
+                result.seconds.append(seconds)
+                result.calibrated_seconds.append(seconds / slowdown(samples))
                 if metrics:
                     result.metrics = {str(k): float(v) for k, v in metrics.items()}
         except Exception:
             result.seconds = []
+            result.calibrated_seconds = []
             result.error = traceback.format_exc(limit=8)
         if self.profile_top is not None and result.error is None:
             # a failure of the optional profiling pass must never void the

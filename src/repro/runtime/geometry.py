@@ -2,8 +2,9 @@
 
 Everything the event loops need about the assembly tree and the static
 mapping — task flops, activation memory, front/factor/CB entries, owners,
-subtree membership, type-2 candidate lists, Liu's child ordering, subtree
-peaks, initial pool orders and initial workloads — is a pure function of
+subtree membership, type-2 candidate lists and slave-block coefficients,
+Liu's child ordering, subtree peaks, initial pool orders and initial
+workloads — is a pure function of
 ``(tree, mapping, nprocs)``.  The seed engine rebuilt all of it inside every
 :class:`~repro.runtime.simulator.FactorizationSimulator`; one
 :class:`SimGeometry` instance now carries it as numpy arrays plus plain-list
@@ -22,6 +23,7 @@ import weakref
 
 import numpy as np
 
+from repro.analysis.flops import type2_slave_row_flops
 from repro.mapping.layers import NodeType
 from repro.symbolic.liu_order import order_children_for_memory, subtree_peaks_given_order
 
@@ -65,6 +67,7 @@ class SimGeometry:
         "nchildren",
         "tree_leaves",
         "type2_candidates",
+        "type2_slave",
         "liu_order",
         "subtrees_of_proc",
         "pool_orders",
@@ -108,14 +111,28 @@ class SimGeometry:
 
         # candidate lists of every type-2 node are static (the master is the
         # node's owner): precompute them instead of rebuilding one list per
-        # slave selection
+        # slave selection.  ``type2_slave[node]`` holds what the per-slave
+        # loop needs: the candidate set that normalize_row_distribution
+        # checks against, and the integer coefficients of
+        # repro.analysis.flops for a slave of ``rows`` rows:
+        #   flops  = float(rows * row_flops)
+        #   block  = rows * block_a + (rows * block_b) // 2
+        #   factor = rows * npiv
         self.type2_candidates: dict[int, list[int]] = {}
+        self.type2_slave: dict[int, tuple[frozenset[int], int, int, int]] = {}
+        symmetric = tree.symmetric
         for node in np.nonzero(is_type2)[0].tolist():
             owner = self.owner[node]
             cands = [q for q in mapping.candidates.get(node, []) if q != owner]
             if not cands:
                 cands = [q for q in range(nprocs) if q != owner]
             self.type2_candidates[node] = cands
+            npiv = self.npiv[node]
+            nfront = self.nfront[node]
+            block = (npiv, nfront - npiv + 1) if symmetric else (nfront, 0)
+            self.type2_slave[node] = (
+                frozenset(cands), type2_slave_row_flops(npiv, nfront, symmetric), *block
+            )
 
         # Liu's child ordering is deterministic in the tree alone: computed
         # once and shared by the subtree peaks and every pool initialisation

@@ -84,26 +84,6 @@ class SystemView:
             value += float(self.subtree_peak[proc]) + float(self.predicted_master[proc])
         return value
 
-    def memory_snapshot(self) -> np.ndarray:
-        """Believed stack occupation of every processor, as one array.
-
-        Vectorized equivalent of calling :meth:`instantaneous_memory` for
-        each processor — this sits on the per-decision hot path of the
-        type-2 slave selection, which happens thousands of times per run.
-        """
-        return self.memory.copy()
-
-    def effective_memory_snapshot(self, *, with_predictions: bool = True) -> np.ndarray:
-        """Section 5.1 slave-selection metric for every processor at once.
-
-        The association order matches the scalar :meth:`effective_memory`
-        (memory + (subtree_peak + predicted_master)) so both paths produce
-        bit-identical floats.
-        """
-        if not with_predictions:
-            return self.memory.copy()
-        return self.memory + (self.subtree_peak + self.predicted_master)
-
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of the arrays (for traces and debugging)."""
         return {

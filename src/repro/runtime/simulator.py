@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import difflib
 import os
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -71,7 +72,9 @@ from repro.runtime.soa import (
     TASK_MODE_FIFO,
     TASK_MODE_LIFO,
     TASK_MODE_MEMORY_AWARE,
+    SimState,
     run_soa,
+    write_views,
 )
 from repro.runtime.tasks import Task, TaskKind
 from repro.runtime.trace import SimulationTrace
@@ -259,37 +262,67 @@ class FactorizationSimulator:
         else:
             self.fault_plan = None
             self._fault_msg = None
-        # the reference event queue; the SoA loop keeps its own heap and
-        # writes only its final clock here
+        if views is not None and views.nprocs != self.config.nprocs:
+            raise ValueError("views.nprocs does not match config.nprocs")
+        self._views = views
+        self._geometry_arg = geometry
+        self.geometry: SimGeometry | None = None
+        #: the SoA run's final ``(procs, tasks, views)`` lists; ``state`` and
+        #: ``views`` are built from them when read
+        self.run_end = None
+        self._state = None
+        self.message_counts: dict[str, int] = defaultdict(int)
+        self.slave_selections = 0
+        self._finished_nodes = 0
+        self._ran = False
+        # the reference engine's objects; the SoA loop keeps its own heap and
+        # lists and sets ``queue`` to one holding its final clock
+        self.queue: EventQueue | None = None
+        self.procs: list[ProcessorState] | None = None
+        # per-node book-keeping of the reference engine; built in ``_setup``
+        self.node_state: list[_NodeState] | None = None
+        if self._exec_engine == "reference":
+            self._init_reference()
+
+    def _init_reference(self) -> None:
+        """Build the event queue, processors and views the reference loop uses."""
+        nprocs = self.config.nprocs
         self.queue = EventQueue()
         # all system views live in one bank: broadcast and reservation events
         # touch every processor at once, which the bank applies as single
         # numpy column updates instead of per-processor loops
-        if views is None:
-            views = ViewBank(self.config.nprocs)
-        if views.nprocs != self.config.nprocs:
-            raise ValueError("views.nprocs does not match config.nprocs")
+        views = self.views
         views.reset()  # a reused bank must not leak a previous run's beliefs
-        self.views = views
         self.procs = [
-            ProcessorState(proc=p, nprocs=self.config.nprocs, view=views.view(p))
-            for p in range(self.config.nprocs)
+            ProcessorState(proc=p, nprocs=nprocs, view=views.view(p)) for p in range(nprocs)
         ]
         for p in self.procs:
             p.memory.track_trace = self.config.track_traces
-        # per-node book-keeping of the reference engine; built in ``_setup``
-        # (the SoA loop keeps its own array state instead)
-        self.node_state: list[_NodeState] | None = None
-        self._geometry_arg = geometry
-        self.geometry: SimGeometry | None = None
-        self.state = None  # the SoA engine attaches its final SimState here
-        self.message_counts: dict[str, int] = defaultdict(int)
-        self.slave_selections = 0
         # upper-layer tasks owned by a processor whose activation is imminent
         # (>= 1 child completed) — drives the Section 5.1 master prediction
-        self.upcoming_master: list[dict[int, float]] = [dict() for _ in range(self.config.nprocs)]
-        self._finished_nodes = 0
-        self._ran = False
+        self.upcoming_master: list[dict[int, float]] = [dict() for _ in range(nprocs)]
+
+    @property
+    def views(self) -> ViewBank:
+        """Every processor's view of the others (the bank passed in, or a new one).
+
+        Live during a ``reference`` run.  After an SoA run, each read writes
+        the run's final views into the bank, so it reads as the reference
+        engine would leave it even when a later run shares the bank.
+        """
+        if self._views is None:
+            self._views = ViewBank(self.config.nprocs)
+        if self.run_end is not None:
+            write_views(self._views, self.run_end[2])
+        return self._views
+
+    @property
+    def state(self):
+        """The final :class:`~repro.runtime.soa.SimState` of an SoA run, built
+        when first read (``None`` until the SoA loop has run)."""
+        if self._state is None and self.run_end is not None:
+            self._state = SimState(*self.run_end[:2])
+        return self._state
 
     # ------------------------------------------------------------------ #
     # geometry helpers (fast scalar reads of the arrays built in _setup)
@@ -618,9 +651,11 @@ class FactorizationSimulator:
         # ------------------- dynamic slave selection ---------------------- #
         ncb = nfront - npiv
         candidates = self._candidates_for(node, task.proc)
-        mem_view = p.view.memory_snapshot()
-        eff_view = p.view.effective_memory_snapshot(with_predictions=True)
-        load_view = p.view.load.copy()
+        view = p.view
+        mem_view = array("d", view.memory.tolist())
+        # the Section 5.1 metric, summed as m + (s + p) like the SoA engine
+        eff_view = array("d", (view.memory + (view.subtree_peak + view.predicted_master)).tolist())
+        load_view = array("d", view.load.tolist())
         ctx = SlaveSelectionContext(
             master_proc=task.proc,
             node=node,
@@ -909,10 +944,10 @@ class FactorizationSimulator:
             raise ValueError(f"unexpected message kind {msg.kind}")
 
     def _handle_broadcast(self, kind: str, source: int, value: float) -> None:
-        self.views.apply_broadcast(kind, source, value)
+        self._views.apply_broadcast(kind, source, value)
 
     def _handle_reservation(self, source: int, reservations: list[tuple[int, float]]) -> None:
-        self.views.apply_reservations(source, reservations)
+        self._views.apply_reservations(source, reservations)
 
     # ------------------------------------------------------------------ #
     # main loops

@@ -22,12 +22,17 @@ that with parallel arrays:
 
 :func:`run_soa` is one monolithic event loop over that layout: every handler
 of the reference engine is inlined into the loop body or a single-level
-closure, state lives in hoisted locals (CPython list mirrors of the
-:class:`SimState` arrays — dense integer indexing without the ndarray scalar
-boxing), and events are pushed with inline ``heappush`` of tuples.  The final
-:class:`SimState` (numpy canonical form) is written back after the run and
-exposed as ``sim.state``, and the final views are written into ``sim.views``
-once.
+closure, state lives in hoisted locals (plain CPython lists — dense integer
+indexing without the ndarray scalar boxing), and events are pushed with
+inline ``heappush`` of tuples.  A type-2 slave selection hands the selector
+the master's rows of the views as ``array("d")`` rows and runs the per-slave
+loop on the integer coefficients that :class:`SimGeometry` precomputes.
+
+The run builds nothing the loop does not read.  It leaves its final lists in
+``sim.run_end``; the canonical :class:`SimState` (numpy form) and the final
+view matrices (:func:`write_views`) are built from them only when
+``sim.state`` / ``sim.views`` are read — the identity tests read them, the
+pipeline, the batched path and the service never do.
 
 Bit-identity with the reference engine is load-bearing: both engines create
 the same events and broadcasts in the same order (so sequence numbers and
@@ -39,22 +44,24 @@ the final views included.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.analysis.flops import (
-    type2_slave_block_entries,
-    type2_slave_factor_entries,
-    type2_slave_flops,
+from repro.runtime.events import (
+    EV_CHILD_COMPLETED,
+    EV_KICK,
+    EV_SLAVE_TASK,
+    EV_TASK_DONE,
+    EventQueue,
 )
-from repro.runtime.events import EV_CHILD_COMPLETED, EV_KICK, EV_SLAVE_TASK, EV_TASK_DONE
 from repro.runtime.trace import SimulationTrace, TraceBuffer
 from repro.scheduling.base import SlaveSelectionContext, normalize_row_distribution
 
-__all__ = ["SimState", "run_soa"]
+__all__ = ["SimState", "run_soa", "write_views"]
 
 # integer task-kind codes (the SoA twin of runtime.tasks.TaskKind)
 K_TYPE1 = 0
@@ -73,9 +80,8 @@ class SimState:
     """Canonical structure-of-arrays state of one finished SoA run.
 
     Processor fields are ``(nprocs,)`` numpy arrays, task fields ``(ntasks,)``
-    arrays in creation order.  The run loop works on plain-list mirrors of
-    these slots (CPython indexes lists faster than it unboxes ndarray
-    scalars) and writes them back here.
+    arrays in creation order, built from the run loop's plain lists (CPython
+    indexes lists faster than it unboxes ndarray scalars) in slot order.
     """
 
     __slots__ = (
@@ -100,39 +106,42 @@ class SimState:
         "task_extra",
     )
 
-    def __init__(self, nprocs: int) -> None:
-        self.nprocs = int(nprocs)
-        self.ntasks = 0
-        self.stack = np.zeros(nprocs, dtype=np.float64)
-        self.factors = np.zeros(nprocs, dtype=np.float64)
-        self.peak_stack = np.zeros(nprocs, dtype=np.float64)
-        self.peak_time = np.zeros(nprocs, dtype=np.float64)
-        self.load_remaining = np.zeros(nprocs, dtype=np.float64)
-        self.observed_peak = np.zeros(nprocs, dtype=np.float64)
-        self.tasks_done = np.zeros(nprocs, dtype=np.int64)
-        self.current_subtree = np.full(nprocs, -1, dtype=np.int64)
-        self.task_kind = np.empty(0, dtype=np.int8)
-        self.task_node = np.empty(0, dtype=np.int64)
-        self.task_proc = np.empty(0, dtype=np.int64)
-        self.task_flops = np.empty(0, dtype=np.float64)
-        self.task_memory = np.empty(0, dtype=np.float64)
-        self.task_rows = np.empty(0, dtype=np.int64)
-        self.task_subtree = np.empty(0, dtype=np.int64)
-        self.task_master = np.empty(0, dtype=np.int64)
-        self.task_extra = np.empty(0, dtype=np.float64)
+    #: dtype of every column slot after ``nprocs`` and ``ntasks``, in slot order
+    DTYPES = (np.float64,) * 6 + (np.int64,) * 2 + (
+        np.int8, np.int64, np.int64, np.float64, np.float64, np.int64, np.int64, np.int64,
+        np.float64,
+    )
+
+    def __init__(self, procs, tasks) -> None:
+        self.nprocs = len(procs[0])
+        self.ntasks = len(tasks[0])
+        for name, dtype, values in zip(self.__slots__[2:], self.DTYPES, procs + tasks):
+            setattr(self, name, np.array(values, dtype=dtype))
+
+
+def write_views(bank, views) -> None:
+    """Leave ``bank`` as the reference engine's run leaves it, from the loop's
+    final ``(dm, over, dl, own)`` view lists."""
+    dm, over, dl, own = views
+    diag = np.arange(bank.nprocs)
+    for kind, mat in enumerate((bank.memory, bank.load, bank.subtree_peak, bank.predicted_master)):
+        mat[:] = dl[kind] if kind else dm
+        mat[diag, diag] = own[kind]
+    for s, ov in enumerate(over):
+        for o, b in ov.items():
+            bank.memory[o, s] = b
 
 
 def run_soa(sim):
     """Run ``sim`` to completion with the SoA event loop.
 
-    Returns the :class:`~repro.runtime.simulator.SimulationResult`, attaches
-    the final :class:`SimState` as ``sim.state`` and mirrors
-    ``sim.message_counts`` / ``sim.slave_selections`` like the reference
-    engine does.
+    Returns the :class:`~repro.runtime.simulator.SimulationResult`, leaves
+    the final ``(procs, tasks, views)`` lists in ``sim.run_end`` and mirrors
+    ``sim.message_counts`` / ``sim.slave_selections`` and the final clock
+    like the reference engine does.
     """
     cfg = sim.config
     geom = sim.geometry
-    views = sim.views
     tracing = bool(cfg.track_traces)
     nprocs = cfg.nprocs
     nnodes = geom.nnodes
@@ -172,6 +181,7 @@ def run_soa(sim):
     g_parent = geom.parent
     g_children = geom.children
     g_cands = geom.type2_candidates
+    g_t2 = geom.type2_slave
     speaks = [float(x) for x in geom.subtree_peaks]
     from repro.mapping.layers import NodeType
 
@@ -221,19 +231,24 @@ def run_soa(sim):
     # ---------------- views ------------------------------------------------ #
     # Broadcasts outnumber the points where the views are *read* — a type-2
     # slave selection — by two orders of magnitude, so they never enter the
-    # event queues: ``vlog`` holds (time, seq, kind, src, value) in creation
-    # order, which is (time, seq) order since the notification delay is
-    # constant, and ``deliver`` applies the prefix the reference engine would
-    # already have popped.  They still take a ``seq``, so every other event
-    # keeps its number.  Observer q's belief about s != q is ``dl[kind][s]``
-    # for the load / subtree / prediction kinds; for memory it is ``dm[s]``
-    # unless ``over[s]`` holds q's own belief (the master's observer updates,
-    # and the announcing master, which a reservation skips).  q's own slot is
-    # ``own[kind][q]``.
+    # event queues: two logs hold them in creation order, which is (time,
+    # seq) order since the notification delay is constant, and ``deliver``
+    # applies the prefix the reference engine would already have popped.
+    # They still take a ``seq``, so every other event keeps its number.
+    # Observer q's belief about s != q is ``dl[kind][s]`` for the load /
+    # subtree / prediction kinds — ``llog`` holds (time, seq, dl[kind], src,
+    # clamped value), and the last value delivered wins; for memory it is
+    # ``dm[s]`` unless ``over[s]`` holds q's own belief (the master's
+    # observer updates, and the announcing master, which a reservation
+    # skips) — ``vlog`` holds (time, seq, kind, src, value) of the memory
+    # broadcasts (kind 0) and reservations (kind 4), whose order matters.
+    # q's own slot is ``own[kind][q]``.
     vlog = []
+    llog = []
     dm = [0.0] * nprocs
     over = [{} for _ in range(nprocs)]
     dl = (None, [0.0] * nprocs, [0.0] * nprocs, [0.0] * nprocs)
+    dl_l, dl_s, dl_p = dl[1:]
     own = ([0.0] * nprocs, [0.0] * nprocs, [0.0] * nprocs, [0.0] * nprocs)
     own_m, own_l, own_s, own_p = own
 
@@ -302,31 +317,34 @@ def run_soa(sim):
     def load_changed(q):
         nonlocal seq, c_load
         v = load[q]
+        c = 0.0 if v < 0.0 else v
         if v != last_l[q]:
             last_l[q] = v
             if multi:
-                vlog.append((now + notif, seq, 1, q, v))
+                llog.append((now + notif, seq, dl_l, q, c))
                 seq += 1
                 c_load += n1
-        own_l[q] = 0.0 if v < 0.0 else v
+        own_l[q] = c
 
     def pred_changed(q):
         nonlocal seq, c_pred
         v = max(upcoming[q].values(), default=0.0)
+        c = 0.0 if v < 0.0 else v
         if v != last_p[q]:
             last_p[q] = v
             if multi:
-                vlog.append((now + notif, seq, 3, q, v))
+                llog.append((now + notif, seq, dl_p, q, c))
                 seq += 1
                 c_pred += n1
-        own_p[q] = 0.0 if v < 0.0 else v
+        own_p[q] = c
 
     def subtree_changed(q, v):
         nonlocal seq, c_sub
         cur_speak[q] = v
-        own_s[q] = 0.0 if v < 0.0 else v
+        c = 0.0 if v < 0.0 else v
+        own_s[q] = c
         if multi:
-            vlog.append((now + notif, seq, 2, q, v))
+            llog.append((now + notif, seq, dl_s, q, c))
             seq += 1
             c_sub += n1
 
@@ -430,8 +448,13 @@ def run_soa(sim):
 
     def deliver(until):
         # apply the logged broadcasts ordered before the event ``until``
-        # (its (time, seq) prefix decides: seq is unique); kind 4 is a
-        # reservation from master ``src``, ``val`` its [(slave, block)] list
+        # (its (time, seq) prefix decides: seq is unique); in ``vlog``, kind
+        # 4 is a reservation from master ``src``, ``val`` its [(slave, block)]
+        # list
+        k = bisect_left(llog, until)
+        for _t, _s, row, src, val in llog[:k]:
+            row[src] = val
+        del llog[:k]
         k = bisect_left(vlog, until)
         for _t, _s, kind, src, val in vlog[:k]:
             if kind == 0:
@@ -439,7 +462,7 @@ def run_soa(sim):
                 ov = over[src]
                 if ov:
                     ov.clear()
-            elif kind == 4:
+            else:
                 # everyone but the master and the slave itself adds the block
                 for sq2, block in val:
                     ov = over[sq2]
@@ -451,8 +474,6 @@ def run_soa(sim):
                         if o != src:
                             x = b + block
                             ov[o] = 0.0 if x < 0.0 else x
-            else:
-                dl[kind][src] = 0.0 if val < 0.0 else val
         del vlog[:k]
 
     def activate_t2(tid, q, node):
@@ -499,17 +520,15 @@ def run_soa(sim):
 
         # ------------------- dynamic slave selection ------------------- #
         ncb = nfr - npv
-        cands = g_cands[node]
-        # observer q's rows of the four views
-        mrow = [ov.get(q, d) for ov, d in zip(over, dm)]
-        mrow[q] = own_m[q]
-        vm = np.array(mrow)
-        rows3 = []
-        for kind in (1, 2, 3):
-            row = dl[kind].copy()
-            row[q] = own[kind][q]
-            rows3.append(np.array(row))
-        vl, vs, vp = rows3
+        cset, row_flops, blk_a, blk_b = g_t2[node]
+        # observer q's rows of the views; the Section 5.1 metric is summed
+        # element by element with the reference engine's m + (s + p)
+        vm = array("d", [ov.get(q, d) for ov, d in zip(over, dm)])
+        vm[q] = own_m[q]
+        ve = array("d", [m + (s + p) for m, s, p in zip(vm, dl_s, dl_p)])
+        ve[q] = vm[q] + (own_s[q] + own_p[q])
+        vl = array("d", dl_l)
+        vl[q] = own_l[q]
         ctx = SlaveSelectionContext(
             master_proc=q,
             node=node,
@@ -517,16 +536,16 @@ def run_soa(sim):
             nfront=nfr,
             ncb=ncb,
             symmetric=symmetric,
-            candidates=cands,
+            candidates=g_cands[node],
             memory_view=vm,
-            effective_memory_view=vm + (vs + vp),
+            effective_memory_view=ve,
             load_view=vl,
             own_load=load[q],
             own_memory=stack[q],
             min_rows_per_slave=min_rows,
             max_slaves=max_slaves,
         )
-        assignment = normalize_rows(slave_select(ctx), ncb, cands)
+        assignment = normalize_rows(slave_select(ctx), ncb, cset)
         n_sel += 1
         slaves_pend[node] = len(assignment)
         desc_delay = lat + float(npv * 2) / bw  # task descriptor, small
@@ -534,8 +553,10 @@ def run_soa(sim):
             t_arrive = now + desc_delay
             reservations = []
             for sq2, rows in assignment:
-                block = float(type2_slave_block_entries(npv, nfr, rows, symmetric))
-                fl = type2_slave_flops(npv, nfr, rows, symmetric)
+                # repro.analysis.flops' slave block and flops, from the
+                # node's integer coefficients
+                block = float(rows * blk_a + (rows * blk_b) // 2)
+                fl = float(rows * row_flops)
                 # the slave's share of the children CB rows to assemble
                 sasm = total * float(rows) / nfr_f
                 stid = len(t_kind)
@@ -672,7 +693,7 @@ def run_soa(sim):
         v = float(il[q])
         load[q] = v
         # everyone starts with the same (exact) static knowledge of the loads
-        own_l[q] = dl[1][q] = 0.0 if v < 0.0 else v
+        own_l[q] = dl_l[q] = 0.0 if v < 0.0 else v
 
     # initial pools: the leaves, deepest-first subtree by subtree
     for p in range(nprocs):
@@ -762,9 +783,7 @@ def run_soa(sim):
                 if slaves_pend[node] == 0:
                     complete_node(node)
             elif k == K_TYPE2_SLAVE:
-                fp = float(type2_slave_factor_entries(
-                    g_npiv[node], g_nfront[node], t_rows[tid], symmetric
-                ))
+                fp = float(t_rows[tid] * g_npiv[node])  # the slave's factor entries
                 cb_part = t_mem[tid] - fp
                 if cb_part < 0.0:
                     cb_part = 0.0
@@ -825,40 +844,15 @@ def run_soa(sim):
         )
     # the reference engine pops the undelivered broadcasts too: the last one
     # sets its final clock
-    if vlog and vlog[-1][0] > now:
-        now = vlog[-1][0]
+    for log in (vlog, llog):
+        if log and log[-1][0] > now:
+            now = log[-1][0]
     deliver((float("inf"),))
-    # leave sim.views in the same state the reference engine does
-    diag = np.arange(nprocs)
-    for kind, mat in enumerate(
-        (views.memory, views.load, views.subtree_peak, views.predicted_master)
-    ):
-        mat[:] = dl[kind] if kind else dm
-        mat[diag, diag] = own[kind]
-    for s, ov in enumerate(over):
-        for o, b in ov.items():
-            views.memory[o, s] = b
-
-    state = SimState(nprocs)
-    state.ntasks = len(t_kind)
-    state.stack = np.array(stack, dtype=np.float64)
-    state.factors = np.array(factors, dtype=np.float64)
-    state.peak_stack = np.array(peak, dtype=np.float64)
-    state.peak_time = np.array(peak_t, dtype=np.float64)
-    state.load_remaining = np.array(load, dtype=np.float64)
-    state.observed_peak = np.array(observed, dtype=np.float64)
-    state.tasks_done = np.array(tdone, dtype=np.int64)
-    state.current_subtree = np.array(cur_sub, dtype=np.int64)
-    state.task_kind = np.array(t_kind, dtype=np.int8)
-    state.task_node = np.array(t_node, dtype=np.int64)
-    state.task_proc = np.array(t_proc, dtype=np.int64)
-    state.task_flops = np.array(t_flops, dtype=np.float64)
-    state.task_memory = np.array(t_mem, dtype=np.float64)
-    state.task_rows = np.array(t_rows, dtype=np.int64)
-    state.task_subtree = np.array(t_sub, dtype=np.int64)
-    state.task_master = np.array(t_master, dtype=np.int64)
-    state.task_extra = np.array(t_extra, dtype=np.float64)
-    sim.state = state
+    sim.run_end = (
+        (stack, factors, peak, peak_t, load, observed, tdone, cur_sub),
+        (t_kind, t_node, t_proc, t_flops, t_mem, t_rows, t_sub, t_master, t_extra),
+        (dm, over, dl, own),
+    )
 
     message_counts = {}
     for name, count in (
@@ -881,22 +875,24 @@ def run_soa(sim):
         message_counts["root_ready"] = c_root
     sim.message_counts = message_counts
     sim.slave_selections = n_sel
+    sim.queue = EventQueue()
     sim.queue._now = now
     sim._finished_nodes = finished
 
     from repro.runtime.simulator import SimulationResult
 
     trace = SimulationTrace.from_buffers(tb) if tracing else None
+    per_factors = np.array(factors, dtype=np.float64)
     return SimulationResult(
         nprocs=nprocs,
-        per_proc_peak_stack=state.peak_stack.copy(),
-        per_proc_factor_entries=state.factors.copy(),
-        per_proc_tasks=state.tasks_done.astype(np.float64),
+        per_proc_peak_stack=np.array(peak, dtype=np.float64),
+        per_proc_factor_entries=per_factors,
+        per_proc_tasks=np.array(tdone, dtype=np.float64),
         total_time=now,
         message_counts=dict(message_counts),
         slave_selections=n_sel,
         nodes=nnodes,
-        total_factor_entries=float(state.factors.sum()),
+        total_factor_entries=float(per_factors.sum()),
         trace=trace,
         strategy_name=sim.strategy_name,
     )

@@ -5,15 +5,19 @@ the information the corresponding MUMPS mechanism would have at that moment:
 the (possibly stale) remote views, the local state of the deciding processor
 and the geometry of the node concerned.  Strategies must not reach into the
 simulator; everything they may legitimately use is in the context.
+
+A type-2 slave selection weighs at most a few dozen candidates, so the
+selectors work on plain Python floats: numpy's per-call overhead would
+dominate.  Where they replace a numpy reduction, they keep numpy's rounding
+(:func:`pairwise_sum`), so the choices do not depend on the container the
+views arrive in.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "SlaveSelectionContext",
@@ -21,10 +25,11 @@ __all__ = [
     "SlaveSelector",
     "TaskSelector",
     "normalize_row_distribution",
+    "pairwise_sum",
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class SlaveSelectionContext:
     """Everything a master knows when it has to pick slaves for a type-2 node.
 
@@ -40,6 +45,11 @@ class SlaveSelectionContext:
         Storage convention of the front.
     candidates:
         Processors allowed to act as slaves (the master itself is excluded).
+        Any sequence of ints (a list, a tuple or a numpy array).
+    memory_view, effective_memory_view, load_view:
+        Float sequences indexed by processor.  Both engines hand over
+        ``array("d")`` rows (Python floats on indexing, ``tobytes()`` for
+        comparisons); a list or a numpy array works as well.
     memory_view:
         ``memory_view[q]`` — believed stack occupation of processor ``q``
         (instantaneous metric of Section 4).
@@ -63,9 +73,9 @@ class SlaveSelectionContext:
     ncb: int
     symmetric: bool
     candidates: Sequence[int]
-    memory_view: np.ndarray
-    effective_memory_view: np.ndarray
-    load_view: np.ndarray
+    memory_view: Sequence[float]
+    effective_memory_view: Sequence[float]
+    load_view: Sequence[float]
     own_load: float
     own_memory: float
     min_rows_per_slave: int = 1
@@ -138,13 +148,18 @@ def normalize_row_distribution(
 
     Drops non-candidate processors and non-positive row counts, clips the
     total to ``ncb`` and hands any remaining rows to the first listed slave
-    (or to the first candidate when the strategy returned nothing usable).
+    (or to the lowest candidate when the strategy returned nothing usable).
     The simulator always passes strategy output through this function so a
-    buggy or degenerate strategy cannot lose rows of the front.
+    buggy or degenerate strategy cannot lose rows of the front.  A
+    ``frozenset`` of candidates is used as is (the SoA engine keeps one per
+    type-2 node); any other sequence is converted.
     """
     if ncb <= 0:
         return []
-    candidate_set = set(int(c) for c in candidates)
+    if isinstance(candidates, frozenset):
+        candidate_set = candidates
+    else:
+        candidate_set = frozenset(int(c) for c in candidates)
     cleaned: list[tuple[int, int]] = []
     remaining = ncb
     for proc, rows in assignment:
@@ -160,5 +175,43 @@ def normalize_row_distribution(
             proc, rows = cleaned[0]
             cleaned[0] = (proc, rows + remaining)
         elif candidate_set:
-            cleaned.append((sorted(candidate_set)[0], remaining))
+            cleaned.append((min(candidate_set), remaining))
     return cleaned
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``float(np.sum(values))``, bit for bit, on a sequence of floats.
+
+    numpy sums a float64 array pairwise: fewer than 8 values in a plain
+    loop; up to 128 in 8 interleaved accumulators folded as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the tail; longer arrays
+    split in two at a multiple of 8 below the middle and recurse.
+    """
+    return _pairwise(values, 0, len(values))
+
+
+def _pairwise(a: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, lo + n):
+            res += a[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)

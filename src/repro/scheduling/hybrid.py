@@ -10,8 +10,6 @@ Algorithm 1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.scheduling.base import SlaveSelectionContext, SlaveSelector
 from repro.scheduling.memory_slave import MemorySlaveSelector
 from repro.scheduling.prediction import selection_metric
@@ -37,21 +35,26 @@ class HybridSlaveSelector(SlaveSelector):
         self._memory_selector = MemorySlaveSelector(use_predictions=use_predictions)
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if ctx.ncb <= 0 or not ctx.candidates:
+        if ctx.ncb <= 0 or len(ctx.candidates) == 0:
             return []
         memory = selection_metric(ctx, use_predictions=self.use_predictions)
-        load = np.asarray(ctx.load_view, dtype=np.float64)
 
-        def normalise(values: np.ndarray) -> np.ndarray:
-            span = float(values.max() - values.min())
+        def normalise(values) -> list[float]:
+            lo = min(values)
+            span = float(max(values) - lo)
             if span <= 0:
-                return np.zeros_like(values)
-            return (values - values.min()) / span
+                return [0.0] * len(values)
+            return [(v - lo) / span for v in values]
 
-        combined = self.alpha * normalise(memory) + (1.0 - self.alpha) * normalise(load)
+        alpha = self.alpha
+        beta = 1.0 - alpha
         # Reuse Algorithm 1 by presenting the combined score as the "memory"
         # metric: the levelling arithmetic then operates on the blended rank.
-        scaled = combined * max(float(ctx.ncb) * float(ctx.nfront), 1.0)
+        scale = max(float(ctx.ncb) * float(ctx.nfront), 1.0)
+        scaled = [
+            (alpha * m + beta * w) * scale
+            for m, w in zip(normalise(memory), normalise(ctx.load_view))
+        ]
         blended_ctx = SlaveSelectionContext(
             master_proc=ctx.master_proc,
             node=ctx.node,

@@ -9,17 +9,16 @@ rows are spread equally.  The metric is either the instantaneous memory
 the peak of the subtree currently being treated plus the predicted cost of
 the next upper-layer master task.
 
-The selection gathers the candidate metrics and locates the prefix with
-numpy array operations; ``tests/test_engine_identity.py`` keeps the
-historical per-candidate Python loops as an oracle and asserts both pick
-identical assignments on randomized contexts.
+The selection works on plain Python floats (a few dozen candidates, where
+numpy's call overhead would dominate) and keeps numpy's rounding where the
+historical numpy kernel summed; ``tests/test_engine_identity.py`` keeps the
+per-candidate loops as an oracle and asserts both pick identical assignments
+on randomized contexts.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.scheduling.base import SlaveSelectionContext, SlaveSelector
+from repro.scheduling.base import SlaveSelectionContext, SlaveSelector, pairwise_sum
 from repro.scheduling.prediction import selection_metric
 
 __all__ = ["MemorySlaveSelector"]
@@ -47,18 +46,14 @@ class MemorySlaveSelector(SlaveSelector):
         self.use_predictions = use_predictions
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if ctx.ncb <= 0:
+        cand = ctx.candidates
+        if ctx.ncb <= 0 or len(cand) == 0:
             return []
-        cand = np.asarray(ctx.candidates, dtype=np.int64)
-        if cand.size == 0:
-            return []
-        metric = np.asarray(
-            selection_metric(ctx, use_predictions=self.use_predictions), dtype=np.float64
-        )
-        mem = metric[cand]
-        order = np.argsort(mem, kind="stable")
-        sorted_procs = cand[order]
-        sorted_mem = mem[order]
+        metric = selection_metric(ctx, use_predictions=self.use_predictions)
+        mem = [metric[q] for q in cand]
+        # a stable sort: ties keep the candidate order
+        order = sorted(range(len(mem)), key=mem.__getitem__)
+        sorted_mem = [mem[i] for i in order]
 
         nfront = max(ctx.nfront, 1)
         # the "surface" to distribute: the slave part of the frontal matrix
@@ -66,18 +61,23 @@ class MemorySlaveSelector(SlaveSelector):
 
         # Levelling cost of the prefix 1..i: sum(sorted_mem[i-1] - sorted_mem[:i]),
         # nondecreasing in i because the memories are sorted.  The closed form
-        # below locates the boundary in one vectorized pass; the exact
-        # summation (the historical expression, whose rounding can differ from
-        # the closed form by an ulp) then settles the boundary itself.
-        n = int(sorted_mem.size)
+        # i * sorted_mem[i-1] - (running sum) locates the boundary in one
+        # pass; the exact summation (the historical expression, whose
+        # rounding can differ from the closed form by an ulp) then settles
+        # the boundary itself.
+        n = len(sorted_mem)
 
         def exact_cost(i: int) -> float:
-            return float(np.sum(sorted_mem[i - 1] - sorted_mem[:i]))
+            top = sorted_mem[i - 1]
+            return pairwise_sum([top - m for m in sorted_mem[:i]])
 
-        counts = np.arange(1, n + 1, dtype=np.float64)
-        approx = counts * sorted_mem - np.cumsum(sorted_mem)
-        violations = np.nonzero(approx > surface)[0]
-        best = int(violations[0]) if violations.size else n
+        best = n
+        running = 0.0
+        for i, m in enumerate(sorted_mem):
+            running += m
+            if float(i + 1) * m - running > surface:
+                best = i
+                break
         if best < 1:
             best = 1
         while best < n and exact_cost(best + 1) <= surface:
@@ -87,23 +87,20 @@ class MemorySlaveSelector(SlaveSelector):
         # granularity constraints
         max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
         best = min(best, ctx.max_slaves, max_by_rows)
-        chosen = sorted_procs[:best]
-        chosen_mem = sorted_mem[:best]
-        level = chosen_mem[best - 1]
-        return _level_rows(chosen, chosen_mem, level, nfront, ctx.ncb, best)
+        chosen = [cand[i] for i in order[:best]]
+        return _level_rows(chosen, sorted_mem, sorted_mem[best - 1], nfront, ctx.ncb, best)
 
 
 def _level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int, int]]:
-    """Algorithm 1's levelling pass.
+    """Algorithm 1's levelling pass over the first ``best`` slaves.
 
     Brings every selected slave up to the level of the most loaded selected
     one (in rows of the front), then spreads the remaining rows equitably.
     """
-    rows = np.zeros(best, dtype=np.int64)
+    rows = [0] * best
     remaining = ncb
     for j in range(best):
-        deficit_rows = int((level - chosen_mem[j]) // nfront)
-        give = min(deficit_rows, remaining)
+        give = min(int((level - chosen_mem[j]) // nfront), remaining)
         rows[j] = give
         remaining -= give
         if remaining == 0:
@@ -111,6 +108,9 @@ def _level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int,
     # remaining rows are assigned equitably: round-robin from the first
     # slave, i.e. every slave gets `share` and the first `extra` one more
     share, extra = divmod(remaining, best)
-    rows += share
-    rows[:extra] += 1
-    return [(int(q), int(r)) for q, r in zip(chosen, rows) if r > 0]
+    out = []
+    for j in range(best):
+        r = rows[j] + share + (j < extra)
+        if r > 0:
+            out.append((int(chosen[j]), r))
+    return out

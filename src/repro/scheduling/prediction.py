@@ -17,21 +17,20 @@ slave selectors and the tests share a single definition.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 from repro.scheduling.base import SlaveSelectionContext
 
 __all__ = ["selection_metric"]
 
 
-def selection_metric(ctx: SlaveSelectionContext, *, use_predictions: bool) -> np.ndarray:
+def selection_metric(ctx: SlaveSelectionContext, *, use_predictions: bool) -> Sequence[float]:
     """Per-processor memory metric used by the memory-based slave selection.
 
     With ``use_predictions=False`` this is the believed instantaneous memory
     (Section 4); with ``use_predictions=True`` it is the Section 5.1 sum
     "instantaneous memory + current-subtree peak + predicted next master
-    task", which the runtime exposes as ``effective_memory_view``.
+    task", which the runtime exposes as ``effective_memory_view``.  The
+    view is returned as it is, indexed by processor.
     """
-    if use_predictions:
-        return np.asarray(ctx.effective_memory_view, dtype=np.float64)
-    return np.asarray(ctx.memory_view, dtype=np.float64)
+    return ctx.effective_memory_view if use_predictions else ctx.memory_view

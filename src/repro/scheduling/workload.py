@@ -8,16 +8,16 @@ on the master."  The workload metric is the number of floating-point
 operations still to be done.
 
 Like :class:`~repro.scheduling.memory_slave.MemorySlaveSelector`, the
-selection runs as gathers and masks over the believed-load array;
+selection runs on plain Python floats with numpy's rounding kept;
 ``tests/test_engine_identity.py`` keeps the historical per-candidate loops as
 its oracle.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from repro.scheduling.base import SlaveSelectionContext, SlaveSelector
+from repro.scheduling.base import SlaveSelectionContext, SlaveSelector, pairwise_sum
 
 __all__ = ["WorkloadSlaveSelector"]
 
@@ -33,45 +33,44 @@ class WorkloadSlaveSelector(SlaveSelector):
         self.proportional = proportional
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if ctx.ncb <= 0:
+        cand = ctx.candidates
+        if ctx.ncb <= 0 or len(cand) == 0:
             return []
-        cand = np.asarray(ctx.candidates, dtype=np.int64)
-        if cand.size == 0:
-            return []
-        load_view = np.asarray(ctx.load_view, dtype=np.float64)
-        loads = load_view[cand]
-        order = np.argsort(loads, kind="stable")
-        sorted_procs = cand[order]
+        load_view = ctx.load_view
+        loads = [load_view[q] for q in cand]
+        # a stable sort: ties keep the candidate order
+        order = sorted(range(len(loads)), key=loads.__getitem__)
 
         # prefer processors strictly less loaded than the master
-        less_loaded_mask = loads[order] < ctx.own_load
-        chosen_pool = sorted_procs[less_loaded_mask] if less_loaded_mask.any() else sorted_procs
+        own_load = ctx.own_load
+        chosen_pool = [cand[i] for i in order if loads[i] < own_load]
+        if not chosen_pool:
+            chosen_pool = [cand[i] for i in order]
 
         # granularity constraints: each slave must receive a useful amount of
         # rows, and the number of slaves is bounded
         max_by_rows = max(1, ctx.ncb // max(ctx.min_rows_per_slave, 1))
-        nslaves = min(int(chosen_pool.size), ctx.max_slaves, max_by_rows)
-        chosen = chosen_pool[:nslaves]
+        chosen = chosen_pool[: min(len(chosen_pool), ctx.max_slaves, max_by_rows)]
 
         if self.proportional:
             # fewer rows to more-loaded slaves: weights are the load gaps to
             # the most loaded candidate plus one row to keep weights positive
-            gaps = np.maximum(float(np.max(load_view)) - load_view[chosen], 0.0) + 1.0
-            weights = gaps / gaps.sum()
+            top = max(load_view)
+            gaps = [max(top - load_view[q], 0.0) + 1.0 for q in chosen]
+            total = pairwise_sum(gaps)
+            weights = [g / total for g in gaps]
         else:
-            weights = np.full(len(chosen), 1.0 / len(chosen))
+            weights = [1.0 / len(chosen)] * len(chosen)
         return _spread_rows(chosen, weights, ctx.ncb)
 
 
-def _spread_rows(chosen, weights: np.ndarray, ncb: int) -> list[tuple[int, int]]:
+def _spread_rows(chosen, weights, ncb: int) -> list[tuple[int, int]]:
     """Weighted row distribution: floor shares, remainder one row at a time."""
-    rows = np.floor(weights * ncb).astype(int)
-    # distribute the remainder one row at a time to the least loaded
-    remainder = ncb - int(rows.sum())
-    k = 0
-    nchosen = len(chosen)
-    while remainder > 0 and nchosen:
-        rows[k % nchosen] += 1
-        remainder -= 1
-        k += 1
+    rows = [math.floor(w * ncb) for w in weights]
+    # distribute the remainder one row at a time to the least loaded, i.e.
+    # every slave gets `share` and the first `extra` one more
+    remainder = ncb - sum(rows)
+    if remainder > 0 and len(chosen):
+        share, extra = divmod(remainder, len(chosen))
+        rows = [r + share + (k < extra) for k, r in enumerate(rows)]
     return [(int(q), int(r)) for q, r in zip(chosen, rows) if r > 0]

@@ -513,3 +513,70 @@ def test_analysis_suite_covers_every_problem_and_ordering():
         assert metrics["nodes"] >= 1 and metrics["factor_entries"] > 0
     finally:
         instance.close()
+
+
+# --------------------------------------------------------------------------- #
+# host-speed calibration
+# --------------------------------------------------------------------------- #
+class TestCalibration:
+    def test_runner_records_calibrated_seconds(self):
+        from repro.bench.calibration import REFERENCE_SAMPLE_S
+        from repro.bench.runner import CALIBRATION_SAMPLES
+
+        ticks = iter(range(100))
+        # around the first repeat the host runs twice as slow as the reference
+        # machine (one sample is an outlier), around the second four times
+        n = 2 * CALIBRATION_SAMPLES
+        samples = iter(
+            [2 * REFERENCE_SAMPLE_S] * (n - 1) + [1.0] + [4 * REFERENCE_SAMPLE_S] * n
+        )
+        prepared = PreparedCase(case=BenchCase("c", "s"), fn=lambda: None, repeats=2, warmup=0)
+        runner = BenchRunner(
+            BenchEnv.from_environ({}),
+            timer=lambda: float(next(ticks)),
+            calibrate=lambda: next(samples),
+        )
+        result = runner.run_case(prepared)
+        assert result.seconds == [1.0, 1.0]
+        # each repeat is divided by the median slowdown of its own samples
+        assert result.calibrated_seconds == pytest.approx([0.5, 0.25])
+        assert result.calibrated_best == pytest.approx(0.25)
+        loaded = BenchResult.from_dict(result.to_dict())
+        assert loaded.calibrated_seconds == result.calibrated_seconds
+
+    def test_schema_1_baseline_still_loads(self, tmp_path):
+        payload = _sample_run().to_dict()
+        payload["schema"] = 1
+        for result in payload["results"]:
+            del result["calibrated_seconds"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        loaded = BenchRun.load(str(path))
+        assert loaded.results[0].seconds == [0.5, 0.4, 0.6]
+        assert loaded.results[0].calibrated_seconds == []
+        # a raw-only baseline is compared on raw times
+        report = compare_runs(_sample_run(), loaded)
+        assert [d.calibrated for d in report.compared] == [False]
+        assert report.compared[0].ratio == pytest.approx(1.0)
+
+    def test_compare_uses_calibrated_times(self):
+        def run(raw: float, calibrated: float) -> BenchRun:
+            out = BenchRun(host="h", timestamp="t")
+            out.results.append(
+                BenchResult(
+                    case=BenchCase("a", "s"), seconds=[raw], calibrated_seconds=[calibrated]
+                )
+            )
+            return out
+
+        # the raw time doubled because the host ran twice as slow: no regression
+        report = compare_runs(run(2.0, 1.0), run(1.0, 1.0), tolerance=0.25)
+        delta = report.deltas[0]
+        assert delta.calibrated and delta.verdict == "within-tolerance"
+        assert (delta.current_seconds, delta.baseline_seconds) == (1.0, 1.0)
+        assert not report.failed()
+        # same raw time on a host twice as fast: the code got 2x slower
+        slower = compare_runs(run(1.0, 2.0), run(1.0, 1.0), tolerance=0.25)
+        assert slower.deltas[0].verdict == "regression"
+        assert slower.deltas[0].ratio == pytest.approx(2.0)
+        assert slower.to_dict()["deltas"][0]["calibrated"] is True

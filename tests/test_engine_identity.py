@@ -11,7 +11,7 @@ the final ``sim.views`` and the final clock, and checks oracle-free
 invariants of a finished run.
 
 The batched path (one shared geometry + view bank for many runs) is pinned
-to the one-simulator-per-run path the same way, and the numpy slave
+to the one-simulator-per-run path the same way, and the slave
 selectors to the historical per-candidate loops, kept here as oracles.
 """
 
@@ -32,6 +32,7 @@ from repro.runtime import (
     resolve_engine,
     run_batch,
 )
+from repro.runtime import invariants
 from repro.runtime.geometry import SimGeometry
 from repro.runtime.loadview import ViewBank
 from repro.scheduling import get_strategy
@@ -428,7 +429,7 @@ class TestEngineSelection:
 
 
 # --------------------------------------------------------------------------- #
-# selector-level equivalence: numpy selectors ≡ historical per-candidate loops
+# selector-level equivalence: list selectors ≡ historical per-candidate loops
 # --------------------------------------------------------------------------- #
 def scalar_level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int, int]]:
     """Oracle of ``_level_rows``: the historical row-at-a-time levelling loop."""
@@ -596,7 +597,7 @@ class TestSelectorVectorization:
 
 
 def with_scalar_oracle(slave):
-    """``slave`` with its numpy kernel swapped for the scalar oracle loops."""
+    """``slave`` with its kernel swapped for the scalar oracle loops."""
     if isinstance(slave, HybridSlaveSelector):
         slave._memory_selector = SimpleNamespace(
             select=lambda c: scalar_memory_select(c, slave.use_predictions)
@@ -622,7 +623,7 @@ def run_oracle(tree, config, mapping, strategy: str):
 
 
 class TestSelectorOracleSimulations:
-    """Whole ``soa`` simulations: numpy selectors ≡ the scalar oracles, bitwise.
+    """Whole ``soa`` simulations: list selectors ≡ the scalar oracles, bitwise.
 
     The contexts here are the ones a run really builds (stale views, exact
     ties from simultaneous broadcasts, predictions), over the same scenario
@@ -763,6 +764,8 @@ def assert_same_end_state(fast, ref) -> None:
 
 def assert_invariants(tree, sim, result) -> None:
     """Oracle-free checks of a finished run on a tree without root CBs."""
+    # the makespan is at least the critical path and the work over P
+    invariants.check(result, tree, sim.mapping, sim.config)
     state = sim.state
     # every front and contribution block is freed
     tol = 1e-9 * float(state.peak_stack.max())

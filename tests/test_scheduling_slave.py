@@ -210,3 +210,54 @@ class TestHybridSlaveSelector:
     def test_empty(self):
         ctx = make_ctx([0, 1], nfront=5, npiv=5)
         assert HybridSlaveSelector().select(ctx) == []
+
+
+SELECTORS = [
+    MemorySlaveSelector(use_predictions=False),
+    MemorySlaveSelector(use_predictions=True),
+    WorkloadSlaveSelector(),
+    WorkloadSlaveSelector(proportional=False),
+    HybridSlaveSelector(alpha=0.3),
+]
+SELECTOR_IDS = ["memory-plain", "memory-predicted", "workload", "workload-equal", "hybrid"]
+
+
+class TestContainerTypes:
+    """The selectors read candidates and views as plain sequences: a list, a
+    numpy array or an ``array("d")`` row must give the same assignment."""
+
+    @pytest.mark.parametrize("selector", SELECTORS, ids=SELECTOR_IDS)
+    def test_list_and_ndarray_candidates_agree(self, selector):
+        # the 4-processor context that used to make the hybrid selector raise
+        # "truth value of an array is ambiguous"
+        memory = [0.0, 900.0, 100.0, 400.0]
+        load = [50.0, 10.0, 30.0, 20.0]
+        on_list = make_ctx(memory, load=load, own_load=40.0, candidates=[1, 2, 3])
+        on_array = make_ctx(memory, load=load, own_load=40.0, candidates=np.array([1, 2, 3]))
+        expected = selector.select(on_list)
+        assert total_rows(expected) == on_list.ncb
+        got = selector.select(on_array)
+        assert got == expected
+        assert all(type(q) is int and type(r) is int for q, r in got)
+
+    @pytest.mark.parametrize("selector", SELECTORS, ids=SELECTOR_IDS)
+    def test_view_containers_agree(self, selector):
+        from array import array
+
+        rng = np.random.default_rng(5)
+        memory = rng.uniform(0.0, 5e4, size=12)
+        effective = memory + rng.uniform(0.0, 1e4, size=12)
+        load = rng.uniform(0.0, 1e9, size=12)
+        results = []
+        for convert in (np.asarray, list, lambda v: array("d", v)):
+            ctx = make_ctx(memory, effective=effective, load=load, own_load=5e8, master=3)
+            ctx.memory_view = convert(memory)
+            ctx.effective_memory_view = convert(effective)
+            ctx.load_view = convert(load)
+            results.append(selector.select(ctx))
+        assert results[0] == results[1] == results[2]
+
+    def test_empty_ndarray_candidates(self):
+        ctx = make_ctx([0.0, 1.0, 2.0], candidates=np.array([], dtype=np.int64))
+        for selector in SELECTORS:
+            assert selector.select(ctx) == []
