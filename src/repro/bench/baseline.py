@@ -15,6 +15,13 @@ both runs recorded one, the raw wall time otherwise (a schema-1 baseline):
 ``config-mismatch``   same key but different recorded knobs (scale, nprocs…)
 ``error``             the current case raised instead of finishing
 
+Every delta also carries the current run's wall over CPU seconds
+(:attr:`~repro.bench.model.BenchResult.wall_cpu`); above
+:data:`CONTENDED_WALL_CPU` the case is marked ``contended``: its process
+waited, for example while another process held the CPU, which a 3 ms
+calibration sample inside one time slice cannot see.  The mark is
+information for the reader; no verdict depends on it.
+
 The report renders as text, Markdown, CSV or JSON and owns the exit-code
 policy: :meth:`CompareReport.failed` is the single place the CLI and the CI
 perf gate consult, with an optional ``max_regression`` ratio so shared
@@ -32,12 +39,16 @@ from typing import Optional
 from repro.bench.model import BenchRun, host_tag
 
 __all__ = [
+    "CONTENDED_WALL_CPU",
     "CaseDelta",
     "CompareReport",
     "compare_runs",
     "default_baseline_dir",
     "default_baseline_path",
 ]
+
+#: wall over CPU seconds above which a case's repeats count as contended
+CONTENDED_WALL_CPU = 1.25
 
 #: default directory of committed baselines, relative to the repo root / cwd.
 _BASELINE_DIR = os.path.join("benchmarks", "baselines")
@@ -63,6 +74,12 @@ class CaseDelta:
     ratio: float = float("nan")
     #: whether the two seconds are calibrated times rather than raw ones
     calibrated: bool = False
+    #: the current run's wall over CPU seconds (NaN when not recorded)
+    wall_cpu: float = float("nan")
+
+    @property
+    def contended(self) -> bool:
+        return self.wall_cpu > CONTENDED_WALL_CPU
 
     @property
     def delta_percent(self) -> float:
@@ -82,6 +99,8 @@ class CaseDelta:
             "baseline_seconds": finite(self.baseline_seconds),
             "ratio": finite(self.ratio),
             "calibrated": self.calibrated,
+            "wall_cpu": finite(self.wall_cpu),
+            "contended": self.contended,
         }
 
 
@@ -184,7 +203,7 @@ def compare_runs(current: BenchRun, baseline: BenchRun, *, tolerance: float = 0.
         base = base_by_key.get(key)
         if base is None or base.error is not None or not base.seconds:
             report.deltas.append(
-                CaseDelta(key=key, verdict="new", current_seconds=result.best)
+                CaseDelta(key=key, verdict="new", current_seconds=result.best, wall_cpu=result.wall_cpu)
             )
             continue
         calibrated = bool(result.calibrated_seconds and base.calibrated_seconds)
@@ -202,6 +221,7 @@ def compare_runs(current: BenchRun, baseline: BenchRun, *, tolerance: float = 0.
                     current_seconds=current_best,
                     baseline_seconds=base_best,
                     calibrated=calibrated,
+                    wall_cpu=result.wall_cpu,
                 )
             )
             continue
@@ -214,6 +234,7 @@ def compare_runs(current: BenchRun, baseline: BenchRun, *, tolerance: float = 0.
                 baseline_seconds=base_best,
                 ratio=ratio,
                 calibrated=calibrated,
+                wall_cpu=result.wall_cpu,
             )
         )
     # baseline cases the current run should have produced but didn't.  Suites

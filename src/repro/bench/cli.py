@@ -42,7 +42,7 @@ import io
 import json
 import sys
 
-from repro.bench.baseline import CompareReport, compare_runs, default_baseline_path
+from repro.bench.baseline import CaseDelta, CompareReport, compare_runs, default_baseline_path
 from repro.bench.env import BenchEnv, BenchEnvError
 from repro.bench.model import BenchRun
 from repro.bench.runner import BenchRunner
@@ -197,6 +197,12 @@ def render_run(run: BenchRun, fmt: str) -> str:
     return out
 
 
+def _fmt_wall_cpu(delta: CaseDelta) -> str:
+    if delta.wall_cpu != delta.wall_cpu:  # NaN: not recorded
+        return "-"
+    return f"{delta.wall_cpu:.2f}" + (" contended" if delta.contended else "")
+
+
 def render_report(
     report: CompareReport, fmt: str, *, max_regression: float | None = None
 ) -> str:
@@ -211,12 +217,13 @@ def render_report(
             _fmt_seconds(d.current_seconds),
             f"{d.delta_percent:+.1f}%" if d.delta_percent == d.delta_percent else "-",
             "calibrated" if d.calibrated else "raw",
+            _fmt_wall_cpu(d),
             d.verdict,
         )
         for d in report.deltas
     ]
     return _render_table(
-        ("case", "baseline_s", "current_s", "delta", "times", "verdict"),
+        ("case", "baseline_s", "current_s", "delta", "times", "wall/cpu", "verdict"),
         rows,
         fmt,
         title=(

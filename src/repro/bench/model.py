@@ -26,11 +26,12 @@ from repro.serialize import decode_fields
 __all__ = ["SCHEMA_VERSION", "BenchCase", "BenchResult", "BenchRun", "host_tag"]
 
 #: bump on any change of the result JSON layout.  Schema 2 adds each
-#: result's ``calibrated_seconds``.
-SCHEMA_VERSION = 2
+#: result's ``calibrated_seconds``, schema 3 its ``cpu_seconds``.
+SCHEMA_VERSION = 3
 
-#: schemas this build loads; a schema-1 run has raw seconds only
-READABLE_SCHEMAS = (1, 2)
+#: schemas this build loads; a schema-1 run has raw seconds only, a
+#: schema-2 run no CPU seconds
+READABLE_SCHEMAS = (1, 2, 3)
 
 
 def host_tag() -> str:
@@ -80,15 +81,17 @@ class BenchResult:
 
     ``seconds`` holds every timed repeat (after ``warmup`` untimed ones),
     ``calibrated_seconds`` the same repeats at the reference machine's speed
-    (see :mod:`repro.bench.calibration`; empty in a schema-1 run).  ``best``
+    (see :mod:`repro.bench.calibration`; empty in a schema-1 run) and
+    ``cpu_seconds`` the process CPU time of each (empty before schema 3).  ``best``
     — the minimum — is the comparison statistic: it is the least noisy
     estimator of the true cost on a shared machine.  ``error`` is set (and
-    both lists left empty) when the case raised instead of finishing.
+    the lists left empty) when the case raised instead of finishing.
     """
 
     case: BenchCase
     seconds: list[float] = field(default_factory=list)
     calibrated_seconds: list[float] = field(default_factory=list)
+    cpu_seconds: list[float] = field(default_factory=list)
     warmup: int = 0
     metrics: dict[str, float] = field(default_factory=dict)
     error: str | None = None
@@ -105,6 +108,16 @@ class BenchResult:
         return min(self.calibrated_seconds) if self.calibrated_seconds else float("nan")
 
     @property
+    def wall_cpu(self) -> float:
+        """Wall over process CPU seconds of the repeats (NaN when not recorded).
+
+        A CPU-bound case reads ~1; well above it, the process waited: for
+        the CPU while another process ran, or on I/O or a child process.
+        """
+        cpu = sum(self.cpu_seconds)
+        return sum(self.seconds) / cpu if self.cpu_seconds and cpu > 0 else float("nan")
+
+    @property
     def mean(self) -> float:
         return sum(self.seconds) / len(self.seconds) if self.seconds else float("nan")
 
@@ -117,6 +130,7 @@ class BenchResult:
             "case": self.case.to_dict(),
             "seconds": [float(s) for s in self.seconds],
             "calibrated_seconds": [float(s) for s in self.calibrated_seconds],
+            "cpu_seconds": [float(s) for s in self.cpu_seconds],
             "warmup": self.warmup,
             "metrics": {k: float(v) for k, v in self.metrics.items()},
         }
@@ -133,7 +147,10 @@ class BenchResult:
         data = decode_fields(
             "bench_result",
             data,
-            {"case", "seconds", "calibrated_seconds", "warmup", "metrics", "error", "profile"},
+            {
+                "case", "seconds", "calibrated_seconds", "cpu_seconds",
+                "warmup", "metrics", "error", "profile",
+            },
             label="BenchResult",
         )
         profile = data.get("profile")
@@ -141,6 +158,7 @@ class BenchResult:
             case=BenchCase.from_dict(data["case"]),  # type: ignore[arg-type]
             seconds=[float(s) for s in data.get("seconds", ())],  # type: ignore[union-attr]
             calibrated_seconds=[float(s) for s in data.get("calibrated_seconds", ())],  # type: ignore[union-attr]
+            cpu_seconds=[float(s) for s in data.get("cpu_seconds", ())],  # type: ignore[union-attr]
             warmup=int(data.get("warmup", 0)),  # type: ignore[arg-type]
             metrics={str(k): float(v) for k, v in (data.get("metrics") or {}).items()},  # type: ignore[union-attr]
             error=data.get("error"),  # type: ignore[arg-type]

@@ -39,6 +39,10 @@ class BenchRunner:
         cases default to several repeats, end-to-end cases to one).
     timer:
         Monotonic clock used around each repeat (injectable for tests).
+    cpu_timer:
+        Process CPU clock read beside ``timer`` (injectable for tests); a
+        repeat's wall over CPU seconds shows contention the calibration
+        samples cannot see.
     calibrate:
         The host-speed sample taken :data:`CALIBRATION_SAMPLES` times before
         and after each repeat (injectable for tests); the repeat's
@@ -60,6 +64,7 @@ class BenchRunner:
         repeats: int | None = None,
         warmup: int | None = None,
         timer: Callable[[], float] = time.perf_counter,
+        cpu_timer: Callable[[], float] = time.process_time,
         calibrate: Callable[[], float] = calibration_sample,
         progress: Optional[Callable[[PreparedCase, BenchResult], None]] = None,
         profile_top: int | None = None,
@@ -74,6 +79,7 @@ class BenchRunner:
         self.repeats = repeats
         self.warmup = warmup
         self.timer = timer
+        self.cpu_timer = cpu_timer
         self.calibrate = calibrate
         self.progress = progress
         self.profile_top = profile_top
@@ -89,17 +95,19 @@ class BenchRunner:
                 prepared.fn()
             for _ in range(repeats):
                 samples = [self.calibrate() for _ in range(CALIBRATION_SAMPLES)]
-                start = self.timer()
+                start, cpu_start = self.timer(), self.cpu_timer()
                 metrics = prepared.fn()
-                seconds = self.timer() - start
+                seconds, cpu = self.timer() - start, self.cpu_timer() - cpu_start
                 samples += [self.calibrate() for _ in range(CALIBRATION_SAMPLES)]
                 result.seconds.append(seconds)
                 result.calibrated_seconds.append(seconds / slowdown(samples))
+                result.cpu_seconds.append(cpu)
                 if metrics:
                     result.metrics = {str(k): float(v) for k, v in metrics.items()}
         except Exception:
             result.seconds = []
             result.calibrated_seconds = []
+            result.cpu_seconds = []
             result.error = traceback.format_exc(limit=8)
         if self.profile_top is not None and result.error is None:
             # a failure of the optional profiling pass must never void the

@@ -200,11 +200,8 @@ ANALYSIS_ORDERINGS = ("metis", "pord", "amd", "amf")
 def _analysis_suite(env: BenchEnv) -> SuiteInstance:
     from repro.experiments.problems import PROBLEMS
     from repro.ordering import compute_ordering
-    from repro.pipeline.engine import PipelineSettings
     from repro.symbolic import build_assembly_tree
 
-    # the tree stage's amalgamation knobs, as every sweep uses them
-    settings = PipelineSettings()
     cases: list[PreparedCase] = []
     for problem, spec in PROBLEMS.items():
         pattern = spec.build(env.scale)  # untimed: the cases time ordering + tree
@@ -212,13 +209,7 @@ def _analysis_suite(env: BenchEnv) -> SuiteInstance:
 
             def analyse(pattern=pattern, ordering=ordering) -> dict[str, float]:
                 perm = compute_ordering(pattern, ordering)
-                tree = build_assembly_tree(
-                    pattern,
-                    perm,
-                    amalgamation_min_pivots=settings.amalgamation_min_pivots,
-                    amalgamation_relax=settings.amalgamation_relax,
-                    keep_variables=False,
-                )
+                tree = build_assembly_tree(pattern, perm, keep_variables=False)
                 return {
                     "nodes": float(tree.nnodes),
                     "factor_entries": float(tree.total_factor_entries()),

@@ -190,7 +190,7 @@ def figure5(latency: float = 5e-4, cache_dir: str | None = None) -> dict[str, ob
     with ``REPRO_CACHE_DIR`` set, repeated regenerations reload the persisted
     ordering/analysis artifacts instead of re-running the symbolic phase.
     (The figure's engine parameters differ from the tables' — scale 0.35,
-    default amalgamation — so it does not share artifacts with them.)
+    a coarser amalgamation — so it does not share artifacts with them.)
     """
     engine = AnalysisPipeline(
         nprocs=8, scale=0.35, amalgamation_relax=0.25, amalgamation_min_pivots=8,

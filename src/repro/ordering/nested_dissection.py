@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ordering.quotient_graph import order_subgraph
+from repro.ordering.quotient_graph import order_subgraph, tie_breakers
 from repro.ordering.rcm import bfs_levels, gather_rows, peripheral_level_structure
 from repro.sparse.pattern import SparsePattern
 
@@ -155,8 +155,10 @@ def nested_dissection_ordering(
     hubs = extract_hubs(indptr, indices) if handle_hubs else np.empty(0, dtype=np.int64)
     non_hubs = np.setdiff1d(np.arange(n, dtype=np.int64), hubs, assume_unique=False)
 
+    jitter = tie_breakers(seed, n)
+
     def order_leaf(vertices: np.ndarray) -> np.ndarray:
-        return order_subgraph(indptr, indices, vertices, leaf_method, seed=seed)
+        return order_subgraph(indptr, indices, vertices, leaf_method, jitter)
 
     def assign(vertices_in_order: np.ndarray) -> None:
         nonlocal next_pos

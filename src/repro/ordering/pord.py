@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ordering.nested_dissection import _connected_components, extract_hubs, find_separator
-from repro.ordering.quotient_graph import order_subgraph
+from repro.ordering.quotient_graph import order_subgraph, tie_breakers
 from repro.sparse.pattern import SparsePattern
 
 __all__ = ["pord_ordering"]
@@ -55,8 +55,10 @@ def pord_ordering(
     position = np.empty(n, dtype=np.int64)
     next_pos = 0
 
+    jitter = tie_breakers(seed, n)
+
     def order_with(vertices: np.ndarray, score: str) -> np.ndarray:
-        return order_subgraph(indptr, indices, vertices, score, seed=seed)
+        return order_subgraph(indptr, indices, vertices, score, jitter)
 
     def assign(vertices_in_order: np.ndarray) -> None:
         nonlocal next_pos

@@ -27,23 +27,26 @@ quotient graph with:
 * approximate external degrees (the ``|Le \\ Lp|`` trick of AMD, computed in
   one pass over the freshly formed element);
 * element absorption (elements entirely contained in the new one disappear);
-* supervariable detection by adjacency hashing (mass elimination), which is
-  what keeps FEM-style matrices with several dofs per node tractable;
+* supervariable detection by hashing the external adjacency (mass
+  elimination), which is what keeps FEM-style matrices with several dofs
+  per node tractable; a collision is settled by comparing element sets;
 * two inlined scores: AMD's approximate degree and AMF's approximate
   deficiency.  Every term of either is an integer, so scores are exact.
 
 Selection rule.  :func:`greedy_ordering` eliminates, at every step, the live
 principal variable minimising ``(score, jitter, index)``, where ``jitter`` is
-a seeded per-variable tie-breaker.  A variable's score changes only when it
-belongs to the element ``Lp`` of an elimination (its degree, weight and
-adjacent elements are only touched there), and ``cur[v]`` always holds the
-current score.  The heap is a lazy increase-key queue: every live variable
-keeps an entry whose score is at most ``cur[v]``.  A rescored variable is
-pushed only when its score drops; a popped entry whose score has since risen
-is pushed back at ``cur[v]``, and one of a dead (eliminated or merged)
-variable is dropped.  So the first popped entry whose score equals
-``cur[v]`` is no greater than any live variable's current key: it is the
-exact argmin above, and orderings do not depend on the laziness.
+a seeded per-variable tie-breaker.  One int key packs that triple exactly:
+the score above the bits of the variable's rank in (jitter, index) order.
+A variable's score changes only when it belongs to the element ``Lp`` of an
+elimination, and ``cur[v]`` always holds its current key.  The heap is a
+lazy increase-key queue: every live variable has one tracked entry,
+``entry[v] <= cur[v]``.  A rescored variable is pushed (and tracked) only
+when its key drops below its tracked entry; a popped tracked entry whose key
+has since risen is pushed back at ``cur[v]``, and any other popped entry
+(untracked, or of a dead variable) is dropped.  So the first popped tracked
+entry equal to ``cur[v]`` is no greater than any live variable's current
+key: it is the exact argmin above, and orderings do not depend on the
+laziness.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 from repro.ordering.rcm import gather_rows
 from repro.sparse.pattern import SparsePattern
 
-__all__ = ["greedy_ordering", "induced_subgraph", "order_subgraph"]
+__all__ = ["greedy_ordering", "induced_subgraph", "order_subgraph", "tie_breakers"]
 
 
 def _bits(mask: int) -> list[int]:
@@ -72,22 +75,38 @@ def _bits(mask: int) -> list[int]:
 def induced_subgraph(
     indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency of the subgraph induced by ``vertices``, in O(its nnz).
+    """Edges of the subgraph induced by ``vertices``, in O(its nnz).
 
     Gathers only the rows of ``vertices`` from the symmetric, diagonal-free
     adjacency ``(indptr, indices)`` and relabels the kept neighbours through
-    the sorted vertex array.  Returns ``(sorted_vertices, sub_indptr,
-    sub_indices)``; the relabelling is monotone, so rows stay sorted and the
-    result equals ``submatrix(vertices).adjacency()`` of the pattern.
+    the sorted vertex array.  Returns ``(sorted_vertices, rows, cols)``; the
+    relabelling is monotone, so the edges come sorted by (row, col), as the
+    entries of ``submatrix(vertices).adjacency()`` of the pattern.
     """
     verts = np.sort(vertices)
     nbrs, counts = gather_rows(indptr, indices, verts)
     local = np.searchsorted(verts, nbrs)
     inside = verts[np.minimum(local, verts.size - 1)] == nbrs
-    owner = np.repeat(np.arange(verts.size), counts)
-    sub_indptr = np.zeros(verts.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner[inside], minlength=verts.size), out=sub_indptr[1:])
-    return verts, sub_indptr, local[inside]
+    rows = np.repeat(np.arange(verts.size, dtype=np.int64), counts)
+    return verts, rows[inside], local[inside]
+
+
+def _row_bits(n: int, rows: np.ndarray, cols: np.ndarray) -> list[int]:
+    """Adjacency bitsets (bit ``j`` of entry ``i`` for edge ``(i, j)``) of an
+    ``n``-vertex graph, from its edges sorted by (row, col)."""
+    words = (n + 63) >> 6  # uint64 words per row
+    packed = np.zeros(n * words, dtype="<u8")
+    if rows.size:
+        # the edges landing in one word are contiguous: OR them together
+        slot = rows * words + (cols >> 6)
+        starts = np.flatnonzero(np.diff(slot, prepend=-1))
+        bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+        packed[slot[starts]] = np.bitwise_or.reduceat(bits, starts)
+    if words == 1:
+        return packed.tolist()
+    buf = memoryview(packed).cast("B")
+    width = words * 8
+    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
 
 
 def greedy_ordering(
@@ -114,43 +133,49 @@ def greedy_ordering(
     perm:
         ``perm[k]`` is the original variable eliminated at step ``k``.
     """
-    return _greedy(*pattern.adjacency(), score, seed)
+    indptr, indices = pattern.adjacency()
+    rows = np.repeat(np.arange(pattern.n, dtype=np.int64), np.diff(indptr))
+    return _greedy(_row_bits(pattern.n, rows, indices), score, tie_breakers(seed, pattern.n))
 
 
 def order_subgraph(
-    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray, score: str, *, seed: int = 0
+    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray, score: str, jitter: list[float]
 ) -> np.ndarray:
     """Greedy ordering of the subgraph induced by ``vertices``, as global vertex ids.
 
     Same result as :func:`greedy_ordering` on the principal submatrix,
-    mapped back through the sorted ``vertices``, without building it.
+    mapped back through the sorted ``vertices``, without building it;
+    ``jitter`` is ``tie_breakers(seed, m)`` for some ``m >= vertices.size``.
     """
     if vertices.size <= 1:
         return vertices
-    verts, sub_indptr, sub_indices = induced_subgraph(indptr, indices, vertices)
-    return verts[_greedy(sub_indptr, sub_indices, score, seed)]
+    verts, rows, cols = induced_subgraph(indptr, indices, vertices)
+    return verts[_greedy(_row_bits(verts.size, rows, cols), score, jitter)]
 
 
+def tie_breakers(seed: int, n: int) -> list[float]:
+    """The seeded per-variable tie-breakers ``default_rng(seed).random(n) * 1e-9``.
+
+    The first ``m`` of them are ``tie_breakers(seed, m)`` (one draw per
+    variable from the same stream), so one list serves every subgraph of an
+    ordering.
+    """
+    return (np.random.default_rng(seed).random(n) * 1e-9).tolist()
 
 
 _SCORES = ("degree", "fill")
 
 
-def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> np.ndarray:
-    """:func:`greedy_ordering` on a symmetric, diagonal-free CSR adjacency."""
+def _greedy(adj: list[int], score: str, jitter: list[float]) -> np.ndarray:
+    """:func:`greedy_ordering` on adjacency bitsets (symmetric, diagonal-free).
+
+    ``adj[v]`` has bit ``u`` set for every neighbour ``u`` of ``v``; the
+    list is consumed.  ``jitter[v]`` breaks ties (see :func:`tie_breakers`).
+    """
     if score not in _SCORES:
         raise ValueError(f"unknown score {score!r}; expected one of {sorted(_SCORES)}")
     fill = score == "fill"
-    n = len(indptr) - 1
-    # variable -> bitset of adjacent variables, read from one packed
-    # little-endian byte row per variable
-    width = (n + 7) // 8
-    packed = np.zeros(n * width, dtype=np.uint8)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    bit = np.left_shift(1, indices & 7).astype(np.uint8)
-    np.bitwise_or.at(packed, rows * width + (indices >> 3), bit)
-    buf = memoryview(packed)
-    adj = [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
+    n = len(adj)
     elems: list[set[int]] = [set() for _ in range(n)]  # variable -> adjacent element ids
     element_vars: dict[int, int] = {}  # element id -> bitset of its variables
     # element id -> total weight of its members.  Supervariable merges
@@ -164,27 +189,40 @@ def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> n
     dead = [False] * n  # eliminated or merged into another principal
     degree = [a.bit_count() for a in adj]  # approximate external degree
 
-    # cur[v]: the current score of v, never above its heap entry's (see the
-    # module docstring)
-    cur = [d * (d - 1) // 2 for d in degree] if fill else degree[:]
-    jitter = (np.random.default_rng(seed).random(n) * 1e-9).tolist()
-    heap = list(zip(cur, jitter, range(n)))
+    # a key packs (score, jitter, index) into one int: the score above
+    # ``shift`` bits, the variable's rank in (jitter, index) order below
+    byrank = sorted(range(n), key=jitter.__getitem__)  # stable: equal jitters by index
+    rank = [0] * n
+    for r, v in enumerate(byrank):
+        rank[v] = r
+    shift = n.bit_length()
+    low_bits = (1 << shift) - 1
+    # cur[v]: the current key of v; entry[v]: the key of its one tracked heap
+    # entry, never above cur[v] (see the module docstring)
+    cur = [((d * (d - 1) // 2 if fill else d) << shift) | rank[v] for v, d in enumerate(degree)]
+    entry = cur[:]
+    heap = cur[:]
     heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heappop, heappush, heapreplace = heapq.heappop, heapq.heappush, heapq.heapreplace
     perm: list[int] = []
     e_new = -1
     while heap and len(perm) < n:
-        s, j, p = heappop(heap)
-        if dead[p]:
+        k = heap[0]
+        p = byrank[k & low_bits]
+        if dead[p] or k != entry[p]:  # an eliminated, merged or untracked entry
+            heappop(heap)
             continue
-        if s != cur[p]:  # the score rose since this push: requeue at the current one
-            heappush(heap, (cur[p], j, p))
+        if k != cur[p]:  # the score rose since this push: requeue at the current one
+            entry[p] = cur[p]
+            heapreplace(heap, cur[p])
             continue
+        heappop(heap)
 
         # eliminate p: the elements adjacent to p are absorbed into the new
         # element, whose variables Lp are everything p reaches
         lp_mask = adj[p]
-        for e in elems[p]:
+        ep = elems[p]
+        for e in ep:
             lp_mask |= element_vars.pop(e)
             del element_size[e]
         elems[p] = set()
@@ -200,8 +238,10 @@ def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> n
         # |Le ∩ Lp| for every element e touching Lp, in one pass
         overlap: dict[int, int] = {}
         for v in lp:
-            # drop references to absorbed elements, count overlaps of the rest
-            ev = elems[v] = element_vars.keys() & elems[v]
+            # drop the elements just absorbed into the new one: every other
+            # element of a live variable is still live
+            ev = elems[v]
+            ev -= ep
             w = weight[v]
             for e in ev:
                 overlap[e] = overlap.get(e, 0) + w
@@ -225,9 +265,9 @@ def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> n
         # |Le \ Lp| for every surviving element.  Dead variables (p included)
         # are masked out of the variable adjacency, and neighbours inside Lp
         # are covered by the new element; what remains is the external
-        # adjacency, which doubles as the supervariable key.
+        # adjacency, which keys the supervariable buckets.
         outside_lp = live & ~lp_mask
-        buckets: dict[tuple, list[int]] = {}
+        buckets: dict[int, list[int]] = {}
         for v in lp:
             ev = elems[v]
             if absorbed:
@@ -240,21 +280,28 @@ def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> n
                 d += weight[top] - 1
                 todo ^= 1 << top
             degree[v] = d
-            # supervariable detection (mass elimination): variables of Lp
-            # with the same quotient-graph adjacency are indistinguishable
-            buckets.setdefault((ext, frozenset(ev)), []).append(v)
+            buckets.setdefault(ext, []).append(v)
         for group in buckets.values():
-            if len(group) > 1:
-                keep = group[0]  # groups fill in increasing variable order
-                heavy |= 1 << keep
-                for other in group[1:]:
-                    # other disappears from the graph (bitsets mask it with live)
-                    weight[keep] += weight[other]
-                    merged[keep].append(other)
-                    dead[other] = True
-                    live ^= 1 << other
-                    elems[other] = set()
-                    adj[other] = 0
+            if len(group) == 1:
+                continue
+            # supervariable detection (mass elimination): variables of Lp
+            # with the same external adjacency and the same elements are
+            # indistinguishable
+            same: dict[frozenset, list[int]] = {}
+            for v in group:
+                same.setdefault(frozenset(elems[v]), []).append(v)
+            for twins in same.values():
+                if len(twins) > 1:
+                    keep = twins[0]  # groups fill in increasing variable order
+                    heavy |= 1 << keep
+                    for other in twins[1:]:
+                        # other disappears from the graph (bitsets mask it with live)
+                        weight[keep] += weight[other]
+                        merged[keep].append(other)
+                        dead[other] = True
+                        live ^= 1 << other
+                        elems[other] = set()
+                        adj[other] = 0
 
         # p is emitted with every variable merged into it, principal first
         perm.append(p)
@@ -280,9 +327,10 @@ def _greedy(indptr: np.ndarray, indices: np.ndarray, score: str, seed: int) -> n
                     su -= k * (k - 1) // 2
                 if su < 0:
                     su = 0
-            if su < cur[u]:
-                heappush(heap, (su, jitter[u], u))
-            cur[u] = su
+            k = cur[u] = (su << shift) | rank[u]
+            if k < entry[u]:
+                heappush(heap, k)
+                entry[u] = k
 
     # every live variable keeps a heap entry at or below its score, and every
     # merged one is emitted with its principal, so the heap cannot run dry early

@@ -49,17 +49,24 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.nda
     n = len(indptr) - 1
     level = np.full(n, -1, dtype=np.int64)
     level[start] = 0
+    unseen = mask.copy()
+    unseen[start] = False
+    # earliest position of each vertex among a level's candidates (a level
+    # has fewer candidates than the graph has entries)
+    slot = np.full(n, indices.size, dtype=np.int64)
     frontier = np.array([start], dtype=np.int64)
     levels = [frontier]
     depth = 0
     while True:
         nbrs, _ = gather_rows(indptr, indices, frontier)
-        nbrs = nbrs[mask[nbrs] & (level[nbrs] < 0)]
+        nbrs = nbrs[unseen[nbrs]]
         if nbrs.size == 0:
             break
-        _, first = np.unique(nbrs, return_index=True)
-        first.sort()
-        frontier = nbrs[first]
+        # the next level is the candidates' first occurrences, in order
+        at = np.arange(nbrs.size, dtype=np.int64)
+        np.minimum.at(slot, nbrs, at)
+        frontier = nbrs[slot[nbrs] == at]
+        unseen[frontier] = False
         depth += 1
         level[frontier] = depth
         levels.append(frontier)

@@ -25,6 +25,7 @@ from repro.pipeline.stage import AnalysisProducts, CaseResult, CaseSpec, SplitAr
 from repro.pipeline.stages import DEFAULT_STAGES
 from repro.pipeline.store import DiskStore, TieredStore, content_key
 from repro.runtime import SimulationConfig, SimulationResult
+from repro.symbolic import AMALGAMATION
 
 __all__ = ["PipelineSettings", "AnalysisPipeline"]
 
@@ -45,8 +46,8 @@ class PipelineSettings:
     scale: float = 1.0
     config: Optional[SimulationConfig] = None
     cache_dir: str = ""
-    amalgamation_relax: float = 0.15
-    amalgamation_min_pivots: int = 4
+    amalgamation_relax: float = AMALGAMATION.relax
+    amalgamation_min_pivots: int = AMALGAMATION.min_pivots
 
     def build(self) -> "AnalysisPipeline":
         # cache_dir is passed through verbatim: "" means "disk tier off" and
@@ -85,8 +86,8 @@ class AnalysisPipeline:
         scale: float = 1.0,
         config: SimulationConfig | None = None,
         cache_dir: str | os.PathLike | None = None,
-        amalgamation_relax: float = 0.15,
-        amalgamation_min_pivots: int = 4,
+        amalgamation_relax: float = AMALGAMATION.relax,
+        amalgamation_min_pivots: int = AMALGAMATION.min_pivots,
         stages: Iterable[type[Stage]] = DEFAULT_STAGES,
     ) -> None:
         if config is None:

@@ -38,6 +38,7 @@ from repro.pipeline import (
 )
 from repro.results import CaseResultView, ResultStore, ResultTable, case_key_for
 from repro.runtime import SimulationConfig
+from repro.symbolic import AMALGAMATION
 from repro.specs import SweepSpec
 
 __all__ = ["Session", "open_session", "percentage_decrease", "CaseLike"]
@@ -94,8 +95,8 @@ class Session:
         scale: float = 1.0,
         config: SimulationConfig | None = None,
         cache_dir: str | os.PathLike | None = None,
-        amalgamation_relax: float = 0.15,
-        amalgamation_min_pivots: int = 4,
+        amalgamation_relax: float = AMALGAMATION.relax,
+        amalgamation_min_pivots: int = AMALGAMATION.min_pivots,
         jobs: int = 1,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
     ) -> None:

@@ -169,26 +169,17 @@ def normal_equations(
         rows_a = np.concatenate([rows_a, extra_rows])
         cols_a = np.concatenate([cols_a, extra_cols])
 
-    # build column -> rows lists, then emit the clique of rows per column
-    order = np.argsort(cols_a, kind="stable")
-    cols_sorted = cols_a[order]
-    rows_sorted = rows_a[order]
-    rr: list[np.ndarray] = [np.arange(m, dtype=np.int64)]
-    cc: list[np.ndarray] = [np.arange(m, dtype=np.int64)]
-    start = 0
-    while start < cols_sorted.size:
-        end = start
-        c = cols_sorted[start]
-        while end < cols_sorted.size and cols_sorted[end] == c:
-            end += 1
-        members = np.unique(rows_sorted[start:end])
-        if members.size > 1:
-            # clique over the members
-            a = np.repeat(members, members.size)
-            b = np.tile(members, members.size)
-            rr.append(a)
-            cc.append(b)
-        start = end
+    # the distinct rows of every column of A, grouped by column: each group
+    # is a clique of A·Aᵀ, whose t-th pair is (members[t // k], members[t % k])
+    cols_sorted, members = np.divmod(np.unique(cols_a * m + rows_a), m)
+    starts = np.flatnonzero(np.diff(cols_sorted, prepend=-1))
+    k = np.diff(np.append(starts, members.size))
+    npairs = k * k
+    first = np.repeat(starts, npairs)
+    t = np.arange(first.size, dtype=np.int64) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    k = np.repeat(k, npairs)
+    rr = [np.arange(m, dtype=np.int64), members[first + t // k]]
+    cc = [np.arange(m, dtype=np.int64), members[first + t % k]]
     return SparsePattern.from_coo(
         m, np.concatenate(rr), np.concatenate(cc), symmetric=True, name=name or f"normal-eqs-{m}x{n}"
     )

@@ -218,16 +218,23 @@ class SparsePattern:
 
         ``perm[k]`` is the original index placed at position ``k`` (i.e. the
         *ordering*: column ``perm[0]`` is eliminated first).
+
+        One relabel and one sort: a permutation keeps the entries distinct,
+        and new row ``k`` is old row ``perm[k]``, so only the columns within
+        a row need reordering.
         """
+        n = self.n
         perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (self.n,) or not np.array_equal(np.sort(perm), np.arange(self.n)):
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValueError("perm must be a permutation of range(n)")
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[perm] = np.arange(self.n, dtype=np.int64)
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        return SparsePattern.from_coo(
-            self.n, inv[rows], inv[self.indices], symmetric=self.symmetric, name=self.name
-        )
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n, dtype=np.int64)
+        row_nnz = np.diff(self.indptr)
+        key = np.repeat(inv * n, row_nnz) + inv[self.indices]
+        key.sort()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(row_nnz[perm], out=indptr[1:])
+        return SparsePattern(n=n, indptr=indptr, indices=key % n, symmetric=self.symmetric, name=self.name)
 
     def submatrix(self, keep: np.ndarray) -> "SparsePattern":
         """Principal submatrix on the (sorted) index set ``keep``."""

@@ -10,7 +10,7 @@ tree.
 
 from repro.symbolic.etree import elimination_tree, postorder, tree_levels, tree_depth, children_lists
 from repro.symbolic.colcounts import column_counts, column_counts_naive, symbolic_fill
-from repro.symbolic.supernodes import fundamental_supernodes, amalgamate
+from repro.symbolic.supernodes import AMALGAMATION, fundamental_supernodes, amalgamate
 from repro.symbolic.assembly_tree import AssemblyTree, FrontNode, build_assembly_tree
 from repro.symbolic.splitting import split_large_masters, SplitReport
 from repro.symbolic.liu_order import order_children_for_memory, sequential_peak_of_tree
@@ -26,6 +26,7 @@ __all__ = [
     "symbolic_fill",
     "fundamental_supernodes",
     "amalgamate",
+    "AMALGAMATION",
     "AssemblyTree",
     "FrontNode",
     "build_assembly_tree",

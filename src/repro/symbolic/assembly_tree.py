@@ -25,9 +25,9 @@ from repro.analysis.flops import (
     type2_slave_flops,
 )
 from repro.sparse.pattern import SparsePattern
-from repro.symbolic.colcounts import column_counts
-from repro.symbolic.etree import elimination_tree, postorder
-from repro.symbolic.supernodes import Supernode, amalgamate, fundamental_supernodes
+from repro.symbolic.colcounts import _column_counts_vectorized
+from repro.symbolic.etree import _liu_etree, postorder
+from repro.symbolic.supernodes import AMALGAMATION, _amalgamate, _fundamental
 
 __all__ = ["FrontNode", "AssemblyTree", "build_assembly_tree"]
 
@@ -501,8 +501,8 @@ def build_assembly_tree(
     pattern: SparsePattern,
     ordering: np.ndarray | None = None,
     *,
-    amalgamation_min_pivots: int = 8,
-    amalgamation_relax: float = 0.25,
+    amalgamation_min_pivots: int = AMALGAMATION.min_pivots,
+    amalgamation_relax: float = AMALGAMATION.relax,
     amalgamation_max_front: int | None = None,
     keep_variables: bool = True,
     name: str | None = None,
@@ -511,9 +511,10 @@ def build_assembly_tree(
 
     Pipeline (mirrors the analysis phase of a multifrontal solver):
 
-    1. apply the fill-reducing ``ordering`` (identity when ``None``);
-    2. symmetrize the pattern and compute the elimination tree;
-    3. postorder the tree and relabel the matrix accordingly;
+    1. symmetrize the pattern and apply the fill-reducing ``ordering``
+       (identity when ``None``);
+    2. compute the elimination tree;
+    3. postorder the tree and relabel the columns accordingly;
     4. compute the column counts of ``L``;
     5. detect fundamental supernodes;
     6. relaxed amalgamation;
@@ -522,45 +523,40 @@ def build_assembly_tree(
     The ``ordering`` follows the :meth:`SparsePattern.permuted` convention:
     ``ordering[k]`` is the original variable eliminated at step ``k``.
     """
-    work = pattern
+    # P (A + Aᵀ + I) Pᵀ is (PAPᵀ) + (PAPᵀ)ᵀ + I: symmetrize before permuting,
+    # so the permuted pattern needs no second pass
+    sym = pattern.symmetrized().with_diagonal()
     perm_total = np.arange(pattern.n, dtype=np.int64)
     if ordering is not None:
-        ordering = np.asarray(ordering, dtype=np.int64)
-        work = work.permuted(ordering)
-        perm_total = ordering.copy()
-
-    sym = work.symmetrized().with_diagonal()
-    parent = elimination_tree(sym)
+        perm_total = np.asarray(ordering, dtype=np.int64)
+        sym = sym.permuted(perm_total)
+    parent = _liu_etree(sym)
     post = postorder(parent)
-    # relabel so that columns appear in postorder; the resulting etree is
-    # monotone (parent > child), which the supernode detection requires
-    sym_post = sym.permuted(post)
+    # relabel the columns in postorder; the resulting etree is monotone
+    # (parent > child), which the supernode detection requires.  A postorder
+    # is a topological relabelling of the etree, so the etree and the column
+    # counts of the relabelled matrix are the relabelled ones: the matrix
+    # itself is never permuted a second time
     perm_total = perm_total[post]
-    # a postorder is a topological relabelling of the etree, so the etree of
-    # the relabelled matrix is the relabelled etree
     ipost = np.empty_like(post)
     ipost[post] = np.arange(post.size, dtype=np.int64)
     parent_post = parent[post]
     has_parent = parent_post >= 0
     parent_post[has_parent] = ipost[parent_post[has_parent]]
-    # the relabelled tree is its own postorder
-    counts = column_counts(sym_post, parent_post, np.arange(post.size, dtype=np.int64))
+    counts = _column_counts_vectorized(sym, parent, post)[post]
 
-    membership, supernodes = fundamental_supernodes(parent_post, counts)
-    merged, _ = amalgamate(
-        supernodes,
-        min_pivots=amalgamation_min_pivots,
-        relax=amalgamation_relax,
-        max_front=amalgamation_max_front,
-        symmetric=pattern.symmetric,
-    )
-
-    npiv = [sn.npiv for sn in merged]
-    nfront = [sn.nfront for sn in merged]
-    parent_sn = [sn.parent for sn in merged]
-    variables = None
+    first, sn_nfront, sn_parent, _ = _fundamental(parent_post, counts)
+    columns = None
     if keep_variables:
-        variables = [tuple(int(perm_total[c]) for c in sn.columns) for sn in merged]
+        ends = first[1:].tolist() + [pattern.n]
+        columns = [perm_total[a:b].tolist() for a, b in zip(first.tolist(), ends)]
+    npiv, nfront, parent_sn, _ = _amalgamate(
+        np.diff(np.append(first, pattern.n)).tolist(), sn_nfront.tolist(), sn_parent.tolist(), columns,
+        amalgamation_min_pivots, amalgamation_relax, amalgamation_max_front, pattern.symmetric,
+    )
+    variables = None
+    if columns is not None:
+        variables = [cols for cols in columns if cols is not None]
     return AssemblyTree(
         npiv,
         nfront,

@@ -43,22 +43,20 @@ def column_counts(
     return _column_counts_vectorized(sym, parent, post)
 
 
-def _first_descendants(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Postorder index of the first descendant of every node.
+def _doublings(step: np.ndarray) -> list[np.ndarray]:
+    """``step``, ``step∘step``, ``step⁴``, … up to a fixed point (pointer jumping).
 
-    The same amortized-O(n) climb the scalar algorithm uses; kept scalar
-    because each node is visited exactly once across all climbs.
+    ``step`` maps a forest's nodes one hop towards its fixed points (roots
+    for parent pointers, leaves for first-child pointers); entry ``l`` is
+    the ``2**l``-th hop, clamped at the fixed point.
     """
-    n = parent.size
-    first = [-1] * n
-    parent_list = parent.tolist()
-    post_list = post.tolist()
-    for k in range(n):
-        j = post_list[k]
-        while j != -1 and first[j] == -1:
-            first[j] = k
-            j = parent_list[j]
-    return np.asarray(first, dtype=np.int64)
+    hops = [step]
+    for _ in range(step.size.bit_length() + 1):  # 2**l hops cover any path
+        nxt = hops[-1][hops[-1]]
+        if np.array_equal(nxt, hops[-1]):
+            return hops
+        hops.append(nxt)
+    raise ValueError("parent and post do not describe a forest in postorder")
 
 
 def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -67,20 +65,23 @@ def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.n
     The scalar algorithm walks the nonzeros one by one, maintaining a
     per-row ``maxfirst`` running maximum (the skeleton test) and a union-find
     over processed columns (the LCA of consecutive skeleton leaves).  Both
-    collapse into batched passes:
+    collapse into batched passes over the tree in postorder positions, where
+    a subtree is the contiguous range ``[first[k], k]`` and positions grow
+    towards the root:
 
+    * ``first`` (the first descendant) follows the smallest child down to a
+      leaf, and is found for every node at once by pointer jumping;
     * the skeleton test is a *segmented running maximum*: group the strict
       lower-triangle nonzeros by row, order each group by column postorder,
       and an entry is a skeleton leaf exactly when its ``first`` value
       exceeds the running maximum of its predecessors in the row — one
       ``np.maximum.accumulate`` over all nonzeros at once;
-    * the ``delta[q] -= 1`` corrections at the least common ancestor of
-      consecutive leaves are replayed as an offline (Tarjan) LCA pass: the
-      union-find links columns lazily in postorder, so the Python loop does
-      O(n + #leaf pairs) trivial steps instead of running per nonzero;
-    * the final subtree accumulation exploits that a subtree occupies the
-      contiguous postorder range ``[first[j], ipost[j]]``: the per-node
-      parent additions become one prefix sum plus a range-difference gather.
+    * the ``delta[q] -= 1`` correction at the least common ancestor of two
+      consecutive leaves: the LCA is the lowest ancestor of the earlier leaf
+      whose position reaches the later one's, found for every pair at once
+      by a binary-lifting descent;
+    * the final subtree accumulation is one prefix sum plus a
+      range-difference gather.
 
     Integer arithmetic throughout — the result is identical to the
     per-nonzero loop (the test suite's oracle), element for element.
@@ -88,11 +89,20 @@ def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.n
     n = sym.n
     ipost = np.empty(n, dtype=np.int64)
     ipost[post] = np.arange(n, dtype=np.int64)
-    first = _first_descendants(parent, post)
+    # up[k]: position of the parent of the column at position k (a root
+    # points at itself); child[k]: position of its first child (a leaf
+    # points at itself)
+    positions = np.arange(n, dtype=np.int64)
+    parent_post = parent[post]
+    has_parent = parent_post >= 0
+    up = positions.copy()
+    up[has_parent] = ipost[parent_post[has_parent]]
+    child = positions.copy()
+    np.minimum.at(child, up[has_parent], positions[has_parent])
+    first = _doublings(child)[-1][ipost]  # per column, as a position
 
     delta = (first == ipost).astype(np.int64)  # a leaf is its own first descendant
-    has_parent = parent >= 0
-    np.subtract.at(delta, parent[has_parent], 1)  # every child discounts its parent
+    np.subtract.at(delta, parent[parent >= 0], 1)  # every child discounts its parent
 
     # strict lower triangle (the scalar loop skips i <= j), grouped by row
     # with each group ordered by column postorder position — the order the
@@ -102,11 +112,11 @@ def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.n
     i_arr = row_of[lower]
     j_arr = sym.indices[lower]
     if i_arr.size:
-        k_arr = ipost[j_arr]
-        order = np.lexsort((k_arr, i_arr))
-        i_sorted = i_arr[order]
-        j_sorted = j_arr[order]
-        k_sorted = k_arr[order]
+        # one int64 key per entry sorts by (row, column postorder position)
+        key = i_arr * n + ipost[j_arr]
+        key.sort()
+        i_sorted, k_sorted = np.divmod(key, n)
+        j_sorted = post[k_sorted]
         f_sorted = first[j_sorted]
 
         # segmented running max of `first` per row: the per-row offset i*n
@@ -117,42 +127,22 @@ def _column_counts_vectorized(sym: SparsePattern, parent: np.ndarray, post: np.n
         np.maximum.accumulate(seg[:-1], out=prev_max[1:])
         leaf = seg > prev_max
 
-        leaf_j = j_sorted[leaf]
-        delta += np.bincount(leaf_j, minlength=n)  # each skeleton leaf counts in its column
+        delta += np.bincount(j_sorted[leaf], minlength=n)  # each skeleton leaf counts in its column
 
         # consecutive leaves of one row: the second of each pair needs the
         # delta[LCA] -= 1 correction
         leaf_i = i_sorted[leaf]
         leaf_k = k_sorted[leaf]
-        subsequent = np.empty(leaf_i.shape, dtype=bool)
-        if leaf_i.size:
-            subsequent[0] = False
-            subsequent[1:] = leaf_i[1:] == leaf_i[:-1]
-        pairs = np.nonzero(subsequent)[0]
+        pairs = np.flatnonzero(leaf_i[1:] == leaf_i[:-1]) + 1
         if pairs.size:
-            # replay in column (postorder) processing order: exactly the
-            # union-find state the scalar loop would have at each event
-            ev_order = np.argsort(leaf_k[pairs], kind="stable")
-            ev_k = leaf_k[pairs][ev_order].tolist()
-            ev_jprev = leaf_j[pairs - 1][ev_order].tolist()
-            ancestor = list(range(n))
-            post_list = post.tolist()
-            parent_list = parent.tolist()
-            ptr = 0
-            for k, jprev in zip(ev_k, ev_jprev):
-                while ptr < k:  # lazily link the columns processed before k
-                    node = post_list[ptr]
-                    pn = parent_list[node]
-                    if pn != -1:
-                        ancestor[node] = pn
-                    ptr += 1
-                root = jprev
-                while ancestor[root] != root:
-                    root = ancestor[root]
-                q = jprev  # path compression
-                while q != root:
-                    q, ancestor[q] = ancestor[q], root
-                delta[root] -= 1  # avoid double counting below the LCA
+            later = leaf_k[pairs]
+            lca = leaf_k[pairs - 1]
+            # climb from the earlier leaf to its highest ancestor still
+            # before the later leaf; the LCA is that node's parent
+            for hop in reversed(_doublings(up)):
+                reach = hop[lca]
+                lca = np.where(reach < later, reach, lca)
+            delta -= np.bincount(post[up[lca]], minlength=n)
 
     # subtree sums via the postorder prefix sum: descendants of j occupy the
     # contiguous postorder range [first[j], ipost[j]]

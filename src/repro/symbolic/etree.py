@@ -37,28 +37,29 @@ def elimination_tree(pattern: SparsePattern) -> np.ndarray:
         Array of length ``n``; ``parent[j]`` is the etree parent of column
         ``j`` or ``-1`` when ``j`` is a root.
     """
-    sym = pattern.symmetrized()
+    return _liu_etree(pattern.symmetrized())
+
+
+def _liu_etree(sym: SparsePattern) -> np.ndarray:
+    """Liu's algorithm on a pattern that stores both triangles."""
     n = sym.n
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym.indptr))
+    lower = sym.indices < rows
     parent = [-1] * n
-    ancestor = [-1] * n
-    bounds = sym.indptr.tolist()
-    cols = sym.indices.tolist()
-    for i in range(n):
-        # rows are sorted: the strictly lower part is a prefix
-        for j in cols[bounds[i]:bounds[i + 1]]:
-            if j >= i:
-                break
-            # walk from j to the root of its current subtree, compressing
-            r = j
-            while True:
-                a = ancestor[r]
-                if a == -1 or a == i:
-                    break
-                ancestor[r] = i
-                r = a
-            if a == -1:
-                ancestor[r] = i
-                parent[r] = i
+    # ancestor[r] is n while r is the root of its current subtree; rows are
+    # visited in increasing order, so "a >= i" means a root or already on
+    # row i's path
+    ancestor = [n] * n
+    for i, j in zip(rows[lower].tolist(), sym.indices[lower].tolist()):
+        # walk from j to the root of its current subtree, compressing
+        a = ancestor[j]
+        while a < i:
+            ancestor[j] = i
+            j = a
+            a = ancestor[j]
+        if a == n:
+            ancestor[j] = i
+            parent[j] = i
     return np.asarray(parent, dtype=np.int64)
 
 

@@ -14,10 +14,24 @@ the scheduling experiments run on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["fundamental_supernodes", "amalgamate", "Supernode"]
+__all__ = ["fundamental_supernodes", "amalgamate", "Supernode", "Amalgamation", "AMALGAMATION"]
+
+
+class Amalgamation(NamedTuple):
+    """Relaxed-amalgamation knobs of :func:`amalgamate`."""
+
+    min_pivots: int
+    relax: float
+
+
+#: The analysis recipe's amalgamation.  Every default reads it: the pipeline
+#: and its settings, the session, the bench suites and
+#: :func:`~repro.symbolic.build_assembly_tree` (hence ``repro.simulate``).
+AMALGAMATION = Amalgamation(min_pivots=4, relax=0.15)
 
 
 @dataclass
@@ -70,62 +84,47 @@ def fundamental_supernodes(
         List of :class:`Supernode`, ordered by their first column (hence in
         postorder of the supernodal tree).
     """
-    n = len(parent)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), []
-    parent_list = np.asarray(parent).tolist()
-    counts = np.asarray(colcount).tolist()
-    nchildren = [0] * n
-    for j, p in enumerate(parent_list):
-        if p >= 0:
-            if p <= j:
-                raise ValueError("parent array must be postordered (parent[j] > j)")
-            nchildren[p] += 1
-
-    membership = [0] * n
-    supernodes: list[Supernode] = []
-    for j in range(n):
-        extend = (
-            j > 0
-            and parent_list[j - 1] == j
-            and nchildren[j] == 1
-            and counts[j] == counts[j - 1] - 1
-        )
-        if extend:
-            supernodes[-1].columns.append(j)
-        else:
-            supernodes.append(Supernode(columns=[j], nfront=counts[j]))
-        membership[j] = len(supernodes) - 1
-
-    # supernodal tree: parent supernode = supernode of the etree parent of the
-    # last column of this supernode
-    for sn in supernodes:
-        p = parent_list[sn.columns[-1]]
-        sn.parent = membership[p] if p >= 0 else -1
-    return np.asarray(membership, dtype=np.int64), supernodes
+    first, nfront, sn_parent, membership = _fundamental(parent, colcount)
+    ends = first[1:].tolist() + [len(membership)]
+    supernodes = [
+        Supernode(columns=list(range(a, b)), nfront=f, parent=p)
+        for a, b, f, p in zip(first.tolist(), ends, nfront.tolist(), sn_parent.tolist())
+    ]
+    return membership, supernodes
 
 
-def _merge_child_into_parent(supernodes: list[Supernode], child: int, parent: int) -> None:
-    """Merge supernode ``child`` into ``parent`` in place.
+def _fundamental(parent: np.ndarray, colcount: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`fundamental_supernodes` as arrays: ``(first, nfront, parent, membership)``.
 
-    The contribution block of a child is contained in the frontal matrix of
-    its parent, so the merged front has order
-    ``npiv(child) + nfront(parent)`` exactly (no approximation involved).
+    Column ``j`` extends the supernode of column ``j - 1`` when it is the
+    parent of column ``j - 1``, has no other child, and its count is one
+    less.
+    A supernode's parent is the supernode of the etree parent of its last
+    column.
     """
-    c = supernodes[child]
-    p = supernodes[parent]
-    p.nfront = p.nfront + c.npiv
-    # pivots of the child are eliminated first inside the merged front
-    p.columns = c.columns + p.columns
-    c.columns = []
-    c.parent = parent  # keep pointing at the absorber for membership rebuild
+    parent = np.asarray(parent, dtype=np.int64)
+    counts = np.asarray(colcount, dtype=np.int64)
+    n = parent.size
+    if n == 0:
+        return parent, counts, parent, parent
+    has_parent = parent >= 0
+    if np.any(parent[has_parent] <= np.flatnonzero(has_parent)):
+        raise ValueError("parent array must be postordered (parent[j] > j)")
+    nchildren = np.bincount(parent[has_parent], minlength=n)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (parent[:-1] != np.arange(1, n)) | (nchildren[1:] != 1) | (counts[1:] != counts[:-1] - 1)
+    first = np.flatnonzero(starts)
+    membership = np.cumsum(starts) - 1
+    last_parent = parent[np.append(first[1:], n) - 1]
+    sn_parent = np.where(last_parent >= 0, membership[last_parent], -1)
+    return first, counts[first], sn_parent, membership
 
 
 def amalgamate(
     supernodes: list[Supernode],
     *,
-    min_pivots: int = 4,
-    relax: float = 0.15,
+    min_pivots: int = AMALGAMATION.min_pivots,
+    relax: float = AMALGAMATION.relax,
     max_front: int | None = None,
     symmetric: bool = True,
 ) -> tuple[list[Supernode], np.ndarray]:
@@ -152,38 +151,54 @@ def amalgamate(
     old_to_new:
         Mapping from input supernode index to output index.
     """
+    columns = [list(sn.columns) for sn in supernodes]
+    npiv, nfront, parent, old_to_new = _amalgamate(
+        [len(c) for c in columns], [sn.nfront for sn in supernodes], [sn.parent for sn in supernodes],
+        columns, min_pivots, relax, max_front, symmetric,
+    )
+    live = [c for c in columns if c is not None]
+    merged = [Supernode(columns=c, nfront=f, parent=p) for c, f, p in zip(live, nfront, parent)]
+    return merged, np.asarray(old_to_new, dtype=np.int64)
+
+
+def _amalgamate(
+    npiv: list[int], nfront: list[int], parent: list[int], columns: list[list[int]] | None,
+    min_pivots: int, relax: float, max_front: int | None, symmetric: bool,
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """:func:`amalgamate` on per-supernode lists, updated in place.
+
+    ``columns`` (optional) follows the merges: a child's columns go in front
+    of its parent's, and an absorbed entry becomes ``None``.  Returns the
+    surviving supernodes' ``(npiv, nfront, parent)`` and ``old_to_new``.
+    """
     if min_pivots < 1:
         raise ValueError("min_pivots must be >= 1")
     if relax < 0:
         raise ValueError("relax must be >= 0")
-    nsn = len(supernodes)
-    work = [Supernode(columns=list(s.columns), nfront=s.nfront, parent=s.parent) for s in supernodes]
+    nsn = len(npiv)
     absorbed_into = [-1] * nsn
     zeros_acc = [0.0] * nsn  # explicit zeros accumulated in each live front
+    tiny_rows = max(4 * min_pivots, 32)
 
-    def find_live_parent(idx: int) -> int:
-        p = work[idx].parent
-        while p != -1 and absorbed_into[p] != -1:
-            p = absorbed_into[p]
-        return p
+    def live_of(idx: int) -> int:  # idx, or the live supernode that absorbed it
+        while absorbed_into[idx] != -1:
+            idx = absorbed_into[idx]
+        return idx
 
     # children-before-parents: supernodes are already in postorder (by first
     # column), so a simple left-to-right sweep visits children first.
     for s in range(nsn):
-        if absorbed_into[s] != -1:
+        if parent[s] == -1:
             continue
-        p = find_live_parent(s)
-        if p == -1:
-            continue
-        child = work[s]
-        par = work[p]
+        p = live_of(parent[s])
         # zeros introduced by the merge: every pivot column of the child is
         # extended from its own front to the merged front.
-        merged_front = par.nfront + child.npiv
+        child_npiv = npiv[s]
+        merged_front = nfront[p] + child_npiv
         if max_front is not None and merged_front > max_front:
             continue
-        extra_rows_per_col = merged_front - child.nfront
-        new_zeros = child.npiv * extra_rows_per_col
+        extra_rows_per_col = merged_front - nfront[s]
+        new_zeros = child_npiv * extra_rows_per_col
         if symmetric:
             merged_entries = merged_front * (merged_front + 1) // 2
         else:
@@ -191,31 +206,24 @@ def amalgamate(
             merged_entries = merged_front * merged_front
         total_zeros = zeros_acc[s] + zeros_acc[p] + new_zeros
         relative_fill = total_zeros / max(merged_entries, 1)
-        tiny = child.npiv < min_pivots and extra_rows_per_col <= max(4 * min_pivots, 32)
+        tiny = child_npiv < min_pivots and extra_rows_per_col <= tiny_rows
         if tiny or relative_fill <= relax:
-            _merge_child_into_parent(work, s, p)
+            # the contribution block of a child is contained in the frontal
+            # matrix of its parent, so the merged front has order
+            # npiv(child) + nfront(parent) exactly
+            nfront[p] = merged_front
+            npiv[p] += child_npiv
             absorbed_into[s] = p
             zeros_acc[p] = total_zeros
+            if columns is not None:
+                # pivots of the child are eliminated first inside the merged front
+                columns[p] = columns[s] + columns[p]
+                columns[s] = None
 
-    # compact the surviving supernodes, keeping postorder
-    old_to_new = [-1] * nsn
-    merged: list[Supernode] = []
-    for s in range(nsn):
-        if absorbed_into[s] != -1:
-            continue
-        old_to_new[s] = len(merged)
-        merged.append(work[s])
-    # map absorbed supernodes to their absorber's new index
-    for s in range(nsn):
-        if absorbed_into[s] != -1:
-            a = absorbed_into[s]
-            while absorbed_into[a] != -1:
-                a = absorbed_into[a]
-            old_to_new[s] = old_to_new[a]
-    # fix parents
-    for s in range(nsn):
-        if absorbed_into[s] != -1:
-            continue
-        p = find_live_parent(s)
-        merged[old_to_new[s]].parent = old_to_new[p] if p != -1 else -1
-    return merged, np.asarray(old_to_new, dtype=np.int64)
+    # compact the surviving supernodes, keeping postorder; an absorbed
+    # supernode maps to its absorber's new index
+    live = [s for s in range(nsn) if absorbed_into[s] == -1]
+    new_index = {s: k for k, s in enumerate(live)}
+    old_to_new = [new_index[live_of(s)] for s in range(nsn)]
+    new_parent = [old_to_new[parent[s]] if parent[s] != -1 else -1 for s in live]
+    return [npiv[s] for s in live], [nfront[s] for s in live], new_parent, old_to_new

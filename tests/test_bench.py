@@ -580,3 +580,60 @@ class TestCalibration:
         assert slower.deltas[0].verdict == "regression"
         assert slower.deltas[0].ratio == pytest.approx(2.0)
         assert slower.to_dict()["deltas"][0]["calibrated"] is True
+
+
+# --------------------------------------------------------------------------- #
+# contention: wall over process CPU seconds
+# --------------------------------------------------------------------------- #
+class TestContention:
+    def _runner(self, wall_per_repeat: float, cpu_per_repeat: float) -> BenchRunner:
+        wall, cpu = iter(range(100)), iter(range(100))
+        return BenchRunner(
+            BenchEnv.from_environ({}),
+            timer=lambda: next(wall) * wall_per_repeat,
+            cpu_timer=lambda: next(cpu) * cpu_per_repeat,
+            calibrate=lambda: 0.003,
+        )
+
+    def _run(self, wall_per_repeat: float, cpu_per_repeat: float) -> BenchRun:
+        prepared = PreparedCase(case=BenchCase("a", "s"), fn=lambda: None, repeats=3, warmup=0)
+        run = BenchRun(host="h", timestamp="t")
+        run.results.append(self._runner(wall_per_repeat, cpu_per_repeat).run_case(prepared))
+        return run
+
+    def test_runner_records_cpu_seconds_beside_wall_seconds(self):
+        result = self._run(2.0, 1.0).results[0]
+        assert result.seconds == [2.0, 2.0, 2.0]
+        assert result.cpu_seconds == [1.0, 1.0, 1.0]
+        assert result.wall_cpu == pytest.approx(2.0)
+        assert BenchResult.from_dict(result.to_dict()).cpu_seconds == result.cpu_seconds
+
+    def test_compare_marks_contended_cases_and_keeps_verdicts(self):
+        baseline = self._run(1.0, 1.0)
+        quiet = compare_runs(self._run(1.0, 1.0), baseline).deltas[0]
+        assert quiet.wall_cpu == pytest.approx(1.0) and not quiet.contended
+        # the same code time-sliced with another process: wall 1.3x its CPU
+        report = compare_runs(self._run(1.3, 1.0), baseline, tolerance=0.25)
+        delta = report.deltas[0]
+        assert delta.wall_cpu == pytest.approx(1.3) and delta.contended
+        # the mark adds information: the verdict and the gate are unchanged
+        assert delta.verdict == "regression"
+        assert report.failed() and not report.failed(max_regression=2.0)
+        assert report.to_dict()["deltas"][0]["contended"] is True
+        from repro.bench.cli import render_report
+
+        text = render_report(report, "text")
+        assert "wall/cpu" in text and "1.30 contended" in text
+
+    def test_schema_2_run_loads_without_cpu_seconds(self, tmp_path):
+        payload = self._run(1.0, 1.0).to_dict()
+        payload["schema"] = 2
+        for result in payload["results"]:
+            del result["cpu_seconds"]
+        path = tmp_path / "schema2.json"
+        path.write_text(json.dumps(payload))
+        loaded = BenchRun.load(str(path))
+        assert loaded.results[0].cpu_seconds == []
+        delta = compare_runs(loaded, self._run(1.0, 1.0)).deltas[0]
+        assert delta.wall_cpu != delta.wall_cpu and not delta.contended  # NaN: not recorded
+        assert delta.to_dict()["wall_cpu"] is None

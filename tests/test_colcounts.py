@@ -167,6 +167,27 @@ class TestVectorizedEquivalence:
         assert np.array_equal(vec, ref)
         assert np.array_equal(vec, column_counts_naive(pattern))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40), seed=st.integers(0, 5000))
+    def test_property_postordered_pattern_with_identity_post(self, n, seed):
+        """The postordered matrix is its own postorder: identity ``post`` needs no reordering."""
+        rng = np.random.default_rng(seed)
+        nnz = max(1, int(rng.uniform(0.02, 0.4) * n * n))
+        pattern = SparsePattern.from_coo(
+            n, rng.integers(0, n, nnz), rng.integers(0, n, nnz), symmetrize_pattern=True
+        )
+        sym = pattern.symmetrized().with_diagonal()
+        parent = elimination_tree(sym)
+        post = postorder(parent)
+        sym_post = sym.permuted(post)
+        parent_post = elimination_tree(sym_post)
+        got = column_counts(sym_post, parent_post, np.arange(n, dtype=np.int64))
+        assert np.array_equal(got, column_counts_naive(sym_post))
+        assert np.array_equal(got, scalar_column_counts(sym_post, parent_post))
+        # what the tree build relies on: the counts of the relabelled matrix
+        # are the relabelled counts
+        assert np.array_equal(got, column_counts(sym, parent, post)[post])
+
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=2, max_value=20), seed=st.integers(0, 1000))

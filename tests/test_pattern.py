@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import SparsePattern, banded_pattern, grid_2d
+from repro.sparse import SparsePattern, banded_pattern, grid_2d, random_pattern
 
 
 class TestConstruction:
@@ -214,3 +214,41 @@ def test_property_permutation_roundtrip(n, seed):
     once = pattern.permuted(perm)
     back = once.permuted(np.argsort(perm))
     assert back == pattern
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    density=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+    seed=st.integers(min_value=0, max_value=1000),
+    symmetric=st.booleans(),
+    with_diagonal=st.booleans(),
+)
+def test_property_permuted_equals_the_coo_rebuild(n, density, seed, symmetric, with_diagonal):
+    """One relabel-and-sort gives the CSR that rebuilding from coordinates gives."""
+    pattern = random_pattern(n, density=density, symmetric=symmetric, seed=seed, with_diagonal=with_diagonal)
+    perm = np.random.default_rng(seed).permutation(n)
+    inv = np.empty(n, dtype=np.int64)
+    inv[perm] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    want = SparsePattern.from_coo(
+        n, inv[rows], inv[pattern.indices], symmetric=pattern.symmetric, name=pattern.name
+    )
+    got = pattern.permuted(perm)
+    assert got == want and got.name == want.name
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    if n > 1:
+        bad = perm.copy()
+        bad[0] = bad[1]  # a repeated index is no permutation
+        with pytest.raises(ValueError):
+            pattern.permuted(bad)
+
+
+@pytest.mark.parametrize("scale", [0.1, 0.3, 1.0])
+def test_symmetric_problems_store_both_triangles(scale):
+    """A pattern declared symmetric stores both triangles, which `permuted` relies on."""
+    from repro.experiments.problems import PROBLEMS
+
+    for spec in PROBLEMS.values():
+        pattern = spec.build(scale)
+        assert not pattern.symmetric or pattern.is_structurally_symmetric(), spec.name

@@ -84,6 +84,29 @@ class TestSession:
         for key in ("baseline_peak", "candidate_peak", "gain_percent", "time_loss_percent"):
             assert key in outcome
 
+    @pytest.mark.parametrize("split_threshold", [None, 2_000])
+    def test_simulate_equals_session_run(self, split_threshold):
+        """The one-call API and the pipeline analyse the same tree: one amalgamation recipe."""
+        with open_session(nprocs=8, scale=0.2) as session:
+            for problem in ("XENON2", "SHIP_003", "PRE2"):
+                pattern = session.pattern(problem)
+                for ordering in ("pord", "amd"):
+                    for strategy in ("mumps-workload", "memory-full"):
+                        spec = CaseSpec(
+                            problem, ordering, strategy,
+                            split=split_threshold is not None, split_threshold=split_threshold,
+                        )
+                        want = session.run(spec)
+                        got = repro.simulate(
+                            pattern, ordering=ordering, strategy=strategy, nprocs=8,
+                            split_threshold=split_threshold,
+                        )
+                        assert got.nodes == want.nodes
+                        assert got.total_factor_entries == want.total_factor_entries
+                        assert np.array_equal(got.per_proc_peak_stack, want.per_proc_peak_stack)
+                        assert (got.max_peak_stack, got.total_time) == (want.max_peak_stack, want.total_time)
+                        assert sum(got.message_counts.values()) == want.messages
+
     def test_acceptance_grid_strategy_params_times_nprocs(self):
         """One sweep() varies hybrid alpha AND processor count; serial ≡ parallel; JSON-safe."""
         grid = dict(
