@@ -1,10 +1,14 @@
 #!/usr/bin/env python
-"""Quickstart: one matrix, one ordering, two scheduling strategies.
+"""Quickstart: the paper's memory-based scheduling against MUMPS' workload one.
 
-Builds a small 3-D problem, runs the full pipeline (ordering → assembly tree
-→ static mapping → simulated parallel factorization) under the original MUMPS
-workload-based scheduling and under the paper's memory-based scheduling, and
-reports the per-processor stack-memory peaks the paper's tables are made of.
+The headline is one cell of the paper's Table 2: on BMWCRA_1 with the METIS
+ordering at 32 simulated processors, by how much the paper's memory-based
+scheduling lowers the largest per-processor stack peak of the original MUMPS
+workload-based scheduling.  The run goes through the full pipeline (ordering
+→ assembly tree → static mapping → simulated parallel factorization).
+
+It then runs the two strategies on a small 3-D grid, where they agree, and
+ends with a declarative sweep over a strategy-parameter and a processor axis.
 
 Run with::
 
@@ -16,40 +20,33 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import numpy as np
-
+import repro
 from repro import SimulationConfig, simulate
 from repro.sparse import grid_3d
 
 
 def main() -> None:
-    # a 3-D 14x14x14 Laplacian-like problem (2744 unknowns)
+    # Table 2's setting: 32 processors, full-size problems (open_session's defaults)
+    with repro.open_session() as session:
+        cell = session.compare("BMWCRA_1", "metis")
+    print("Table 2, BMWCRA_1 / METIS (32 processors):")
+    print(f"  max stack peak, mumps-workload : {cell['baseline_peak']:12,.0f} entries")
+    print(f"  max stack peak, memory-full    : {cell['candidate_peak']:12,.0f} entries")
+    print(f"  decrease (the Table 2 cell)    : {cell['gain_percent']:12.2f} %")
+
+    # a 3-D 14x14x14 Laplacian-like problem (2744 unknowns) at 16 processors:
+    # its peak sits where both strategies agree, so the decrease is 0
     pattern = grid_3d(14, 14, 14, name="quickstart-grid")
-    print(f"problem: {pattern}")
-
-    # the paper's node-type thresholds at 16 simulated processors
     config = SimulationConfig.paper(nprocs=16)
-
-    results = {}
+    print(f"\n{pattern}, 16 processors — a case where both strategies agree:")
     for strategy in ("mumps-workload", "memory-full"):
         result = simulate(pattern, ordering="metis", strategy=strategy, config=config)
-        results[strategy] = result
-        print(f"\nstrategy {strategy!r}")
-        print(f"  max  stack peak : {result.max_peak_stack:12,.0f} entries")
-        print(f"  mean stack peak : {result.avg_peak_stack:12,.0f} entries")
-        print(f"  simulated time  : {result.total_time * 1e3:12.2f} ms")
-        print(f"  factors produced: {result.total_factor_entries:12,.0f} entries")
+        print(
+            f"  {strategy:15s} max stack peak = {result.max_peak_stack:10,.0f} entries  "
+            f"time = {result.total_time * 1e3:7.2f} ms"
+        )
 
-    base = results["mumps-workload"].max_peak_stack
-    mem = results["memory-full"].max_peak_stack
-    gain = 100.0 * (base - mem) / base if base else 0.0
-    print(f"\nmemory-based scheduling changes the max stack peak by {gain:+.1f}%")
-    print("(positive = less memory, the quantity reported in Tables 2, 3 and 5 of the paper)")
-
-    # the same comparison on a registered test problem, declaratively: one
-    # session, one sweep over a strategy-parameter axis and a processor axis
-    import repro
-
+    # one session, one sweep over a strategy-parameter axis and a processor axis
     with repro.open_session(nprocs=8, scale=0.25) as session:
         sweep = session.sweep(
             problems="XENON2",

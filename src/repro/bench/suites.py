@@ -29,7 +29,7 @@ Suites:
     (served from the result store) vs. one submit→poll job round-trip.
 ``results``
     The columnar result store at corpus scale: streaming 10k synthetic case
-    results through a segment writer, columnar filter + canonical sort +
+    results through a store writer, columnar filter + canonical sort +
     one page, and the ``.npz`` round-trip of the whole table.
 ``tuning``
     The auto-tuning layer: a cold successive-halving search (fresh session
@@ -563,8 +563,8 @@ def _results_suite(env: BenchEnv) -> SuiteInstance:
     run_no = {"n": 0}
 
     def append_stream() -> dict[str, float]:
-        # a fresh store directory per repeat: measures segment sealing and
-        # manifest appends end to end (fsync off, as in CI daemons)
+        # a fresh store directory per repeat: measures batch sealing (one
+        # manifest record per 1024 rows) end to end (fsync off, as in CI daemons)
         run_no["n"] += 1
         store = ResultStore(os.path.join(tmpdir.name, f"append-{run_no['n']}"), fsync=False)
         with store.writer(flush_every=1024) as writer:

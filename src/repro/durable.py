@@ -1,10 +1,11 @@
 """Durable files: one append-only log format and one atomic writer.
 
 This is the only module that calls ``os.fsync`` or ``os.replace``.  The job
-journal, the result-store manifest and the bench-history manifest are
-JSON-lines logs written by :func:`append_line` and read by
-:func:`read_lines`; whole files (compacted journals, segments, traces,
-artifacts, leaderboards, bench runs) are written by :func:`atomic_write`.
+journal, the result store (whose manifest holds each sealed batch of rows
+as one record) and the bench-history manifest are JSON-lines logs written
+by :func:`append_line` and read by :func:`read_lines`; whole files
+(compacted journals, traces, artifacts, leaderboards, bench runs) are
+written by :func:`atomic_write`.
 ``fsync`` is always the caller's policy.  A writer killed mid-write leaves
 its temp file behind; :func:`remove_stale_temps` clears those once they are
 old enough that no live writer can own them.
@@ -17,7 +18,7 @@ writes the missing newline first), and :func:`read_lines` skips every line
 that is not a JSON object — so a crash loses only the record it interrupted,
 and every later record replays whole.  An unterminated last line that does
 parse is returned but not consumed, so an incremental reader reads it again
-once it is terminated.
+once it is terminated (or, with ``terminated_only``, only then).
 """
 
 from __future__ import annotations
@@ -60,11 +61,15 @@ def append_line(path: str | os.PathLike, record: Mapping[str, object], *, fsync:
             os.fsync(fh.fileno())
 
 
-def read_lines(path: str | os.PathLike, offset: int = 0) -> tuple[list[dict], int]:
+def read_lines(
+    path: str | os.PathLike, offset: int = 0, *, terminated_only: bool = False
+) -> tuple[list[dict], int]:
     """The JSON-object records after byte ``offset``, and the offset consumed.
 
-    The consumed offset ends at the last newline read.  A file that has
-    shrunk below ``offset`` is read from the start; a missing file gives
+    The consumed offset ends at the last newline read.  ``terminated_only``
+    leaves out an unterminated last line even when it parses, for an
+    incremental reader that must see each record exactly once.  A file that
+    has shrunk below ``offset`` is read from the start; a missing file gives
     ``([], 0)``.
     """
     try:
@@ -75,13 +80,14 @@ def read_lines(path: str | os.PathLike, offset: int = 0) -> tuple[list[dict], in
             data = fh.read()
     except FileNotFoundError:
         return [], 0
+    end = data.rfind(b"\n") + 1
     records = []
-    for line in data.splitlines():
+    for line in (data[:end] if terminated_only else data).splitlines():
         with contextlib.suppress(ValueError):
             record = json.loads(line)
             if isinstance(record, dict):
                 records.append(record)
-    return records, offset + data.rfind(b"\n") + 1
+    return records, offset + end
 
 
 def atomic_write(path: str | os.PathLike, data: bytes, *, fsync: bool) -> None:

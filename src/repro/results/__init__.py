@@ -5,11 +5,11 @@ pagination and the ``repro sweep --store`` CLI flag:
 
 * :class:`~repro.results.table.ResultTable` — immutable column-oriented
   batch of :class:`~repro.pipeline.stage.CaseResult` rows (dictionary-encoded
-  strings, ragged per-processor peaks) with filtering, sorting and ``.npz``
-  persistence;
-* :class:`~repro.results.store.ResultStore` — append-only on-disk store of
-  sealed segments with a crash-tolerant manifest, streaming writers and
-  delta-encoded trace persistence;
+  strings, ragged per-processor peaks) with filtering, sorting, an exact
+  JSON record form and ``.npz`` persistence;
+* :class:`~repro.results.store.ResultStore` — append-only on-disk store
+  whose crash-tolerant manifest holds each sealed batch as one record, with
+  streaming writers and delta-encoded trace persistence;
 * :func:`~repro.results.keys.case_key` — the canonical content key shared
   with the sweep service, which is what makes sweeps resumable.
 """

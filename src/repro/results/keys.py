@@ -3,9 +3,13 @@
 A key is a content address over the *canonical* case parameters with the
 engine defaults bound in — ``nprocs``/``scale`` overrides resolve to their
 effective values and the ordering/strategy spec strings canonicalise through
-:func:`repro.specs.parse_spec`.  The same logical case always lands on the
-same key whether it arrives spelled out or relying on defaults; two engines
-with different defaults never collide.
+:func:`repro.specs.parse_spec` with the name case-folded, as the registries
+resolve names (``HYBRID(alpha=0.50)`` keys as ``hybrid(alpha=.5)`` does).
+The same logical case always lands on the same key whether it arrives
+spelled out or relying on engine defaults; two engines with different
+defaults never collide.  Parameter defaults of a strategy or ordering are
+not bound: ``hybrid(alpha=0.5)`` and
+``hybrid(alpha=0.5,use_predictions=true)`` key apart.
 
 The service daemon keys ``GET /result`` with :func:`case_key_for`, so a
 sweep resumed against a daemon's store skips every case the daemon has
@@ -17,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.pipeline.store import content_key
-from repro.specs import parse_spec
+from repro.specs import ParamSpec, parse_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.engine import AnalysisPipeline
@@ -27,6 +31,12 @@ __all__ = ["CASE_KEY_VERSION", "case_key", "case_key_for"]
 
 #: schema version of the result keys; bump to invalidate every stored result.
 CASE_KEY_VERSION = "1"
+
+
+def _spec_key(text: str) -> str:
+    """The canonical form of one ordering or strategy spec, name case-folded."""
+    spec = parse_spec(text)
+    return ParamSpec(spec.name.lower(), spec.params).canonical()
 
 
 def case_key(
@@ -47,8 +57,8 @@ def case_key(
     """
     params = {
         "problem": spec.problem.upper(),
-        "ordering": str(parse_spec(spec.ordering)),
-        "strategy": str(parse_spec(spec.strategy)),
+        "ordering": _spec_key(spec.ordering),
+        "strategy": _spec_key(spec.strategy),
         "split": bool(spec.split),
         "nprocs": int(nprocs),
         "scale": float(scale),

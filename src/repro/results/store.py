@@ -3,30 +3,36 @@
 Layout of a store directory::
 
     store/
-      manifest.jsonl          # one JSON line per sealed segment (append-only)
-      seg-<writer>-000000.npz # immutable columnar segments (ResultTable)
-      seg-<writer>-000001.npz
+      manifest.jsonl          # the store: one JSON line per sealed batch (append-only)
       traces/trace-<key>.npz  # optional delta-encoded SimulationTraces
 
-Durability comes from :mod:`repro.durable`: a segment is written with
-``atomic_write`` (fsync-ed unless ``fsync=False``) *before* its manifest
-line is appended with ``append_line`` under a lock — so a manifest line
-implies a complete segment, a torn trailing line is skipped on replay by the
-module's torn-tail rule, and a segment file that never got its line (crash
-between the two steps) is *adopted* on the next open.  Nothing is ever
-rewritten in place; a crash at any point loses at most the rows still
-buffered in a writer.
+A sealed batch is one ``{"op": "rows", ...}`` record carrying the batch's
+columns (:meth:`ResultTable.to_record`), appended by
+:func:`repro.durable.append_line` under a lock: one write and, unless
+``fsync=False``, one fsync.  The commit is that single step, so there is
+nothing to repair after a crash.  A record cut by a crash mid-append is
+skipped on replay by :mod:`repro.durable`'s torn-tail rule; its rows are
+lost and recomputed on demand, and every later record replays whole.
+Nothing is ever rewritten in place; a crash at any point loses at most the
+rows still buffered in a writer, or the batch whose record it cut.
 
-One :class:`ResultWriter` per producer (sweep driver, service shard): each
-writer seals its own uniquely named segments, so concurrent writers — even
-in different processes sharing the directory — never collide; siblings'
-segments appear on :meth:`ResultStore.refresh`.
+Stores written before batches went inline hold ``{"op": "segment",
+"file": ...}`` lines naming ``seg-*.npz`` files; those still load (read
+only, through :meth:`ResultTable.load_npz`), and new batches are appended
+to the same manifest.  A segment file that does not load is skipped and
+counted in :attr:`ResultStore.replay_skipped`, as is a ``rows`` record that
+does not decode; their rows are recomputed on demand.
 
-Reads are indexed and incremental: the store keeps ``key → (segment, row)``
+One :class:`ResultWriter` per producer (sweep driver, service shard);
+concurrent writers, even in different processes sharing the directory,
+append whole records to the one manifest, and siblings' batches appear on
+:meth:`ResultStore.refresh`.
+
+Reads are indexed and incremental: the store keeps ``key → (batch, row)``
 with last-write wins, so :meth:`get`/``in`` are O(1); :meth:`table` caches the
-merged, key-deduplicated rows and merges in only the segments ingested since
-its last call; :meth:`refresh` reads only the manifest bytes appended since
-the last read.  Every instance ingests segments in manifest order, so its
+merged, key-deduplicated rows and merges in only the batches ingested since
+its last call; :meth:`refresh` reads only the manifest lines appended since
+the last read.  Every instance ingests batches in manifest order, so its
 table is the manifest-ordered concatenation deduplicated by key.
 """
 
@@ -35,7 +41,6 @@ from __future__ import annotations
 import io
 import os
 import threading
-import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -52,21 +57,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["ResultStore", "ResultWriter"]
 
 _MANIFEST = "manifest.jsonl"
-_SEGMENT_PREFIX = "seg-"
-_SEGMENT_SUFFIX = ".npz"
 
 
 class ResultStore:
-    """A directory of immutable columnar segments plus a replayable manifest.
+    """A directory whose replayable manifest holds every sealed batch of rows.
 
     Parameters
     ----------
     directory:
         The store directory (created if missing).
     fsync:
-        ``True`` (default) makes each sealed segment and manifest line
-        durable before it is acknowledged; ``False`` trades the power-loss
-        guarantee for speed (tests, CI, benchmarks).
+        ``True`` (default) makes each sealed batch durable before it is
+        acknowledged; ``False`` trades the power-loss guarantee for speed
+        (tests, CI, benchmarks).
     """
 
     def __init__(self, directory: str | os.PathLike, *, fsync: bool = True) -> None:
@@ -76,17 +79,15 @@ class ResultStore:
         remove_stale_temps(self.directory / "traces")
         self.fsync = bool(fsync)
         self._lock = threading.RLock()
-        self._writer_tag = uuid.uuid4().hex[:8]
-        self._writer_seq = 0
-        self._segments: dict[str, ResultTable] = {}  # filename → table, manifest order
-        self._index: dict[str, tuple[str, int]] = {}  # key → (filename, row)
-        self._unloadable: set[str] = set()  # segment files that failed to load
+        self._batches = 0  # batches ingested, in manifest order
+        self._index: dict[str, tuple[ResultTable, int]] = {}  # key → (batch, row)
+        self._segment_files: set[str] = set()  # legacy segment files already read
         self._manifest_offset = 0  # manifest bytes consumed, up to the last newline
         self._merged = ResultTableBuilder().build()  # the deduplicated rows so far
-        self._unmerged: list[ResultTable] = []  # segments ingested since the last merge
+        self._unmerged: list[ResultTable] = []  # batches ingested since the last merge
         self._default_writer: Optional[ResultWriter] = None
-        self.replay_skipped = 0  # unloadable segments seen during replay
-        self._replay()
+        self.replay_skipped = 0  # manifest entries whose rows could not be read
+        self.refresh()
 
     # ------------------------------------------------------------------ #
     # replay and refresh
@@ -95,94 +96,64 @@ class ResultStore:
     def manifest_path(self) -> Path:
         return self.directory / _MANIFEST
 
-    def _read_manifest_tail(self, pending: Optional[dict[str, ResultTable]] = None) -> None:
-        """Ingest the segments named by manifest lines appended since the last read.
+    def _read_manifest_tail(
+        self, sealed: Optional[tuple[dict[str, object], ResultTable]] = None
+    ) -> int:
+        """Ingest the batches of manifest lines appended since the last read.
 
-        Only the bytes past the consumed offset are read, by
-        :func:`repro.durable.read_lines` (an unterminated last line is read
-        again until a later append terminates it).  ``pending`` holds tables
-        this store already has in memory, by filename.  Caller holds
-        ``self._lock``.
+        Only the whole lines past the consumed offset are read, so each
+        record is ingested once.  ``sealed`` is a ``(record, table)`` this
+        store just appended, so its table is not decoded again.  Returns the
+        number of batches ingested.  Caller holds ``self._lock``.
         """
-        events, self._manifest_offset = read_lines(self.manifest_path, self._manifest_offset)
+        events, self._manifest_offset = read_lines(
+            self.manifest_path, self._manifest_offset, terminated_only=True
+        )
+        before = self._batches
         for event in events:
-            # a torn line is skipped: the segment it described is adopted as
-            # an orphan if it is complete
+            table = sealed[1] if sealed is not None and event == sealed[0] else self._decode(event)
+            if table is not None:
+                self._ingest(table)
+        return self._batches - before
+
+    def _decode(self, event: dict) -> Optional[ResultTable]:
+        """The batch of one manifest record, or ``None`` if it holds none."""
+        try:
+            if event.get("op") == "rows":
+                return ResultTable.from_record(event)
             filename = event.get("file")
             if event.get("op") == "segment" and isinstance(filename, str):
-                self._ingest(filename, (pending or {}).get(filename))
-
-    def _commit(self, filename: str, table: ResultTable) -> None:
-        """Manifest one segment file, then ingest the manifest through its line.
-
-        Reading the tail (instead of registering the table directly) keeps
-        the in-memory segment order equal to the manifest order even when a
-        sibling appended lines since the last read.  Caller holds
-        ``self._lock``.
-        """
-        append_line(
-            self.manifest_path,
-            {"op": "segment", "file": filename, "rows": len(table)},
-            fsync=self.fsync,
-        )
-        self._read_manifest_tail({filename: table})
-
-    def _load_segment(self, filename: str) -> Optional[ResultTable]:
-        try:
-            return ResultTable.load_npz(self.directory / filename)
+                # a store written before batches went inline: read only, once
+                if filename in self._segment_files:
+                    return None
+                self._segment_files.add(filename)
+                return ResultTable.load_npz(self.directory / filename)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, EOFError):
-            # a torn or foreign file must never poison replay — skip it (and
-            # never retry it); the rows it would have held are simply
-            # recomputed by the next sweep
+        except (OSError, ValueError, KeyError, TypeError, EOFError):
+            # a foreign record or torn segment must never poison replay; the
+            # rows it would have held are simply recomputed by the next sweep
             self.replay_skipped += 1
-            self._unloadable.add(filename)
-            return None
+        return None
 
-    def _ingest(self, filename: str, table: Optional[ResultTable] = None) -> None:
-        """Register one segment (loading it unless given) and index its keys."""
-        # caller holds self._lock
-        if filename in self._segments or filename in self._unloadable:
-            return
-        if table is None:
-            table = self._load_segment(filename)
-            if table is None:
-                return
-        self._segments[filename] = table
+    def _ingest(self, table: ResultTable) -> None:
+        """Register one batch and index its keys (caller holds ``self._lock``)."""
+        self._batches += 1
         self._unmerged.append(table)
         for row, key in enumerate(table.keys.tolist()):
             if key:
-                self._index[key] = (filename, row)
-
-    def _replay(self) -> int:
-        """Read the manifest tail and adopt orphans; returns the number of new segments."""
-        with self._lock:
-            before = len(self._segments)
-            self._read_manifest_tail()
-            # orphan adoption: complete segments whose manifest line was lost
-            # to a crash between replace and append get re-manifested here
-            orphans = set(os.listdir(self.directory)) - self._segments.keys() - self._unloadable
-            for filename in sorted(orphans):
-                if (
-                    filename.startswith(_SEGMENT_PREFIX)
-                    and filename.endswith(_SEGMENT_SUFFIX)
-                    and filename not in self._segments  # a sibling may manifest it meanwhile
-                ):
-                    table = self._load_segment(filename)
-                    if table is not None:
-                        self._commit(filename, table)
-            return len(self._segments) - before
+                self._index[key] = (table, row)
 
     def refresh(self) -> int:
-        """Pick up segments sealed by sibling writers; returns how many."""
-        return self._replay()
+        """Pick up batches sealed by sibling writers; returns how many."""
+        with self._lock:
+            return self._read_manifest_tail()
 
     # ------------------------------------------------------------------ #
     # writing
     # ------------------------------------------------------------------ #
     def writer(self, *, flush_every: int = 64) -> "ResultWriter":
-        """A streaming writer sealing one segment every ``flush_every`` rows."""
+        """A streaming writer sealing one batch every ``flush_every`` rows."""
         return ResultWriter(self, flush_every=flush_every)
 
     def append(self, key: str, result: CaseResult) -> None:
@@ -205,17 +176,17 @@ class ResultStore:
         if writer is not None:
             writer.flush()
 
-    def _seal_segment(self, table: ResultTable) -> str:
-        """Write one immutable segment + manifest line; returns the filename."""
+    def _seal(self, table: ResultTable) -> None:
+        """Append ``table`` as one manifest record, then ingest the manifest through it.
+
+        Reading the tail (instead of registering the table directly) keeps
+        the in-memory batch order equal to the manifest order even when a
+        sibling appended lines since the last read.
+        """
+        record = {"op": "rows", **table.to_record()}
         with self._lock:
-            filename = f"{_SEGMENT_PREFIX}{self._writer_tag}-{self._writer_seq:06d}{_SEGMENT_SUFFIX}"
-            self._writer_seq += 1
-        # segment first (atomic replace), manifest line second: a line always
-        # names a complete segment, and a lineless segment is adopted later
-        table.save_npz(self.directory / filename, fsync=self.fsync)
-        with self._lock:
-            self._commit(filename, table)
-        return filename
+            append_line(self.manifest_path, record, fsync=self.fsync)
+            self._read_manifest_tail((record, table))
 
     # ------------------------------------------------------------------ #
     # reading
@@ -235,15 +206,14 @@ class ResultStore:
     def get(self, key: str) -> CaseResult:
         """The stored result under ``key`` (raises ``KeyError`` if absent)."""
         with self._lock:
-            filename, row = self._index[str(key)]
-            table = self._segments[filename]
+            table, row = self._index[str(key)]
         return table.result(row)
 
     def table(self) -> ResultTable:
         """Every live row as one table (deduplicated by key, last write wins).
 
         The table is cached and shared between callers (it is immutable);
-        only segments ingested since the previous call are merged into it.
+        only batches ingested since the previous call are merged into it.
         """
         with self._lock:
             if self._unmerged:
@@ -259,7 +229,7 @@ class ResultStore:
         with self._lock:
             return {
                 "rows": len(self._index),
-                "segments": len(self._segments),
+                "segments": self._batches,  # sealed batches (the name predates inline batches)
                 "replay_skipped": self.replay_skipped,
             }
 
@@ -291,7 +261,7 @@ class ResultStore:
 
 
 class ResultWriter:
-    """Streaming appender: buffers rows, seals a segment per ``flush_every``.
+    """Streaming appender: buffers rows, seals a batch per ``flush_every``.
 
     Thread-safe; use as a context manager so an interrupted sweep still
     seals whatever completed before the exception flew::
@@ -318,7 +288,7 @@ class ResultWriter:
             self.flush()
 
     def flush(self) -> None:
-        """Seal the buffered rows as one segment (no-op when empty)."""
+        """Seal the buffered rows as one batch (no-op when empty)."""
         with self._lock:
             rows, self._buffer = self._buffer, []
         if not rows:
@@ -326,7 +296,7 @@ class ResultWriter:
         builder = ResultTableBuilder()
         for key, result in rows:
             builder.append(result, key=key)
-        self.store._seal_segment(builder.build())
+        self.store._seal(builder.build())
         self.rows_written += len(rows)
 
     def close(self) -> None:

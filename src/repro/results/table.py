@@ -15,9 +15,20 @@ field as one numpy column instead:
 * every row may carry its canonical case ``key`` (see
   :mod:`repro.results.keys`) for indexed lookup and deduplication.
 
-The on-disk form is one compressed ``.npz`` per table (atomic write, schema
-tagged); :meth:`to_parquet` additionally exports to parquet when ``pyarrow``
-happens to be installed — it is never required.
+A table persists in two schema-tagged forms, both exact:
+
+* :meth:`to_record` / :meth:`from_record` — one JSON object, which is how a
+  :class:`~repro.results.store.ResultStore` seals a batch as a single
+  manifest line.  Vocabularies and keys are JSON lists of strings; every
+  array (string codes, numeric columns, per-processor values and offsets)
+  is its little-endian raw bytes in base64, so no decimal round-trip is
+  involved;
+* :meth:`save_npz` / :meth:`load_npz` — one compressed ``.npz`` file
+  (atomic write), the standalone export and the form of store segments
+  written before batches went inline.
+
+:meth:`to_parquet` additionally exports to parquet when ``pyarrow`` happens
+to be installed — it is never required.
 
 :meth:`view` wraps the table in a lazy ``Sequence[CaseResult]`` that
 materializes rows on access, which is how ``Session.sweep`` keeps returning
@@ -28,6 +39,7 @@ values the dataclass did, so a materialized row compares bit-identical.
 
 from __future__ import annotations
 
+import base64
 import io
 import os
 from collections.abc import Sequence
@@ -70,6 +82,14 @@ RESULT_COLUMNS = (
 )
 
 _SCHEMA_KIND = "result_table"
+
+#: every array of a persisted table, by its persisted name, with the
+#: little-endian dtype its bytes are recorded in.
+_ARRAYS: tuple[tuple[str, np.dtype], ...] = (
+    tuple((f"{name}_codes", np.dtype("<i4")) for name in STRING_COLUMNS)
+    + tuple((name, np.dtype(dtype).newbyteorder("<")) for name, dtype in NUMERIC_COLUMNS)
+    + (("per_proc_values", np.dtype("<f8")), ("per_proc_offsets", np.dtype("<i8")))
+)
 
 
 class ResultTable:
@@ -338,6 +358,68 @@ class ResultTable:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Every array of the table under its persisted name (see ``_ARRAYS``)."""
+        arrays = {f"{name}_codes": self._codes[name] for name in STRING_COLUMNS}
+        arrays.update(self._numeric)
+        arrays["per_proc_values"] = self._values
+        arrays["per_proc_offsets"] = self._offsets
+        return arrays
+
+    @classmethod
+    def _from_arrays(
+        cls, arrays: Mapping[str, np.ndarray], vocabs: Mapping[str, np.ndarray], keys: np.ndarray
+    ) -> "ResultTable":
+        return cls(
+            codes={name: arrays[f"{name}_codes"] for name in STRING_COLUMNS},
+            vocabs=vocabs,
+            numeric={name: arrays[name] for name, _ in NUMERIC_COLUMNS},
+            values=arrays["per_proc_values"],
+            offsets=arrays["per_proc_offsets"],
+            keys=keys,
+        )
+
+    def to_record(self) -> dict[str, object]:
+        """The table as one JSON-ready, schema-tagged record (exact, see module docstring)."""
+        arrays = self._arrays()
+        return {
+            "schema": schema_tag(_SCHEMA_KIND),
+            "rows": len(self),
+            "keys": self._keys.tolist(),
+            "vocabs": {name: self._vocabs[name].tolist() for name in STRING_COLUMNS},
+            "arrays": {
+                name: base64.b64encode(arrays[name].astype(dtype, copy=False).tobytes()).decode()
+                for name, dtype in _ARRAYS
+            },
+        }
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, object]) -> "ResultTable":
+        """The table :meth:`to_record` wrote (schema- and shape-checked).
+
+        Raises ``ValueError``, ``KeyError`` or ``TypeError`` on a record it
+        cannot read; extra fields (such as a store's ``"op"``) are ignored.
+        """
+        check_schema(_SCHEMA_KIND, record)
+        rows = int(record["rows"])  # type: ignore[arg-type]
+        encoded: Mapping[str, str] = record["arrays"]  # type: ignore[assignment]
+        arrays = {
+            name: np.frombuffer(base64.b64decode(encoded[name], validate=True), dtype=dtype)
+            for name, dtype in _ARRAYS
+        }
+        vocabs = {
+            name: np.asarray(record["vocabs"][name], dtype=str)  # type: ignore[index]
+            for name in STRING_COLUMNS
+        }
+        if any(
+            array.shape != (rows,) for name, array in arrays.items() if not name.startswith("per_proc_")
+        ):
+            raise ValueError(f"malformed {_SCHEMA_KIND} record: a column does not hold {rows} row(s)")
+        table = cls._from_arrays(arrays, vocabs, np.asarray(record["keys"], dtype=str))
+        if int(table._offsets[-1]) != table._values.size:
+            raise ValueError(f"malformed {_SCHEMA_KIND} record: per-processor offsets and values disagree")
+        return table
+
     def save_npz(self, path: str | os.PathLike, *, fsync: bool = False) -> None:
         """Write the table as one compressed ``.npz``, atomically.
 
@@ -363,13 +445,10 @@ class ResultTable:
         """Load a table written by :meth:`save_npz` (schema-checked)."""
         with np.load(os.fspath(path), allow_pickle=False) as data:
             check_schema(_SCHEMA_KIND, {"schema": str(data["schema"])})
-            return cls(
-                codes={name: data[f"{name}_codes"] for name in STRING_COLUMNS},
-                vocabs={name: data[f"{name}_vocab"] for name in STRING_COLUMNS},
-                numeric={name: data[name] for name, _ in NUMERIC_COLUMNS},
-                values=data["per_proc_values"],
-                offsets=data["per_proc_offsets"],
-                keys=data["keys"],
+            return cls._from_arrays(
+                {name: data[name] for name, _ in _ARRAYS},
+                {name: data[f"{name}_vocab"] for name in STRING_COLUMNS},
+                data["keys"],
             )
 
     def to_parquet(self, path: str | os.PathLike) -> None:

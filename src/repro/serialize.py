@@ -8,12 +8,12 @@ one place those concerns live now:
 * :func:`canonical_json` — the single byte-stable encoder used for HTTP
   bodies, journal lines and store manifests (sorted keys, fixed separators);
 * :func:`with_schema` / :func:`check_schema` — a ``schema`` tag of the form
-  ``"<kind>/v<version>"`` stamped into persisted envelopes (store segments,
+  ``"<kind>/v<version>"`` stamped into persisted envelopes (store batches,
   trace files) so a format change fails loudly instead of mis-parsing;
 * :func:`decode_fields` — the one policy for unknown keys: *strict* decoding
   raises the historical ``"unknown <Kind> fields [...]"`` error (the public
   ``from_dict`` contract, pinned by tests), *tolerant* decoding drops them
-  (what store segments and HTTP bodies want, so an old reader survives a
+  (what stored results and HTTP bodies want, so an old reader survives a
   newer writer).
 
 The version registry below is per-kind: bump a kind's version when its field

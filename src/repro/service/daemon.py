@@ -535,9 +535,9 @@ class SweepService:
     def _store_shard(
         self, shard: list[tuple[int, CaseSpec]], results: Sequence[CaseResult]
     ) -> list[str]:
-        """Seal one shard's results as one store segment.
+        """Seal one shard's results as one store batch: one manifest record.
 
-        The segment is durable when this returns, before the caller journals
+        The batch is durable when this returns, before the caller journals
         the shard's ``progress`` line: a key named by the journal is always
         in the store.
         """

@@ -89,6 +89,14 @@ def canonical_float(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _is_bare_word(text: str) -> bool:
+    """Whether ``text`` unquoted parses back as the string itself."""
+    try:
+        return isinstance(_parse_value(text), str)
+    except ValueError:  # none / null
+        return False
+
+
 def format_value(value: ParamValue) -> str:
     """Render one parameter value in its canonical mini-language form."""
     if isinstance(value, bool):
@@ -98,10 +106,11 @@ def format_value(value: ParamValue) -> str:
     if isinstance(value, int):
         return str(value)
     text = str(value)
-    if _NAME_RE.fullmatch(text):
+    if _NAME_RE.fullmatch(text) and _is_bare_word(text):
         return text
     # the grammar has no escape sequences: quote with whichever delimiter the
-    # value doesn't contain, so the canonical form always re-parses
+    # value doesn't contain, so the canonical form always re-parses (as a
+    # string: "12" or "true" bare would read back as a number or a bool)
     for quote in ("'", '"'):
         if quote not in text:
             return quote + text + quote
@@ -127,7 +136,10 @@ class ParamSpec:
         # cache-key) equally
         def norm(value: ParamValue) -> ParamValue:
             if isinstance(value, float) and not isinstance(value, bool):
-                value = canonical_float(value)
+                # an integral float converts exactly, as the int it equals would
+                # stay; any other is rounded first
+                if not value.is_integer():
+                    value = canonical_float(value)
                 if value.is_integer():
                     return int(value)
             return value

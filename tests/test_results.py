@@ -3,13 +3,14 @@
 Covers the :mod:`repro.results` package layer by layer — exact
 ``CaseResult`` round-trips through the columns, the versioned
 serialization policy of :mod:`repro.serialize`, the append-only
-:class:`ResultStore` (replay, torn lines, torn segments, orphan adoption)
-and the delta-encoded trace codec.
+:class:`ResultStore` (replay, torn records, stores written in the older
+segment-file format) and the delta-encoded trace codec.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import tempfile
 import threading
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.durable import append_line
 from repro.pipeline.stage import CaseResult, CaseSpec
 from repro.results import (
     CaseResultView,
@@ -63,8 +65,23 @@ def make_result(i: int, *, problem: str = "XENON2", nprocs: int = 4, key_seed: f
     )
 
 
-#: one manifest record as the store writes it (writer tags are 8 hex digits).
-_MANIFEST_RECORD = canonical_json({"op": "segment", "file": "seg-00000000-000000.npz", "rows": 1})
+#: the manifest record the store writes when it seals ``make_result(1)`` as "k1".
+_MANIFEST_RECORD = canonical_json(
+    {"op": "rows", **ResultTable.from_results([make_result(1)], keys=["k1"]).to_record()}
+)
+
+#: a store written by the segment-file format that preceded inline batches
+_PARENT_STORE = Path(__file__).parent / "golden" / "parent_store"
+
+
+def seal_segment(directory: Path, filename: str, table: ResultTable) -> None:
+    """Seal ``table`` as the segment-file format did: an ``.npz``, then its line."""
+    table.save_npz(directory / filename)
+    append_line(
+        directory / "manifest.jsonl",
+        {"op": "segment", "file": filename, "rows": len(table)},
+        fsync=False,
+    )
 
 
 def assert_results_equal(a: CaseResult, b: CaseResult) -> None:
@@ -268,6 +285,35 @@ class TestResultTable:
         # no temp sibling left behind
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("n", [0, 1, 9])
+    def test_record_roundtrip_is_exact(self, n):
+        results = [make_result(i, nprocs=1 + i % 4, key_seed=1 / 3) for i in range(n)]
+        table = ResultTable.from_results(results, keys=[f"k{i}" if i % 3 else "" for i in range(n)])
+        record = json.loads(canonical_json(table.to_record()))
+        loaded = ResultTable.from_record(record)
+        assert loaded.to_dicts() == table.to_dicts()
+        for i, original in enumerate(results):
+            assert_results_equal(loaded.result(i), original)
+        # vocabularies, codes and keys come back as they were, not re-encoded
+        assert ResultTable.concat([loaded, table]).to_dicts() == ResultTable.concat([table, table]).to_dicts()
+        assert canonical_json(loaded.to_record()) == canonical_json(record)
+
+    def test_record_rejects_wrong_schema_and_bad_shapes(self):
+        record = ResultTable.from_results([make_result(0), make_result(1)], keys=["a", "b"]).to_record()
+        with pytest.raises(ValueError, match="expected a 'result_table' payload"):
+            ResultTable.from_record({**record, "schema": "trace/v1"})
+        with pytest.raises(ValueError, match="newer than this build"):
+            ResultTable.from_record({**record, "schema": "result_table/v999"})
+        with pytest.raises(ValueError, match="does not hold 3 row"):
+            ResultTable.from_record({**record, "rows": 3})
+        short = dict(record["arrays"], per_proc_values=record["arrays"]["nodes"])
+        with pytest.raises(ValueError, match="offsets and values disagree"):
+            ResultTable.from_record({**record, "arrays": short})
+        with pytest.raises(ValueError, match="keys must have shape"):
+            ResultTable.from_record({**record, "keys": ["a"]})
+        with pytest.raises(KeyError):
+            ResultTable.from_record({key: v for key, v in record.items() if key != "arrays"})
+
     def test_npz_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez_compressed(path, schema=np.asarray("trace/v1"))
@@ -389,65 +435,103 @@ class TestResultStore:
         store.append("k0", make_result(0))
         # simulate a crash mid-append: a half-written trailing line
         with open(store.manifest_path, "ab") as fh:
-            fh.write(b'{"op":"segment","file":"seg-trunc')
+            fh.write(_MANIFEST_RECORD[: len(_MANIFEST_RECORD) // 2])
         reopened = ResultStore(tmp_path / "store", fsync=False)
-        assert len(reopened) == 1
+        assert len(reopened) == 1 and reopened.replay_skipped == 0
         assert_results_equal(reopened.get("k0"), make_result(0))
 
-    @pytest.mark.parametrize("cut", range(len(_MANIFEST_RECORD)))
-    def test_torn_manifest_tail_keeps_the_next_record_whole(self, tmp_path, cut):
+    def test_a_sealed_batch_is_one_manifest_line_and_no_other_file(self, tmp_path):
         directory = tmp_path / "store"
         store = ResultStore(directory, fsync=False)
         store.append("k0", make_result(0))
+        with store.writer(flush_every=100) as writer:
+            for i in range(1, 4):
+                writer.append(f"k{i}", make_result(i))
+        assert sorted(p.name for p in directory.iterdir()) == ["manifest.jsonl"]
+        lines = store.manifest_path.read_bytes().splitlines(keepends=True)
+        assert [json.loads(line)["rows"] for line in lines] == [1, 3]
+        assert all(json.loads(line)["op"] == "rows" for line in lines)
+
+    @pytest.fixture(scope="class")
+    def cuts_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cuts")
+
+    @pytest.mark.parametrize("cut", range(len(_MANIFEST_RECORD)))
+    def test_torn_manifest_tail_keeps_the_next_record_whole(self, cuts_dir, cut):
+        directory = cuts_dir / f"cut-{cut}"
+        store = ResultStore(directory, fsync=False)
+        store.append("k0", make_result(0))
         store.append("k1", make_result(1))
-        # a crash cut the last record after `cut` bytes: reopening adopts its
-        # segment as an orphan (one append), then a fresh result appends again
+        # a crash cut the last record after `cut` bytes: its batch is lost,
+        # and a fresh result appends after the fragment's line
         data = store.manifest_path.read_bytes()
         last = data.rstrip(b"\n").rfind(b"\n") + 1
-        assert len(data) - last == len(_MANIFEST_RECORD)
+        assert data[last:] == _MANIFEST_RECORD
         fragment = data[last:last + cut]
         store.manifest_path.write_bytes(data[:last] + fragment)
         reopened = ResultStore(directory, fsync=False)
+        assert set(reopened.keys()) == {"k0"}
         reopened.append("k2", make_result(2))
 
-        named = []
-        for line in store.manifest_path.read_bytes().splitlines():
-            try:
-                named.append(json.loads(line)["file"])
-            except json.JSONDecodeError:
-                assert line == fragment  # the torn fragment stays on a line of its own
-        segments = sorted(p.name for p in directory.glob("seg-*.npz"))
-        assert sorted(named) == segments and len(segments) == 3
-        assert set(ResultStore(directory, fsync=False).keys()) == {"k0", "k1", "k2"}
+        lines = store.manifest_path.read_bytes().splitlines()
+        if cut:
+            assert lines.pop(1) == fragment  # the torn fragment stays on a line of its own
+        assert [json.loads(line)["keys"] for line in lines] == [["k0"], ["k2"]]
+        # only a record missing nothing but its newline is whole again
+        whole = cut == len(_MANIFEST_RECORD) - 1
+        expected = {"k0", "k1", "k2"} if whole else {"k0", "k2"}
+        replayed = ResultStore(directory, fsync=False)
+        assert set(replayed.keys()) == expected and replayed.replay_skipped == 0
+        assert sorted(p.name for p in directory.iterdir()) == ["manifest.jsonl"]
 
     def test_torn_segment_is_counted_not_fatal(self, tmp_path):
-        store = ResultStore(tmp_path / "store", fsync=False)
-        store.append("k0", make_result(0))
-        store.append("k1", make_result(1))
-        # corrupt one segment file in place
-        victim = next(iter(sorted(p.name for p in (tmp_path / "store").glob("seg-*.npz"))))
-        (tmp_path / "store" / victim).write_bytes(b"not an npz at all")
-        reopened = ResultStore(tmp_path / "store", fsync=False)
-        assert reopened.replay_skipped >= 1
-        assert len(reopened) == 1  # the surviving row is still served
-        assert reopened.stats()["replay_skipped"] >= 1
+        directory = tmp_path / "store"
+        directory.mkdir()
+        for i, name in enumerate(["seg-0a-000000.npz", "seg-0a-000001.npz"]):
+            seal_segment(directory, name, ResultTable.from_results([make_result(i)], keys=[f"k{i}"]))
+        # corrupt one segment file in place, and append an undecodable record
+        (directory / "seg-0a-000000.npz").write_bytes(b"not an npz at all")
+        append_line(directory / "manifest.jsonl", {"op": "rows", "rows": 1}, fsync=False)
+        reopened = ResultStore(directory, fsync=False)
+        assert reopened.replay_skipped == 2
+        assert list(reopened.keys()) == ["k1"]  # the surviving row is still served
+        assert reopened.stats() == {"rows": 1, "segments": 1, "replay_skipped": 2}
+        assert reopened.refresh() == 0 and reopened.replay_skipped == 2  # counted once
 
-    def test_orphan_segment_is_adopted_and_manifested(self, tmp_path):
+    def test_lineless_segment_file_is_not_adopted(self, tmp_path):
         directory = tmp_path / "store"
         store = ResultStore(directory, fsync=False)
         store.append("manifested", make_result(0))
-        # a complete segment whose manifest line was lost to a crash
-        orphan = ResultTable.from_results([make_result(1)], keys=["orphan"])
-        orphan.save_npz(directory / "seg-deadbeef-000000.npz")
+        # an older writer crashed between its segment file and its line
+        ResultTable.from_results([make_result(1)], keys=["lost"]).save_npz(
+            directory / "seg-deadbeef-000000.npz"
+        )
         reopened = ResultStore(directory, fsync=False)
-        assert "orphan" in reopened and "manifested" in reopened
-        # adoption re-manifests: a third open finds it via the manifest
-        manifest = [
-            json.loads(line)["file"]
-            for line in (directory / "manifest.jsonl").read_text().splitlines()
-            if line.strip()
-        ]
-        assert "seg-deadbeef-000000.npz" in manifest
+        assert list(reopened.keys()) == ["manifested"]
+        assert reopened.refresh() == 0 and "lost" not in reopened
+        assert len(store.manifest_path.read_bytes().splitlines()) == 1  # nothing re-manifested
+
+    def test_parent_format_store_opens_and_serves_every_row(self, tmp_path):
+        # written by the segment-file format: four .npz segments, four lines
+        directory = tmp_path / "store"
+        shutil.copytree(_PARENT_STORE, directory)
+        expected = json.loads((_PARENT_STORE.parent / "parent_store_rows.json").read_text())
+        store = ResultStore(directory, fsync=False)
+        assert store.stats() == {"rows": 6, "segments": 4, "replay_skipped": 0}
+        assert store.table().to_dicts() == expected
+        for row in expected:
+            assert store.get(row["key"]).to_dict() == {k: v for k, v in row.items() if k != "key"}
+        # new batches go to the same manifest, after the segment lines
+        store.append("k1", make_result(1))
+        store.append("k9", make_result(9))
+        lines = store.manifest_path.read_bytes().splitlines()
+        assert [json.loads(line)["op"] for line in lines] == ["segment"] * 4 + ["rows"] * 2
+        reopened = ResultStore(directory, fsync=False)
+        assert reopened.stats() == {"rows": 7, "segments": 6, "replay_skipped": 0}
+        assert reopened.table().to_dicts() == store.table().to_dicts()
+        assert_results_equal(reopened.get("k1"), make_result(1))
+        untouched = [row for row in expected if row["key"] != "k1"]
+        assert reopened.table().to_dicts()[: len(untouched)] == untouched
 
     def test_refresh_picks_up_sibling_writers(self, tmp_path):
         directory = tmp_path / "store"
@@ -467,17 +551,30 @@ class TestResultStore:
         assert len(store.table()) == 6
 
 
-def manifest_segments(manifest: bytes) -> list[str]:
-    """Segment files named by a manifest, in order, first naming wins."""
-    files: list[str] = []
-    for line in manifest.splitlines():
+def manifest_batches(
+    directory: Path, manifest: bytes, loaded: dict[str, ResultTable]
+) -> list[ResultTable]:
+    """The batches a manifest holds, in order, worked out line by line.
+
+    Only newline-terminated lines count; a ``rows`` record holds its batch,
+    and a legacy ``segment`` line names an ``.npz`` file (first naming
+    wins, ``loaded`` caches those files by filename across calls).
+    """
+    batches = []
+    named: set[str] = set()
+    for line in manifest[: manifest.rfind(b"\n") + 1].splitlines():
         try:
             event = json.loads(line)
         except ValueError:
             continue
-        if event["file"] not in files:
-            files.append(event["file"])
-    return files
+        if event["op"] == "rows":
+            batches.append(ResultTable.from_record(event))
+        elif event["file"] not in named:
+            named.add(event["file"])
+            if event["file"] not in loaded:
+                loaded[event["file"]] = ResultTable.load_npz(directory / event["file"])
+            batches.append(loaded[event["file"]])
+    return batches
 
 
 def manifest_oracle(
@@ -485,15 +582,10 @@ def manifest_oracle(
 ) -> list[tuple[str, CaseResult]]:
     """The live rows a store over ``manifest`` must hold, worked out row by row.
 
-    Last write wins and the survivors keep manifest order; ``loaded`` caches
-    segment tables by filename across calls.
+    Last write wins and the survivors keep manifest order.
     """
-    segments = []
-    for filename in manifest_segments(manifest):
-        if filename not in loaded:
-            loaded[filename] = ResultTable.load_npz(directory / filename)
-        segments.append(loaded[filename])
-    rows = [(str(t.keys[r]), t.result(r)) for t in segments for r in range(len(t))]
+    batches = manifest_batches(directory, manifest, loaded)
+    rows = [(str(t.keys[r]), t.result(r)) for t in batches for r in range(len(t))]
     last = {key: n for n, (key, _) in enumerate(rows)}
     return [(key, result) for n, (key, result) in enumerate(rows) if last[key] == n]
 
@@ -508,6 +600,7 @@ _STORE_OPS = st.one_of(
         st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=4),
     ),
     st.tuples(st.just("tear"), st.integers(0, 5), st.integers(0, 3), st.floats(0.0, 1.0)),
+    st.tuples(st.just("legacy"), st.integers(0, 5), st.integers(0, 3)),
     st.tuples(st.just("refresh"), st.integers(0, 1)),
     st.tuples(st.just("reopen"), st.integers(0, 1)),
 )
@@ -531,7 +624,7 @@ class TestResultStoreReads:
             # the manifest each instance has read in full, as of its last op
             seen = [b"", b""]
             loaded: dict[str, ResultTable] = {}
-            torn = 0
+            legacy = 0
             for op in ops:
                 if op[0] == "append":
                     _, i, key, variant = op
@@ -542,21 +635,24 @@ class TestResultStoreReads:
                         for key, variant in rows:
                             writer.append(f"k{key}", _variant(key, variant))
                 elif op[0] == "tear":
-                    # a third writer crashes mid-append: its segment is
-                    # complete, its manifest line cut short (maybe to nothing)
+                    # a third writer crashes mid-append: its record is cut
+                    # short (maybe to nothing, maybe to all but its newline)
                     _, key, variant, fraction = op
-                    filename = f"seg-ffffffff-{torn:06d}.npz"
-                    torn += 1
-                    ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"]).save_npz(
-                        directory / filename
-                    )
-                    record = canonical_json({"op": "segment", "file": filename, "rows": 1})
+                    table = ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"])
+                    record = canonical_json({"op": "rows", **table.to_record()})
                     with open(manifest, "ab+") as fh:
                         if fh.seek(0, 2) > 0:
                             fh.seek(-1, 2)
                             if fh.read(1) != b"\n":
                                 fh.write(b"\n")  # as every writer terminates a torn tail
                         fh.write(record[: int(fraction * (len(record) - 1))])
+                    continue
+                elif op[0] == "legacy":
+                    # a writer of the segment-file format seals one row
+                    _, key, variant = op
+                    table = ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"])
+                    seal_segment(directory, f"seg-ffffffff-{legacy:06d}.npz", table)
+                    legacy += 1
                     continue
                 elif op[0] == "refresh":
                     i = op[1]
@@ -632,16 +728,14 @@ class TestResultStoreReads:
         directory = tmp_path / "store"
         store = ResultStore(directory, fsync=False)
         store.append("k0", make_result(0))
-        # rewrite the consumed line in place, same length, to name another
-        # complete segment: only a reader that starts over would see it
-        other = "seg-eeeeeeee-000000.npz"
-        ResultTable.from_results([make_result(1)], keys=["k1"]).save_npz(directory / other)
+        # rewrite the consumed line in place, same length, to hold another
+        # key: only a reader that starts over would see it
         manifest = directory / "manifest.jsonl"
-        first = json.loads(manifest.read_bytes())["file"]
-        manifest.write_bytes(manifest.read_bytes().replace(first.encode(), other.encode()))
+        manifest.write_bytes(manifest.read_bytes().replace(b'"k0"', b'"k1"'))
         store.append("k2", make_result(2))  # a seal reads the manifest tail through its line
         assert "k1" not in store and len(store) == 2
-        assert store.refresh() == 1 and "k1" in store  # the orphan scan adopts it
+        assert store.refresh() == 0 and "k1" not in store
+        assert set(ResultStore(directory, fsync=False).keys()) == {"k1", "k2"}
 
     def test_shrunk_manifest_is_read_again(self, tmp_path):
         directory = tmp_path / "store"
@@ -650,14 +744,11 @@ class TestResultStoreReads:
         for i in range(3):
             writer.append(f"k{i}", make_result(i))
         reader.refresh()
-        # the manifest is replaced by a shorter one naming a new segment
-        ResultTable.from_results([make_result(9)], keys=["k9"]).save_npz(
-            directory / "seg-eeeeeeee-000000.npz"
-        )
-        shrunk = canonical_json({"op": "segment", "file": "seg-eeeeeeee-000000.npz", "rows": 1})
+        # the manifest is replaced by a shorter one holding a new batch
+        table = ResultTable.from_results([make_result(9)], keys=["k9"])
+        shrunk = canonical_json({"op": "rows", **table.to_record()})
         (directory / "manifest.jsonl").write_bytes(shrunk)
         assert reader.refresh() == 1 and "k9" in reader and len(reader) == 4
-        # read from the manifest, not adopted (and re-manifested) as an orphan
         assert (directory / "manifest.jsonl").read_bytes() == shrunk
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import figures as figs
 from repro.experiments import tables as tbl
 from repro.pipeline import CaseSpec
@@ -154,6 +155,15 @@ def test_tables_match_the_golden_file():
         table4 = tbl.table4(session, exact=True)
     assert table2 == {p: golden["tables"]["table2"][p] for p in problems}
     assert table4 == golden["tables"]["table4"]
+
+
+def test_quickstart_headline_is_a_golden_table2_cell():
+    """``examples/quickstart.py`` leads with this call; it must print a paper cell."""
+    golden = json.loads(GOLDEN_TABLES.read_text())
+    with repro.open_session(cache_dir="") as session:
+        assert (session.nprocs, session.scale) == (golden["nprocs"], golden["scale"])
+        cell = session.compare("BMWCRA_1", "metis")
+    assert cell["gain_percent"] == golden["tables"]["table2"]["BMWCRA_1"]["METIS"] == 8.453328604380062
 
 
 class TestFigures:

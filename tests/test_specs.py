@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.faults import canonical_faults, parse_faults
 from repro.ordering import ORDERINGS, canonical_ordering, compute_ordering, resolve_ordering
 from repro.pipeline import AnalysisPipeline, CaseSpec
 from repro.registry import Registry
@@ -14,7 +17,9 @@ from repro.scheduling import (
     resolve_strategy,
 )
 from repro.scheduling.hybrid import HybridSlaveSelector
-from repro.specs import ParamSpec, SweepSpec, parse_spec, split_spec_list
+from repro.results import case_key_for
+from repro.service.daemon import case_spec_from_query
+from repro.specs import ParamSpec, SweepSpec, format_value, parse_spec, split_spec_list
 
 
 # --------------------------------------------------------------------------- #
@@ -310,3 +315,183 @@ class TestSerialization:
         assert plain.analysis_signature() == ("XENON2", "metis", False)
         override = CaseSpec("XENON2", "metis", nprocs=8)
         assert override.analysis_signature() != plain.analysis_signature()
+
+
+# --------------------------------------------------------------------------- #
+# properties of the mini-language and of the keys built on it
+# --------------------------------------------------------------------------- #
+_NAMES = st.from_regex(r"[a-z][a-z0-9_.\-]{0,7}", fullmatch=True)
+_KEYS = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
+_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-(10**12), 10**12),
+    st.floats(allow_nan=False),
+    st.text(max_size=8).filter(lambda text: not ("'" in text and '"' in text)),
+    # strings that read as another type unless quoted
+    st.sampled_from(["12", "-3", "1e5", "inf", "nan", "true", "False", "none", "NULL"]),
+)
+
+
+def _float_spellings(value: float) -> st.SearchStrategy[str]:
+    """Spellings of ``value`` that parse back to exactly the same float."""
+    text = repr(value)
+    spellings = [text, f"{value:.17g}", f"{value:.17E}"]
+    if text.startswith("0."):
+        spellings.append(text[1:])  # .5
+    if "." in text and "e" not in text:
+        spellings.append(text + "00")  # 0.500
+    return st.sampled_from(spellings)
+
+
+def _any_case(text: str) -> st.SearchStrategy[str]:
+    return st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(text, upper))
+    )
+
+
+@st.composite
+def _spelled(draw, name: str, params: dict[str, object], *, any_case: bool = True) -> str:
+    """One spelling of ``name(params)``: any name case, order, float form and spacing."""
+    items = draw(st.permutations(list(params.items())))
+    pad = st.sampled_from(["", " ", "  "])
+    rendered = []
+    for key, value in items:
+        text = draw(_float_spellings(value)) if isinstance(value, float) else format_value(value)
+        rendered.append(f"{draw(pad)}{key}{draw(pad)}={draw(pad)}{text}{draw(pad)}")
+    spelled_name = draw(_any_case(name)) if any_case else name
+    if not rendered and draw(st.booleans()):
+        return spelled_name
+    return f"{spelled_name}{draw(pad)}({','.join(rendered)})"
+
+
+#: every fault model's parameters, each with the values it accepts
+_FAULT_PARAMS = {
+    "stragglers": {"frac": st.floats(0.0, 1.0), "slowdown": st.floats(0.01, 100.0)},
+    "slowdown": {
+        "n": st.integers(1, 16),
+        "span": st.floats(0.01, 10.0),
+        "duration": st.floats(1e-4, 1.0),
+        "factor": st.floats(0.1, 10.0),
+    },
+    "msgloss": {
+        "p": st.floats(0.0, 0.99),
+        "retry_timeout": st.floats(1e-6, 1.0),
+        "backoff": st.floats(1.0, 8.0),
+    },
+}
+
+
+@st.composite
+def _fault_texts(draw) -> str:
+    """A valid fault spec in any order of models, with any subset of parameters."""
+    models = draw(st.lists(st.sampled_from(sorted(_FAULT_PARAMS)), min_size=1, max_size=3, unique=True))
+    segments = []
+    for model in models:
+        chosen = draw(st.lists(st.sampled_from(sorted(_FAULT_PARAMS[model])), unique=True))
+        params = {key: draw(_FAULT_PARAMS[model][key]) for key in chosen}
+        # fault model names are case-sensitive
+        segments.append(draw(_spelled(model, params, any_case=False)))
+    return "+".join(segments)
+
+
+@st.composite
+def _sweeps(draw) -> SweepSpec:
+    def axis(values, *, min_size=0):
+        return draw(st.lists(values, min_size=min_size, max_size=3))
+
+    return SweepSpec(
+        problems=axis(st.sampled_from(["XENON2", "PRE2", "GUPTA3"]), min_size=1),
+        orderings=axis(st.sampled_from(["metis", "amd", "metis(leaf_size=32)"]), min_size=1),
+        strategies=axis(
+            st.sampled_from(["memory-full", "mumps-workload", "hybrid(alpha=0.25)"]), min_size=1
+        ),
+        split=axis(st.booleans(), min_size=1),
+        nprocs=axis(st.one_of(st.none(), st.integers(1, 128))),
+        scale=axis(st.one_of(st.none(), st.floats(0.05, 2.0), st.integers(1, 3))),
+        split_threshold=axis(st.one_of(st.none(), st.integers(1, 10**6))),
+        faults=axis(st.one_of(st.none(), _fault_texts())),
+        track_traces=draw(st.booleans()),
+        fault_seed=draw(st.integers(0, 2**31)),
+        replications=draw(st.integers(1, 5)),
+    )
+
+
+_KEY_ENGINE = AnalysisPipeline(nprocs=8, scale=0.2, cache_dir="")
+
+
+class TestSpecProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_NAMES, st.dictionaries(_KEYS, _VALUES, max_size=4))
+    def test_canonical_form_parses_back_to_the_spec(self, name, params):
+        spec = ParamSpec(name, tuple(params.items()))
+        text = spec.canonical()
+        assert parse_spec(text) == spec
+        assert parse_spec(text).canonical() == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _NAMES,
+        st.dictionaries(_KEYS, st.one_of(st.integers(-99, 99), st.floats(allow_nan=False)), max_size=3),
+        st.data(),
+    )
+    def test_every_spelling_canonicalises_to_one_form(self, name, params, data):
+        spelled = data.draw(_spelled(name, params))
+        canonical = ParamSpec(name, tuple(params.items())).canonical()
+        assert parse_spec(spelled).name.lower() == name
+        assert parse_spec(spelled).params == parse_spec(canonical).params
+        assert parse_spec(parse_spec(spelled).canonical()).canonical() == parse_spec(spelled).canonical()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sweeps())
+    def test_sweep_spec_dict_roundtrip(self, sweep):
+        assert SweepSpec.from_dict(sweep.to_dict()) == sweep
+        assert SweepSpec.from_dict(json.loads(json.dumps(sweep.to_dict()))) == sweep
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fault_texts())
+    def test_canonical_faults_is_idempotent(self, text):
+        canonical = canonical_faults(text)
+        assert canonical_faults(canonical) == canonical
+        assert parse_faults(canonical) == parse_faults(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["xenon2", "pre2", "bmwcra_1"]),
+        st.sampled_from([("metis", {}), ("amd", {}), ("metis", {"leaf_size": 32})]),
+        st.one_of(
+            st.tuples(st.sampled_from(["memory-full", "mumps-workload"]), st.just({})),
+            st.tuples(st.just("hybrid"), st.fixed_dictionaries({"alpha": st.floats(0.0, 1.0)})),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_equal_cases_share_a_store_key_whatever_the_spelling(
+        self, problem, ordering, strategy, split, data
+    ):
+        def key(spelling: tuple[str, str, str]) -> str:
+            query = {"problem": spelling[0], "ordering": spelling[1], "strategy": spelling[2]}
+            if split:
+                query["split"] = "true"
+            from_query = case_key_for(_KEY_ENGINE, case_spec_from_query(query))
+            direct = case_key_for(_KEY_ENGINE, CaseSpec(*spelling, split=split))
+            assert from_query == direct
+            return direct
+
+        plain = (
+            problem,
+            ParamSpec(ordering[0], tuple(ordering[1].items())).canonical(),
+            ParamSpec(strategy[0], tuple(strategy[1].items())).canonical(),
+        )
+        spelled = (
+            data.draw(_any_case(problem)),
+            data.draw(_spelled(*ordering)),
+            data.draw(_spelled(*strategy)),
+        )
+        assert key(spelled) == key(plain)
+
+    def test_example_spellings_share_a_store_key(self):
+        keys = {
+            case_key_for(_KEY_ENGINE, case_spec_from_query({"problem": "XENON2", "strategy": spelling}))
+            for spelling in ("hybrid(alpha=.5)", "HYBRID(alpha=0.50)", "Hybrid( alpha = 5e-1 )")
+        }
+        assert len(keys) == 1
