@@ -29,8 +29,8 @@ Suites:
     (served from the result store) vs. one submit→poll job round-trip.
 ``results``
     The columnar result store at corpus scale: streaming 10k synthetic case
-    results through a store writer, columnar filter + canonical sort +
-    one page, and the ``.npz`` round-trip of the whole table.
+    results through a store writer, and columnar filter + canonical sort +
+    one page.
 ``tuning``
     The auto-tuning layer: a cold successive-halving search (fresh session
     and store per repeat), the same search resumed from a populated store,
@@ -549,7 +549,7 @@ def _synthetic_results(n: int):
 
 @SUITES.register(
     "results",
-    description="columnar result store: streaming append, filter+page, npz round-trip (10k rows)",
+    description="columnar result store: streaming append, filter+page (10k rows)",
 )
 def _results_suite(env: BenchEnv) -> SuiteInstance:
     import os
@@ -578,12 +578,6 @@ def _results_suite(env: BenchEnv) -> SuiteInstance:
         rows = page.take(range(min(50, len(page)))).to_dicts()
         return {"matched": float(len(page)), "page": float(len(rows))}
 
-    def npz_roundtrip() -> dict[str, float]:
-        path = os.path.join(tmpdir.name, "roundtrip.npz")
-        table.save_npz(path)
-        loaded = ResultTable.load_npz(path)
-        return {"rows": float(len(loaded)), "bytes": float(os.path.getsize(path))}
-
     def prepared(name: str, fn, *, repeats: int, warmup: int) -> PreparedCase:
         return PreparedCase(
             case=BenchCase(
@@ -601,7 +595,6 @@ def _results_suite(env: BenchEnv) -> SuiteInstance:
         cases=[
             prepared("append-10k", append_stream, repeats=3, warmup=1),
             prepared("filter-page-10k", filter_page, repeats=5, warmup=1),
-            prepared("npz-roundtrip-10k", npz_roundtrip, repeats=3, warmup=1),
         ],
         close=tmpdir.cleanup,
     )

@@ -97,9 +97,7 @@ def canonical_ordering(spec: str | ParamSpec) -> str:
     equivalent spellings share pipeline cache keys while any genuinely
     different parameterisation gets its own.
     """
-    name, params = resolve_ordering(spec)
-    declared = ORDERINGS.entry(name).params
-    return ParamSpec(name, tuple(params.items())).with_defaults(declared).canonical()
+    return ORDERINGS.canonical(spec)
 
 
 def compute_ordering(pattern: SparsePattern, method: str, **kwargs) -> np.ndarray:

@@ -158,6 +158,21 @@ class Registry(Mapping[str, T]):
         validate_params(self.kind, entry.name, entry.params, parsed.kwargs)
         return entry, parsed.kwargs
 
+    def canonical(self, spec: object) -> str:
+        """Canonical spec string with the entry's declared defaults bound.
+
+        Every spelling of one configuration — name case, parameter order,
+        defaults given or left out — maps to one string:
+        ``STRATEGIES.canonical("HYBRID")`` and
+        ``STRATEGIES.canonical("hybrid(use_predictions=true,alpha=.5)")`` are
+        both ``"hybrid(alpha=0.5,use_predictions=true)"``.  Cache keys, store
+        keys and tune specs all use this form.
+        """
+        from repro.specs import ParamSpec  # deferred: specs is registry-free
+
+        entry, params = self.resolve(spec)
+        return ParamSpec(entry.name, tuple({**entry.params, **params}.items())).canonical()
+
     def params_of(self, name: str) -> dict[str, object]:
         """Declared keyword parameters (name → default) of one entry."""
         return dict(self.entry(name).params)

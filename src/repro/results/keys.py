@@ -1,15 +1,20 @@
 """Canonical case keys: the identity of one result in a result store.
 
-A key is a content address over the *canonical* case parameters with the
-engine defaults bound in — ``nprocs``/``scale`` overrides resolve to their
-effective values and the ordering/strategy spec strings canonicalise through
-:func:`repro.specs.parse_spec` with the name case-folded, as the registries
-resolve names (``HYBRID(alpha=0.50)`` keys as ``hybrid(alpha=.5)`` does).
-The same logical case always lands on the same key whether it arrives
-spelled out or relying on engine defaults; two engines with different
-defaults never collide.  Parameter defaults of a strategy or ordering are
-not bound: ``hybrid(alpha=0.5)`` and
-``hybrid(alpha=0.5,use_predictions=true)`` key apart.
+A key is a content address over the *canonical* case parameters with every
+default bound in: ``nprocs``/``scale`` overrides resolve to the engine's
+effective values, and the ordering/strategy specs take the registries'
+canonical form (:meth:`repro.registry.Registry.canonical`: name case-folded,
+parameters sorted, declared parameter defaults filled in).  So ``hybrid``,
+``HYBRID(alpha=0.50)`` and ``hybrid(use_predictions=true,alpha=.5)`` are one
+key, as are ``metis`` and ``metis(leaf_size=64)``.  The same logical case
+always lands on the same key whether it arrives spelled out or relying on
+defaults; two engines with different defaults never collide.
+
+Version ``"2"`` of the key rule is the one that binds parameter defaults.
+Rows keyed under another version cannot be re-keyed (a row does not hold
+the scale, split threshold or fault seed its key covered), so a
+:class:`~repro.results.store.ResultStore` skips them on replay and their
+cases are recomputed on demand.
 
 The service daemon keys ``GET /result`` with :func:`case_key_for`, so a
 sweep resumed against a daemon's store skips every case the daemon has
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.ordering import ORDERINGS
 from repro.pipeline.store import content_key
-from repro.specs import ParamSpec, parse_spec
+from repro.scheduling import STRATEGIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pipeline.engine import AnalysisPipeline
@@ -30,13 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["CASE_KEY_VERSION", "case_key", "case_key_for"]
 
 #: schema version of the result keys; bump to invalidate every stored result.
-CASE_KEY_VERSION = "1"
-
-
-def _spec_key(text: str) -> str:
-    """The canonical form of one ordering or strategy spec, name case-folded."""
-    spec = parse_spec(text)
-    return ParamSpec(spec.name.lower(), spec.params).canonical()
+CASE_KEY_VERSION = "2"
 
 
 def case_key(
@@ -52,13 +52,13 @@ def case_key(
     """The content key of one case at explicit effective parameters.
 
     The fault axis enters the key only when set (in canonical form, with
-    the seed and replication count that shape the stored summary), so every
-    clean case keeps its seed-era key and stored results stay addressable.
+    the seed and replication count that shape the stored summary), so a
+    clean case's key does not depend on the fault seed.
     """
     params = {
         "problem": spec.problem.upper(),
-        "ordering": _spec_key(spec.ordering),
-        "strategy": _spec_key(spec.strategy),
+        "ordering": ORDERINGS.canonical(spec.ordering),
+        "strategy": STRATEGIES.canonical(spec.strategy),
         "split": bool(spec.split),
         "nprocs": int(nprocs),
         "scale": float(scale),

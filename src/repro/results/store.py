@@ -6,22 +6,25 @@ Layout of a store directory::
       manifest.jsonl          # the store: one JSON line per sealed batch (append-only)
       traces/trace-<key>.npz  # optional delta-encoded SimulationTraces
 
-A sealed batch is one ``{"op": "rows", ...}`` record carrying the batch's
-columns (:meth:`ResultTable.to_record`), appended by
-:func:`repro.durable.append_line` under a lock: one write and, unless
-``fsync=False``, one fsync.  The commit is that single step, so there is
+A sealed batch is one ``{"op": "rows", "key_version": ..., ...}`` record
+carrying the batch's columns (:meth:`ResultTable.to_record`) and the
+:data:`~repro.results.keys.CASE_KEY_VERSION` its keys were made under,
+appended by :func:`repro.durable.append_line` under a lock: one write and,
+unless ``fsync=False``, one fsync.  The commit is that single step, so there is
 nothing to repair after a crash.  A record cut by a crash mid-append is
 skipped on replay by :mod:`repro.durable`'s torn-tail rule; its rows are
 lost and recomputed on demand, and every later record replays whole.
 Nothing is ever rewritten in place; a crash at any point loses at most the
 rows still buffered in a writer, or the batch whose record it cut.
 
-Stores written before batches went inline hold ``{"op": "segment",
-"file": ...}`` lines naming ``seg-*.npz`` files; those still load (read
-only, through :meth:`ResultTable.load_npz`), and new batches are appended
-to the same manifest.  A segment file that does not load is skipped and
-counted in :attr:`ResultStore.replay_skipped`, as is a ``rows`` record that
-does not decode; their rows are recomputed on demand.
+Replay ingests only ``rows`` records stamped with the current key version.
+Every other record is skipped and counted in
+:attr:`ResultStore.replay_skipped`: a record that does not decode, a
+``rows`` record keyed under another version (or unstamped, as written
+before keys bound parameter defaults) and a ``segment`` line of the older
+segment-file format.  No query can reach rows keyed under another version,
+so their cases are recomputed on demand, and new batches are appended to
+the same manifest.
 
 One :class:`ResultWriter` per producer (sweep driver, service shard);
 concurrent writers, even in different processes sharing the directory,
@@ -48,6 +51,7 @@ import numpy as np
 
 from repro.durable import append_line, atomic_write, read_lines, remove_stale_temps
 from repro.pipeline.stage import CaseResult
+from repro.results.keys import CASE_KEY_VERSION
 from repro.results.table import ResultTable, ResultTableBuilder
 from repro.results.traces import decode_trace, encode_trace
 
@@ -81,12 +85,11 @@ class ResultStore:
         self._lock = threading.RLock()
         self._batches = 0  # batches ingested, in manifest order
         self._index: dict[str, tuple[ResultTable, int]] = {}  # key → (batch, row)
-        self._segment_files: set[str] = set()  # legacy segment files already read
         self._manifest_offset = 0  # manifest bytes consumed, up to the last newline
         self._merged = ResultTableBuilder().build()  # the deduplicated rows so far
         self._unmerged: list[ResultTable] = []  # batches ingested since the last merge
         self._default_writer: Optional[ResultWriter] = None
-        self.replay_skipped = 0  # manifest entries whose rows could not be read
+        self.replay_skipped = 0  # manifest records not ingested (undecodable or another key version)
         self.refresh()
 
     # ------------------------------------------------------------------ #
@@ -117,23 +120,15 @@ class ResultStore:
         return self._batches - before
 
     def _decode(self, event: dict) -> Optional[ResultTable]:
-        """The batch of one manifest record, or ``None`` if it holds none."""
-        try:
-            if event.get("op") == "rows":
+        """The batch of one manifest record, or ``None`` (counted) if it serves none."""
+        if event.get("op") == "rows" and event.get("key_version") == CASE_KEY_VERSION:
+            try:
                 return ResultTable.from_record(event)
-            filename = event.get("file")
-            if event.get("op") == "segment" and isinstance(filename, str):
-                # a store written before batches went inline: read only, once
-                if filename in self._segment_files:
-                    return None
-                self._segment_files.add(filename)
-                return ResultTable.load_npz(self.directory / filename)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError, EOFError):
-            # a foreign record or torn segment must never poison replay; the
-            # rows it would have held are simply recomputed by the next sweep
-            self.replay_skipped += 1
+            except (ValueError, KeyError, TypeError):
+                pass
+        # a foreign, undecodable or other-version record must never poison
+        # replay; the rows it would have held are recomputed on demand
+        self.replay_skipped += 1
         return None
 
     def _ingest(self, table: ResultTable) -> None:
@@ -183,7 +178,7 @@ class ResultStore:
         the in-memory batch order equal to the manifest order even when a
         sibling appended lines since the last read.
         """
-        record = {"op": "rows", **table.to_record()}
+        record = {"op": "rows", "key_version": CASE_KEY_VERSION, **table.to_record()}
         with self._lock:
             append_line(self.manifest_path, record, fsync=self.fsync)
             self._read_manifest_tail((record, table))

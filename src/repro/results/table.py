@@ -15,17 +15,13 @@ field as one numpy column instead:
 * every row may carry its canonical case ``key`` (see
   :mod:`repro.results.keys`) for indexed lookup and deduplication.
 
-A table persists in two schema-tagged forms, both exact:
-
-* :meth:`to_record` / :meth:`from_record` — one JSON object, which is how a
-  :class:`~repro.results.store.ResultStore` seals a batch as a single
-  manifest line.  Vocabularies and keys are JSON lists of strings; every
-  array (string codes, numeric columns, per-processor values and offsets)
-  is its little-endian raw bytes in base64, so no decimal round-trip is
-  involved;
-* :meth:`save_npz` / :meth:`load_npz` — one compressed ``.npz`` file
-  (atomic write), the standalone export and the form of store segments
-  written before batches went inline.
+A table persists as one schema-tagged JSON object, exactly:
+:meth:`to_record` / :meth:`from_record`, which is how a
+:class:`~repro.results.store.ResultStore` seals a batch as a single
+manifest line.  Vocabularies and keys are JSON lists of strings; every
+array (string codes, numeric columns, per-processor values and offsets) is
+its little-endian raw bytes in base64, so no decimal round-trip is
+involved.
 
 :meth:`to_parquet` additionally exports to parquet when ``pyarrow`` happens
 to be installed — it is never required.
@@ -40,14 +36,12 @@ values the dataclass did, so a materialized row compares bit-identical.
 from __future__ import annotations
 
 import base64
-import io
 import os
 from collections.abc import Sequence
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from repro.durable import atomic_write
 from repro.pipeline.stage import CaseResult
 from repro.serialize import check_schema, schema_tag
 
@@ -420,37 +414,6 @@ class ResultTable:
             raise ValueError(f"malformed {_SCHEMA_KIND} record: per-processor offsets and values disagree")
         return table
 
-    def save_npz(self, path: str | os.PathLike, *, fsync: bool = False) -> None:
-        """Write the table as one compressed ``.npz``, atomically.
-
-        Written with :func:`repro.durable.atomic_write`, so a reader never
-        observes a torn file; ``fsync=True`` additionally makes the bytes
-        durable before the rename.
-        """
-        payload: dict[str, np.ndarray] = {"schema": np.asarray(schema_tag(_SCHEMA_KIND))}
-        for name in STRING_COLUMNS:
-            payload[f"{name}_codes"] = self._codes[name]
-            payload[f"{name}_vocab"] = self._vocabs[name]
-        for name, _ in NUMERIC_COLUMNS:
-            payload[name] = self._numeric[name]
-        payload["per_proc_values"] = self._values
-        payload["per_proc_offsets"] = self._offsets
-        payload["keys"] = self._keys.astype(str)
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **payload)
-        atomic_write(path, buffer.getvalue(), fsync=fsync)
-
-    @classmethod
-    def load_npz(cls, path: str | os.PathLike) -> "ResultTable":
-        """Load a table written by :meth:`save_npz` (schema-checked)."""
-        with np.load(os.fspath(path), allow_pickle=False) as data:
-            check_schema(_SCHEMA_KIND, {"schema": str(data["schema"])})
-            return cls._from_arrays(
-                {name: data[name] for name, _ in _ARRAYS},
-                {name: data[f"{name}_vocab"] for name in STRING_COLUMNS},
-                data["keys"],
-            )
-
     def to_parquet(self, path: str | os.PathLike) -> None:
         """Export to parquet — optional, gated on ``pyarrow`` being present.
 
@@ -464,7 +427,7 @@ class ResultTable:
         except ImportError:
             raise RuntimeError(
                 "parquet export needs the optional 'pyarrow' package, which is "
-                "not installed; use save_npz() (the native format) instead"
+                "not installed; use to_record() (the native format) instead"
             ) from None
         columns: dict[str, object] = {}
         for name in STRING_COLUMNS:

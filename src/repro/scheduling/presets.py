@@ -170,5 +170,4 @@ def canonical_strategy(spec: str | ParamSpec) -> str:
     cache keys use, so equivalent spellings share artifacts and distinct
     parameterisations never collide.
     """
-    strategy, params = resolve_strategy(spec)
-    return ParamSpec(strategy.name, tuple(params.items())).with_defaults(strategy.params).canonical()
+    return STRATEGIES.canonical(spec)

@@ -160,11 +160,6 @@ class ParamSpec:
         inner = ",".join(f"{k}={format_value(v)}" for k, v in self.params)
         return f"{self.name}({inner})"
 
-    def with_defaults(self, defaults: Mapping[str, ParamValue]) -> "ParamSpec":
-        """This spec with ``defaults`` filled in for absent parameters."""
-        merged = {**defaults, **self.kwargs}
-        return ParamSpec(self.name, tuple(merged.items()))
-
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "params": self.kwargs}
 

@@ -29,6 +29,7 @@ from repro.serialize import decode_fields, with_schema
 from repro.specs import canonical_float
 from repro.tune.leaderboard import Leaderboard, LeaderboardEntry
 from repro.tune.objective import (
+    OBJECTIVES,
     Objective,
     aggregate,
     bootstrap_ci,
@@ -142,11 +143,7 @@ def _tuple_axis(values: object, name: str) -> tuple[str, ...]:
 
 
 def _canonical_objective(spec: str) -> str:
-    from repro.specs import ParamSpec
-    from repro.tune.objective import OBJECTIVES
-
-    entry, params = OBJECTIVES.resolve(spec)
-    return ParamSpec(entry.name, tuple(params.items())).with_defaults(entry.params).canonical()
+    return OBJECTIVES.canonical(spec)
 
 
 def _subset_count(total: int, fraction: float) -> int:

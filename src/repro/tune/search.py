@@ -291,8 +291,5 @@ def make_searcher(spec: str) -> Searcher:
 
 
 def canonical_searcher(spec: str) -> str:
-    """The spec with defaults bound (mirrors ``canonical_strategy``)."""
-    from repro.specs import ParamSpec
-
-    entry, params = SEARCHERS.resolve(spec)
-    return ParamSpec(entry.name, tuple(params.items())).with_defaults(entry.params).canonical()
+    """The spec with defaults bound (see :meth:`Registry.canonical`)."""
+    return SEARCHERS.canonical(spec)

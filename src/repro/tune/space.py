@@ -78,15 +78,19 @@ class Domain(ABC):
 
 @dataclass(frozen=True)
 class Range(Domain):
-    """A continuous float range ``[lo, hi]``, uniform or log-uniform."""
+    """A continuous float range ``[lo, hi]``, uniform or log-uniform.
+
+    The bounds are kept in :func:`~repro.specs.canonical_float` form, as
+    every drawn value is, so rounding a value never carries it outside them.
+    """
 
     lo: float
     hi: float
     log: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "lo", canonical_float(float(self.lo)))
+        object.__setattr__(self, "hi", canonical_float(float(self.hi)))
         if not self.lo < self.hi:
             raise ValueError(f"range needs lo < hi, got {self.lo!r}..{self.hi!r}")
         if self.log and self.lo <= 0:
@@ -173,12 +177,16 @@ class IntRange(Domain):
 
 @dataclass(frozen=True)
 class Choice(Domain):
-    """An explicit, ordered set of values (categorical; a single value pins it)."""
+    """An explicit, ordered set of values (categorical; a single value pins it).
+
+    Float values are kept in :func:`~repro.specs.canonical_float` form, the
+    form a rendered configuration carries them in.
+    """
 
     values: tuple[ParamValue, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.values)
+        values = tuple(canonical_float(v) if isinstance(v, float) else v for v in self.values)
         if not values:
             raise ValueError("a choice domain needs at least one value")
         if len(set(values)) != len(values):

@@ -3,14 +3,13 @@
 Covers the :mod:`repro.results` package layer by layer — exact
 ``CaseResult`` round-trips through the columns, the versioned
 serialization policy of :mod:`repro.serialize`, the append-only
-:class:`ResultStore` (replay, torn records, stores written in the older
-segment-file format) and the delta-encoded trace codec.
+:class:`ResultStore` (replay, torn records, records of an older format or
+key version) and the delta-encoded trace codec.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import sys
 import tempfile
 import threading
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 from repro.durable import append_line
 from repro.pipeline.stage import CaseResult, CaseSpec
 from repro.results import (
+    CASE_KEY_VERSION,
     CaseResultView,
     RESULT_COLUMNS,
     ResultStore,
@@ -65,23 +65,14 @@ def make_result(i: int, *, problem: str = "XENON2", nprocs: int = 4, key_seed: f
     )
 
 
+def manifest_record(table: ResultTable, *, key_version: str | None = CASE_KEY_VERSION) -> bytes:
+    """The manifest line a store seals ``table`` as (unstamped, as older stores wrote it)."""
+    stamp = {} if key_version is None else {"key_version": key_version}
+    return canonical_json({"op": "rows", **stamp, **table.to_record()})
+
+
 #: the manifest record the store writes when it seals ``make_result(1)`` as "k1".
-_MANIFEST_RECORD = canonical_json(
-    {"op": "rows", **ResultTable.from_results([make_result(1)], keys=["k1"]).to_record()}
-)
-
-#: a store written by the segment-file format that preceded inline batches
-_PARENT_STORE = Path(__file__).parent / "golden" / "parent_store"
-
-
-def seal_segment(directory: Path, filename: str, table: ResultTable) -> None:
-    """Seal ``table`` as the segment-file format did: an ``.npz``, then its line."""
-    table.save_npz(directory / filename)
-    append_line(
-        directory / "manifest.jsonl",
-        {"op": "segment", "file": filename, "rows": len(table)},
-        fsync=False,
-    )
+_MANIFEST_RECORD = manifest_record(ResultTable.from_results([make_result(1)], keys=["k1"]))
 
 
 def assert_results_equal(a: CaseResult, b: CaseResult) -> None:
@@ -275,16 +266,6 @@ class TestResultTable:
         survivors = [i for i, (k, _) in enumerate(rows) if not k or last[k] == i]
         assert merged.dedupe_by_key().to_dicts() == expected.take(survivors).to_dicts()
 
-    def test_npz_roundtrip(self, tmp_path):
-        results = [make_result(i, nprocs=2 + i % 4) for i in range(9)]
-        table = ResultTable.from_results(results, keys=[f"k{i}" for i in range(9)])
-        path = tmp_path / "table.npz"
-        table.save_npz(path)
-        loaded = ResultTable.load_npz(path)
-        assert loaded.to_dicts() == table.to_dicts()
-        # no temp sibling left behind
-        assert list(tmp_path.iterdir()) == [path]
-
     @pytest.mark.parametrize("n", [0, 1, 9])
     def test_record_roundtrip_is_exact(self, n):
         results = [make_result(i, nprocs=1 + i % 4, key_seed=1 / 3) for i in range(n)]
@@ -313,12 +294,6 @@ class TestResultTable:
             ResultTable.from_record({**record, "keys": ["a"]})
         with pytest.raises(KeyError):
             ResultTable.from_record({key: v for key, v in record.items() if key != "arrays"})
-
-    def test_npz_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bogus.npz"
-        np.savez_compressed(path, schema=np.asarray("trace/v1"))
-        with pytest.raises(ValueError, match="expected a 'result_table' payload"):
-            ResultTable.load_npz(path)
 
     def test_parquet_gate_without_pyarrow(self, tmp_path):
         try:
@@ -484,54 +459,33 @@ class TestResultStore:
         assert set(replayed.keys()) == expected and replayed.replay_skipped == 0
         assert sorted(p.name for p in directory.iterdir()) == ["manifest.jsonl"]
 
-    def test_torn_segment_is_counted_not_fatal(self, tmp_path):
+    def test_records_of_an_older_format_are_skipped_and_counted(self, tmp_path):
+        # a store written before keys bound parameter defaults: a line of the
+        # segment-file format and an unstamped rows record
         directory = tmp_path / "store"
         directory.mkdir()
-        for i, name in enumerate(["seg-0a-000000.npz", "seg-0a-000001.npz"]):
-            seal_segment(directory, name, ResultTable.from_results([make_result(i)], keys=[f"k{i}"]))
-        # corrupt one segment file in place, and append an undecodable record
-        (directory / "seg-0a-000000.npz").write_bytes(b"not an npz at all")
-        append_line(directory / "manifest.jsonl", {"op": "rows", "rows": 1}, fsync=False)
-        reopened = ResultStore(directory, fsync=False)
-        assert reopened.replay_skipped == 2
-        assert list(reopened.keys()) == ["k1"]  # the surviving row is still served
-        assert reopened.stats() == {"rows": 1, "segments": 1, "replay_skipped": 2}
-        assert reopened.refresh() == 0 and reopened.replay_skipped == 2  # counted once
-
-    def test_lineless_segment_file_is_not_adopted(self, tmp_path):
-        directory = tmp_path / "store"
-        store = ResultStore(directory, fsync=False)
-        store.append("manifested", make_result(0))
-        # an older writer crashed between its segment file and its line
-        ResultTable.from_results([make_result(1)], keys=["lost"]).save_npz(
-            directory / "seg-deadbeef-000000.npz"
+        old = ResultTable.from_results([make_result(0), make_result(1)], keys=["k0", "k1"])
+        (directory / "manifest.jsonl").write_bytes(
+            canonical_json({"op": "segment", "file": "seg-0a-000000.npz", "rows": 3})
+            + manifest_record(old, key_version=None)
         )
-        reopened = ResultStore(directory, fsync=False)
-        assert list(reopened.keys()) == ["manifested"]
-        assert reopened.refresh() == 0 and "lost" not in reopened
-        assert len(store.manifest_path.read_bytes().splitlines()) == 1  # nothing re-manifested
-
-    def test_parent_format_store_opens_and_serves_every_row(self, tmp_path):
-        # written by the segment-file format: four .npz segments, four lines
-        directory = tmp_path / "store"
-        shutil.copytree(_PARENT_STORE, directory)
-        expected = json.loads((_PARENT_STORE.parent / "parent_store_rows.json").read_text())
         store = ResultStore(directory, fsync=False)
-        assert store.stats() == {"rows": 6, "segments": 4, "replay_skipped": 0}
-        assert store.table().to_dicts() == expected
-        for row in expected:
-            assert store.get(row["key"]).to_dict() == {k: v for k, v in row.items() if k != "key"}
-        # new batches go to the same manifest, after the segment lines
-        store.append("k1", make_result(1))
-        store.append("k9", make_result(9))
+        assert store.stats() == {"rows": 0, "segments": 0, "replay_skipped": 2}
+        assert "k0" not in store and len(store.table()) == 0
+        assert store.refresh() == 0 and store.replay_skipped == 2  # counted once
+        # their cases are recomputed and appended after the old lines
+        store.append("k0", make_result(0, key_seed=1.0))
+        store.append("k2", make_result(2))
+        for served in (store, ResultStore(directory, fsync=False)):
+            assert served.stats() == {"rows": 2, "segments": 2, "replay_skipped": 2}
+            assert list(served.keys()) == ["k0", "k2"]
+            assert_results_equal(served.get("k0"), make_result(0, key_seed=1.0))
+            assert_results_equal(served.get("k2"), make_result(2))
         lines = store.manifest_path.read_bytes().splitlines()
-        assert [json.loads(line)["op"] for line in lines] == ["segment"] * 4 + ["rows"] * 2
-        reopened = ResultStore(directory, fsync=False)
-        assert reopened.stats() == {"rows": 7, "segments": 6, "replay_skipped": 0}
-        assert reopened.table().to_dicts() == store.table().to_dicts()
-        assert_results_equal(reopened.get("k1"), make_result(1))
-        untouched = [row for row in expected if row["key"] != "k1"]
-        assert reopened.table().to_dicts()[: len(untouched)] == untouched
+        assert [json.loads(line).get("key_version") for line in lines] == [None, None] + [CASE_KEY_VERSION] * 2
+        # a stamped record that does not decode is skipped the same way
+        append_line(store.manifest_path, {"op": "rows", "key_version": CASE_KEY_VERSION, "rows": 1}, fsync=False)
+        assert store.refresh() == 0 and store.stats()["replay_skipped"] == 3
 
     def test_refresh_picks_up_sibling_writers(self, tmp_path):
         directory = tmp_path / "store"
@@ -551,40 +505,30 @@ class TestResultStore:
         assert len(store.table()) == 6
 
 
-def manifest_batches(
-    directory: Path, manifest: bytes, loaded: dict[str, ResultTable]
-) -> list[ResultTable]:
+def manifest_batches(manifest: bytes) -> list[ResultTable]:
     """The batches a manifest holds, in order, worked out line by line.
 
-    Only newline-terminated lines count; a ``rows`` record holds its batch,
-    and a legacy ``segment`` line names an ``.npz`` file (first naming
-    wins, ``loaded`` caches those files by filename across calls).
+    Only newline-terminated lines count, and only a ``rows`` record stamped
+    with the current key version holds a batch; a legacy writer's line
+    (a ``segment`` line or an unstamped ``rows`` record) holds none.
     """
     batches = []
-    named: set[str] = set()
     for line in manifest[: manifest.rfind(b"\n") + 1].splitlines():
         try:
             event = json.loads(line)
         except ValueError:
             continue
-        if event["op"] == "rows":
+        if event["op"] == "rows" and event.get("key_version") == CASE_KEY_VERSION:
             batches.append(ResultTable.from_record(event))
-        elif event["file"] not in named:
-            named.add(event["file"])
-            if event["file"] not in loaded:
-                loaded[event["file"]] = ResultTable.load_npz(directory / event["file"])
-            batches.append(loaded[event["file"]])
     return batches
 
 
-def manifest_oracle(
-    directory: Path, manifest: bytes, loaded: dict[str, ResultTable]
-) -> list[tuple[str, CaseResult]]:
+def manifest_oracle(manifest: bytes) -> list[tuple[str, CaseResult]]:
     """The live rows a store over ``manifest`` must hold, worked out row by row.
 
     Last write wins and the survivors keep manifest order.
     """
-    batches = manifest_batches(directory, manifest, loaded)
+    batches = manifest_batches(manifest)
     rows = [(str(t.keys[r]), t.result(r)) for t in batches for r in range(len(t))]
     last = {key: n for n, (key, _) in enumerate(rows)}
     return [(key, result) for n, (key, result) in enumerate(rows) if last[key] == n]
@@ -600,7 +544,7 @@ _STORE_OPS = st.one_of(
         st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=4),
     ),
     st.tuples(st.just("tear"), st.integers(0, 5), st.integers(0, 3), st.floats(0.0, 1.0)),
-    st.tuples(st.just("legacy"), st.integers(0, 5), st.integers(0, 3)),
+    st.tuples(st.just("legacy"), st.integers(0, 5), st.integers(0, 3), st.booleans()),
     st.tuples(st.just("refresh"), st.integers(0, 1)),
     st.tuples(st.just("reopen"), st.integers(0, 1)),
 )
@@ -623,8 +567,6 @@ class TestResultStoreReads:
             manifest.touch()
             # the manifest each instance has read in full, as of its last op
             seen = [b"", b""]
-            loaded: dict[str, ResultTable] = {}
-            legacy = 0
             for op in ops:
                 if op[0] == "append":
                     _, i, key, variant = op
@@ -639,7 +581,7 @@ class TestResultStoreReads:
                     # short (maybe to nothing, maybe to all but its newline)
                     _, key, variant, fraction = op
                     table = ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"])
-                    record = canonical_json({"op": "rows", **table.to_record()})
+                    record = manifest_record(table)
                     with open(manifest, "ab+") as fh:
                         if fh.seek(0, 2) > 0:
                             fh.seek(-1, 2)
@@ -648,11 +590,15 @@ class TestResultStoreReads:
                         fh.write(record[: int(fraction * (len(record) - 1))])
                     continue
                 elif op[0] == "legacy":
-                    # a writer of the segment-file format seals one row
-                    _, key, variant = op
-                    table = ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"])
-                    seal_segment(directory, f"seg-ffffffff-{legacy:06d}.npz", table)
-                    legacy += 1
+                    # a writer of an older format seals one row: a segment
+                    # line, or a rows record without a key version
+                    _, key, variant, segment = op
+                    if segment:
+                        line = {"op": "segment", "file": f"seg-ffffffff-{key:06d}.npz", "rows": 1}
+                    else:
+                        table = ResultTable.from_results([_variant(key, variant)], keys=[f"k{key}"])
+                        line = {"op": "rows", **table.to_record()}
+                    append_line(manifest, line, fsync=False)
                     continue
                 elif op[0] == "refresh":
                     i = op[1]
@@ -663,7 +609,7 @@ class TestResultStoreReads:
                 seen[i] = manifest.read_bytes()
 
                 for store, view in zip(stores, seen):
-                    live = manifest_oracle(directory, view, loaded)
+                    live = manifest_oracle(view)
                     expected = ResultTable.from_results(
                         [result for _, result in live], keys=[key for key, _ in live]
                     )
@@ -710,7 +656,7 @@ class TestResultStoreReads:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert len(store) == len(written)
-        live = manifest_oracle(directory, (directory / "manifest.jsonl").read_bytes(), {})
+        live = manifest_oracle((directory / "manifest.jsonl").read_bytes())
         expected = ResultTable.from_results(
             [result for _, result in live], keys=[key for key, _ in live]
         )
@@ -746,7 +692,7 @@ class TestResultStoreReads:
         reader.refresh()
         # the manifest is replaced by a shorter one holding a new batch
         table = ResultTable.from_results([make_result(9)], keys=["k9"])
-        shrunk = canonical_json({"op": "rows", **table.to_record()})
+        shrunk = manifest_record(table)
         (directory / "manifest.jsonl").write_bytes(shrunk)
         assert reader.refresh() == 1 and "k9" in reader and len(reader) == 4
         assert (directory / "manifest.jsonl").read_bytes() == shrunk

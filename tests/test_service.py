@@ -502,6 +502,26 @@ class TestStoreServedResults:
         assert canonical_json(served.payload) == canonical_json(computed.payload)
         assert not any(b.engine.stage_runs.values())
 
+    def test_spelled_out_defaults_hit_the_stored_case(self, tmp_path):
+        service = _make_service(tmp_path)
+        try:
+            computed = service.query({"problem": "XENON2", "strategy": "hybrid"})
+            spelled = service.query(
+                {
+                    "problem": "XENON2",
+                    "ordering": "METIS(leaf_size=64)",
+                    "strategy": "hybrid(alpha=0.5,use_predictions=true)",
+                },
+                compute=False,
+            )
+            listing = service.list_results({})
+        finally:
+            service.stop()
+        assert computed.cached is False and spelled.cached is True
+        assert spelled.key == computed.key
+        assert canonical_json(spelled.payload) == canonical_json(computed.payload)
+        assert listing["total"] == 1 and [row["key"] for row in listing["results"]] == [computed.key]
+
 
 # --------------------------------------------------------------------------- #
 # end-to-end over a real socket

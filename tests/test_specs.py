@@ -20,6 +20,42 @@ from repro.scheduling.hybrid import HybridSlaveSelector
 from repro.results import case_key_for
 from repro.service.daemon import case_spec_from_query
 from repro.specs import ParamSpec, SweepSpec, format_value, parse_spec, split_spec_list
+from repro.tune.driver import _canonical_objective
+from repro.tune.objective import OBJECTIVES
+from repro.tune.search import SEARCHERS, canonical_searcher
+
+#: the canonical form of every registered name (all defaults bound)
+_CANONICAL = {
+    "mumps-workload": "mumps-workload",
+    "memory-basic": "memory-basic",
+    "memory-slave": "memory-slave",
+    "memory-task": "memory-task",
+    "memory-full": "memory-full",
+    "hybrid": "hybrid(alpha=0.5,use_predictions=true)",
+    "metis": "metis(balance=0.5,handle_hubs=true,leaf_method=degree,leaf_size=64,seed=0)",
+    "pord": "pord(balance=0.45,leaf_size=48,nd_levels=4,seed=0)",
+    "amd": "amd(seed=0)",
+    "amf": "amf(seed=0)",
+    "rcm": "rcm",
+    "natural": "natural",
+    "grid": "grid(resolution=3)",
+    "random": "random(samples=8)",
+    "halving": "halving(eta=2,fidelity=scale,rungs=3,samples=8)",
+    "makespan": "makespan",
+    "peak-memory": "peak-memory",
+    "avg-memory": "avg-memory",
+    "weighted": "weighted(memory=1,time=1)",
+    "robustness": "robustness(metric=p95)",
+}
+#: spellings with parameters, and their canonical forms
+_SPELLED_CANONICAL = {
+    "Hybrid( use_predictions=false, alpha=.25 )": "hybrid(alpha=0.25,use_predictions=false)",
+    "METIS(seed=3, leaf_size=32)": "metis(balance=0.5,handle_hubs=true,leaf_method=degree,leaf_size=32,seed=3)",
+    "Pord(balance=0.450)": "pord(balance=0.45,leaf_size=48,nd_levels=4,seed=0)",
+    "halving(rungs=2,fidelity=nprocs)": "halving(eta=2,fidelity=nprocs,rungs=2,samples=8)",
+    "weighted(time=2.5)": "weighted(memory=1,time=2.5)",
+    "robustness(metric=p50)": "robustness(metric=p50)",
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -146,6 +182,30 @@ class TestRegistry:
         assert "alpha" in strategies["hybrid"]["params"]
         orderings = {e["name"]: e for e in ORDERINGS.describe()}
         assert "leaf_size" in orderings["metis"]["params"]
+
+    def test_canonical_matches_every_family_helper_byte_for_byte(self):
+        # what each family's own helper returned before they all delegated
+        # to Registry.canonical: pipeline artifact keys are built from these
+        families = (
+            (STRATEGIES, canonical_strategy),
+            (ORDERINGS, canonical_ordering),
+            (SEARCHERS, canonical_searcher),
+            (OBJECTIVES, _canonical_objective),
+        )
+        assert {name for registry, _ in families for name in registry} == set(_CANONICAL)
+        for registry, helper in families:
+            for name in registry:
+                assert registry.canonical(name.upper()) == _CANONICAL[name]
+                assert helper(name.upper()) == _CANONICAL[name]
+            for spelled, canonical in _SPELLED_CANONICAL.items():
+                if parse_spec(spelled).name.lower() in registry:
+                    assert registry.canonical(spelled) == helper(spelled) == canonical
+
+    def test_canonical_rejects_what_resolve_rejects(self):
+        with pytest.raises(ValueError, match="accepted"):
+            STRATEGIES.canonical("hybrid(gamma=1)")
+        with pytest.raises(ValueError, match="did you mean 'metis'"):
+            ORDERINGS.canonical("metsi")
 
 
 # --------------------------------------------------------------------------- #
@@ -364,6 +424,15 @@ def _spelled(draw, name: str, params: dict[str, object], *, any_case: bool = Tru
     return f"{spelled_name}{draw(pad)}({','.join(rendered)})"
 
 
+@st.composite
+def _with_defaults(draw, registry: Registry, name: str, params: dict[str, object]) -> dict[str, object]:
+    """``params`` plus any subset of ``name``'s other declared defaults, spelled out."""
+    declared = registry.params_of(name)
+    missing = sorted(set(declared) - set(params))
+    chosen = draw(st.lists(st.sampled_from(missing), unique=True)) if missing else []
+    return {**params, **{key: declared[key] for key in chosen}}
+
+
 #: every fault model's parameters, each with the values it accepts
 _FAULT_PARAMS = {
     "stragglers": {"frac": st.floats(0.0, 1.0), "slowdown": st.floats(0.01, 100.0)},
@@ -454,13 +523,16 @@ class TestSpecProperties:
         assert canonical_faults(canonical) == canonical
         assert parse_faults(canonical) == parse_faults(text)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from(["xenon2", "pre2", "bmwcra_1"]),
-        st.sampled_from([("metis", {}), ("amd", {}), ("metis", {"leaf_size": 32})]),
+        st.sampled_from(
+            [("metis", {}), ("amd", {}), ("pord", {}), ("metis", {"leaf_size": 32}), ("amf", {"seed": 3})]
+        ),
         st.one_of(
-            st.tuples(st.sampled_from(["memory-full", "mumps-workload"]), st.just({})),
+            st.tuples(st.sampled_from(["memory-full", "mumps-workload", "hybrid"]), st.just({})),
             st.tuples(st.just("hybrid"), st.fixed_dictionaries({"alpha": st.floats(0.0, 1.0)})),
+            st.tuples(st.just("hybrid"), st.fixed_dictionaries({"use_predictions": st.booleans()})),
         ),
         st.booleans(),
         st.data(),
@@ -468,6 +540,7 @@ class TestSpecProperties:
     def test_equal_cases_share_a_store_key_whatever_the_spelling(
         self, problem, ordering, strategy, split, data
     ):
+        """Defaults explicit or implicit, any parameter order, any name case: one key."""
         def key(spelling: tuple[str, str, str]) -> str:
             query = {"problem": spelling[0], "ordering": spelling[1], "strategy": spelling[2]}
             if split:
@@ -484,8 +557,8 @@ class TestSpecProperties:
         )
         spelled = (
             data.draw(_any_case(problem)),
-            data.draw(_spelled(*ordering)),
-            data.draw(_spelled(*strategy)),
+            data.draw(_spelled(ordering[0], data.draw(_with_defaults(ORDERINGS, *ordering)))),
+            data.draw(_spelled(strategy[0], data.draw(_with_defaults(STRATEGIES, *strategy)))),
         )
         assert key(spelled) == key(plain)
 

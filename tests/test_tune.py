@@ -14,9 +14,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.scheduling import STRATEGIES
 from repro.session import open_session
-from repro.specs import parse_spec
+from repro.specs import canonical_float, parse_spec
 from repro.tune import (
     Choice,
     GridSearcher,
@@ -151,6 +154,97 @@ class TestSearchSpace:
     def test_parse_space_idempotent(self):
         space = parse_space(SPACE)
         assert parse_space(space) is space
+
+
+def _float_ranges(*, positive: bool = False) -> st.SearchStrategy[Range]:
+    bound = st.floats(1e-6 if positive else -1e6, 1e6, allow_nan=False)
+    return st.tuples(bound, bound, st.booleans()).filter(
+        lambda t: canonical_float(t[0]) < canonical_float(t[1])
+    ).map(
+        lambda t: Range(t[0], t[1], log=positive and t[2])
+    )
+
+
+def _int_ranges(lo: int, hi: int) -> st.SearchStrategy[IntRange]:
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi), st.booleans()).filter(
+        lambda t: t[0] < t[1]
+    ).map(lambda t: IntRange(t[0], t[1], log=t[0] > 0 and t[2]))
+
+
+#: a domain for each declared strategy parameter, of the value type it takes
+_PARAM_DOMAINS = {
+    "alpha": st.one_of(
+        _float_ranges(),
+        _float_ranges(positive=True),
+        _int_ranges(0, 3),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique_by=canonical_float).map(
+            lambda values: Choice(tuple(values))
+        ),
+    ),
+    "use_predictions": st.permutations([True, False]).flatmap(
+        lambda order: st.integers(1, 2).map(lambda n: Choice(tuple(order[:n])))
+    ),
+}
+
+
+@st.composite
+def _spaces(draw) -> SearchSpace:
+    """A space over any registered preset, any subset of its parameters."""
+    name = draw(st.sampled_from(list(STRATEGIES)))
+    keys = draw(st.lists(st.sampled_from(sorted(STRATEGIES.params_of(name)) or [""]), unique=True))
+    params = tuple((key, draw(_PARAM_DOMAINS[key])) for key in keys if key)
+    split = draw(st.sampled_from([(False,), (True,), (False, True), (True, False)]))
+    threshold = draw(
+        st.one_of(
+            st.none(),
+            _int_ranges(1, 10**6),
+            st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True).map(
+                lambda values: Choice(tuple(values))
+            ),
+        )
+    )
+    return SearchSpace(strategy=name, params=params, split=split, split_threshold=threshold)
+
+
+def _inside(domain, value) -> bool:
+    if isinstance(domain, Choice):
+        return value in domain.values
+    if isinstance(domain, IntRange) and (isinstance(value, bool) or not isinstance(value, int)):
+        return False
+    return domain.lo <= value <= domain.hi
+
+
+class TestSearchSpaceProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(_spaces())
+    def test_canonical_and_dict_forms_round_trip(self, space):
+        parsed = parse_space(space.canonical(), split=space.split, split_threshold=space.split_threshold)
+        assert parsed == space and parsed.canonical() == space.canonical()
+        assert SearchSpace.from_dict(space.to_dict()) == space
+        assert SearchSpace.from_dict(json.loads(json.dumps(space.to_dict()))) == space
+
+    @settings(max_examples=60, deadline=None)
+    @given(_spaces(), st.integers(1, 4))
+    def test_grid_size_counts_the_grid(self, space, resolution):
+        assert space.grid_size(resolution) == len(space.grid(resolution))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_spaces(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_every_config_resolves_and_lies_inside_its_domains(self, space, resolution, seed):
+        rng = np.random.default_rng(seed)
+        configs = space.grid(resolution) + [space.sample(rng) for _ in range(4)]
+        domains = dict(space.params)
+        for config in configs:
+            entry, params = STRATEGIES.resolve(config.strategy)
+            assert entry.name == space.strategy
+            assert set(params) == set(domains)
+            for key, value in params.items():
+                assert _inside(domains[key], value), (key, value, domains[key])
+            assert config.split in space.split
+            if space.split_threshold is None:
+                assert config.split_threshold is None
+            else:
+                assert _inside(space.split_threshold, config.split_threshold)
 
 
 # --------------------------------------------------------------------------- #
