@@ -84,6 +84,7 @@ from repro.runtime import FactorizationSimulator, SimulationConfig, SimulationRe
 from repro.scheduling import STRATEGIES, get_strategy, resolve_strategy
 from repro.session import Session, open_session
 from repro.pipeline import CaseResult, CaseSpec
+from repro.pipeline.stages import simulate_strategy
 from repro.results import CaseResultView, ResultStore, ResultTable, case_key
 from repro.experiments import PROBLEMS, get_problem
 
@@ -148,16 +149,7 @@ def simulate(
         tree, _ = split_large_masters(tree, split_threshold)
     if config is None:
         config = SimulationConfig.paper(nprocs)
-    preset, params = resolve_strategy(strategy)
-    slave_selector, task_selector = preset.build(**params)
-    simulator = FactorizationSimulator(
-        tree,
-        config=config,
-        slave_selector=slave_selector,
-        task_selector=task_selector,
-        strategy_name=preset.name,
-    )
-    return simulator.run()
+    return simulate_strategy(tree, None, strategy, config)
 
 
 def quick_compare(

@@ -113,8 +113,7 @@ PIPELINE_SWEEP_AXES = {
     description="simulation kernel on prebuilt analyses + one cold end-to-end sweep",
 )
 def _pipeline_suite(env: BenchEnv) -> SuiteInstance:
-    from repro.runtime import FactorizationSimulator
-    from repro.scheduling import get_strategy
+    from repro.pipeline.stages import simulate_strategy
     from repro.session import Session
     from repro.specs import SweepSpec
 
@@ -126,15 +125,9 @@ def _pipeline_suite(env: BenchEnv) -> SuiteInstance:
         analysis = session.analysis(problem, ordering)
 
         def simulate(analysis=analysis) -> dict[str, float]:
-            slave, task = get_strategy("memory-full").build()
-            result = FactorizationSimulator(
-                analysis.tree,
-                config=session.config,
-                mapping=analysis.mapping,
-                slave_selector=slave,
-                task_selector=task,
-            ).run()
-            return _simulate_metrics(result)
+            return _simulate_metrics(
+                simulate_strategy(analysis.tree, analysis.mapping, "memory-full", session.config)
+            )
 
         cases.append(
             PreparedCase(
@@ -353,8 +346,8 @@ def _components_suite(env: BenchEnv) -> SuiteInstance:
     from repro.analysis import sequential_memory_trace
     from repro.mapping import compute_mapping
     from repro.ordering import compute_ordering
-    from repro.runtime import FactorizationSimulator, SimulationConfig
-    from repro.scheduling import get_strategy
+    from repro.pipeline.stages import simulate_strategy
+    from repro.runtime import SimulationConfig
     from repro.sparse import grid_3d
     from repro.symbolic import build_assembly_tree, column_counts, elimination_tree
 
@@ -365,11 +358,7 @@ def _components_suite(env: BenchEnv) -> SuiteInstance:
     mapping = compute_mapping(tree, env.nprocs, **config.mapping_params())
 
     def simulate() -> dict[str, float]:
-        slave, task = get_strategy("memory-full").build()
-        result = FactorizationSimulator(
-            tree, config=config, mapping=mapping, slave_selector=slave, task_selector=task
-        ).run()
-        return _simulate_metrics(result)
+        return _simulate_metrics(simulate_strategy(tree, mapping, "memory-full", config))
 
     work: list[tuple[str, Callable[[], Optional[Mapping[str, float]]]]] = [
         ("ordering-metis", lambda: {"n": float(compute_ordering(pattern, "metis").shape[0])}),
@@ -708,8 +697,7 @@ ROBUSTNESS_SEED = 7
     description="fault-injection overhead: clean vs faulted simulation on one prebuilt analysis",
 )
 def _robustness_suite(env: BenchEnv) -> SuiteInstance:
-    from repro.runtime import FactorizationSimulator
-    from repro.scheduling import get_strategy
+    from repro.pipeline.stages import simulate_strategy
     from repro.session import Session
 
     # one prebuilt analysis serves both twins, so the pair isolates the
@@ -721,14 +709,7 @@ def _robustness_suite(env: BenchEnv) -> SuiteInstance:
     )
 
     def simulate(config) -> dict[str, float]:
-        slave, task = get_strategy("memory-full").build()
-        result = FactorizationSimulator(
-            analysis.tree,
-            config=config,
-            mapping=analysis.mapping,
-            slave_selector=slave,
-            task_selector=task,
-        ).run()
+        result = simulate_strategy(analysis.tree, analysis.mapping, "memory-full", config)
         metrics = _simulate_metrics(result)
         counts = result.message_counts or {}
         metrics["msg_lost"] = float(counts.get("msg_lost", 0))

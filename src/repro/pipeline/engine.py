@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.pipeline.stage import AnalysisProducts, CaseResult, CaseSpec, SplitArtifact, Stage
-from repro.pipeline.stages import DEFAULT_STAGES
+from repro.pipeline.stages import DEFAULT_STAGES, simulate_strategy
 from repro.pipeline.store import DiskStore, TieredStore, content_key
 from repro.runtime import SimulationConfig, SimulationResult
 from repro.symbolic import AMALGAMATION
@@ -231,7 +231,9 @@ class AnalysisPipeline:
         """
         split_key = self.stage_key("split", spec)
         mapping_key = self.stage_key("mapping", spec)
-        key = content_key("analysis", "1", {}, (split_key, mapping_key))
+        # version 2: bundles of version 1 carried the unscaled problem default
+        # as ``split_threshold`` instead of the threshold the split applied
+        key = content_key("analysis", "2", {}, (split_key, mapping_key))
         try:
             products: AnalysisProducts = self.store.get(key)
         except KeyError:
@@ -242,7 +244,11 @@ class AnalysisPipeline:
             # skip the tree/split/mapping recompute instead of only skipping
             # this method
             if split_key not in self.store:
-                seeded = SplitArtifact(tree=products.tree, nodes_split=products.nodes_split)
+                seeded = SplitArtifact(
+                    tree=products.tree,
+                    nodes_split=products.nodes_split,
+                    threshold=products.split_threshold,
+                )
                 self.store.put(split_key, seeded, persist=False)
             if mapping_key not in self.store:
                 self.store.put(mapping_key, products.mapping, persist=False)
@@ -250,15 +256,12 @@ class AnalysisPipeline:
         from repro.pipeline.stages import _get_problem  # lazy (import cycle)
 
         split_art = self.artifact("split", spec)
-        prob = _get_problem(spec.problem)
         products = AnalysisProducts(
-            problem=prob.name,
+            problem=_get_problem(spec.problem).name,
             ordering=spec.ordering,
             scale=self.effective_scale(spec),
             split=bool(spec.split),
-            split_threshold=(
-                prob.split_threshold if spec.split_threshold is None else int(spec.split_threshold)
-            ),
+            split_threshold=split_art.threshold,
             tree=split_art.tree,
             mapping=self.artifact("mapping", spec),
             nodes_split=split_art.nodes_split,
@@ -273,62 +276,27 @@ class AnalysisPipeline:
         """Run the simulation stage of one case (uncached, see SimulationStage)."""
         return self.artifact("simulate", spec)
 
-    def _case_result(self, spec: CaseSpec, sim_results: list[SimulationResult]) -> CaseResult:
-        """Fold one case's simulation run(s) into its :class:`CaseResult`."""
+    def run_case(self, spec: CaseSpec) -> CaseResult:
+        """Run one full case and return its metrics.
+
+        Resolves the analysis once, then runs one simulator per
+        :meth:`replication_configs` entry on its tree and mapping: a clean
+        case runs once, a faulted case its clean baseline followed by the
+        seeded faulted replications, folded into one :class:`CaseResult`.
+        """
         analysis = self.analysis_for(spec)
-        if len(sim_results) == 1:
-            return CaseResult.from_simulation(analysis, spec.strategy, sim_results[0])
+        sims = []
+        for config in self.replication_configs(spec):
+            sims.append(simulate_strategy(analysis.tree, analysis.mapping, spec.strategy, config))
+            self.stage_runs["simulate"] += 1
+        if len(sims) == 1:
+            return CaseResult.from_simulation(analysis, spec.strategy, sims[0])
         from repro.faults import canonical_faults
 
         return CaseResult.from_replications(
             analysis,
             spec.strategy,
-            sim_results[0],
-            sim_results[1:],
+            sims[0],
+            sims[1:],
             faults=canonical_faults(self.effective_config(spec).faults),
         )
-
-    def run_case(self, spec: CaseSpec) -> CaseResult:
-        """Run one full case and return its metrics.
-
-        A faulted case (``spec.faults`` or an engine config with faults)
-        runs its clean baseline plus the seeded replications in one shared
-        batch — see :meth:`replication_configs`.
-        """
-        if len(self.replication_configs(spec)) == 1:
-            analysis = self.analysis_for(spec)
-            result = self.simulate(spec)
-            return CaseResult.from_simulation(analysis, spec.strategy, result)
-        from repro.pipeline.stages import simulate_batch
-
-        return self._case_result(spec, simulate_batch(self, [spec])[0])
-
-    def run_cases_batched(self, specs: Iterable[CaseSpec]) -> list[CaseResult]:
-        """Run many cases, batching those that share an analysis.
-
-        Specs are grouped by their mapping stage key plus the effective
-        machine config (``track_traces`` and the fault axis aside — they
-        vary freely within a batch); each group runs in-process against one
-        precomputed scheduling geometry and one shared view bank
-        (:func:`repro.pipeline.stages.simulate_batch`).  Results come back
-        in input order and are bit-identical to :meth:`run_case` one by one.
-        """
-        from repro.pipeline.stages import simulate_batch
-
-        specs = list(specs)
-        groups: dict[object, list[int]] = {}
-        for i, spec in enumerate(specs):
-            cfg = self.effective_config(spec)
-            cfg_key = tuple(
-                sorted(
-                    (k, v)
-                    for k, v in cfg.__dict__.items()
-                    if k not in ("track_traces", "faults", "fault_seed")
-                )
-            )
-            groups.setdefault((self.stage_key("mapping", spec), cfg_key), []).append(i)
-        results: list[CaseResult | None] = [None] * len(specs)
-        for idxs in groups.values():
-            for i, sim_results in zip(idxs, simulate_batch(self, [specs[i] for i in idxs])):
-                results[i] = self._case_result(specs[i], sim_results)
-        return results

@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.mapping import compute_mapping
 from repro.ordering import canonical_ordering, compute_ordering
 from repro.pipeline.stage import CaseSpec, SplitArtifact, Stage
-from repro.runtime import FactorizationSimulator
+from repro.runtime import FactorizationSimulator, SimulationConfig, SimulationResult
 from repro.scheduling import canonical_strategy, resolve_strategy
 from repro.symbolic import build_assembly_tree, split_large_masters
 
@@ -46,6 +46,7 @@ __all__ = [
     "MappingStage",
     "SimulationStage",
     "DEFAULT_STAGES",
+    "simulate_strategy",
 ]
 
 
@@ -180,67 +181,30 @@ class SimulationStage(Stage):
         return params
 
     def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]):
-        preset, strategy_params = resolve_strategy(spec.strategy)
-        slave_selector, task_selector = preset.build(**strategy_params)
         config = engine.effective_config(spec).replace(track_traces=bool(spec.track_traces))
-        sim = FactorizationSimulator(
-            upstream["split"].tree,
-            config=config,
-            mapping=upstream["mapping"],
-            slave_selector=slave_selector,
-            task_selector=task_selector,
-            strategy_name=preset.name,
-        )
-        return sim.run()
+        return simulate_strategy(upstream["split"].tree, upstream["mapping"], spec.strategy, config)
 
 
-def simulate_batch(engine, specs: "list[CaseSpec]"):
-    """Simulate case specs sharing one analysis and machine config in a batch.
+def simulate_strategy(tree, mapping, strategy: str, config: SimulationConfig) -> SimulationResult:
+    """One simulator run of ``strategy`` (a spec string) on ``tree``.
 
-    The specs must agree on everything upstream of the strategy (same mapping
-    key, same config apart from ``track_traces`` and the fault axis) — the
-    grouping in :meth:`AnalysisPipeline.run_cases_batched` guarantees this.
-    One shared :class:`~repro.runtime.geometry.SimGeometry` and view bank
-    serve every run (see :mod:`repro.runtime.batch`); results are
-    bit-identical to the per-case :class:`SimulationStage` path and come back
-    in spec order, one *list* of :class:`SimulationResult` per spec — a
-    single run for clean cases, the clean baseline followed by the seeded
-    faulted replications for faulted ones
-    (:meth:`AnalysisPipeline.replication_configs`).
+    Builds fresh selectors for the run (selectors may carry per-run state),
+    so fault replications of one case never share them.  ``mapping=None``
+    lets the simulator derive the static mapping from ``config``.  The one
+    simulate chain behind :class:`SimulationStage`,
+    :meth:`AnalysisPipeline.run_case <repro.pipeline.engine.AnalysisPipeline.run_case>`
+    and :func:`repro.simulate`.
     """
-    from repro.runtime.batch import BatchScenario, run_batch
-
-    first = specs[0]
-    tree = engine.artifact("split", first).tree
-    mapping = engine.artifact("mapping", first)
-    scenarios = []
-    counts = []
-    for spec in specs:
-        preset, strategy_params = resolve_strategy(spec.strategy)
-        configs = engine.replication_configs(spec)
-        counts.append(len(configs))
-        for cfg in configs:
-            # fresh selector instances per scenario: selectors may carry
-            # per-run state, and replications must not share it
-            slave_selector, task_selector = preset.build(**strategy_params)
-            scenarios.append(
-                BatchScenario(
-                    slave_selector=slave_selector,
-                    task_selector=task_selector,
-                    strategy_name=preset.name,
-                    config=cfg,
-                )
-            )
-    engine.stage_runs["simulate"] += len(scenarios)
-    flat = run_batch(
-        tree, scenarios, config=engine.effective_config(first), mapping=mapping
-    )
-    grouped = []
-    offset = 0
-    for count in counts:
-        grouped.append(flat[offset : offset + count])
-        offset += count
-    return grouped
+    preset, params = resolve_strategy(strategy)
+    slave_selector, task_selector = preset.build(**params)
+    return FactorizationSimulator(
+        tree,
+        config=config,
+        mapping=mapping,
+        slave_selector=slave_selector,
+        task_selector=task_selector,
+        strategy_name=preset.name,
+    ).run()
 
 
 #: the stage chain in dependency order, as instantiated by the engine.

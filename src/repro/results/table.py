@@ -208,10 +208,13 @@ class ResultTable:
     # ------------------------------------------------------------------ #
     # columnar predicates, ordering and composition
     # ------------------------------------------------------------------ #
-    def _string_mask(self, name: str, wanted: Iterable[str]) -> np.ndarray:
+    def _string_mask(self, name: str, wanted) -> np.ndarray:
         vocab = self._vocabs[name]
-        wanted_set = {str(w) for w in (wanted if isinstance(wanted, (list, tuple, set)) else [wanted])}
-        code_hits = np.flatnonzero(np.isin(vocab, list(wanted_set)))
+        if callable(wanted):
+            code_hits = np.asarray([i for i, v in enumerate(vocab) if wanted(str(v))], dtype=np.int64)
+        else:
+            wanted_set = {str(w) for w in (wanted if isinstance(wanted, (list, tuple, set)) else [wanted])}
+            code_hits = np.flatnonzero(np.isin(vocab, list(wanted_set)))
         return np.isin(self._codes[name], code_hits.astype(np.int32))
 
     def filter(
@@ -226,8 +229,9 @@ class ResultTable:
     ) -> "ResultTable":
         """Rows matching every given predicate, evaluated on columns.
 
-        String predicates accept one value or a collection; values are
-        matched verbatim (canonicalise upstream — the service does).
+        String predicates accept one value or a collection, matched
+        verbatim, or a callable taking each distinct stored value (the
+        service matches canonical spec forms this way).
         """
         mask = np.ones(len(self), dtype=bool)
         for name, value in (

@@ -11,7 +11,6 @@ about), and per-processor accounting of the factor area and of the stack of
 contribution blocks in *entries* — the unit of every table of the paper.
 """
 
-from repro.runtime.batch import BatchScenario, run_batch
 from repro.runtime.config import SimulationConfig
 from repro.runtime.events import EventQueue
 from repro.runtime.geometry import SimGeometry
@@ -53,6 +52,4 @@ __all__ = [
     "TraceBuffer",
     "SimGeometry",
     "SimState",
-    "BatchScenario",
-    "run_batch",
 ]

@@ -8,9 +8,10 @@ workloads — is a pure function of
 ``(tree, mapping, nprocs)``.  The seed engine rebuilt all of it inside every
 :class:`~repro.runtime.simulator.FactorizationSimulator`; one
 :class:`SimGeometry` instance now carries it as numpy arrays plus plain-list
-mirrors (the scalar per-event reads), so repeated runs against the same
-analysis — benchmark repeats, strategy ablations, the batched sweep path of
-:mod:`repro.runtime.batch` — pay for the geometry once.
+mirrors (the scalar per-event reads), memoized per tree by
+:meth:`SimGeometry.for_run`, so repeated runs against the same analysis —
+benchmark repeats, strategy sweeps, fault replications — pay for the
+geometry once.
 
 Every quantity is produced by the same integer/float expressions the scalar
 tree methods use (vectorized elementwise, no reductions), so the values are
@@ -158,9 +159,9 @@ class SimGeometry:
     def for_run(cls, tree, mapping, nprocs: int) -> "SimGeometry":
         """The geometry of ``(tree, mapping, nprocs)``, memoized per tree.
 
-        Benchmark repeats, strategy ablations over one analysis and the
-        batched sweep path all hit the cache; a fresh tree (or mapping)
-        builds a fresh instance.
+        Benchmark repeats, strategy sweeps and fault replications over one
+        analysis all hit the cache; a fresh tree (or mapping) builds a fresh
+        instance.
         """
         per_tree = _GEOMETRY_CACHE.get(tree)
         if per_tree is None:

@@ -134,15 +134,6 @@ class ViewBank:
         """The (live) view owned by processor ``proc``."""
         return self._views[proc]
 
-    def reset(self) -> None:
-        """Zero every view (a simulation must start from pristine beliefs).
-
-        The simulator calls this on the bank it is handed, so reusing one
-        bank across runs can never leak the previous run's stale views.
-        """
-        for mat in self._kind_arrays:
-            mat.fill(0.0)
-
     # ------------------------------------------------------------------ #
     # batched event application
     # ------------------------------------------------------------------ #

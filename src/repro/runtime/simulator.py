@@ -212,9 +212,7 @@ class FactorizationSimulator:
         slave_selector: SlaveSelector,
         task_selector: TaskSelector,
         strategy_name: str = "",
-        views: ViewBank | None = None,
         engine: str | None = None,
-        geometry: SimGeometry | None = None,
     ) -> None:
         self.tree = tree
         self.config = config if config is not None else SimulationConfig()
@@ -262,10 +260,7 @@ class FactorizationSimulator:
         else:
             self.fault_plan = None
             self._fault_msg = None
-        if views is not None and views.nprocs != self.config.nprocs:
-            raise ValueError("views.nprocs does not match config.nprocs")
-        self._views = views
-        self._geometry_arg = geometry
+        self._views: ViewBank | None = None
         self.geometry: SimGeometry | None = None
         #: the SoA run's final ``(procs, tasks, views)`` lists; ``state`` and
         #: ``views`` are built from them when read
@@ -292,7 +287,6 @@ class FactorizationSimulator:
         # touch every processor at once, which the bank applies as single
         # numpy column updates instead of per-processor loops
         views = self.views
-        views.reset()  # a reused bank must not leak a previous run's beliefs
         self.procs = [
             ProcessorState(proc=p, nprocs=nprocs, view=views.view(p)) for p in range(nprocs)
         ]
@@ -304,11 +298,11 @@ class FactorizationSimulator:
 
     @property
     def views(self) -> ViewBank:
-        """Every processor's view of the others (the bank passed in, or a new one).
+        """Every processor's view of the others.
 
         Live during a ``reference`` run.  After an SoA run, each read writes
         the run's final views into the bank, so it reads as the reference
-        engine would leave it even when a later run shares the bank.
+        engine would leave it.
         """
         if self._views is None:
             self._views = ViewBank(self.config.nprocs)
@@ -354,19 +348,14 @@ class FactorizationSimulator:
     def _precompute_geometry(self) -> None:
         """Bind the per-node scheduling geometry (shared :class:`SimGeometry`).
 
-        The geometry is a pure function of ``(tree, mapping, nprocs)``:
-        either the caller passed one (the batched sweep path) or the memoized
-        :meth:`SimGeometry.for_run` provides it.  Scalar plain-list mirrors
-        are re-exposed under the historical attribute names the object
-        engines read on their per-event hot paths.
+        The geometry is a pure function of ``(tree, mapping, nprocs)``, so the
+        memoized :meth:`SimGeometry.for_run` provides it.  Scalar plain-list
+        mirrors are re-exposed under the historical attribute names the
+        object engines read on their per-event hot paths.
         """
         if getattr(self, "_geometry_ready", False):
             return
-        geom = self._geometry_arg
-        if geom is None:
-            geom = SimGeometry.for_run(self.tree, self.mapping, self.config.nprocs)
-        elif geom.nprocs != self.config.nprocs:
-            raise ValueError("geometry.nprocs does not match config.nprocs")
+        geom = SimGeometry.for_run(self.tree, self.mapping, self.config.nprocs)
         self.geometry = geom
         self._task_flops = geom.task_flops
         self._task_memory = geom.task_memory

@@ -32,7 +32,7 @@ The run builds nothing the loop does not read.  It leaves its final lists in
 ``sim.run_end``; the canonical :class:`SimState` (numpy form) and the final
 view matrices (:func:`write_views`) are built from them only when
 ``sim.state`` / ``sim.views`` are read — the identity tests read them, the
-pipeline, the batched path and the service never do.
+pipeline and the service never do.
 
 Bit-identity with the reference engine is load-bearing: both engines create
 the same events and broadcasts in the same order (so sequence numbers and

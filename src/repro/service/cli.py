@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--nprocs", type=int, default=32, help="engine default simulated processors")
     serve.add_argument("--scale", type=float, default=1.0, help="engine default problem scale")
     serve.add_argument("--cache", default="", help="artifact-cache directory for the engine (optional)")
-    serve.add_argument("--jobs", type=int, default=1, help="shard width: 1 = in-process batched, >1 = process pool")
+    serve.add_argument("--jobs", type=int, default=1, help="shard width: 1 = in-process, >1 = process pool")
     serve.add_argument("--workers", type=int, default=1, help="job worker threads (default 1)")
     serve.add_argument("--shard-size", type=int, default=None, help="max cases per shard (default: per analysis group)")
     serve.add_argument(

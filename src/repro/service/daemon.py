@@ -45,6 +45,8 @@ from repro.service.shards import (
     ShardTimeout,
     partition_shards,
 )
+from repro.ordering import ORDERINGS
+from repro.scheduling import STRATEGIES
 from repro.session import Session
 from repro.specs import parse_spec
 
@@ -118,6 +120,19 @@ def case_spec_from_query(params: Mapping[str, str]) -> CaseSpec:
     )
 
 
+def _names_same_case(registry, spec: str):
+    """Predicate on stored spellings: does one canonicalise like ``spec``?"""
+    wanted = registry.canonical(spec)
+
+    def match(stored: str) -> bool:
+        try:
+            return registry.canonical(stored) == wanted
+        except ValueError:  # a spelling this build no longer registers
+            return False
+
+    return match
+
+
 @dataclass
 class QueryOutcome:
     """One answered result query: the payload, its key, and how it was served."""
@@ -139,8 +154,8 @@ class SweepService:
         Engine defaults, as for :class:`~repro.session.Session`
         (``artifact_cache_dir=""`` keeps the artifact disk tier off).
     jobs:
-        Shard execution width: ``1`` runs shards in-process through the
-        batched engine path, ``> 1`` uses a long-lived process pool.
+        Shard execution width: ``1`` runs shards in-process, one
+        ``run_case`` per case, ``> 1`` uses a long-lived process pool.
     workers:
         Job worker threads draining the queue (each runs one job at a time).
     shard_size:
@@ -289,10 +304,11 @@ class SweepService:
         """Answer one paginated ``GET /results`` listing from the columnar store.
 
         Filters (``problem``/``ordering``/``strategy``/``split``/``nprocs``)
-        are canonicalised exactly like single-result queries, evaluated on
-        the store's columns; rows come back in the canonical total order
-        (see :meth:`ResultTable.sort_index`) so the same store state always
-        yields byte-identical pages.  ``limit``/``cursor`` paginate;
+        are evaluated on the store's columns; an ``ordering`` or ``strategy``
+        filter matches every stored spelling with its canonical form
+        (``hybrid`` lists rows stored as ``hybrid(alpha=0.5)``).  Rows come
+        back in the canonical total order (see :meth:`ResultTable.sort_index`)
+        so the same store state always yields byte-identical pages.  ``limit``/``cursor`` paginate;
         ``fields`` projects each row onto a comma-separated subset.  The
         payload carries a ready-made ``next`` link (or ``None`` on the last
         page).  Raises ``ValueError`` with a client-presentable message on
@@ -326,9 +342,9 @@ class SweepService:
         filters: dict[str, object] = {}
         if params.get("problem"):
             filters["problem"] = str(params["problem"]).strip().upper()
-        for name in ("ordering", "strategy"):
+        for name, registry in (("ordering", ORDERINGS), ("strategy", STRATEGIES)):
             if params.get(name):
-                filters[name] = str(parse_spec(str(params[name])))
+                filters[name] = _names_same_case(registry, str(params[name]))
         if params.get("split") is not None:
             lowered = str(params["split"]).strip().lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -503,7 +519,6 @@ class SweepService:
                 self.session,
                 tune_spec,
                 store=self.data_dir / "tune-store",
-                batch=True,
                 progress=progress,
             ).run()
         path = board.save(self.leaderboard_dir / f"{record.id}.json")

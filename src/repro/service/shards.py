@@ -1,11 +1,10 @@
 """Sharded sweep execution behind a multi-host-ready backend interface.
 
 A job's expanded case list is partitioned into *shards* by the cases'
-analysis signature (problem, ordering, split, per-case overrides) — the same
-mapping/geometry key the batched simulator groups by — so every shard shares
-one precomputed analysis and runs through the fastest available path
-(:meth:`AnalysisPipeline.run_cases_batched` in-process, or a worker of the
-long-lived process pool).
+analysis signature (problem, ordering, split, per-case overrides), so every
+shard shares one analysis and its memoized scheduling geometry, whether it
+runs in-process (:meth:`AnalysisPipeline.run_case` per case) or on a worker
+of the long-lived process pool.
 
 :class:`ShardBackend` is the seam for scaling out: it consumes plain
 :class:`~repro.pipeline.stage.CaseSpec` values and returns
@@ -87,12 +86,11 @@ class ShardBackend(ABC):
 
 
 class InlineShardBackend(ShardBackend):
-    """Run shards in-process through the batched simulation path.
+    """Run shards in-process, one :meth:`AnalysisPipeline.run_case` per case.
 
-    The fastest option when the daemon owns the only engine: every shard
-    shares one precomputed scheduling geometry and view bank
-    (:meth:`AnalysisPipeline.run_cases_batched`).  ``timeout_s`` cannot
-    preempt in-process work; the daemon checks the deadline between shards.
+    The fastest option when the daemon owns the only engine.  ``timeout_s``
+    cannot preempt in-process work; the daemon checks the deadline between
+    shards.
     """
 
     def __init__(self, engine: AnalysisPipeline) -> None:
@@ -101,7 +99,7 @@ class InlineShardBackend(ShardBackend):
     def run_shard(
         self, specs: Sequence[CaseSpec], *, timeout_s: Optional[float] = None
     ) -> list[CaseResult]:
-        return self.engine.run_cases_batched(list(specs))
+        return [self.engine.run_case(spec) for spec in specs]
 
 
 class ProcessShardBackend(ShardBackend):

@@ -164,7 +164,6 @@ class Session:
         cases: Sequence[CaseLike],
         *,
         jobs: int | None = None,
-        batch: bool = False,
         on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]] = None,
     ) -> list[CaseResult]:
         """Run explicit cases (serially or across a process pool, see ``jobs``).
@@ -174,23 +173,10 @@ class Session:
         they hold; an explicit ``jobs`` override gets a transient executor
         that is torn down afterwards.
 
-        ``batch=True`` instead runs everything serially in-process, grouping
-        cases that share an analysis so they reuse one precomputed scheduling
-        geometry and view bank (:meth:`AnalysisPipeline.run_cases_batched`) —
-        the fastest path for strategy sweeps over few analyses.  ``jobs`` is
-        ignored in batch mode.
-
         ``on_result(index, spec, result)`` is called in this process as each
-        case completes (execution order); in batch mode the whole batch
-        completes together, so the callback fires after it, in input order.
+        case completes (execution order).
         """
         specs = [_as_spec(case) for case in cases]
-        if batch:
-            results = self.engine.run_cases_batched(specs)
-            if on_result is not None:
-                for i, (spec, result) in enumerate(zip(specs, results)):
-                    on_result(i, spec, result)
-            return results
         jobs = self.jobs if jobs is None else int(jobs)
         if jobs == self.jobs:
             if self._executor is None:
@@ -204,7 +190,6 @@ class Session:
         spec: SweepSpec | Mapping[str, object] | None = None,
         *,
         jobs: int | None = None,
-        batch: bool = False,
         store: "ResultStore | str | os.PathLike | None" = None,
         **axes,
     ) -> CaseResultView:
@@ -226,10 +211,7 @@ class Session:
         :class:`CaseResult` carries the fault summary (``makespan_p50`` /
         ``makespan_p95``, ``degradation``, ``messages_lost``, ``retries``).
         The same ``(faults, fault_seed)`` pair always reproduces
-        byte-identical results — see ``docs/robustness.md``.  ``batch=True`` runs
-        the grid in-process with per-analysis batching (see
-        :meth:`run_cases`) — usually the fastest option when the grid sweeps
-        many strategies over few problems.
+        byte-identical results — see ``docs/robustness.md``.
 
         ``store`` (a :class:`~repro.results.ResultStore` or its directory)
         makes the sweep *resumable*: cases whose canonical key is already in
@@ -253,7 +235,7 @@ class Session:
         keys = [case_key_for(self.engine, s) for s in specs]
 
         if store is None:
-            results = self.run_cases(specs, jobs=jobs, batch=batch)
+            results = self.run_cases(specs, jobs=jobs)
             table = ResultTable.from_results(results, keys=keys)
             return CaseResultView(table, computed=len(results), skipped=0)
 
@@ -283,7 +265,7 @@ class Session:
                     writer.append(pending_keys[index], result)
                     computed[pending_keys[index]] = result
 
-                self.run_cases(pending_specs, jobs=jobs, batch=batch, on_result=_persist)
+                self.run_cases(pending_specs, jobs=jobs, on_result=_persist)
         ordered = [cached[key] if key in cached else computed[key] for key in keys]
         table = ResultTable.from_results(ordered, keys=keys)
         return CaseResultView(table, computed=len(computed), skipped=len(cached))

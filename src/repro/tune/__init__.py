@@ -12,7 +12,7 @@ under an explicit objective, with every evaluation memoized in a
 * :mod:`repro.tune.objective` — objectives over :class:`CaseResult` with
   deterministic bootstrap CIs;
 * :mod:`repro.tune.driver` — the :class:`Tuner` evaluating rungs through
-  ``Session.sweep(batch=True, store=…)``;
+  ``Session.sweep(grid, jobs=…, store=…)``;
 * :mod:`repro.tune.leaderboard` — the byte-stable ranked artifact.
 """
 

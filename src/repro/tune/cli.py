@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="search rng seed (default 0)")
     parser.add_argument("--nprocs", type=int, default=None, help="simulated-processor override")
     parser.add_argument("--scale", type=float, default=None, help="full-fidelity problem scale")
-    parser.add_argument("--jobs", type=int, default=None, help="sweep worker processes (serial path)")
+    parser.add_argument("--jobs", type=int, default=None, help="sweep worker processes for each rung")
     parser.add_argument(
         "--split", default=None,
         help="comma-separated split axis for the space, e.g. 'false,true' (default: false)",
@@ -82,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--leaderboard", default=None, metavar="PATH",
         help=f"leaderboard artifact path (default: <store>/{DEFAULT_LEADERBOARD_NAME} when --store is given)",
-    )
-    parser.add_argument(
-        "--no-batch", action="store_true",
-        help="run rung sweeps case-by-case instead of per-analysis batches",
     )
     parser.add_argument("--cache", default=None, metavar="DIR", help="artifact cache directory")
     parser.add_argument("--format", choices=("md", "json"), default="md", help="stdout format (default md)")
@@ -175,15 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         session_kwargs["jobs"] = args.jobs
 
     with repro.open_session(**session_kwargs) as session:
-        tuner = Tuner(
-            session,
-            spec,
-            store=args.store,
-            batch=not args.no_batch,
-            jobs=args.jobs,
-            progress=progress,
-        )
-        board = tuner.run()
+        board = Tuner(session, spec, store=args.store, jobs=args.jobs, progress=progress).run()
 
     if leaderboard_path is not None:
         saved = board.save(leaderboard_path)

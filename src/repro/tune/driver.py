@@ -3,13 +3,13 @@
 The tuner is the piece that turns an abstract search (space + searcher +
 objective) into engine work.  Each rung becomes one or more
 :class:`~repro.specs.SweepSpec` grids — configurations sharing the same
-``split``/``split_threshold`` knobs are grouped into a single grid so the
-batched pipeline reuses one analysis per problem — and every grid runs
-through :meth:`Session.sweep(batch=True, store=...)`.  Because each sampled
-configuration renders to the *canonical* spec string, its store keys collide
-with hand-written specs and with its own earlier evaluations: an interrupted
-``repro tune`` re-run recomputes only the cases the store is missing (the
-resume tests prove this via ``engine.stage_runs``).
+``split``/``split_threshold`` knobs are grouped into a single grid, so each
+problem's analysis is resolved once for all of a group's strategies — and
+every grid runs through :meth:`Session.sweep(grid, jobs=..., store=...)`.
+Because each sampled configuration renders to the *canonical* spec string,
+its store keys collide with hand-written specs and with its own earlier
+evaluations: an interrupted ``repro tune`` re-run recomputes only the cases
+the store is missing (the resume tests prove this via ``engine.stage_runs``).
 
 Determinism contract: with the same :class:`TuneSpec` (including seed) the
 tuner produces a byte-identical :class:`Leaderboard` artifact, fresh or
@@ -165,14 +165,12 @@ class Tuner:
         spec: TuneSpec,
         *,
         store: "ResultStore | str | None" = None,
-        batch: bool = True,
         jobs: Optional[int] = None,
         progress: Optional[ProgressHook] = None,
     ) -> None:
         self.session = session
         self.spec = spec
         self.store = store
-        self.batch = batch
         self.jobs = jobs
         self.progress = progress
         self._objective = spec.make_objective()
@@ -196,8 +194,8 @@ class Tuner:
         """Aggregated objective scores for ``configs`` at ``rung`` fidelity.
 
         Configurations sharing ``split``/``split_threshold`` are grouped into
-        one :class:`SweepSpec` so the batched engine path reuses a single
-        analysis per problem across all of a group's strategies.
+        one :class:`SweepSpec`, so the engine resolves a single analysis per
+        problem for all of a group's strategies.
         """
         problems = self._rung_problems(rung)
         orderings = self.spec.orderings
@@ -220,7 +218,7 @@ class Tuner:
                 scale=[scale],
                 split_threshold=[threshold],
             )
-            view = self.session.sweep(grid, batch=self.batch, jobs=self.jobs, store=self.store)
+            view = self.session.sweep(grid, jobs=self.jobs, store=self.store)
             # grid order is problem-major: problems × orderings × strategies
             for s_idx, config in enumerate(group):
                 per_problem: dict[str, float] = {}
@@ -302,11 +300,8 @@ def tune(
     spec: TuneSpec,
     *,
     store: "ResultStore | str | None" = None,
-    batch: bool = True,
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
 ) -> Leaderboard:
     """Convenience wrapper: build a :class:`Tuner` and run it."""
-    return Tuner(
-        session, spec, store=store, batch=batch, jobs=jobs, progress=progress
-    ).run()
+    return Tuner(session, spec, store=store, jobs=jobs, progress=progress).run()

@@ -100,7 +100,8 @@ class TestExecutorCrashRecovery:
             CaseSpec("XENON2", o, "memory-full")
             for o in ("metis", "amd", "amf", "pord")
         ]
-        serial = [r.to_dict() for r in _engine().run_cases_batched(specs)]
+        serial_engine = _engine()
+        serial = [serial_engine.run_case(s).to_dict() for s in specs]
         with SweepExecutor(_engine(), jobs=2) as executor:
             first = executor.run(specs)
             assert [r.to_dict() for r in first] == serial
@@ -144,7 +145,7 @@ class CrashOnceBackend(ShardBackend):
         if self.crashes == 0:
             self.crashes += 1
             raise WorkerCrashError("worker process died (simulated)")
-        return self.engine.run_cases_batched(list(specs))
+        return [self.engine.run_case(spec) for spec in specs]
 
 
 class TestDaemonCrashRetry:

@@ -10,9 +10,9 @@ configurations.  It also pins every slave-selection context a run builds,
 the final ``sim.views`` and the final clock, and checks oracle-free
 invariants of a finished run.
 
-The batched path (one shared geometry + view bank for many runs) is pinned
-to the one-simulator-per-run path the same way, and the slave
-selectors to the historical per-candidate loops, kept here as oracles.
+The pipeline's ``run_case`` is pinned to one ``reference`` simulator per
+replication config, and the slave selectors to the historical
+per-candidate loops, kept here as oracles.
 """
 
 from __future__ import annotations
@@ -24,17 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import canonical_faults
 from repro.mapping import compute_mapping
-from repro.runtime import (
-    BatchScenario,
-    FactorizationSimulator,
-    SimulationConfig,
-    resolve_engine,
-    run_batch,
-)
+from repro.pipeline import AnalysisPipeline, CaseResult, CaseSpec
+from repro.runtime import FactorizationSimulator, SimulationConfig, resolve_engine
 from repro.runtime import invariants
-from repro.runtime.geometry import SimGeometry
-from repro.runtime.loadview import ViewBank
 from repro.scheduling import get_strategy
 from repro.scheduling.base import SlaveSelectionContext
 from repro.scheduling.hybrid import HybridSlaveSelector
@@ -208,64 +202,40 @@ class TestEngineIdentityFuzz:
             assert_identical(run(engine), ref)
 
 
-class TestBatchIdentity:
-    """run_batch (shared geometry + view bank) ≡ one simulator per run."""
+class TestRunCaseIdentity:
+    """``run_case`` ≡ one ``reference`` simulator per replication config, folded."""
 
-    def test_batch_matches_single_runs(self):
-        tree = random_tree(6)
-        config = SimulationConfig(nprocs=8, track_traces=False)
-        mapping = compute_mapping(tree, 8)
-        strategies = ["mumps-workload", "memory-full", "hybrid", "memory-task"]
+    def test_traced_spec_stays_isolated(self):
+        """Traces on one case change neither its metrics nor a neighbour's run."""
+        plain = CaseSpec("XENON2", "amd", "memory-full")
+        traced = CaseSpec("XENON2", "amd", "memory-full", track_traces=True)
+        engine = AnalysisPipeline(nprocs=4, scale=0.2, cache_dir="")
+        results = [engine.run_case(spec).to_dict() for spec in (traced, plain, traced)]
+        fresh = AnalysisPipeline(nprocs=4, scale=0.2, cache_dir="").run_case(plain)
+        assert results == [fresh.to_dict()] * 3
+        analysis = engine.analysis_for(traced)
+        (config,) = engine.replication_configs(traced)
+        ref = run_engine(analysis.tree, config, analysis.mapping, "memory-full", "reference")
+        assert_identical(engine.artifact("simulate", traced), ref, traces=True)
+        assert engine.artifact("simulate", plain).trace is None
 
-        singles = [run_engine(tree, config, mapping, s, "soa") for s in strategies]
-
-        scenarios = []
-        for s in strategies:
-            slave, task = get_strategy(s).build()
-            scenarios.append(
-                BatchScenario(slave_selector=slave, task_selector=task, strategy_name=s)
-            )
-        batched = run_batch(tree, scenarios, config=config, mapping=mapping)
-        for single, batch in zip(singles, batched):
-            assert_identical(batch, single)
-
-    def test_batch_with_traced_scenario(self):
-        """A per-scenario config override (traces on one run) stays isolated."""
-        tree = random_tree(7)
-        config = SimulationConfig(nprocs=4)
-        mapping = compute_mapping(tree, 4)
-        slave1, task1 = get_strategy("memory-full").build()
-        slave2, task2 = get_strategy("memory-full").build()
-        traced_cfg = config.replace(track_traces=True)
-        batched = run_batch(
-            tree,
-            [
-                BatchScenario(slave_selector=slave1, task_selector=task1,
-                              strategy_name="a", config=traced_cfg),
-                BatchScenario(slave_selector=slave2, task_selector=task2,
-                              strategy_name="b"),
-            ],
-            config=config,
-            mapping=mapping,
+    def test_faulted_run_case_matches_reference_replications(self):
+        spec = CaseSpec(
+            "XENON2", "amd", "hybrid", faults=FAULT_SPECS[1], fault_seed=5, replications=3
         )
-        ref = run_engine(tree, traced_cfg, mapping, "memory-full", "reference")
-        assert_identical(batched[0], ref, traces=True)
-        assert batched[0].trace is not None
-        assert batched[1].trace is None
-
-    def test_pipeline_batched_matches_run_case(self):
-        """Session.sweep(batch=True) ≡ the per-case pipeline path."""
-        from repro.session import Session
-
-        strategies = ["mumps-workload", "memory-full"]
-        with Session(nprocs=4, scale=0.2, cache_dir="") as session:
-            single = session.sweep(problems=["XENON2"], strategies=strategies)
-            batched = session.sweep(problems=["XENON2"], strategies=strategies, batch=True)
-        for a, b in zip(single, batched):
-            assert a.max_peak_stack == b.max_peak_stack
-            assert a.total_time == b.total_time
-            assert a.messages == b.messages
-            np.testing.assert_array_equal(a.per_proc_peak_stack, b.per_proc_peak_stack)
+        engine = AnalysisPipeline(nprocs=8, scale=0.2, cache_dir="")
+        got = engine.run_case(spec)
+        configs = engine.replication_configs(spec)
+        assert engine.stage_runs["simulate"] == len(configs) == 4
+        analysis = engine.analysis_for(spec)
+        sims = [
+            run_engine(analysis.tree, config, analysis.mapping, "hybrid", "reference")
+            for config in configs
+        ]
+        want = CaseResult.from_replications(
+            analysis, spec.strategy, sims[0], sims[1:], faults=canonical_faults(spec.faults)
+        )
+        assert got.to_dict() == want.to_dict()
 
 
 #: fault specs exercising every injection site: static per-proc speeds,
@@ -361,35 +331,6 @@ class TestFaultIdentity:
         faulted = run_engine(tree, config, mapping, "memory-full", "soa")
         clean = run_engine(tree, clean_cfg, mapping, "memory-full", "soa")
         assert faulted.total_time > clean.total_time
-
-    def test_batched_faulted_matches_single(self):
-        """run_batch over faulted configs ≡ one simulator per faulted run."""
-        tree = random_tree(8)
-        config = SimulationConfig(nprocs=8)
-        mapping = compute_mapping(tree, 8)
-        configs = [
-            config,
-            config.replace(faults=FAULT_SPECS[0], fault_seed=3),
-            config.replace(faults=FAULT_SPECS[1], fault_seed=9),
-        ]
-        singles = []
-        scenarios = []
-        for cfg in configs:
-            slave, task = get_strategy("memory-full").build()
-            singles.append(
-                FactorizationSimulator(
-                    tree, config=cfg, mapping=mapping, slave_selector=slave,
-                    task_selector=task, engine="soa",
-                ).run()
-            )
-            slave2, task2 = get_strategy("memory-full").build()
-            scenarios.append(
-                BatchScenario(slave_selector=slave2, task_selector=task2,
-                              strategy_name="memory-full", config=cfg)
-            )
-        batched = run_batch(tree, scenarios, config=config, mapping=mapping)
-        for single, batch in zip(singles, batched):
-            assert_identical(batch, single)
 
 
 class TestEngineSelection:
@@ -736,13 +677,13 @@ class ContextSpy:
         return self.inner.select(ctx)
 
 
-def run_spied(tree, config, mapping, strategy: str, engine: str, **kwargs):
+def run_spied(tree, config, mapping, strategy: str, engine: str):
     """One run with a spied slave selector: (simulator, result, contexts seen)."""
     slave, task = get_strategy(strategy).build()
     spy = ContextSpy(slave)
     sim = FactorizationSimulator(
         tree, config=config, mapping=mapping, slave_selector=spy,
-        task_selector=task, engine=engine, **kwargs,
+        task_selector=task, engine=engine,
     )
     result = sim.run()
     assert len(spy.seen) == result.slave_selections
@@ -787,28 +728,6 @@ class TestViewIdentity:
         assert seen == ref_seen
         assert_same_end_state(fast, ref_sim)
         assert_invariants(tree, fast, result)
-
-    def test_batched_reused_bank(self):
-        """One shared geometry and view bank across runs, as ``run_batch`` does."""
-        tree = random_tree(6)
-        nprocs = 8
-        base = SimulationConfig(nprocs=nprocs, latency=0.0, memory_message_latency=0.0)
-        mapping = compute_mapping(tree, nprocs)
-        geometry = SimGeometry.for_run(tree, mapping, nprocs)
-        bank = ViewBank(nprocs)
-        runs = [(s, base) for s in STRATEGIES] + [
-            ("memory-full", base.replace(faults=FAULT_SPECS[1], fault_seed=5)),
-            ("hybrid", SimulationConfig(nprocs=nprocs)),
-        ]
-        for strategy, config in runs:
-            fast, opt, opt_seen = run_spied(
-                tree, config, mapping, strategy, "soa", views=bank, geometry=geometry
-            )
-            assert fast.views is bank
-            ref_sim, ref, ref_seen = run_spied(tree, config, mapping, strategy, "reference")
-            assert_identical(opt, ref)
-            assert opt_seen == ref_seen
-            assert_same_end_state(fast, ref_sim)
 
 
 class TestRunInvariants:

@@ -5,7 +5,7 @@ compiled :class:`FaultPlan` (seeded determinism, speed/penalty semantics),
 the replication summary math of :meth:`CaseResult.from_replications`, the
 conditional cache keys, and the acceptance criteria end to end: the same
 ``(faults, seed)`` pair reproduces byte-identical results across a fresh
-run, a store-resumed run, the batched path and a process-pool sweep.
+run, a store-resumed run and a process-pool sweep.
 """
 
 from __future__ import annotations
@@ -257,11 +257,9 @@ class TestFaultedSweeps:
             replayed = _sweep_payload(session, store=store)
         assert fresh == replayed
 
-    def test_batched_and_parallel_byte_identical(self):
+    def test_serial_and_parallel_byte_identical(self):
         with Session(nprocs=4, scale=0.2, cache_dir="") as session:
             serial = _sweep_payload(session)
-            batched = _sweep_payload(session, batch=True)
-        assert serial == batched
         with Session(nprocs=4, scale=0.2, cache_dir="", jobs=2) as session:
             parallel = _sweep_payload(session)
         assert serial == parallel

@@ -5,8 +5,8 @@
 geometry must not reference its tree, or the key could never die and every
 tree a process ever simulated would stay alive with its mapping and
 geometry.  These tests drop a session after a run and check that its tree
-and cache entry are gone, on both engines and on the batched faulted path,
-and that a run of fresh cold sessions leaves the traced heap flat.
+and cache entry are gone, on both engines and on a faulted case's
+replications, and that a run of fresh cold sessions leaves the traced heap flat.
 """
 
 from __future__ import annotations
@@ -29,24 +29,21 @@ def _cold_session():
     return repro.open_session(nprocs=NPROCS, scale=SCALE, cache_dir="")
 
 
-def _run_and_drop(specs, *, batch: bool = False):
+def _run_and_drop(specs):
     """Run ``specs`` in a fresh session, drop it; return a weakref to each tree."""
     session = _cold_session()
-    if batch:
-        session.run_cases(specs, batch=True)
-    else:
-        for spec in specs:
-            session.run(spec)
+    for spec in specs:
+        session.run(spec)
     refs = [weakref.ref(session.engine.artifact("split", spec).tree) for spec in specs]
     session.close()
     return refs
 
 
 @pytest.mark.parametrize(
-    "engine, specs, batch",
+    "engine, specs",
     [
-        ("soa", [CaseSpec("XENON2", "amd", "memory-full")], False),
-        ("reference", [CaseSpec("XENON2", "amd", "memory-full")], False),
+        ("soa", [CaseSpec("XENON2", "amd", "memory-full")]),
+        ("reference", [CaseSpec("XENON2", "amd", "memory-full")]),
         (
             "soa",
             [
@@ -59,16 +56,15 @@ def _run_and_drop(specs, *, batch: bool = False):
                     fault_seed=2, replications=2,
                 ),
             ],
-            True,
         ),
     ],
-    ids=["soa-per-case", "reference-per-case", "batched-faulted"],
+    ids=["soa-per-case", "reference-per-case", "faulted"],
 )
-def test_tree_and_geometry_die_with_the_session(monkeypatch, engine, specs, batch):
+def test_tree_and_geometry_die_with_the_session(monkeypatch, engine, specs):
     monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
     gc.collect()
     entries = len(_GEOMETRY_CACHE)
-    refs = _run_and_drop(specs, batch=batch)
+    refs = _run_and_drop(specs)
     gc.collect()
     assert all(ref() is None for ref in refs)
     assert len(_GEOMETRY_CACHE) == entries

@@ -237,6 +237,21 @@ class TestEngine:
         assert split_art.tree is products.tree
         assert fresh.artifact("mapping", SPEC) is products.mapping
 
+    def test_bundle_reports_the_applied_split_threshold(self, tmp_path):
+        # the bundle reports the threshold SplitStage applied (the problem
+        # default scaled by 0.3 here), fresh and loaded from the disk tier
+        from repro.experiments.problems import get_problem
+
+        spec = CaseSpec("XENON2", "metis", "memory-full", split=True, scale=0.3)
+        first = engine(cache_dir=tmp_path)
+        applied = first.stages["split"].threshold(first, spec)
+        assert applied == int(get_problem("XENON2").split_threshold * 0.3)
+        assert first.analysis_for(spec).split_threshold == applied
+        fresh = engine(cache_dir=tmp_path)
+        assert fresh.analysis_for(spec).split_threshold == applied
+        assert fresh.artifact("split", spec).threshold == applied
+        assert fresh.stage_runs["split"] == 0  # seeded from the bundle
+
     def test_settings_roundtrip(self, tmp_path):
         e = engine(cache_dir=tmp_path, amalgamation_relax=0.2)
         clone = e.settings().build()

@@ -110,6 +110,19 @@ class TestListResultsSemantics:
         assert service.list_results({"split": "true"})["total"] == 0
         assert service.list_results({"split": "no"})["total"] == 4
 
+    def test_filters_match_every_spelling_of_one_case(self, tmp_path):
+        service = SweepService(
+            data_dir=tmp_path, nprocs=NPROCS, scale=SCALE, journal_fsync=False
+        )
+        service.query({"problem": "XENON2", "strategy": "hybrid(alpha=0.5)"})
+        for strategy in ("hybrid", "hybrid(alpha=0.5)", "hybrid(alpha=0.5,use_predictions=true)"):
+            assert service.list_results({"strategy": strategy})["total"] == 1
+        for ordering in ("metis", "METIS", "metis(leaf_size=64)"):
+            assert service.list_results({"ordering": ordering})["total"] == 1
+        assert service.list_results({"strategy": "hybrid(alpha=0.25)"})["total"] == 0
+        with pytest.raises(ValueError, match="unknown strategy"):
+            service.list_results({"strategy": "hybird"})
+
     def test_validation_errors(self, served):
         service, _ = served
         with pytest.raises(ValueError, match="unknown query parameter"):

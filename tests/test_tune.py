@@ -460,19 +460,19 @@ class TestTunerResume:
                 if self.seen >= self.after:
                     raise KeyboardInterrupt("simulated interrupt")
 
-        # interrupted run (serial path: every completed case is durable
+        # interrupted run (in-process: every completed case is durable
         # before the interrupt fires)
         with open_session(
             nprocs=NPROCS, scale=SCALE, cache_dir="", progress=Interrupter(after=2)
         ) as session:
             with pytest.raises(KeyboardInterrupt):
-                Tuner(session, spec, store=str(store), batch=False).run()
+                Tuner(session, spec, store=str(store)).run()
             interrupted_runs = session.engine.stage_runs["simulate"]
         assert 0 < interrupted_runs < 5
 
         # resumed run recomputes ONLY the missing evaluations
         with open_session(nprocs=NPROCS, scale=SCALE, cache_dir="") as session:
-            board = Tuner(session, spec, store=str(store), batch=False).run()
+            board = Tuner(session, spec, store=str(store)).run()
             assert session.engine.stage_runs["simulate"] == 5 - interrupted_runs
 
         # and the artifact is byte-identical to an uninterrupted fresh run

@@ -179,37 +179,3 @@ class TestSimulationIdentity:
         assert vec.message_counts == ref.message_counts
         assert vec.slave_selections == ref.slave_selections
 
-    def test_reused_bank_is_reset_between_runs(self, tree):
-        config = SimulationConfig.paper(nprocs=4)
-        mapping = compute_mapping(tree, 4, **config.mapping_params())
-        bank = ViewBank(4)
-
-        def run():
-            slave, task = get_strategy("memory-full").build()
-            return FactorizationSimulator(
-                tree,
-                config=config,
-                mapping=mapping,
-                slave_selector=slave,
-                task_selector=task,
-                views=bank,
-            ).run()
-
-        first, second = run(), run()
-        np.testing.assert_array_equal(first.per_proc_peak_stack, second.per_proc_peak_stack)
-        assert first.total_time == second.total_time
-        assert first.message_counts == second.message_counts
-
-    def test_mismatched_bank_size_is_rejected(self, tree):
-        config = SimulationConfig.paper(nprocs=4)
-        mapping = compute_mapping(tree, 4, **config.mapping_params())
-        slave, task = get_strategy("memory-full").build()
-        with pytest.raises(ValueError, match="views.nprocs"):
-            FactorizationSimulator(
-                tree,
-                config=config,
-                mapping=mapping,
-                slave_selector=slave,
-                task_selector=task,
-                views=ViewBank(8),
-            )
