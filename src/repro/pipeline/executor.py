@@ -13,10 +13,15 @@ engine per process, built from the picklable :class:`PipelineSettings`), so
 artifacts also carry over between the groups a worker happens to receive —
 e.g. the pattern of a problem swept under four orderings — and a shared disk
 tier extends that sharing across workers and across runs.
+
+One executor may serve several threads at once (the service daemon's job
+workers): they share its one pool, and a crash replaces only the pool that
+broke.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -34,10 +39,10 @@ MAX_POOL_REBUILDS = 3
 class WorkerCrashError(RuntimeError):
     """A worker process died (OOM-kill, SIGKILL, hard crash) mid-shard.
 
-    Raised after the dead pool has been dropped, so the next attempt on the
-    same backend/executor starts a fresh pool — which is what makes the
-    error *retryable* (the service daemon counts it toward a job's
-    ``max_attempts`` like any other shard failure).
+    Raised after the pool was rebuilt :data:`MAX_POOL_REBUILDS` times in one
+    run; the dead pool has been dropped, so the next run starts a fresh one.
+    That is what makes the error *retryable*: the service daemon counts it
+    toward a job's ``max_attempts`` like any other shard failure.
     """
 
 
@@ -81,6 +86,16 @@ def _run_group(indexed_specs: list[tuple[int, CaseSpec]]) -> list[tuple[int, Cas
 # ----------------------------------------------------------------------- #
 # driver side
 # ----------------------------------------------------------------------- #
+def _time_left(deadline: Optional[float], unfinished: int, total: int) -> Optional[float]:
+    """Seconds until ``deadline`` (``None`` = unbounded); raises once it passed."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError(f"deadline passed with {unfinished} of {total} case(s) unfinished")
+    return left
+
+
 class SweepExecutor:
     """Run a list of cases serially or across a process pool.
 
@@ -110,6 +125,7 @@ class SweepExecutor:
         self.jobs = jobs
         self.progress = progress
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
 
     # -------------------------------------------------------------- #
     def run(
@@ -117,6 +133,7 @@ class SweepExecutor:
         specs: Sequence[CaseSpec],
         *,
         on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]] = None,
+        deadline: Optional[float] = None,
     ) -> list[CaseResult]:
         """Run every case and return results in input order.
 
@@ -124,13 +141,19 @@ class SweepExecutor:
         as each case *completes* — i.e. in execution order, not input order —
         which is what lets a result store persist the finished prefix of a
         sweep before the sweep is done (and therefore before a crash).
+
+        ``deadline`` is a :func:`time.monotonic` instant.  The serial path
+        checks it before each case; the pool path bounds its waits by it and
+        abandons the unfinished groups at expiry (their workers finish in the
+        background, the results go unused).  Either way an expired deadline
+        raises :class:`TimeoutError`.
         """
         specs = list(specs)
         if not specs:
             return []
-        if self.jobs == 1 or len(specs) == 1:
-            return self._run_serial(specs, on_result)
-        return self._run_parallel(specs, on_result)
+        if self.jobs == 1:
+            return self._run_serial(specs, on_result, deadline)
+        return self._run_parallel(specs, on_result, deadline)
 
     def close(self) -> None:
         """Shut down the worker pool (no-op if none was started).
@@ -140,7 +163,8 @@ class SweepExecutor:
         raises (e.g. a broken pool reaped by the OS) leaves the executor in
         the closed state instead of retrying the same failure on re-entry.
         """
-        pool, self._pool = self._pool, None
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -155,14 +179,37 @@ class SweepExecutor:
         if self.progress is not None:
             self.progress(ProgressEvent(done, total, spec, seconds))
 
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                # the pool is kept for the executor's lifetime: workers are
+                # long-lived engines, so artifacts survive between run() calls
+                # (e.g. the analyses shared by successive tables of `repro all`)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    initializer=_init_worker,
+                    initargs=(self.engine.settings(),),
+                )
+            return self._pool
+
+    def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Discard a broken ``pool``, unless a concurrent run already replaced it."""
+        with self._pool_lock:
+            if self._pool is not pool:
+                return
+            self._pool = None
+        pool.shutdown(wait=False, cancel_futures=True)
+
     def _run_serial(
         self,
         specs: list[CaseSpec],
-        on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]] = None,
+        on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]],
+        deadline: Optional[float],
     ) -> list[CaseResult]:
         results: list[CaseResult] = []
         total = len(specs)
         for i, spec in enumerate(specs):
+            _time_left(deadline, total - i, total)
             start = time.perf_counter()
             result = self.engine.run_case(spec)
             results.append(result)
@@ -182,7 +229,8 @@ class SweepExecutor:
     def _run_parallel(
         self,
         specs: list[CaseSpec],
-        on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]] = None,
+        on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]],
+        deadline: Optional[float],
     ) -> list[CaseResult]:
         groups = self.group_by_analysis(specs)
         total = len(specs)
@@ -191,23 +239,20 @@ class SweepExecutor:
         rebuilds = 0
         remaining = groups
         while remaining:
-            if self._pool is None:
-                # the pool is kept for the executor's lifetime: workers are
-                # long-lived engines, so artifacts survive between run() calls
-                # (e.g. the analyses shared by successive tables of `repro all`)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_init_worker,
-                    initargs=(self.engine.settings(),),
-                )
+            _time_left(deadline, total - done, total)
+            pool = self._ensure_pool()
             crash: Optional[BaseException] = None
             futures: dict = {}
             try:
                 for group in remaining:
-                    futures[self._pool.submit(_run_group, group)] = group
+                    futures[pool.submit(_run_group, group)] = group
                 pending = set(futures)
                 while pending:
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    finished, pending = wait(
+                        pending,
+                        timeout=_time_left(deadline, total - done, total),
+                        return_when=FIRST_COMPLETED,
+                    )
                     for future in finished:
                         try:
                             triples = future.result()
@@ -235,9 +280,7 @@ class SweepExecutor:
                 raise
             if crash is None:
                 break
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            self._drop_pool(pool)
             rebuilds += 1
             if rebuilds > MAX_POOL_REBUILDS:
                 raise WorkerCrashError(

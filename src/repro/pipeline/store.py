@@ -77,12 +77,6 @@ class ArtifactStore(ABC):
     @abstractmethod
     def __contains__(self, key: str) -> bool: ...
 
-    def get_or(self, key: str, default: object = None) -> object:
-        try:
-            return self.get(key)
-        except KeyError:
-            return default
-
 
 class MemoryStore(ArtifactStore):
     """In-process artifact store (a dict)."""
@@ -140,21 +134,6 @@ class DiskStore(ArtifactStore):
 
     def put(self, key: str, value: object, *, persist: bool = True) -> None:
         atomic_write(self.path(key), pickle.dumps(value), fsync=self.durable)
-
-    def delete(self, key: str) -> bool:
-        """Remove ``key``; returns whether it existed (races are benign)."""
-        try:
-            os.unlink(self.path(key))
-        except FileNotFoundError:
-            return False
-        return True
-
-    def size_bytes(self, key: str) -> int:
-        """On-disk payload size of ``key`` (0 when it vanished concurrently)."""
-        try:
-            return self.path(key).stat().st_size
-        except FileNotFoundError:
-            return 0
 
     def __contains__(self, key: str) -> bool:
         return self.path(key).exists()

@@ -1,4 +1,4 @@
-"""Columnar result storage: tables, durable stores, keys and trace codecs.
+"""Columnar result storage: tables, durable stores and keys.
 
 The package behind ``Session.sweep(store=...)``, the service's ``/results``
 pagination and the ``repro sweep --store`` CLI flag:
@@ -9,7 +9,7 @@ pagination and the ``repro sweep --store`` CLI flag:
   JSON record form and ``.npz`` persistence;
 * :class:`~repro.results.store.ResultStore` — append-only on-disk store
   whose crash-tolerant manifest holds each sealed batch as one record, with
-  streaming writers and delta-encoded trace persistence;
+  streaming writers;
 * :func:`~repro.results.keys.case_key` — the canonical content key shared
   with the sweep service, which is what makes sweeps resumable.
 """
@@ -22,7 +22,6 @@ from repro.results.table import (
     ResultTable,
     ResultTableBuilder,
 )
-from repro.results.traces import decode_trace, encode_trace
 
 __all__ = [
     "CASE_KEY_VERSION",
@@ -34,6 +33,4 @@ __all__ = [
     "ResultWriter",
     "case_key",
     "case_key_for",
-    "decode_trace",
-    "encode_trace",
 ]

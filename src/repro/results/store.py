@@ -4,7 +4,6 @@ Layout of a store directory::
 
     store/
       manifest.jsonl          # the store: one JSON line per sealed batch (append-only)
-      traces/trace-<key>.npz  # optional delta-encoded SimulationTraces
 
 A sealed batch is one ``{"op": "rows", "key_version": ..., ...}`` record
 carrying the batch's columns (:meth:`ResultTable.to_record`) and the
@@ -41,22 +40,15 @@ table is the manifest-ordered concatenation deduplicated by key.
 
 from __future__ import annotations
 
-import io
 import os
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
-import numpy as np
-
-from repro.durable import append_line, atomic_write, read_lines, remove_stale_temps
+from repro.durable import append_line, read_lines, remove_stale_temps
 from repro.pipeline.stage import CaseResult
 from repro.results.keys import CASE_KEY_VERSION
 from repro.results.table import ResultTable, ResultTableBuilder
-from repro.results.traces import decode_trace, encode_trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.trace import SimulationTrace
 
 __all__ = ["ResultStore", "ResultWriter"]
 
@@ -80,7 +72,6 @@ class ResultStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         remove_stale_temps(self.directory)
-        remove_stale_temps(self.directory / "traces")
         self.fsync = bool(fsync)
         self._lock = threading.RLock()
         self._batches = 0  # batches ingested, in manifest order
@@ -227,32 +218,6 @@ class ResultStore:
                 "segments": self._batches,  # sealed batches (the name predates inline batches)
                 "replay_skipped": self.replay_skipped,
             }
-
-    # ------------------------------------------------------------------ #
-    # traces
-    # ------------------------------------------------------------------ #
-    def _trace_path(self, key: str) -> Path:
-        return self.directory / "traces" / f"trace-{key}.npz"
-
-    def put_trace(self, key: str, trace: "SimulationTrace") -> None:
-        """Persist one case's trace, delta-encoded (atomic, idempotent)."""
-        path = self._trace_path(str(key))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **encode_trace(trace))
-        atomic_write(path, buffer.getvalue(), fsync=self.fsync)
-
-    def has_trace(self, key: str) -> bool:
-        return self._trace_path(str(key)).exists()
-
-    def get_trace(self, key: str) -> "SimulationTrace":
-        """Load one case's trace (raises ``KeyError`` if absent)."""
-        path = self._trace_path(str(key))
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                return decode_trace(data)
-        except FileNotFoundError:
-            raise KeyError(str(key)) from None
 
 
 class ResultWriter:

@@ -224,16 +224,7 @@ class FactorizationSimulator:
         self._soa_task_mode = _SOA_TASK_MODES.get(type(task_selector))
         self._exec_engine = "reference" if self._soa_task_mode is None else self.engine
         if mapping is None:
-            mapping = compute_mapping(
-                tree,
-                self.config.nprocs,
-                type2_front_threshold=self.config.type2_front_threshold,
-                type2_cb_threshold=self.config.type2_cb_threshold,
-                type3_front_threshold=self.config.type3_front_threshold,
-                imbalance_tolerance=self.config.imbalance_tolerance,
-                min_subtrees_per_proc=self.config.min_subtrees_per_proc,
-                subtree_cost=self.config.subtree_cost,
-            )
+            mapping = compute_mapping(tree, self.config.nprocs, **self.config.mapping_params())
         if mapping.nprocs != self.config.nprocs:
             raise ValueError("mapping.nprocs does not match config.nprocs")
         self.mapping = mapping

@@ -86,33 +86,6 @@ class SimulationTrace:
             factors=[b.factors for b in buffers],
         )
 
-    @classmethod
-    def from_blocks(cls, blocks: list[np.ndarray]) -> "SimulationTrace":
-        """Build a trace from per-processor ``(3, n)`` blocks (see :meth:`to_blocks`)."""
-        arrays = [np.asarray(b, dtype=np.float64) for b in blocks]
-        return cls(
-            times=[b[0] for b in arrays],
-            stack=[b[1] for b in arrays],
-            factors=[b[2] for b in arrays],
-        )
-
-    def to_blocks(self) -> list[np.ndarray]:
-        """Per-processor ``(3, n)`` blocks in the :class:`TraceBuffer` layout.
-
-        Row order is times / stack / factors — the persistence codec in
-        ``repro.results.traces`` round-trips through exactly this shape.
-        """
-        return [
-            np.stack(
-                (
-                    np.asarray(self.times[p], dtype=np.float64),
-                    np.asarray(self.stack[p], dtype=np.float64),
-                    np.asarray(self.factors[p], dtype=np.float64),
-                )
-            )
-            for p in range(len(self.times))
-        ]
-
     @property
     def nprocs(self) -> int:
         return len(self.times)

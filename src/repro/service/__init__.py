@@ -6,11 +6,10 @@ read-mostly server:
 
 * :mod:`repro.service.jobs` — persistent job model (``queued → running →
   done/failed``) over a crash-safe on-disk journal;
-* :mod:`repro.service.shards` — analysis-keyed shard partitioning behind the
-  multi-host-ready :class:`ShardBackend` interface;
 * :mod:`repro.service.daemon` — :class:`SweepService`, the daemon gluing the
-  above to one engine and the :class:`~repro.results.ResultStore`, with
-  retry/backoff/timeout handling;
+  queue to one engine, the :class:`~repro.results.ResultStore` and the
+  sweep executor (:class:`~repro.pipeline.executor.SweepExecutor`, one
+  shard per analysis group), with retry/backoff/deadline handling;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the stdlib
   HTTP/JSON API (``repro serve``) and its client (``repro submit/query``).
 
@@ -28,13 +27,6 @@ from repro.service.jobs import (
     JobSpec,
     JobStateError,
     new_job_id,
-)
-from repro.service.shards import (
-    InlineShardBackend,
-    ProcessShardBackend,
-    ShardBackend,
-    ShardTimeout,
-    partition_shards,
 )
 
 __all__ = [
@@ -54,9 +46,4 @@ __all__ = [
     "JobSpec",
     "JobStateError",
     "new_job_id",
-    "InlineShardBackend",
-    "ProcessShardBackend",
-    "ShardBackend",
-    "ShardTimeout",
-    "partition_shards",
 ]

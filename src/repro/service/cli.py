@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -42,9 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--nprocs", type=int, default=32, help="engine default simulated processors")
     serve.add_argument("--scale", type=float, default=1.0, help="engine default problem scale")
     serve.add_argument("--cache", default="", help="artifact-cache directory for the engine (optional)")
-    serve.add_argument("--jobs", type=int, default=1, help="shard width: 1 = in-process, >1 = process pool")
+    serve.add_argument(
+        "--jobs", type=int, default=1,
+        help="shard execution width: 1 = in-process under the engine lock, "
+        ">1 = one process pool of this many workers shared by every job worker (default 1)",
+    )
     serve.add_argument("--workers", type=int, default=1, help="job worker threads (default 1)")
-    serve.add_argument("--shard-size", type=int, default=None, help="max cases per shard (default: per analysis group)")
     serve.add_argument(
         "--max-pending", type=int, default=None,
         help="backpressure bound: POST /jobs answers 503 + Retry-After while this many jobs are queued (default: unbounded)",
@@ -107,10 +111,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         artifact_cache_dir=args.cache,
         jobs=args.jobs,
         workers=args.workers,
-        shard_size=args.shard_size,
         max_pending=args.max_pending,
         journal_fsync=not args.no_journal_fsync,
     )
+    # SIGTERM stops the daemon as Ctrl-C does, through service.stop(): pool
+    # workers killed with their parent would outlive it, holding its socket
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     service.start()
     server = make_server(service, host=args.host, port=args.port, quiet=args.quiet)
     print(
@@ -236,8 +242,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--jobs must be >= 1")
         if args.workers < 1:
             parser.error("--workers must be >= 1")
-        if args.shard_size is not None and args.shard_size < 1:
-            parser.error("--shard-size must be >= 1")
         if args.max_pending is not None and args.max_pending < 1:
             parser.error("--max-pending must be >= 1")
         return _cmd_serve(args)

@@ -4,10 +4,10 @@
 
 * a journal-backed :class:`~repro.service.jobs.JobQueue` (crash-safe, see
   that module),
-* worker thread(s) that claim jobs, partition them into analysis-sharing
-  shards (:func:`~repro.service.shards.partition_shards`) and execute them
-  through a :class:`~repro.service.shards.ShardBackend` with per-shard
-  retry-with-backoff and a per-job wall-clock timeout,
+* worker thread(s) that claim jobs, split them into analysis-sharing
+  shards (:meth:`SweepExecutor.group_by_analysis`) and run each shard's
+  missing cases through the one :class:`~repro.pipeline.executor.SweepExecutor`,
+  with per-shard retry-with-backoff and a per-job wall-clock deadline,
 * a :class:`~repro.results.ResultStore` of finished case results keyed by
   canonical case parameters (:func:`~repro.results.case_key_for`) — every
   ``GET /result`` query looks there first, and ``GET /results`` lists it,
@@ -23,6 +23,7 @@ from the store rather than re-executed.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import threading
@@ -34,17 +35,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.pipeline.executor import SweepExecutor
 from repro.pipeline.stage import CaseResult, CaseSpec
 from repro.pipeline.store import DiskStore, content_key
 from repro.results import ResultStore, case_key_for
 from repro.service.jobs import JobQueue, JobRecord, JobSpec
-from repro.service.shards import (
-    InlineShardBackend,
-    ProcessShardBackend,
-    ShardBackend,
-    ShardTimeout,
-    partition_shards,
-)
 from repro.ordering import ORDERINGS
 from repro.scheduling import STRATEGIES
 from repro.session import Session
@@ -154,12 +149,11 @@ class SweepService:
         Engine defaults, as for :class:`~repro.session.Session`
         (``artifact_cache_dir=""`` keeps the artifact disk tier off).
     jobs:
-        Shard execution width: ``1`` runs shards in-process, one
-        ``run_case`` per case, ``> 1`` uses a long-lived process pool.
+        Shard execution width of the daemon's :class:`SweepExecutor`: ``1``
+        runs shards in-process under the engine lock, ``> 1`` on one
+        long-lived process pool shared by every job worker.
     workers:
         Job worker threads draining the queue (each runs one job at a time).
-    shard_size:
-        Maximum cases per shard (``None`` = one shard per analysis group).
     retry_base_delay:
         First retry backoff in seconds (doubles per attempt).
     journal_fsync:
@@ -179,11 +173,9 @@ class SweepService:
         artifact_cache_dir: str | os.PathLike | None = "",
         jobs: int = 1,
         workers: int = 1,
-        shard_size: Optional[int] = None,
         retry_base_delay: float = 0.1,
         journal_fsync: bool = True,
         max_pending: Optional[int] = None,
-        backend: Optional[ShardBackend] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -198,15 +190,8 @@ class SweepService:
         # finished case — sweep shard or inline query — is appended here
         self.results = ResultStore(self.data_dir / "store", fsync=journal_fsync)
         self.tables = DiskStore(self.data_dir / "tables", durable=True)
-        if backend is not None:
-            self.backend = backend
-        elif jobs > 1:
-            self.backend = ProcessShardBackend(self.engine, jobs=jobs)
-        else:
-            self.backend = InlineShardBackend(self.engine)
-        self.jobs = jobs
+        self.executor = SweepExecutor(self.engine, jobs=jobs)
         self.workers = workers
-        self.shard_size = shard_size
         self.max_pending = max_pending
         self.retry_base_delay = retry_base_delay
         self.started_at = time.time()
@@ -231,13 +216,13 @@ class SweepService:
         return self
 
     def stop(self, *, timeout: float = 30.0) -> None:
-        """Stop the workers and release the engine/backend (idempotent)."""
+        """Stop the workers and release the engine and its pool (idempotent)."""
         self._stop.set()
         self.queue.wake()
         threads, self._threads = self._threads, []
         for thread in threads:
             thread.join(timeout=timeout)
-        self.backend.close()
+        self.executor.close()
         self.session.close()
         self.results.flush()
 
@@ -433,12 +418,7 @@ class SweepService:
                 "scale": self.engine.scale,
                 "artifact_cache_dir": self.engine.cache_dir,
             },
-            "execution": {
-                "backend": type(self.backend).__name__,
-                "jobs": self.jobs,
-                "workers": self.workers,
-                "shard_size": self.shard_size,
-            },
+            "execution": {"jobs": self.executor.jobs, "workers": self.workers},
             "jobs": self.queue.counts(),
             "queue_depth": self.queue_depth(),
             "saturated": self.saturated(),
@@ -471,23 +451,25 @@ class SweepService:
             if spec.tune is not None:
                 self._execute_tune(record, deadline)
                 return
-            specs = spec.expand()
-            shards = partition_shards(specs, max_shard_size=self.shard_size)
+            shards = SweepExecutor.group_by_analysis(spec.expand())
             self.queue.set_shards(record.id, len(shards))
-            keys: list[Optional[str]] = [None] * len(specs)
+            self.results.refresh()
             done = 0
             for shard_no, shard in enumerate(shards):
-                results = self._run_shard_with_retry(record, shard, deadline)
-                batch_keys = self._store_shard(shard, results)
-                for (index, _), key in zip(shard, batch_keys):
-                    keys[index] = key
+                keys = [case_key_for(self.engine, case) for _, case in shard]
+                # a resubmitted or recovered job reruns only what the store lacks
+                missing = {
+                    key: case for key, (_, case) in zip(keys, shard) if key not in self.results
+                }
+                if missing:
+                    results = self._run_shard_with_retry(record, list(missing.values()), deadline)
+                    self._store_shard(list(missing), results)
                 done += len(shard)
                 self.queue.progress(
-                    record.id, done=done, shards_done=shard_no + 1, result_keys=batch_keys
+                    record.id, done=done, shards_done=shard_no + 1, result_keys=keys
                 )
-            assert all(k is not None for k in keys)
             self.queue.finish(record.id)
-        except ShardTimeout as exc:
+        except TimeoutError as exc:
             self.queue.fail(record.id, f"timeout: {exc}")
         except Exception as exc:
             self.queue.fail(record.id, f"{type(exc).__name__}: {exc}")
@@ -508,7 +490,7 @@ class SweepService:
 
         def progress(done: int, total: int) -> None:
             if deadline is not None and time.monotonic() > deadline:
-                raise ShardTimeout(
+                raise TimeoutError(
                     f"job deadline elapsed mid-tune after {done}/{total} case "
                     f"evaluations ({record.spec.timeout_s:.1f}s)"
                 )
@@ -547,46 +529,39 @@ class SweepService:
                 f"no leaderboard for job {job_id!r}" if job_id else "no leaderboard yet"
             ) from None
 
-    def _store_shard(
-        self, shard: list[tuple[int, CaseSpec]], results: Sequence[CaseResult]
-    ) -> list[str]:
-        """Seal one shard's results as one store batch: one manifest record.
+    def _store_shard(self, keys: Sequence[str], results: Sequence[CaseResult]) -> None:
+        """Seal one shard's new results as one store batch: one manifest record.
 
         The batch is durable when this returns, before the caller journals
         the shard's ``progress`` line: a key named by the journal is always
         in the store.
         """
-        keys = []
-        with self.results.writer(flush_every=len(shard)) as writer:
-            for (_, spec), result in zip(shard, results):
-                key = case_key_for(self.engine, spec)
+        with self.results.writer(flush_every=len(keys)) as writer:
+            for key, result in zip(keys, results):
                 writer.append(key, result)
-                keys.append(key)
-        return keys
+
+    def _run_shard(self, specs: Sequence[CaseSpec], deadline: Optional[float]) -> list[CaseResult]:
+        """Run one shard's cases on the daemon's executor.
+
+        In-process runs share the query engine, so they hold the engine
+        lock; pool runs touch only the workers' engines.
+        """
+        lock = self._engine_lock if self.executor.jobs == 1 else contextlib.nullcontext()
+        with lock:
+            return self.executor.run(specs, deadline=deadline)
 
     def _run_shard_with_retry(
         self,
         record: JobRecord,
-        shard: list[tuple[int, CaseSpec]],
+        specs: Sequence[CaseSpec],
         deadline: Optional[float],
     ) -> list[CaseResult]:
-        specs = [case_spec for _, case_spec in shard]
         delay = self.retry_base_delay
         last_error: Optional[BaseException] = None
         for attempt in range(1, record.spec.max_attempts + 1):
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise ShardTimeout(
-                    f"job deadline elapsed before shard of {len(specs)} case(s) "
-                    f"(after {record.spec.timeout_s:.1f}s)"
-                )
             try:
-                if isinstance(self.backend, InlineShardBackend):
-                    # the inline backend shares the query engine: serialise
-                    with self._engine_lock:
-                        return self.backend.run_shard(specs, timeout_s=remaining)
-                return self.backend.run_shard(specs, timeout_s=remaining)
-            except ShardTimeout:
+                return self._run_shard(specs, deadline)
+            except TimeoutError:
                 raise
             except Exception as exc:
                 last_error = exc

@@ -1,11 +1,11 @@
 """Crash tolerance of the execution paths and queue backpressure.
 
 A SIGKILLed worker (the OOM-killer's signature) must never wedge a sweep:
-:class:`ProcessShardBackend` surfaces the dead pool as a retryable
-:class:`WorkerCrashError` (and drops it, so the retry builds a fresh one),
 :class:`SweepExecutor` rebuilds its pool mid-sweep and resubmits exactly the
-unfinished analysis groups, and the service daemon counts the crash toward
-the job's ``max_attempts`` like any other shard failure.
+unfinished analysis groups, a daemon running jobs on that pool finishes them
+with every key, and a crash that outlasts the rebuilds surfaces as a
+retryable :class:`WorkerCrashError` that the daemon counts toward the job's
+``max_attempts`` like any other shard failure.
 
 The backpressure half: ``max_pending`` bounds the queue depth —
 ``POST /jobs`` answers 503 with a ``Retry-After`` header while saturated,
@@ -30,7 +30,6 @@ from repro.results import case_key_for
 from repro.service import SweepService, make_server
 from repro.service.daemon import QueueSaturated
 from repro.service.jobs import JobJournal, JobQueue, JobSpec
-from repro.service.shards import ProcessShardBackend, ShardBackend
 
 NPROCS = 4
 SCALE = 0.2
@@ -38,10 +37,6 @@ SCALE = 0.2
 
 def _engine() -> AnalysisPipeline:
     return AnalysisPipeline(nprocs=NPROCS, scale=SCALE, cache_dir="")
-
-
-def _specs(strategies) -> list[CaseSpec]:
-    return [CaseSpec("XENON2", "metis", s) for s in strategies]
 
 
 def _kill_one_worker(pool) -> None:
@@ -64,35 +59,14 @@ def _wait_terminal(service: SweepService, job_id: str, timeout: float = 120.0):
 
 
 # --------------------------------------------------------------------------- #
-# ProcessShardBackend
-# --------------------------------------------------------------------------- #
-class TestShardBackendCrash:
-    def test_sigkilled_worker_surfaces_and_recovers(self):
-        engine = _engine()
-        backend = ProcessShardBackend(engine, jobs=1)
-        try:
-            specs = _specs(["memory-full"])
-            baseline = backend.run_shard(specs)  # warms the pool
-            _kill_one_worker(backend._pool)
-            with pytest.raises(WorkerCrashError, match="worker process died"):
-                backend.run_shard(specs)
-            # the dead pool was dropped, so the retry builds a fresh one
-            assert backend._pool is None
-            recovered = backend.run_shard(specs)
-            assert recovered[0].to_dict() == baseline[0].to_dict()
-        finally:
-            backend.close()
-
-    def test_worker_crash_error_is_retryable_runtime_error(self):
-        # the daemon's retry loop catches Exception: the crash must be one
-        assert issubclass(WorkerCrashError, RuntimeError)
-
-
-# --------------------------------------------------------------------------- #
 # SweepExecutor
 # --------------------------------------------------------------------------- #
 class TestExecutorCrashRecovery:
     STRATEGIES = ["memory-full", "mumps-workload", "memory-basic", "memory-task"]
+
+    def test_crash_error_is_retryable(self):
+        # the daemon's retry loop catches Exception: the crash must be one
+        assert issubclass(WorkerCrashError, RuntimeError)
 
     def test_pool_broken_between_runs_is_rebuilt(self):
         # distinct orderings → one analysis group per case → parallel path
@@ -110,6 +84,21 @@ class TestExecutorCrashRecovery:
             # it transparently and still deliver every result
             second = executor.run(specs)
             assert [r.to_dict() for r in second] == serial
+
+    def test_a_late_crash_report_keeps_the_replacement_pool(self):
+        # two runs sharing the executor both see one crash: the second to
+        # report it must not shut down the pool the first one rebuilt
+        specs = [CaseSpec("XENON2", o, "memory-full") for o in ("metis", "amd")]
+        with SweepExecutor(_engine(), jobs=2) as executor:
+            executor.run(specs)
+            broken = executor._pool
+            _kill_one_worker(broken)
+            executor.run(specs)
+            fresh = executor._pool
+            assert fresh is not broken
+            executor._drop_pool(broken)
+            assert executor._pool is fresh
+            assert len(executor.run(specs)) == 2
 
     def test_kill_mid_sweep_recovers_and_matches_serial(self):
         specs = [
@@ -134,18 +123,63 @@ class TestExecutorCrashRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# daemon: a crashed shard counts toward max_attempts
+# daemon: a pool crash mid-job is recovered; a crashed shard counts toward
+# max_attempts
 # --------------------------------------------------------------------------- #
-class CrashOnceBackend(ShardBackend):
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.crashes = 0
+class TestDaemonPoolCrash:
+    def test_sigkilled_worker_mid_job_finishes_every_key(self, tmp_path):
+        service = SweepService(
+            data_dir=tmp_path / "svc", nprocs=NPROCS, scale=SCALE,
+            journal_fsync=False, jobs=2,
+        )
+        run = service._run_shard
+        killed = []
 
-    def run_shard(self, specs, *, timeout_s=None):
+        def kill_after_first_shard(specs, deadline):
+            results = run(specs, deadline)
+            if not killed:
+                pool = service.executor._pool
+                _kill_one_worker(pool)
+                give_up = time.monotonic() + 30.0
+                while not pool._broken and time.monotonic() < give_up:
+                    time.sleep(0.01)
+                killed.append(pool)
+            return results
+
+        service._run_shard = kill_after_first_shard
+        with service:
+            # two problems → two shards; the second finds the pool broken
+            record = service.submit(
+                {"sweep": {"problems": ["XENON2", "PRE2"],
+                           "strategies": ["mumps-workload", "memory-full"]}}
+            )
+            final = _wait_terminal(service, record.id)
+            assert killed and killed[0]._broken
+            assert service.executor._pool is not killed[0]  # rebuilt, not retried
+        assert final.state == "done" and final.attempts == 0
+        assert final.done == final.total == 4
+        assert len(set(final.result_keys)) == 4
+        assert all(key in service.results for key in final.result_keys)
+        serial = _engine()
+        assert [service.results.get(case_key_for(serial, spec)).to_dict()
+                for spec in record.spec.expand()] == [
+            serial.run_case(spec).to_dict() for spec in record.spec.expand()
+        ]
+
+
+class CrashOnce:
+    """Patches a daemon's shard run: the first call raises a worker crash."""
+
+    def __init__(self, service: SweepService) -> None:
+        self.run = service._run_shard
+        self.crashes = 0
+        service._run_shard = self
+
+    def __call__(self, specs, deadline):
         if self.crashes == 0:
             self.crashes += 1
             raise WorkerCrashError("worker process died (simulated)")
-        return [self.engine.run_case(spec) for spec in specs]
+        return self.run(specs, deadline)
 
 
 class TestDaemonCrashRetry:
@@ -154,7 +188,7 @@ class TestDaemonCrashRetry:
             data_dir=tmp_path / "svc", nprocs=NPROCS, scale=SCALE,
             journal_fsync=False, retry_base_delay=0.01,
         )
-        service.backend = CrashOnceBackend(service.engine)
+        crash = CrashOnce(service)
         with service:
             record = service.submit(
                 {"sweep": {"problems": ["XENON2"], "strategies": ["memory-full"]},
@@ -163,7 +197,7 @@ class TestDaemonCrashRetry:
             final = _wait_terminal(service, record.id)
         assert final.state == "done"
         assert final.attempts == 1  # the crash was journaled as an attempt
-        assert service.backend.crashes == 1
+        assert crash.crashes == 1
 
     def test_crash_budget_exhausted_fails_with_crash_error(self, tmp_path):
         service = SweepService(
@@ -171,11 +205,10 @@ class TestDaemonCrashRetry:
             journal_fsync=False, retry_base_delay=0.01,
         )
 
-        class AlwaysCrash(ShardBackend):
-            def run_shard(self, specs, *, timeout_s=None):
-                raise WorkerCrashError("worker process died (simulated)")
+        def always_crash(specs, deadline):
+            raise WorkerCrashError("worker process died (simulated)")
 
-        service.backend = AlwaysCrash()
+        service._run_shard = always_crash
         with service:
             record = service.submit(
                 {"sweep": {"problems": ["XENON2"], "strategies": ["memory-full"]},
@@ -200,7 +233,7 @@ class TestRerunResetsProgress:
     def test_recovered_running_job_reruns_from_zero(self, tmp_path):
         data_dir = tmp_path / "svc"
         options = dict(data_dir=data_dir, nprocs=NPROCS, scale=SCALE,
-                       journal_fsync=False, shard_size=2)
+                       journal_fsync=False)
         # a daemon that died after journaling the first of two shards
         crashed = SweepService(**options)
         job = crashed.submit(self.GRID)

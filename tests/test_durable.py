@@ -167,13 +167,8 @@ class TestStaleTemps:
         assert fresh.exists()
         assert (tmp_path / "keep.tmp").exists()
 
-    def test_missing_directory_and_trace_temps(self, tmp_path):
-        remove_stale_temps(tmp_path / "absent")  # no error
-        traces = tmp_path / "traces"
-        traces.mkdir()
-        stale = self._temp(traces, "trace-k.npz", STALE_TEMP_S + 60)
-        ResultStore(tmp_path, fsync=False)
-        assert not stale.exists()
+    def test_missing_directory_is_no_error(self, tmp_path):
+        remove_stale_temps(tmp_path / "absent")
 
 
 def _bench_run(timestamp: str, **env) -> BenchRun:

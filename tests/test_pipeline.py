@@ -1,7 +1,14 @@
 """Tests for the staged pipeline engine, artifact stores and sweep executor."""
 
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
+
+import repro.pipeline.executor as executor_module
 
 from repro.pipeline import (
     AnalysisPipeline,
@@ -108,15 +115,6 @@ class TestStores:
         assert not errors
         leftovers = [p.name for p in tmp_path.iterdir() if not p.name.endswith(".pkl")]
         assert leftovers == []
-
-    def test_disk_store_delete_and_size(self, tmp_path):
-        store = DiskStore(tmp_path)
-        store.put("k", "x" * 100)
-        assert store.size_bytes("k") == store.path("k").stat().st_size > 0
-        assert store.delete("k") is True
-        assert store.delete("k") is False  # already gone: no error
-        assert store.size_bytes("k") == 0
-        assert "k" not in store
 
 
 # --------------------------------------------------------------------------- #
@@ -290,6 +288,16 @@ class TestSweepExecutor:
             assert len(signatures) == 1
             assert len(group) == 2
 
+    def test_groups_by_analysis_signature(self):
+        specs = [
+            CaseSpec("XENON2", "metis", "mumps-workload"),
+            CaseSpec("PRE2", "metis", "memory-full"),
+            CaseSpec("XENON2", "metis", "memory-full"),
+            CaseSpec("XENON2", "metis", "memory-full", nprocs=8),
+        ]
+        groups = SweepExecutor.group_by_analysis(specs)
+        assert [[i for i, _ in group] for group in groups] == [[0, 2], [1], [3]]
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             SweepExecutor(engine(), jobs=0)
@@ -337,10 +345,73 @@ class TestSweepExecutor:
             assert len(first) == len(second) == 2
         assert executor._pool is None  # context exit shuts the pool down
 
+    def test_passed_deadline_raises_before_any_case(self):
+        serial = engine()
+        with pytest.raises(TimeoutError, match="4 of 4 case"):
+            SweepExecutor(serial, jobs=1).run(GRID, deadline=time.monotonic())
+        assert not serial.stage_runs
+        with SweepExecutor(engine(), jobs=2) as executor:
+            with pytest.raises(TimeoutError, match="4 of 4 case"):
+                executor.run(GRID, deadline=time.monotonic())
+            assert executor._pool is None  # nothing was submitted
+
+    def test_serial_deadline_is_checked_before_each_case(self):
+        def let_the_deadline_pass(index, spec, result):
+            time.sleep(0.05)
+
+        with pytest.raises(TimeoutError, match="3 of 4 case"):
+            SweepExecutor(engine(), jobs=1).run(
+                GRID, on_result=let_the_deadline_pass, deadline=time.monotonic() + 0.05
+            )
+
+    def test_pool_deadline_abandons_the_run_and_keeps_the_pool(self):
+        with SweepExecutor(engine(), jobs=2) as executor:
+            executor.run(GRID[:2])
+            pool = executor._pool
+            slow = [CaseSpec("XENON2", "metis", "memory-full", scale=3.0)]  # ~0.7 s
+            with pytest.raises(TimeoutError, match="1 of 1 case"):
+                executor.run(slow, deadline=time.monotonic() + 0.05)
+            assert executor._pool is pool
+            assert len(executor.run(GRID[2:])) == 2
+
     def test_close_idempotent(self):
         executor = SweepExecutor(engine(), jobs=2)
         executor.close()
         executor.close()
+
+    def test_concurrent_runs_share_one_pool(self, monkeypatch):
+        # the service daemon's job threads share one executor: its pool must
+        # be created once, however the threads interleave
+        created = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", CountingPool)
+        results: list = [None] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SweepExecutor(engine(), jobs=2) as executor:
+
+                def run(i):
+                    results[i] = executor.run(GRID)
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(created) == 1
+        serial = SweepExecutor(engine(), jobs=1).run(GRID)
+        for parallel in results:
+            for a, b in zip(serial, parallel):
+                assert_case_results_equal(a, b)
 
     def test_workers_honour_disabled_cache(self, tmp_path, monkeypatch):
         # cache_dir="" means "disk tier off" — workers must not fall back to

@@ -1,10 +1,10 @@
-"""Tests of the columnar result store: table, serialization, store, traces.
+"""Tests of the columnar result store: table, serialization, store.
 
 Covers the :mod:`repro.results` package layer by layer — exact
 ``CaseResult`` round-trips through the columns, the versioned
 serialization policy of :mod:`repro.serialize`, the append-only
 :class:`ResultStore` (replay, torn records, records of an older format or
-key version) and the delta-encoded trace codec.
+key version).
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from repro.results import (
     ResultTable,
     ResultTableBuilder,
     case_key,
-    decode_trace,
-    encode_trace,
 )
-from repro.runtime.trace import SimulationTrace
 from repro.serialize import (
     canonical_json,
     check_schema,
@@ -697,58 +694,3 @@ class TestResultStoreReads:
         assert reader.refresh() == 1 and "k9" in reader and len(reader) == 4
         assert (directory / "manifest.jsonl").read_bytes() == shrunk
 
-
-class TestTraces:
-    def make_trace(self, nprocs: int = 3, n: int = 50) -> SimulationTrace:
-        rng = np.random.default_rng(7)
-        blocks = []
-        for p in range(nprocs):
-            times = np.cumsum(rng.uniform(0.0, 0.01, n + p))
-            stack = np.abs(np.cumsum(rng.normal(0.0, 5.0, n + p)))
-            factors = np.cumsum(rng.uniform(0.0, 3.0, n + p))
-            blocks.append(np.stack((times, stack, factors)))
-        return SimulationTrace.from_blocks(blocks)
-
-    def test_codec_roundtrip_close_to_ulp(self):
-        trace = self.make_trace()
-        payload = encode_trace(trace)
-        assert str(payload["schema"]) == "trace/v1"
-        decoded = decode_trace(payload)
-        assert decoded.nprocs == trace.nprocs
-        for p in range(trace.nprocs):
-            np.testing.assert_allclose(decoded.times[p], trace.times[p], rtol=1e-12)
-            np.testing.assert_allclose(decoded.stack[p], trace.stack[p], rtol=1e-12)
-            np.testing.assert_allclose(decoded.factors[p], trace.factors[p], rtol=1e-12)
-
-    def test_empty_trace_roundtrip(self):
-        trace = SimulationTrace.from_blocks([])
-        decoded = decode_trace(encode_trace(trace))
-        assert decoded.nprocs == 0
-
-    def test_store_trace_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path / "store", fsync=False)
-        trace = self.make_trace()
-        assert not store.has_trace("case-1")
-        store.put_trace("case-1", trace)
-        assert store.has_trace("case-1")
-        loaded = store.get_trace("case-1")
-        np.testing.assert_allclose(loaded.stack[0], trace.stack[0], rtol=1e-12)
-        with pytest.raises(KeyError):
-            store.get_trace("absent")
-
-    def test_deltas_beat_json_on_disk(self, tmp_path):
-        """The headline claim: delta + deflate is much smaller than JSON."""
-        trace = self.make_trace(nprocs=4, n=2000)
-        store = ResultStore(tmp_path / "store", fsync=False)
-        store.put_trace("big", trace)
-        npz_bytes = store._trace_path("big").stat().st_size
-        json_bytes = len(
-            json.dumps(
-                {
-                    "times": [t.tolist() for t in trace.times],
-                    "stack": [s.tolist() for s in trace.stack],
-                    "factors": [f.tolist() for f in trace.factors],
-                }
-            ).encode()
-        )
-        assert npz_bytes < json_bytes / 2

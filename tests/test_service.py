@@ -1,7 +1,8 @@
 """Tests of the sweep service: jobs, shards, daemon, HTTP API.
 
-The unit tests drive the queue/shard layers directly (with injected
-clocks and backends, no sockets); the end-to-end tests run the real daemon
+The unit tests drive the queue and the daemon directly (faults are
+injected by patching the daemon's one shard-run call, no sockets); the
+end-to-end tests run the real daemon
 behind a real loopback HTTP server — submit → poll → query — and assert the
 acceptance criteria: a repeated ``GET /result`` is served from the result
 store (stage-execution counters unchanged) with byte-identical JSON, within
@@ -12,14 +13,20 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.pipeline.stage import CaseSpec
 from repro.results import ResultStore, case_key_for
 from repro.service import (
-    InlineShardBackend,
     JobQueue,
     JobSpec,
     JobStateError,
@@ -28,7 +35,6 @@ from repro.service import (
     SweepService,
     case_spec_from_query,
     make_server,
-    partition_shards,
 )
 from repro.serialize import canonical_json
 from repro.specs import SweepSpec
@@ -189,31 +195,6 @@ class TestJobQueue:
 
 
 # --------------------------------------------------------------------------- #
-# shard partitioning
-# --------------------------------------------------------------------------- #
-class TestPartitionShards:
-    def test_groups_by_analysis_signature(self):
-        specs = [
-            CaseSpec("XENON2", "metis", "mumps-workload"),
-            CaseSpec("PRE2", "metis", "memory-full"),
-            CaseSpec("XENON2", "metis", "memory-full"),
-            CaseSpec("XENON2", "metis", "memory-full", nprocs=8),
-        ]
-        shards = partition_shards(specs)
-        assert [[i for i, _ in shard] for shard in shards] == [[0, 2], [1], [3]]
-
-    def test_chunking(self):
-        specs = [CaseSpec("XENON2", "metis", f"hybrid(alpha=0.{i})") for i in range(1, 6)]
-        shards = partition_shards(specs, max_shard_size=2)
-        assert [len(s) for s in shards] == [2, 2, 1]
-        assert [i for shard in shards for i, _ in shard] == list(range(5))
-
-    def test_bad_shard_size(self):
-        with pytest.raises(ValueError, match="max_shard_size"):
-            partition_shards([], max_shard_size=0)
-
-
-# --------------------------------------------------------------------------- #
 # result keys and query parsing
 # --------------------------------------------------------------------------- #
 class TestResultKeys:
@@ -261,29 +242,33 @@ class TestResultKeys:
 # --------------------------------------------------------------------------- #
 # daemon execution policies (no sockets: direct SweepService)
 # --------------------------------------------------------------------------- #
-class FlakyBackend(InlineShardBackend):
-    """Fails the first ``failures`` run_shard calls, then delegates."""
+class FlakyShards:
+    """Patches a daemon's shard run: the first ``failures`` calls raise."""
 
-    def __init__(self, engine, failures: int) -> None:
-        super().__init__(engine)
+    def __init__(self, service: SweepService, failures: int) -> None:
+        self.run = service._run_shard
         self.failures = failures
         self.calls = 0
+        service._run_shard = self
 
-    def run_shard(self, specs, *, timeout_s=None):
+    def __call__(self, specs, deadline):
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError(f"transient failure {self.calls}")
-        return super().run_shard(specs, timeout_s=timeout_s)
+        return self.run(specs, deadline)
 
 
-class SlowBackend(InlineShardBackend):
-    def __init__(self, engine, delay: float) -> None:
-        super().__init__(engine)
+class SlowShards:
+    """Patches a daemon's shard run: every call sleeps ``delay`` first."""
+
+    def __init__(self, service: SweepService, delay: float) -> None:
+        self.run = service._run_shard
         self.delay = delay
+        service._run_shard = self
 
-    def run_shard(self, specs, *, timeout_s=None):
+    def __call__(self, specs, deadline):
         time.sleep(self.delay)
-        return super().run_shard(specs, timeout_s=timeout_s)
+        return self.run(specs, deadline)
 
 
 def _make_service(tmp_path, **kwargs) -> SweepService:
@@ -307,27 +292,27 @@ def _wait_terminal(service: SweepService, job_id: str, timeout: float = 120.0):
 class TestSweepServiceExecution:
     def test_retry_with_backoff_recovers(self, tmp_path):
         service = _make_service(tmp_path)
-        service.backend = FlakyBackend(service.engine, failures=2)
+        flaky = FlakyShards(service, failures=2)
         with service:
             record = service.submit({"sweep": tiny_sweep().to_dict(), "max_attempts": 3})
             final = _wait_terminal(service, record.id)
         assert final.state == "done"
         assert final.attempts == 2  # two failed attempts were journaled
-        assert service.backend.calls == 3
+        assert flaky.calls == 3
 
     def test_retry_budget_exhausted_fails(self, tmp_path):
         service = _make_service(tmp_path)
-        service.backend = FlakyBackend(service.engine, failures=99)
+        flaky = FlakyShards(service, failures=99)
         with service:
             record = service.submit({"sweep": tiny_sweep().to_dict(), "max_attempts": 2})
             final = _wait_terminal(service, record.id)
         assert final.state == "failed"
         assert "RuntimeError" in final.error
-        assert service.backend.calls == 2
+        assert flaky.calls == 2
 
     def test_job_timeout(self, tmp_path):
         service = _make_service(tmp_path)
-        service.backend = SlowBackend(service.engine, delay=0.1)
+        SlowShards(service, delay=0.1)
         with service:
             # two problems → two shards; the deadline elapses after shard one
             spec = {"sweep": tiny_sweep(problems=["XENON2", "PRE2"]).to_dict(), "timeout_s": 0.05}
@@ -402,6 +387,37 @@ class TestGroupCommit:
             service.query({"problem": "XENON2", "strategy": "hybrid(alpha=0.3)"})
             assert service.results.stats()["segments"] - before == 3
 
+    def test_resubmitted_grid_computes_and_seals_nothing(self, tmp_path):
+        service = _make_service(tmp_path)
+        with service:
+            first = _wait_terminal(service, service.submit(_four_case_job()).id)
+            runs = dict(service.engine.stage_runs)
+            stored = service.results.stats()
+            again = _wait_terminal(service, service.submit(_four_case_job()).id)
+            assert dict(service.engine.stage_runs) == runs
+            assert service.results.stats() == stored
+        assert first.state == again.state == "done"
+        assert again.result_keys == first.result_keys
+        assert again.done == again.total == 4 and again.shards_done == 2
+
+    def test_shard_runs_and_seals_only_its_missing_cases(self, tmp_path):
+        service = _make_service(tmp_path)
+        with service:
+            stored = service.query({"problem": "XENON2", "strategy": "memory-full"})
+            runs = service.engine.stage_runs["simulate"]
+            before = service.results.stats()
+            final = _wait_terminal(
+                service,
+                service.submit(
+                    {"sweep": tiny_sweep(strategies=["mumps-workload", "memory-full"]).to_dict()}
+                ).id,
+            )
+            assert service.engine.stage_runs["simulate"] - runs == 1
+            after = service.results.stats()
+        assert final.state == "done" and stored.key in final.result_keys
+        assert after["segments"] - before["segments"] == 1
+        assert after["rows"] - before["rows"] == 1
+
     def test_progress_lines_name_only_durable_keys(self, tmp_path):
         service = _make_service(tmp_path)
         progress = service.queue.progress
@@ -451,6 +467,71 @@ class TestGroupCommit:
         assert sorted(keys) == sorted(set(final.result_keys)) and len(keys) == 4
         assert listing["total"] == 4
         assert sorted(row["key"] for row in listing["results"]) == sorted(keys)
+
+
+class TestOnePool:
+    """``jobs > 1``: every job worker runs its shards on the daemon's one pool."""
+
+    JOBS = (
+        {"sweep": {"problems": ["XENON2"], "orderings": ["metis", "amd"],
+                   "strategies": ["mumps-workload", "memory-full"]}},
+        {"sweep": {"problems": ["PRE2"], "orderings": ["metis"],
+                   "strategies": ["mumps-workload", "memory-full"]}},
+    )
+
+    def _run_jobs(self, data_dir, **kwargs):
+        service = SweepService(
+            data_dir=data_dir, nprocs=NPROCS, scale=SCALE, journal_fsync=False, **kwargs
+        )
+        with service:
+            records = [service.submit(job) for job in self.JOBS]
+            finals = [_wait_terminal(service, record.id) for record in records]
+        assert [final.state for final in finals] == ["done", "done"]
+        rows = {
+            key: service.results.get(key).to_dict()
+            for final in finals for key in final.result_keys
+        }
+        return service, rows
+
+    def test_two_workers_on_one_pool_match_the_inline_daemon(self, tmp_path):
+        pooled, pooled_rows = self._run_jobs(tmp_path / "pool", jobs=2, workers=2)
+        inline, inline_rows = self._run_jobs(tmp_path / "inline")
+        assert len(pooled_rows) == 6 and pooled_rows == inline_rows
+        # the pool daemon's own engine simulated nothing: the workers did
+        assert pooled.engine.stage_runs["simulate"] == 0
+        assert inline.engine.stage_runs["simulate"] == 6
+        assert pooled.stats()["execution"] == {"jobs": 2, "workers": 2}
+
+
+def test_sigterm_stops_the_pool_workers_with_the_daemon(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--nprocs", str(NPROCS),
+         "--scale", str(SCALE), "--data-dir", str(tmp_path / "svc"), "--no-journal-fsync",
+         "--quiet", "--jobs", "2"],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        port = None
+        for line in daemon.stderr:
+            match = re.search(r"listening on http://127\.0\.0\.1:(\d+) ", line)
+            if match:
+                port = int(match.group(1))
+                break
+        assert port is not None, "the daemon never reported its port"
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        record = client.submit({"sweep": tiny_sweep().to_dict()})
+        assert client.wait(str(record["id"]), timeout=120.0)["state"] == "done"  # the pool ran
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=60) == 143
+    finally:
+        daemon.kill()
+        daemon.stderr.close()
+    # a pool worker that outlived the daemon would still hold its listening socket
+    with socket.socket() as probe:
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        probe.bind(("127.0.0.1", port))
 
 
 @contextlib.contextmanager
