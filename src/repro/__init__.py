@@ -28,7 +28,7 @@ offline:
   (:mod:`repro.specs`), and the :class:`~repro.session.Session` façade
   regenerating every table and figure of the paper
   (:mod:`repro.session`, :mod:`repro.experiments`, see ``docs/api.md``);
-* a columnar result store with streaming append and resumable sweeps —
+* a columnar result store of sealed batches and resumable sweeps —
   ``Session.sweep(store=...)`` skips already-computed cases and the sweep
   service pages ``GET /results`` straight off the columns
   (:mod:`repro.results`, see ``docs/results.md``).

@@ -491,7 +491,7 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
         cases=[
             prepared("query-cold", query_cold, repeats=3, warmup=1),
             prepared("query-cached", query_cached, repeats=5, warmup=1),
-            prepared("submit-roundtrip", submit_roundtrip, repeats=3, warmup=0),
+            prepared("submit-roundtrip", submit_roundtrip, repeats=30, warmup=3),
         ],
         close=close,
     )
@@ -543,7 +543,7 @@ def _synthetic_results(n: int):
 
 @SUITES.register(
     "results",
-    description="columnar result store: streaming append, filter+page (10k rows)",
+    description="columnar result store: batch seal, filter+page (10k rows)",
 )
 def _results_suite(env: BenchEnv) -> SuiteInstance:
     import os
@@ -552,7 +552,8 @@ def _results_suite(env: BenchEnv) -> SuiteInstance:
     from repro.results import ResultStore, ResultTable
 
     pairs = _synthetic_results(RESULTS_ROWS)
-    table = ResultTable.from_results([r for _, r in pairs], keys=[k for k, _ in pairs])
+    keys, results = [k for k, _ in pairs], [r for _, r in pairs]
+    table = ResultTable.from_results(results, keys=keys)
     tmpdir = tempfile.TemporaryDirectory(prefix="repro-bench-results-")
     run_no = {"n": 0}
 
@@ -561,9 +562,8 @@ def _results_suite(env: BenchEnv) -> SuiteInstance:
         # manifest record per 1024 rows) end to end (fsync off, as in CI daemons)
         run_no["n"] += 1
         store = ResultStore(os.path.join(tmpdir.name, f"append-{run_no['n']}"), fsync=False)
-        with store.writer(flush_every=1024) as writer:
-            for key, result in pairs:
-                writer.append(key, result)
+        for start in range(0, len(pairs), 1024):
+            store.seal(keys[start : start + 1024], results[start : start + 1024])
         return {"rows": float(len(store)), "segments": float(store.stats()["segments"])}
 
     def filter_page() -> dict[str, float]:

@@ -15,6 +15,7 @@ configured) — see :mod:`repro.pipeline.executor`.
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -109,6 +110,9 @@ class AnalysisPipeline:
         #: the counters distinguish "served from cache" from "recomputed" —
         #: the service layer exposes them and its tests assert on them.
         self.stage_runs: Counter[str] = Counter()
+        # threads sharing the engine (the service daemon's HTTP handlers and
+        # job workers) take turns per case or per artifact
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
     # settings round-trip (for sweep workers)
@@ -183,19 +187,20 @@ class AnalysisPipeline:
         (e.g. an ordering or a seeded analysis bundle from the disk tier)
         short-circuits the whole upstream chain instead of materialising it.
         """
-        stage = self.stages[stage_name]
-        if stage.cache:
-            key = self.stage_key(stage_name, spec)
-            try:
-                return self.store.get(key)
-            except KeyError:
-                pass
-        upstream = {dep: self.artifact(dep, spec) for dep in stage.requires}
-        value = stage.compute(self, spec, upstream)
-        self.stage_runs[stage_name] += 1
-        if stage.cache:
-            self.store.put(key, value, persist=stage.persist)
-        return value
+        with self._lock:
+            stage = self.stages[stage_name]
+            if stage.cache:
+                key = self.stage_key(stage_name, spec)
+                try:
+                    return self.store.get(key)
+                except KeyError:
+                    pass
+            upstream = {dep: self.artifact(dep, spec) for dep in stage.requires}
+            value = stage.compute(self, spec, upstream)
+            self.stage_runs[stage_name] += 1
+            if stage.cache:
+                self.store.put(key, value, persist=stage.persist)
+            return value
 
     # ------------------------------------------------------------------ #
     # convenience accessors (the façade and the figures use these)
@@ -284,11 +289,12 @@ class AnalysisPipeline:
         case runs once, a faulted case its clean baseline followed by the
         seeded faulted replications, folded into one :class:`CaseResult`.
         """
-        analysis = self.analysis_for(spec)
-        sims = []
-        for config in self.replication_configs(spec):
-            sims.append(simulate_strategy(analysis.tree, analysis.mapping, spec.strategy, config))
-            self.stage_runs["simulate"] += 1
+        with self._lock:
+            analysis = self.analysis_for(spec)
+            sims = []
+            for config in self.replication_configs(spec):
+                sims.append(simulate_strategy(analysis.tree, analysis.mapping, spec.strategy, config))
+                self.stage_runs["simulate"] += 1
         if len(sims) == 1:
             return CaseResult.from_simulation(analysis, spec.strategy, sims[0])
         from repro.faults import canonical_faults

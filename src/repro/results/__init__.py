@@ -8,14 +8,13 @@ pagination and the ``repro sweep --store`` CLI flag:
   strings, ragged per-processor peaks) with filtering, sorting, an exact
   JSON record form and ``.npz`` persistence;
 * :class:`~repro.results.store.ResultStore` — append-only on-disk store
-  whose crash-tolerant manifest holds each sealed batch as one record, with
-  streaming writers;
+  whose crash-tolerant manifest holds each sealed batch as one record;
 * :func:`~repro.results.keys.case_key` — the canonical content key shared
   with the sweep service, which is what makes sweeps resumable.
 """
 
 from repro.results.keys import CASE_KEY_VERSION, case_key, case_key_for
-from repro.results.store import ResultStore, ResultWriter
+from repro.results.store import ResultStore
 from repro.results.table import (
     RESULT_COLUMNS,
     CaseResultView,
@@ -30,7 +29,6 @@ __all__ = [
     "ResultStore",
     "ResultTable",
     "ResultTableBuilder",
-    "ResultWriter",
     "case_key",
     "case_key_for",
 ]

@@ -14,7 +14,7 @@ nothing to repair after a crash.  A record cut by a crash mid-append is
 skipped on replay by :mod:`repro.durable`'s torn-tail rule; its rows are
 lost and recomputed on demand, and every later record replays whole.
 Nothing is ever rewritten in place; a crash at any point loses at most the
-rows still buffered in a writer, or the batch whose record it cut.
+batch whose record it cut.
 
 Replay ingests only ``rows`` records stamped with the current key version.
 Every other record is skipped and counted in
@@ -25,10 +25,10 @@ segment-file format.  No query can reach rows keyed under another version,
 so their cases are recomputed on demand, and new batches are appended to
 the same manifest.
 
-One :class:`ResultWriter` per producer (sweep driver, service shard);
-concurrent writers, even in different processes sharing the directory,
-append whole records to the one manifest, and siblings' batches appear on
-:meth:`ResultStore.refresh`.
+Every write is one :meth:`ResultStore.seal` call: its rows become one
+batch, one record.  Concurrent sealers, even in different processes sharing
+the directory, append whole records to the one manifest, and siblings'
+batches appear on :meth:`ResultStore.refresh`.
 
 Reads are indexed and incremental: the store keeps ``key → (batch, row)``
 with last-write wins, so :meth:`get`/``in`` are O(1); :meth:`table` caches the
@@ -43,14 +43,14 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.durable import append_line, read_lines, remove_stale_temps
 from repro.pipeline.stage import CaseResult
 from repro.results.keys import CASE_KEY_VERSION
 from repro.results.table import ResultTable, ResultTableBuilder
 
-__all__ = ["ResultStore", "ResultWriter"]
+__all__ = ["ResultStore"]
 
 _MANIFEST = "manifest.jsonl"
 
@@ -79,7 +79,6 @@ class ResultStore:
         self._manifest_offset = 0  # manifest bytes consumed, up to the last newline
         self._merged = ResultTableBuilder().build()  # the deduplicated rows so far
         self._unmerged: list[ResultTable] = []  # batches ingested since the last merge
-        self._default_writer: Optional[ResultWriter] = None
         self.replay_skipped = 0  # manifest records not ingested (undecodable or another key version)
         self.refresh()
 
@@ -138,37 +137,24 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # writing
     # ------------------------------------------------------------------ #
-    def writer(self, *, flush_every: int = 64) -> "ResultWriter":
-        """A streaming writer sealing one batch every ``flush_every`` rows."""
-        return ResultWriter(self, flush_every=flush_every)
+    def seal(self, keys: Sequence[str], results: Sequence[CaseResult]) -> None:
+        """Seal ``results`` under ``keys`` as one batch: one manifest record.
 
-    def append(self, key: str, result: CaseResult) -> None:
-        """Convenience append through a store-owned writer (auto-created).
-
-        The store-owned writer flushes every row, so a plain ``append`` is
-        durable immediately; batch producers should hold their own
-        :meth:`writer` with a larger ``flush_every`` instead.
+        The batch is durable (with ``fsync=True``) and readable from this
+        store when the call returns.  An empty batch writes nothing.  The
+        store ingests the batch by reading the manifest tail through its own
+        record (reusing the table it just encoded), so the in-memory batch
+        order equals the manifest order even when a sibling appended lines
+        since the last read.
         """
-        with self._lock:
-            if self._default_writer is None:
-                self._default_writer = self.writer(flush_every=1)
-            writer = self._default_writer
-        writer.append(key, result)
-
-    def flush(self) -> None:
-        """Seal any rows buffered in the store-owned writer."""
-        with self._lock:
-            writer = self._default_writer
-        if writer is not None:
-            writer.flush()
-
-    def _seal(self, table: ResultTable) -> None:
-        """Append ``table`` as one manifest record, then ingest the manifest through it.
-
-        Reading the tail (instead of registering the table directly) keeps
-        the in-memory batch order equal to the manifest order even when a
-        sibling appended lines since the last read.
-        """
+        if len(keys) != len(results):
+            raise ValueError(f"seal got {len(keys)} key(s) for {len(results)} result(s)")
+        if not keys:
+            return
+        builder = ResultTableBuilder()
+        for key, result in zip(keys, results):
+            builder.append(result, key=str(key))
+        table = builder.build()
         record = {"op": "rows", "key_version": CASE_KEY_VERSION, **table.to_record()}
         with self._lock:
             append_line(self.manifest_path, record, fsync=self.fsync)
@@ -219,53 +205,3 @@ class ResultStore:
                 "replay_skipped": self.replay_skipped,
             }
 
-
-class ResultWriter:
-    """Streaming appender: buffers rows, seals a batch per ``flush_every``.
-
-    Thread-safe; use as a context manager so an interrupted sweep still
-    seals whatever completed before the exception flew::
-
-        with store.writer() as w:
-            for key, result in work:
-                w.append(key, result)
-    """
-
-    def __init__(self, store: ResultStore, *, flush_every: int = 64) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        self.store = store
-        self.flush_every = int(flush_every)
-        self._lock = threading.Lock()
-        self._buffer: list[tuple[str, CaseResult]] = []
-        self.rows_written = 0
-
-    def append(self, key: str, result: CaseResult) -> None:
-        with self._lock:
-            self._buffer.append((str(key), result))
-            should_flush = len(self._buffer) >= self.flush_every
-        if should_flush:
-            self.flush()
-
-    def flush(self) -> None:
-        """Seal the buffered rows as one batch (no-op when empty)."""
-        with self._lock:
-            rows, self._buffer = self._buffer, []
-        if not rows:
-            return
-        builder = ResultTableBuilder()
-        for key, result in rows:
-            builder.append(result, key=key)
-        self.store._seal(builder.build())
-        self.rows_written += len(rows)
-
-    def close(self) -> None:
-        self.flush()
-
-    def __enter__(self) -> "ResultWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        # flush on the error path too: completed cases of an interrupted
-        # sweep must be durable — that is the whole point of resumability
-        self.close()

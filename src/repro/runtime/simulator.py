@@ -312,13 +312,6 @@ class FactorizationSimulator:
     # ------------------------------------------------------------------ #
     # geometry helpers (fast scalar reads of the arrays built in _setup)
     # ------------------------------------------------------------------ #
-    def _node_flops(self, node: int) -> float:
-        return self._task_flops[node]
-
-    def _activation_memory(self, node: int) -> float:
-        """Entries added to the owner's stack when the node's task is activated."""
-        return self._task_memory[node]
-
     def _make_static_task(self, node: int) -> Task:
         if self._node_type[node] == _TYPE2:
             task_kind = TaskKind.TYPE2_MASTER

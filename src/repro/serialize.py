@@ -51,7 +51,6 @@ SCHEMA_VERSIONS: dict[str, int] = {
     "bench_case": 1,
     "bench_result": 1,
     "result_table": 2,
-    "trace": 1,
     "tune_spec": 1,
     "leaderboard": 1,
 }

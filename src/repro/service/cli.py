@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache", default="", help="artifact-cache directory for the engine (optional)")
     serve.add_argument(
         "--jobs", type=int, default=1,
-        help="shard execution width: 1 = in-process under the engine lock, "
+        help="execution width of the daemon's session: 1 = in-process, "
         ">1 = one process pool of this many workers shared by every job worker (default 1)",
     )
     serve.add_argument("--workers", type=int, default=1, help="job worker threads (default 1)")
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--scale", type=float, default=None, help="per-case scale override (optional)")
     submit.add_argument("--split", action="store_true", help="sweep with static splitting")
     submit.add_argument("--priority", type=int, default=0, help="queue priority (higher runs first)")
-    submit.add_argument("--max-attempts", type=int, default=3, help="retry budget per shard (default 3)")
+    submit.add_argument("--max-attempts", type=int, default=3, help="retry budget per job; a retry reruns only the cases the store lacks (default 3)")
     submit.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="job wall-clock deadline")
     submit.add_argument("--wait", action="store_true", help="poll until the job finishes; exit 1 on failure")
     submit.add_argument("--wait-timeout", type=float, default=600.0, help="--wait deadline (default 600s)")

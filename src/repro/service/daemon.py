@@ -1,19 +1,20 @@
-"""The long-lived sweep service: queue, shards, result store, one engine.
+"""The long-lived sweep service: queue, result store, one session.
 
 :class:`SweepService` is the daemon behind ``repro serve``.  It owns
 
 * a journal-backed :class:`~repro.service.jobs.JobQueue` (crash-safe, see
   that module),
-* worker thread(s) that claim jobs, split them into analysis-sharing
-  shards (:meth:`SweepExecutor.group_by_analysis`) and run each shard's
-  missing cases through the one :class:`~repro.pipeline.executor.SweepExecutor`,
-  with per-shard retry-with-backoff and a per-job wall-clock deadline,
+* worker thread(s) that claim jobs and run each sweep job through
+  :meth:`Session.run_stored` — the store-backed sweep behind
+  ``Session.sweep(store=...)`` — with retry-with-backoff over the whole run
+  and a per-job wall-clock deadline,
 * a :class:`~repro.results.ResultStore` of finished case results keyed by
   canonical case parameters (:func:`~repro.results.case_key_for`) — every
   ``GET /result`` query looks there first, and ``GET /results`` lists it,
-* one :class:`~repro.session.Session` whose engine also answers
-  store-missing queries and table requests inline (serialised by a lock,
-  so HTTP threads and job workers never race the engine).
+* one :class:`~repro.session.Session` (``jobs`` wide) whose one executor
+  runs sweep, tune and table work, and whose engine answers store-missing
+  queries inline (the engine takes turns per case, so HTTP threads and job
+  workers never race it).
 
 The engine's ``stage_runs`` counters are exposed through :meth:`stats`;
 they only move when a pipeline stage actually computes, which is how the
@@ -23,7 +24,6 @@ from the store rather than re-executed.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
 import threading
@@ -36,7 +36,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.pipeline.executor import SweepExecutor
-from repro.pipeline.stage import CaseResult, CaseSpec
+from repro.pipeline.stage import CaseSpec
 from repro.pipeline.store import DiskStore, content_key
 from repro.results import ResultStore, case_key_for
 from repro.service.jobs import JobQueue, JobRecord, JobSpec
@@ -138,7 +138,7 @@ class QueryOutcome:
 
 
 class SweepService:
-    """The daemon: job queue + sharded execution + shared result store.
+    """The daemon: job queue + one session + shared result store.
 
     Parameters
     ----------
@@ -149,9 +149,9 @@ class SweepService:
         Engine defaults, as for :class:`~repro.session.Session`
         (``artifact_cache_dir=""`` keeps the artifact disk tier off).
     jobs:
-        Shard execution width of the daemon's :class:`SweepExecutor`: ``1``
-        runs shards in-process under the engine lock, ``> 1`` on one
-        long-lived process pool shared by every job worker.
+        Execution width of the daemon's session: ``1`` runs every case
+        in-process on the query engine, ``> 1`` on one long-lived process
+        pool shared by every job worker (sweep, tune and table work).
     workers:
         Job worker threads draining the queue (each runs one job at a time).
     retry_base_delay:
@@ -183,19 +183,17 @@ class SweepService:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.session = Session(nprocs=nprocs, scale=scale, cache_dir=artifact_cache_dir, jobs=1)
+        self.session = Session(nprocs=nprocs, scale=scale, cache_dir=artifact_cache_dir, jobs=jobs)
         self.engine = self.session.engine
         self.queue = JobQueue(self.data_dir / "journal.jsonl", fsync=journal_fsync)
         # the columnar store behind GET /result and GET /results: every
-        # finished case — sweep shard or inline query — is appended here
+        # finished case — sweep job or inline query — is sealed here
         self.results = ResultStore(self.data_dir / "store", fsync=journal_fsync)
         self.tables = DiskStore(self.data_dir / "tables", durable=True)
-        self.executor = SweepExecutor(self.engine, jobs=jobs)
         self.workers = workers
         self.max_pending = max_pending
         self.retry_base_delay = retry_base_delay
         self.started_at = time.time()
-        self._engine_lock = threading.RLock()
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
 
@@ -222,9 +220,7 @@ class SweepService:
         threads, self._threads = self._threads, []
         for thread in threads:
             thread.join(timeout=timeout)
-        self.executor.close()
         self.session.close()
-        self.results.flush()
 
     def __enter__(self) -> "SweepService":
         return self.start()
@@ -260,8 +256,8 @@ class SweepService:
 
         On a hit the engine is never touched.  An index miss first refreshes
         the store once, so a result sealed by a sibling daemon sharing the
-        data dir is still a hit.  On a real miss the case runs inline (under
-        the engine lock) and is appended to the store before the response —
+        data dir is still a hit.  On a real miss the case runs inline on the
+        engine and is sealed into the store before the response —
         so the *next* identical query, from any thread, is a hit.  Raises
         ``KeyError`` when ``compute=False`` and the result is absent.
         """
@@ -274,9 +270,8 @@ class SweepService:
         except KeyError:
             if not compute:
                 raise
-        with self._engine_lock:
-            result = self.engine.run_case(spec)
-        self.results.append(key, result)
+        result = self.engine.run_case(spec)
+        self.results.seal([key], [result])
         return QueryOutcome(key=key, payload=result.to_dict(), cached=False)
 
     #: every query parameter GET /results (the list form) understands.
@@ -341,7 +336,6 @@ class SweepService:
         if params.get("nprocs"):
             filters["nprocs"] = _int("nprocs", 0)
 
-        self.results.flush()
         self.results.refresh()
         table = self.results.table()
         if filters:
@@ -402,8 +396,7 @@ class SweepService:
             return QueryOutcome(key=key, payload=self.tables.get(key), cached=True)  # type: ignore[arg-type]
         except KeyError:
             pass
-        with self._engine_lock:
-            rows = entry.value(self.session, **kwargs)
+        rows = entry.value(self.session, **kwargs)
         payload = {"table": name, "rows": rows}
         self.tables.put(key, payload)
         return QueryOutcome(key=key, payload=payload, cached=False)
@@ -418,7 +411,7 @@ class SweepService:
                 "scale": self.engine.scale,
                 "artifact_cache_dir": self.engine.cache_dir,
             },
-            "execution": {"jobs": self.executor.jobs, "workers": self.workers},
+            "execution": {"jobs": self.session.jobs, "workers": self.workers},
             "jobs": self.queue.counts(),
             "queue_depth": self.queue_depth(),
             "saturated": self.saturated(),
@@ -450,32 +443,58 @@ class SweepService:
         try:
             if spec.tune is not None:
                 self._execute_tune(record, deadline)
-                return
-            shards = SweepExecutor.group_by_analysis(spec.expand())
-            self.queue.set_shards(record.id, len(shards))
-            self.results.refresh()
-            done = 0
-            for shard_no, shard in enumerate(shards):
-                keys = [case_key_for(self.engine, case) for _, case in shard]
-                # a resubmitted or recovered job reruns only what the store lacks
-                missing = {
-                    key: case for key, (_, case) in zip(keys, shard) if key not in self.results
-                }
-                if missing:
-                    results = self._run_shard_with_retry(record, list(missing.values()), deadline)
-                    self._store_shard(list(missing), results)
-                done += len(shard)
-                self.queue.progress(
-                    record.id, done=done, shards_done=shard_no + 1, result_keys=keys
-                )
-            self.queue.finish(record.id)
+            else:
+                self._execute_sweep(record, deadline)
         except TimeoutError as exc:
             self.queue.fail(record.id, f"timeout: {exc}")
         except Exception as exc:
             self.queue.fail(record.id, f"{type(exc).__name__}: {exc}")
 
+    def _execute_sweep(self, record: JobRecord, deadline: Optional[float]) -> None:
+        """Run one sweep job through :meth:`Session.run_stored`, with retries.
+
+        Each analysis group is one shard: its ``progress`` journal line is
+        written only once its batch is durable.  A failed run is retried with
+        exponential backoff up to ``max_attempts`` runs in all; a retry (like
+        a resubmitted or crash-recovered job) reruns only the keys the store
+        lacks, and journals no shard twice.
+        """
+        specs = record.spec.expand()
+        journaled: set[tuple[str, ...]] = set()
+        done = 0
+
+        def on_seal(keys: list[str]) -> None:
+            nonlocal done
+            if tuple(keys) in journaled:
+                return
+            journaled.add(tuple(keys))
+            done += len(keys)
+            self.queue.progress(
+                record.id, done=done, shards_done=len(journaled), result_keys=keys
+            )
+
+        self.queue.set_shards(record.id, len(SweepExecutor.group_by_analysis(specs)))
+        delay = self.retry_base_delay
+        for attempt in range(1, record.spec.max_attempts + 1):
+            try:
+                self.session.run_stored(specs, self.results, deadline=deadline, on_seal=on_seal)
+                break
+            except TimeoutError:
+                raise
+            except Exception as exc:
+                if attempt == record.spec.max_attempts:
+                    raise
+                self.queue.record_attempt(
+                    record.id, error=f"attempt {attempt}: {type(exc).__name__}: {exc}"
+                )
+                # exponential backoff, interruptible by shutdown
+                if self._stop.wait(delay):
+                    raise
+                delay *= 2
+        self.queue.finish(record.id)
+
     def _execute_tune(self, record: JobRecord, deadline: Optional[float]) -> None:
-        """Run one tune job: the whole search under the engine lock.
+        """Run one tune job on the daemon's session (and so on its pool).
 
         Every rung evaluation is memoized in the shared ``tune-store``, so a
         re-submitted (or daemon-crash-recovered) tune job recomputes only the
@@ -496,13 +515,12 @@ class SweepService:
                 )
             self.queue.progress(record.id, done=done, shards_done=0)
 
-        with self._engine_lock:
-            board = Tuner(
-                self.session,
-                tune_spec,
-                store=self.data_dir / "tune-store",
-                progress=progress,
-            ).run()
+        board = Tuner(
+            self.session,
+            tune_spec,
+            store=self.data_dir / "tune-store",
+            progress=progress,
+        ).run()
         path = board.save(self.leaderboard_dir / f"{record.id}.json")
         board.save(self.leaderboard_dir / "latest.json")
         self.queue.finish(record.id, result_keys=[str(path)])
@@ -528,51 +546,3 @@ class SweepService:
             raise KeyError(
                 f"no leaderboard for job {job_id!r}" if job_id else "no leaderboard yet"
             ) from None
-
-    def _store_shard(self, keys: Sequence[str], results: Sequence[CaseResult]) -> None:
-        """Seal one shard's new results as one store batch: one manifest record.
-
-        The batch is durable when this returns, before the caller journals
-        the shard's ``progress`` line: a key named by the journal is always
-        in the store.
-        """
-        with self.results.writer(flush_every=len(keys)) as writer:
-            for key, result in zip(keys, results):
-                writer.append(key, result)
-
-    def _run_shard(self, specs: Sequence[CaseSpec], deadline: Optional[float]) -> list[CaseResult]:
-        """Run one shard's cases on the daemon's executor.
-
-        In-process runs share the query engine, so they hold the engine
-        lock; pool runs touch only the workers' engines.
-        """
-        lock = self._engine_lock if self.executor.jobs == 1 else contextlib.nullcontext()
-        with lock:
-            return self.executor.run(specs, deadline=deadline)
-
-    def _run_shard_with_retry(
-        self,
-        record: JobRecord,
-        specs: Sequence[CaseSpec],
-        deadline: Optional[float],
-    ) -> list[CaseResult]:
-        delay = self.retry_base_delay
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, record.spec.max_attempts + 1):
-            try:
-                return self._run_shard(specs, deadline)
-            except TimeoutError:
-                raise
-            except Exception as exc:
-                last_error = exc
-                if attempt == record.spec.max_attempts:
-                    break
-                self.queue.record_attempt(
-                    record.id, error=f"attempt {attempt}: {type(exc).__name__}: {exc}"
-                )
-                # exponential backoff, interruptible by shutdown
-                if self._stop.wait(delay):
-                    break
-                delay *= 2
-        assert last_error is not None
-        raise last_error

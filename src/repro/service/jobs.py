@@ -7,14 +7,14 @@ A *job* is one unit of queued work: a declarative sweep (a
 state machine::
 
     queued ──► running ──► done
-      ▲           │
-      └───────────┼──► failed
-        (retry)   │
-                  └──► queued   (crash recovery / retry-with-backoff)
+      │           │
+      └───────────┴──► failed
 
-Every transition is appended to a crash-safe on-disk journal, a JSON-lines
-log of :mod:`repro.durable` (appended with ``append_line``, replayed with
-``read_lines`` under its torn-tail rule, compacted with ``atomic_write``).
+A failed run is retried while the job stays ``running`` (each retry is
+journaled as an attempt).  Every transition is appended to a crash-safe
+on-disk journal, a JSON-lines log of :mod:`repro.durable` (appended with
+``append_line``, replayed with ``read_lines`` under its torn-tail rule,
+compacted with ``atomic_write``).
 On startup the journal is replayed: finished jobs come back
 ``done``/``failed``, and jobs that were ``queued`` or ``running`` when the
 previous daemon died are re-queued — a crash never loses a submitted job and
@@ -52,10 +52,11 @@ __all__ = [
 #: the job lifecycle states, in rough chronological order.
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: legal state transitions (``running → queued`` is retry / crash recovery).
+#: legal state transitions (crash recovery re-queues a ``running`` job at
+#: replay, before any transition is taken).
 _TRANSITIONS: dict[str, frozenset[str]] = {
     "queued": frozenset({"running", "failed"}),
-    "running": frozenset({"done", "failed", "queued"}),
+    "running": frozenset({"done", "failed"}),
     "done": frozenset(),
     "failed": frozenset(),
 }
@@ -278,7 +279,7 @@ class JobQueue:
 
     Producers call :meth:`submit`; worker threads call :meth:`claim` (which
     blocks until a job is available and atomically moves it to ``running``)
-    and then exactly one of :meth:`finish`, :meth:`fail` or :meth:`requeue`.
+    and then exactly one of :meth:`finish` or :meth:`fail`.
     Transitions are validated against the state machine and journaled before
     they are observable through :meth:`get` — a reader never sees a state
     the journal could lose.
@@ -395,26 +396,8 @@ class JobQueue:
             self._transition(record, "failed", finished_at=self._clock(), error=error)
             return record
 
-    def requeue(self, job_id: str, *, error: str | None = None) -> JobRecord:
-        """Put a running job back in line (retry); bumps ``attempts``."""
-        with self._cond:
-            record = self._require(job_id)
-            self._transition(
-                record,
-                "queued",
-                started_at=None,
-                attempts=record.attempts + 1,
-                error=error,
-                done=0,
-                shards_done=0,
-                result_keys=[],
-            )
-            heapq.heappush(self._heap, (-record.spec.priority, next(self._seq), job_id))
-            self._cond.notify()
-            return record
-
     def record_attempt(self, job_id: str, *, error: str | None = None) -> None:
-        """Count one failed shard attempt (journaled, state unchanged)."""
+        """Count one failed run of a job (journaled, state unchanged)."""
         with self._cond:
             record = self._require(job_id)
             record.attempts += 1

@@ -23,8 +23,10 @@ and parallel runs are bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Callable, Mapping, Optional, Sequence, Union
+import threading
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -111,6 +113,7 @@ class Session:
         self.jobs = int(jobs)
         self.progress = progress
         self._executor: Optional[SweepExecutor] = None
+        self._executor_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -124,7 +127,8 @@ class Session:
         already shut down underneath us) is always a no-op rather than a
         second shutdown attempt on a dead pool.
         """
-        executor, self._executor = self._executor, None
+        with self._executor_lock:
+            executor, self._executor = self._executor, None
         if executor is not None:
             executor.close()
 
@@ -159,31 +163,119 @@ class Session:
         """Run one declarative case (a :class:`CaseSpec` or its dict form)."""
         return self.engine.run_case(_as_spec(case))
 
-    def run_cases(
-        self,
-        cases: Sequence[CaseLike],
-        *,
-        jobs: int | None = None,
-        on_result: Optional[Callable[[int, CaseSpec, CaseResult], None]] = None,
-    ) -> list[CaseResult]:
+    @contextlib.contextmanager
+    def _executor_for(self, jobs: int | None) -> Iterator[SweepExecutor]:
+        """The session's one executor, or a transient one for another ``jobs``.
+
+        The session's executor is built once, under a lock, so threads that
+        share the session (the service daemon's job workers) share its pool.
+        """
+        jobs = self.jobs if jobs is None else int(jobs)
+        if jobs != self.jobs:
+            with SweepExecutor(self.engine, jobs=jobs, progress=self.progress) as executor:
+                yield executor
+            return
+        with self._executor_lock:
+            if self._executor is None:
+                self._executor = SweepExecutor(self.engine, jobs=jobs, progress=self.progress)
+            executor = self._executor
+        yield executor
+
+    def run_cases(self, cases: Sequence[CaseLike], *, jobs: int | None = None) -> list[CaseResult]:
         """Run explicit cases (serially or across a process pool, see ``jobs``).
 
         Runs at the session's own job count share one long-lived executor, so
         consecutive sweeps reuse the same worker processes and the artifacts
         they hold; an explicit ``jobs`` override gets a transient executor
         that is torn down afterwards.
-
-        ``on_result(index, spec, result)`` is called in this process as each
-        case completes (execution order).
         """
         specs = [_as_spec(case) for case in cases]
-        jobs = self.jobs if jobs is None else int(jobs)
-        if jobs == self.jobs:
-            if self._executor is None:
-                self._executor = SweepExecutor(self.engine, jobs=jobs, progress=self.progress)
-            return self._executor.run(specs, on_result=on_result)
-        with SweepExecutor(self.engine, jobs=jobs, progress=self.progress) as executor:
-            return executor.run(specs, on_result=on_result)
+        with self._executor_for(jobs) as executor:
+            return executor.run(specs)
+
+    def run_stored(
+        self,
+        cases: Sequence[CaseLike],
+        store: "ResultStore | str | os.PathLike",
+        *,
+        jobs: int | None = None,
+        deadline: float | None = None,
+        on_seal: Optional[Callable[[list[str]], None]] = None,
+    ) -> CaseResultView:
+        """Run ``cases`` against ``store``, computing only the keys it lacks.
+
+        Every case is keyed with :func:`~repro.results.case_key_for`.  A key
+        the store holds is answered from it; every other key runs once, on
+        the executor :meth:`run_cases` would use (``deadline`` is a
+        :func:`time.monotonic` instant, see :meth:`SweepExecutor.run`).  The
+        new results of one analysis group
+        (:meth:`SweepExecutor.group_by_analysis`) are sealed as one store
+        batch as soon as the group completes; if the run raises, the cases
+        that completed are sealed before the exception propagates, so a rerun
+        recomputes only what is missing.
+
+        ``on_seal(keys)`` is called with the keys of each group, in case
+        order, once every one of them is durable in the store (at once for a
+        group the store already holds): a caller that journals progress from
+        it never names a key the store lacks.
+
+        Returns the results in case order, as :meth:`sweep` does.
+        """
+        specs = [_as_spec(case) for case in cases]
+        if not isinstance(store, ResultStore):
+            store = ResultStore(store)
+        store.refresh()
+        keys = [case_key_for(self.engine, spec) for spec in specs]
+        cached = {key: store.get(key) for key in keys if key in store}
+        missing: dict[str, CaseSpec] = {}
+        for key, spec in zip(keys, specs):
+            if key not in cached:
+                missing.setdefault(key, spec)
+        todo = list(missing.items())
+        # the missing cases run group by group, so the serial path completes
+        # (and seals) one analysis group at a time
+        groups = [
+            [todo[i] for i, _ in group]
+            for group in SweepExecutor.group_by_analysis([spec for _, spec in todo])
+        ]
+        run = [pair for group in groups for pair in group]
+        group_of = {key: g for g, group in enumerate(groups) for key, _ in group}
+        buffers: list[list[tuple[str, CaseResult]]] = [[] for _ in groups]
+        computed: dict[str, CaseResult] = {}
+        shards = [[keys[i] for i, _ in group] for group in SweepExecutor.group_by_analysis(specs)]
+        reported = [False] * len(shards)
+
+        def seal(batch: list[tuple[str, CaseResult]]) -> None:
+            store.seal([key for key, _ in batch], [result for _, result in batch])
+
+        def report() -> None:
+            if on_seal is None:
+                return
+            for s, shard in enumerate(shards):
+                if not reported[s] and all(key in store for key in shard):
+                    reported[s] = True
+                    on_seal(shard)
+
+        def collect(index: int, _spec: CaseSpec, result: CaseResult) -> None:
+            key = run[index][0]
+            computed[key] = result
+            g = group_of[key]
+            buffers[g].append((key, result))
+            if len(buffers[g]) == len(groups[g]):
+                batch, buffers[g] = buffers[g], []
+                seal(batch)
+                report()
+
+        report()
+        try:
+            with self._executor_for(jobs) as executor:
+                executor.run([spec for _, spec in run], on_result=collect, deadline=deadline)
+        finally:
+            # an interrupted run keeps what completed: seal the partial groups
+            seal([pair for buffer in buffers for pair in buffer])
+        ordered = [cached[key] if key in cached else computed[key] for key in keys]
+        table = ResultTable.from_results(ordered, keys=keys)
+        return CaseResultView(table, computed=len(computed), skipped=len(cached))
 
     def sweep(
         self,
@@ -214,11 +306,13 @@ class Session:
         byte-identical results — see ``docs/robustness.md``.
 
         ``store`` (a :class:`~repro.results.ResultStore` or its directory)
-        makes the sweep *resumable*: cases whose canonical key is already in
-        the store are answered from it without touching the engine, and every
-        freshly computed case streams into the store the moment it completes
-        — interrupt the sweep anywhere and a rerun recomputes only what is
-        missing.
+        makes the sweep *resumable* (see :meth:`run_stored`): cases whose
+        canonical key is already in the store are answered from it without
+        touching the engine, and the fresh results of each analysis group
+        are sealed into the store as one batch as soon as the group
+        completes — durability is per analysis group, not per case.  An
+        interrupted sweep seals the cases that completed, so a rerun
+        recomputes only what is missing.
 
         The return value is a :class:`~repro.results.CaseResultView`, a lazy
         sequence over a columnar :class:`~repro.results.ResultTable` that
@@ -232,43 +326,11 @@ class Session:
                 raise TypeError("pass either a SweepSpec/dict or keyword axes, not both")
             sweep_spec = spec if isinstance(spec, SweepSpec) else SweepSpec.from_dict(spec)
         specs = sweep_spec.expand()
-        keys = [case_key_for(self.engine, s) for s in specs]
-
-        if store is None:
-            results = self.run_cases(specs, jobs=jobs)
-            table = ResultTable.from_results(results, keys=keys)
-            return CaseResultView(table, computed=len(results), skipped=0)
-
-        if not isinstance(store, ResultStore):
-            store = ResultStore(store)
-        cached: dict[str, CaseResult] = {}
-        pending_specs: list[CaseSpec] = []
-        pending_keys: list[str] = []
-        seen: set[str] = set()
-        for case_spec, key in zip(specs, keys):
-            if key in store:
-                if key not in cached:
-                    cached[key] = store.get(key)
-            elif key not in seen:
-                # grids can repeat a logical case (e.g. the same strategy
-                # spelled two canonically-equal ways): compute it once
-                seen.add(key)
-                pending_specs.append(case_spec)
-                pending_keys.append(key)
-        computed: dict[str, CaseResult] = {}
-        if pending_specs:
-            # flush_every=1: each completed case is durable before the next
-            # one starts, so an interrupt loses at most the case in flight
-            with store.writer(flush_every=1) as writer:
-
-                def _persist(index: int, _spec: CaseSpec, result: CaseResult) -> None:
-                    writer.append(pending_keys[index], result)
-                    computed[pending_keys[index]] = result
-
-                self.run_cases(pending_specs, jobs=jobs, on_result=_persist)
-        ordered = [cached[key] if key in cached else computed[key] for key in keys]
-        table = ResultTable.from_results(ordered, keys=keys)
-        return CaseResultView(table, computed=len(computed), skipped=len(cached))
+        if store is not None:
+            return self.run_stored(specs, store, jobs=jobs)
+        results = self.run_cases(specs, jobs=jobs)
+        table = ResultTable.from_results(results, keys=[case_key_for(self.engine, s) for s in specs])
+        return CaseResultView(table, computed=len(results), skipped=0)
 
     def compare(
         self,

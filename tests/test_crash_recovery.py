@@ -5,7 +5,7 @@ A SIGKILLed worker (the OOM-killer's signature) must never wedge a sweep:
 unfinished analysis groups, a daemon running jobs on that pool finishes them
 with every key, and a crash that outlasts the rebuilds surfaces as a
 retryable :class:`WorkerCrashError` that the daemon counts toward the job's
-``max_attempts`` like any other shard failure.
+``max_attempts`` like any other failed run.
 
 The backpressure half: ``max_pending`` bounds the queue depth —
 ``POST /jobs`` answers 503 with a ``Retry-After`` header while saturated,
@@ -29,7 +29,7 @@ from repro.pipeline.stage import CaseSpec
 from repro.results import case_key_for
 from repro.service import SweepService, make_server
 from repro.service.daemon import QueueSaturated
-from repro.service.jobs import JobJournal, JobQueue, JobSpec
+from repro.service.jobs import JobJournal
 
 NPROCS = 4
 SCALE = 0.2
@@ -123,7 +123,7 @@ class TestExecutorCrashRecovery:
 
 
 # --------------------------------------------------------------------------- #
-# daemon: a pool crash mid-job is recovered; a crashed shard counts toward
+# daemon: a pool crash mid-job is recovered; a crashed run counts toward
 # max_attempts
 # --------------------------------------------------------------------------- #
 class TestDaemonPoolCrash:
@@ -132,33 +132,36 @@ class TestDaemonPoolCrash:
             data_dir=tmp_path / "svc", nprocs=NPROCS, scale=SCALE,
             journal_fsync=False, jobs=2,
         )
-        run = service._run_shard
+        run = service.session.run_stored
         killed = []
 
-        def kill_after_first_shard(specs, deadline):
-            results = run(specs, deadline)
-            if not killed:
-                pool = service.executor._pool
-                _kill_one_worker(pool)
-                give_up = time.monotonic() + 30.0
-                while not pool._broken and time.monotonic() < give_up:
-                    time.sleep(0.01)
-                killed.append(pool)
-            return results
+        def kill_after_first_seal(specs, store, *, on_seal, **kwargs):
+            def seal_then_kill(keys):
+                on_seal(keys)
+                if not killed:
+                    pool = service.session._executor._pool
+                    _kill_one_worker(pool)
+                    give_up = time.monotonic() + 30.0
+                    while not pool._broken and time.monotonic() < give_up:
+                        time.sleep(0.01)
+                    killed.append(pool)
 
-        service._run_shard = kill_after_first_shard
+            return run(specs, store, on_seal=seal_then_kill, **kwargs)
+
+        service.session.run_stored = kill_after_first_seal
         with service:
-            # two problems → two shards; the second finds the pool broken
+            # eight groups on two workers: the first seal finds groups in flight
             record = service.submit(
                 {"sweep": {"problems": ["XENON2", "PRE2"],
+                           "orderings": ["metis", "amd", "amf", "pord"],
                            "strategies": ["mumps-workload", "memory-full"]}}
             )
             final = _wait_terminal(service, record.id)
             assert killed and killed[0]._broken
-            assert service.executor._pool is not killed[0]  # rebuilt, not retried
+            assert service.session._executor._pool is not killed[0]  # rebuilt, not retried
         assert final.state == "done" and final.attempts == 0
-        assert final.done == final.total == 4
-        assert len(set(final.result_keys)) == 4
+        assert final.done == final.total == 16
+        assert len(set(final.result_keys)) == 16
         assert all(key in service.results for key in final.result_keys)
         serial = _engine()
         assert [service.results.get(case_key_for(serial, spec)).to_dict()
@@ -168,18 +171,18 @@ class TestDaemonPoolCrash:
 
 
 class CrashOnce:
-    """Patches a daemon's shard run: the first call raises a worker crash."""
+    """Patches a daemon's stored run: the first call raises a worker crash."""
 
     def __init__(self, service: SweepService) -> None:
-        self.run = service._run_shard
+        self.run = service.session.run_stored
         self.crashes = 0
-        service._run_shard = self
+        service.session.run_stored = self
 
-    def __call__(self, specs, deadline):
+    def __call__(self, specs, store, **kwargs):
         if self.crashes == 0:
             self.crashes += 1
             raise WorkerCrashError("worker process died (simulated)")
-        return self.run(specs, deadline)
+        return self.run(specs, store, **kwargs)
 
 
 class TestDaemonCrashRetry:
@@ -205,10 +208,10 @@ class TestDaemonCrashRetry:
             journal_fsync=False, retry_base_delay=0.01,
         )
 
-        def always_crash(specs, deadline):
+        def always_crash(specs, store, **kwargs):
             raise WorkerCrashError("worker process died (simulated)")
 
-        service._run_shard = always_crash
+        service.session.run_stored = always_crash
         with service:
             record = service.submit(
                 {"sweep": {"problems": ["XENON2"], "strategies": ["memory-full"]},
@@ -253,23 +256,6 @@ class TestRerunResetsProgress:
             final = _wait_terminal(service, job.id)
         self._assert_finished_once(final)
         assert set(first) <= set(final.result_keys)
-
-    def test_requeued_job_reruns_from_zero(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        queue = JobQueue(journal, fsync=False)
-        job = queue.submit(JobSpec.from_dict(self.GRID))
-        keys = [f"key-{i}" for i in range(4)]
-        queue.claim(timeout=0)
-        queue.progress(job.id, done=2, shards_done=1, result_keys=keys[:2])
-        retried = queue.requeue(job.id, error="shard failed")
-        assert (retried.done, retried.shards_done, retried.result_keys) == (0, 0, [])
-        queue.claim(timeout=0)
-        queue.progress(job.id, done=2, shards_done=1, result_keys=keys[:2])
-        queue.progress(job.id, done=4, shards_done=2, result_keys=keys[2:])
-        self._assert_finished_once(queue.finish(job.id))
-        replayed = JobJournal(journal).replay()[job.id]
-        self._assert_finished_once(replayed)
-        assert replayed.result_keys == keys
 
 
 # --------------------------------------------------------------------------- #

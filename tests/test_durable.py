@@ -228,7 +228,7 @@ class _StoreLog:
     name = "manifest.jsonl"
 
     def append(self, directory: Path, i: int) -> None:
-        ResultStore(directory, fsync=False).append(f"k{i}", _case_result(i))
+        ResultStore(directory, fsync=False).seal([f"k{i}"], [_case_result(i)])
 
     def replay(self, directory: Path) -> set[int]:
         return {int(key[1:]) for key in ResultStore(directory, fsync=False).keys()}

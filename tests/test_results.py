@@ -347,7 +347,7 @@ class TestResultStore:
     def test_append_get_contains_len(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
         result = make_result(0)
-        store.append("k0", result)
+        store.seal(["k0"], [result])
         assert "k0" in store and "nope" not in store
         assert len(store) == 1
         assert list(store.keys()) == ["k0"]
@@ -359,7 +359,7 @@ class TestResultStore:
         results = {f"k{i}": make_result(i) for i in range(5)}
         store = ResultStore(tmp_path / "store", fsync=False)
         for key, result in results.items():
-            store.append(key, result)
+            store.seal([key], [result])
         reopened = ResultStore(tmp_path / "store", fsync=False)
         assert len(reopened) == 5
         assert reopened.replay_skipped == 0
@@ -368,9 +368,9 @@ class TestResultStore:
 
     def test_last_write_wins_across_segments(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
-        store.append("dup", make_result(0))
+        store.seal(["dup"], [make_result(0)])
         newer = make_result(0, key_seed=42.0)
-        store.append("dup", newer)
+        store.seal(["dup"], [newer])
         assert len(store) == 1
         assert_results_equal(store.get("dup"), newer)
         table = store.table()
@@ -378,33 +378,31 @@ class TestResultStore:
         reopened = ResultStore(tmp_path / "store", fsync=False)
         assert_results_equal(reopened.get("dup"), newer)
 
-    def test_writer_batches_rows_into_segments(self, tmp_path):
+    def test_seal_round_trips_one_manifest_line_per_call(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
-        with store.writer(flush_every=4) as writer:
-            for i in range(10):
-                writer.append(f"k{i}", make_result(i))
-        assert writer.rows_written == 10
-        assert len(store) == 10
-        # 4 + 4 + 2 on close
-        assert store.stats()["segments"] == 3
+        sizes = (4, 4, 2)
+        for call, size in enumerate(sizes):
+            rows = range(sum(sizes[:call]), sum(sizes[: call + 1]))
+            store.seal([f"k{i}" for i in rows], [make_result(i) for i in rows])
+            lines = store.manifest_path.read_bytes().splitlines()
+            assert len(lines) == call + 1 and json.loads(lines[-1])["rows"] == size
+        store.seal([], [])  # an empty batch writes nothing
+        assert len(store.manifest_path.read_bytes().splitlines()) == 3
+        assert store.stats() == {"rows": 10, "segments": 3, "replay_skipped": 0}
+        reopened = ResultStore(tmp_path / "store", fsync=False)
+        for i in range(10):
+            assert_results_equal(store.get(f"k{i}"), make_result(i))
+            assert_results_equal(reopened.get(f"k{i}"), make_result(i))
 
-    def test_writer_flushes_on_the_error_path(self, tmp_path):
+    def test_seal_rejects_mismatched_lengths(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            with store.writer(flush_every=100) as writer:
-                writer.append("done-before-crash", make_result(0))
-                raise RuntimeError("interrupted")
-        assert "done-before-crash" in store
-        assert "done-before-crash" in ResultStore(tmp_path / "store", fsync=False)
-
-    def test_writer_rejects_bad_flush_every(self, tmp_path):
-        store = ResultStore(tmp_path / "store", fsync=False)
-        with pytest.raises(ValueError, match="flush_every"):
-            store.writer(flush_every=0)
+        with pytest.raises(ValueError, match="2 key"):
+            store.seal(["k0", "k1"], [make_result(0)])
+        assert not store.manifest_path.exists() or store.manifest_path.read_bytes() == b""
 
     def test_torn_manifest_line_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
-        store.append("k0", make_result(0))
+        store.seal(["k0"], [make_result(0)])
         # simulate a crash mid-append: a half-written trailing line
         with open(store.manifest_path, "ab") as fh:
             fh.write(_MANIFEST_RECORD[: len(_MANIFEST_RECORD) // 2])
@@ -415,10 +413,8 @@ class TestResultStore:
     def test_a_sealed_batch_is_one_manifest_line_and_no_other_file(self, tmp_path):
         directory = tmp_path / "store"
         store = ResultStore(directory, fsync=False)
-        store.append("k0", make_result(0))
-        with store.writer(flush_every=100) as writer:
-            for i in range(1, 4):
-                writer.append(f"k{i}", make_result(i))
+        store.seal(["k0"], [make_result(0)])
+        store.seal([f"k{i}" for i in range(1, 4)], [make_result(i) for i in range(1, 4)])
         assert sorted(p.name for p in directory.iterdir()) == ["manifest.jsonl"]
         lines = store.manifest_path.read_bytes().splitlines(keepends=True)
         assert [json.loads(line)["rows"] for line in lines] == [1, 3]
@@ -432,8 +428,8 @@ class TestResultStore:
     def test_torn_manifest_tail_keeps_the_next_record_whole(self, cuts_dir, cut):
         directory = cuts_dir / f"cut-{cut}"
         store = ResultStore(directory, fsync=False)
-        store.append("k0", make_result(0))
-        store.append("k1", make_result(1))
+        store.seal(["k0"], [make_result(0)])
+        store.seal(["k1"], [make_result(1)])
         # a crash cut the last record after `cut` bytes: its batch is lost,
         # and a fresh result appends after the fragment's line
         data = store.manifest_path.read_bytes()
@@ -443,7 +439,7 @@ class TestResultStore:
         store.manifest_path.write_bytes(data[:last] + fragment)
         reopened = ResultStore(directory, fsync=False)
         assert set(reopened.keys()) == {"k0"}
-        reopened.append("k2", make_result(2))
+        reopened.seal(["k2"], [make_result(2)])
 
         lines = store.manifest_path.read_bytes().splitlines()
         if cut:
@@ -471,8 +467,8 @@ class TestResultStore:
         assert "k0" not in store and len(store.table()) == 0
         assert store.refresh() == 0 and store.replay_skipped == 2  # counted once
         # their cases are recomputed and appended after the old lines
-        store.append("k0", make_result(0, key_seed=1.0))
-        store.append("k2", make_result(2))
+        store.seal(["k0"], [make_result(0, key_seed=1.0)])
+        store.seal(["k2"], [make_result(2)])
         for served in (store, ResultStore(directory, fsync=False)):
             assert served.stats() == {"rows": 2, "segments": 2, "replay_skipped": 2}
             assert list(served.keys()) == ["k0", "k2"]
@@ -489,7 +485,7 @@ class TestResultStore:
         reader = ResultStore(directory, fsync=False)
         assert len(reader) == 0
         sibling = ResultStore(directory, fsync=False)
-        sibling.append("from-sibling", make_result(0))
+        sibling.seal(["from-sibling"], [make_result(0)])
         assert "from-sibling" not in reader
         assert reader.refresh() == 1
         assert_results_equal(reader.get("from-sibling"), make_result(0))
@@ -497,7 +493,7 @@ class TestResultStore:
     def test_filter_and_table_dedupe(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
         for i in range(6):
-            store.append(f"k{i}", make_result(i, problem="XENON2" if i < 3 else "PRE2"))
+            store.seal([f"k{i}"], [make_result(i, problem="XENON2" if i < 3 else "PRE2")])
         assert len(store.filter(problem="PRE2")) == 3
         assert len(store.table()) == 6
 
@@ -567,12 +563,13 @@ class TestResultStoreReads:
             for op in ops:
                 if op[0] == "append":
                     _, i, key, variant = op
-                    stores[i].append(f"k{key}", _variant(key, variant))
+                    stores[i].seal([f"k{key}"], [_variant(key, variant)])
                 elif op[0] == "seal":
                     _, i, rows = op
-                    with stores[i].writer(flush_every=100) as writer:
-                        for key, variant in rows:
-                            writer.append(f"k{key}", _variant(key, variant))
+                    stores[i].seal(
+                        [f"k{key}" for key, _ in rows],
+                        [_variant(key, variant) for key, variant in rows],
+                    )
                 elif op[0] == "tear":
                     # a third writer crashes mid-append: its record is cut
                     # short (maybe to nothing, maybe to all but its newline)
@@ -628,7 +625,7 @@ class TestResultStoreReads:
                 for i in range(60):
                     key = (seed * 31 + i) % 48
                     if i % 3 == 0:
-                        store.append(f"k{key}", _variant(key, seed % 4))
+                        store.seal([f"k{key}"], [_variant(key, seed % 4)])
                         written.add(f"k{key}")
                     elif i % 3 == 1:
                         if f"k{key}" in store:
@@ -661,21 +658,21 @@ class TestResultStoreReads:
 
     def test_table_is_cached_until_a_segment_arrives(self, tmp_path):
         store = ResultStore(tmp_path / "store", fsync=False)
-        store.append("k0", make_result(0))
+        store.seal(["k0"], [make_result(0)])
         first = store.table()
         assert store.table() is first
-        store.append("k1", make_result(1))
+        store.seal(["k1"], [make_result(1)])
         assert store.table() is not first and len(store.table()) == 2
 
     def test_reads_resume_at_the_consumed_offset(self, tmp_path):
         directory = tmp_path / "store"
         store = ResultStore(directory, fsync=False)
-        store.append("k0", make_result(0))
+        store.seal(["k0"], [make_result(0)])
         # rewrite the consumed line in place, same length, to hold another
         # key: only a reader that starts over would see it
         manifest = directory / "manifest.jsonl"
         manifest.write_bytes(manifest.read_bytes().replace(b'"k0"', b'"k1"'))
-        store.append("k2", make_result(2))  # a seal reads the manifest tail through its line
+        store.seal(["k2"], [make_result(2)])  # a seal reads the manifest tail through its line
         assert "k1" not in store and len(store) == 2
         assert store.refresh() == 0 and "k1" not in store
         assert set(ResultStore(directory, fsync=False).keys()) == {"k1", "k2"}
@@ -685,7 +682,7 @@ class TestResultStoreReads:
         reader = ResultStore(directory, fsync=False)
         writer = ResultStore(directory, fsync=False)
         for i in range(3):
-            writer.append(f"k{i}", make_result(i))
+            writer.seal([f"k{i}"], [make_result(i)])
         reader.refresh()
         # the manifest is replaced by a shorter one holding a new batch
         table = ResultTable.from_results([make_result(9)], keys=["k9"])

@@ -12,7 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.results import ResultStore
+from repro.pipeline.stage import CaseSpec
+from repro.results import ResultStore, case_key, case_key_for
+from repro.runtime import SimulationConfig
 from repro.session import open_session
 from repro.specs import SweepSpec
 
@@ -115,6 +117,59 @@ class TestResumeInline:
             assert results.computed == 1  # ...but the case ran once
             assert session.engine.stage_runs["simulate"] == 1
         assert_case_results_equal(results[0], results[1])
+
+    def test_error_mid_group_keeps_every_completed_case(self, tmp_path, reference):
+        # GRID is two analysis groups (nprocs 4 and 8) of two strategies:
+        # the third case completes inside the second group, then the run raises
+        store_dir = tmp_path / "store"
+        with pytest.raises(KeyboardInterrupt):
+            with open_session(
+                nprocs=NPROCS, scale=SCALE, cache_dir="", progress=Interrupter(after=3)
+            ) as session:
+                session.sweep(GRID, store=store_dir)
+        store = ResultStore(store_dir, fsync=False)
+        assert store.stats() == {"rows": 3, "segments": 2, "replay_skipped": 0}
+        for spec, expected in zip(GRID.expand()[:3], reference):
+            with open_session(nprocs=NPROCS, scale=SCALE, cache_dir="") as session:
+                key = case_key_for(session.engine, spec)
+            assert_case_results_equal(store.get(key), expected)
+
+
+class TestKeysBindTheMachine:
+    """A case key names the machine model and amalgamation it ran under."""
+
+    CASE = SweepSpec(problems=["XENON2"], orderings=["metis"], strategies=["memory-full"])
+
+    def _served_to_a_default_session(self, store_dir):
+        with open_session(nprocs=NPROCS, scale=SCALE, cache_dir="") as session:
+            served = session.sweep(self.CASE, store=store_dir)
+            fresh = session.run(self.CASE.expand()[0])
+        return served, fresh
+
+    def test_a_store_of_another_machine_serves_no_default_case(self, tmp_path):
+        slow = SimulationConfig.paper(NPROCS, latency=5e-3, memory_message_latency=5e-3)
+        with open_session(nprocs=NPROCS, scale=SCALE, cache_dir="", config=slow) as session:
+            slow_result = session.sweep(self.CASE, store=tmp_path / "store")[0]
+        served, fresh = self._served_to_a_default_session(tmp_path / "store")
+        assert (served.computed, served.skipped) == (1, 0)
+        assert_case_results_equal(served[0], fresh)
+        assert slow_result.total_time != fresh.total_time
+
+    def test_a_store_of_another_amalgamation_serves_no_default_case(self, tmp_path):
+        with open_session(
+            nprocs=NPROCS, scale=SCALE, cache_dir="", amalgamation_relax=0.3
+        ) as session:
+            session.sweep(self.CASE, store=tmp_path / "store")
+        served, fresh = self._served_to_a_default_session(tmp_path / "store")
+        assert (served.computed, served.skipped) == (1, 0)
+        assert_case_results_equal(served[0], fresh)
+
+    def test_default_engine_keys_bind_nothing_new(self):
+        spec = CaseSpec("XENON2", "metis", "memory-full")
+        for config in (None, SimulationConfig.paper(NPROCS, track_traces=True)):
+            with open_session(nprocs=NPROCS, scale=SCALE, cache_dir="", config=config) as session:
+                key = case_key_for(session.engine, spec)
+            assert key == case_key(spec, nprocs=NPROCS, scale=SCALE)
 
 
 class TestResumeParallel:

@@ -1,7 +1,7 @@
 """Tests of the sweep service: jobs, shards, daemon, HTTP API.
 
 The unit tests drive the queue and the daemon directly (faults are
-injected by patching the daemon's one shard-run call, no sockets); the
+injected by patching the daemon session's one stored-run call, no sockets); the
 end-to-end tests run the real daemon
 behind a real loopback HTTP server — submit → poll → query — and assert the
 acceptance criteria: a repeated ``GET /result`` is served from the result
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.pipeline.executor import SweepExecutor
 from repro.pipeline.stage import CaseSpec
 from repro.results import ResultStore, case_key_for
 from repro.service import (
@@ -107,7 +108,7 @@ class TestJobQueue:
         with pytest.raises(JobStateError, match="illegal transition"):
             queue.finish(record.id)
         with pytest.raises(JobStateError, match="illegal transition"):
-            queue.requeue(record.id)
+            queue.fail(record.id, "again")
 
     def test_cannot_finish_unclaimed(self, tmp_path):
         queue = JobQueue(tmp_path / "journal.jsonl", fsync=False)
@@ -125,18 +126,6 @@ class TestJobQueue:
     def test_claim_timeout_returns_none(self, tmp_path):
         queue = JobQueue(tmp_path / "journal.jsonl", fsync=False)
         assert queue.claim(timeout=0.01) is None
-
-    def test_requeue_bumps_attempts_and_resets_progress(self, tmp_path):
-        queue = JobQueue(tmp_path / "journal.jsonl", fsync=False)
-        record = queue.submit(JobSpec(sweep=tiny_sweep()))
-        queue.claim(timeout=1)
-        queue.progress(record.id, done=1, shards_done=1)
-        queue.requeue(record.id, error="transient")
-        back = queue.get(record.id)
-        assert back.state == "queued"
-        assert back.attempts == 1
-        assert back.done == 0 and back.shards_done == 0
-        assert queue.claim(timeout=1).id == record.id
 
     def test_journal_replay_recovers_crashed_jobs(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -243,32 +232,32 @@ class TestResultKeys:
 # daemon execution policies (no sockets: direct SweepService)
 # --------------------------------------------------------------------------- #
 class FlakyShards:
-    """Patches a daemon's shard run: the first ``failures`` calls raise."""
+    """Patches a daemon's stored run: the first ``failures`` calls raise."""
 
     def __init__(self, service: SweepService, failures: int) -> None:
-        self.run = service._run_shard
+        self.run = service.session.run_stored
         self.failures = failures
         self.calls = 0
-        service._run_shard = self
+        service.session.run_stored = self
 
-    def __call__(self, specs, deadline):
+    def __call__(self, specs, store, **kwargs):
         self.calls += 1
         if self.calls <= self.failures:
             raise RuntimeError(f"transient failure {self.calls}")
-        return self.run(specs, deadline)
+        return self.run(specs, store, **kwargs)
 
 
 class SlowShards:
-    """Patches a daemon's shard run: every call sleeps ``delay`` first."""
+    """Patches a daemon's stored run: every call sleeps ``delay`` first."""
 
     def __init__(self, service: SweepService, delay: float) -> None:
-        self.run = service._run_shard
+        self.run = service.session.run_stored
         self.delay = delay
-        service._run_shard = self
+        service.session.run_stored = self
 
-    def __call__(self, specs, deadline):
+    def __call__(self, specs, store, **kwargs):
         time.sleep(self.delay)
-        return self.run(specs, deadline)
+        return self.run(specs, store, **kwargs)
 
 
 def _make_service(tmp_path, **kwargs) -> SweepService:
@@ -314,7 +303,7 @@ class TestSweepServiceExecution:
         service = _make_service(tmp_path)
         SlowShards(service, delay=0.1)
         with service:
-            # two problems → two shards; the deadline elapses after shard one
+            # the deadline elapses before the run starts its first case
             spec = {"sweep": tiny_sweep(problems=["XENON2", "PRE2"]).to_dict(), "timeout_s": 0.05}
             record = service.submit(spec)
             final = _wait_terminal(service, record.id)
@@ -373,7 +362,7 @@ def _four_case_job() -> dict:
 
 
 class TestGroupCommit:
-    """A job's results become durable once per shard, as one segment."""
+    """A job's results become durable once per analysis group, as one batch."""
 
     def test_one_segment_per_shard(self, tmp_path):
         service = _make_service(tmp_path)
@@ -435,6 +424,32 @@ class TestGroupCommit:
         assert final.state == "done"
         assert [len(keys) for keys in named] == [2, 2] and all(all(k) for k in named)
 
+    def test_a_retry_reruns_only_the_keys_the_store_lacks(self, tmp_path):
+        service = _make_service(tmp_path)
+        run = service.session.run_stored
+        calls = []
+
+        def fail_after_the_first_seal(specs, store, *, on_seal, **kwargs):
+            calls.append(len(calls) + 1)
+
+            def seal(keys):
+                on_seal(keys)
+                if len(calls) == 1:
+                    raise RuntimeError("transient failure after one group")
+
+            return run(specs, store, on_seal=seal, **kwargs)
+
+        service.session.run_stored = fail_after_the_first_seal
+        with service:
+            job = {**_four_case_job(), "max_attempts": 2}
+            final = _wait_terminal(service, service.submit(job).id)
+            simulated = service.engine.stage_runs["simulate"]
+        assert final.state == "done" and final.attempts == 1 and calls == [1, 2]
+        assert simulated == 4  # the retry ran only the second group's two cases
+        assert final.done == final.total == 4 and final.shards_done == 2
+        assert len(final.result_keys) == len(set(final.result_keys)) == 4
+        assert service.results.stats()["segments"] == 2
+
     def test_death_between_seal_and_progress_reruns_without_duplicates(self, tmp_path):
         service = _make_service(tmp_path)
         record = service.submit(_four_case_job())
@@ -470,7 +485,7 @@ class TestGroupCommit:
 
 
 class TestOnePool:
-    """``jobs > 1``: every job worker runs its shards on the daemon's one pool."""
+    """``jobs > 1``: every job worker runs its cases on the daemon's one pool."""
 
     JOBS = (
         {"sweep": {"problems": ["XENON2"], "orderings": ["metis", "amd"],
@@ -501,6 +516,42 @@ class TestOnePool:
         assert pooled.engine.stage_runs["simulate"] == 0
         assert inline.engine.stage_runs["simulate"] == 6
         assert pooled.stats()["execution"] == {"jobs": 2, "workers": 2}
+
+    def test_a_job_hands_all_its_missing_groups_to_the_pool_at_once(self, tmp_path, monkeypatch):
+        runs: list[int] = []
+        run = SweepExecutor.run
+
+        def recorded(executor, specs, **kwargs):
+            if executor.jobs == 2:
+                runs.append(len(specs))
+            return run(executor, specs, **kwargs)
+
+        monkeypatch.setattr(SweepExecutor, "run", recorded)
+        service = _make_service(tmp_path, jobs=2)
+        with service:
+            # 2 problems x 2 orderings x 2 strategies: 8 cases in 4 groups
+            job = {"sweep": {"problems": ["XENON2", "PRE2"], "orderings": ["metis", "amd"],
+                             "strategies": ["mumps-workload", "memory-full"]}}
+            final = _wait_terminal(service, service.submit(job).id)
+        assert final.state == "done" and final.shards_total == final.shards_done == 4
+        assert runs == [8]  # one executor run, so all 4 groups meet the 2 workers at once
+        assert service.results.stats()["segments"] == 4  # still one batch per group
+
+    def test_a_tune_job_runs_on_the_pool_and_matches_a_serial_tune(self, tmp_path):
+        from repro.session import Session
+        from repro.tune import TuneSpec, tune
+
+        spec = TuneSpec(space="hybrid(alpha=0.0..1.0)", problems=["XENON2", "PRE2"],
+                        searcher="halving(samples=4,eta=2,rungs=2)", seed=5)
+        service = _make_service(tmp_path, jobs=2)
+        with service:
+            final = _wait_terminal(service, service.submit({"tune": spec.to_dict()}).id)
+            served = service.leaderboard(final.id)
+        assert final.state == "done"
+        assert service.engine.stage_runs["simulate"] == 0  # the pool's workers ran every case
+        with Session(nprocs=NPROCS, scale=SCALE, cache_dir="") as serial:
+            expected = tune(serial, spec)
+        assert canonical_json(served) == canonical_json(expected.to_dict())
 
 
 def test_sigterm_stops_the_pool_workers_with_the_daemon(tmp_path):

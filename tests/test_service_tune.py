@@ -1,6 +1,6 @@
 """Tune jobs through the service: queue records, daemon execution, HTTP API.
 
-The daemon runs a tune job's whole search under the engine lock against a
+The daemon runs a tune job's whole search on its session against a
 shared ``tune-store``, so re-submitting the same :class:`TuneSpec` is fully
 memoized (``engine.stage_runs`` unchanged) and serves a byte-identical
 leaderboard — the service-side half of ISSUE 9's acceptance criteria.
