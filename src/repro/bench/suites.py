@@ -489,7 +489,7 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
     return SuiteInstance(
         name="serving",
         cases=[
-            prepared("query-cold", query_cold, repeats=3, warmup=1),
+            prepared("query-cold", query_cold, repeats=30, warmup=3),
             prepared("query-cached", query_cached, repeats=5, warmup=1),
             prepared("submit-roundtrip", submit_roundtrip, repeats=30, warmup=3),
         ],

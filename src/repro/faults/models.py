@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "MsgLossModel",
     "FaultSpec",
     "FaultPlan",
+    "LossStream",
     "parse_faults",
     "canonical_faults",
     "replication_seed",
@@ -235,6 +237,29 @@ def canonical_faults(text: Union[str, FaultSpec, None]) -> str:
     return parse_faults(text).canonical()
 
 
+def _blocks(generator: np.random.Generator, size: int):
+    while True:
+        yield from generator.random(size).tolist()
+
+
+class LossStream:
+    """The message-loss draws of one run, handed out from blocks.
+
+    ``random()`` returns the next uniform ``[0, 1)`` draw of ``generator``.
+    A ``Generator.random(k)`` block holds exactly the values of ``k`` scalar
+    ``Generator.random()`` calls, so the sequence is the scalar one; a draw
+    costs a list step instead of a numpy scalar call.
+    """
+
+    __slots__ = ("random",)
+
+    #: draws per ``Generator.random`` block
+    BLOCK = 256
+
+    def __init__(self, generator: np.random.Generator) -> None:
+        self.random = partial(next, _blocks(generator, self.BLOCK))
+
+
 class FaultPlan:
     """A :class:`FaultSpec` compiled for one machine size and seed.
 
@@ -330,23 +355,26 @@ class FaultPlan:
                 break
         return s
 
-    def message_stream(self) -> Optional[np.random.Generator]:
+    def message_stream(self) -> Optional[LossStream]:
         """A fresh, deterministic loss-draw stream (``None`` without msgloss)."""
         if self.spec.msgloss is None:
             return None
-        return _generator(self.seed, _SALT_MSGLOSS)
+        return LossStream(_generator(self.seed, _SALT_MSGLOSS))
 
-    def message_penalty(self, stream: np.random.Generator) -> tuple[float, int]:
+    def message_penalty(self, stream) -> tuple[float, int]:
         """Draw one message's fate: ``(extra_delay, retries)``.
 
-        Each loss re-sends the message after ``retry_timeout * backoff**k``
-        of simulated time; the accumulated penalty is the extra arrival
-        delay.  Draw count is ``retries + 1`` (the final successful send),
-        capped at :data:`MAX_RETRIES`.
+        ``stream`` is anything with a ``random()`` method returning a float
+        in ``[0, 1)``: a :class:`LossStream` or a bare ``Generator``.  Each
+        loss re-sends the message after ``retry_timeout * backoff**k`` of
+        simulated time; the accumulated penalty is the extra arrival delay.
+        Draw count is ``retries + 1`` (the final successful send), capped at
+        :data:`MAX_RETRIES`.
         """
         penalty = 0.0
         retries = 0
-        while retries < MAX_RETRIES and float(stream.random()) < self._loss_p:
+        draw = stream.random
+        while retries < MAX_RETRIES and draw() < self._loss_p:
             penalty += self._retry_timeout * self._backoff**retries
             retries += 1
         return penalty, retries

@@ -28,6 +28,17 @@ inline ``heappush`` of tuples.  A type-2 slave selection hands the selector
 the master's rows of the views as ``array("d")`` rows and runs the per-slave
 loop on the integer coefficients that :class:`SimGeometry` precomputes.
 
+The hot-path rule: the per-event memory and load sites — slave arrival,
+the completions of type-1, slave, master and root-share tasks, the type-1
+activation pulls and the type-2 release loop — spell out their stack,
+factor, peak and broadcast updates in place, with the trace appends behind
+the one ``tracing`` flag in the same statements.  The closures
+(``_alloc``, ``_free``, ``mem_changed``, ``load_changed``, …) remain only
+at cold sites (root handling, pool entry of upper-layer tasks, root-share
+activation), where a call costs nothing measurable.  An inlined site keeps
+the broadcasts, ``seq`` numbers and float association of the closure calls
+it replaces.
+
 The run builds nothing the loop does not read.  It leaves its final lists in
 ``sim.run_end``; the canonical :class:`SimState` (numpy form) and the final
 view matrices (:func:`write_views`) are built from them only when
@@ -272,10 +283,14 @@ def run_soa(sim):
     n_sel = 0
 
     # ------------------------------------------------------------------ #
-    # single-level closures (the reference engine's 3-4 frame call chains
-    # collapse to one call over shared cells; float ops keep its exact
-    # association)
+    # single-level closures for the cold sites (the reference engine's 3-4
+    # frame call chains collapse to one call over shared cells; float ops
+    # keep its exact association).  The hot sites in the event loop,
+    # ``try_start`` and ``activate_t2`` inline the same statements.
     # ------------------------------------------------------------------ #
+    def _negative(q, s2):
+        raise RuntimeError(f"processor {q}: stack memory became negative ({s2:.1f} entries)")
+
     def _alloc(q, e):
         s2 = stack[q] + e
         stack[q] = s2
@@ -289,17 +304,9 @@ def run_soa(sim):
         s2 = stack[q] - e
         stack[q] = s2
         if s2 < -1e-6:
-            raise RuntimeError(
-                f"processor {q}: stack memory became negative ({s2:.1f} entries)"
-            )
+            _negative(q, s2)
         if tracing:
             tb[q].append(now, s2, factors[q])
-
-    def _add_factors(q, e):
-        f2 = factors[q] + e
-        factors[q] = f2
-        if tracing:
-            tb[q].append(now, stack[q], f2)
 
     def mem_changed(q):
         nonlocal seq, c_mem
@@ -477,7 +484,7 @@ def run_soa(sim):
         del vlog[:k]
 
     def activate_t2(tid, q, node):
-        nonlocal seq, c_cbt, c_stask, c_resv, n_sel, c_lost, c_retr
+        nonlocal seq, c_mem, c_cbt, c_stask, c_resv, n_sel, c_lost, c_retr
         deliver(ev)
         sub = t_sub[tid]
         if sub >= 0:
@@ -497,8 +504,21 @@ def run_soa(sim):
         for c in g_children[node]:
             for cq, e in cbp[c]:
                 total += e
-                _free(cq, e)
-                mem_changed(cq)
+                s = stack[cq] - e
+                stack[cq] = s
+                if s < -1e-6:
+                    _negative(cq, s)
+                if tracing:
+                    tb[cq].append(now, s, factors[cq])
+                if s > observed[cq]:
+                    observed[cq] = s
+                if s != last_m[cq]:
+                    last_m[cq] = s
+                    if multi:
+                        vlog.append((now + notif, seq, 0, cq, s))
+                        seq += 1
+                        c_mem += n1
+                own_m[cq] = s
                 if cq != q:
                     ov = over[cq]
                     x = ov.get(q, dm[cq]) - e
@@ -515,8 +535,22 @@ def run_soa(sim):
         # in the fully summed part of the front
         masm = total * float(npv) / nfr_f
         t_extra[tid] = masm
-        _alloc(q, g_master[node] + masm)
-        mem_changed(q)
+        s = stack[q] + (g_master[node] + masm)
+        stack[q] = s
+        if s > peak[q]:
+            peak[q] = s
+            peak_t[q] = now
+        if tracing:
+            tb[q].append(now, s, factors[q])
+        if s > observed[q]:
+            observed[q] = s
+        if s != last_m[q]:
+            last_m[q] = s
+            if multi:
+                vlog.append((now + notif, seq, 0, q, s))
+                seq += 1
+                c_mem += n1
+        own_m[q] = s
 
         # ------------------- dynamic slave selection ------------------- #
         ncb = nfr - npv
@@ -594,8 +628,41 @@ def run_soa(sim):
             return comm + g_asm[node] / asm_rate + tflops[node] / flop_rate
         return comm + (g_asm[node] / asm_rate + tflops[node] / flop_rate) * speed_at(q, now)
 
-    def activate(tid, q):
-        nonlocal seq, c_cbt
+    def try_start(q):
+        # pick the next task of ``q`` (a received slave task first, then the
+        # pool by the task-selection mode) and activate it
+        nonlocal seq, c_mem, c_cbt
+        if current[q] != -1:
+            return
+        sq = slaveq[q]
+        if sq:
+            tid = sq.popleft()
+        else:
+            pl = pools[q]
+            if not pl:
+                return
+            if task_mode == TASK_MODE_LIFO:
+                i = len(pl) - 1
+            elif task_mode == TASK_MODE_FIFO:
+                i = 0
+            else:  # Algorithm 2, inlined over the live pool of task ids
+                top = len(pl) - 1
+                cs = cur_sub[q]
+                if cs >= 0 and t_sub[pl[top]] == cs:
+                    i = top
+                else:
+                    cur = stack[q] + (cur_speak[q] if cs >= 0 else 0.0)
+                    obs = observed[q]
+                    i = top
+                    for j in range(top, -1, -1):
+                        tid = pl[j]
+                        if t_mem[tid] + cur <= obs:
+                            i = j
+                            break
+                        if t_sub[tid] >= 0:
+                            i = j
+                            break
+            tid = pl.pop(i)
         current[q] = tid
         k = t_kind[tid]
         node = t_node[tid]
@@ -614,21 +681,61 @@ def run_soa(sim):
             # pull the children CB pieces onto the owner
             comm = 0.0
             moved = 0.0
+            sk = stack[q]
             for c in g_children[node]:
                 for cq, e in cbp[c]:
                     if cq != q:
-                        _free(cq, e)
-                        mem_changed(cq)
-                        _alloc(q, e)
+                        s = stack[cq] - e
+                        stack[cq] = s
+                        if s < -1e-6:
+                            _negative(cq, s)
+                        if tracing:
+                            tb[cq].append(now, s, factors[cq])
+                        if s > observed[cq]:
+                            observed[cq] = s
+                        if s != last_m[cq]:
+                            last_m[cq] = s
+                            if multi:
+                                vlog.append((now + notif, seq, 0, cq, s))
+                                seq += 1
+                                c_mem += n1
+                        own_m[cq] = s
+                        sk = sk + e
+                        if sk > peak[q]:
+                            peak[q] = sk
+                            peak_t[q] = now
+                        if tracing:
+                            tb[q].append(now, sk, factors[q])
                         moved += e
                         tt = lat + e / bw
                         if tt > comm:
                             comm = tt
                         c_cbt += 1
             if moved > 0:
-                mem_changed(q)
-            _alloc(q, g_front[node])
-            mem_changed(q)
+                if sk > observed[q]:
+                    observed[q] = sk
+                if sk != last_m[q]:
+                    last_m[q] = sk
+                    if multi:
+                        vlog.append((now + notif, seq, 0, q, sk))
+                        seq += 1
+                        c_mem += n1
+            sk = sk + g_front[node]
+            stack[q] = sk
+            if sk > peak[q]:
+                peak[q] = sk
+                peak_t[q] = now
+            if tracing:
+                tb[q].append(now, sk, factors[q])
+            if sk > observed[q]:
+                observed[q] = sk
+            if sk != last_m[q]:
+                last_m[q] = sk
+                if multi:
+                    vlog.append((now + notif, seq, 0, q, sk))
+                    seq += 1
+                    c_mem += n1
+            own_m[q] = sk
             if plan is None:
                 duration = comm + g_asm[node] / asm_rate + tflops[node] / flop_rate
             else:
@@ -651,39 +758,6 @@ def run_soa(sim):
                 duration = t_flops[tid] / flop_rate * speed_at(q, now)
         heappush(heap, (now + duration, seq, EV_TASK_DONE, q, tid, 0))
         seq += 1
-
-    def try_start(q):
-        if current[q] != -1:
-            return
-        sq = slaveq[q]
-        if sq:
-            activate(sq.popleft(), q)
-            return
-        pl = pools[q]
-        if not pl:
-            return
-        if task_mode == TASK_MODE_LIFO:
-            i = len(pl) - 1
-        elif task_mode == TASK_MODE_FIFO:
-            i = 0
-        else:  # Algorithm 2, inlined over the live pool of task ids
-            top = len(pl) - 1
-            cs = cur_sub[q]
-            if cs >= 0 and t_sub[pl[top]] == cs:
-                i = top
-            else:
-                cur = stack[q] + (cur_speak[q] if cs >= 0 else 0.0)
-                obs = observed[q]
-                i = top
-                for j in range(top, -1, -1):
-                    tid = pl[j]
-                    if t_mem[tid] + cur <= obs:
-                        i = j
-                        break
-                    if t_sub[tid] >= 0:
-                        i = j
-                        break
-        activate(pl.pop(i), q)
 
     # ------------------------------------------------------------------ #
     # setup (same order of operations as FactorizationSimulator._setup)
@@ -742,6 +816,10 @@ def run_soa(sim):
             tdone[q] += 1
             k = t_kind[tid]
             node = t_node[tid]
+            # each kind frees ``freed`` stack entries and adds ``fe`` factor
+            # entries; ``s`` carries the stack of ``q`` until it is stored
+            s = stack[q]
+            f0 = factors[q]
             if k == K_TYPE1:
                 # the children CB pieces all sit on the owner by now
                 total = 0.0
@@ -754,45 +832,82 @@ def run_soa(sim):
                         total += ssum
                         cbp[c] = []
                 if total > 0:
-                    _free(q, total)
-                    mem_changed(q)
-                _free(q, g_front[node])
-                _add_factors(q, g_factor[node])
+                    s = s - total
+                    if s < -1e-6:
+                        _negative(q, s)
+                    if tracing:
+                        tb[q].append(now, s, f0)
+                    if s > observed[q]:
+                        observed[q] = s
+                    if s != last_m[q]:
+                        last_m[q] = s
+                        if multi:
+                            vlog.append((now + notif, seq, 0, q, s))
+                            seq += 1
+                            c_mem += n1
+                freed = g_front[node]
+                fe = g_factor[node]
+            elif k == K_TYPE2_MASTER:
+                fe = g_master[node]
+                freed = fe + t_extra[tid]
+            elif k == K_TYPE2_SLAVE:
+                fe = float(t_rows[tid] * g_npiv[node])  # the slave's factor entries
+                freed = fe + t_extra[tid]
+            else:  # K_ROOT_SHARE
+                freed = t_mem[tid]
+                fe = g_factor[node] / nprocs
+            s = s - freed
+            if s < -1e-6:
+                _negative(q, s)
+            f = f0 + fe
+            factors[q] = f
+            if tracing:
+                tr = tb[q]
+                tr.append(now, s, f0)
+                tr.append(now, s, f)
+            if k == K_TYPE1:
                 cbv = g_cb[node]
                 if cbv > 0:
-                    _alloc(q, cbv)
+                    s = s + cbv
+                    if s > peak[q]:
+                        peak[q] = s
+                        peak_t[q] = now
+                    if tracing:
+                        tr.append(now, s, f)
                     cbp[node] = [(q, cbv)]
-                mem_changed(q)
-                l = load[q] - t_flops[tid]
-                load[q] = 0.0 if l < 0.0 else l
-                load_changed(q)
+            stack[q] = s
+            if s > observed[q]:
+                observed[q] = s
+            if s != last_m[q]:
+                last_m[q] = s
+                if multi:
+                    vlog.append((now + notif, seq, 0, q, s))
+                    seq += 1
+                    c_mem += n1
+            own_m[q] = s
+            l = load[q] - t_flops[tid]
+            if l < 0.0:
+                l = 0.0
+            load[q] = l
+            if l != last_l[q]:
+                last_l[q] = l
+                if multi:
+                    llog.append((now + notif, seq, dl_l, q, l))
+                    seq += 1
+                    c_load += n1
+            own_l[q] = l
+            if k == K_TYPE1:
                 sub = t_sub[tid]
                 if sub >= 0 and node == sub:
                     cur_sub[q] = -1
                     subtree_changed(q, 0.0)
                 complete_node(node)
             elif k == K_TYPE2_MASTER:
-                me = g_master[node]
-                _free(q, me + t_extra[tid])
-                _add_factors(q, me)
-                mem_changed(q)
-                l = load[q] - t_flops[tid]
-                load[q] = 0.0 if l < 0.0 else l
-                load_changed(q)
                 master_done[node] = True
                 if slaves_pend[node] == 0:
                     complete_node(node)
             elif k == K_TYPE2_SLAVE:
-                fp = float(t_rows[tid] * g_npiv[node])  # the slave's factor entries
-                cb_part = t_mem[tid] - fp
-                if cb_part < 0.0:
-                    cb_part = 0.0
-                _free(q, fp + t_extra[tid])
-                _add_factors(q, fp)
-                mem_changed(q)
-                l = load[q] - t_flops[tid]
-                load[q] = 0.0 if l < 0.0 else l
-                load_changed(q)
+                cb_part = t_mem[tid] - fe
                 if cb_part > 0:
                     cbp[node].append((q, cb_part))
                 slaves_pend[node] -= 1
@@ -800,12 +915,6 @@ def run_soa(sim):
                 if slaves_pend[node] == 0 and master_done[node]:
                     complete_node(node)
             else:  # K_ROOT_SHARE
-                _free(q, t_mem[tid])
-                _add_factors(q, g_factor[node] / nprocs)
-                mem_changed(q)
-                l = load[q] - t_flops[tid]
-                load[q] = 0.0 if l < 0.0 else l
-                load_changed(q)
                 rp = root_pend[node] - 1
                 root_pend[node] = rp
                 if rp == 0:
@@ -822,10 +931,32 @@ def run_soa(sim):
             tid = ev[4]
             # the slave block (plus its assembly share) is charged upon
             # reception (Section 3: slave tasks activate as soon as received)
-            _alloc(dq, t_mem[tid] + t_extra[tid])
-            mem_changed(dq)
-            load[dq] = load[dq] + t_flops[tid]
-            load_changed(dq)
+            s = stack[dq] + (t_mem[tid] + t_extra[tid])
+            stack[dq] = s
+            if s > peak[dq]:
+                peak[dq] = s
+                peak_t[dq] = now
+            if tracing:
+                tb[dq].append(now, s, factors[dq])
+            if s > observed[dq]:
+                observed[dq] = s
+            if s != last_m[dq]:
+                last_m[dq] = s
+                if multi:
+                    vlog.append((now + notif, seq, 0, dq, s))
+                    seq += 1
+                    c_mem += n1
+            own_m[dq] = s
+            l = load[dq] + t_flops[tid]
+            load[dq] = l
+            c = 0.0 if l < 0.0 else l
+            if l != last_l[dq]:
+                last_l[dq] = l
+                if multi:
+                    llog.append((now + notif, seq, dl_l, dq, c))
+                    seq += 1
+                    c_load += n1
+            own_l[dq] = c
             slaveq[dq].append(tid)
             try_start(dq)
         elif tag == EV_CHILD_COMPLETED:

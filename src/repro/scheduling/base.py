@@ -152,7 +152,9 @@ def normalize_row_distribution(
     The simulator always passes strategy output through this function so a
     buggy or degenerate strategy cannot lose rows of the front.  A
     ``frozenset`` of candidates is used as is (the SoA engine keeps one per
-    type-2 node); any other sequence is converted.
+    type-2 node); any other sequence is converted.  An assignment that is
+    already clean — a list of ``(candidate, rows)`` tuples of positive
+    ``int`` rows summing to ``ncb`` — is returned as is.
     """
     if ncb <= 0:
         return []
@@ -160,6 +162,23 @@ def normalize_row_distribution(
         candidate_set = candidates
     else:
         candidate_set = frozenset(int(c) for c in candidates)
+    if type(assignment) is list:
+        total = 0
+        for item in assignment:
+            if type(item) is not tuple:
+                break
+            proc, rows = item
+            if (
+                type(rows) is not int
+                or type(proc) is not int
+                or rows <= 0
+                or proc not in candidate_set
+            ):
+                break
+            total += rows
+        else:
+            if total == ncb:
+                return assignment
     cleaned: list[tuple[int, int]] = []
     remaining = ncb
     for proc, rows in assignment:

@@ -11,10 +11,19 @@ Algorithm 1.
 from __future__ import annotations
 
 from repro.scheduling.base import SlaveSelectionContext, SlaveSelector
-from repro.scheduling.memory_slave import MemorySlaveSelector
+from repro.scheduling.memory_slave import level_select
 from repro.scheduling.prediction import selection_metric
 
 __all__ = ["HybridSlaveSelector"]
+
+
+def _normalised(values, cand) -> list[float]:
+    """``values`` of ``cand`` mapped onto [0, 1] by the range over all processors."""
+    lo = min(values)
+    span = float(max(values) - lo)
+    if span <= 0:
+        return [0.0] * len(cand)
+    return [(values[q] - lo) / span for q in cand]
 
 
 class HybridSlaveSelector(SlaveSelector):
@@ -32,43 +41,21 @@ class HybridSlaveSelector(SlaveSelector):
             raise ValueError("alpha must be within [0, 1]")
         self.alpha = alpha
         self.use_predictions = use_predictions
-        self._memory_selector = MemorySlaveSelector(use_predictions=use_predictions)
 
     def select(self, ctx: SlaveSelectionContext) -> list[tuple[int, int]]:
-        if ctx.ncb <= 0 or len(ctx.candidates) == 0:
+        cand = ctx.candidates
+        if ctx.ncb <= 0 or len(cand) == 0:
             return []
         memory = selection_metric(ctx, use_predictions=self.use_predictions)
-
-        def normalise(values) -> list[float]:
-            lo = min(values)
-            span = float(max(values) - lo)
-            if span <= 0:
-                return [0.0] * len(values)
-            return [(v - lo) / span for v in values]
-
         alpha = self.alpha
         beta = 1.0 - alpha
-        # Reuse Algorithm 1 by presenting the combined score as the "memory"
+        # Algorithm 1 levels the combined score as if it were the memory
         # metric: the levelling arithmetic then operates on the blended rank.
         scale = max(float(ctx.ncb) * float(ctx.nfront), 1.0)
         scaled = [
             (alpha * m + beta * w) * scale
-            for m, w in zip(normalise(memory), normalise(ctx.load_view))
+            for m, w in zip(_normalised(memory, cand), _normalised(ctx.load_view, cand))
         ]
-        blended_ctx = SlaveSelectionContext(
-            master_proc=ctx.master_proc,
-            node=ctx.node,
-            npiv=ctx.npiv,
-            nfront=ctx.nfront,
-            ncb=ctx.ncb,
-            symmetric=ctx.symmetric,
-            candidates=ctx.candidates,
-            memory_view=scaled,
-            effective_memory_view=scaled,
-            load_view=ctx.load_view,
-            own_load=ctx.own_load,
-            own_memory=ctx.own_memory,
-            min_rows_per_slave=ctx.min_rows_per_slave,
-            max_slaves=ctx.max_slaves,
+        return level_select(
+            cand, scaled, ctx.ncb, ctx.nfront, ctx.min_rows_per_slave, ctx.max_slaves
         )
-        return self._memory_selector.select(blended_ctx)

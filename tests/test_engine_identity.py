@@ -17,6 +17,7 @@ per-candidate loops, kept here as oracles.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,9 +31,13 @@ from repro.pipeline import AnalysisPipeline, CaseResult, CaseSpec
 from repro.runtime import FactorizationSimulator, SimulationConfig, resolve_engine
 from repro.runtime import invariants
 from repro.scheduling import get_strategy
-from repro.scheduling.base import SlaveSelectionContext
+from repro.scheduling.base import (
+    SlaveSelectionContext,
+    normalize_row_distribution,
+    pairwise_sum,
+)
 from repro.scheduling.hybrid import HybridSlaveSelector
-from repro.scheduling.memory_slave import MemorySlaveSelector, _level_rows
+from repro.scheduling.memory_slave import MemorySlaveSelector, _cost_slack, _level_rows
 from repro.scheduling.prediction import selection_metric
 from repro.scheduling.workload import WorkloadSlaveSelector, _spread_rows
 from repro.sparse import grid_2d
@@ -441,6 +446,57 @@ def scalar_workload_select(ctx: SlaveSelectionContext, proportional: bool):
     return _spread_rows(chosen, weights, ctx.ncb)
 
 
+def scalar_hybrid_select(ctx: SlaveSelectionContext, alpha: float, use_predictions: bool):
+    """Oracle of HybridSlaveSelector: the historical blend, presented to the
+    scalar Algorithm 1 oracle as a second context over every processor."""
+    if ctx.ncb <= 0 or len(ctx.candidates) == 0:
+        return []
+
+    def normalise(values) -> list[float]:
+        lo = min(values)
+        span = float(max(values) - lo)
+        if span <= 0:
+            return [0.0] * len(values)
+        return [(v - lo) / span for v in values]
+
+    memory = selection_metric(ctx, use_predictions=use_predictions)
+    scale = max(float(ctx.ncb) * float(ctx.nfront), 1.0)
+    scaled = [
+        (alpha * m + (1.0 - alpha) * w) * scale
+        for m, w in zip(normalise(memory), normalise(ctx.load_view))
+    ]
+    blended = replace(ctx, memory_view=scaled, effective_memory_view=scaled)
+    return scalar_memory_select(blended, use_predictions)
+
+
+def rebuilding_normalize(assignment, ncb, candidates):
+    """Oracle of normalize_row_distribution: the clean-up loop that rebuilds
+    every assignment."""
+    if ncb <= 0:
+        return []
+    if isinstance(candidates, frozenset):
+        candidate_set = candidates
+    else:
+        candidate_set = frozenset(int(c) for c in candidates)
+    cleaned = []
+    remaining = ncb
+    for proc, rows in assignment:
+        proc = int(proc)
+        rows = int(rows)
+        if proc not in candidate_set or rows <= 0 or remaining <= 0:
+            continue
+        rows = min(rows, remaining)
+        cleaned.append((proc, rows))
+        remaining -= rows
+    if remaining > 0:
+        if cleaned:
+            proc, rows = cleaned[0]
+            cleaned[0] = (proc, rows + remaining)
+        elif candidate_set:
+            cleaned.append((min(candidate_set), remaining))
+    return cleaned
+
+
 def random_context(seed: int) -> SlaveSelectionContext:
     rng = np.random.default_rng(seed)
     nprocs = int(rng.integers(2, 40))
@@ -509,13 +565,141 @@ class TestSelectorVectorization:
     def test_hybrid_selector_matches_scalar(self, seed):
         ctx = random_context(seed + 2000)
         for alpha in (0.0, 0.3, 1.0):
-            vec = HybridSlaveSelector(alpha=alpha).select(ctx)
-            ref = HybridSlaveSelector(alpha=alpha)
-            # same blending, with the scalar Algorithm 1 oracle doing the levelling
-            ref._memory_selector = SimpleNamespace(
-                select=lambda c: scalar_memory_select(c, ref.use_predictions)
+            for use_predictions in (False, True):
+                vec = HybridSlaveSelector(alpha=alpha, use_predictions=use_predictions).select(ctx)
+                assert vec == scalar_hybrid_select(ctx, alpha, use_predictions)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_levelling_cost_near_surface(self, seed):
+        """Memories whose levelling cost lands within a few ulps of the
+        surface, on either side: the closed form cannot settle the boundary
+        and the exact sums must."""
+        rng = np.random.default_rng(seed + 3000)
+        nprocs = int(rng.integers(3, 40))
+        master = int(rng.integers(0, nprocs))
+        candidates = [q for q in range(nprocs) if q != master]
+        npiv = int(rng.integers(1, 60))
+        ncb = int(rng.integers(1, 120))
+        surface = float(ncb) * float(npiv + ncb)
+        # a prefix of k candidates whose gaps below its top sum to the surface
+        k = int(rng.integers(2, len(candidates) + 1))
+        top = float(rng.choice([1.0, 1e3, 1e6, 3e7]) * rng.uniform(1.0, 2.0)) + surface
+        gaps = rng.uniform(0.0, 1.0, size=k - 1)
+        gaps *= surface / gaps.sum()
+        prefix = np.append(np.sort(top - gaps), top)
+
+        def cost():
+            return pairwise_sum([top - m for m in prefix])
+
+        # walk the lowest member to where the exact cost crosses the surface,
+        # then a few ulps either way
+        below = cost() < surface
+        while (cost() < surface) == below:
+            prefix[0] = np.nextafter(prefix[0], -np.inf if below else np.inf)
+        for _ in range(int(rng.integers(0, 5))):
+            prefix[0] = np.nextafter(prefix[0], np.inf if rng.random() < 0.5 else -np.inf)
+        rest = top + rng.uniform(0.0, 2.0 * surface, size=len(candidates) - k)
+        memory = np.zeros(nprocs)
+        memory[rng.permutation(candidates)] = np.concatenate((prefix, rest))
+        ctx = SlaveSelectionContext(
+            master_proc=master,
+            node=0,
+            npiv=npiv,
+            nfront=npiv + ncb,
+            ncb=ncb,
+            symmetric=False,
+            candidates=candidates,
+            memory_view=memory,
+            effective_memory_view=memory,
+            load_view=rng.uniform(0.0, 1e9, size=nprocs),
+            own_load=0.0,
+            own_memory=0.0,
+            min_rows_per_slave=1,
+            max_slaves=nprocs,
+        )
+        # inside the band where the closed form cannot settle the boundary
+        assert abs(cost() - surface) < _cost_slack(k, prefix[0], top)
+        for use_predictions in (False, True):
+            assert MemorySlaveSelector(use_predictions=use_predictions).select(
+                ctx
+            ) == scalar_memory_select(ctx, use_predictions)
+        for alpha in (0.0, 0.5, 1.0):
+            assert HybridSlaveSelector(alpha=alpha).select(ctx) == scalar_hybrid_select(
+                ctx, alpha, True
             )
-            assert vec == ref.select(ctx)
+
+    @pytest.mark.parametrize("nprocs", [2, 3, 9, 33])
+    def test_exact_ties_and_one_candidate(self, nprocs):
+        base = random_context(11)
+        for memory in (np.full(nprocs, 7.0), np.zeros(nprocs), np.full(nprocs, 1e12)):
+            for candidates in ([q for q in range(1, nprocs)], [nprocs - 1]):
+                for ncb in (1, 5, 200):
+                    ctx = replace(
+                        base,
+                        master_proc=0,
+                        ncb=ncb,
+                        nfront=base.npiv + ncb,
+                        candidates=candidates,
+                        memory_view=memory,
+                        effective_memory_view=memory,
+                        load_view=np.full(nprocs, 3.0),
+                        max_slaves=nprocs,
+                    )
+                    for use_predictions in (False, True):
+                        assert MemorySlaveSelector(use_predictions=use_predictions).select(
+                            ctx
+                        ) == scalar_memory_select(ctx, use_predictions)
+                    for alpha in (0.0, 0.5, 1.0):
+                        assert HybridSlaveSelector(alpha=alpha).select(
+                            ctx
+                        ) == scalar_hybrid_select(ctx, alpha, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        memories=st.lists(
+            st.floats(-1e-6, 1e9, allow_nan=False, allow_infinity=False), min_size=1, max_size=64
+        ),
+    )
+    def test_cost_slack_bounds_closed_form(self, memories):
+        """The closed-form levelling cost of every prefix lies within
+        ``_cost_slack`` of the exact sum."""
+        values = sorted(memories)
+        running = 0.0
+        for i, m in enumerate(values, start=1):
+            running += m
+            closed = float(i) * m - running
+            exact = pairwise_sum([m - v for v in values[:i]])
+            assert abs(closed - exact) <= _cost_slack(i, values[0], m)
+
+    @pytest.mark.parametrize(
+        "assignment,ncb",
+        [
+            ([(1, 3), (2, 4)], 7),  # clean
+            ([(2, 7)], 7),  # clean, one slave
+            ([(1, 3), (1, 4)], 7),  # clean, a repeated slave
+            ([(1, 5), (2, 4)], 7),  # over-full
+            ([(1, 9)], 7),  # over-full, one slave
+            ([(1, 2), (2, 2)], 7),  # short
+            ([(0, 3), (2, 4)], 7),  # a non-candidate (the master)
+            ([(9, 7)], 7),  # only non-candidates
+            ([(1, 0), (2, 7)], 7),  # a zero row
+            ([(1, -2), (2, 9)], 7),  # a negative row
+            ([], 7),  # nothing
+            ([(1, 3), (2, 4)], 0),  # zero rows to place
+            ([(np.int64(1), 3), (2, np.int64(4))], 7),  # numpy ints
+            ([(1, 3.0), (2, 4)], 7),  # a float row count
+            ([(1, True), (2, 6)], 7),  # a bool row count
+            ([[1, 3], [2, 4]], 7),  # lists, not tuples
+            (((1, 3), (2, 4)), 7),  # a tuple, not a list
+        ],
+    )
+    def test_normalize_row_distribution_matches_rebuild(self, assignment, ncb):
+        for candidates in ([1, 2, 3], frozenset({1, 2, 3}), np.array([3, 2, 1])):
+            got = normalize_row_distribution(assignment, ncb, candidates)
+            want = rebuilding_normalize(assignment, ncb, candidates)
+            assert got == want
+            assert type(got) is list
+            assert all(type(x) is tuple and [type(v) for v in x] == [int, int] for x in got)
 
     def test_empty_candidates_and_zero_rows(self):
         ctx = random_context(7)
@@ -540,10 +724,9 @@ class TestSelectorVectorization:
 def with_scalar_oracle(slave):
     """``slave`` with its kernel swapped for the scalar oracle loops."""
     if isinstance(slave, HybridSlaveSelector):
-        slave._memory_selector = SimpleNamespace(
-            select=lambda c: scalar_memory_select(c, slave.use_predictions)
+        return SimpleNamespace(
+            select=lambda c: scalar_hybrid_select(c, slave.alpha, slave.use_predictions)
         )
-        return slave
     if isinstance(slave, MemorySlaveSelector):
         return SimpleNamespace(select=lambda c: scalar_memory_select(c, slave.use_predictions))
     if isinstance(slave, WorkloadSlaveSelector):

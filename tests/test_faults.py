@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     MAX_RETRIES,
@@ -25,6 +27,7 @@ from repro.faults import (
     parse_faults,
     replication_seed,
 )
+from repro.faults.models import _SALT_MSGLOSS, LossStream, _generator
 from repro.pipeline.stage import CaseSpec
 from repro.results import ResultTable, case_key
 from repro.serialize import canonical_json
@@ -132,6 +135,36 @@ class TestFaultPlan:
         penalty, retries = plan.message_penalty(AlwaysLost())
         assert retries == MAX_RETRIES
         assert penalty > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.one_of(st.floats(0.0, 0.5), st.floats(0.9, 0.99999)),
+        retry_timeout=st.floats(1e-9, 1.0),
+        backoff=st.floats(1.0, 4.0),
+        messages=st.integers(1, 3 * LossStream.BLOCK),
+    )
+    def test_block_draws_match_scalar_draws(self, seed, p, retry_timeout, backoff, messages):
+        """The block-drawn stream gives every message the fate that scalar
+        ``Generator.random()`` draws give it, across block boundaries and up
+        to the retry cap, and leaves the stream at the same draw."""
+        model = MsgLossModel(p=p, retry_timeout=retry_timeout, backoff=backoff)
+        plan = FaultPlan(FaultSpec(msgloss=model), nprocs=2, seed=seed)
+        scalar = _generator(seed, _SALT_MSGLOSS)
+
+        def scalar_penalty():
+            penalty = 0.0
+            retries = 0
+            while retries < MAX_RETRIES and float(scalar.random()) < p:
+                penalty += retry_timeout * backoff**retries
+                retries += 1
+            return penalty, retries
+
+        stream = plan.message_stream()
+        assert [plan.message_penalty(stream) for _ in range(messages)] == [
+            scalar_penalty() for _ in range(messages)
+        ]
+        assert stream.random() == float(scalar.random())
 
     def test_replication_seed_never_base_and_distinct(self):
         seeds = {replication_seed(7, rep) for rep in range(16)}
