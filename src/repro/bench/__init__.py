@@ -2,11 +2,13 @@
 
 The benchmark subsystem turns performance from folklore into diffable data:
 
-* :class:`BenchEnv` — validated ``REPRO_BENCH_*`` configuration;
+* :class:`BenchEnv` — validated ``REPRO_BENCH_NPROCS`` / ``REPRO_BENCH_SCALE``
+  configuration;
 * :class:`BenchCase` / :class:`BenchResult` / :class:`BenchRun` — the
   schema-versioned, JSON round-trippable result model;
 * :data:`~repro.bench.suites.SUITES` — the named suites (``pipeline``,
-  ``tables``, ``ablations``, ``components``) built from declarative
+  ``analysis``, ``components``, ``serving``, ``results``, ``tuning``,
+  ``robustness``) built from declarative
   :class:`~repro.bench.suites.PreparedCase` lists;
 * :class:`BenchRunner` — warmup/repeat/timer execution of suites;
 * :func:`compare_runs` + :class:`CompareReport` — per-case deltas against a

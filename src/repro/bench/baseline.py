@@ -121,10 +121,6 @@ class CompareReport:
         return self.with_verdict("regression")
 
     @property
-    def improvements(self) -> list[CaseDelta]:
-        return self.with_verdict("improvement")
-
-    @property
     def errors(self) -> list[CaseDelta]:
         return self.with_verdict("error")
 

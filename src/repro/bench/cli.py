@@ -31,7 +31,7 @@ Every ``--save`` also appends the run into the bench history
 (``benchmarks/baselines/history/``, disable with ``--no-history``); list a
 case's timing trajectory across the recorded runs::
 
-    python -m repro bench history --case pipeline/full_sweep --limit 10
+    python -m repro bench history --case pipeline/sweep-serial-cold --limit 10
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--scale", type=float, default=None, help="problem scale override")
     run.add_argument("--nprocs", type=int, default=None, help="simulated-processor override")
-    run.add_argument("--jobs", type=int, default=None, help="sweep worker processes override")
     run.add_argument("--repeats", type=int, default=None, help="timed repeats per case (default: per-case)")
     run.add_argument("--warmup", type=int, default=None, help="untimed warmup rounds per case (default: per-case)")
     run.add_argument(
@@ -299,16 +298,13 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("--profile expects a positive top-N function count")
     _validate_compare_flags(parser, args)
     try:
-        env = BenchEnv.from_environ().replace(
-            scale=args.scale, nprocs=args.nprocs, jobs=args.jobs
-        )
+        env = BenchEnv.from_environ().replace(scale=args.scale, nprocs=args.nprocs)
     except BenchEnvError as exc:
         # blame the flag the user typed, not the (unset) environment variable
         message = str(exc)
         for flag, variable, value in (
             ("--scale", "REPRO_BENCH_SCALE", args.scale),
             ("--nprocs", "REPRO_BENCH_NPROCS", args.nprocs),
-            ("--jobs", "REPRO_BENCH_JOBS", args.jobs),
         ):
             if value is not None:
                 message = message.replace(variable, flag)

@@ -1,7 +1,7 @@
 """Validated benchmark configuration from the ``REPRO_BENCH_*`` environment.
 
 :class:`BenchEnv` parses and range-checks every knob up front: a typo like
-``REPRO_BENCH_SCALE=0`` or ``REPRO_BENCH_JOBS=two`` raises one uniform
+``REPRO_BENCH_SCALE=0`` or ``REPRO_BENCH_NPROCS=two`` raises one uniform
 error naming the variable, instead of silently producing empty problems or
 a naked ``ValueError`` pointing at the wrong line.
 """
@@ -12,9 +12,6 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 __all__ = ["BenchEnv", "BenchEnvError"]
-
-#: repository root (the directory holding ``src/``), used for the default cache
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))))
 
 
 class BenchEnvError(ValueError):
@@ -47,10 +44,6 @@ class BenchEnv:
     nprocs: int = 32
     #: problem scale factor (1.0 = largest analogues).
     scale: float = 0.6
-    #: analysis cache directory shared by the table suites ("" disables it).
-    cache: str = os.path.join(_REPO_ROOT, ".repro_cache")
-    #: worker processes used by the suites' shared session (1 = serial).
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.nprocs < 1:
@@ -61,8 +54,6 @@ class BenchEnv:
             raise BenchEnvError(
                 f"REPRO_BENCH_SCALE={self.scale!r} is out of range (problems only scale up to 4.0)"
             )
-        if self.jobs < 1:
-            raise BenchEnvError(f"REPRO_BENCH_JOBS must be >= 1, got {self.jobs}")
 
     @classmethod
     def from_environ(cls, environ: Mapping[str, str] | None = None) -> "BenchEnv":
@@ -76,8 +67,6 @@ class BenchEnv:
         return cls(
             nprocs=_parse(env, "REPRO_BENCH_NPROCS", int, cls.nprocs),
             scale=_parse(env, "REPRO_BENCH_SCALE", float, cls.scale),
-            cache=env.get("REPRO_BENCH_CACHE", cls.cache),
-            jobs=_parse(env, "REPRO_BENCH_JOBS", int, cls.jobs),
         )
 
     def replace(self, **overrides) -> "BenchEnv":

@@ -2,12 +2,13 @@
 
 A *suite* is a declarative list of :class:`PreparedCase` values — a
 :class:`~repro.bench.model.BenchCase` identity plus a zero-argument callable
-returning the case's domain metrics — built against a validated
-:class:`~repro.bench.env.BenchEnv`.  :class:`~repro.bench.runner.BenchRunner`
+returning the case's domain metrics — built by :func:`prepared` against a
+validated :class:`~repro.bench.env.BenchEnv`.  :class:`~repro.bench.runner.BenchRunner`
 times them (warmup + repeats around ``fn()``) for ``repro bench run`` and
 the CI perf gate.
 
-Suites:
+Suites (the CI perf gate runs all but ``components``, which its
+nprocs-64 smoke runs):
 
 ``pipeline``
     The hot path: the discrete-event simulation kernel on prebuilt analyses
@@ -16,10 +17,6 @@ Suites:
 ``analysis``
     The cold analysis chain alone: ordering plus assembly-tree build for
     every paper problem × ordering, on prebuilt patterns.
-``tables``
-    Regeneration of the paper's Table 1 and Table 2 through a shared session.
-``ablations``
-    The strategy-ingredient ablation on two representative cases.
 ``components``
     Micro-benchmarks of the substrate (orderings, symbolic analysis,
     sequential memory analysis, one parallel simulation).
@@ -61,6 +58,24 @@ class PreparedCase:
     fn: Callable[[], Optional[Mapping[str, float]]]
     repeats: int = 1
     warmup: int = 0
+
+
+def prepared(
+    suite: str,
+    name: str,
+    params: tuple[tuple[str, object], ...],
+    fn: Callable[[], Optional[Mapping[str, float]]],
+    *,
+    repeats: int,
+    warmup: int,
+) -> PreparedCase:
+    """The one way a suite builds a case: ``suite/name`` keyed, ``params`` recorded."""
+    return PreparedCase(
+        case=BenchCase(name=name, suite=suite, params=params),
+        fn=fn,
+        repeats=repeats,
+        warmup=warmup,
+    )
 
 
 @dataclass
@@ -130,19 +145,17 @@ def _pipeline_suite(env: BenchEnv) -> SuiteInstance:
             )
 
         cases.append(
-            PreparedCase(
-                case=BenchCase(
-                    name=f"simulate-{problem}-{ordering}".lower(),
-                    suite="pipeline",
-                    params=(
-                        ("problem", problem),
-                        ("ordering", ordering),
-                        ("strategy", "memory-full"),
-                        ("nprocs", env.nprocs),
-                        ("scale", env.scale),
-                    ),
+            prepared(
+                "pipeline",
+                f"simulate-{problem}-{ordering}".lower(),
+                (
+                    ("problem", problem),
+                    ("ordering", ordering),
+                    ("strategy", "memory-full"),
+                    ("nprocs", env.nprocs),
+                    ("scale", env.scale),
                 ),
-                fn=simulate,
+                simulate,
                 repeats=3,
                 warmup=1,
             )
@@ -161,19 +174,13 @@ def _pipeline_suite(env: BenchEnv) -> SuiteInstance:
         }
 
     cases.append(
-        PreparedCase(
-            case=BenchCase(
-                name="sweep-serial-cold",
-                suite="pipeline",
-                params=(
-                    ("cases", len(specs)),
-                    ("nprocs", env.nprocs),
-                    ("scale", env.scale),
-                ),
-            ),
-            fn=cold_sweep,
-            repeats=1,
-            warmup=0,
+        prepared(
+            "pipeline",
+            "sweep-serial-cold",
+            (("cases", len(specs)), ("nprocs", env.nprocs), ("scale", env.scale)),
+            cold_sweep,
+            repeats=10,
+            warmup=1,
         )
     )
     return SuiteInstance(name="pipeline", cases=cases, close=session.close)
@@ -209,128 +216,16 @@ def _analysis_suite(env: BenchEnv) -> SuiteInstance:
                 }
 
             cases.append(
-                PreparedCase(
-                    case=BenchCase(
-                        name=f"analysis-{problem}-{ordering}".lower(),
-                        suite="analysis",
-                        params=(
-                            ("problem", problem),
-                            ("ordering", ordering),
-                            ("scale", env.scale),
-                        ),
-                    ),
-                    fn=analyse,
+                prepared(
+                    "analysis",
+                    f"analysis-{problem}-{ordering}".lower(),
+                    (("problem", problem), ("ordering", ordering), ("scale", env.scale)),
+                    analyse,
                     repeats=3,
                     warmup=1,
                 )
             )
     return SuiteInstance(name="analysis", cases=cases)
-
-
-# --------------------------------------------------------------------------- #
-# tables: the paper's measurement grids
-# --------------------------------------------------------------------------- #
-def _table1_metrics(rows: Mapping[str, Mapping[str, object]]) -> dict[str, float]:
-    return {
-        "rows": float(len(rows)),
-        "min_order": float(min(row["Order"] for row in rows.values())),
-    }
-
-
-def _table2_metrics(rows: Mapping[str, Mapping[str, object]]) -> dict[str, float]:
-    gains = [float(v) for row in rows.values() for v in row.values()]
-    return {
-        "rows": float(len(rows)),
-        "mean_gain": sum(gains) / len(gains) if gains else 0.0,
-        "max_gain": max(gains) if gains else 0.0,
-    }
-
-
-#: per-table extraction of the metrics each regeneration reports.
-TABLE_METRICS = {"table1": _table1_metrics, "table2": _table2_metrics}
-
-
-@SUITES.register("tables", description="regeneration of Table 1 and Table 2")
-def _tables_suite(env: BenchEnv) -> SuiteInstance:
-    from repro.experiments.tables import ALL_TABLES
-    from repro.session import Session
-
-    # env.cache is passed verbatim: "" means "disk cache off" and must not
-    # collapse to None, which would re-enable the REPRO_CACHE_DIR fallback
-    session = Session(nprocs=env.nprocs, scale=env.scale, cache_dir=env.cache, jobs=env.jobs)
-    cases: list[PreparedCase] = []
-    for table in ("table1", "table2"):
-        entry = ALL_TABLES.entry(table)
-
-        def regenerate(entry=entry, metrics=TABLE_METRICS[table]) -> dict[str, float]:
-            return metrics(entry.value(session))
-
-        cases.append(
-            PreparedCase(
-                case=BenchCase(
-                    name=table,
-                    suite="tables",
-                    params=(
-                        ("nprocs", env.nprocs),
-                        ("scale", env.scale),
-                        ("jobs", env.jobs),
-                    ),
-                ),
-                fn=regenerate,
-            )
-        )
-    return SuiteInstance(name="tables", cases=cases, close=session.close)
-
-
-# --------------------------------------------------------------------------- #
-# ablations: strategy ingredients
-# --------------------------------------------------------------------------- #
-ABLATION_CASES = [("XENON2", "metis"), ("TWOTONE", "amd")]
-ABLATION_PRESETS = [
-    "mumps-workload",
-    "memory-basic",
-    "memory-slave",
-    "memory-task",
-    "memory-full",
-    "hybrid",
-]
-
-
-@SUITES.register("ablations", description="strategy-ingredient ablation on split trees")
-def _ablations_suite(env: BenchEnv) -> SuiteInstance:
-    from repro.pipeline import CaseSpec
-    from repro.session import Session, percentage_decrease
-
-    # "" = disk cache off, never None (the REPRO_CACHE_DIR fallback)
-    session = Session(nprocs=env.nprocs, scale=env.scale, cache_dir=env.cache, jobs=env.jobs)
-    cases: list[PreparedCase] = []
-    for problem, ordering in ABLATION_CASES:
-
-        def ablate(problem=problem, ordering=ordering) -> dict[str, float]:
-            base = session.run(CaseSpec(problem, ordering, "mumps-workload", split=True))
-            gains = {}
-            for preset in ABLATION_PRESETS:
-                result = session.run(CaseSpec(problem, ordering, preset, split=True))
-                gains[preset] = percentage_decrease(base.max_peak_stack, result.max_peak_stack)
-            return gains
-
-        cases.append(
-            PreparedCase(
-                case=BenchCase(
-                    name=f"ablation-{problem}-{ordering}".lower(),
-                    suite="ablations",
-                    params=(
-                        ("problem", problem),
-                        ("ordering", ordering),
-                        ("presets", len(ABLATION_PRESETS)),
-                        ("nprocs", env.nprocs),
-                        ("scale", env.scale),
-                    ),
-                ),
-                fn=ablate,
-            )
-        )
-    return SuiteInstance(name="ablations", cases=cases, close=session.close)
 
 
 # --------------------------------------------------------------------------- #
@@ -379,18 +274,9 @@ def _components_suite(env: BenchEnv) -> SuiteInstance:
         ),
         ("simulate-memory-full", simulate),
     ]
+    params = (("grid", side), ("nprocs", env.nprocs), ("scale", env.scale))
     cases = [
-        PreparedCase(
-            case=BenchCase(
-                name=name,
-                suite="components",
-                params=(("grid", side), ("nprocs", env.nprocs), ("scale", env.scale)),
-            ),
-            fn=fn,
-            repeats=3,
-            warmup=1,
-        )
-        for name, fn in work
+        prepared("components", name, params, fn, repeats=3, warmup=1) for name, fn in work
     ]
     return SuiteInstance(name="components", cases=cases)
 
@@ -460,22 +346,6 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
             "failed": float(final["state"] != "done"),
         }
 
-    def prepared(name: str, fn, *, repeats: int, warmup: int) -> PreparedCase:
-        return PreparedCase(
-            case=BenchCase(
-                name=name,
-                suite="serving",
-                params=(
-                    ("problem", SERVING_QUERY["problem"]),
-                    ("nprocs", env.nprocs),
-                    ("scale", env.scale),
-                ),
-            ),
-            fn=fn,
-            repeats=repeats,
-            warmup=warmup,
-        )
-
     # warm the analysis artifacts (and the cached case) before timing: the
     # cold case then measures pipeline re-execution, not first-import noise
     client.result(**SERVING_QUERY)
@@ -486,12 +356,15 @@ def _serving_suite(env: BenchEnv) -> SuiteInstance:
         service.stop()
         tmpdir.cleanup()
 
+    params = (("problem", SERVING_QUERY["problem"]), ("nprocs", env.nprocs), ("scale", env.scale))
     return SuiteInstance(
         name="serving",
         cases=[
-            prepared("query-cold", query_cold, repeats=30, warmup=3),
-            prepared("query-cached", query_cached, repeats=5, warmup=1),
-            prepared("submit-roundtrip", submit_roundtrip, repeats=30, warmup=3),
+            prepared("serving", "query-cold", params, query_cold, repeats=30, warmup=3),
+            prepared("serving", "query-cached", params, query_cached, repeats=5, warmup=1),
+            prepared(
+                "serving", "submit-roundtrip", params, submit_roundtrip, repeats=30, warmup=3
+            ),
         ],
         close=close,
     )
@@ -572,23 +445,12 @@ def _results_suite(env: BenchEnv) -> SuiteInstance:
         rows = page.take(range(min(50, len(page)))).to_dicts()
         return {"matched": float(len(page)), "page": float(len(rows))}
 
-    def prepared(name: str, fn, *, repeats: int, warmup: int) -> PreparedCase:
-        return PreparedCase(
-            case=BenchCase(
-                name=name,
-                suite="results",
-                params=(("rows", RESULTS_ROWS),),
-            ),
-            fn=fn,
-            repeats=repeats,
-            warmup=warmup,
-        )
-
+    params = (("rows", RESULTS_ROWS),)
     return SuiteInstance(
         name="results",
         cases=[
-            prepared("append-10k", append_stream, repeats=3, warmup=1),
-            prepared("filter-page-10k", filter_page, repeats=5, warmup=1),
+            prepared("results", "append-10k", params, append_stream, repeats=3, warmup=1),
+            prepared("results", "filter-page-10k", params, filter_page, repeats=5, warmup=1),
         ],
         close=tmpdir.cleanup,
     )
@@ -661,29 +523,22 @@ def _tuning_suite(env: BenchEnv) -> SuiteInstance:
         keys = {space.sample(rng).key for _ in range(500)}
         return {"distinct": float(len(keys))}
 
-    def prepared(name: str, fn, *, repeats: int, warmup: int) -> PreparedCase:
-        return PreparedCase(
-            case=BenchCase(
-                name=name,
-                suite="tuning",
-                params=(
-                    ("space", TUNING_SPACE),
-                    ("searcher", TUNING_SEARCHER),
-                    ("nprocs", env.nprocs),
-                    ("scale", env.scale),
-                ),
-            ),
-            fn=fn,
-            repeats=repeats,
-            warmup=warmup,
-        )
-
+    params = (
+        ("space", TUNING_SPACE),
+        ("searcher", TUNING_SEARCHER),
+        ("nprocs", env.nprocs),
+        ("scale", env.scale),
+    )
     return SuiteInstance(
         name="tuning",
         cases=[
-            prepared("halving-search-cold", search_cold, repeats=2, warmup=0),
-            prepared("halving-search-resumed", search_resumed, repeats=3, warmup=1),
-            prepared("sample-and-render-500", sample_and_encode, repeats=5, warmup=1),
+            prepared("tuning", "halving-search-cold", params, search_cold, repeats=10, warmup=1),
+            prepared(
+                "tuning", "halving-search-resumed", params, search_resumed, repeats=3, warmup=1
+            ),
+            prepared(
+                "tuning", "sample-and-render-500", params, sample_and_encode, repeats=5, warmup=1
+            ),
         ],
         close=tmpdir.cleanup,
     )
@@ -721,30 +576,26 @@ def _robustness_suite(env: BenchEnv) -> SuiteInstance:
         metrics["msg_retries"] = float(counts.get("msg_retries", 0))
         return metrics
 
-    def prepared(name: str, config) -> PreparedCase:
-        return PreparedCase(
-            case=BenchCase(
-                name=name,
-                suite="robustness",
-                params=(
-                    ("problem", "XENON2"),
-                    ("ordering", "metis"),
-                    ("strategy", "memory-full"),
-                    ("faults", ROBUSTNESS_FAULTS if config.faults else ""),
-                    ("nprocs", env.nprocs),
-                    ("scale", env.scale),
-                ),
+    cases = [
+        prepared(
+            "robustness",
+            name,
+            (
+                ("problem", "XENON2"),
+                ("ordering", "metis"),
+                ("strategy", "memory-full"),
+                ("faults", ROBUSTNESS_FAULTS if config.faults else ""),
+                ("nprocs", env.nprocs),
+                ("scale", env.scale),
             ),
-            fn=lambda: simulate(config),
+            lambda config=config: simulate(config),
             repeats=3,
             warmup=1,
         )
-
+        for name, config in (("simulate-clean", session.config), ("simulate-faulted", faulted_config))
+    ]
     return SuiteInstance(
         name="robustness",
-        cases=[
-            prepared("simulate-clean", session.config),
-            prepared("simulate-faulted", faulted_config),
-        ],
+        cases=cases,
         close=session.close,
     )

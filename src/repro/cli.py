@@ -355,7 +355,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if raw_argv and raw_argv[0].lower() == "bench":
         # the performance harness has its own subcommand grammar (run /
-        # compare / list) and flag set; hand the rest of argv straight over
+        # compare / list / history) and flag set; hand the rest of argv
+        # straight over
         from repro.bench.cli import main as bench_main
 
         return bench_main(raw_argv[1:])
@@ -384,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     if target == "bench":
         # flags before the verb are ambiguous (--nprocs etc. belong to the
         # bench subcommands); require the verb-first spelling explicitly
-        parser.error("'bench' must come first: repro bench {run,compare,list} ...")
+        parser.error("'bench' must come first: repro bench {run,compare,list,history} ...")
 
     if target in ("serve", "submit", "query", "tune", "robustness"):
         parser.error(f"'{target}' must come first: repro {target} [flags] ...")

@@ -2,10 +2,9 @@
 
 The conclusion of the paper calls for "hybrid strategies well adapted at both
 balancing the workload and the memory".  This selector is a straightforward
-realisation used by the ablation benchmarks: candidates are ranked by a
-weighted combination of their normalised memory metric and their normalised
-workload, and rows are distributed with the same levelling procedure as
-Algorithm 1.
+realisation: candidates are ranked by a weighted combination of their
+normalised memory metric and their normalised workload, and rows are
+distributed with the same levelling procedure as Algorithm 1.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ hybrid         workload/memory blend           Algorithm 2
 
 ``memory-full`` is "the dynamic memory strategies" whose gains the paper's
 Tables 2, 3 and 5 report against ``mumps-workload``; the intermediate presets
-exist for the ablation benchmarks.
+switch the paper's ingredients on one at a time.
 
 Strategies live in the :data:`STRATEGIES` registry and may declare keyword
 parameters; :func:`resolve_strategy` accepts the spec mini-language, so

@@ -32,7 +32,7 @@ class FifoTaskSelector(TaskSelector):
     Processing the *oldest* ready task keeps many tree branches active at the
     same time, which is exactly what the paper warns against ("going too far
     from the depth-first traversal could ... increase the global memory
-    usage"); the ablation benchmark uses it to quantify that warning.
+    usage").
     """
 
     name = "fifo"

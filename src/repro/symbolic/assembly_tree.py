@@ -52,10 +52,6 @@ class FrontNode:
     def is_leaf(self) -> bool:
         return len(self.children) == 0
 
-    @property
-    def is_root(self) -> bool:
-        return self.parent < 0
-
 
 class AssemblyTree:
     """Assembly tree with per-node frontal-matrix geometry.

@@ -142,7 +142,7 @@ def amalgamate(
 
     The parameters follow the spirit of MUMPS' amalgamation control; the
     paper's trees come from MUMPS' analysis, so the reproduction exposes the
-    same lever (see the amalgamation ablation benchmark).
+    same lever.
 
     Returns
     -------

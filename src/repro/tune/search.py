@@ -89,10 +89,6 @@ class SearchOutcome:
     rungs: list[Rung]
     trials: list[Trial]
 
-    @property
-    def final_rung(self) -> int:
-        return self.rungs[-1].index if self.rungs else -1
-
     def ranked(self) -> list[Trial]:
         """Trials best-first: deepest rung, then score, then config key.
 

@@ -4,6 +4,8 @@ baseline comparison verdicts, and the ``repro bench`` CLI."""
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from repro.bench import (
 )
 from repro.cli import main as repro_main
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 
 # --------------------------------------------------------------------------- #
 # BenchEnv
@@ -32,18 +36,11 @@ class TestBenchEnv:
         env = BenchEnv.from_environ({})
         assert env.nprocs == 32
         assert env.scale == 0.6
-        assert env.jobs == 1
+        assert env.to_dict() == {"nprocs": 32, "scale": 0.6}
 
     def test_reads_every_variable(self):
-        env = BenchEnv.from_environ(
-            {
-                "REPRO_BENCH_NPROCS": "8",
-                "REPRO_BENCH_SCALE": "0.25",
-                "REPRO_BENCH_CACHE": "/tmp/c",
-                "REPRO_BENCH_JOBS": "2",
-            }
-        )
-        assert (env.nprocs, env.scale, env.cache, env.jobs) == (8, 0.25, "/tmp/c", 2)
+        env = BenchEnv.from_environ({"REPRO_BENCH_NPROCS": "8", "REPRO_BENCH_SCALE": "0.25"})
+        assert (env.nprocs, env.scale) == (8, 0.25)
 
     @pytest.mark.parametrize(
         "variable, value",
@@ -54,8 +51,6 @@ class TestBenchEnv:
             ("REPRO_BENCH_SCALE", "99"),
             ("REPRO_BENCH_NPROCS", "0"),
             ("REPRO_BENCH_NPROCS", "2.5"),
-            ("REPRO_BENCH_JOBS", "-3"),
-            ("REPRO_BENCH_JOBS", "two"),
         ],
     )
     def test_bad_values_raise_with_variable_name(self, variable, value):
@@ -65,7 +60,7 @@ class TestBenchEnv:
     def test_replace_validates_and_ignores_none(self):
         env = BenchEnv.from_environ({})
         assert env.replace(scale=None).scale == env.scale
-        assert env.replace(scale=0.2, nprocs=4) == BenchEnv(nprocs=4, scale=0.2, cache=env.cache)
+        assert env.replace(scale=0.2, nprocs=4) == BenchEnv(nprocs=4, scale=0.2)
         with pytest.raises(BenchEnvError):
             env.replace(scale=0.0)
 
@@ -120,6 +115,32 @@ class TestModelRoundTrip:
         payload["schema"] = SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema"):
             BenchRun.from_dict(payload)
+
+    def test_runs_recorded_with_the_removed_env_keys_still_load_and_compare(self, tmp_path):
+        # runs saved while BenchEnv still had `cache` and `jobs` (every
+        # committed history file up to the suites' removal) hold them in env
+        payload = _sample_run().to_dict()
+        payload["env"] = {"cache": ".repro_cache", "jobs": 1, "nprocs": 8, "scale": 0.2}
+        del payload["results"][1]  # the errored case
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        old = BenchRun.load(str(path))
+        assert old.env["cache"] == ".repro_cache" and old.env["jobs"] == 1
+
+        current = BenchRun.started(BenchEnv(nprocs=8, scale=0.2))
+        assert current.env == {"nprocs": 8, "scale": 0.2}
+        current.results = [BenchResult(case=r.case, seconds=[0.45]) for r in old.results]
+        report = compare_runs(current, old, tolerance=0.25)
+        assert [(d.key, d.verdict) for d in report.deltas] == [
+            ("pipeline/alpha", "within-tolerance")
+        ]
+        assert not report.failed()
+
+    def test_committed_history_runs_load(self):
+        history = sorted((REPO_ROOT / "benchmarks" / "baselines" / "history").glob("run-*.json"))
+        assert history
+        for path in history:
+            assert BenchRun.load(str(path)).results, path
 
 
 # --------------------------------------------------------------------------- #
@@ -340,7 +361,23 @@ class TestBenchRunner:
             BenchRunner(profile_top=0)
 
     def test_suite_registry_names(self):
-        assert {"pipeline", "tables", "ablations", "components"} <= set(suite_names())
+        assert suite_names() == [
+            "pipeline", "analysis", "components", "serving", "results", "tuning", "robustness",
+        ]
+
+    def test_registered_suites_are_exactly_the_suites_ci_runs(self):
+        # a suite no CI step runs is neither gated nor smoked: it only rots
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        commands = [
+            line for line in workflow.replace("\\\n", " ").splitlines()
+            if "repro bench run" in line
+        ]
+        assert commands
+        ci_suites = set()
+        for command in commands:
+            match = re.search(r"--suite[ =](\S+)", command)
+            ci_suites.update(match.group(1).split(",") if match else ["pipeline"])
+        assert ci_suites == set(suite_names())
 
     def test_suite_build_failure_is_recorded_not_raised(self, monkeypatch):
         from repro.bench import suites as suites_mod
@@ -368,7 +405,7 @@ class TestBenchCli:
     def test_list_json(self, capsys):
         assert repro_main(["bench", "list", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert {entry["name"] for entry in payload} >= {"pipeline", "tables"}
+        assert [entry["name"] for entry in payload] == suite_names()
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
