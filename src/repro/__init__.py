@@ -19,10 +19,11 @@ offline:
 * the static mapping and a discrete-event simulator of the asynchronous
   parallel factorization (:mod:`repro.mapping`, :mod:`repro.runtime`);
 * the scheduling strategies themselves (:mod:`repro.scheduling`);
-* the staged pipeline engine — six content-addressed stages
-  (pattern → ordering → tree → split → mapping → simulate), a tiered
-  memory/disk artifact store and a process-pool sweep executor
-  (:mod:`repro.pipeline`, see ``docs/pipeline.md``);
+* the pipeline engine — one fixed chain of content-addressed analysis
+  stages (pattern → ordering → tree → split → mapping) shared by every
+  strategy, one simulation per strategy, a tiered memory/disk artifact
+  store and a process-pool sweep executor (:mod:`repro.pipeline`, see
+  ``docs/pipeline.md``);
 * a declarative scenario API on top of it all — unified plugin registries
   (:mod:`repro.registry`), parameterized specs and the spec mini-language
   (:mod:`repro.specs`), and the :class:`~repro.session.Session` façade
@@ -84,7 +85,7 @@ from repro.runtime import FactorizationSimulator, SimulationConfig, SimulationRe
 from repro.scheduling import STRATEGIES, get_strategy, resolve_strategy
 from repro.session import Session, open_session
 from repro.pipeline import CaseResult, CaseSpec
-from repro.pipeline.stages import simulate_strategy
+from repro.pipeline.stages import build_tree, map_tree, order_pattern, simulate_strategy, split_tree
 from repro.results import CaseResultView, ResultStore, ResultTable, case_key
 from repro.experiments import PROBLEMS, get_problem
 
@@ -136,20 +137,22 @@ def simulate(
     split_threshold: int | None = None,
     config: SimulationConfig | None = None,
 ) -> SimulationResult:
-    """One-call pipeline: pattern → ordering → tree → mapping → simulation.
+    """One-call pipeline: pattern → ordering → tree → split → mapping → simulation.
 
-    ``ordering`` and ``strategy`` accept the spec mini-language
-    (``"hybrid(alpha=0.3)"``).  Convenience wrapper for scripts and
-    examples; the experiment harness uses :class:`repro.session.Session`
-    instead (it caches the analysis products across strategies).
+    Runs the analysis stage functions of :mod:`repro.pipeline.stages` on
+    ``pattern`` at the default amalgamation, splitting large masters only
+    when ``split_threshold`` is given.  ``ordering`` and ``strategy`` accept
+    the spec mini-language (``"hybrid(alpha=0.3)"``).  Convenience wrapper
+    for scripts and examples; the experiment harness uses
+    :class:`repro.session.Session` instead (it caches the analysis products
+    across strategies).
     """
-    perm = compute_ordering(pattern, ordering)
-    tree = build_assembly_tree(pattern, perm)
-    if split_threshold is not None:
-        tree, _ = split_large_masters(tree, split_threshold)
     if config is None:
         config = SimulationConfig.paper(nprocs)
-    return simulate_strategy(tree, None, strategy, config)
+    tree = build_tree(pattern, order_pattern(pattern, ordering=ordering))
+    split = split_tree(tree, split=split_threshold is not None, threshold=split_threshold or 0)
+    mapping = map_tree(split, nprocs=config.nprocs, **config.mapping_params())
+    return simulate_strategy(split.tree, mapping, strategy, config)
 
 
 def quick_compare(

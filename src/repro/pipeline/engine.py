@@ -1,11 +1,11 @@
-"""The staged analysis pipeline engine.
+"""The analysis pipeline engine.
 
-:class:`AnalysisPipeline` owns the stage chain, the engine-level parameters
-(processor count, problem scale, machine model, amalgamation knobs) and a
-:class:`~repro.pipeline.store.TieredStore`.  It resolves stage dependency
-graphs, derives content-addressed keys and consults the store before running
-any stage, so arbitrary interleavings of cases never recompute a shared
-artifact.
+:class:`AnalysisPipeline` owns the engine-level parameters (processor
+count, problem scale, machine model, amalgamation knobs) and a
+:class:`~repro.pipeline.store.TieredStore`.  It resolves the fixed stage
+chain of :data:`~repro.pipeline.stages.STAGES`, derives content-addressed
+keys and consults the store before running any stage, so arbitrary
+interleavings of cases never recompute a shared artifact.
 
 :class:`PipelineSettings` is the picklable description of an engine; sweep
 workers rebuild their own engine from it (sharing the disk tier, when one is
@@ -17,13 +17,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
-import numpy as np
-
-from repro.pipeline.stage import AnalysisProducts, CaseResult, CaseSpec, SplitArtifact, Stage
-from repro.pipeline.stages import DEFAULT_STAGES, simulate_strategy
+from repro.pipeline.stage import AnalysisProducts, CaseResult, CaseSpec, SplitArtifact
+from repro.pipeline.stages import STAGES, simulate_strategy
 from repro.pipeline.store import DiskStore, TieredStore, content_key
 from repro.runtime import SimulationConfig, SimulationResult
 from repro.symbolic import AMALGAMATION
@@ -31,16 +29,25 @@ from repro.symbolic import AMALGAMATION
 __all__ = ["PipelineSettings", "AnalysisPipeline"]
 
 
-def _default_config(nprocs: int) -> SimulationConfig:
-    return SimulationConfig.paper(nprocs)
-
-
 @dataclass(frozen=True)
 class PipelineSettings:
     """Everything needed to (re)build an :class:`AnalysisPipeline`.
 
     Plain data, picklable, comparable by value — the unit shipped to sweep
-    worker processes.
+    worker processes.  Its fields are the engine's (and a
+    :class:`~repro.session.Session`'s) keyword arguments.
+
+    nprocs:
+        Number of simulated processors (the paper uses 32).
+    scale:
+        Problem scale factor forwarded to the problem builders.
+    config:
+        Base :class:`SimulationConfig`; ``nprocs`` is overridden.  Defaults
+        to :meth:`SimulationConfig.paper`.
+    cache_dir:
+        Directory for the disk artifact tier; ``""`` disables it.
+    amalgamation_relax, amalgamation_min_pivots:
+        The tree stage's amalgamation (see :data:`repro.symbolic.AMALGAMATION`).
     """
 
     nprocs: int = 32
@@ -54,78 +61,42 @@ class PipelineSettings:
         # cache_dir is passed through verbatim: "" means "disk tier off" and
         # must stay off in workers (None would re-enable the REPRO_CACHE_DIR
         # fallback there, silently diverging from the driver engine)
-        return AnalysisPipeline(
-            nprocs=self.nprocs,
-            scale=self.scale,
-            config=self.config,
-            cache_dir=self.cache_dir,
-            amalgamation_relax=self.amalgamation_relax,
-            amalgamation_min_pivots=self.amalgamation_min_pivots,
-        )
+        return AnalysisPipeline(**self.__dict__)
 
 
 class AnalysisPipeline:
     """Resolve and cache the stage chain for experiment cases.
 
-    Parameters
-    ----------
-    nprocs:
-        Number of simulated processors (the paper uses 32).
-    scale:
-        Problem scale factor forwarded to the problem builders.
-    config:
-        Base :class:`SimulationConfig`; ``nprocs`` is overridden.
-    cache_dir:
-        Directory for the disk artifact tier (``None`` disables it).  The
-        default honours the ``REPRO_CACHE_DIR`` environment variable.
+    Keyword arguments are the fields of :class:`PipelineSettings`, except
+    that ``cache_dir`` defaults to ``None``: honour the ``REPRO_CACHE_DIR``
+    environment variable (``""`` disables the disk tier).
     """
 
-    def __init__(
-        self,
-        *,
-        nprocs: int = 32,
-        scale: float = 1.0,
-        config: SimulationConfig | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        amalgamation_relax: float = AMALGAMATION.relax,
-        amalgamation_min_pivots: int = AMALGAMATION.min_pivots,
-        stages: Iterable[type[Stage]] = DEFAULT_STAGES,
-    ) -> None:
-        if config is None:
-            config = _default_config(nprocs)
-        else:
-            config = SimulationConfig(**{**config.__dict__, "nprocs": nprocs})
-        self.config = config
-        self.nprocs = nprocs
-        self.scale = float(scale)
-        self.amalgamation_relax = amalgamation_relax
-        self.amalgamation_min_pivots = amalgamation_min_pivots
+    def __init__(self, *, cache_dir: str | os.PathLike | None = None, **settings) -> None:
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR", "")
-        self.cache_dir = str(cache_dir) if cache_dir else ""
+        self._settings = PipelineSettings(cache_dir=str(cache_dir) if cache_dir else "", **settings)
+        self.nprocs = self._settings.nprocs
+        self.scale = float(self._settings.scale)
+        config = self._settings.config
+        self.config = (
+            SimulationConfig.paper(self.nprocs) if config is None else config.replace(nprocs=self.nprocs)
+        )
+        self.cache_dir = self._settings.cache_dir
         self.store = TieredStore(DiskStore(self.cache_dir) if self.cache_dir else None)
-        self.stages: dict[str, Stage] = {cls.name: cls() for cls in stages}
-        #: number of actual ``Stage.compute`` executions per stage name.  A
-        #: cache hit (memory or disk tier) does not increment anything, so
-        #: the counters distinguish "served from cache" from "recomputed" —
-        #: the service layer exposes them and its tests assert on them.
+        #: number of actual stage computations per stage name (``"simulate"``
+        #: counts simulator runs).  A cache hit (memory or disk tier) does
+        #: not increment anything, so the counters distinguish "served from
+        #: cache" from "recomputed" — the service layer exposes them and its
+        #: tests assert on them.
         self.stage_runs: Counter[str] = Counter()
         # threads sharing the engine (the service daemon's HTTP handlers and
         # job workers) take turns per case or per artifact
         self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------ #
-    # settings round-trip (for sweep workers)
-    # ------------------------------------------------------------------ #
     def settings(self) -> PipelineSettings:
-        return PipelineSettings(
-            nprocs=self.nprocs,
-            scale=self.scale,
-            config=self.config,
-            cache_dir=self.cache_dir,
-            amalgamation_relax=self.amalgamation_relax,
-            amalgamation_min_pivots=self.amalgamation_min_pivots,
-        )
+        """The settings this engine was built from (``cache_dir`` resolved)."""
+        return self._settings
 
     # ------------------------------------------------------------------ #
     # per-case effective parameters (spec overrides beat engine defaults)
@@ -174,10 +145,10 @@ class AnalysisPipeline:
     # stage resolution
     # ------------------------------------------------------------------ #
     def stage_key(self, stage_name: str, spec: CaseSpec) -> str:
-        """Content-addressed key of one stage's artifact for ``spec``."""
-        stage = self.stages[stage_name]
+        """Content-addressed key of one analysis stage's artifact for ``spec``."""
+        stage = STAGES[stage_name]
         upstream_keys = tuple(self.stage_key(dep, spec) for dep in stage.requires)
-        return stage.key(self, spec, upstream_keys)
+        return content_key(stage_name, "1", stage.params(self, spec), upstream_keys)
 
     def artifact(self, stage_name: str, spec: CaseSpec) -> object:
         """Artifact of ``stage_name`` for ``spec``, computing what's missing.
@@ -186,20 +157,31 @@ class AnalysisPipeline:
         resolved — keys derive recursively from params alone — so a hit
         (e.g. an ordering or a seeded analysis bundle from the disk tier)
         short-circuits the whole upstream chain instead of materialising it.
+
+        ``"simulate"`` runs the one simulation of a clean case, uncached (see
+        :meth:`run_case`); a faulted case runs several, so it raises
+        :class:`ValueError`.
         """
+        if stage_name == "simulate":
+            config, *replays = self.replication_configs(spec)
+            if replays:
+                raise ValueError(
+                    f"{spec.label()} is faulted: it runs a clean baseline plus seeded "
+                    "replications, so run it with run_case"
+                )
+            with self._lock:
+                return self._simulate(self.analysis_for(spec), spec.strategy, config)
         with self._lock:
-            stage = self.stages[stage_name]
-            if stage.cache:
-                key = self.stage_key(stage_name, spec)
-                try:
-                    return self.store.get(key)
-                except KeyError:
-                    pass
-            upstream = {dep: self.artifact(dep, spec) for dep in stage.requires}
-            value = stage.compute(self, spec, upstream)
+            key = self.stage_key(stage_name, spec)
+            try:
+                return self.store.get(key)
+            except KeyError:
+                pass
+            stage = STAGES[stage_name]
+            upstream = [self.artifact(dep, spec) for dep in stage.requires]
+            value = stage.compute(*upstream, **stage.params(self, spec))
             self.stage_runs[stage_name] += 1
-            if stage.cache:
-                self.store.put(key, value, persist=stage.persist)
+            self.store.put(key, value, persist=stage.persist)
             return value
 
     # ------------------------------------------------------------------ #
@@ -211,14 +193,8 @@ class AnalysisPipeline:
     def pattern(self, problem: str):
         return self.artifact("pattern", self._spec(problem))
 
-    def ordering(self, problem: str, ordering: str) -> np.ndarray:
-        return self.artifact("ordering", self._spec(problem, ordering))
-
     def tree(self, problem: str, ordering: str, *, split: bool = False):
         return self.artifact("split", self._spec(problem, ordering, split=split)).tree
-
-    def mapping(self, problem: str, ordering: str, *, split: bool = False):
-        return self.artifact("mapping", self._spec(problem, ordering, split=split))
 
     def analysis(self, problem: str, ordering: str, *, split: bool = False) -> AnalysisProducts:
         """The bundled analysis phase of a case at the engine defaults."""
@@ -232,7 +208,9 @@ class AnalysisPipeline:
         ``analysis-*.pkl`` file, which is what a fresh process or a sweep
         worker loads to skip the whole analysis phase in one read.  The
         spec's per-case overrides flow into the underlying stage keys, so
-        every (scale, nprocs, threshold) variant is its own bundle.
+        every (scale, nprocs, threshold) variant is its own bundle.  Its
+        ``ordering`` label is ``spec.ordering``, whichever spelling of that
+        ordering built the bundle.
         """
         split_key = self.stage_key("split", spec)
         mapping_key = self.stage_key("mapping", spec)
@@ -245,9 +223,8 @@ class AnalysisPipeline:
             pass
         else:
             # seed the stage-level artifacts the bundle carries, so a bundle
-            # loaded from the disk tier lets downstream stages (simulation)
-            # skip the tree/split/mapping recompute instead of only skipping
-            # this method
+            # loaded from the disk tier lets the split/mapping accessors skip
+            # the tree/split/mapping recompute
             if split_key not in self.store:
                 seeded = SplitArtifact(
                     tree=products.tree,
@@ -257,6 +234,8 @@ class AnalysisPipeline:
                 self.store.put(split_key, seeded, persist=False)
             if mapping_key not in self.store:
                 self.store.put(mapping_key, products.mapping, persist=False)
+            if products.ordering != spec.ordering:
+                products = replace(products, ordering=spec.ordering)
             return products
         from repro.pipeline.stages import _get_problem  # lazy (import cycle)
 
@@ -277,9 +256,18 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------ #
     # cases
     # ------------------------------------------------------------------ #
-    def simulate(self, spec: CaseSpec) -> SimulationResult:
-        """Run the simulation stage of one case (uncached, see SimulationStage)."""
-        return self.artifact("simulate", spec)
+    def _simulate(
+        self, analysis: AnalysisProducts, strategy: str, config: SimulationConfig
+    ) -> SimulationResult:
+        """The one simulate path: one uncached simulator run, counted.
+
+        Simulation results are cheap relative to the analysis and one per
+        (case, config): caching them would grow a long-lived engine (the
+        service daemon, ``repro all``) without bound.
+        """
+        result = simulate_strategy(analysis.tree, analysis.mapping, strategy, config)
+        self.stage_runs["simulate"] += 1
+        return result
 
     def run_case(self, spec: CaseSpec) -> CaseResult:
         """Run one full case and return its metrics.
@@ -291,10 +279,10 @@ class AnalysisPipeline:
         """
         with self._lock:
             analysis = self.analysis_for(spec)
-            sims = []
-            for config in self.replication_configs(spec):
-                sims.append(simulate_strategy(analysis.tree, analysis.mapping, spec.strategy, config))
-                self.stage_runs["simulate"] += 1
+            sims = [
+                self._simulate(analysis, spec.strategy, config)
+                for config in self.replication_configs(spec)
+            ]
         if len(sims) == 1:
             return CaseResult.from_simulation(analysis, spec.strategy, sims[0])
         from repro.faults import canonical_faults

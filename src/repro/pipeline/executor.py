@@ -6,7 +6,7 @@ the *input order*, whatever the execution order was — results are therefore
 byte-for-byte identical between the serial and the parallel path.
 
 Parallel scheduling groups the cases by their analysis signature
-(problem, ordering, split): one process-pool task per group, so the expensive
+(problem, canonical ordering, split): one process-pool task per group, so the expensive
 analysis phase of a group is computed once in the worker that owns it and
 only the small per-case metrics travel back.  Workers are long-lived (one
 engine per process, built from the picklable :class:`PipelineSettings`), so

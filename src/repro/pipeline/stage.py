@@ -1,38 +1,26 @@
-"""Stage protocol and the data types flowing through the pipeline.
+"""The data types flowing through the pipeline.
 
-A :class:`Stage` is one step of the analysis/simulation chain.  It declares
-
-* ``name``/``version`` — its identity (bumping ``version`` invalidates every
-  cached artifact it ever produced, and everything downstream of them);
-* ``requires`` — the names of the upstream stages whose artifacts it reads;
-* ``persist`` — whether its artifact is worth writing to the disk tier;
-* ``params(engine, spec)`` — the exact set of parameters that influence its
-  output, used to build the content-addressed cache key;
-* ``compute(engine, spec, upstream)`` — the actual work.
-
-The engine (:class:`repro.pipeline.engine.AnalysisPipeline`) resolves the
-``requires`` graph, builds each stage's key from its params plus the upstream
-keys, and consults the artifact store before calling ``compute`` — stages
-never cache anything themselves.
+A :class:`CaseSpec` names one case; the analysis chain
+(:data:`repro.pipeline.stages.STAGES`) turns it into a
+:class:`SplitArtifact` and then an :class:`AnalysisProducts` bundle, and
+the simulations of the case fold into one :class:`CaseResult`.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, ClassVar, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
-from repro.pipeline.store import content_key
+from repro.ordering import canonical_ordering
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.mapping import StaticMapping
-    from repro.pipeline.engine import AnalysisPipeline
     from repro.runtime import SimulationResult
     from repro.symbolic import AssemblyTree
 
-__all__ = ["CaseSpec", "Stage", "SplitArtifact", "AnalysisProducts", "CaseResult"]
+__all__ = ["CaseSpec", "SplitArtifact", "AnalysisProducts", "CaseResult"]
 
 
 @dataclass(frozen=True)
@@ -85,11 +73,12 @@ class CaseSpec:
     def analysis_signature(self) -> tuple:
         """Grouping key: cases with equal signatures share their analysis.
 
-        The per-case overrides extend the historical (problem, ordering,
-        split) triple only when set, so specs without overrides keep their
-        seed-era signatures.
+        The problem and ordering enter in canonical form, so ``xenon2/metis``
+        and ``XENON2/METIS(leaf_size=64)`` (one analysis) form one group.  The
+        per-case overrides extend the (problem, ordering, split) triple only
+        when set.
         """
-        signature: tuple = (self.problem, self.ordering, self.split)
+        signature: tuple = (self.problem.upper(), canonical_ordering(self.ordering), self.split)
         for name in ("nprocs", "scale", "split_threshold"):
             value = getattr(self, name)
             if value is not None:
@@ -136,32 +125,6 @@ class CaseSpec:
             strict=strict,
         )
         return cls(**payload)  # type: ignore[arg-type]
-
-
-class Stage(ABC):
-    """One step of the pipeline (see module docstring)."""
-
-    name: ClassVar[str]
-    version: ClassVar[str] = "1"
-    requires: ClassVar[tuple[str, ...]] = ()
-    persist: ClassVar[bool] = False
-    #: ``False`` keeps the artifact out of the store entirely (recomputed on
-    #: every request) — for cheap terminal stages whose results would
-    #: otherwise accumulate unboundedly in a long-lived engine.
-    cache: ClassVar[bool] = True
-
-    @abstractmethod
-    def params(self, engine: "AnalysisPipeline", spec: CaseSpec) -> dict[str, object]:
-        """Every parameter that influences this stage's output."""
-
-    @abstractmethod
-    def compute(
-        self, engine: "AnalysisPipeline", spec: CaseSpec, upstream: Mapping[str, object]
-    ) -> object:
-        """Produce the artifact from the upstream artifacts."""
-
-    def key(self, engine: "AnalysisPipeline", spec: CaseSpec, upstream_keys: tuple[str, ...]) -> str:
-        return content_key(self.name, self.version, self.params(engine, spec), upstream_keys)
 
 
 @dataclass

@@ -1,32 +1,38 @@
-"""The six concrete stages of the factorization study pipeline.
+"""The fixed analysis chain of the factorization study, as one table.
 
-``pattern → ordering → tree → split → mapping → simulate``
+``pattern → ordering → tree → split → mapping``, then one simulation per
+strategy.
 
-The first five form the *analysis* phase (expensive, shared by every strategy
-of a case); the last one is the *simulation* phase (cheap, one run per
-strategy).  Each stage declares exactly the parameters that influence its
-output, so the engine's content-addressed keys invalidate precisely what a
-parameter change actually affects — changing the strategy re-runs only the
-simulation, changing the amalgamation re-runs everything from the tree down,
-and so on.
+The analysis entries are expensive and shared by every strategy of a case;
+the simulation is cheap and runs once per strategy (see
+:meth:`AnalysisPipeline.run_case <repro.pipeline.engine.AnalysisPipeline.run_case>`).
+Each :data:`STAGES` entry names its upstream stages, whether its artifact is
+worth writing to the disk tier, the parameters that influence its output and
+the function computing it.  The function takes the upstream artifacts
+positionally and exactly those parameters as keywords, so an artifact's
+content key covers everything its computation reads — changing the strategy
+re-runs only the simulation, changing the amalgamation re-runs everything
+from the tree down, and so on.
 
-Ordering and strategy parameters from the spec mini-language
-(``"hybrid(alpha=0.3)"``) enter the keys in *canonical* form with defaults
-bound, so equivalent spellings share artifacts while distinct
-parameterisations never collide; the per-case ``nprocs`` / ``scale`` /
-``split_threshold`` overrides enter through the stages they affect.
+Ordering parameters from the spec mini-language (``"metis(leaf_size=32)"``)
+enter the keys in *canonical* form with defaults bound, so equivalent
+spellings share artifacts while distinct parameterisations never collide;
+the per-case ``nprocs`` / ``scale`` / ``split_threshold`` overrides enter
+through the stages they affect.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.mapping import compute_mapping
 from repro.ordering import canonical_ordering, compute_ordering
-from repro.pipeline.stage import CaseSpec, SplitArtifact, Stage
+from repro.pipeline.stage import CaseSpec, SplitArtifact
 from repro.runtime import FactorizationSimulator, SimulationConfig, SimulationResult
-from repro.scheduling import canonical_strategy, resolve_strategy
+from repro.scheduling import resolve_strategy
 from repro.symbolic import build_assembly_tree, split_large_masters
+
 
 def _get_problem(name: str):
     # deferred import: repro.experiments.__init__ imports the tables, which
@@ -39,150 +45,116 @@ def _get_problem(name: str):
 
 
 __all__ = [
-    "PatternStage",
-    "OrderingStage",
-    "TreeStage",
-    "SplitStage",
-    "MappingStage",
-    "SimulationStage",
-    "DEFAULT_STAGES",
+    "STAGES",
+    "StageDef",
+    "build_pattern",
+    "order_pattern",
+    "build_tree",
+    "split_tree",
+    "map_tree",
+    "split_threshold",
     "simulate_strategy",
 ]
 
 
-class PatternStage(Stage):
+def build_pattern(*, problem: str, scale: float):
     """Problem registry → synthetic :class:`~repro.sparse.SparsePattern`."""
-
-    name = "pattern"
-    persist = False  # deterministic and fast to regenerate
-
-    def params(self, engine, spec: CaseSpec) -> dict[str, object]:
-        return {"problem": _get_problem(spec.problem).name, "scale": engine.effective_scale(spec)}
-
-    def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]):
-        return _get_problem(spec.problem).build(engine.effective_scale(spec))
+    return _get_problem(problem).build(scale)
 
 
-class OrderingStage(Stage):
+def order_pattern(pattern, *, ordering: str):
     """Pattern → fill-reducing permutation (METIS/PORD/AMD/AMF analogues)."""
-
-    name = "ordering"
-    requires = ("pattern",)
-    persist = True  # the orderings dominate the analysis cost on big problems
-
-    def params(self, engine, spec: CaseSpec) -> dict[str, object]:
-        # canonical form, defaults bound: "metis" and "METIS(leaf_size=64)"
-        # address the same artifact, "metis(leaf_size=32)" its own
-        return {"ordering": canonical_ordering(spec.ordering)}
-
-    def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]):
-        return compute_ordering(upstream["pattern"], spec.ordering)
+    return compute_ordering(pattern, ordering)
 
 
-class TreeStage(Stage):
-    """(Pattern, permutation) → amalgamated assembly tree."""
-
-    name = "tree"
-    requires = ("pattern", "ordering")
-    persist = False
-
-    def params(self, engine, spec: CaseSpec) -> dict[str, object]:
-        return {
-            "amalgamation_min_pivots": engine.amalgamation_min_pivots,
-            "amalgamation_relax": engine.amalgamation_relax,
-        }
-
-    def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]):
-        return build_assembly_tree(
-            upstream["pattern"],
-            upstream["ordering"],
-            amalgamation_min_pivots=engine.amalgamation_min_pivots,
-            amalgamation_relax=engine.amalgamation_relax,
-            keep_variables=False,
-            name=f"{_get_problem(spec.problem).name}-{spec.ordering}",
-        )
+#: (pattern, permutation) → amalgamated assembly tree; the amalgamation
+#: keywords default to :data:`repro.symbolic.AMALGAMATION`.
+build_tree = partial(build_assembly_tree, keep_variables=False)
 
 
-class SplitStage(Stage):
+def split_tree(tree, *, split: bool, threshold: int = 0) -> SplitArtifact:
     """Optional static splitting of large type-2 masters (Section 6)."""
-
-    name = "split"
-    requires = ("tree",)
-    persist = False
-
-    def threshold(self, engine, spec: CaseSpec) -> int:
-        if spec.split_threshold is not None:
-            return int(spec.split_threshold)
-        base = _get_problem(spec.problem).split_threshold
-        return max(int(base * engine.effective_scale(spec)), 1_000)
-
-    def params(self, engine, spec: CaseSpec) -> dict[str, object]:
-        params: dict[str, object] = {"split": bool(spec.split)}
-        if spec.split:
-            params["threshold"] = self.threshold(engine, spec)
-        return params
-
-    def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]) -> SplitArtifact:
-        tree = upstream["tree"]
-        if not spec.split:
-            return SplitArtifact(tree=tree, nodes_split=0, threshold=0)
-        threshold = self.threshold(engine, spec)
-        tree, report = split_large_masters(tree, threshold)
-        return SplitArtifact(tree=tree, nodes_split=report.nodes_split, threshold=threshold)
+    if not split:
+        return SplitArtifact(tree=tree)
+    tree, report = split_large_masters(tree, threshold)
+    return SplitArtifact(tree=tree, nodes_split=report.nodes_split, threshold=threshold)
 
 
-class MappingStage(Stage):
+def map_tree(split: SplitArtifact, *, nprocs: int, **mapping_params):
     """Tree → static mapping (Geist-Ng layers, node types, candidates)."""
+    return compute_mapping(split.tree, nprocs, **mapping_params)
 
-    name = "mapping"
-    requires = ("split",)
-    persist = False
 
-    def params(self, engine, spec: CaseSpec) -> dict[str, object]:
-        return {"nprocs": engine.effective_nprocs(spec), **engine.config.mapping_params()}
+def split_threshold(engine, spec: CaseSpec) -> int:
+    """The split threshold of one case: its override, else the scaled problem default."""
+    if spec.split_threshold is not None:
+        return int(spec.split_threshold)
+    base = _get_problem(spec.problem).split_threshold
+    return max(int(base * engine.effective_scale(spec)), 1_000)
 
-    def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]):
-        return compute_mapping(
-            upstream["split"].tree,
-            engine.effective_nprocs(spec),
+
+def _split_params(engine, spec: CaseSpec) -> dict[str, object]:
+    params: dict[str, object] = {"split": bool(spec.split)}
+    if spec.split:
+        params["threshold"] = split_threshold(engine, spec)
+    return params
+
+
+class StageDef(NamedTuple):
+    """One entry of :data:`STAGES`."""
+
+    #: names of the upstream stages, whose artifacts ``compute`` takes positionally
+    requires: tuple[str, ...]
+    #: whether the artifact is worth writing to the disk tier
+    persist: bool
+    #: ``params(engine, spec)``: every parameter that influences the output
+    params: Callable[..., dict[str, object]]
+    #: ``compute(*upstream, **params)``: the actual work
+    compute: Callable[..., object]
+
+
+#: the analysis chain in dependency order.  Each key is
+#: ``content_key(name, "1", params, upstream_keys)``.
+STAGES: dict[str, StageDef] = {
+    # deterministic and fast to regenerate
+    "pattern": StageDef(
+        (),
+        False,
+        lambda engine, spec: {
+            "problem": _get_problem(spec.problem).name,
+            "scale": engine.effective_scale(spec),
+        },
+        build_pattern,
+    ),
+    # the orderings dominate the analysis cost on big problems; canonical
+    # form, defaults bound: "metis" and "METIS(leaf_size=64)" address the
+    # same artifact, "metis(leaf_size=32)" its own
+    "ordering": StageDef(
+        ("pattern",),
+        True,
+        lambda engine, spec: {"ordering": canonical_ordering(spec.ordering)},
+        order_pattern,
+    ),
+    "tree": StageDef(
+        ("pattern", "ordering"),
+        False,
+        lambda engine, spec: {
+            "amalgamation_min_pivots": engine.settings().amalgamation_min_pivots,
+            "amalgamation_relax": engine.settings().amalgamation_relax,
+        },
+        build_tree,
+    ),
+    "split": StageDef(("tree",), False, _split_params, split_tree),
+    "mapping": StageDef(
+        ("split",),
+        False,
+        lambda engine, spec: {
+            "nprocs": engine.effective_nprocs(spec),
             **engine.config.mapping_params(),
-        )
-
-
-class SimulationStage(Stage):
-    """(Tree, mapping, strategy) → :class:`~repro.runtime.SimulationResult`."""
-
-    name = "simulate"
-    requires = ("split", "mapping")
-    # cheap relative to the analysis and one result per (case, config) key —
-    # caching them would grow a long-lived engine (benchmark harness, `repro
-    # all`) without bound, so the simulation is re-run per request like the
-    # pre-pipeline runner did
-    cache = False
-    persist = False
-
-    def params(self, engine, spec: CaseSpec) -> dict[str, object]:
-        # the full machine model matters here (rates, latencies, …), not just
-        # the mapping thresholds, so hash every config field; the strategy
-        # enters in canonical form with its parameters bound, so e.g. a
-        # hybrid(alpha=0.3) result can never be addressed by the alpha=0.5 key
-        params = dict(engine.effective_config(spec).__dict__)
-        params["strategy"] = canonical_strategy(spec.strategy)
-        params["track_traces"] = bool(spec.track_traces)
-        # the fault axis enters only when set (in canonical form), so every
-        # pre-existing clean key is preserved verbatim
-        if params.get("faults"):
-            from repro.faults import canonical_faults
-
-            params["faults"] = canonical_faults(params["faults"])
-        else:
-            params.pop("faults", None)
-            params.pop("fault_seed", None)
-        return params
-
-    def compute(self, engine, spec: CaseSpec, upstream: Mapping[str, object]):
-        config = engine.effective_config(spec).replace(track_traces=bool(spec.track_traces))
-        return simulate_strategy(upstream["split"].tree, upstream["mapping"], spec.strategy, config)
+        },
+        map_tree,
+    ),
+}
 
 
 def simulate_strategy(tree, mapping, strategy: str, config: SimulationConfig) -> SimulationResult:
@@ -191,7 +163,7 @@ def simulate_strategy(tree, mapping, strategy: str, config: SimulationConfig) ->
     Builds fresh selectors for the run (selectors may carry per-run state),
     so fault replications of one case never share them.  ``mapping=None``
     lets the simulator derive the static mapping from ``config``.  The one
-    simulate chain behind :class:`SimulationStage`,
+    simulate chain behind
     :meth:`AnalysisPipeline.run_case <repro.pipeline.engine.AnalysisPipeline.run_case>`
     and :func:`repro.simulate`.
     """
@@ -205,14 +177,3 @@ def simulate_strategy(tree, mapping, strategy: str, config: SimulationConfig) ->
         task_selector=task_selector,
         strategy_name=preset.name,
     ).run()
-
-
-#: the stage chain in dependency order, as instantiated by the engine.
-DEFAULT_STAGES: tuple[type[Stage], ...] = (
-    PatternStage,
-    OrderingStage,
-    TreeStage,
-    SplitStage,
-    MappingStage,
-    SimulationStage,
-)

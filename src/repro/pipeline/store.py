@@ -8,13 +8,13 @@ share the artifacts of that prefix, whichever order they are computed in —
 this is what lets a Table-2-sized sweep pay for each expensive analysis only
 once, in memory within a process and on disk across processes and runs.
 
-Three store implementations are provided:
+Two stores are provided:
 
-* :class:`MemoryStore` — a plain dict, the per-process working set;
 * :class:`DiskStore` — one pickle per artifact in a cache directory,
   shared across processes and across runs;
-* :class:`TieredStore` — a memory store in front of an optional disk store;
-  cheap intermediates can opt out of the disk tier (``persist=False``).
+* :class:`TieredStore` — a dict, the per-process working set, in front of
+  an optional disk store; cheap intermediates can opt out of the disk tier
+  (``persist=False``).
 """
 
 from __future__ import annotations
@@ -22,19 +22,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.durable import atomic_write, remove_stale_temps
 
-__all__ = [
-    "content_key",
-    "ArtifactStore",
-    "MemoryStore",
-    "DiskStore",
-    "TieredStore",
-]
+__all__ = ["content_key", "DiskStore", "TieredStore"]
 
 #: length of the hex digest kept in artifact keys (96 bits: collisions are
 #: not a practical concern for cache keys).
@@ -59,51 +52,7 @@ def content_key(
     return f"{stage}-{digest}"
 
 
-class ArtifactStore(ABC):
-    """Minimal mapping interface shared by every store backend."""
-
-    @abstractmethod
-    def get(self, key: str) -> object:
-        """Return the artifact for ``key`` or raise :class:`KeyError`."""
-
-    @abstractmethod
-    def put(self, key: str, value: object, *, persist: bool = True) -> None:
-        """Store ``value`` under ``key``.
-
-        ``persist=False`` marks the artifact as cheap to recompute; backends
-        with a durable tier may skip writing it there.
-        """
-
-    @abstractmethod
-    def __contains__(self, key: str) -> bool: ...
-
-
-class MemoryStore(ArtifactStore):
-    """In-process artifact store (a dict)."""
-
-    def __init__(self) -> None:
-        self._data: dict[str, object] = {}
-
-    def get(self, key: str) -> object:
-        return self._data[key]
-
-    def put(self, key: str, value: object, *, persist: bool = True) -> None:
-        self._data[key] = value
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-class DiskStore(ArtifactStore):
+class DiskStore:
     """One pickle per artifact in ``directory`` (``{key}.pkl``).
 
     Writes go through :func:`repro.durable.atomic_write`, so a concurrent
@@ -125,6 +74,7 @@ class DiskStore(ArtifactStore):
         return self.directory / f"{key}.pkl"
 
     def get(self, key: str) -> object:
+        """Return the artifact for ``key`` or raise :class:`KeyError`."""
         path = self.path(key)
         try:
             with open(path, "rb") as fh:
@@ -132,7 +82,7 @@ class DiskStore(ArtifactStore):
         except FileNotFoundError:
             raise KeyError(key) from None
 
-    def put(self, key: str, value: object, *, persist: bool = True) -> None:
+    def put(self, key: str, value: object) -> None:
         atomic_write(self.path(key), pickle.dumps(value), fsync=self.durable)
 
     def __contains__(self, key: str) -> bool:
@@ -143,30 +93,32 @@ class DiskStore(ArtifactStore):
             yield path.stem
 
 
-class TieredStore(ArtifactStore):
-    """Memory store in front of an optional disk store.
+class TieredStore:
+    """A dict in front of an optional disk store.
 
     ``get`` promotes disk hits into memory; ``put`` always fills the memory
-    tier and forwards to the disk tier only when ``persist`` is true.
+    tier and forwards to the disk tier only when ``persist`` is true
+    (``persist=False`` marks an artifact as cheap to recompute).
     """
 
     def __init__(self, disk: Optional[DiskStore] = None) -> None:
-        self.memory = MemoryStore()
+        self.memory: dict[str, object] = {}
         self.disk = disk
 
     def get(self, key: str) -> object:
+        """Return the artifact for ``key`` or raise :class:`KeyError`."""
         try:
-            return self.memory.get(key)
+            return self.memory[key]
         except KeyError:
             pass
         if self.disk is None:
             raise KeyError(key)
         value = self.disk.get(key)  # raises KeyError on miss
-        self.memory.put(key, value)
+        self.memory[key] = value
         return value
 
     def put(self, key: str, value: object, *, persist: bool = True) -> None:
-        self.memory.put(key, value)
+        self.memory[key] = value
         if persist and self.disk is not None:
             self.disk.put(key, value)
 

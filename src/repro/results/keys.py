@@ -106,7 +106,8 @@ def machine_overrides(engine: "AnalysisPipeline") -> dict[str, object]:
         for name, value in config.__dict__.items()
         if name not in _UNKEYED_CONFIG and value != getattr(paper, name)
     }
-    amalgamation = (engine.amalgamation_min_pivots, engine.amalgamation_relax)
+    settings = engine.settings()
+    amalgamation = (settings.amalgamation_min_pivots, settings.amalgamation_relax)
     if amalgamation != (AMALGAMATION.min_pivots, AMALGAMATION.relax):
         out["amalgamation_min_pivots"], out["amalgamation_relax"] = amalgamation
     return out

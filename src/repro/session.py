@@ -28,8 +28,6 @@ import os
 import threading
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.pipeline import (
     AnalysisPipeline,
     AnalysisProducts,
@@ -40,7 +38,6 @@ from repro.pipeline import (
 )
 from repro.results import CaseResultView, ResultStore, ResultTable, case_key_for
 from repro.runtime import SimulationConfig
-from repro.symbolic import AMALGAMATION
 from repro.specs import SweepSpec
 
 __all__ = ["Session", "open_session", "percentage_decrease", "CaseLike"]
@@ -73,43 +70,28 @@ class Session:
 
     Parameters
     ----------
-    nprocs:
-        Default number of simulated processors (cases may override).
-    scale:
-        Default problem scale factor (cases may override).
-    config:
-        Base :class:`SimulationConfig`; ``nprocs`` is overridden by the
-        session's value.  Defaults to :meth:`SimulationConfig.paper`.
-    cache_dir:
-        Directory for the on-disk artifact store (``None`` honours the
-        ``REPRO_CACHE_DIR`` environment variable, ``""`` disables it).
     jobs:
         Default number of worker processes (1 = serial, in-process).
     progress:
         Optional per-case callback (receives a
         :class:`~repro.pipeline.ProgressEvent`).
+    **engine_settings:
+        The engine's keyword arguments, the fields of
+        :class:`~repro.pipeline.PipelineSettings`: the default ``nprocs`` and
+        ``scale`` (cases may override both), the base ``config``, the
+        amalgamation and ``cache_dir`` (``None``, the default, honours the
+        ``REPRO_CACHE_DIR`` environment variable; ``""`` disables the disk
+        tier).
     """
 
     def __init__(
         self,
         *,
-        nprocs: int = 32,
-        scale: float = 1.0,
-        config: SimulationConfig | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        amalgamation_relax: float = AMALGAMATION.relax,
-        amalgamation_min_pivots: int = AMALGAMATION.min_pivots,
         jobs: int = 1,
         progress: Optional[Callable[[ProgressEvent], None]] = None,
+        **engine_settings,
     ) -> None:
-        self.engine = AnalysisPipeline(
-            nprocs=nprocs,
-            scale=scale,
-            config=config,
-            cache_dir=cache_dir,
-            amalgamation_relax=amalgamation_relax,
-            amalgamation_min_pivots=amalgamation_min_pivots,
-        )
+        self.engine = AnalysisPipeline(**engine_settings)
         self.jobs = int(jobs)
         self.progress = progress
         self._executor: Optional[SweepExecutor] = None
@@ -148,9 +130,6 @@ class Session:
     # ------------------------------------------------------------------ #
     def pattern(self, problem: str):
         return self.engine.pattern(problem)
-
-    def ordering(self, problem: str, ordering: str) -> np.ndarray:
-        return self.engine.ordering(problem, ordering)
 
     def analysis(self, problem: str, ordering: str, *, split: bool = False) -> AnalysisProducts:
         """Pattern → ordering → assembly tree → (splitting) → static mapping."""

@@ -14,12 +14,12 @@ from repro.pipeline import (
     AnalysisPipeline,
     CaseSpec,
     DiskStore,
-    MemoryStore,
     PipelineSettings,
     SweepExecutor,
     TieredStore,
     content_key,
 )
+from repro.results import case_key_for
 
 
 # --------------------------------------------------------------------------- #
@@ -44,15 +44,6 @@ class TestContentKey:
 # stores
 # --------------------------------------------------------------------------- #
 class TestStores:
-    def test_memory_store(self):
-        store = MemoryStore()
-        assert "k" not in store
-        store.put("k", [1, 2])
-        assert "k" in store
-        assert store.get("k") == [1, 2]
-        with pytest.raises(KeyError):
-            store.get("missing")
-
     def test_disk_store_roundtrip(self, tmp_path):
         store = DiskStore(tmp_path)
         payload = {"arr": np.arange(5), "label": "x"}
@@ -63,6 +54,15 @@ class TestStores:
         assert loaded["label"] == "x"
         assert np.array_equal(loaded["arr"], payload["arr"])
         assert list(fresh.keys()) == ["tree-abc"]
+
+    def test_tiered_store_memory_only(self):
+        store = TieredStore()
+        assert "k" not in store
+        store.put("k", [1, 2])
+        assert "k" in store
+        assert store.get("k") == [1, 2]
+        with pytest.raises(KeyError):
+            store.get("missing")
 
     def test_tiered_store_persist_flag(self, tmp_path):
         store = TieredStore(DiskStore(tmp_path))
@@ -129,52 +129,80 @@ def engine(**kwargs) -> AnalysisPipeline:
     return AnalysisPipeline(**kwargs)
 
 
+ANALYSIS_STAGES = ("pattern", "ordering", "tree", "split", "mapping")
+
+
+def keys(e: AnalysisPipeline, spec: CaseSpec, stages=ANALYSIS_STAGES) -> list[str]:
+    """The analysis stage keys of ``spec``, then its result key."""
+    return [e.stage_key(stage, spec) for stage in stages] + [case_key_for(e, spec)]
+
+
 class TestCacheKeys:
+    def test_keys_pinned(self):
+        # the keys earlier versions wrote, so existing --cache directories keep hitting
+        e = engine()
+        bundle = content_key("analysis", "2", {}, (e.stage_key("split", SPEC), e.stage_key("mapping", SPEC)))
+        assert [e.stage_key(stage, SPEC) for stage in ANALYSIS_STAGES] + [bundle] == [
+            "pattern-fed669c192194aedaae20fe5",
+            "ordering-bd4a57243f687f2d19751d69",
+            "tree-6884fb160f79160809343035",
+            "split-fa033460898a064a77c39dd3",
+            "mapping-a3a95adfb4404e66ec3d9639",
+            "analysis-43cd68231e60f56c9ba94e16",
+        ]
+        split = CaseSpec("XENON2", "metis", "memory-full", split=True)
+        bundle = content_key("analysis", "2", {}, (e.stage_key("split", split), e.stage_key("mapping", split)))
+        assert [e.stage_key("split", split), e.stage_key("mapping", split), bundle] == [
+            "split-e6a58170dd8375c06c768a62",
+            "mapping-5a1b71a2a6bba602372cc179",
+            "analysis-2df2f543db2fa4ee9acbe1b7",
+        ]
+
     def test_keys_stable_across_engines(self):
-        a, b = engine(), engine()
-        for stage in ("pattern", "ordering", "tree", "split", "mapping", "simulate"):
-            assert a.stage_key(stage, SPEC) == b.stage_key(stage, SPEC)
+        assert keys(engine(), SPEC) == keys(engine(), SPEC)
 
     def test_scale_invalidates_from_pattern_down(self):
-        a, b = engine(scale=0.2), engine(scale=0.25)
-        for stage in ("pattern", "ordering", "tree", "split", "mapping", "simulate"):
-            assert a.stage_key(stage, SPEC) != b.stage_key(stage, SPEC)
+        for a, b in zip(keys(engine(scale=0.2), SPEC), keys(engine(scale=0.25), SPEC)):
+            assert a != b
 
     def test_ordering_invalidates_downstream_only(self):
         other = CaseSpec("XENON2", "amd", "memory-full")
         e = engine()
         assert e.stage_key("pattern", SPEC) == e.stage_key("pattern", other)
-        for stage in ("ordering", "tree", "split", "mapping", "simulate"):
-            assert e.stage_key(stage, SPEC) != e.stage_key(stage, other)
+        downstream = ANALYSIS_STAGES[1:]
+        for a, b in zip(keys(e, SPEC, downstream), keys(e, other, downstream)):
+            assert a != b
 
     def test_amalgamation_invalidates_tree_down(self):
         a, b = engine(), engine(amalgamation_relax=0.3)
         assert a.stage_key("pattern", SPEC) == b.stage_key("pattern", SPEC)
         assert a.stage_key("ordering", SPEC) == b.stage_key("ordering", SPEC)
-        for stage in ("tree", "split", "mapping", "simulate"):
-            assert a.stage_key(stage, SPEC) != b.stage_key(stage, SPEC)
+        downstream = ("tree", "split", "mapping")
+        for x, y in zip(keys(a, SPEC, downstream), keys(b, SPEC, downstream)):
+            assert x != y
 
     def test_nprocs_invalidates_mapping_down(self):
         a, b = engine(nprocs=4), engine(nprocs=8)
         for stage in ("pattern", "ordering", "tree", "split"):
             assert a.stage_key(stage, SPEC) == b.stage_key(stage, SPEC)
-        for stage in ("mapping", "simulate"):
-            assert a.stage_key(stage, SPEC) != b.stage_key(stage, SPEC)
+        for x, y in zip(keys(a, SPEC, ("mapping",)), keys(b, SPEC, ("mapping",))):
+            assert x != y
 
     def test_strategy_invalidates_simulation_only(self):
         other = CaseSpec("XENON2", "metis", "mumps-workload")
         e = engine()
-        for stage in ("pattern", "ordering", "tree", "split", "mapping"):
+        for stage in ANALYSIS_STAGES:
             assert e.stage_key(stage, SPEC) == e.stage_key(stage, other)
-        assert e.stage_key("simulate", SPEC) != e.stage_key("simulate", other)
+        assert case_key_for(e, SPEC) != case_key_for(e, other)
 
     def test_split_invalidates_split_down(self):
         other = CaseSpec("XENON2", "metis", "memory-full", split=True)
         e = engine()
         for stage in ("pattern", "ordering", "tree"):
             assert e.stage_key(stage, SPEC) == e.stage_key(stage, other)
-        for stage in ("split", "mapping", "simulate"):
-            assert e.stage_key(stage, SPEC) != e.stage_key(stage, other)
+        downstream = ("split", "mapping")
+        for a, b in zip(keys(e, SPEC, downstream), keys(e, other, downstream)):
+            assert a != b
 
 
 # --------------------------------------------------------------------------- #
@@ -214,16 +242,38 @@ class TestEngine:
         assert reloaded.messages == direct.messages
 
     def test_simulation_results_not_retained(self):
-        # the simulate stage is cache=False: a long-lived engine must not
-        # accumulate one SimulationResult per (case, config) key
+        # simulations are uncached: a long-lived engine must not accumulate
+        # one SimulationResult per (case, config)
         e = engine()
-        first = e.simulate(SPEC)
-        second = e.simulate(SPEC)
+        first = e.artifact("simulate", SPEC)
+        stored = len(e.store.memory)
+        second = e.artifact("simulate", SPEC)
         assert first is not second
         assert first.max_peak_stack == second.max_peak_stack
-        assert e.stage_key("simulate", SPEC) not in e.store
-        traced = e.simulate(CaseSpec("XENON2", "metis", "memory-full", track_traces=True))
+        assert len(e.store.memory) == stored
+        assert e.stage_runs["simulate"] == 2
+        traced = e.artifact("simulate", CaseSpec("XENON2", "metis", "memory-full", track_traces=True))
         assert traced.max_peak_stack == first.max_peak_stack
+
+    def test_simulate_artifact_refuses_faulted_specs(self):
+        # run_case runs a faulted spec's clean baseline plus seeded
+        # replications; no single simulation at the raw fault seed stands for it
+        e = engine()
+        faulted = CaseSpec("XENON2", "metis", faults="stragglers", fault_seed=5, replications=3)
+        with pytest.raises(ValueError, match="run_case"):
+            e.artifact("simulate", faulted)
+        assert e.stage_runs["simulate"] == 0
+        assert e.run_case(faulted).replications == 3
+        assert e.stage_runs["simulate"] == 4
+
+    def test_analysis_carries_the_spec_spelling(self):
+        # one bundle serves both spellings of one ordering; each caller sees its own
+        e = engine()
+        plain = e.analysis_for(CaseSpec("XENON2", "metis"))
+        spelled = e.analysis_for(CaseSpec("XENON2", "METIS(leaf_size=64)"))
+        assert (plain.ordering, spelled.ordering) == ("metis", "METIS(leaf_size=64)")
+        assert spelled.tree is plain.tree and spelled.mapping is plain.mapping
+        assert e.analysis_for(CaseSpec("XENON2", "metis")) is plain
 
     def test_loaded_bundle_seeds_stage_artifacts(self, tmp_path):
         # an analysis bundle read from the disk tier must let the simulation
@@ -236,13 +286,14 @@ class TestEngine:
         assert fresh.artifact("mapping", SPEC) is products.mapping
 
     def test_bundle_reports_the_applied_split_threshold(self, tmp_path):
-        # the bundle reports the threshold SplitStage applied (the problem
-        # default scaled by 0.3 here), fresh and loaded from the disk tier
+        # the bundle reports the threshold the split stage applied (the
+        # problem default scaled by 0.3 here), fresh and loaded from the disk tier
         from repro.experiments.problems import get_problem
+        from repro.pipeline.stages import split_threshold
 
         spec = CaseSpec("XENON2", "metis", "memory-full", split=True, scale=0.3)
         first = engine(cache_dir=tmp_path)
-        applied = first.stages["split"].threshold(first, spec)
+        applied = split_threshold(first, spec)
         assert applied == int(get_problem("XENON2").split_threshold * 0.3)
         assert first.analysis_for(spec).split_threshold == applied
         fresh = engine(cache_dir=tmp_path)
@@ -253,7 +304,8 @@ class TestEngine:
     def test_settings_roundtrip(self, tmp_path):
         e = engine(cache_dir=tmp_path, amalgamation_relax=0.2)
         clone = e.settings().build()
-        assert clone.stage_key("simulate", SPEC) == e.stage_key("simulate", SPEC)
+        assert clone.settings() == e.settings()
+        assert keys(clone, SPEC) == keys(e, SPEC)
         assert clone.cache_dir == str(tmp_path)
 
 
@@ -298,6 +350,12 @@ class TestSweepExecutor:
         groups = SweepExecutor.group_by_analysis(specs)
         assert [[i for i, _ in group] for group in groups] == [[0, 2], [1], [3]]
 
+    def test_spellings_of_one_analysis_form_one_group(self):
+        specs = [CaseSpec("XENON2", "metis"), CaseSpec("xenon2", "METIS(leaf_size=64)", "mumps-workload")]
+        e = engine()
+        assert e.stage_key("mapping", specs[0]) == e.stage_key("mapping", specs[1])
+        assert len(SweepExecutor.group_by_analysis(specs)) == 1
+
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             SweepExecutor(engine(), jobs=0)
@@ -333,6 +391,18 @@ class TestSweepExecutor:
         assert len(a) == len(b) == 2
         for x, y in zip(a, b):
             assert_case_results_equal(x, y)
+
+    def test_ordering_spellings_serial_equals_parallel(self):
+        # each result carries its own spec's ordering spelling, whatever the
+        # engine saw first, so the serial and pooled bytes agree
+        from repro.session import Session
+
+        cases = [CaseSpec("XENON2", "metis"), CaseSpec("XENON2", "METIS(leaf_size=64)", "mumps-workload")]
+        with Session(nprocs=4, scale=0.2, cache_dir="") as session:
+            serial = session.run_cases(cases)
+            parallel = session.run_cases(cases, jobs=2)
+        assert [r.ordering for r in serial] == ["metis", "METIS(leaf_size=64)"]
+        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_pool_reused_across_runs(self):
         executor = SweepExecutor(engine(), jobs=2)
@@ -426,10 +496,10 @@ class TestCaseSpec:
     def test_label_and_signature(self):
         spec = CaseSpec("PRE2", "amd", "memory-full", split=True)
         assert spec.label() == "PRE2/amd/memory-full+split"
-        assert spec.analysis_signature() == ("PRE2", "amd", True)
+        assert spec.analysis_signature() == ("PRE2", "amd(seed=0)", True)
         assert CaseSpec("PRE2", "amd", "mumps-workload", split=True).analysis_signature() == (
             "PRE2",
-            "amd",
+            "amd(seed=0)",
             True,
         )
 

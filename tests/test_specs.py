@@ -267,6 +267,11 @@ def engine(**kwargs) -> AnalysisPipeline:
     return AnalysisPipeline(**kwargs)
 
 
+def key(e: AnalysisPipeline, stage: str, spec: CaseSpec) -> str:
+    """An analysis stage key, or the result key for ``stage == "result"``."""
+    return case_key_for(e, spec) if stage == "result" else e.stage_key(stage, spec)
+
+
 class TestSpecCacheKeys:
     def test_strategy_params_change_simulation_key(self):
         e = engine()
@@ -274,9 +279,9 @@ class TestSpecCacheKeys:
         b = CaseSpec("XENON2", "metis", "hybrid(alpha=0.5)")
         bare = CaseSpec("XENON2", "metis", "hybrid")
         # an alpha=0.3 result must never be addressed by the alpha=0.5 key …
-        assert e.stage_key("simulate", a) != e.stage_key("simulate", b)
+        assert case_key_for(e, a) != case_key_for(e, b)
         # … while the explicit default and the bare name share one identity
-        assert e.stage_key("simulate", b) == e.stage_key("simulate", bare)
+        assert case_key_for(e, b) == case_key_for(e, bare)
         # the analysis phase is strategy-independent and stays shared
         for stage in ("pattern", "ordering", "tree", "split", "mapping"):
             assert e.stage_key(stage, a) == e.stage_key(stage, b)
@@ -287,9 +292,9 @@ class TestSpecCacheKeys:
         b = CaseSpec("XENON2", "metis(leaf_size=32)")
         c = CaseSpec("XENON2", "METIS(leaf_size=64)")
         assert e.stage_key("pattern", a) == e.stage_key("pattern", b)
-        for stage in ("ordering", "tree", "split", "mapping", "simulate"):
-            assert e.stage_key(stage, a) != e.stage_key(stage, b)
-            assert e.stage_key(stage, a) == e.stage_key(stage, c)
+        for stage in ("ordering", "tree", "split", "mapping", "result"):
+            assert key(e, stage, a) != key(e, stage, b)
+            assert key(e, stage, a) == key(e, stage, c)
 
     def test_nprocs_override_changes_mapping_key_only(self):
         e = engine(nprocs=4)
@@ -297,19 +302,19 @@ class TestSpecCacheKeys:
         override = CaseSpec("XENON2", "metis", nprocs=8)
         for stage in ("pattern", "ordering", "tree", "split"):
             assert e.stage_key(stage, base) == e.stage_key(stage, override)
-        for stage in ("mapping", "simulate"):
-            assert e.stage_key(stage, base) != e.stage_key(stage, override)
+        for stage in ("mapping", "result"):
+            assert key(e, stage, base) != key(e, stage, override)
         # an override equal to the engine default is a no-op
         same = CaseSpec("XENON2", "metis", nprocs=4)
-        for stage in ("pattern", "ordering", "tree", "split", "mapping", "simulate"):
-            assert e.stage_key(stage, base) == e.stage_key(stage, same)
+        for stage in ("pattern", "ordering", "tree", "split", "mapping", "result"):
+            assert key(e, stage, base) == key(e, stage, same)
 
     def test_scale_override_changes_everything(self):
         e = engine(scale=0.2)
         base = CaseSpec("XENON2", "metis")
         override = CaseSpec("XENON2", "metis", scale=0.25)
-        for stage in ("pattern", "ordering", "tree", "split", "mapping", "simulate"):
-            assert e.stage_key(stage, base) != e.stage_key(stage, override)
+        for stage in ("pattern", "ordering", "tree", "split", "mapping", "result"):
+            assert key(e, stage, base) != key(e, stage, override)
 
     def test_split_threshold_override(self):
         e = engine()
@@ -372,7 +377,7 @@ class TestSerialization:
 
     def test_analysis_signature_extends_only_when_overridden(self):
         plain = CaseSpec("XENON2", "metis")
-        assert plain.analysis_signature() == ("XENON2", "metis", False)
+        assert plain.analysis_signature() == ("XENON2", canonical_ordering("metis"), False)
         override = CaseSpec("XENON2", "metis", nprocs=8)
         assert override.analysis_signature() != plain.analysis_signature()
 
