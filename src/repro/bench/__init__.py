@@ -13,7 +13,8 @@ The benchmark subsystem turns performance from folklore into diffable data:
 * :class:`BenchRunner` — warmup/repeat/timer execution of suites;
 * :func:`compare_runs` + :class:`CompareReport` — per-case deltas against a
   stored baseline (``benchmarks/baselines/BENCH_<host>.json``), with the
-  regression/improvement/within-tolerance verdicts the CI perf gate consumes.
+  regression/improvement/within-tolerance verdicts the CI perf gate consumes;
+  :func:`median_run` folds several runs into one baseline.
 
 The ``repro bench`` CLI verb (:mod:`repro.bench.cli`) is a thin layer
 over these pieces.  See ``docs/benchmarks.md``.
@@ -25,6 +26,7 @@ from repro.bench.baseline import (
     compare_runs,
     default_baseline_dir,
     default_baseline_path,
+    median_run,
 )
 from repro.bench.env import BenchEnv, BenchEnvError
 from repro.bench.model import SCHEMA_VERSION, BenchCase, BenchResult, BenchRun, host_tag
@@ -50,4 +52,5 @@ __all__ = [
     "compare_runs",
     "default_baseline_dir",
     "default_baseline_path",
+    "median_run",
 ]

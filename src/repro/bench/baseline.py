@@ -22,6 +22,13 @@ waited, for example while another process held the CPU, which a 3 ms
 calibration sample inside one time slice cannot see.  The mark is
 information for the reader; no verdict depends on it.
 
+One gate run can land a case at the bottom of its range, and a baseline
+recorded from it then reads every later run of the same tree as a
+regression.  :func:`median_run` folds several saved runs into one
+baseline: per case, the result of the run whose best repeat is the median
+(the upper one for an even count), in the same schema, so ``repro bench
+compare`` reads it unchanged (``repro bench fold``).
+
 The report renders as text, Markdown, CSV or JSON and owns the exit-code
 policy: :meth:`CompareReport.failed` is the single place the CLI and the CI
 perf gate consult, with an optional ``max_regression`` ratio so shared
@@ -34,9 +41,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.bench.model import BenchRun, host_tag
+from repro.bench.model import BenchResult, BenchRun, host_tag
 
 __all__ = [
     "CONTENDED_WALL_CPU",
@@ -45,6 +52,7 @@ __all__ = [
     "compare_runs",
     "default_baseline_dir",
     "default_baseline_path",
+    "median_run",
 ]
 
 #: wall over CPU seconds above which a case's repeats count as contended
@@ -244,3 +252,45 @@ def compare_runs(current: BenchRun, baseline: BenchRun, *, tolerance: float = 0.
                 CaseDelta(key=key, verdict="missing", baseline_seconds=base.best)
             )
     return report
+
+
+def median_run(runs: Sequence[BenchRun]) -> BenchRun:
+    """One baseline from several runs of the same suites and knobs.
+
+    Each case keeps the whole result of the run whose best repeat (its
+    calibrated best when every run of the case recorded one) is the median,
+    the upper one for an even count; errored results take part only when
+    every run of the case errored.  Cases keep their first-seen order; the
+    host, timestamp and Python are the last run's.  Raises
+    :class:`ValueError` when the runs were recorded under different
+    settings or knobs.
+    """
+    if not runs:
+        raise ValueError("median_run needs at least one run")
+    env = runs[0].env
+    if any(run.env != env for run in runs):
+        raise ValueError("the runs were recorded with different bench settings")
+    per_case: dict[str, list[BenchResult]] = {}
+    for run in runs:
+        for result in run.results:
+            per_case.setdefault(result.case.key, []).append(result)
+    results = []
+    for key, found in per_case.items():
+        if len({result.case.params for result in found}) > 1:
+            raise ValueError(f"case {key} was recorded with different knobs")
+        timed = [result for result in found if result.error is None and result.seconds]
+        if not timed:
+            results.append(found[-1])
+            continue
+        calibrated = all(result.calibrated_seconds for result in timed)
+        timed.sort(key=lambda r: r.calibrated_best if calibrated else r.best)
+        results.append(timed[len(timed) // 2])
+    last = runs[-1]
+    return BenchRun(
+        host=last.host,
+        timestamp=last.timestamp,
+        python=last.python,
+        env=dict(env),
+        results=results,
+        schema=min(run.schema for run in runs),
+    )

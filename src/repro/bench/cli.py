@@ -27,6 +27,12 @@ List the available suites::
 
     python -m repro bench list --format json
 
+Fold several saved gate runs into one baseline, per case the run whose
+best repeat is the median, so one lucky run cannot set it::
+
+    python -m repro bench fold run1.json run2.json run3.json \\
+        --save benchmarks/baselines/ci-ubuntu.json
+
 Every ``--save`` also appends the run into the bench history
 (``benchmarks/baselines/history/``, disable with ``--no-history``); list a
 case's timing trajectory across the recorded runs::
@@ -42,7 +48,7 @@ import io
 import json
 import sys
 
-from repro.bench.baseline import CaseDelta, CompareReport, compare_runs, default_baseline_path
+from repro.bench.baseline import CaseDelta, CompareReport, compare_runs, default_baseline_path, median_run
 from repro.bench.env import BenchEnv, BenchEnvError
 from repro.bench.model import BenchRun
 from repro.bench.runner import BenchRunner
@@ -106,6 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="only fail beyond this slowdown ratio (hard errors always fail)",
     )
     comp.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
+
+    fold = sub.add_parser("fold", help="fold saved runs into one baseline: per case, the median run")
+    fold.add_argument("runs", nargs="+", metavar="RUN", help="result JSONs produced by 'bench run --save'")
+    fold.add_argument("--save", required=True, metavar="PATH", help="write the folded baseline JSON here")
+    fold.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
 
     lst = sub.add_parser("list", help="list the available suites")
     lst.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
@@ -404,6 +415,17 @@ def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 1 if report.failed(max_regression=args.max_regression) else 0
 
 
+def _cmd_fold(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    try:
+        run = median_run([_load_run(path) for path in args.runs])
+    except ValueError as exc:
+        parser.error(str(exc))
+    run.save(args.save)
+    print(render_run(run, args.format))
+    print(f"folded {len(args.runs)} run(s) into {args.save}", file=sys.stderr)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -411,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run(parser, args)
     if args.command == "compare":
         return _cmd_compare(parser, args)
+    if args.command == "fold":
+        return _cmd_fold(parser, args)
     if args.command == "list":
         print(render_suites(args.format))
         return 0

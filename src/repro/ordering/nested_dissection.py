@@ -6,95 +6,210 @@ the characteristic *tree topology* it induces — wide, balanced assembly trees
 whose large fronts sit near the root — and that property comes from the
 recursive-bisection structure, not from the quality of the separator
 heuristic.  The separators here are level-set based (George-Liu): a BFS from
-a pseudo-peripheral vertex splits the vertices in two halves, and the
-boundary of the smaller half is taken as the separator, optionally shrunk by
-a greedy minimal-cover pass.
+a pseudo-peripheral vertex is cut at the level where roughly ``balance`` of
+the vertices have been visited, and that level is the separator.
 
-Each dissection frame runs one BFS from its first vertex: it finds the
-connected components and, when there is only one, it is the first sweep of
-the pseudo-peripheral search, whose last sweep is the level structure the
-separator is cut from (see :mod:`repro.ordering.rcm`).  Leaves are ordered
-on their frame-local graph (:func:`~repro.ordering.quotient_graph.order_subgraph`),
-gathered from the global adjacency in O(leaf nnz).
+The dissection driver, :func:`dissect`, is shared with the PORD substitute
+(:mod:`repro.ordering.pord`), which differs only in its leaf test and in how
+it orders separators.  A *frame* is a vertex set still to be dissected.  Its
+work is a generator (:func:`_frame`) that yields the root of every BFS it
+needs — one per connected component, then the sweeps of
+:func:`~repro.ordering.rcm.peripheral_search` — and returns its components
+or its split.  The driver works in rounds: every open frame asks for its
+next BFS, one multi-source :func:`~repro.ordering.rcm.bfs_levels` runs from
+all those roots at once, and each frame is sent its own segment of the
+visit order.
+
+A round is exact because any two open frames are disjoint and
+non-adjacent.  By induction over how a frame is made:
+
+* the connected components of a frame are non-adjacent;
+* the two parts of a split are non-adjacent: the separator is exactly the
+  vertices of the far side adjacent to the near side ``a``;
+* frames made inside two non-adjacent frames are non-adjacent.
+
+Separators and hubs leave the BFS mask, so a frame's BFS never leaves the
+frame, and restricted to one frame the multi-source BFS is that frame's own
+(see :mod:`repro.ordering.rcm`).
+
+Two kinds of BFS are never run.  A component's first sweep is the BFS that
+found it.  Part ``a`` of a split, the ball of radius ``cut − 1`` around the
+root of the parent's last sweep, has that sweep truncated at the cut as its
+first sweep: distances inside the ball are the parent's, and so is the FIFO
+order.  The separator costs no search either: every vertex at level
+``cut`` has its BFS parent in ``a``, and no deeper vertex has a neighbour
+there, so the separator is the cut level and the other part is everything
+deeper.
+
+The dissection tree is recorded as it is built and emitted at the end: a
+split emits ``a``, then the other part, then its separator; a disconnected
+frame its components in reverse discovery order; a leaf, or a frame that
+cannot be split, its greedy ordering on its frame-local graph
+(:func:`~repro.ordering.quotient_graph.order_subgraph`, gathered from the
+global adjacency in O(leaf nnz)); the hubs go last.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Generator, NamedTuple, Optional
+
 import numpy as np
 
 from repro.ordering.quotient_graph import order_subgraph, tie_breakers
-from repro.ordering.rcm import bfs_levels, gather_rows, peripheral_level_structure
+from repro.ordering.rcm import Levels, bfs_levels, peripheral_search
 from repro.sparse.pattern import SparsePattern
 
-__all__ = ["nested_dissection_ordering", "find_separator"]
+__all__ = ["nested_dissection_ordering", "dissect", "extract_hubs"]
 
 
-def _connected_components(
-    indptr: np.ndarray, indices: np.ndarray, vertices: np.ndarray
-) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray] | None]:
-    """Connected components of the subgraph induced by ``vertices``.
+def _components(vertices: np.ndarray) -> Generator[int, Levels, list[Levels]]:
+    """Connected components of a frame, as a search.
 
-    Components come in the order of their first vertex in ``vertices``, each
-    in BFS order from that vertex.  Also returns the level structure
-    ``(level, order)`` of the first BFS, rooted at ``vertices[0]``: when the
-    subgraph is connected it is the first sweep of :func:`find_separator`.
+    Returns the level structure of each component, rooted at its first
+    vertex in ``vertices``, in the order of those first vertices.
     """
-    inset = np.zeros(len(indptr) - 1, dtype=bool)
-    inset[vertices] = True
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    comps: list[np.ndarray] = []
-    first = None
-    for v in vertices.tolist():
-        if seen[v]:
-            continue
-        level, comp = bfs_levels(indptr, indices, v, inset)
-        if not comps:
-            first = (level, comp)
-        seen[comp] = True
-        comps.append(comp)
-    return comps, first
+    comps: list[Levels] = []
+    rest = vertices
+    while rest.size:
+        level, comp = yield int(rest[0])
+        comps.append((level, comp))
+        if comp.size == rest.size:
+            break
+        rest = rest[level[rest] < 0]
+    return comps
 
 
-def find_separator(
-    pattern_indptr: np.ndarray,
-    pattern_indices: np.ndarray,
-    vertices: np.ndarray,
-    *,
-    balance: float = 0.5,
-    levels: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``vertices`` into (part_a, part_b, separator).
+def _cut(level: np.ndarray, order: np.ndarray, balance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a connected level structure into (part_a, part_b, separator).
 
-    A BFS level structure from a pseudo-peripheral vertex is cut at the level
-    where roughly ``balance`` of the vertices have been visited; the vertices
-    of the heavier side adjacent to the lighter side form the separator.
-    ``levels`` is the level structure rooted at ``vertices[0]`` within
-    ``vertices``, when the caller already has it (see
-    :func:`_connected_components`); it is the pseudo-peripheral search's
-    first sweep.
+    The cut is the level of the vertex at position ``balance`` of the visit
+    order; ``a`` is every shallower vertex, the separator the cut level and
+    ``b`` every deeper vertex, each in visit order.  A one-vertex structure
+    is all ``a``.
     """
-    vertices = np.asarray(vertices, dtype=np.int64)
-    mask = np.zeros(len(pattern_indptr) - 1, dtype=bool)
-    mask[vertices] = True
+    depth = level[order]
+    cut = max(1, int(depth[min(max(1, int(balance * order.size)), order.size - 1)]))
+    lo, hi = np.searchsorted(depth, [cut, cut + 1])
+    return order[:lo], order[hi:], order[lo:hi]
+
+
+def _frame(
+    indptr: np.ndarray, vertices: np.ndarray, levels: Optional[Levels], balance: float
+) -> Generator[int, Levels, object]:
+    """One dissection frame, as a search.
+
+    ``levels`` is the frame's first sweep when the driver already has it (the
+    frame is then connected).  Returns the list of its components' level
+    structures when it is disconnected, else ``(level, a, b, separator)``.
+    """
     if levels is None:
-        levels = bfs_levels(pattern_indptr, pattern_indices, int(vertices[0]), mask)
-    level, order = peripheral_level_structure(pattern_indptr, pattern_indices, mask, *levels)
-    # order only contains reachable vertices of this component
-    target = max(1, int(balance * order.size))
-    cut_level = int(level[order[min(target, order.size - 1)]])
-    a_vertices = order[level[order] < cut_level]
-    if a_vertices.size == 0 or a_vertices.size == order.size:
-        # degenerate level structure (e.g. a clique): split by BFS order
-        half = max(1, order.size // 2)
-        a_vertices = order[:half]
-    in_a = np.zeros(len(mask), dtype=bool)
-    in_a[a_vertices] = True
-    # separator: vertices of B adjacent to A
-    b_vertices = order[~in_a[order]]
-    nbrs, counts = gather_rows(pattern_indptr, pattern_indices, b_vertices)
-    owner = np.repeat(np.arange(b_vertices.size), counts)
-    touches_a = np.bincount(owner[in_a[nbrs]], minlength=b_vertices.size) > 0
-    return a_vertices, b_vertices[~touches_a], b_vertices[touches_a]
+        comps = yield from _components(vertices)
+        if len(comps) > 1:
+            return comps
+        levels = comps[0]
+    level, order = yield from peripheral_search(indptr, *levels)
+    return (level, *_cut(level, order, balance))
+
+
+class _Open(NamedTuple):
+    """An open frame of :func:`dissect`."""
+
+    label: int  # its value in the driver's vertex -> frame array
+    search: Generator[int, Levels, object]  # its :func:`_frame`
+    slot: list  # where its emission goes in the dissection tree
+    depth: int  # splits above it
+    vertices: np.ndarray
+
+
+def dissect(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    hubs: np.ndarray,
+    *,
+    balance: float,
+    is_leaf: Callable[[int, int], bool],
+    order_leaf: Callable[[np.ndarray], np.ndarray],
+    order_separator: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Nested dissection of the graph without ``hubs``, then the hubs.
+
+    ``is_leaf(size, depth)`` stops the dissection of a frame, ``depth``
+    counting the splits above it; ``order_leaf`` orders a leaf (or a frame
+    that cannot be split) and ``order_separator`` a separator or the hubs.
+    Returns ``perm`` with ``perm[k]`` the vertex eliminated at step ``k``.
+    """
+    n = len(indptr) - 1
+    mask = np.ones(n, dtype=bool)  # vertices of a frame: not in a separator, not a hub
+    mask[hubs] = False
+    label = np.zeros(n, dtype=np.int64)  # the frame of each vertex of an open frame
+    labels = 0
+    waiting: list[tuple[int, _Open]] = []  # (root of the BFS it asks for, frame)
+
+    def open_frame(vertices: np.ndarray, levels: Optional[Levels], depth: int, slot: list) -> None:
+        nonlocal labels
+        if vertices.size == 0:
+            return
+        if is_leaf(vertices.size, depth):
+            slot.append(order_leaf(vertices))
+            return
+        labels += 1
+        label[vertices] = labels
+        advance(_Open(labels, _frame(indptr, vertices, levels, balance), slot, depth, vertices), None)
+
+    def advance(frame: _Open, levels: Optional[Levels]) -> None:
+        try:
+            waiting.append((frame.search.send(levels), frame))
+            return
+        except StopIteration as done:
+            result = done.value
+        if isinstance(result, list):  # components, emitted last found first
+            slots = [[] for _ in result]
+            frame.slot.extend(reversed(slots))
+            for comp_levels, slot in zip(result, slots):
+                open_frame(comp_levels[1], comp_levels, frame.depth, slot)
+            return
+        level, a, b, separator = result
+        if not (a.size and b.size and separator.size):  # cannot split (e.g. a clique)
+            frame.slot.append(order_leaf(frame.vertices))
+            return
+        mask[separator] = False
+        a_slot: list = []
+        b_slot: list = []
+        frame.slot.extend((a_slot, b_slot, order_separator(separator)))
+        open_frame(a, (level, a), frame.depth + 1, a_slot)
+        open_frame(b, None, frame.depth + 1, b_slot)
+
+    emitted: list = []
+    open_frame(np.flatnonzero(mask), None, 0, emitted)
+    while waiting:
+        batch = sorted(waiting, key=lambda item: item[1].label)
+        waiting.clear()
+        level, order = bfs_levels(indptr, indices, [root for root, _ in batch], mask)
+        if len(batch) == 1:
+            segments = [order]
+        else:
+            # each frame's visits, in visit order: a stable sort by frame label
+            owner = label[order]
+            by_frame = np.argsort(owner, kind="stable")
+            ends = np.searchsorted(owner[by_frame], [frame.label for _, frame in batch], side="right")
+            segments = np.split(order[by_frame], ends[:-1])
+        for (_, frame), segment in zip(batch, segments):
+            advance(frame, (level, segment))
+    if hubs.size:
+        emitted.append(order_separator(hubs))
+
+    parts: list[np.ndarray] = []
+    stack = [emitted]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        else:
+            parts.append(item)
+    perm = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    if perm.size != n:
+        raise RuntimeError("nested dissection failed to order every vertex")
+    return perm
 
 
 def extract_hubs(indptr: np.ndarray, indices: np.ndarray, *, factor: float = 8.0, min_degree: int = 24) -> np.ndarray:
@@ -148,55 +263,14 @@ def nested_dissection_ordering(
     them near the root of the assembly tree.
     """
     indptr, indices = pattern.adjacency()
-    n = pattern.n
-    position = np.empty(n, dtype=np.int64)
-    next_pos = 0
-
     hubs = extract_hubs(indptr, indices) if handle_hubs else np.empty(0, dtype=np.int64)
-    non_hubs = np.setdiff1d(np.arange(n, dtype=np.int64), hubs, assume_unique=False)
-
-    jitter = tie_breakers(seed, n)
-
-    def order_leaf(vertices: np.ndarray) -> np.ndarray:
-        return order_subgraph(indptr, indices, vertices, leaf_method, jitter)
-
-    def assign(vertices_in_order: np.ndarray) -> None:
-        nonlocal next_pos
-        position[next_pos:next_pos + vertices_in_order.size] = vertices_in_order
-        next_pos += vertices_in_order.size
-
-    # Explicit recursion emulation: "dissect" frames split a vertex set,
-    # "emit" frames assign a separator once both of its parts are done.
-    # Hub vertices go last (they are pushed first so they are emitted last).
-    pending: list[tuple[str, np.ndarray]] = []
-    if hubs.size:
-        pending.append(("emit", hubs))
-    pending.append(("dissect", non_hubs))
-    while pending:
-        kind, verts = pending.pop()
-        if kind == "emit":
-            assign(verts)
-            continue
-        if verts.size == 0:
-            continue
-        if verts.size <= leaf_size:
-            assign(order_leaf(verts))
-            continue
-        comps, levels = _connected_components(indptr, indices, verts)
-        if len(comps) > 1:
-            for comp in comps:
-                pending.append(("dissect", comp))
-            continue
-        part_a, part_b, separator = find_separator(indptr, indices, verts, balance=balance, levels=levels)
-        if separator.size == 0 or part_a.size == 0 or part_b.size == 0:
-            # could not split (dense or tiny component): order directly
-            assign(order_leaf(verts))
-            continue
-        # order: part_a, part_b, then separator — pushed in reverse
-        pending.append(("emit", separator))
-        pending.append(("dissect", part_b))
-        pending.append(("dissect", part_a))
-
-    if next_pos != n:
-        raise RuntimeError("nested dissection failed to order every vertex")
-    return position
+    jitter = tie_breakers(seed, pattern.n)
+    return dissect(
+        indptr,
+        indices,
+        hubs,
+        balance=balance,
+        is_leaf=lambda size, depth: size <= leaf_size,
+        order_leaf=lambda vertices: order_subgraph(indptr, indices, vertices, leaf_method, jitter),
+        order_separator=lambda vertices: vertices,
+    )

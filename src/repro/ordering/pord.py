@@ -14,13 +14,23 @@ hybrid character without the original's sophisticated separator refinement:
 The resulting assembly trees sit between the METIS-substitute (wide,
 balanced) and AMD/AMF (deep) topologies, which is the role PORD plays in the
 paper's ordering comparison.
+
+The recursive bisection is the METIS substitute's round driver,
+:func:`~repro.ordering.nested_dissection.dissect`: every round, one
+multi-source BFS serves all open frames, which is exact because open frames
+are pairwise disjoint and non-adjacent (components are; the two parts of a
+split are, the separator being exactly the far-side vertices next to the
+near part; and frames inside non-adjacent frames stay so).  PORD differs
+only in its leaf test (``size <= leaf_size`` or ``nd_levels`` splits above
+the frame; components keep their parent's depth) and in ordering every
+separator, and the hubs, with the minimum-degree engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ordering.nested_dissection import _connected_components, extract_hubs, find_separator
+from repro.ordering.nested_dissection import dissect, extract_hubs
 from repro.ordering.quotient_graph import order_subgraph, tie_breakers
 from repro.sparse.pattern import SparsePattern
 
@@ -51,50 +61,14 @@ def pord_ordering(
         produces the intermediate tree shapes we are after).
     """
     indptr, indices = pattern.adjacency()
-    n = pattern.n
-    position = np.empty(n, dtype=np.int64)
-    next_pos = 0
-
-    jitter = tie_breakers(seed, n)
-
-    def order_with(vertices: np.ndarray, score: str) -> np.ndarray:
-        return order_subgraph(indptr, indices, vertices, score, jitter)
-
-    def assign(vertices_in_order: np.ndarray) -> None:
-        nonlocal next_pos
-        position[next_pos:next_pos + vertices_in_order.size] = vertices_in_order
-        next_pos += vertices_in_order.size
-
-    hubs = extract_hubs(indptr, indices)
-    non_hubs = np.setdiff1d(np.arange(n, dtype=np.int64), hubs, assume_unique=False)
-    pending: list[tuple[str, np.ndarray, int]] = []
-    if hubs.size:
-        pending.append(("emit", hubs, 0))
-    pending.append(("dissect", non_hubs, 0))
-    while pending:
-        kind, verts, level = pending.pop()
-        if kind == "emit":
-            # separators are ordered bottom-up (minimum degree) on their own subgraph
-            assign(order_with(verts, "degree"))
-            continue
-        if verts.size == 0:
-            continue
-        if verts.size <= leaf_size or level >= nd_levels:
-            assign(order_with(verts, "fill"))
-            continue
-        comps, levels = _connected_components(indptr, indices, verts)
-        if len(comps) > 1:
-            for comp in comps:
-                pending.append(("dissect", comp, level))
-            continue
-        part_a, part_b, separator = find_separator(indptr, indices, verts, balance=balance, levels=levels)
-        if separator.size == 0 or part_a.size == 0 or part_b.size == 0:
-            assign(order_with(verts, "fill"))
-            continue
-        pending.append(("emit", separator, level))
-        pending.append(("dissect", part_b, level + 1))
-        pending.append(("dissect", part_a, level + 1))
-
-    if next_pos != n:
-        raise RuntimeError("pord ordering failed to order every vertex")
-    return position
+    jitter = tie_breakers(seed, pattern.n)
+    return dissect(
+        indptr,
+        indices,
+        extract_hubs(indptr, indices),
+        balance=balance,
+        is_leaf=lambda size, depth: size <= leaf_size or depth >= nd_levels,
+        order_leaf=lambda vertices: order_subgraph(indptr, indices, vertices, "fill", jitter),
+        # separators (and the hubs) are ordered bottom-up on their own subgraph
+        order_separator=lambda vertices: order_subgraph(indptr, indices, vertices, "degree", jitter),
+    )

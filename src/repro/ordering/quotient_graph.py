@@ -25,11 +25,20 @@ The kernel (:func:`_greedy`, one loop over local lists) implements the
 quotient graph with:
 
 * approximate external degrees (the ``|Le \\ Lp|`` trick of AMD, computed in
-  one pass over the freshly formed element);
+  one pass over the freshly formed element).  As in AMD's ``w`` array, the
+  counts live in *element marks*: one list ``wmark`` indexed by element id
+  (element ids are pivot counts, so below ``n``, and ``element_vars`` /
+  ``element_size`` are plain lists too).  A mark is ``-1`` between pivots;
+  the first variable of ``Lp`` to touch an element sets it to ``|Le|``
+  less its weight, every later one subtracts its own, the degree loop
+  reads ``|Le \\ Lp|`` from it, and the list of touched elements resets
+  the marks after that loop;
 * element absorption (elements entirely contained in the new one disappear);
 * supervariable detection by hashing the external adjacency (mass
   elimination), which is what keeps FEM-style matrices with several dofs
-  per node tractable; a collision is settled by comparing element sets;
+  per node tractable: each bucket is keyed on the first variable seen, a
+  group forms only when a second one collides with it, and a collision is
+  settled by comparing element sets;
 * two inlined scores: AMD's approximate degree and AMF's approximate
   deficiency.  Every term of either is an integer, so scores are exact.
 
@@ -46,7 +55,10 @@ has since risen is pushed back at ``cur[v]``, and any other popped entry
 (untracked, or of a dead variable) is dropped.  So the first popped tracked
 entry equal to ``cur[v]`` is no greater than any live variable's current
 key: it is the exact argmin above, and orderings do not depend on the
-laziness.
+laziness.  The degree score is final once the degree loop has computed it,
+so it is pushed there; a variable merged later in the same pivot leaves
+only a dead entry, dropped on pop.  The fill score also reads the element
+sizes after absorption, so it is rescored in a second loop.
 """
 
 from __future__ import annotations
@@ -177,11 +189,15 @@ def _greedy(adj: list[int], score: str, jitter: list[float]) -> np.ndarray:
     fill = score == "fill"
     n = len(adj)
     elems: list[set[int]] = [set() for _ in range(n)]  # variable -> adjacent element ids
-    element_vars: dict[int, int] = {}  # element id -> bitset of its variables
+    # element ids are pivot counts, so below n: element id -> bitset of its
+    # variables (0 once absorbed)
+    element_vars = [0] * n
     # element id -> total weight of its members.  Supervariable merges
     # conserve it (the absorbed weight moves into the principal that stays
     # in the element), so the value recorded at creation stays exact.
-    element_size: dict[int, int] = {}
+    element_size = [0] * n
+    # element id -> |Le \ Lp| while pivot p is processed, -1 otherwise
+    wmark = [-1] * n
     weight = [1] * n  # variables represented by each principal
     heavy = 0  # principals of weight > 1, as a bitset
     merged: list[list[int]] = [[] for _ in range(n)]  # variables merged into each principal
@@ -223,8 +239,8 @@ def _greedy(adj: list[int], score: str, jitter: list[float]) -> np.ndarray:
         lp_mask = adj[p]
         ep = elems[p]
         for e in ep:
-            lp_mask |= element_vars.pop(e)
-            del element_size[e]
+            lp_mask |= element_vars[e]
+            element_vars[e] = 0
         elems[p] = set()
         adj[p] = 0
         dead[p] = True
@@ -235,8 +251,9 @@ def _greedy(adj: list[int], score: str, jitter: list[float]) -> np.ndarray:
         element_vars[e_new] = lp_mask
         lp_weight = element_size[e_new] = sum(map(weight.__getitem__, lp))
 
-        # |Le ∩ Lp| for every element e touching Lp, in one pass
-        overlap: dict[int, int] = {}
+        # element marks: wmark[e] = |Le \ Lp| for every element e touching
+        # Lp, in one pass (0 for the new element)
+        touched = []
         for v in lp:
             # drop the elements just absorbed into the new one: every other
             # element of a live variable is still live
@@ -244,46 +261,55 @@ def _greedy(adj: list[int], score: str, jitter: list[float]) -> np.ndarray:
             ev -= ep
             w = weight[v]
             for e in ev:
-                overlap[e] = overlap.get(e, 0) + w
+                m = wmark[e]
+                if m < 0:
+                    wmark[e] = element_size[e] - w
+                    touched.append(e)
+                else:
+                    wmark[e] = m - w
             ev.add(e_new)
+        wmark[e_new] = 0
 
         # aggressive element absorption: an old element fully inside Lp is
-        # gone (its variables are all in Lp, and leave it below); the others
-        # keep |Le \ Lp| variables outside, 0 for the new element
-        absorbed: set[int] = set()
-        outside = {e_new: 0}
-        for e, ov in overlap.items():
-            rest = element_size[e] - ov
-            if rest:
-                outside[e] = rest
-            else:
-                absorbed.add(e)
-                del element_vars[e]
-                del element_size[e]
+        # gone (its variables are all in Lp, and leave it below)
+        absorbed = {e for e in touched if not wmark[e]}
+        for e in absorbed:
+            element_vars[e] = 0
 
         # approximate degree update for the variables of the new element:
         # |Le \ Lp| for every surviving element.  Dead variables (p included)
         # are masked out of the variable adjacency, and neighbours inside Lp
         # are covered by the new element; what remains is the external
-        # adjacency, which keys the supervariable buckets.
+        # adjacency, which keys the supervariable buckets (each keyed on
+        # the first variable seen; a group forms only on a collision)
         outside_lp = live & ~lp_mask
-        buckets: dict[int, list[int]] = {}
+        first: dict[int, int] = {}
+        groups: dict[int, list[int]] = {}
         for v in lp:
             ev = elems[v]
             if absorbed:
                 ev -= absorbed
             ext = adj[v] & outside_lp
-            d = lp_weight - weight[v] + ext.bit_count() + sum(map(outside.__getitem__, ev))
+            d = lp_weight - weight[v] + ext.bit_count() + sum(map(wmark.__getitem__, ev))
             todo = ext & heavy
             while todo:  # add the extra weight of the supervariables one by one
                 top = todo.bit_length() - 1
                 d += weight[top] - 1
                 todo ^= 1 << top
             degree[v] = d
-            buckets.setdefault(ext, []).append(v)
-        for group in buckets.values():
-            if len(group) == 1:
-                continue
+            if not fill:
+                # a variable merged below leaves a dead entry, dropped on pop
+                k = cur[v] = (d << shift) | rank[v]
+                if k < entry[v]:
+                    heappush(heap, k)
+                    entry[v] = k
+            f = first.setdefault(ext, v)
+            if f != v:
+                groups.setdefault(f, [f]).append(v)
+        for e in touched:
+            wmark[e] = -1
+        wmark[e_new] = -1
+        for group in groups.values():
             # supervariable detection (mass elimination): variables of Lp
             # with the same external adjacency and the same elements are
             # indistinguishable
@@ -311,22 +337,23 @@ def _greedy(adj: list[int], score: str, jitter: list[float]) -> np.ndarray:
             perm.append(v)
             stack.extend(merged[v])
 
-        # rescore the survivors of Lp: only they changed
+        if not fill:
+            continue
+        # rescore the survivors of Lp: only they changed.  Approximate
+        # deficiency: eliminating u fills at most d(d-1)/2 edges, less the
+        # ones already inside each adjacent element (a clique; u belongs to
+        # each of them)
         for u in lp:
             if dead[u]:
                 continue
             su = degree[u]
-            if fill:
-                # approximate deficiency: eliminating u fills at most
-                # d(d-1)/2 edges, less the ones already inside each adjacent
-                # element (a clique; u belongs to each of them)
-                w = weight[u]
-                su = su * (su - 1) // 2
-                for e in elems[u]:
-                    k = element_size[e] - w
-                    su -= k * (k - 1) // 2
-                if su < 0:
-                    su = 0
+            w = weight[u]
+            su = su * (su - 1) // 2
+            for e in elems[u]:
+                k = element_size[e] - w
+                su -= k * (k - 1) // 2
+            if su < 0:
+                su = 0
             k = cur[u] = (su << shift) | rank[u]
             if k < entry[u]:
                 heappush(heap, k)

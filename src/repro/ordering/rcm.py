@@ -15,23 +15,39 @@ produces: the queue pops the level's vertices in the order they were
 appended, scans each one's CSR row in turn and appends every neighbour the
 first time it is seen, and vertices of earlier levels are already marked.
 
-A level structure ``(level, order)`` is computed once and handed on.
-:func:`peripheral_level_structure` takes its first sweep from the caller
-(the dissection's connected-components BFS is exactly that sweep) and
-returns the level structure rooted at the vertex it settles on, which is
-the one the separator is cut from.  :func:`pseudo_peripheral_node` is the
-start-vertex form that RCM uses.
+:func:`bfs_levels` takes several start vertices at once.  When the starts
+lie in pairwise disjoint, non-adjacent vertex sets, no edge joins two sets,
+so a vertex's candidates all come from its own set and the first
+occurrences never mix sets: restricted to one set, the levels and the visit
+order are exactly that set's own single-source BFS.  The dissection driver
+(:mod:`repro.ordering.nested_dissection`) keeps its open frames pairwise
+non-adjacent and runs one such BFS per round for all of them.
+
+The George-Liu pseudo-peripheral search (George & Liu, 1979) is written once,
+as the generator :func:`peripheral_search`: it yields the root of each next
+sweep and is sent that sweep's level structure ``(level, order)``, so the
+driver can advance many searches with one BFS per round while :func:`solo`
+runs a single one with its own BFS calls.  The search takes its first sweep
+from the caller (the dissection's connected-components BFS is exactly that
+sweep) and returns the level structure rooted at the vertex it settles on,
+which is the one the separator is cut from.  :func:`pseudo_peripheral_node`
+is the start-vertex form that RCM uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Generator
 
 import numpy as np
 
 from repro.sparse.pattern import SparsePattern
 
-__all__ = ["rcm_ordering", "pseudo_peripheral_node", "peripheral_level_structure", "bfs_levels", "gather_rows"]
+__all__ = ["rcm_ordering", "pseudo_peripheral_node", "peripheral_search", "solo", "bfs_levels", "gather_rows"]
+
+#: a level structure ``(level, order)``: the BFS level of every vertex (−1
+#: where unreached) and the visited vertices in visit order
+Levels = tuple[np.ndarray, np.ndarray]
 
 
 def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,17 +60,21 @@ def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tu
     return indices[pos], counts
 
 
-def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """BFS level of every reachable vertex (−1 for unreachable), plus the visit order."""
+def bfs_levels(indptr: np.ndarray, indices: np.ndarray, starts, mask: np.ndarray) -> Levels:
+    """BFS level of every reachable vertex (−1 for unreachable), plus the visit order.
+
+    ``starts`` is one vertex or a sequence of them, all at level 0 (see the
+    module docstring for when that is several independent searches).
+    """
     n = len(indptr) - 1
+    frontier = np.array(starts, dtype=np.int64, ndmin=1)
     level = np.full(n, -1, dtype=np.int64)
-    level[start] = 0
+    level[frontier] = 0
     unseen = mask.copy()
-    unseen[start] = False
+    unseen[frontier] = False
     # earliest position of each vertex among a level's candidates (a level
     # has fewer candidates than the graph has entries)
     slot = np.full(n, indices.size, dtype=np.int64)
-    frontier = np.array([start], dtype=np.int64)
     levels = [frontier]
     depth = 0
     while True:
@@ -73,35 +93,45 @@ def bfs_levels(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.nda
     return level, np.concatenate(levels)
 
 
-def peripheral_level_structure(
-    indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray, level: np.ndarray, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def peripheral_search(
+    indptr: np.ndarray, level: np.ndarray, order: np.ndarray
+) -> Generator[int, Levels, Levels]:
     """George-Liu pseudo-peripheral search, seeded with its first sweep.
 
-    ``(level, order)`` is the :func:`bfs_levels` structure rooted at
-    ``order[0]``; the search restarts from a minimum-degree vertex of the
-    deepest level until the eccentricity stops growing.  Returns the level
-    structure rooted at the vertex it settles on (``order[0]``), so neither
-    the first sweep nor the last one is run twice.
+    ``(level, order)`` is the level structure rooted at ``order[0]``; the
+    search restarts from a minimum-degree vertex of the deepest level (the
+    first in visit order among equals) until the eccentricity stops
+    growing, for at most eight sweeps and a final one.  Yields the root of
+    each further sweep and returns the level structure rooted at the vertex
+    it settles on (``order[0]``), so neither the first sweep nor the last
+    one is run twice.
     """
-    current = int(order[0])
     last_ecc = -1
-    for sweep in range(8):  # converges in a handful of sweeps
-        if sweep:
-            level, order = bfs_levels(indptr, indices, current, mask)
+    for _ in range(8):  # converges in a handful of sweeps
         ecc = int(level[order[-1]])
         if ecc <= last_ecc:
             return level, order
         last_ecc = ecc
         # restart from a minimum-degree vertex of the last level
         last_level = order[level[order] == ecc]
-        current = int(last_level[np.argmin(indptr[last_level + 1] - indptr[last_level])])
-    return bfs_levels(indptr, indices, current, mask)
+        level, order = yield int(last_level[np.argmin(indptr[last_level + 1] - indptr[last_level])])
+    return level, order
+
+
+def solo(search: Generator[int, Levels, object], indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray):
+    """Run one search to its end, one :func:`bfs_levels` call per yielded root."""
+    try:
+        root = next(search)
+        while True:
+            root = search.send(bfs_levels(indptr, indices, root, mask))
+    except StopIteration as done:
+        return done.value
 
 
 def pseudo_peripheral_node(indptr: np.ndarray, indices: np.ndarray, start: int, mask: np.ndarray) -> int:
     """Vertex far away from ``start`` (George-Liu pseudo-peripheral heuristic)."""
-    _, order = peripheral_level_structure(indptr, indices, mask, *bfs_levels(indptr, indices, start, mask))
+    search = peripheral_search(indptr, *bfs_levels(indptr, indices, start, mask))
+    _, order = solo(search, indptr, indices, mask)
     return int(order[0])
 
 

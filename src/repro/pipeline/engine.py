@@ -144,18 +144,28 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------ #
     # stage resolution
     # ------------------------------------------------------------------ #
+    def stage_keys(self, spec: CaseSpec) -> dict[str, str]:
+        """Content-addressed key of every analysis stage's artifact for ``spec``.
+
+        Derived once each, in dependency order: a stage's key covers its
+        params and the keys of its upstream stages.
+        """
+        keys: dict[str, str] = {}
+        for name, stage in STAGES.items():
+            upstream_keys = tuple(keys[dep] for dep in stage.requires)
+            keys[name] = content_key(name, "1", stage.params(self, spec), upstream_keys)
+        return keys
+
     def stage_key(self, stage_name: str, spec: CaseSpec) -> str:
         """Content-addressed key of one analysis stage's artifact for ``spec``."""
-        stage = STAGES[stage_name]
-        upstream_keys = tuple(self.stage_key(dep, spec) for dep in stage.requires)
-        return content_key(stage_name, "1", stage.params(self, spec), upstream_keys)
+        return self.stage_keys(spec)[stage_name]
 
     def artifact(self, stage_name: str, spec: CaseSpec) -> object:
         """Artifact of ``stage_name`` for ``spec``, computing what's missing.
 
         The store lookup happens *before* the upstream artifacts are
-        resolved — keys derive recursively from params alone — so a hit
-        (e.g. an ordering or a seeded analysis bundle from the disk tier)
+        resolved — keys derive from params alone — so a hit (e.g. an
+        ordering or a seeded analysis bundle from the disk tier)
         short-circuits the whole upstream chain instead of materialising it.
 
         ``"simulate"`` runs the one simulation of a clean case, uncached (see
@@ -172,17 +182,21 @@ class AnalysisPipeline:
             with self._lock:
                 return self._simulate(self.analysis_for(spec), spec.strategy, config)
         with self._lock:
-            key = self.stage_key(stage_name, spec)
-            try:
-                return self.store.get(key)
-            except KeyError:
-                pass
-            stage = STAGES[stage_name]
-            upstream = [self.artifact(dep, spec) for dep in stage.requires]
-            value = stage.compute(*upstream, **stage.params(self, spec))
-            self.stage_runs[stage_name] += 1
-            self.store.put(key, value, persist=stage.persist)
-            return value
+            return self._artifact(stage_name, spec, self.stage_keys(spec))
+
+    def _artifact(self, stage_name: str, spec: CaseSpec, keys: dict[str, str]) -> object:
+        """:meth:`artifact` of an analysis stage, given ``stage_keys(spec)``."""
+        key = keys[stage_name]
+        try:
+            return self.store.get(key)
+        except KeyError:
+            pass
+        stage = STAGES[stage_name]
+        upstream = [self._artifact(dep, spec, keys) for dep in stage.requires]
+        value = stage.compute(*upstream, **stage.params(self, spec))
+        self.stage_runs[stage_name] += 1
+        self.store.put(key, value, persist=stage.persist)
+        return value
 
     # ------------------------------------------------------------------ #
     # convenience accessors (the façade and the figures use these)
@@ -212,8 +226,8 @@ class AnalysisPipeline:
         ``ordering`` label is ``spec.ordering``, whichever spelling of that
         ordering built the bundle.
         """
-        split_key = self.stage_key("split", spec)
-        mapping_key = self.stage_key("mapping", spec)
+        keys = self.stage_keys(spec)
+        split_key, mapping_key = keys["split"], keys["mapping"]
         # version 2: bundles of version 1 carried the unscaled problem default
         # as ``split_threshold`` instead of the threshold the split applied
         key = content_key("analysis", "2", {}, (split_key, mapping_key))
@@ -239,17 +253,18 @@ class AnalysisPipeline:
             return products
         from repro.pipeline.stages import _get_problem  # lazy (import cycle)
 
-        split_art = self.artifact("split", spec)
-        products = AnalysisProducts(
-            problem=_get_problem(spec.problem).name,
-            ordering=spec.ordering,
-            scale=self.effective_scale(spec),
-            split=bool(spec.split),
-            split_threshold=split_art.threshold,
-            tree=split_art.tree,
-            mapping=self.artifact("mapping", spec),
-            nodes_split=split_art.nodes_split,
-        )
+        with self._lock:
+            split_art = self._artifact("split", spec, keys)
+            products = AnalysisProducts(
+                problem=_get_problem(spec.problem).name,
+                ordering=spec.ordering,
+                scale=self.effective_scale(spec),
+                split=bool(spec.split),
+                split_threshold=split_art.threshold,
+                tree=split_art.tree,
+                mapping=self._artifact("mapping", spec, keys),
+                nodes_split=split_art.nodes_split,
+            )
         self.store.put(key, products, persist=True)
         return products
 

@@ -21,6 +21,7 @@ from repro.bench import (
     SuiteInstance,
     compare_runs,
     default_baseline_path,
+    median_run,
     suite_names,
 )
 from repro.cli import main as repro_main
@@ -617,6 +618,94 @@ class TestCalibration:
         assert slower.deltas[0].verdict == "regression"
         assert slower.deltas[0].ratio == pytest.approx(2.0)
         assert slower.to_dict()["deltas"][0]["calibrated"] is True
+
+
+# --------------------------------------------------------------------------- #
+# folding several runs into one baseline
+# --------------------------------------------------------------------------- #
+class TestMedianRun:
+    @staticmethod
+    def _run(cases: dict[str, tuple], stamp: str) -> BenchRun:
+        """key -> (raw best, calibrated best), or None for an errored case."""
+        run = BenchRun(host="h", timestamp=stamp, env={"scale": 0.2, "nprocs": 32})
+        for key, times in cases.items():
+            suite, name = key.split("/")
+            case = BenchCase(name, suite, (("scale", 0.2),))
+            if times is None:
+                run.results.append(BenchResult(case=case, error="boom"))
+            else:
+                raw, calibrated = times
+                run.results.append(
+                    BenchResult(
+                        case=case, seconds=[raw, raw * 1.5], calibrated_seconds=[calibrated, calibrated * 2]
+                    )
+                )
+        return run
+
+    def test_per_case_median_of_injected_runs(self):
+        runs = [
+            self._run({"s/a": (1.0, 0.9), "s/b": (3.0, 3.0), "s/c": None}, "t1"),
+            self._run({"s/a": (5.0, 0.2), "s/b": (1.0, 1.0), "s/c": None}, "t2"),
+            self._run({"s/a": (2.0, 0.5), "s/b": (2.0, 2.0), "s/c": (4.0, 4.0)}, "t3"),
+        ]
+        folded = median_run(runs)
+        best = {r.case.key: (r.best, r.calibrated_best, r.error) for r in folded.results}
+        # the median is taken on the calibrated best; the whole result comes along
+        assert best == {"s/a": (2.0, 0.5, None), "s/b": (2.0, 2.0, None), "s/c": (4.0, 4.0, None)}
+        assert [r.case.key for r in folded.results] == ["s/a", "s/b", "s/c"]
+        assert (folded.timestamp, folded.env) == ("t3", {"scale": 0.2, "nprocs": 32})
+        assert folded.schema == SCHEMA_VERSION
+
+    def test_one_lucky_run_cannot_set_the_baseline(self):
+        lucky = self._run({"s/a": (0.6, 0.6)}, "lucky")
+        usual = [self._run({"s/a": (t, t)}, f"t{t}") for t in (1.0, 1.1, 0.95)]
+        folded = median_run([lucky, *usual])
+        # upper median of four: one fast outlier moves nothing to its side
+        assert folded.results[0].calibrated_best == 1.0
+        later = self._run({"s/a": (1.05, 1.05)}, "later")
+        assert compare_runs(later, folded).deltas[0].verdict == "within-tolerance"
+        assert compare_runs(later, lucky).deltas[0].verdict == "regression"
+
+    def test_all_errored_case_stays_an_error_and_raw_times_are_used_without_calibration(self):
+        runs = [self._run({"s/a": None}, "t1"), self._run({"s/a": None}, "t2")]
+        assert median_run(runs).results[0].error == "boom"
+        raw = [BenchRun(host="h", timestamp=str(t)) for t in range(3)]
+        for run, best in zip(raw, (3.0, 1.0, 2.0)):
+            run.results.append(BenchResult(case=BenchCase("a", "s"), seconds=[best]))
+        assert median_run(raw).results[0].best == 2.0
+
+    def test_mismatched_runs_are_rejected(self):
+        base = self._run({"s/a": (1.0, 1.0)}, "t1")
+        other_env = self._run({"s/a": (1.0, 1.0)}, "t2")
+        other_env.env = {"scale": 0.3, "nprocs": 32}
+        with pytest.raises(ValueError, match="settings"):
+            median_run([base, other_env])
+        other_knobs = self._run({"s/a": (1.0, 1.0)}, "t2")
+        other_knobs.results[0].case = BenchCase("a", "s", (("scale", 0.3),))
+        with pytest.raises(ValueError, match="knobs"):
+            median_run([base, other_knobs])
+        with pytest.raises(ValueError):
+            median_run([])
+
+    def test_fold_cli_writes_a_baseline_compare_reads(self, tmp_path, capsys):
+        paths = []
+        for i, t in enumerate((1.0, 3.0, 2.0)):
+            path = tmp_path / f"run{i}.json"
+            self._run({"s/a": (t, t)}, f"t{i}").save(str(path))
+            paths.append(str(path))
+        out = str(tmp_path / "baseline.json")
+        assert repro_main(["bench", "fold", *paths, "--save", out, "--format", "json"]) == 0
+        assert BenchRun.load(out).results[0].calibrated_best == 2.0
+        capsys.readouterr()
+        assert repro_main(["bench", "compare", paths[2], out, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["deltas"][0]["ratio"] == 1.0
+        mismatched = tmp_path / "other.json"
+        run = self._run({"s/a": (1.0, 1.0)}, "t")
+        run.env = {"scale": 0.5}
+        run.save(str(mismatched))
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["bench", "fold", paths[0], str(mismatched), "--save", out])
+        assert excinfo.value.code == 2
 
 
 # --------------------------------------------------------------------------- #

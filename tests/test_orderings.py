@@ -17,14 +17,35 @@ from repro.ordering import (
     pord_ordering,
     rcm_ordering,
 )
-from repro.ordering.nested_dissection import _connected_components, extract_hubs, find_separator
+from repro.ordering.nested_dissection import _components, _cut, extract_hubs
 from repro.ordering.quotient_graph import greedy_ordering, induced_subgraph, order_subgraph, tie_breakers
-from repro.ordering.rcm import bfs_levels
+from repro.ordering.rcm import bfs_levels, peripheral_search, solo
 from repro.sparse import SparsePattern, arrow_pattern, circuit_pattern, grid_2d, grid_3d, random_pattern
 from repro.symbolic.colcounts import symbolic_fill
 
 
 ALL_METHODS = ["metis", "pord", "amd", "amf", "rcm", "natural"]
+
+
+def connected_components(indptr, indices, vertices):
+    """The dissection driver's component search, run on its own: the
+    components of the subgraph induced by ``vertices``, each in BFS order
+    from its first vertex in ``vertices``, plus the first one's levels."""
+    inset = np.zeros(len(indptr) - 1, dtype=bool)
+    inset[vertices] = True
+    comps = solo(_components(vertices), indptr, indices, inset)
+    return [comp for _, comp in comps], comps[0]
+
+
+def find_separator(indptr, indices, vertices, *, balance=0.5, levels=None):
+    """The driver's split of one connected frame, run on its own:
+    ``(part_a, part_b, separator)``; ``levels`` is the search's first sweep."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    mask = np.zeros(len(indptr) - 1, dtype=bool)
+    mask[vertices] = True
+    if levels is None:
+        levels = bfs_levels(indptr, indices, int(vertices[0]), mask)
+    return _cut(*solo(peripheral_search(indptr, *levels), indptr, indices, mask), balance)
 
 
 class TestRegistry:
@@ -226,6 +247,35 @@ def test_property_bfs_levels_matches_fifo_queue(n, density, seed, symmetric, mas
     assert order.tolist() == want_order
 
 
+@settings(max_examples=60, deadline=None)
+@given(**graph_args, cut_frac=st.sampled_from([0.0, 0.1, 0.3]))
+def test_property_multi_source_bfs_matches_fifo_queue_per_set(n, density, seed, cut_frac):
+    """Pairwise non-adjacent vertex sets (the components left after deleting a
+    random separator): one BFS from every set's start is each set's own BFS."""
+    indptr, indices = random_graph(n, density, seed, symmetric=True).adjacency()
+    rng = np.random.default_rng(seed + 2)
+    mask = rng.random(n) >= cut_frac
+    sets, seen = [], np.zeros(n, dtype=bool)
+    for v in rng.permutation(n).tolist():
+        if mask[v] and not seen[v]:
+            _, comp = deque_bfs(indptr, indices, v, mask)
+            seen[comp] = True
+            # restart each set from a random member of it
+            sets.append(int(rng.choice(comp)))
+    if not sets:
+        return
+    level, order = bfs_levels(indptr, indices, sets, mask)
+    visited = 0
+    for start in sets:
+        want_level, want_order = deque_bfs(indptr, indices, start, mask)
+        got = order[np.isin(order, want_order)]
+        assert got.tolist() == want_order
+        assert level[want_order].tolist() == [want_level[v] for v in want_order]
+        visited += len(want_order)
+    assert order.size == visited
+    assert (level[~np.isin(np.arange(n), order)] == -1).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(**graph_args)
 def test_property_connected_components_match_fifo_queue(n, density, seed):
@@ -239,7 +289,7 @@ def test_property_connected_components_match_fifo_queue(n, density, seed):
             _, comp = deque_bfs(indptr, indices, v, inset)
             seen.update(comp)
             want.append(comp)
-    assert [c.tolist() for c in _connected_components(indptr, indices, vertices)[0]] == want
+    assert [c.tolist() for c in connected_components(indptr, indices, vertices)[0]] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,7 +330,7 @@ def test_property_order_subgraph_equals_greedy_on_submatrix(n, density, seed, sc
 def test_property_find_separator_with_handed_over_levels(n, density, seed, balance):
     indptr, indices = random_graph(n, density, seed, symmetric=True).adjacency()
     vertices = np.random.default_rng(seed).permutation(n)[: max(1, n // 2)]
-    _, levels = _connected_components(indptr, indices, vertices)
+    _, levels = connected_components(indptr, indices, vertices)
     # the handed-over structure is rooted at the frame's first vertex
     assert int(levels[1][0]) == int(vertices[0])
     for got, want in zip(
@@ -288,3 +338,19 @@ def test_property_find_separator_with_handed_over_levels(n, density, seed, balan
         find_separator(indptr, indices, vertices, balance=balance),
     ):
         assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**graph_args, balance=st.sampled_from([0.2, 0.45, 0.5, 0.9]))
+def test_property_separator_is_the_far_side_next_to_part_a(n, density, seed, balance):
+    """On a connected frame the cut level is exactly the far-side vertices
+    adjacent to part ``a``, and part ``b`` never touches ``a``."""
+    indptr, indices = random_graph(n, density, seed, symmetric=True).adjacency()
+    vertices = np.random.default_rng(seed).permutation(n)[: max(1, n // 2)]
+    frame = connected_components(indptr, indices, vertices)[0][0]
+    part_a, part_b, sep = find_separator(indptr, indices, frame, balance=balance)
+    assert sorted(np.concatenate([part_a, part_b, sep]).tolist()) == sorted(frame.tolist())
+    in_a = np.zeros(n, dtype=bool)
+    in_a[part_a] = True
+    touches_a = [bool(in_a[indices[indptr[v]:indptr[v + 1]]].any()) for v in np.concatenate([part_b, sep])]
+    assert touches_a == [False] * part_b.size + [True] * sep.size
