@@ -143,6 +143,11 @@ def dissect(
     mask[hubs] = False
     label = np.zeros(n, dtype=np.int64)  # the frame of each vertex of an open frame
     labels = 0
+    # (frame, what to send it next): a work list, so that neither helper
+    # below calls the other back; closures calling each other would form a
+    # reference cycle that keeps the dissection's arrays alive until the
+    # cyclic garbage collector runs
+    ready: list[tuple[_Open, Optional[Levels]]] = []
     waiting: list[tuple[int, _Open]] = []  # (root of the BFS it asks for, frame)
 
     def open_frame(vertices: np.ndarray, levels: Optional[Levels], depth: int, slot: list) -> None:
@@ -154,7 +159,7 @@ def dissect(
             return
         labels += 1
         label[vertices] = labels
-        advance(_Open(labels, _frame(indptr, vertices, levels, balance), slot, depth, vertices), None)
+        ready.append((_Open(labels, _frame(indptr, vertices, levels, balance), slot, depth, vertices), None))
 
     def advance(frame: _Open, levels: Optional[Levels]) -> None:
         try:
@@ -181,7 +186,10 @@ def dissect(
 
     emitted: list = []
     open_frame(np.flatnonzero(mask), None, 0, emitted)
-    while waiting:
+    while ready or waiting:
+        if ready:
+            advance(*ready.pop())
+            continue
         batch = sorted(waiting, key=lambda item: item[1].label)
         waiting.clear()
         level, order = bfs_levels(indptr, indices, [root for root, _ in batch], mask)
@@ -193,8 +201,7 @@ def dissect(
             by_frame = np.argsort(owner, kind="stable")
             ends = np.searchsorted(owner[by_frame], [frame.label for _, frame in batch], side="right")
             segments = np.split(order[by_frame], ends[:-1])
-        for (_, frame), segment in zip(batch, segments):
-            advance(frame, (level, segment))
+        ready.extend((frame, (level, segment)) for (_, frame), segment in zip(batch, segments))
     if hubs.size:
         emitted.append(order_separator(hubs))
 

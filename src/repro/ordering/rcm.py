@@ -37,7 +37,7 @@ is the start-vertex form that RCM uses.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -60,7 +60,9 @@ def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tu
     return indices[pos], counts
 
 
-def bfs_levels(indptr: np.ndarray, indices: np.ndarray, starts, mask: np.ndarray) -> Levels:
+def bfs_levels(
+    indptr: np.ndarray, indices: np.ndarray, starts: int | Sequence[int], mask: np.ndarray
+) -> Levels:
     """BFS level of every reachable vertex (−1 for unreachable), plus the visit order.
 
     ``starts`` is one vertex or a sequence of them, all at level 0 (see the
@@ -118,7 +120,9 @@ def peripheral_search(
     return level, order
 
 
-def solo(search: Generator[int, Levels, object], indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray):
+def solo(
+    search: Generator[int, Levels, object], indptr: np.ndarray, indices: np.ndarray, mask: np.ndarray
+) -> object:
     """Run one search to its end, one :func:`bfs_levels` call per yielded root."""
     try:
         root = next(search)
