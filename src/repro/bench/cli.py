@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     fold = sub.add_parser("fold", help="fold saved runs into one baseline: per case, the median run")
     fold.add_argument("runs", nargs="+", metavar="RUN", help="result JSONs produced by 'bench run --save'")
     fold.add_argument("--save", required=True, metavar="PATH", help="write the folded baseline JSON here")
-    fold.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
 
     lst = sub.add_parser("list", help="list the available suites")
     lst.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
@@ -421,7 +420,6 @@ def _cmd_fold(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     run.save(args.save)
-    print(render_run(run, args.format))
     print(f"folded {len(args.runs)} run(s) into {args.save}", file=sys.stderr)
     return 0
 

@@ -30,7 +30,10 @@ non-adjacent.  By induction over how a frame is made:
 
 Separators and hubs leave the BFS mask, so a frame's BFS never leaves the
 frame, and restricted to one frame the multi-source BFS is that frame's own
-(see :mod:`repro.ordering.rcm`).
+(see :mod:`repro.ordering.rcm`).  For the same reason every round writes
+into one level array: a round changes only the levels of the frames it
+searches, so a frame's levels stay as its own last search left them, and
+the driver's memory stays O(n) however many frames or components are open.
 
 Two kinds of BFS are never run.  A component's first sweep is the BFS that
 found it.  Part ``a`` of a split, the ball of radius ``cut − 1`` around the
@@ -62,17 +65,19 @@ from repro.sparse.pattern import SparsePattern
 __all__ = ["nested_dissection_ordering", "dissect", "extract_hubs"]
 
 
-def _components(vertices: np.ndarray) -> Generator[int, Levels, list[Levels]]:
+def _components(level: np.ndarray, vertices: np.ndarray) -> Generator[int, Levels, list[np.ndarray]]:
     """Connected components of a frame, as a search.
 
-    Returns the level structure of each component, rooted at its first
-    vertex in ``vertices``, in the order of those first vertices.
+    Returns each component in BFS order from its first vertex in
+    ``vertices``, in the order of those first vertices; ``level`` is the
+    array the searches write into, and holds each component's levels.
     """
-    comps: list[Levels] = []
+    comps: list[np.ndarray] = []
     rest = vertices
     while rest.size:
-        level, comp = yield int(rest[0])
-        comps.append((level, comp))
+        level[rest] = -1  # so that the vertices this search misses read −1
+        _, comp = yield int(rest[0])
+        comps.append(comp)
         if comp.size == rest.size:
             break
         rest = rest[level[rest] < 0]
@@ -94,21 +99,21 @@ def _cut(level: np.ndarray, order: np.ndarray, balance: float) -> tuple[np.ndarr
 
 
 def _frame(
-    indptr: np.ndarray, vertices: np.ndarray, levels: Optional[Levels], balance: float
+    indptr: np.ndarray, level: np.ndarray, vertices: np.ndarray, swept: bool, balance: float
 ) -> Generator[int, Levels, object]:
     """One dissection frame, as a search.
 
-    ``levels`` is the frame's first sweep when the driver already has it (the
-    frame is then connected).  Returns the list of its components' level
-    structures when it is disconnected, else ``(level, a, b, separator)``.
+    ``swept`` says that ``vertices`` already is the visit order of a BFS from
+    ``vertices[0]`` whose levels are in ``level``: the frame's first sweep
+    (the frame is then connected).  Returns the list of its components when
+    it is disconnected, else ``(a, b, separator)``.
     """
-    if levels is None:
-        comps = yield from _components(vertices)
+    if not swept:
+        comps = yield from _components(level, vertices)
         if len(comps) > 1:
             return comps
-        levels = comps[0]
-    level, order = yield from peripheral_search(indptr, *levels)
-    return (level, *_cut(level, order, balance))
+        vertices = comps[0]
+    return _cut(*(yield from peripheral_search(indptr, level, vertices)), balance)
 
 
 class _Open(NamedTuple):
@@ -143,6 +148,9 @@ def dissect(
     mask[hubs] = False
     label = np.zeros(n, dtype=np.int64)  # the frame of each vertex of an open frame
     labels = 0
+    # every round's BFS writes here: open frames are disjoint, so a frame's
+    # levels stay as its last search left them until its next one
+    level = np.full(n, -1, dtype=np.int64)
     # (frame, what to send it next): a work list, so that neither helper
     # below calls the other back; closures calling each other would form a
     # reference cycle that keeps the dissection's arrays alive until the
@@ -150,7 +158,7 @@ def dissect(
     ready: list[tuple[_Open, Optional[Levels]]] = []
     waiting: list[tuple[int, _Open]] = []  # (root of the BFS it asks for, frame)
 
-    def open_frame(vertices: np.ndarray, levels: Optional[Levels], depth: int, slot: list) -> None:
+    def open_frame(vertices: np.ndarray, swept: bool, depth: int, slot: list) -> None:
         nonlocal labels
         if vertices.size == 0:
             return
@@ -159,7 +167,7 @@ def dissect(
             return
         labels += 1
         label[vertices] = labels
-        ready.append((_Open(labels, _frame(indptr, vertices, levels, balance), slot, depth, vertices), None))
+        ready.append((_Open(labels, _frame(indptr, level, vertices, swept, balance), slot, depth, vertices), None))
 
     def advance(frame: _Open, levels: Optional[Levels]) -> None:
         try:
@@ -170,10 +178,10 @@ def dissect(
         if isinstance(result, list):  # components, emitted last found first
             slots = [[] for _ in result]
             frame.slot.extend(reversed(slots))
-            for comp_levels, slot in zip(result, slots):
-                open_frame(comp_levels[1], comp_levels, frame.depth, slot)
+            for comp, slot in zip(result, slots):
+                open_frame(comp, True, frame.depth, slot)
             return
-        level, a, b, separator = result
+        a, b, separator = result
         if not (a.size and b.size and separator.size):  # cannot split (e.g. a clique)
             frame.slot.append(order_leaf(frame.vertices))
             return
@@ -181,18 +189,18 @@ def dissect(
         a_slot: list = []
         b_slot: list = []
         frame.slot.extend((a_slot, b_slot, order_separator(separator)))
-        open_frame(a, (level, a), frame.depth + 1, a_slot)
-        open_frame(b, None, frame.depth + 1, b_slot)
+        open_frame(a, True, frame.depth + 1, a_slot)
+        open_frame(b, False, frame.depth + 1, b_slot)
 
     emitted: list = []
-    open_frame(np.flatnonzero(mask), None, 0, emitted)
+    open_frame(np.flatnonzero(mask), False, 0, emitted)
     while ready or waiting:
         if ready:
             advance(*ready.pop())
             continue
         batch = sorted(waiting, key=lambda item: item[1].label)
         waiting.clear()
-        level, order = bfs_levels(indptr, indices, [root for root, _ in batch], mask)
+        _, order = bfs_levels(indptr, indices, [root for root, _ in batch], mask, level)
         if len(batch) == 1:
             segments = [order]
         else:

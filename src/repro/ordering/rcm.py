@@ -21,7 +21,9 @@ so a vertex's candidates all come from its own set and the first
 occurrences never mix sets: restricted to one set, the levels and the visit
 order are exactly that set's own single-source BFS.  The dissection driver
 (:mod:`repro.ordering.nested_dissection`) keeps its open frames pairwise
-non-adjacent and runs one such BFS per round for all of them.
+non-adjacent and runs one such BFS per round for all of them, every round
+into the same level array: a round rewrites only the levels of the frames
+it searches.
 
 The George-Liu pseudo-peripheral search (George & Liu, 1979) is written once,
 as the generator :func:`peripheral_search`: it yields the root of each next
@@ -37,7 +39,7 @@ is the start-vertex form that RCM uses.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Sequence
+from typing import Generator, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +47,8 @@ from repro.sparse.pattern import SparsePattern
 
 __all__ = ["rcm_ordering", "pseudo_peripheral_node", "peripheral_search", "solo", "bfs_levels", "gather_rows"]
 
-#: a level structure ``(level, order)``: the BFS level of every vertex (−1
-#: where unreached) and the visited vertices in visit order
+#: a level structure ``(level, order)``: the BFS level of every visited
+#: vertex and the visited vertices in visit order
 Levels = tuple[np.ndarray, np.ndarray]
 
 
@@ -61,16 +63,23 @@ def gather_rows(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tu
 
 
 def bfs_levels(
-    indptr: np.ndarray, indices: np.ndarray, starts: int | Sequence[int], mask: np.ndarray
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    starts: int | Sequence[int],
+    mask: np.ndarray,
+    level: Optional[np.ndarray] = None,
 ) -> Levels:
     """BFS level of every reachable vertex (−1 for unreachable), plus the visit order.
 
     ``starts`` is one vertex or a sequence of them, all at level 0 (see the
-    module docstring for when that is several independent searches).
+    module docstring for when that is several independent searches).  Given
+    ``level``, the search writes the visited vertices' levels into it and
+    leaves every other entry as it was.
     """
     n = len(indptr) - 1
     frontier = np.array(starts, dtype=np.int64, ndmin=1)
-    level = np.full(n, -1, dtype=np.int64)
+    if level is None:
+        level = np.full(n, -1, dtype=np.int64)
     level[frontier] = 0
     unseen = mask.copy()
     unseen[frontier] = False

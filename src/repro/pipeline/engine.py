@@ -144,21 +144,24 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------ #
     # stage resolution
     # ------------------------------------------------------------------ #
-    def stage_keys(self, spec: CaseSpec) -> dict[str, str]:
+    def stage_keys(self, spec: CaseSpec, upto: Optional[str] = None) -> dict[str, str]:
         """Content-addressed key of every analysis stage's artifact for ``spec``.
 
         Derived once each, in dependency order: a stage's key covers its
-        params and the keys of its upstream stages.
+        params and the keys of its upstream stages.  With ``upto``, the
+        derivation stops after that stage's key.
         """
         keys: dict[str, str] = {}
         for name, stage in STAGES.items():
             upstream_keys = tuple(keys[dep] for dep in stage.requires)
             keys[name] = content_key(name, "1", stage.params(self, spec), upstream_keys)
+            if name == upto:
+                break
         return keys
 
     def stage_key(self, stage_name: str, spec: CaseSpec) -> str:
         """Content-addressed key of one analysis stage's artifact for ``spec``."""
-        return self.stage_keys(spec)[stage_name]
+        return self.stage_keys(spec, upto=stage_name)[stage_name]
 
     def artifact(self, stage_name: str, spec: CaseSpec) -> object:
         """Artifact of ``stage_name`` for ``spec``, computing what's missing.
@@ -182,10 +185,10 @@ class AnalysisPipeline:
             with self._lock:
                 return self._simulate(self.analysis_for(spec), spec.strategy, config)
         with self._lock:
-            return self._artifact(stage_name, spec, self.stage_keys(spec))
+            return self._artifact(stage_name, spec, self.stage_keys(spec, upto=stage_name))
 
     def _artifact(self, stage_name: str, spec: CaseSpec, keys: dict[str, str]) -> object:
-        """:meth:`artifact` of an analysis stage, given ``stage_keys(spec)``."""
+        """:meth:`artifact` of an analysis stage, given the keys up to it."""
         key = keys[stage_name]
         try:
             return self.store.get(key)

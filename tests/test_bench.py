@@ -694,9 +694,9 @@ class TestMedianRun:
             self._run({"s/a": (t, t)}, f"t{i}").save(str(path))
             paths.append(str(path))
         out = str(tmp_path / "baseline.json")
-        assert repro_main(["bench", "fold", *paths, "--save", out, "--format", "json"]) == 0
+        assert repro_main(["bench", "fold", *paths, "--save", out]) == 0
         assert BenchRun.load(out).results[0].calibrated_best == 2.0
-        capsys.readouterr()
+        assert capsys.readouterr().out == ""
         assert repro_main(["bench", "compare", paths[2], out, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["deltas"][0]["ratio"] == 1.0
         mismatched = tmp_path / "other.json"

@@ -1,5 +1,6 @@
 """Tests for the fill-reducing orderings."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -33,8 +34,15 @@ def connected_components(indptr, indices, vertices):
     from its first vertex in ``vertices``, plus the first one's levels."""
     inset = np.zeros(len(indptr) - 1, dtype=bool)
     inset[vertices] = True
-    comps = solo(_components(vertices), indptr, indices, inset)
-    return [comp for _, comp in comps], comps[0]
+    level = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    search = _components(level, vertices)
+    try:
+        root = next(search)
+        while True:  # every search writes into ``level``, as in the driver
+            root = search.send(bfs_levels(indptr, indices, root, inset, level))
+    except StopIteration as done:
+        comps = done.value
+    return comps, (level, comps[0])
 
 
 def find_separator(indptr, indices, vertices, *, balance=0.5, levels=None):
@@ -173,6 +181,21 @@ class TestNestedDissectionInternals:
         assert is_permutation(fine, small_grid.n)
         assert is_permutation(coarse, small_grid.n)
 
+    @pytest.mark.parametrize("order", [nested_dissection_ordering, pord_ordering])
+    def test_memory_is_linear_in_the_components(self, order):
+        # 2,100 components, 1,658 of them single vertices: one level array per
+        # component search would peak near 50 MB here
+        pattern = random_graph(3000, 0.0001, 0, symmetric=True)
+        pattern.adjacency()
+        tracemalloc.start()
+        try:
+            perm = order(pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert is_permutation(perm, pattern.n)
+        assert peak < 1024 * pattern.n
+
     def test_pord_levels(self, small_grid):
         shallow = pord_ordering(small_grid, nd_levels=1)
         deep = pord_ordering(small_grid, nd_levels=5)
@@ -274,6 +297,15 @@ def test_property_multi_source_bfs_matches_fifo_queue_per_set(n, density, seed, 
         visited += len(want_order)
     assert order.size == visited
     assert (level[~np.isin(np.arange(n), order)] == -1).all()
+    # written in place, the search changes the visited entries alone
+    stale = rng.integers(-1, n, size=n)
+    inplace = stale.copy()
+    _, again = bfs_levels(indptr, indices, sets, mask, inplace)
+    assert again.tolist() == order.tolist()
+    assert (inplace[order] == level[order]).all()
+    untouched = np.ones(n, dtype=bool)
+    untouched[order] = False
+    assert (inplace[untouched] == stale[untouched]).all()
 
 
 @settings(max_examples=40, deadline=None)

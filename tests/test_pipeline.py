@@ -158,6 +158,16 @@ class TestCacheKeys:
             "analysis-2df2f543db2fa4ee9acbe1b7",
         ]
 
+    def test_stage_keys_stop_at_upto(self):
+        e = engine()
+        full = e.stage_keys(SPEC)
+        assert e.stage_keys(SPEC, upto="tree") == {name: full[name] for name in ("pattern", "ordering", "tree")}
+        # a pattern lookup derives no ordering params, so an unparseable ordering does not reach it
+        bad = CaseSpec("XENON2", "metis(", "memory-full")
+        assert e.artifact("pattern", bad) is e.artifact("pattern", SPEC)
+        with pytest.raises(ValueError):
+            e.stage_key("ordering", bad)
+
     def test_keys_stable_across_engines(self):
         assert keys(engine(), SPEC) == keys(engine(), SPEC)
 
