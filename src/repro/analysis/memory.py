@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.symbolic.liu_order import (
-    order_children_for_memory,
-    subtree_peaks_given_order,
-)
+from repro.symbolic.liu_order import order_children_for_memory
 
 __all__ = [
     "MemoryTrace",
@@ -91,7 +88,7 @@ def sequential_memory_trace(
     factor part to the factor area, and the node's CB is pushed on the stack.
     """
     if child_order == "liu":
-        order = order_children_for_memory(tree)
+        order, _ = order_children_for_memory(tree)
     elif child_order == "natural" or child_order is None:
         order = [tree.children(j) for j in range(tree.nnodes)]
     else:
@@ -132,11 +129,11 @@ def sequential_stack_peak(
     return sequential_memory_trace(tree, child_order=child_order).peak_working
 
 
-def subtree_stack_peaks(tree, *, optimal_order: bool = True) -> np.ndarray:
-    """Stack peak of every subtree (entries), used for subtree-cost broadcasts.
+def subtree_stack_peaks(tree) -> np.ndarray:
+    """Stack peak of every subtree (entries) under Liu's child order, used for
+    subtree-cost broadcasts.
 
     This is the quantity a processor sends to the others when it starts a
     leaf subtree in the Section 5.1 mechanism.
     """
-    order = order_children_for_memory(tree) if optimal_order else None
-    return subtree_peaks_given_order(tree, order)
+    return order_children_for_memory(tree)[1]

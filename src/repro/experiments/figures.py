@@ -30,6 +30,7 @@ from repro.scheduling import (
 from repro.runtime.tasks import Task, TaskKind
 from repro.sparse import SparsePattern, grid_2d
 from repro.symbolic import build_assembly_tree
+from repro.analysis.flops import type2_slave_block_entries
 from repro.analysis.memory import sequential_memory_trace
 
 __all__ = [
@@ -161,7 +162,7 @@ def figure4(
     selection = MemorySlaveSelector(use_predictions=False).select(ctx)
     after = mem.copy()
     for proc, rows in selection:
-        after[proc] += rows * nfront
+        after[proc] += type2_slave_block_entries(npiv, nfront, rows, False)
     lines = ["proc  before     rows given   after"]
     given = dict(selection)
     for q in range(nprocs):

@@ -13,9 +13,12 @@ mirrors (the scalar per-event reads), memoized per tree by
 benchmark repeats, strategy sweeps, fault replications — pay for the
 geometry once.
 
-Every quantity is produced by the same integer/float expressions the scalar
-tree methods use (vectorized elementwise, no reductions), so the values are
-bit-identical to recomputing them per task.
+The front model itself (entry counts, flops, the type-2 slave
+coefficients) lives in :mod:`repro.analysis.flops`: the per-node columns
+come from the tree's cached ``*_all`` arrays, which apply those formulas to
+``npiv`` / ``nfront``, and the slave coefficients from
+``type2_slave_row_flops`` / ``type2_slave_block_coefficients``.  No formula
+is restated here, so the values are bit-identical to the scalar model.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import weakref
 
 import numpy as np
 
-from repro.analysis.flops import type2_slave_row_flops
+from repro.analysis.flops import type2_slave_block_coefficients, type2_slave_row_flops
 from repro.mapping.layers import NodeType
-from repro.symbolic.liu_order import order_children_for_memory, subtree_peaks_given_order
+from repro.symbolic.liu_order import order_children_for_memory
 
 __all__ = ["SimGeometry"]
 
@@ -104,9 +107,7 @@ class SimGeometry:
         self.owner = np.asarray(mapping.owner, dtype=np.int64).tolist()
         self.subtree_of = np.asarray(mapping.subtree_of, dtype=np.int64).tolist()
         self.parent = tree.parent.tolist()
-        self.children = tree.child_lists() if hasattr(tree, "child_lists") else [
-            tree.children(i) for i in range(tree.nnodes)
-        ]
+        self.children = tree.child_lists()
         self.nchildren = [len(c) for c in self.children]
         self.tree_leaves = tree.leaves()
 
@@ -114,8 +115,10 @@ class SimGeometry:
         # node's owner): precompute them instead of rebuilding one list per
         # slave selection.  ``type2_slave[node]`` holds what the per-slave
         # loop needs: the candidate set that normalize_row_distribution
-        # checks against, and the integer coefficients of
-        # repro.analysis.flops for a slave of ``rows`` rows:
+        # checks against, and repro.analysis.flops' integer coefficients of
+        # a slave of ``rows`` rows (type2_slave_row_flops and
+        # type2_slave_block_coefficients; the factor part is
+        # type2_slave_factor_entries):
         #   flops  = float(rows * row_flops)
         #   block  = rows * block_a + (rows * block_b) // 2
         #   factor = rows * npiv
@@ -130,15 +133,16 @@ class SimGeometry:
             self.type2_candidates[node] = cands
             npiv = self.npiv[node]
             nfront = self.nfront[node]
-            block = (npiv, nfront - npiv + 1) if symmetric else (nfront, 0)
             self.type2_slave[node] = (
-                frozenset(cands), type2_slave_row_flops(npiv, nfront, symmetric), *block
+                frozenset(cands),
+                type2_slave_row_flops(npiv, nfront, symmetric),
+                *type2_slave_block_coefficients(npiv, nfront, symmetric),
             )
 
         # Liu's child ordering is deterministic in the tree alone: computed
-        # once and shared by the subtree peaks and every pool initialisation
-        self.liu_order = order_children_for_memory(tree)
-        self.subtree_peaks = subtree_peaks_given_order(tree, self.liu_order)
+        # once, with the subtree peaks under it, and shared by every pool
+        # initialisation
+        self.liu_order, self.subtree_peaks = order_children_for_memory(tree)
 
         # initial workloads (cost of the statically assigned subtrees) and
         # the per-processor pool initialisation of Section 5.2

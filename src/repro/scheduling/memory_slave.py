@@ -34,10 +34,6 @@ class MemorySlaveSelector(SlaveSelector):
         memory only); ``True`` uses the Section 5.1 metric, which avoids
         giving slave work to processors about to start an expensive subtree
         or master task.
-    row_unit:
-        Memory-to-rows conversion follows the paper: a deficit of ``D``
-        entries translates into ``D / nfront`` rows (one row of the front
-        occupies ``nfront`` entries in the unsymmetric storage).
     """
 
     name = "memory"
@@ -139,6 +135,9 @@ def _level_rows(chosen, chosen_mem, level, nfront, ncb, best) -> list[tuple[int,
 
     Brings every selected slave up to the level of the most loaded selected
     one (in rows of the front), then spreads the remaining rows equitably.
+    The memory-to-rows conversion follows the paper: a deficit of ``D``
+    entries translates into ``D / nfront`` rows (one row of the front
+    occupies ``nfront`` entries in the unsymmetric storage).
     """
     rows = [0] * best
     remaining = ncb

@@ -16,14 +16,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.analysis.flops import (
-    cb_entries,
-    factor_entries,
-    front_entries,
-    partial_factorization_flops,
-    type2_master_flops,
-    type2_slave_flops,
-)
+from repro.analysis import flops
 from repro.sparse.pattern import SparsePattern
 from repro.symbolic.colcounts import _column_counts_vectorized
 from repro.symbolic.etree import _liu_etree, postorder
@@ -158,14 +151,8 @@ class AssemblyTree:
         return out
 
     def depth(self) -> int:
-        """Number of levels of the tree (1 for a single node)."""
-        if self.nnodes == 0:
-            return 0
-        level = np.zeros(self.nnodes, dtype=np.int64)
-        for j in range(self.nnodes - 1, -1, -1):
-            p = int(self.parent[j])
-            level[j] = 0 if p < 0 else level[p] + 1
-        return int(level.max()) + 1
+        """Number of levels of the tree (1 for a single node, 0 when empty)."""
+        return int(self.levels().max()) + 1 if self.nnodes else 0
 
     def levels(self) -> np.ndarray:
         """Depth of every node (roots at level 0)."""
@@ -186,7 +173,8 @@ class AssemblyTree:
         return self._children
 
     # ------------------------------------------------------------------ #
-    # vectorized geometry (cached; exact equivalents of the scalar methods)
+    # per-node geometry columns (cached; the formulas live in
+    # repro.analysis.flops and are applied to the npiv / nfront arrays)
     # ------------------------------------------------------------------ #
     def _cached(self, key: str, builder) -> np.ndarray:
         # getattr guard: trees unpickled from artifact stores written by
@@ -199,100 +187,41 @@ class AssemblyTree:
             arr = cache[key] = builder()
         return arr
 
-    @staticmethod
-    def _sum_range_vec(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized ``analysis.flops._sum_range`` (int64, exact)."""
-        out = (hi * (hi + 1)) // 2 - ((lo - 1) * lo) // 2
-        return np.where(hi < lo, 0, out)
-
-    @staticmethod
-    def _sum_sq_range_vec(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Vectorized ``analysis.flops._sum_sq_range`` (int64, exact)."""
-
-        def s2(m: np.ndarray) -> np.ndarray:
-            return m * (m + 1) * (2 * m + 1) // 6
-
-        return np.where(hi < lo, 0, s2(hi) - s2(lo - 1))
-
     def front_entries_all(self) -> np.ndarray:
         """``front_entries(i)`` for every node, as one int64 array."""
-
-        def build() -> np.ndarray:
-            nf = self.nfront
-            if self.symmetric:
-                return nf * (nf + 1) // 2
-            return nf * nf
-
-        return self._cached("front_entries", build)
+        return self._cached("front_entries", lambda: flops.front_entries(self.nfront, self.symmetric))
 
     def factor_entries_all(self) -> np.ndarray:
         """``factor_entries(i)`` for every node, as one int64 array."""
-
-        def build() -> np.ndarray:
-            npiv, nf = self.npiv, self.nfront
-            ncb = nf - npiv
-            if self.symmetric:
-                return npiv * (npiv + 1) // 2 + ncb * npiv
-            return npiv * nf + ncb * npiv
-
-        return self._cached("factor_entries", build)
+        return self._cached(
+            "factor_entries", lambda: flops.factor_entries(self.npiv, self.nfront, self.symmetric)
+        )
 
     def cb_entries_all(self) -> np.ndarray:
         """``cb_entries(i)`` for every node, as one int64 array."""
-
-        def build() -> np.ndarray:
-            ncb = self.nfront - self.npiv
-            if self.symmetric:
-                return ncb * (ncb + 1) // 2
-            return ncb * ncb
-
-        return self._cached("cb_entries", build)
+        return self._cached(
+            "cb_entries", lambda: flops.cb_entries(self.npiv, self.nfront, self.symmetric)
+        )
 
     def master_entries_all(self) -> np.ndarray:
         """``master_entries(i)`` for every node, as one int64 array."""
-
-        def build() -> np.ndarray:
-            npiv = self.npiv
-            if self.symmetric:
-                return npiv * (npiv + 1) // 2
-            return npiv * self.nfront
-
-        return self._cached("master_entries", build)
+        return self._cached(
+            "master_entries", lambda: flops.master_entries(self.npiv, self.nfront, self.symmetric)
+        )
 
     def factor_flops_all(self) -> np.ndarray:
-        """``factor_flops(i)`` for every node, as one float64 array.
-
-        All flop counts are integral and far below 2**53, so the int64
-        intermediate arithmetic converts to float64 without rounding — the
-        values are bit-identical to the scalar method's.
-        """
-
-        def build() -> np.ndarray:
-            npiv, nf = self.npiv, self.nfront
-            ncb = nf - npiv
-            lo, hi = ncb, nf - 1
-            s1 = self._sum_range_vec(lo, hi)
-            s2 = self._sum_sq_range_vec(lo, hi)
-            if self.symmetric:
-                return (s1 + s2 + s1).astype(np.float64)
-            return (s1 + 2 * s2).astype(np.float64)
-
-        return self._cached("factor_flops", build)
+        """``factor_flops(i)`` for every node, as one float64 array."""
+        return self._cached(
+            "factor_flops",
+            lambda: flops.partial_factorization_flops(self.npiv, self.nfront, self.symmetric),
+        )
 
     def type2_master_flops_all(self) -> np.ndarray:
         """``type2_master_flops(i)`` for every node, as one float64 array."""
-
-        def build() -> np.ndarray:
-            npiv = self.npiv
-            ncb = self.nfront - npiv
-            sum_a = npiv * (npiv - 1) // 2
-            sum_a2 = self._sum_sq_range_vec(np.zeros_like(npiv), npiv - 1)
-            sum_ab = sum_a2 + ncb * sum_a
-            if self.symmetric:
-                return (sum_a + sum_ab).astype(np.float64)
-            return (sum_a + 2 * sum_ab).astype(np.float64)
-
-        return self._cached("type2_master_flops", build)
+        return self._cached(
+            "type2_master_flops",
+            lambda: flops.type2_master_flops(self.npiv, self.nfront, self.symmetric),
+        )
 
     def assembly_flops_all(self) -> np.ndarray:
         """``assembly_flops(i)`` for every node, as one float64 array.
@@ -310,84 +239,64 @@ class AssemblyTree:
 
         return self._cached("assembly_flops", build)
 
-    def subtree_flops_all(self) -> np.ndarray:
-        """``subtree_flops(root)`` for every node, as one float64 array.
+    def _subtree_sums(self, per_node: np.ndarray) -> np.ndarray:
+        """Sum of ``per_node`` over every node's subtree.
 
-        The per-subtree accumulation runs level by level from the deepest
-        nodes up (each node's parent sits exactly one level above it), so one
-        ``np.add.at`` per tree level replaces the per-root depth-first sums.
-        Flop counts are integral and the totals stay far below 2**53, so the
-        accumulation order cannot change the float results.
+        The accumulation runs level by level from the deepest nodes up (each
+        node's parent sits exactly one level above it), so one ``np.add.at``
+        per tree level replaces the per-root depth-first sums.  Flop counts
+        are integral and the totals stay far below 2**53, so the
+        accumulation order cannot change float results.
         """
+        acc = per_node.copy()
+        levels = self.levels()
+        for lev in range(int(levels.max(initial=0)), 0, -1):
+            at = np.nonzero(levels == lev)[0]
+            np.add.at(acc, self.parent[at], acc[at])
+        return acc
 
-        def build() -> np.ndarray:
-            acc = self.factor_flops_all().copy()
-            levels = self.levels()
-            for lev in range(int(levels.max(initial=0)), 0, -1):
-                at = np.nonzero(levels == lev)[0]
-                np.add.at(acc, self.parent[at], acc[at])
-            return acc
-
-        return self._cached("subtree_flops", build)
+    def subtree_flops_all(self) -> np.ndarray:
+        """``subtree_flops(root)`` for every node, as one float64 array."""
+        return self._cached("subtree_flops", lambda: self._subtree_sums(self.factor_flops_all()))
 
     def subtree_factor_entries_all(self) -> np.ndarray:
         """``subtree_factor_entries(root)`` for every node (int64, exact)."""
-
-        def build() -> np.ndarray:
-            acc = self.factor_entries_all().copy()
-            levels = self.levels()
-            for lev in range(int(levels.max(initial=0)), 0, -1):
-                at = np.nonzero(levels == lev)[0]
-                np.add.at(acc, self.parent[at], acc[at])
-            return acc
-
-        return self._cached("subtree_factor_entries", build)
+        return self._cached(
+            "subtree_factor_entries", lambda: self._subtree_sums(self.factor_entries_all())
+        )
 
     # ------------------------------------------------------------------ #
-    # memory / flops models (delegated to repro.analysis.flops)
+    # per-node reads of the cached columns (models in repro.analysis.flops)
     # ------------------------------------------------------------------ #
     def front_entries(self, i: int) -> int:
         """Entries of the full frontal matrix of node ``i``."""
-        return front_entries(int(self.nfront[i]), self.symmetric)
+        return int(self.front_entries_all()[i])
 
     def factor_entries(self, i: int) -> int:
         """Entries of the factors produced by node ``i``."""
-        return factor_entries(int(self.npiv[i]), int(self.nfront[i]), self.symmetric)
+        return int(self.factor_entries_all()[i])
 
     def cb_entries(self, i: int) -> int:
         """Entries of the contribution block produced by node ``i``."""
-        return cb_entries(int(self.npiv[i]), int(self.nfront[i]), self.symmetric)
+        return int(self.cb_entries_all()[i])
 
     def factor_flops(self, i: int) -> float:
         """Flops of the partial factorization performed at node ``i``."""
-        return partial_factorization_flops(int(self.npiv[i]), int(self.nfront[i]), self.symmetric)
+        return float(self.factor_flops_all()[i])
 
     def assembly_flops(self, i: int) -> float:
         """Flops (entry additions) of assembling the children CBs into ``i``."""
         return float(self.assembly_flops_all()[i])
 
     def master_entries(self, i: int) -> int:
-        """Entries of the *master part* of node ``i`` when treated as type 2.
-
-        The master holds the fully summed rows of the front: ``npiv × nfront``
-        entries in the unsymmetric case (the ``U`` rows), and the pivot
-        triangle in the symmetric case (the rows below belong to the slaves'
-        blocks, Figure 3 of the paper).  This is the quantity the paper's
-        splitting threshold (2·10⁶ entries) applies to, and it is also what
-        the master's factors amount to, so that master + slave factor pieces
-        always sum to :meth:`factor_entries`.
-        """
-        npiv = int(self.npiv[i])
-        nfront = int(self.nfront[i])
-        if self.symmetric:
-            return npiv * (npiv + 1) // 2
-        return npiv * nfront
+        """Entries of the master part of node ``i`` (:func:`repro.analysis.flops.master_entries`)."""
+        return int(self.master_entries_all()[i])
 
     def type2_master_flops(self, i: int) -> float:
-        return type2_master_flops(int(self.npiv[i]), int(self.nfront[i]), self.symmetric)
+        return float(self.type2_master_flops_all()[i])
 
     def type2_slave_flops(self, i: int, nrows: int) -> float:
-        return type2_slave_flops(int(self.npiv[i]), int(self.nfront[i]), nrows, self.symmetric)
+        return flops.type2_slave_flops(int(self.npiv[i]), int(self.nfront[i]), nrows, self.symmetric)
 
     def total_factor_entries(self) -> int:
         return int(self.factor_entries_all().sum())

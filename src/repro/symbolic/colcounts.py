@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.flops import partial_factorization_flops
 from repro.sparse.pattern import SparsePattern
 from repro.symbolic.etree import elimination_tree, postorder
 
@@ -193,7 +194,8 @@ def symbolic_fill(pattern: SparsePattern) -> dict[str, float]:
     # lower triangle of A including the diagonal
     rows = np.repeat(np.arange(sym.n, dtype=np.int64), np.diff(sym.indptr))
     nnz_lower_a = int(np.count_nonzero(rows >= sym.indices))
-    flops = float(np.sum(counts.astype(np.float64) ** 2))
+    # column j is a one-pivot front of order counts[j]
+    flops = float(partial_factorization_flops(np.ones_like(counts), counts, True).sum())
     return {
         "nnz_L": float(nnz_l),
         "fill_ratio": float(nnz_l) / float(max(nnz_lower_a, 1)),

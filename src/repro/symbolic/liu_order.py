@@ -27,20 +27,6 @@ __all__ = [
 ]
 
 
-def _cb_front_arrays(tree) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node CB/front entry arrays (cached on :class:`AssemblyTree`).
-
-    Falls back to per-node method calls for tree-like objects that do not
-    expose the vectorized accessors; the values are identical either way.
-    """
-    if hasattr(tree, "cb_entries_all"):
-        return tree.cb_entries_all(), tree.front_entries_all()
-    n = tree.nnodes
-    cb = np.array([tree.cb_entries(j) for j in range(n)], dtype=np.int64)
-    front = np.array([tree.front_entries(j) for j in range(n)], dtype=np.int64)
-    return cb, front
-
-
 def node_working_storage(tree, j: int) -> int:
     """Working storage of node ``j`` alone: its front plus its children CBs."""
     return tree.front_entries(j) + sum(tree.cb_entries(c) for c in tree.children(j))
@@ -60,11 +46,11 @@ def subtree_peaks_given_order(tree, child_order: list[list[int]] | None = None) 
     which accounts for both the deepest child excursion and the assembly step
     where the parent front coexists with all children CBs.
     """
-    n = tree.nnodes
-    cb, front = _cb_front_arrays(tree)
-    peaks = np.zeros(n, dtype=np.float64)
-    for j in range(n):  # children before parents (tree is postordered)
-        children = child_order[j] if child_order is not None else tree.children(j)
+    cb, front = tree.cb_entries_all(), tree.front_entries_all()
+    if child_order is None:
+        child_order = tree.child_lists()
+    peaks = np.zeros(tree.nnodes, dtype=np.float64)
+    for j, children in enumerate(child_order):  # children before parents (tree is postordered)
         stacked = 0.0
         peak = 0.0
         for c in children:
@@ -75,23 +61,24 @@ def subtree_peaks_given_order(tree, child_order: list[list[int]] | None = None) 
     return peaks
 
 
-def order_children_for_memory(tree) -> list[list[int]]:
-    """Liu-optimal processing order of the children of every node.
+def order_children_for_memory(tree) -> tuple[list[list[int]], np.ndarray]:
+    """Liu-optimal processing order of the children of every node, and the
+    stack peak of every subtree under that order.
 
     Children are sorted in decreasing ``peak(child) - cb(child)``; ties are
-    broken by node index to keep the result deterministic.
+    broken by node index to keep the result deterministic.  The peaks are the
+    ones :func:`subtree_peaks_given_order` gives for the returned order,
+    computed in the same children-before-parents pass.
     """
-    n = tree.nnodes
-    cb, front = _cb_front_arrays(tree)
-    order: list[list[int]] = [[] for _ in range(n)]
-    peaks = np.zeros(n, dtype=np.float64)
-    for j in range(n):
-        children = tree.children(j)
+    cb, front = tree.cb_entries_all(), tree.front_entries_all()
+    order: list[list[int]] = []
+    peaks = np.zeros(tree.nnodes, dtype=np.float64)
+    for j, children in enumerate(tree.child_lists()):
         scored = sorted(
             children,
             key=lambda c: (-(peaks[c] - cb[c]), c),
         )
-        order[j] = scored
+        order.append(scored)
         stacked = 0.0
         peak = 0.0
         for c in scored:
@@ -99,7 +86,7 @@ def order_children_for_memory(tree) -> list[list[int]]:
             stacked += cb[c]
         peak = max(peak, front[j] + stacked)
         peaks[j] = peak
-    return order
+    return order, peaks
 
 
 def sequential_peak_of_tree(
@@ -125,12 +112,11 @@ def sequential_peak_of_tree(
         Peak of each subtree (same units).
     """
     if child_order == "liu":
-        order = order_children_for_memory(tree)
+        _, peaks = order_children_for_memory(tree)
     elif child_order == "natural" or child_order is None:
-        order = None
+        peaks = subtree_peaks_given_order(tree)
     else:
-        order = child_order  # explicit list
-    peaks = subtree_peaks_given_order(tree, order)
+        peaks = subtree_peaks_given_order(tree, child_order)  # explicit list
     roots = tree.roots
     if not roots:
         return 0.0, peaks

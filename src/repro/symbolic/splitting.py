@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.flops import master_entries
 from repro.symbolic.assembly_tree import AssemblyTree
+from repro.symbolic.etree import postorder
 
 __all__ = ["SplitReport", "split_large_masters", "chain_pivot_counts"]
 
@@ -62,23 +64,17 @@ def chain_pivot_counts(npiv: int, nfront: int, threshold_entries: int, symmetric
     if npiv < 1 or nfront < npiv:
         raise ValueError("invalid front geometry")
 
-    def master_entries(p: int, nf: int) -> int:
-        # must stay consistent with AssemblyTree.master_entries
-        if symmetric:
-            return p * (p + 1) // 2
-        return p * nf
-
     counts: list[int] = []
     remaining = npiv
     nf = nfront
     while remaining > 0:
         # largest p <= remaining with master_entries(p, nf) <= threshold
         p = remaining
-        if master_entries(p, nf) > threshold_entries:
+        if master_entries(p, nf, symmetric) > threshold_entries:
             lo, hi = 1, remaining
             while lo < hi:
                 mid = (lo + hi + 1) // 2
-                if master_entries(mid, nf) <= threshold_entries:
+                if master_entries(mid, nf, symmetric) <= threshold_entries:
                     lo = mid
                 else:
                     hi = mid - 1
@@ -114,7 +110,7 @@ def split_large_masters(
         The new tree is re-postordered; the report records what was split.
     """
     report = SplitReport(threshold_entries=threshold_entries, nodes_before=tree.nnodes)
-    masters = [tree.master_entries(i) for i in range(tree.nnodes)]
+    masters = tree.master_entries_all().tolist()
     report.largest_master_before = int(max(masters)) if masters else 0
 
     # Build an intermediate node list: (npiv, nfront, old_parent, first_piece_of_old_parent?)
@@ -167,7 +163,7 @@ def split_large_masters(
 
     # The interleaved construction keeps children before parents only within a
     # chain; re-postorder globally to restore the AssemblyTree invariant.
-    order = _postorder_nodes(parent_new)
+    order = postorder(parent_new)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order), dtype=np.int64)
     npiv_arr = np.asarray(npiv_new, dtype=np.int64)[order]
@@ -189,35 +185,6 @@ def split_large_masters(
         name=tree.name,
     )
     report.nodes_after = new_tree.nnodes
-    report.largest_master_after = int(
-        max(new_tree.master_entries(i) for i in range(new_tree.nnodes))
-    )
+    report.largest_master_after = int(new_tree.master_entries_all().max())
     return new_tree, report
 
-
-def _postorder_nodes(parent: np.ndarray) -> np.ndarray:
-    """Postorder of an arbitrary forest given by ``parent`` pointers."""
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots: list[int] = []
-    for j in range(n):
-        p = int(parent[j])
-        if p < 0:
-            roots.append(j)
-        else:
-            children[p].append(j)
-    post = np.empty(n, dtype=np.int64)
-    k = 0
-    for root in roots:
-        stack = [(root, 0)]
-        while stack:
-            node, idx = stack.pop()
-            if idx < len(children[node]):
-                stack.append((node, idx + 1))
-                stack.append((children[node][idx], 0))
-            else:
-                post[k] = node
-                k += 1
-    if k != n:
-        raise ValueError("cycle detected while re-postordering the split tree")
-    return post

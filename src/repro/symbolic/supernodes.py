@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.analysis.flops import front_entries
+
 __all__ = ["fundamental_supernodes", "amalgamate", "Supernode", "Amalgamation", "AMALGAMATION"]
 
 
@@ -199,11 +201,9 @@ def _amalgamate(
             continue
         extra_rows_per_col = merged_front - nfront[s]
         new_zeros = child_npiv * extra_rows_per_col
-        if symmetric:
-            merged_entries = merged_front * (merged_front + 1) // 2
-        else:
+        if not symmetric:
             new_zeros *= 2
-            merged_entries = merged_front * merged_front
+        merged_entries = front_entries(merged_front, symmetric)
         total_zeros = zeros_acc[s] + zeros_acc[p] + new_zeros
         relative_fill = total_zeros / max(merged_entries, 1)
         tiny = child_npiv < min_pivots and extra_rows_per_col <= tiny_rows

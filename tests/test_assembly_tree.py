@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis import flops
 from repro.experiments.problems import get_problem
 from repro.ordering import compute_ordering
 from repro.sparse import SparsePattern, grid_2d, random_pattern
 from repro.symbolic import AssemblyTree, build_assembly_tree
 from repro.symbolic.colcounts import symbolic_fill
+from test_flops import brute_force_flops, brute_force_master_flops
 
 
 class TestAssemblyTreeStructure:
@@ -109,17 +111,20 @@ class TestMemoryModels:
             slave_total = type2_slave_factor_entries(npiv, nfront, ncb, medium_tree.symmetric)
             assert medium_tree.master_entries(i) + slave_total == medium_tree.factor_entries(i)
 
-    def test_total_factor_entries_equals_symbolic_fill(self, small_grid):
-        """Sum of per-front factor entries equals nnz(L) counted column-wise.
+    def test_totals_equal_symbolic_fill(self, small_grid):
+        """Sum of per-front factor entries equals nnz(L) counted column-wise,
+        and the sum of per-front flops the column-wise flop count.
 
         The symmetric multifrontal factors store the pivot triangle and the
         sub-diagonal block of every front, which together hold exactly the
-        nonzeros of L (including the diagonal).
+        nonzeros of L (including the diagonal); without amalgamation zeros a
+        front's eliminations are those of its columns.
         """
         perm = compute_ordering(small_grid, "amd")
         tree = build_assembly_tree(small_grid, perm, amalgamation_relax=0.0, amalgamation_min_pivots=1)
         fill = symbolic_fill(small_grid.permuted(perm))
         assert tree.total_factor_entries() == pytest.approx(fill["nnz_L"])
+        assert tree.total_flops() == fill["flops"]
 
     def test_flops_positive_and_monotone(self, medium_tree):
         for i in range(medium_tree.nnodes):
@@ -190,7 +195,8 @@ class TestBuildAssemblyTree:
 
 
 class TestVectorizedGeometry:
-    """PR 5: the cached geometry arrays ≡ the scalar per-node methods."""
+    """The cached geometry columns ≡ the scalar model of repro.analysis.flops,
+    node by node, and the flop columns ≡ the brute-force elimination counts."""
 
     def _trees(self, small_grid, unsym_pattern):
         sym_tree = build_assembly_tree(small_grid, compute_ordering(small_grid, "metis"))
@@ -198,23 +204,31 @@ class TestVectorizedGeometry:
         synthetic = AssemblyTree([2, 3, 4], [4, 5, 4], [2, 2, -1], symmetric=True, nvars=9)
         return [sym_tree, uns_tree, synthetic]
 
-    def test_entry_arrays_match_scalar_methods(self, small_grid, unsym_pattern):
+    def test_entry_columns_match_scalar_model(self, small_grid, unsym_pattern):
         for tree in self._trees(small_grid, unsym_pattern):
-            n = tree.nnodes
-            assert list(tree.front_entries_all()) == [tree.front_entries(i) for i in range(n)]
-            assert list(tree.factor_entries_all()) == [tree.factor_entries(i) for i in range(n)]
-            assert list(tree.cb_entries_all()) == [tree.cb_entries(i) for i in range(n)]
-            assert list(tree.master_entries_all()) == [tree.master_entries(i) for i in range(n)]
+            sym = tree.symmetric
+            for i in range(tree.nnodes):
+                npiv, nfront = int(tree.npiv[i]), int(tree.nfront[i])
+                assert tree.front_entries_all()[i] == flops.front_entries(nfront, sym)
+                assert tree.factor_entries_all()[i] == flops.factor_entries(npiv, nfront, sym)
+                assert tree.cb_entries_all()[i] == flops.cb_entries(npiv, nfront, sym)
+                assert tree.master_entries_all()[i] == flops.master_entries(npiv, nfront, sym)
+                assert tree.front_entries(i) == flops.front_entries(nfront, sym)
+                assert tree.master_entries(i) == flops.master_entries(npiv, nfront, sym)
 
-    def test_flop_arrays_match_scalar_methods(self, small_grid, unsym_pattern):
+    def test_flop_columns_match_scalar_model_and_brute_force(self, small_grid, unsym_pattern):
         for tree in self._trees(small_grid, unsym_pattern):
-            n = tree.nnodes
-            assert list(tree.factor_flops_all()) == [tree.factor_flops(i) for i in range(n)]
-            assert list(tree.type2_master_flops_all()) == [
-                tree.type2_master_flops(i) for i in range(n)
-            ]
+            sym = tree.symmetric
+            for i in range(tree.nnodes):
+                npiv, nfront = int(tree.npiv[i]), int(tree.nfront[i])
+                factor = tree.factor_flops_all()[i]
+                assert factor == flops.partial_factorization_flops(npiv, nfront, sym)
+                assert factor == brute_force_flops(npiv, nfront, sym)
+                master = tree.type2_master_flops_all()[i]
+                assert master == flops.type2_master_flops(npiv, nfront, sym)
+                assert master == brute_force_master_flops(npiv, nfront, sym)
             assert list(tree.assembly_flops_all()) == [
-                float(sum(tree.cb_entries(c) for c in tree.children(i))) for i in range(n)
+                float(sum(tree.cb_entries(c) for c in tree.children(i))) for i in range(tree.nnodes)
             ]
 
     def test_subtree_accumulations_match_depth_first_sums(self, small_grid, unsym_pattern):

@@ -1,5 +1,6 @@
 """Tests for the frontal-matrix entry and flop models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,14 @@ from repro.analysis.flops import (
     cb_entries,
     factor_entries,
     front_entries,
+    master_entries,
     partial_factorization_flops,
     type2_master_flops,
+    type2_slave_block_coefficients,
     type2_slave_block_entries,
     type2_slave_factor_entries,
     type2_slave_flops,
+    type2_slave_row_flops,
 )
 
 
@@ -26,6 +30,28 @@ def brute_force_flops(npiv, nfront, symmetric):
         else:
             total += r + 2 * r * r
     return float(total)
+
+
+def brute_force_master_flops(npiv, nfront, symmetric):
+    """Step ``k`` works on ``a = npiv - k`` pivot rows of length ``b = nfront - k``."""
+    total = 0
+    for k in range(1, npiv + 1):
+        a, b = npiv - k, nfront - k
+        total += a + (1 if symmetric else 2) * a * b
+    return float(total)
+
+
+def brute_force_slave_row_flops(npiv, nfront, symmetric):
+    """One CB row receives a pivot row of length ``nfront - k`` at step ``k``."""
+    return sum((1 if symmetric else 2) * (nfront - k) for k in range(1, npiv + 1))
+
+
+def brute_force_entries(npiv, nfront, symmetric, keep):
+    """Stored cells ``(i, j)`` of the front (lower triangle when symmetric)
+    for which ``keep(i, j)`` holds."""
+    return sum(
+        1 for i in range(nfront) for j in range(i + 1 if symmetric else nfront) if keep(i, j)
+    )
 
 
 class TestEntryCounts:
@@ -139,7 +165,7 @@ def test_property_entry_conservation(npiv, extra, sym):
     nfront = npiv + extra
     assert factor_entries(npiv, nfront, sym) + cb_entries(npiv, nfront, sym) == front_entries(nfront, sym)
     ncb = nfront - npiv
-    master = npiv * (npiv + 1) // 2 if sym else npiv * nfront
+    master = master_entries(npiv, nfront, sym)
     assert master + type2_slave_factor_entries(npiv, nfront, ncb, sym) == factor_entries(npiv, nfront, sym)
 
 
@@ -164,3 +190,61 @@ def test_property_slave_blocks_partition_cb_rows(npiv, extra, sym, data):
     # factor parts always partition exactly, symmetric or not
     total_factor = sum(type2_slave_factor_entries(npiv, nfront, r, sym) for r in rows)
     assert total_factor == ncb * npiv
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fronts=st.lists(
+        st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=8
+    ),
+    sym=st.booleans(),
+    data=st.data(),
+)
+def test_property_array_model_matches_scalar_and_brute_force(fronts, sym, data):
+    """Every model function on int64 arrays ≡ its scalar value elementwise, and
+    the scalar value ≡ its brute-force count, including npiv = nfront and
+    1-pivot fronts."""
+    fronts = fronts + [(fronts[0][0] + 1, 0), (1, fronts[0][1])]
+    npiv = [p for p, _ in fronts]
+    nfront = [p + extra for p, extra in fronts]
+    nrows = [data.draw(st.integers(0, extra)) for _, extra in fronts]
+    p_arr, f_arr, r_arr = (np.asarray(x, dtype=np.int64) for x in (npiv, nfront, nrows))
+
+    models = [
+        (lambda p, f, r: front_entries(f, sym),
+         lambda p, f, r: brute_force_entries(p, f, sym, lambda i, j: True)),
+        (lambda p, f, r: master_entries(p, f, sym),
+         lambda p, f, r: brute_force_entries(p, f, sym, lambda i, j: i < p)),
+        (lambda p, f, r: factor_entries(p, f, sym),
+         lambda p, f, r: brute_force_entries(p, f, sym, lambda i, j: i < p or j < p)),
+        (lambda p, f, r: cb_entries(p, f, sym),
+         lambda p, f, r: brute_force_entries(p, f, sym, lambda i, j: i >= p and j >= p)),
+        (lambda p, f, r: partial_factorization_flops(p, f, sym),
+         lambda p, f, r: brute_force_flops(p, f, sym)),
+        (lambda p, f, r: type2_master_flops(p, f, sym),
+         lambda p, f, r: brute_force_master_flops(p, f, sym)),
+        (lambda p, f, r: type2_slave_row_flops(p, f, sym),
+         lambda p, f, r: brute_force_slave_row_flops(p, f, sym)),
+        (lambda p, f, r: type2_slave_flops(p, f, r, sym),
+         lambda p, f, r: float(r * brute_force_slave_row_flops(p, f, sym))),
+        (lambda p, f, r: type2_slave_factor_entries(p, f, r, sym),
+         lambda p, f, r: r * p),
+        (lambda p, f, r: type2_slave_block_entries(p, f, r, sym), None),
+    ]
+    for model, brute in models:
+        column = model(p_arr, f_arr, r_arr)
+        assert isinstance(column, np.ndarray) and column.shape == p_arr.shape
+        scalars = [model(p, f, r) for p, f, r in zip(npiv, nfront, nrows)]
+        assert column.tolist() == scalars
+        assert column.dtype == (np.float64 if isinstance(scalars[0], float) else np.int64)
+        assert [type(x) for x in column.tolist()] == [type(x) for x in scalars]
+        if brute is not None:
+            assert scalars == [brute(p, f, r) for p, f, r in zip(npiv, nfront, nrows)]
+
+    a, b = type2_slave_block_coefficients(p_arr, f_arr, sym)
+    assert np.broadcast_to(a, p_arr.shape).tolist() == [
+        type2_slave_block_coefficients(p, f, sym)[0] for p, f in zip(npiv, nfront)
+    ]
+    assert np.broadcast_to(b, p_arr.shape).tolist() == [
+        type2_slave_block_coefficients(p, f, sym)[1] for p, f in zip(npiv, nfront)
+    ]

@@ -80,7 +80,7 @@ class TestSequentialPeak:
         assert peak > 0
 
     def test_orders_contain_same_children(self, medium_tree):
-        orders = order_children_for_memory(medium_tree)
+        orders, _ = order_children_for_memory(medium_tree)
         for j in range(medium_tree.nnodes):
             assert sorted(orders[j]) == sorted(medium_tree.children(j))
 
@@ -90,6 +90,12 @@ class TestSequentialPeak:
         assert peaks[-1] >= peaks[0]
 
     def test_deterministic(self, medium_tree):
-        a = order_children_for_memory(medium_tree)
-        b = order_children_for_memory(medium_tree)
+        a, peaks_a = order_children_for_memory(medium_tree)
+        b, peaks_b = order_children_for_memory(medium_tree)
         assert a == b
+        assert peaks_a.tobytes() == peaks_b.tobytes()
+
+    def test_peaks_match_a_second_pass_over_the_order(self, medium_tree, star_tree, chain_tree):
+        for tree in (medium_tree, star_tree, chain_tree):
+            order, peaks = order_children_for_memory(tree)
+            assert peaks.tobytes() == subtree_peaks_given_order(tree, order).tobytes()
