@@ -2,8 +2,8 @@
 
 The benchmark subsystem turns performance from folklore into diffable data:
 
-* :class:`BenchEnv` — validated ``REPRO_BENCH_NPROCS`` / ``REPRO_BENCH_SCALE``
-  configuration;
+* :class:`BenchEnv` — the validated ``nprocs`` / ``scale`` configuration of
+  a run;
 * :class:`BenchCase` / :class:`BenchResult` / :class:`BenchRun` — the
   schema-versioned, JSON round-trippable result model;
 * :data:`~repro.bench.suites.SUITES` — the named suites (``pipeline``,
@@ -16,8 +16,9 @@ The benchmark subsystem turns performance from folklore into diffable data:
   regression/improvement/within-tolerance verdicts the CI perf gate consumes;
   :func:`median_run` folds several runs into one baseline.
 
-The ``repro bench`` CLI verb (:mod:`repro.bench.cli`) is a thin layer
-over these pieces.  See ``docs/benchmarks.md``.
+The ``repro bench`` CLI verb's handlers (:mod:`repro.bench.cli`, flags
+declared in :func:`repro.cli.build_parser`) are a thin layer over these
+pieces.  See ``docs/benchmarks.md``.
 """
 
 from repro.bench.baseline import (

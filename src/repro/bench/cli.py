@@ -1,4 +1,7 @@
-"""The ``repro bench`` verb: run suites, manage baselines, compare runs.
+"""The ``repro bench`` verb's handlers: run suites, manage baselines, compare runs.
+
+Its flags are declared in :func:`repro.cli.build_parser`; each ``cmd_*``
+handler takes that subcommand's parser and parsed arguments.
 
 Examples
 --------
@@ -54,81 +57,7 @@ from repro.bench.model import BenchRun
 from repro.bench.runner import BenchRunner
 from repro.bench.suites import SUITES, PreparedCase
 
-__all__ = ["main", "build_parser"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Continuous performance harness: run suites, compare against baselines",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute one or more suites")
-    run.add_argument(
-        "--suite", default="pipeline",
-        help="comma-separated suite names, or 'all' (default: pipeline)",
-    )
-    run.add_argument("--scale", type=float, default=None, help="problem scale override")
-    run.add_argument("--nprocs", type=int, default=None, help="simulated-processor override")
-    run.add_argument("--repeats", type=int, default=None, help="timed repeats per case (default: per-case)")
-    run.add_argument("--warmup", type=int, default=None, help="untimed warmup rounds per case (default: per-case)")
-    run.add_argument(
-        "--save", nargs="?", const="auto", default=None, metavar="PATH",
-        help="write the result JSON (bare --save picks benchmarks/baselines/BENCH_<host>.json)",
-    )
-    run.add_argument(
-        "--history", default=None, metavar="DIR",
-        help="with --save: also append the run to this bench history "
-        "(default benchmarks/baselines/history/; see 'repro bench history')",
-    )
-    run.add_argument(
-        "--no-history", action="store_true",
-        help="with --save: skip the bench-history append",
-    )
-    run.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="compare against this baseline after running (report appended to the output)",
-    )
-    run.add_argument("--tolerance", type=float, default=0.25, help="relative tolerance for --baseline (default 0.25)")
-    run.add_argument(
-        "--max-regression", type=float, default=None, metavar="RATIO",
-        help="with --baseline: only fail beyond this slowdown ratio (e.g. 2.0)",
-    )
-    run.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
-    run.add_argument("--quiet", action="store_true", help="disable the per-case progress lines on stderr")
-    run.add_argument(
-        "--profile", nargs="?", const=15, default=None, type=int, metavar="TOP",
-        help="cProfile each case once after the timed repeats and report the top "
-        "TOP functions by cumulative time (default 15); included in --format json",
-    )
-
-    comp = sub.add_parser("compare", help="compare a result file against a baseline file")
-    comp.add_argument("current", help="result JSON produced by 'bench run --save'")
-    comp.add_argument("baseline", help="baseline JSON to compare against")
-    comp.add_argument("--tolerance", type=float, default=0.25, help="relative tolerance (default 0.25)")
-    comp.add_argument(
-        "--max-regression", type=float, default=None, metavar="RATIO",
-        help="only fail beyond this slowdown ratio (hard errors always fail)",
-    )
-    comp.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
-
-    fold = sub.add_parser("fold", help="fold saved runs into one baseline: per case, the median run")
-    fold.add_argument("runs", nargs="+", metavar="RUN", help="result JSONs produced by 'bench run --save'")
-    fold.add_argument("--save", required=True, metavar="PATH", help="write the folded baseline JSON here")
-
-    lst = sub.add_parser("list", help="list the available suites")
-    lst.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
-
-    hist = sub.add_parser("history", help="list the recorded timing trajectory per case")
-    hist.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="history directory (default benchmarks/baselines/history/)",
-    )
-    hist.add_argument("--case", default=None, metavar="KEY", help="restrict to one case key (suite/name)")
-    hist.add_argument("--limit", type=int, default=None, help="only the most recent N points")
-    hist.add_argument("--format", choices=("json", "csv", "md"), default="md", help="stdout format (default md)")
-    return parser
+__all__ = ["cmd_run", "cmd_compare", "cmd_fold", "cmd_list", "cmd_history"]
 
 
 # --------------------------------------------------------------------------- #
@@ -298,7 +227,7 @@ def _validate_compare_flags(parser: argparse.ArgumentParser, args: argparse.Name
         )
 
 
-def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     suites = _resolve_suites(parser, args.suite)
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -308,17 +237,9 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         parser.error("--profile expects a positive top-N function count")
     _validate_compare_flags(parser, args)
     try:
-        env = BenchEnv.from_environ().replace(scale=args.scale, nprocs=args.nprocs)
+        env = BenchEnv().replace(scale=args.scale, nprocs=args.nprocs)
     except BenchEnvError as exc:
-        # blame the flag the user typed, not the (unset) environment variable
-        message = str(exc)
-        for flag, variable, value in (
-            ("--scale", "REPRO_BENCH_SCALE", args.scale),
-            ("--nprocs", "REPRO_BENCH_NPROCS", args.nprocs),
-        ):
-            if value is not None:
-                message = message.replace(variable, flag)
-        parser.error(message)
+        parser.error(str(exc))
     runner = BenchRunner(
         env,
         repeats=args.repeats,
@@ -367,7 +288,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return status
 
 
-def _cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.bench.history import BenchHistory, default_history_dir
 
     if args.limit is not None and args.limit < 1:
@@ -405,7 +326,7 @@ def _cmd_history(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 0
 
 
-def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_compare_flags(parser, args)
     current = _load_run(args.current)
     baseline = _load_run(args.baseline)
@@ -414,7 +335,7 @@ def _cmd_compare(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     return 1 if report.failed(max_regression=args.max_regression) else 0
 
 
-def _cmd_fold(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_fold(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         run = median_run([_load_run(path) for path in args.runs])
     except ValueError as exc:
@@ -424,23 +345,6 @@ def _cmd_fold(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(parser, args)
-    if args.command == "compare":
-        return _cmd_compare(parser, args)
-    if args.command == "fold":
-        return _cmd_fold(parser, args)
-    if args.command == "list":
-        print(render_suites(args.format))
-        return 0
-    if args.command == "history":
-        return _cmd_history(parser, args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover - argparse guards
-    return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+def cmd_list(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    print(render_suites(args.format))
+    return 0

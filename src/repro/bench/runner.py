@@ -75,7 +75,7 @@ class BenchRunner:
             raise ValueError(f"warmup must be >= 0, got {warmup}")
         if profile_top is not None and profile_top < 1:
             raise ValueError(f"profile_top must be >= 1, got {profile_top}")
-        self.env = env if env is not None else BenchEnv.from_environ()
+        self.env = env if env is not None else BenchEnv()
         self.repeats = repeats
         self.warmup = warmup
         self.timer = timer

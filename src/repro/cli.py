@@ -1,4 +1,4 @@
-"""Command-line interface: regenerate the paper's tables and figures.
+"""Command-line interface: one parser tree for every ``repro`` verb.
 
 Examples
 --------
@@ -49,18 +49,37 @@ see ``docs/tuning.md``)::
     python -m repro tune --space 'hybrid(alpha=0.0..1.0)' --problems XENON2 \\
         --searcher 'halving(samples=8,eta=2,rungs=3)' --seed 7 --store .repro_tune
 
+Rank strategies under injected faults (see ``docs/robustness.md``)::
+
+    python -m repro robustness --problems XENON2 \\
+        --faults 'stragglers(frac=0.1,slowdown=4.0)+msgloss(p=0.01)' --seed 7
+
 Run the sweep service (job queue daemon + cached HTTP/JSON query API — see
 ``docs/service.md``), submit a job and query a cached result::
 
     python -m repro serve --port 8023 --scale 0.5
     python -m repro submit --url http://127.0.0.1:8023 --problems XENON2 --wait
     python -m repro query --url http://127.0.0.1:8023 --problem XENON2
+
+Grammar
+-------
+:func:`build_parser` builds one ``argparse`` tree with a subparser per verb
+(``bench`` has its own run/compare/fold/list/history subparsers). The flags
+verbs share are declared once, in parent parsers: the engine flags
+(``--nprocs --scale --cache --jobs``) and the case axes (``--problems
+--orderings --strategies``). :func:`main` parses once, then checks
+``--jobs`` and every axis value against its registry, in one place, before
+any work. A figure verb declares only the flags its generator takes (its
+``ALL_FIGURES`` params), so argparse rejects the rest. The handlers of the
+``bench``, ``tune``, ``robustness`` and ``serve``/``submit``/``query`` verbs
+live in their subsystem's ``cli`` module, imported only when the verb runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import sys
@@ -77,97 +96,125 @@ from repro.scheduling import STRATEGIES, resolve_strategy
 from repro.session import Session
 from repro.specs import SweepSpec, split_spec_list
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "session_kwargs"]
 
-#: flags that configure the experiment engine; figure generators declare in
-#: their registry entry (``ALL_FIGURES``) which of the mapped keywords they
-#: accept, everything else is rejected for figure targets instead of being
-#: silently ignored.
-_ENGINE_FLAGS = {
-    "--nprocs": "nprocs",
-    "--scale": "scale",
-    "--cache": "cache_dir",
-    "--jobs": "jobs",
-    "-j": "jobs",
-}
-
-#: kwarg → preferred (long) flag spelling, for error messages.
-_FLAG_OF = {kwarg: flag for flag, kwarg in _ENGINE_FLAGS.items() if flag.startswith("--")}
+#: default marking a shared flag the verb does not take
+_OFF = object()
+#: default marking a required case axis
+_REQUIRED = object()
 
 
-def _nprocs_list(text: str) -> object:
-    """``"8"`` → 8, ``"8,16,32"`` → [8, 16, 32] (single values stay ints)."""
+# --------------------------------------------------------------------------- #
+# shared flags
+# --------------------------------------------------------------------------- #
+def _nprocs_list(text: str) -> list[int]:
+    """``"8"`` → [8], ``"8,16,32"`` → [8, 16, 32]: a processor-count axis."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--nprocs expects integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects integers, got {text!r}") from None
     if not values:
-        raise argparse.ArgumentTypeError("--nprocs expects at least one integer")
-    return values[0] if len(values) == 1 else values
+        raise argparse.ArgumentTypeError("expects at least one integer")
+    return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of 'Memory-based scheduling for a parallel multifrontal solver'",
-        # no prefix abbreviations: the figure targets decide flag support by
-        # inspecting argv, which must see the same spelling argparse accepts
-        allow_abbrev=False,
-    )
-    parser.add_argument(
-        "target",
-        help="table1..table6, figure1..figure8, 'all', 'tables', 'figures', 'sweep', 'list', "
-        "'bench' (the performance harness; see 'repro bench --help'), "
-        "'tune' (strategy auto-tuning; see 'repro tune --help'), "
-        "'robustness' (fault-injection sweeps; see 'repro robustness --help') or "
-        "'serve'/'submit'/'query' (the sweep service; see 'repro serve --help')",
-    )
-    parser.add_argument(
-        "--nprocs", type=_nprocs_list, default=32,
-        help="simulated processors (paper: 32); 'sweep' accepts a comma-separated axis, e.g. 8,16,32",
-    )
-    parser.add_argument("--scale", type=float, default=1.0, help="problem scale factor (1.0 = full analogue size)")
-    parser.add_argument("--cache", default="", help="directory for the artifact cache (optional)")
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="worker processes for sweeps/tables (1 = serial; cases sharing an analysis are grouped per worker)",
-    )
-    parser.add_argument(
-        "--problems", default="", help="comma-separated subset of problems (default: the table's own set)"
-    )
-    parser.add_argument(
-        "--orderings", default="",
-        help="comma-separated ordering specs (default: metis,pord,amd,amf); params allowed: 'metis(leaf_size=32)'",
-    )
-    parser.add_argument(
-        "--strategies", default="",
-        help="comma-separated strategy specs for the 'sweep' target "
-        "(default: mumps-workload,memory-full); params allowed: 'hybrid(alpha=0.25)'",
-    )
-    parser.add_argument(
-        "--split", action="store_true", help="apply static splitting of large masters ('sweep' target)"
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="columnar result-store directory for the 'sweep' target: completed cases stream "
-        "into it and a rerun over the same directory skips them (resumable sweeps)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format for the 'sweep', 'list' and table targets (tables: text or json; "
-        "default: text)",
-    )
-    parser.add_argument(
-        "--no-progress", action="store_true", help="disable the per-case progress lines on stderr"
-    )
-    return parser
+def _spec_list(text: str) -> list[str]:
+    """A comma-separated spec list, split outside parentheses."""
+    values = split_spec_list(text)
+    if not values:
+        raise argparse.ArgumentTypeError("expects at least one value")
+    return values
+
+
+def _problem_list(text: str) -> list[str]:
+    return [name.upper() for name in _spec_list(text)]
+
+
+def _engine_flags(*, nprocs=32, scale=1.0, cache="", jobs=1, axis=False, short_jobs=False):
+    """Parent parser of the engine flags; a flag defaulting to ``_OFF`` is left out.
+
+    ``axis`` makes ``--nprocs`` a comma-separated processor-count axis.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    if nprocs is not _OFF:
+        parent.add_argument(
+            "--nprocs", type=_nprocs_list if axis else int, default=nprocs,
+            help="simulated processors (paper: 32)" + (", a comma-separated axis, e.g. 8,16,32" if axis else ""),
+        )
+    if scale is not _OFF:
+        parent.add_argument("--scale", type=float, default=scale, help="problem scale factor (1.0 = full analogue size)")
+    if cache is not _OFF:
+        parent.add_argument("--cache", dest="cache_dir", default=cache, metavar="DIR", help="artifact cache directory")
+    if jobs is not _OFF:
+        parent.add_argument(
+            "--jobs", *(["-j"] if short_jobs else []), type=int, default=jobs,
+            help="worker processes (1 = serial, in-process; cases sharing an analysis run on one worker)",
+        )
+    return parent
+
+
+def _case_axes(*, problems=None, orderings=None, strategies=_OFF):
+    """Parent parser of the case axes; a string default is parsed like a typed value."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, default, kind, noun in (
+        ("--problems", problems, _problem_list, "problem names, e.g. XENON2,PRE2"),
+        ("--orderings", orderings, _spec_list, "ordering specs; params allowed: 'metis(leaf_size=32)'"),
+        ("--strategies", strategies, _spec_list, "strategy specs; params allowed: 'hybrid(alpha=0.25)'"),
+    ):
+        if default is _OFF:
+            continue
+        required = default is _REQUIRED
+        parent.add_argument(
+            flag, type=kind, required=required, default=None if required else default,
+            help=f"comma-separated {noun}" + (f" (default: {default})" if isinstance(default, str) else ""),
+        )
+    return parent
+
+
+def _format(parser: argparse.ArgumentParser, *choices: str) -> None:
+    parser.add_argument("--format", choices=choices, default=choices[0], help=f"stdout format (default {choices[0]})")
+
+
+def session_kwargs(args: argparse.Namespace) -> dict[str, object]:
+    """:class:`Session` keywords from the engine flags ``args`` carries.
+
+    Unset flags (``None`` or an empty ``--cache``) keep the session's
+    defaults; a ``--nprocs`` axis configures the session with its first count.
+    """
+    kwargs: dict[str, object] = {}
+    for key in ("nprocs", "scale", "cache_dir", "jobs"):
+        value = getattr(args, key, None)
+        if value is not None and value != "":
+            kwargs[key] = value[0] if isinstance(value, list) else value
+    return kwargs
+
+
+def _check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The checks every verb shares: ``--jobs`` and the axes' registries."""
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    for name in getattr(args, "problems", None) or []:
+        if name not in PROBLEMS:
+            parser.error(
+                f"unknown --problems value {name!r}; expected one of {', '.join(sorted(PROBLEMS))}"
+            )
+    for flag, values, resolver in (
+        ("--orderings", getattr(args, "orderings", None), resolve_ordering),
+        ("--strategies", getattr(args, "strategies", None), resolve_strategy),
+    ):
+        for name in values or []:
+            try:
+                resolver(name)
+            except ValueError as exc:
+                prefix = "unknown" if "unknown" in str(exc) else "invalid"
+                parser.error(f"{prefix} {flag} value {name!r}: {exc}")
 
 
 # --------------------------------------------------------------------------- #
 # listing
 # --------------------------------------------------------------------------- #
-def _print_listing(fmt: str) -> None:
-    if fmt == "json":
+def _cmd_list(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.format == "json":
         payload = {
             "problems": [
                 {**entry, "symmetric": PROBLEMS[str(entry["name"])].symmetric}
@@ -179,7 +226,7 @@ def _print_listing(fmt: str) -> None:
             "figures": figures_mod.ALL_FIGURES.describe(),
         }
         print(json.dumps(payload, indent=2))
-        return
+        return 0
     print("problems:")
     for name, spec in PROBLEMS.items():
         print(f"  {name:12s} {'SYM' if spec.symmetric else 'UNS'}  {spec.description}")
@@ -189,6 +236,7 @@ def _print_listing(fmt: str) -> None:
         params = entry["params"]
         suffix = f"  [params: {', '.join(sorted(params))}]" if params else ""
         print(f"  {entry['name']:15s} {entry['description']}{suffix}")
+    return 0
 
 
 def _progress_printer(event: ProgressEvent) -> None:
@@ -199,8 +247,12 @@ def _progress_printer(event: ProgressEvent) -> None:
     )
 
 
+def _session(args: argparse.Namespace) -> Session:
+    return Session(**session_kwargs(args), progress=None if args.no_progress else _progress_printer)
+
+
 # --------------------------------------------------------------------------- #
-# tables
+# tables and figures
 # --------------------------------------------------------------------------- #
 def _run_tables(session: Session, names: list[str], problems, orderings, *, fmt: str) -> None:
     """Print each table as aligned text, or all of them as one JSON document.
@@ -228,38 +280,23 @@ def _run_tables(session: Session, names: list[str], problems, orderings, *, fmt:
         print(json.dumps(payload, indent=2))
 
 
-# --------------------------------------------------------------------------- #
-# figures
-# --------------------------------------------------------------------------- #
-def _figure_kwargs(
-    parser: argparse.ArgumentParser, names: list[str], overrides: dict[str, object]
-) -> dict[str, dict[str, object]]:
-    """Per-figure kwargs from the explicitly given engine flags.
-
-    A flag must be consumable by at least one requested figure; otherwise the
-    old behaviour was to ignore it silently, which is now an error.
-    """
-    per_figure: dict[str, dict[str, object]] = {name: {} for name in names}
-    for key, value in overrides.items():
-        takers = [name for name in names if key in figures_mod.ALL_FIGURES.entry(name).params]
-        if not takers:
-            flag = _FLAG_OF[key]
-            parser.error(
-                f"{flag} is not supported by figure target(s) {', '.join(names)}; "
-                "it configures the experiment engine (tables/sweeps)"
-            )
-        for name in takers:
-            per_figure[name][key] = value
-    return per_figure
-
-
-def _run_figures(names: list[str], kwargs_by_figure: dict[str, dict[str, object]]) -> None:
-    for name in names:
-        fn = figures_mod.ALL_FIGURES[name]
-        data = fn(**kwargs_by_figure.get(name, {}))
+def _cmd_paper(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Regenerate the tables, then the figures, that the verb names."""
+    if args.tables:
+        with _session(args) as session:
+            _run_tables(session, args.tables, args.problems, args.orderings, fmt=args.format)
+    for name in args.figures:
+        # a figure takes the flags its registry entry lists, when they are set
+        kwargs = {
+            key: getattr(args, key)
+            for key in figures_mod.ALL_FIGURES.entry(name).params
+            if getattr(args, key, None) not in (None, "")
+        }
+        data = figures_mod.ALL_FIGURES[name](**kwargs)
         print()
         print(f"=== {name.upper()} ===")
         print(data.get("ascii", repr(data)))
+    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -298,54 +335,291 @@ def _emit_sweep(results, fmt: str, seconds: float) -> None:
         )
 
 
-def _run_sweep(
-    session: Session, problems, orderings, strategies, nprocs_axis,
-    *, split: bool, fmt: str, store: str | None = None,
-) -> None:
+def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     sweep = SweepSpec(
-        problems=problems or list(PROBLEMS),
-        orderings=orderings or list(ORDERING_NAMES),
-        strategies=strategies or ["mumps-workload", "memory-full"],
-        split=[split],
-        nprocs=nprocs_axis,
+        problems=args.problems or list(PROBLEMS),
+        orderings=args.orderings or list(ORDERING_NAMES),
+        strategies=args.strategies or ["mumps-workload", "memory-full"],
+        split=[args.split],
+        # one count configures the session; several are the sweep's axis
+        nprocs=args.nprocs if len(args.nprocs) > 1 else [None],
     )
     start = time.time()
-    if store is not None:
-        results = session.sweep(sweep, store=store)
-        print(
-            f"store {store}: {results.skipped} case(s) already present, "
-            f"{results.computed} computed",
-            file=sys.stderr,
-            flush=True,
+    with _session(args) as session:
+        if args.store is not None:
+            results = session.sweep(sweep, store=args.store)
+            print(
+                f"store {args.store}: {results.skipped} case(s) already present, "
+                f"{results.computed} computed",
+                file=sys.stderr,
+                flush=True,
+            )
+        else:
+            results = session.run_cases(sweep.expand())
+    _emit_sweep(results, args.format, time.time() - start)
+    return 0
+
+
+# --------------------------------------------------------------------------- #
+# the parser tree
+# --------------------------------------------------------------------------- #
+def _lazy(target: str):
+    """The handler ``module:function``, imported only when its verb runs."""
+    module, _, name = target.partition(":")
+
+    def handler(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+        return getattr(importlib.import_module(module), name)(parser, args)
+
+    return handler
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of 'Memory-based scheduling for a parallel multifrontal solver'",
+        allow_abbrev=False,
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+
+    def verb(subparsers, name: str, handler, *parents, help: str, **defaults) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(
+            name, parents=list(parents), help=help.replace("%", "%%"), description=help, allow_abbrev=False,
         )
-    else:
-        results = session.run_cases(sweep.expand())
-    _emit_sweep(results, fmt, time.time() - start)
+        sub.set_defaults(handler=handler, parser=sub, **defaults)
+        return sub
+
+    # -- the paper's tables and figures ------------------------------------ #
+    def paper(name: str, help: str, tables: list[str], figures: list[str], formats=("text", "json")):
+        sub = verb(
+            verbs, name, _cmd_paper,
+            # in 'all', an unset --nprocs leaves each figure its own default
+            _engine_flags(nprocs=None if figures else 32, short_jobs=True), _case_axes(),
+            help=help, tables=tables, figures=figures,
+        )
+        _format(sub, *formats)
+        sub.add_argument("--no-progress", action="store_true", help="disable the per-case progress lines on stderr")
+
+    def figure(name: str, help: str, figures: list[str]) -> None:
+        params = {key for fig in figures for key in figures_mod.ALL_FIGURES.entry(fig).params}
+        verb(
+            verbs, name, _cmd_paper,
+            _engine_flags(
+                nprocs=argparse.SUPPRESS if "nprocs" in params else _OFF, scale=_OFF,
+                cache=argparse.SUPPRESS if "cache_dir" in params else _OFF, jobs=_OFF,
+            ),
+            help=help, tables=[], figures=figures,
+        )
+
+    for name in tables_mod.ALL_TABLES:
+        paper(name, tables_mod.ALL_TABLES.entry(name).description, [name], [])
+    for name in figures_mod.ALL_FIGURES:
+        figure(name, figures_mod.ALL_FIGURES.entry(name).description, [name])
+    paper("tables", "every table", list(tables_mod.ALL_TABLES), [])
+    figure("figures", "every figure", list(figures_mod.ALL_FIGURES))
+    paper("all", "every table and figure", list(tables_mod.ALL_TABLES), list(figures_mod.ALL_FIGURES), formats=("text",))
+
+    sweep = verb(
+        verbs, "sweep", _cmd_sweep,
+        _engine_flags(nprocs=[32], axis=True, short_jobs=True), _case_axes(strategies=None),
+        help="run an explicit problems x orderings x strategies x nprocs grid",
+    )
+    sweep.add_argument("--split", action="store_true", help="apply static splitting of large masters")
+    sweep.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="columnar result-store directory: completed cases stream into it and a rerun "
+        "over the same directory skips them (resumable sweeps)",
+    )
+    _format(sweep, "text", "json", "csv")
+    sweep.add_argument("--no-progress", action="store_true", help="disable the per-case progress lines on stderr")
+
+    _format(verb(verbs, "list", _cmd_list, help="list the problems, orderings and strategies"), "text", "json")
+
+    # -- fault injection ---------------------------------------------------- #
+    robustness = verb(
+        verbs, "robustness", _lazy("repro.faults.cli:cmd_robustness"),
+        _engine_flags(nprocs=None, scale=None, cache=None, jobs=None),
+        _case_axes(problems=_REQUIRED, orderings="metis", strategies="memory-full,mumps-workload"),
+        help="rank scheduling strategies by degradation under injected faults",
+    )
+    robustness.add_argument(
+        "--faults", required=True,
+        help="fault spec, e.g. 'stragglers(frac=0.1,slowdown=4.0)+msgloss(p=0.01)'",
+    )
+    robustness.add_argument("--seed", type=int, default=0, help="fault rng seed (default 0)")
+    robustness.add_argument("--replications", type=int, default=3, help="faulted replications per case (default 3)")
+    robustness.add_argument("--store", default=None, metavar="DIR", help="ResultStore directory making the sweep resumable")
+    _format(robustness, "md", "json", "csv")
+
+    # -- auto-tuning -------------------------------------------------------- #
+    tune = verb(
+        verbs, "tune", _lazy("repro.tune.cli:cmd_tune"),
+        _engine_flags(nprocs=None, scale=None, cache=None, jobs=None),
+        _case_axes(problems=_REQUIRED, orderings="metis"),
+        help="search the strategy space for the best configuration",
+    )
+    tune.add_argument(
+        "--space", required=True,
+        help="search space, e.g. 'hybrid(alpha=0.0..1.0,use_predictions=true|false)'",
+    )
+    tune.add_argument("--searcher", default="halving", help="searcher spec, e.g. 'halving(samples=8,eta=2,rungs=3)' (default: halving)")
+    tune.add_argument("--objective", default="peak-memory", help="objective spec (default: peak-memory)")
+    tune.add_argument("--seed", type=int, default=0, help="search rng seed (default 0)")
+    tune.add_argument(
+        "--split", default=None,
+        help="comma-separated split axis for the space, e.g. 'false,true' (default: false)",
+    )
+    tune.add_argument(
+        "--split-threshold", default=None, metavar="DOMAIN",
+        help="split-threshold domain, e.g. '200..800' or '300|500'",
+    )
+    tune.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="ResultStore directory memoizing every evaluation (makes the tune resumable)",
+    )
+    tune.add_argument(
+        "--leaderboard", default=None, metavar="PATH",
+        help="leaderboard artifact path (default: leaderboard.json in --store, when given)",
+    )
+    _format(tune, "md", "json")
+    tune.add_argument("--quiet", action="store_true", help="disable rung progress lines on stderr")
+
+    # -- the performance harness ------------------------------------------- #
+    bench = verbs.add_parser(
+        "bench", help="continuous performance harness: run suites, compare against baselines",
+        allow_abbrev=False,
+    )
+    commands = bench.add_subparsers(dest="command", required=True)
+    gate = argparse.ArgumentParser(add_help=False)
+    gate.add_argument("--tolerance", type=float, default=0.25, help="relative tolerance (default 0.25)")
+    gate.add_argument(
+        "--max-regression", type=float, default=None, metavar="RATIO",
+        help="only fail beyond this slowdown ratio, e.g. 2.0 (hard errors always fail)",
+    )
+
+    run = verb(
+        commands, "run", _lazy("repro.bench.cli:cmd_run"),
+        _engine_flags(nprocs=None, scale=None, cache=_OFF, jobs=_OFF), gate,
+        help="execute one or more suites",
+    )
+    run.add_argument("--suite", default="pipeline", help="comma-separated suite names, or 'all' (default: pipeline)")
+    run.add_argument("--repeats", type=int, default=None, help="timed repeats per case (default: per-case)")
+    run.add_argument("--warmup", type=int, default=None, help="untimed warmup rounds per case (default: per-case)")
+    run.add_argument(
+        "--save", nargs="?", const="auto", default=None, metavar="PATH",
+        help="write the result JSON (bare --save picks benchmarks/baselines/BENCH_<host>.json)",
+    )
+    run.add_argument(
+        "--history", default=None, metavar="DIR",
+        help="with --save: also append the run to this bench history "
+        "(default benchmarks/baselines/history/; see 'repro bench history')",
+    )
+    run.add_argument("--no-history", action="store_true", help="with --save: skip the bench-history append")
+    run.add_argument(
+        "--baseline", default=None, metavar="PATH",
+        help="compare against this baseline after running (report appended to the output)",
+    )
+    _format(run, "md", "json", "csv")
+    run.add_argument("--quiet", action="store_true", help="disable the per-case progress lines on stderr")
+    run.add_argument(
+        "--profile", nargs="?", const=15, default=None, type=int, metavar="TOP",
+        help="cProfile each case once after the timed repeats and report the top "
+        "TOP functions by cumulative time (default 15); included in --format json",
+    )
+
+    compare = verb(
+        commands, "compare", _lazy("repro.bench.cli:cmd_compare"), gate,
+        help="compare a result file against a baseline file",
+    )
+    compare.add_argument("current", help="result JSON produced by 'bench run --save'")
+    compare.add_argument("baseline", help="baseline JSON to compare against")
+    _format(compare, "md", "json", "csv")
+
+    fold = verb(
+        commands, "fold", _lazy("repro.bench.cli:cmd_fold"),
+        help="fold saved runs into one baseline: per case, the median run",
+    )
+    fold.add_argument("runs", nargs="+", metavar="RUN", help="result JSONs produced by 'bench run --save'")
+    fold.add_argument("--save", required=True, metavar="PATH", help="write the folded baseline JSON here")
+
+    _format(verb(commands, "list", _lazy("repro.bench.cli:cmd_list"), help="list the available suites"), "md", "json", "csv")
+
+    history = verb(
+        commands, "history", _lazy("repro.bench.cli:cmd_history"),
+        help="list the recorded timing trajectory per case",
+    )
+    history.add_argument("--dir", default=None, metavar="DIR", help="history directory (default benchmarks/baselines/history/)")
+    history.add_argument("--case", default=None, metavar="KEY", help="restrict to one case key (suite/name)")
+    history.add_argument("--limit", type=int, default=None, help="only the most recent N points")
+    _format(history, "md", "json", "csv")
+
+    # -- the sweep service -------------------------------------------------- #
+    serve = verb(
+        verbs, "serve", _lazy("repro.service.cli:cmd_serve"), _engine_flags(),
+        help="run the sweep service daemon",
+    )
+    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
+    serve.add_argument("--port", type=int, default=8023, help="bind port (0 = ephemeral; default 8023)")
+    serve.add_argument("--data-dir", default=".repro_service", help="journal + result-store directory")
+    serve.add_argument("--workers", type=int, default=1, help="job worker threads (default 1)")
+    serve.add_argument(
+        "--max-pending", type=int, default=None,
+        help="backpressure bound: POST /jobs answers 503 + Retry-After while this many jobs are queued (default: unbounded)",
+    )
+    serve.add_argument("--no-journal-fsync", action="store_true", help="skip fsync on journal appends (CI/tests)")
+    serve.add_argument("--quiet", action="store_true", help="suppress per-request log lines")
+
+    submit = verb(
+        verbs, "submit", _lazy("repro.service.cli:cmd_submit"),
+        _engine_flags(nprocs=None, scale=None, cache=_OFF, jobs=_OFF, axis=True),
+        _case_axes(problems=_REQUIRED, orderings="metis", strategies="memory-full"),
+        help="submit a sweep (or tune) job to a running daemon",
+    )
+    submit.add_argument(
+        "--tune", default=None, metavar="SPACE",
+        help="submit a tune job over this search space (e.g. 'hybrid(alpha=0.0..1.0)') "
+        "instead of a sweep grid; --strategies/--nprocs axes do not apply",
+    )
+    submit.add_argument("--tune-searcher", default="halving", help="tune searcher spec (default halving)")
+    submit.add_argument("--tune-objective", default="peak-memory", help="tune objective spec (default peak-memory)")
+    submit.add_argument("--tune-seed", type=int, default=0, help="tune search seed (default 0)")
+    submit.add_argument("--split", action="store_true", help="sweep with static splitting")
+    submit.add_argument("--priority", type=int, default=0, help="queue priority (higher runs first)")
+    submit.add_argument(
+        "--max-attempts", type=int, default=3,
+        help="retry budget per job; a retry reruns only the cases the store lacks (default 3)",
+    )
+    submit.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="job wall-clock deadline")
+    submit.add_argument("--wait", action="store_true", help="poll until the job finishes; exit 1 on failure")
+    submit.add_argument("--wait-timeout", type=float, default=600.0, help="--wait deadline (default 600s)")
+
+    query = verb(
+        verbs, "query", _lazy("repro.service.cli:cmd_query"),
+        _engine_flags(nprocs=None, scale=None, cache=_OFF, jobs=_OFF),
+        help="query results from a running daemon (one case or a listing)",
+    )
+    query.add_argument("--problem", default=None, help="problem name, e.g. XENON2 (required for a single-case query)")
+    query.add_argument("--ordering", default=None, help="ordering spec (single-case default: metis)")
+    query.add_argument("--strategy", default=None, help="strategy spec, e.g. 'hybrid(alpha=0.3)'")
+    query.add_argument("--split", action="store_true", help="the split-tree variant / list filter")
+    query.add_argument("--no-compute", action="store_true", help="404 instead of computing on a store miss")
+    query.add_argument("--table", default=None, metavar="NAME", help="fetch a table (e.g. table2) instead of one case")
+    query.add_argument(
+        "--leaderboard", nargs="?", const="latest", default=None, metavar="JOB",
+        help="fetch a tune job's leaderboard (bare flag = the latest one)",
+    )
+    query.add_argument("--list", action="store_true", help="paginated listing from the result store instead of one case")
+    query.add_argument("--limit", type=int, default=None, help="page size of --list (default 50, max 500)")
+    query.add_argument("--cursor", type=int, default=None, help="page offset of --list (from the previous page's next link)")
+    query.add_argument("--fields", default=None, help="comma-separated field projection for --list rows")
+    for sub in (submit, query):
+        sub.add_argument("--url", default="http://127.0.0.1:8023", help="service base URL")
+    return parser
 
 
 # --------------------------------------------------------------------------- #
 # entry point
 # --------------------------------------------------------------------------- #
-def _validate_subsets(parser, problems, orderings, strategies) -> None:
-    for name in problems or []:
-        if name not in PROBLEMS:
-            parser.error(
-                f"unknown --problems value {name!r}; expected one of {', '.join(sorted(PROBLEMS))}"
-            )
-    for flag, values, resolver in (
-        ("--orderings", orderings, resolve_ordering),
-        ("--strategies", strategies, resolve_strategy),
-    ):
-        for name in values or []:
-            try:
-                resolver(name)
-            except ValueError as exc:
-                prefix = "unknown" if "unknown" in str(exc) else "invalid"
-                parser.error(f"{prefix} {flag} value {name!r}: {exc}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
         # a bad REPRO_SIM_ENGINE fails here, once, for every verb — not as a
         # traceback from deep inside the first simulation
@@ -353,146 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
-    if raw_argv and raw_argv[0].lower() == "bench":
-        # the performance harness has its own subcommand grammar (run /
-        # compare / list / history) and flag set; hand the rest of argv
-        # straight over
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(raw_argv[1:])
-    if raw_argv and raw_argv[0].lower() == "tune":
-        # the auto-tuning verb owns its flag grammar too (see
-        # repro/tune/cli.py)
-        from repro.tune.cli import main as tune_main
-
-        return tune_main(raw_argv[1:])
-    if raw_argv and raw_argv[0].lower() == "robustness":
-        # the fault-injection verb owns its flag grammar (see
-        # repro/faults/cli.py)
-        from repro.faults.cli import main as robustness_main
-
-        return robustness_main(raw_argv[1:])
-    if raw_argv and raw_argv[0].lower() in ("serve", "submit", "query"):
-        # the service verbs likewise own their flag grammar (see
-        # repro/service/cli.py); the verb itself selects the subcommand
-        from repro.service.cli import main as service_main
-
-        return service_main(raw_argv)
-    parser = build_parser()
-    args = parser.parse_args(raw_argv)
-    target = args.target.lower()
-
-    if target == "bench":
-        # flags before the verb are ambiguous (--nprocs etc. belong to the
-        # bench subcommands); require the verb-first spelling explicitly
-        parser.error("'bench' must come first: repro bench {run,compare,list,history} ...")
-
-    if target in ("serve", "submit", "query", "tune", "robustness"):
-        parser.error(f"'{target}' must come first: repro {target} [flags] ...")
-
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
-    if target == "list":
-        if args.format == "csv":
-            parser.error("the 'list' target supports --format text or json, not csv")
-        _print_listing(args.format)
-        return 0
-
-    problems = [p.strip().upper() for p in args.problems.split(",") if p.strip()] or None
-    orderings = [o.strip() for o in split_spec_list(args.orderings)] or None
-    strategies = [s.strip() for s in split_spec_list(args.strategies)] or None
-    _validate_subsets(parser, problems, orderings, strategies)
-
-    table_names = list(tables_mod.ALL_TABLES)
-    figure_names = list(figures_mod.ALL_FIGURES)
-
-    wanted_tables: list[str] = []
-    wanted_figures: list[str] = []
-    wanted_sweep = False
-    figures_only = False
-    if target == "all":
-        wanted_tables = table_names
-        wanted_figures = figure_names
-    elif target == "tables":
-        wanted_tables = table_names
-    elif target == "figures":
-        wanted_figures = figure_names
-        figures_only = True
-    elif target == "sweep":
-        wanted_sweep = True
-    elif target in tables_mod.ALL_TABLES:
-        wanted_tables = [target]
-    elif target in figures_mod.ALL_FIGURES:
-        wanted_figures = [target]
-        figures_only = True
-    else:
-        parser.error(f"unknown target {args.target!r}")
-
-    if wanted_tables and args.format != "text" and (wanted_figures or args.format == "csv"):
-        parser.error("the table targets support --format text or json; 'all' supports text only")
-
-    nprocs_axis = args.nprocs if isinstance(args.nprocs, list) else [args.nprocs]
-    if len(nprocs_axis) > 1 and not wanted_sweep:
-        parser.error("a multi-valued --nprocs axis is only supported by the 'sweep' target")
-    if args.store is not None and not wanted_sweep:
-        parser.error("--store is only supported by the 'sweep' target")
-    engine_nprocs = nprocs_axis[0]
-
-    # engine flags the user actually typed (vs. parser defaults); short
-    # options may be condensed ("-j4"), long options may use "--flag=value"
-    def _typed(flag: str) -> bool:
-        if flag.startswith("--"):
-            return any(arg == flag or arg.startswith(flag + "=") for arg in raw_argv)
-        return any(arg.startswith(flag) and not arg.startswith("--") for arg in raw_argv)
-
-    explicit = {kwarg for flag, kwarg in _ENGINE_FLAGS.items() if _typed(flag)}
-
-    if wanted_figures:
-        overrides: dict[str, object] = {}
-        if "nprocs" in explicit:
-            overrides["nprocs"] = engine_nprocs
-        if "cache_dir" in explicit and args.cache:
-            overrides["cache_dir"] = args.cache
-        if figures_only:
-            # flags that no figure can consume are an error rather than a no-op
-            for kwarg in ("scale", "jobs"):
-                if kwarg in explicit:
-                    parser.error(f"{_FLAG_OF[kwarg]} is not supported by figure targets")
-            figure_kwargs = _figure_kwargs(parser, wanted_figures, overrides)
-        else:
-            # 'all': thread what each figure supports, the rest configures the tables
-            figure_kwargs = {
-                name: {
-                    key: value
-                    for key, value in overrides.items()
-                    if key in figures_mod.ALL_FIGURES.entry(name).params
-                }
-                for name in wanted_figures
-            }
-
-    if wanted_tables or wanted_sweep:
-        session = Session(
-            nprocs=engine_nprocs,
-            scale=args.scale,
-            cache_dir=args.cache or None,
-            jobs=args.jobs,
-            progress=None if args.no_progress else _progress_printer,
-        )
-        try:
-            if wanted_tables:
-                _run_tables(session, wanted_tables, problems, orderings, fmt=args.format)
-            if wanted_sweep:
-                axis = args.nprocs if isinstance(args.nprocs, list) else [None]
-                _run_sweep(
-                    session, problems, orderings, strategies, axis,
-                    split=args.split, fmt=args.format, store=args.store,
-                )
-        finally:
-            session.close()
-    if wanted_figures:
-        _run_figures(wanted_figures, figure_kwargs)
-    return 0
+    args = build_parser().parse_args(argv)
+    _check(args.parser, args)
+    return args.handler(args.parser, args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -323,9 +323,9 @@ def figure8() -> dict[str, object]:
 
 
 #: Registry of the figure generators (a Mapping: ``ALL_FIGURES["figure5"]``).
-#: ``params`` records the keyword arguments each generator accepts; the CLI
-#: threads its ``--nprocs`` / ``--cache`` flags through them (and rejects
-#: flags no requested figure supports, instead of silently ignoring them).
+#: ``params`` records the keyword arguments each generator accepts; a figure's
+#: CLI verb declares the ``--nprocs`` / ``--cache`` flags among them and no
+#: other flag, so argparse rejects the rest instead of silently ignoring them.
 ALL_FIGURES: Registry = Registry("figure")
 ALL_FIGURES.add("figure1", figure1,
                 description="The 6x6 example matrix and its assembly tree (Section 2)")

@@ -1,4 +1,4 @@
-"""The ``repro robustness`` verb: rank strategies under injected faults.
+"""The ``repro robustness`` verb's handler: rank strategies under injected faults.
 
 Runs one faulted sweep (clean baseline + ``--replications`` seeded faulted
 replays per case, see :mod:`repro.faults`) and emits a strategy-degradation
@@ -19,7 +19,7 @@ replications, reproducibly seeded::
 The same ``(--faults, --seed)`` pair always reproduces byte-identical
 results; add ``--store`` to make the sweep resumable.  See
 ``docs/robustness.md`` for the fault-model grammar and the replication
-semantics.
+semantics.  The verb's flags are declared in :func:`repro.cli.build_parser`.
 """
 
 from __future__ import annotations
@@ -30,50 +30,10 @@ import io
 import json
 
 import repro
+from repro.cli import session_kwargs
 from repro.faults import parse_faults
 
-__all__ = ["main", "build_parser"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro robustness",
-        description="Rank scheduling strategies by degradation under injected faults",
-    )
-    parser.add_argument(
-        "--problems", required=True,
-        help="comma-separated problem names, e.g. XENON2,PRE2",
-    )
-    parser.add_argument(
-        "--orderings", default="metis",
-        help="comma-separated ordering specs (default: metis)",
-    )
-    parser.add_argument(
-        "--strategies", default="memory-full,mumps-workload",
-        help="comma-separated strategy specs (default: memory-full,mumps-workload)",
-    )
-    parser.add_argument(
-        "--faults", required=True,
-        help="fault spec, e.g. 'stragglers(frac=0.1,slowdown=4.0)+msgloss(p=0.01)'",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="fault rng seed (default 0)")
-    parser.add_argument(
-        "--replications", type=int, default=3,
-        help="faulted replications per case (default 3)",
-    )
-    parser.add_argument("--nprocs", type=int, default=None, help="simulated-processor override")
-    parser.add_argument("--scale", type=float, default=None, help="problem scale factor")
-    parser.add_argument("--jobs", type=int, default=None, help="sweep worker processes")
-    parser.add_argument("--cache", default=None, metavar="DIR", help="artifact cache directory")
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="ResultStore directory making the sweep resumable",
-    )
-    parser.add_argument(
-        "--format", choices=("md", "json", "csv"), default="md",
-        help="stdout format (default md)",
-    )
-    return parser
+__all__ = ["cmd_robustness"]
 
 
 _COLUMNS = (
@@ -134,15 +94,7 @@ def _render(rows: list[dict[str, object]], faults: str, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    problems = [p.strip().upper() for p in args.problems.split(",") if p.strip()]
-    if not problems:
-        parser.error("--problems needs at least one problem")
-    orderings = [o.strip() for o in args.orderings.split(",") if o.strip()]
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+def cmd_robustness(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.replications < 1:
         parser.error("--replications must be >= 1")
     if args.seed < 0:
@@ -152,22 +104,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    session_kwargs = {}
-    if args.nprocs is not None:
-        session_kwargs["nprocs"] = args.nprocs
-    if args.scale is not None:
-        session_kwargs["scale"] = args.scale
-    if args.cache is not None:
-        session_kwargs["cache_dir"] = args.cache
-    if args.jobs is not None:
-        session_kwargs["jobs"] = args.jobs
-
     try:
-        with repro.open_session(**session_kwargs) as session:
+        with repro.open_session(**session_kwargs(args)) as session:
             results = session.sweep(
-                problems=problems,
-                orderings=orderings,
-                strategies=strategies,
+                problems=args.problems,
+                orderings=args.orderings,
+                strategies=args.strategies,
                 faults=[faults],
                 fault_seed=args.seed,
                 replications=args.replications,
@@ -178,7 +120,3 @@ def main(argv: list[str] | None = None) -> int:
 
     print(_render(_rows(results), faults, args.format))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

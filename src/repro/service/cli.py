@@ -1,4 +1,6 @@
-"""The ``repro serve`` / ``repro submit`` / ``repro query`` CLI verbs.
+"""The ``repro serve`` / ``repro submit`` / ``repro query`` verbs' handlers.
+
+Their flags are declared in :func:`repro.cli.build_parser`.
 
 Examples
 --------
@@ -26,81 +28,15 @@ import json
 import signal
 import sys
 
-__all__ = ["main", "build_parser"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Sweep-as-a-service: daemon, job submission and result queries",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    serve = sub.add_parser("serve", help="run the sweep service daemon")
-    serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8023, help="bind port (0 = ephemeral; default 8023)")
-    serve.add_argument("--data-dir", default=".repro_service", help="journal + result-store directory")
-    serve.add_argument("--nprocs", type=int, default=32, help="engine default simulated processors")
-    serve.add_argument("--scale", type=float, default=1.0, help="engine default problem scale")
-    serve.add_argument("--cache", default="", help="artifact-cache directory for the engine (optional)")
-    serve.add_argument(
-        "--jobs", type=int, default=1,
-        help="execution width of the daemon's session: 1 = in-process, "
-        ">1 = one process pool of this many workers shared by every job worker (default 1)",
-    )
-    serve.add_argument("--workers", type=int, default=1, help="job worker threads (default 1)")
-    serve.add_argument(
-        "--max-pending", type=int, default=None,
-        help="backpressure bound: POST /jobs answers 503 + Retry-After while this many jobs are queued (default: unbounded)",
-    )
-    serve.add_argument("--no-journal-fsync", action="store_true", help="skip fsync on journal appends (CI/tests)")
-    serve.add_argument("--quiet", action="store_true", help="suppress per-request log lines")
-
-    submit = sub.add_parser("submit", help="submit a sweep (or tune) job to a running daemon")
-    submit.add_argument("--url", default="http://127.0.0.1:8023", help="service base URL")
-    submit.add_argument("--problems", required=True, help="comma-separated problems")
-    submit.add_argument(
-        "--tune", default=None, metavar="SPACE",
-        help="submit a tune job over this search space (e.g. 'hybrid(alpha=0.0..1.0)') "
-        "instead of a sweep grid; --strategies/--nprocs axes do not apply",
-    )
-    submit.add_argument("--tune-searcher", default="halving", help="tune searcher spec (default halving)")
-    submit.add_argument("--tune-objective", default="peak-memory", help="tune objective spec (default peak-memory)")
-    submit.add_argument("--tune-seed", type=int, default=0, help="tune search seed (default 0)")
-    submit.add_argument("--orderings", default="metis", help="comma-separated ordering specs")
-    submit.add_argument("--strategies", default="memory-full", help="comma-separated strategy specs")
-    submit.add_argument("--nprocs", default="", help="comma-separated processor-count axis (optional)")
-    submit.add_argument("--scale", type=float, default=None, help="per-case scale override (optional)")
-    submit.add_argument("--split", action="store_true", help="sweep with static splitting")
-    submit.add_argument("--priority", type=int, default=0, help="queue priority (higher runs first)")
-    submit.add_argument("--max-attempts", type=int, default=3, help="retry budget per job; a retry reruns only the cases the store lacks (default 3)")
-    submit.add_argument("--timeout", type=float, default=None, metavar="SECONDS", help="job wall-clock deadline")
-    submit.add_argument("--wait", action="store_true", help="poll until the job finishes; exit 1 on failure")
-    submit.add_argument("--wait-timeout", type=float, default=600.0, help="--wait deadline (default 600s)")
-
-    query = sub.add_parser("query", help="query results from a running daemon (one case or a listing)")
-    query.add_argument("--url", default="http://127.0.0.1:8023", help="service base URL")
-    query.add_argument("--problem", default=None, help="problem name, e.g. XENON2 (required for a single-case query)")
-    query.add_argument("--ordering", default=None, help="ordering spec (single-case default: metis)")
-    query.add_argument("--strategy", default=None, help="strategy spec, e.g. 'hybrid(alpha=0.3)'")
-    query.add_argument("--nprocs", type=int, default=None, help="processor-count override / list filter")
-    query.add_argument("--scale", type=float, default=None, help="scale override (single-case only)")
-    query.add_argument("--split", action="store_true", help="the split-tree variant / list filter")
-    query.add_argument("--no-compute", action="store_true", help="404 instead of computing on a store miss")
-    query.add_argument("--table", default=None, metavar="NAME", help="fetch a table (e.g. table2) instead of one case")
-    query.add_argument(
-        "--leaderboard", nargs="?", const="latest", default=None, metavar="JOB",
-        help="fetch a tune job's leaderboard (bare flag = the latest one)",
-    )
-    query.add_argument("--list", action="store_true", help="paginated listing from the result store instead of one case")
-    query.add_argument("--limit", type=int, default=None, help="page size of --list (default 50, max 500)")
-    query.add_argument("--cursor", type=int, default=None, help="page offset of --list (from the previous page's next link)")
-    query.add_argument("--fields", default=None, help="comma-separated field projection for --list rows")
-    return parser
+__all__ = ["cmd_serve", "cmd_submit", "cmd_query"]
 
 
 # --------------------------------------------------------------------------- #
-def _cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
+    if args.max_pending is not None and args.max_pending < 1:
+        parser.error("--max-pending must be >= 1")
     from repro.service.daemon import SweepService
     from repro.service.http import make_server
 
@@ -108,7 +44,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         data_dir=args.data_dir,
         nprocs=args.nprocs,
         scale=args.scale,
-        artifact_cache_dir=args.cache,
+        artifact_cache_dir=args.cache_dir,
         jobs=args.jobs,
         workers=args.workers,
         max_pending=args.max_pending,
@@ -137,9 +73,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
+def cmd_submit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
-    from repro.specs import split_spec_list
 
     spec: dict[str, object] = {
         "priority": args.priority,
@@ -153,8 +88,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         try:
             tune = TuneSpec(
                 space=parse_space(args.tune),
-                problems=[p.upper() for p in split_spec_list(args.problems)],
-                orderings=split_spec_list(args.orderings),
+                problems=args.problems,
+                orderings=args.orderings,
                 searcher=args.tune_searcher,
                 objective=args.tune_objective,
                 seed=args.tune_seed,
@@ -165,15 +100,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             return 2
         spec["tune"] = tune.to_dict()
     else:
-        nprocs = [int(part) for part in args.nprocs.split(",") if part.strip()]
         sweep: dict[str, object] = {
-            "problems": [p.upper() for p in split_spec_list(args.problems)],
-            "orderings": split_spec_list(args.orderings),
-            "strategies": split_spec_list(args.strategies),
+            "problems": args.problems,
+            "orderings": args.orderings,
+            "strategies": args.strategies,
             "split": [bool(args.split)],
         }
-        if nprocs:
-            sweep["nprocs"] = nprocs
+        if args.nprocs is not None:
+            sweep["nprocs"] = args.nprocs
         if args.scale is not None:
             sweep["scale"] = [args.scale]
         spec["sweep"] = sweep
@@ -189,7 +123,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if record.get("state") in (None, "queued", "running", "done") else 1
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
     client = ServiceClient(args.url)
@@ -232,26 +166,3 @@ def _cmd_query(args: argparse.Namespace) -> int:
     sys.stdout.buffer.flush()
     print(f"cache: {response.cache or 'n/a'}", file=sys.stderr)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "serve":
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        if args.max_pending is not None and args.max_pending < 1:
-            parser.error("--max-pending must be >= 1")
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "query":
-        return _cmd_query(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -69,6 +69,30 @@ class QueueSaturated(RuntimeError):
 _RESULT_VERSION = "1"
 
 
+def _query_bool(params: Mapping[str, str], name: str, default: Optional[bool] = None) -> Optional[bool]:
+    """A boolean query parameter (``1/true/yes/on`` or ``0/false/no/off``); ``default`` when absent."""
+    raw = params.get(name)
+    if raw is None:
+        return default
+    lowered = str(raw).strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"query parameter {name!r} expects a boolean, got {raw!r}")
+
+
+def _query_number(params: Mapping[str, str], name: str, caster, default=None):
+    """A numeric query parameter parsed by ``caster``; ``default`` when absent or blank."""
+    raw = params.get(name)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        return caster(raw)
+    except ValueError:
+        raise ValueError(f"query parameter {name!r} expects {caster.__name__}, got {raw!r}") from None
+
+
 def case_spec_from_query(params: Mapping[str, str]) -> CaseSpec:
     """Build a canonical :class:`CaseSpec` from raw (string) query params.
 
@@ -82,36 +106,14 @@ def case_spec_from_query(params: Mapping[str, str]) -> CaseSpec:
     if not problem:
         raise ValueError("missing required query parameter 'problem'")
 
-    def _bool(name: str, default: bool = False) -> bool:
-        raw = params.get(name)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"query parameter {name!r} expects a boolean, got {raw!r}")
-
-    def _num(name: str, caster):
-        raw = params.get(name)
-        if raw is None or not raw.strip():
-            return None
-        try:
-            return caster(raw)
-        except ValueError:
-            raise ValueError(
-                f"query parameter {name!r} expects {caster.__name__}, got {raw!r}"
-            ) from None
-
     return CaseSpec(
         problem=problem.upper(),
         ordering=str(parse_spec(params.get("ordering", "metis"))),
         strategy=str(parse_spec(params.get("strategy", "memory-full"))),
-        split=_bool("split"),
-        nprocs=_num("nprocs", int),
-        scale=_num("scale", float),
-        split_threshold=_num("split_threshold", int),
+        split=_query_bool(params, "split", False),
+        nprocs=_query_number(params, "nprocs", int),
+        scale=_query_number(params, "scale", float),
+        split_threshold=_query_number(params, "split_threshold", int),
     )
 
 
@@ -300,19 +302,10 @@ class SweepService:
                 f"unknown query parameter(s) {sorted(unknown)}; expected {sorted(self.LIST_PARAMS)}"
             )
 
-        def _int(name: str, default: int) -> int:
-            raw = params.get(name)
-            if raw is None or not raw.strip():
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ValueError(f"query parameter {name!r} expects int, got {raw!r}") from None
-
-        limit = _int("limit", self.DEFAULT_PAGE)
+        limit = _query_number(params, "limit", int, self.DEFAULT_PAGE)
         if not 1 <= limit <= self.MAX_PAGE:
             raise ValueError(f"limit must be in [1, {self.MAX_PAGE}], got {limit}")
-        cursor = _int("cursor", 0)
+        cursor = _query_number(params, "cursor", int, 0)
         if cursor < 0:
             raise ValueError(f"cursor must be >= 0, got {cursor}")
         fields = None
@@ -325,16 +318,11 @@ class SweepService:
         for name, registry in (("ordering", ORDERINGS), ("strategy", STRATEGIES)):
             if params.get(name):
                 filters[name] = _names_same_case(registry, str(params[name]))
-        if params.get("split") is not None:
-            lowered = str(params["split"]).strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                filters["split"] = True
-            elif lowered in ("0", "false", "no", "off"):
-                filters["split"] = False
-            else:
-                raise ValueError(f"query parameter 'split' expects a boolean, got {params['split']!r}")
+        split = _query_bool(params, "split")
+        if split is not None:
+            filters["split"] = split
         if params.get("nprocs"):
-            filters["nprocs"] = _int("nprocs", 0)
+            filters["nprocs"] = _query_number(params, "nprocs", int, 0)
 
         self.results.refresh()
         table = self.results.table()

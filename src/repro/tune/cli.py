@@ -1,4 +1,4 @@
-"""The ``repro tune`` verb: search the strategy space, emit a leaderboard.
+"""The ``repro tune`` verb's handler: search the strategy space, emit a leaderboard.
 
 Examples
 --------
@@ -18,7 +18,7 @@ memory/makespan trade-off::
         --objective 'weighted(memory=1.0,time=0.25)' --format json
 
 See ``docs/tuning.md`` for the search-space syntax and the rung/fidelity
-model.
+model.  The verb's flags are declared in :func:`repro.cli.build_parser`.
 """
 
 from __future__ import annotations
@@ -29,64 +29,12 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.cli import session_kwargs
 from repro.tune.driver import Tuner, TuneSpec
 from repro.tune.leaderboard import DEFAULT_LEADERBOARD_NAME
-from repro.tune.objective import OBJECTIVES
-from repro.tune.search import SEARCHERS
 from repro.tune.space import parse_space
 
-__all__ = ["main", "build_parser"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro tune",
-        description="Search the strategy space for the best configuration",
-    )
-    parser.add_argument(
-        "--space", required=True,
-        help="search space, e.g. 'hybrid(alpha=0.0..1.0,use_predictions=true|false)'",
-    )
-    parser.add_argument(
-        "--problems", required=True,
-        help="comma-separated problem names the objective is aggregated over",
-    )
-    parser.add_argument(
-        "--orderings", default="metis",
-        help="comma-separated ordering specs (default: metis)",
-    )
-    parser.add_argument(
-        "--searcher", default="halving",
-        help=f"searcher spec; one of {', '.join(sorted(SEARCHERS))} (default: halving)",
-    )
-    parser.add_argument(
-        "--objective", default="peak-memory",
-        help=f"objective spec; one of {', '.join(sorted(OBJECTIVES))} (default: peak-memory)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="search rng seed (default 0)")
-    parser.add_argument("--nprocs", type=int, default=None, help="simulated-processor override")
-    parser.add_argument("--scale", type=float, default=None, help="full-fidelity problem scale")
-    parser.add_argument("--jobs", type=int, default=None, help="sweep worker processes for each rung")
-    parser.add_argument(
-        "--split", default=None,
-        help="comma-separated split axis for the space, e.g. 'false,true' (default: false)",
-    )
-    parser.add_argument(
-        "--split-threshold", default=None, metavar="DOMAIN",
-        help="split-threshold domain, e.g. '200..800' or '300|500'",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="ResultStore directory memoizing every evaluation (makes the tune resumable)",
-    )
-    parser.add_argument(
-        "--leaderboard", default=None, metavar="PATH",
-        help=f"leaderboard artifact path (default: <store>/{DEFAULT_LEADERBOARD_NAME} when --store is given)",
-    )
-    parser.add_argument("--cache", default=None, metavar="DIR", help="artifact cache directory")
-    parser.add_argument("--format", choices=("md", "json"), default="md", help="stdout format (default md)")
-    parser.add_argument("--quiet", action="store_true", help="disable rung progress lines on stderr")
-    return parser
+__all__ = ["cmd_tune"]
 
 
 def _parse_split(text: str | None, parser: argparse.ArgumentParser) -> tuple[bool, ...]:
@@ -124,15 +72,7 @@ def _render_board(board, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    problems = [p.strip().upper() for p in args.problems.split(",") if p.strip()]
-    if not problems:
-        parser.error("--problems needs at least one problem")
-    orderings = [o.strip() for o in args.orderings.split(",") if o.strip()]
-
+def cmd_tune(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         space = parse_space(
             args.space,
@@ -141,8 +81,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         spec = TuneSpec(
             space=space,
-            problems=problems,
-            orderings=orderings,
+            problems=args.problems,
+            orderings=args.orderings,
             searcher=args.searcher,
             objective=args.objective,
             seed=args.seed,
@@ -160,17 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.quiet:
             print(f"[tune] {done}/{total} case evaluations", file=sys.stderr)
 
-    session_kwargs = {}
-    if args.nprocs is not None:
-        session_kwargs["nprocs"] = args.nprocs
-    if args.scale is not None:
-        session_kwargs["scale"] = args.scale
-    if args.cache is not None:
-        session_kwargs["cache_dir"] = args.cache
-    if args.jobs is not None:
-        session_kwargs["jobs"] = args.jobs
-
-    with repro.open_session(**session_kwargs) as session:
+    with repro.open_session(**session_kwargs(args)) as session:
         board = Tuner(session, spec, store=args.store, jobs=args.jobs, progress=progress).run()
 
     if leaderboard_path is not None:
@@ -180,7 +110,3 @@ def main(argv: list[str] | None = None) -> int:
 
     print(_render_board(board, args.format))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

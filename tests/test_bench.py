@@ -33,33 +33,33 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 # BenchEnv
 # --------------------------------------------------------------------------- #
 class TestBenchEnv:
-    def test_defaults_from_empty_environ(self):
-        env = BenchEnv.from_environ({})
+    def test_defaults(self):
+        env = BenchEnv()
         assert env.nprocs == 32
         assert env.scale == 0.6
         assert env.to_dict() == {"nprocs": 32, "scale": 0.6}
 
-    def test_reads_every_variable(self):
-        env = BenchEnv.from_environ({"REPRO_BENCH_NPROCS": "8", "REPRO_BENCH_SCALE": "0.25"})
+    def test_takes_every_knob(self):
+        env = BenchEnv(nprocs=8, scale=0.25)
         assert (env.nprocs, env.scale) == (8, 0.25)
 
     @pytest.mark.parametrize(
-        "variable, value",
+        "knob, value",
         [
-            ("REPRO_BENCH_SCALE", "0"),
-            ("REPRO_BENCH_SCALE", "-1"),
-            ("REPRO_BENCH_SCALE", "five"),
-            ("REPRO_BENCH_SCALE", "99"),
-            ("REPRO_BENCH_NPROCS", "0"),
-            ("REPRO_BENCH_NPROCS", "2.5"),
+            ("scale", 0),
+            ("scale", -1),
+            ("scale", "five"),
+            ("scale", 99),
+            ("nprocs", 0),
+            ("nprocs", 2.5),
         ],
     )
-    def test_bad_values_raise_with_variable_name(self, variable, value):
-        with pytest.raises(BenchEnvError, match=variable):
-            BenchEnv.from_environ({variable: value})
+    def test_bad_values_raise_with_flag_name(self, knob, value):
+        with pytest.raises(BenchEnvError, match=f"--{knob}"):
+            BenchEnv(**{knob: value})
 
     def test_replace_validates_and_ignores_none(self):
-        env = BenchEnv.from_environ({})
+        env = BenchEnv()
         assert env.replace(scale=None).scale == env.scale
         assert env.replace(scale=0.2, nprocs=4) == BenchEnv(nprocs=4, scale=0.2)
         with pytest.raises(BenchEnvError):
@@ -289,7 +289,7 @@ class TestBenchRunner:
         prepared = PreparedCase(
             case=BenchCase("c", "s"), fn=fn, repeats=3, warmup=2
         )
-        runner = BenchRunner(BenchEnv.from_environ({}), timer=lambda: float(next(ticks)))
+        runner = BenchRunner(BenchEnv(), timer=lambda: float(next(ticks)))
         result = runner.run_case(prepared)
         assert len(calls) == 5  # 2 warmups + 3 timed repeats
         assert result.seconds == [1.0, 1.0, 1.0]
@@ -298,7 +298,7 @@ class TestBenchRunner:
 
     def test_global_overrides_and_validation(self):
         prepared = PreparedCase(case=BenchCase("c", "s"), fn=lambda: None, repeats=5, warmup=3)
-        runner = BenchRunner(BenchEnv.from_environ({}), repeats=1, warmup=0)
+        runner = BenchRunner(BenchEnv(), repeats=1, warmup=0)
         assert runner.run_case(prepared).repeats == 1
         with pytest.raises(ValueError):
             BenchRunner(repeats=0)
@@ -309,7 +309,7 @@ class TestBenchRunner:
         def explode():
             raise RuntimeError("kaboom")
 
-        runner = BenchRunner(BenchEnv.from_environ({}))
+        runner = BenchRunner(BenchEnv())
         result = runner.run_case(PreparedCase(case=BenchCase("c", "s"), fn=explode))
         assert result.seconds == []
         assert "kaboom" in result.error
@@ -322,7 +322,7 @@ class TestBenchRunner:
             return {"value": 1.0}
 
         prepared = PreparedCase(case=BenchCase("c", "s"), fn=fn, repeats=2, warmup=1)
-        runner = BenchRunner(BenchEnv.from_environ({}), profile_top=5)
+        runner = BenchRunner(BenchEnv(), profile_top=5)
         result = runner.run_case(prepared)
         # 1 warmup + 2 timed + 1 profiled execution
         assert len(calls) == 4
@@ -349,13 +349,13 @@ class TestBenchRunner:
             return {"value": 1.0}
 
         prepared = PreparedCase(case=BenchCase("c", "s"), fn=fn, repeats=2, warmup=0)
-        result = BenchRunner(BenchEnv.from_environ({}), profile_top=5).run_case(prepared)
+        result = BenchRunner(BenchEnv(), profile_top=5).run_case(prepared)
         assert len(result.seconds) == 2 and result.error is None
         assert len(result.profile) == 1
         assert result.profile[0]["function"].startswith("<profiling failed>")
 
     def test_profile_disabled_by_default_and_validated(self):
-        runner = BenchRunner(BenchEnv.from_environ({}))
+        runner = BenchRunner(BenchEnv())
         result = runner.run_case(PreparedCase(case=BenchCase("c", "s"), fn=lambda: None))
         assert result.profile is None
         with pytest.raises(ValueError):
@@ -393,7 +393,7 @@ class TestBenchRunner:
                 name="broken", value=broken_build, description="", params={}
             ),
         )
-        runner = BenchRunner(BenchEnv.from_environ({}))
+        runner = BenchRunner(BenchEnv())
         run = runner.run_suites(["broken"])
         assert [r.case.key for r in run.results] == ["broken/broken-build"]
         assert "analysis chain broke" in run.results[0].error
@@ -515,7 +515,7 @@ class TestBenchCli:
         with pytest.raises(SystemExit) as excinfo:
             repro_main(["--nprocs", "8", "bench"])
         assert excinfo.value.code == 2
-        assert "'bench' must come first" in capsys.readouterr().err
+        assert "invalid choice: '8'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
@@ -524,7 +524,7 @@ class TestBenchCli:
 def test_pipeline_suite_builds_and_closes():
     from repro.bench import build_suite
 
-    env = BenchEnv.from_environ({}).replace(scale=0.1, nprocs=4)
+    env = BenchEnv().replace(scale=0.1, nprocs=4)
     instance = build_suite("pipeline", env)
     try:
         assert isinstance(instance, SuiteInstance)
@@ -542,7 +542,7 @@ def test_analysis_suite_covers_every_problem_and_ordering():
     from repro.bench import build_suite
     from repro.experiments.problems import PROBLEMS
 
-    env = BenchEnv.from_environ({}).replace(scale=0.1, nprocs=4)
+    env = BenchEnv().replace(scale=0.1, nprocs=4)
     instance = build_suite("analysis", env)
     try:
         keys = {(dict(c.case.params)["problem"], dict(c.case.params)["ordering"]) for c in instance.cases}
@@ -570,7 +570,7 @@ class TestCalibration:
         )
         prepared = PreparedCase(case=BenchCase("c", "s"), fn=lambda: None, repeats=2, warmup=0)
         runner = BenchRunner(
-            BenchEnv.from_environ({}),
+            BenchEnv(),
             timer=lambda: float(next(ticks)),
             calibrate=lambda: next(samples),
         )
@@ -715,7 +715,7 @@ class TestContention:
     def _runner(self, wall_per_repeat: float, cpu_per_repeat: float) -> BenchRunner:
         wall, cpu = iter(range(100)), iter(range(100))
         return BenchRunner(
-            BenchEnv.from_environ({}),
+            BenchEnv(),
             timer=lambda: next(wall) * wall_per_repeat,
             cpu_timer=lambda: next(cpu) * cpu_per_repeat,
             calibrate=lambda: 0.003,

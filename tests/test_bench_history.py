@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.cli import main as bench_main
+from repro.cli import main
 from repro.bench.history import BenchHistory, HistoryPoint, default_history_dir
 from repro.bench.model import BenchCase, BenchResult, BenchRun
 
@@ -159,14 +159,14 @@ class TestBenchHistoryCli:
         return tmp_path
 
     def test_history_md_listing(self, populated, capsys):
-        assert bench_main(["history", "--dir", str(populated)]) == 0
+        assert main(["bench", "history", "--dir", str(populated)]) == 0
         out = capsys.readouterr().out
         assert "pipeline/full_sweep" in out
         assert "2 point(s) across 2 recorded run(s)" in out
 
     def test_history_json_with_case_and_limit(self, populated, capsys):
-        code = bench_main(
-            ["history", "--dir", str(populated), "--case", "pipeline/full_sweep",
+        code = main(
+            ["bench", "history", "--dir", str(populated), "--case", "pipeline/full_sweep",
              "--limit", "1", "--format", "json"]
         )
         assert code == 0
@@ -177,11 +177,11 @@ class TestBenchHistoryCli:
 
     def test_history_bad_limit_errors(self, populated):
         with pytest.raises(SystemExit):
-            bench_main(["history", "--dir", str(populated), "--limit", "0"])
+            main(["bench", "history", "--dir", str(populated), "--limit", "0"])
 
     def test_run_save_appends_history(self, tmp_path, capsys):
-        code = bench_main(
-            ["run", "--suite", "results", "--scale", "0.05", "--repeats", "1",
+        code = main(
+            ["bench", "run", "--suite", "results", "--scale", "0.05", "--repeats", "1",
              "--warmup", "0", "--save", str(tmp_path / "run.json"),
              "--history", str(tmp_path / "history"), "--format", "json"]
         )
@@ -191,8 +191,8 @@ class TestBenchHistoryCli:
         assert "appended run to bench history" in capsys.readouterr().err
 
     def test_run_save_no_history_skips_append(self, tmp_path, capsys):
-        code = bench_main(
-            ["run", "--suite", "results", "--scale", "0.05", "--repeats", "1",
+        code = main(
+            ["bench", "run", "--suite", "results", "--scale", "0.05", "--repeats", "1",
              "--warmup", "0", "--save", str(tmp_path / "run.json"),
              "--no-history", "--format", "json"]
         )

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,9 +46,10 @@ def test_table_json_is_exact_and_untimed(capsys):
     cell = payload["tables"]["table2"]["XENON2"]["METIS"]
     assert f"{round(cell, 1)}" in text  # the text output rounds the same cell
     for argv in (["table2", "--format", "csv"], ["all", "--format", "json"]):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(argv)
-        assert "--format text or json" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "argument --format: invalid choice" in capsys.readouterr().err
 
 
 def test_sweep_target(capsys):
@@ -131,3 +136,80 @@ def test_unknown_sim_engine_env_exits_cleanly(monkeypatch, capsys, engine):
     assert err.startswith("repro: unknown simulator engine")
     assert "soa" in err and "reference" in err
     assert "Traceback" not in err
+
+
+# --------------------------------------------------------------------------- #
+# one parser tree for every verb
+# --------------------------------------------------------------------------- #
+VERBS = [
+    *[[f"table{i}"] for i in range(1, 7)],
+    *[[f"figure{i}"] for i in range(1, 9)],
+    ["tables"], ["figures"], ["all"], ["sweep"], ["list"], ["robustness"], ["tune"],
+    ["bench"], *[["bench", command] for command in ("run", "compare", "fold", "list", "history")],
+    ["serve"], ["submit"], ["query"],
+]
+
+
+@pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+def test_help_on_every_verb(verb, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*verb, "--help"])
+    assert excinfo.value.code == 0
+    assert f"usage: repro {' '.join(verb)}" in capsys.readouterr().out
+
+
+def test_list_leaves_the_subsystems_unimported():
+    # `repro serve` starts through the same tree: building it must not pay
+    # for the bench, tune, service or faults subsystems
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "assert main(['list']) == 0\n"
+        "subsystems = ('repro.bench', 'repro.tune', 'repro.service', 'repro.faults')\n"
+        "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith(subsystems))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stderr == "[]"
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_submit_nprocs_list_is_parsed_by_the_shared_axis(capsys):
+    err = _usage_error(["submit", "--problems", "XENON2", "--nprocs", "8,x"], capsys)
+    assert "argument --nprocs: expects integers, got '8,x'" in err
+
+
+TUNE = ["tune", "--space", "hybrid(alpha=0.0..1.0)", "--problems", "XENON2",
+        "--searcher", "grid(resolution=2)", "--nprocs", "4", "--scale", "0.2", "--quiet"]
+ROBUSTNESS = ["robustness", "--problems", "XENON2", "--faults", "stragglers(frac=0.5,slowdown=3.0)",
+              "--replications", "1", "--nprocs", "4", "--scale", "0.2"]
+
+
+def test_robustness_spec_lists_split_outside_parentheses(capsys):
+    strategy = "hybrid(alpha=0.3,use_predictions=false)"
+    assert main([*ROBUSTNESS, "--strategies", strategy, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["strategy"] for row in rows] == [strategy]
+
+
+def test_tune_spec_lists_split_outside_parentheses(capsys):
+    assert main([*TUNE, "--orderings", "metis(leaf_size=32,balance=0.5)", "--format", "json"]) == 0
+    board = json.loads(capsys.readouterr().out)
+    assert board["evaluations"] == 2
+
+
+@pytest.mark.parametrize("argv", [TUNE, ROBUSTNESS], ids=["tune", "robustness"])
+def test_jobs_zero_is_a_usage_error_naming_the_flag(argv, capsys):
+    assert "error: --jobs must be >= 1" in _usage_error([*argv, "--jobs", "0"], capsys)
+
+
+def test_tune_rejects_unknown_orderings_before_any_work(capsys):
+    err = _usage_error([*TUNE, "--orderings", "metis,bogus"], capsys)
+    assert "unknown --orderings value 'bogus'" in err

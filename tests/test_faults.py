@@ -355,19 +355,19 @@ class TestRobustnessCli:
     ]
 
     def test_md_output_and_determinism(self, capsys):
-        from repro.faults.cli import main
+        from repro.cli import main
 
-        assert main(self.ARGS) == 0
+        assert main(["robustness", *self.ARGS]) == 0
         first = capsys.readouterr().out
-        assert main(self.ARGS) == 0
+        assert main(["robustness", *self.ARGS]) == 0
         second = capsys.readouterr().out
         assert first == second
         assert "| degradation |" in first.splitlines()[2]
 
     def test_json_output(self, capsys):
-        from repro.faults.cli import main
+        from repro.cli import main
 
-        assert main(self.ARGS + ["--format", "json"]) == 0
+        assert main(["robustness", *self.ARGS, "--format", "json"]) == 0
         import json
 
         payload = json.loads(capsys.readouterr().out)
@@ -376,10 +376,10 @@ class TestRobustnessCli:
         assert row["degradation"] > 0.0
 
     def test_bad_fault_spec_is_a_usage_error(self, capsys):
-        from repro.faults.cli import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["--problems", "XENON2", "--faults", "nope()"])
+            main(["robustness", "--problems", "XENON2", "--faults", "nope()"])
         assert excinfo.value.code == 2
         assert "unknown fault model" in capsys.readouterr().err
 
